@@ -100,8 +100,9 @@ void BM_BinCountOracleRle(benchmark::State& state) {
   const CostModel model = unit_model();
   BinCountOptions options;
   options.exact.node_budget = 20'000;
+  BinCountScratch scratch;
   for (auto _ : state) {
-    const BinCountBounds bounds = optimal_bin_count_rle(runs, model, options);
+    const BinCountBounds bounds = optimal_bin_count_rle(runs, model, options, scratch);
     benchmark::DoNotOptimize(bounds.lower);
   }
 }

@@ -1,6 +1,7 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <exception>
 #include <thread>
 
@@ -46,7 +47,8 @@ ShardedDispatchEngine::ShardedDispatchEngine(EngineConfig config,
     : config_(std::move(config)),
       router_(router ? std::move(router) : std::make_unique<HashShardRouter>()),
       oracle_(config_.spec.to_cost_model(), config_.bin_count,
-              config_.oracle_memo_limit) {
+              config_.oracle_memo_limit),
+      integral_(config_.spec.to_cost_model().cost_rate) {
   config_.validate();
   shards_.reserve(config_.shard_count);
   for (std::size_t i = 0; i < config_.shard_count; ++i) {
@@ -202,32 +204,22 @@ void ShardedDispatchEngine::merge_snapshots_locked() {
 
 void ShardedDispatchEngine::advance_epoch(Time now_minutes) {
   const std::lock_guard<std::mutex> lock(pump_mutex_);
+  DBP_REQUIRE(std::isfinite(now_minutes), "epoch time must be finite");
   DBP_REQUIRE(epochs_ == 0 || now_minutes >= last_epoch_time_,
               "epoch times must be non-decreasing");
   // 1. Close the segment [last_epoch, now): the active multiset over that
   // segment is the one captured at the *previous* epoch (events queued
-  // since then carry timestamps >= the epoch they follow). A zero-length
-  // segment (now == last epoch — the wire timer thread produces coincident
-  // ticks under load) contributes exactly 0 dollars and must not inflate
-  // segments/exact_segments; it still refreshes the snapshot below, which
-  // is a no-op on bounds when no new events were queued
-  // (EngineTest.ZeroLengthEpochSegmentsAreFree).
-  if (have_snapshot_) {
-    const double minutes = now_minutes - last_epoch_time_;
-    if (minutes > 0.0) {
-      const double rate = config_.spec.to_cost_model().cost_rate;
-      lower_dollars_.add(static_cast<double>(last_bounds_.lower) * minutes * rate);
-      upper_dollars_.add(static_cast<double>(last_bounds_.upper) * minutes * rate);
-      ++segments_;
-      if (last_bounds_.exact()) ++exact_segments_;
-    }
-  }
+  // since then carry timestamps >= the epoch they follow). The integrator
+  // drops zero-length segments (the wire timer thread produces coincident
+  // ticks under load — EngineTest.ZeroLengthEpochSegmentsAreFree) and
+  // empty-fleet ones, including the stretch before the first epoch, exactly
+  // as estimate_opt_total does.
+  integral_.add(last_bounds_, now_minutes - last_epoch_time_);
   // 2. Apply everything queued, then snapshot and merge.
   pump_locked();
   snapshot_shards_locked();
   merge_snapshots_locked();
   last_bounds_ = oracle_.count_rle(merged_runs_);
-  have_snapshot_ = true;
   last_epoch_time_ = now_minutes;
   ++epochs_;
   // 3. Deterministic observability, emitted from the caller thread only —
@@ -256,10 +248,10 @@ void ShardedDispatchEngine::advance_epoch(Time now_minutes) {
 StreamingOptBounds ShardedDispatchEngine::opt_bounds() const {
   const std::lock_guard<std::mutex> lock(pump_mutex_);
   StreamingOptBounds bounds;
-  bounds.lower_dollars = lower_dollars_.value();
-  bounds.upper_dollars = upper_dollars_.value();
-  bounds.segments = segments_;
-  bounds.exact_segments = exact_segments_;
+  bounds.lower_dollars = integral_.lower_cost();
+  bounds.upper_dollars = integral_.upper_cost();
+  bounds.segments = integral_.segments();
+  bounds.exact_segments = integral_.exact_segments();
   return bounds;
 }
 

@@ -21,11 +21,12 @@
 // (docs/dispatch_engine.md).
 //
 // Epoch batching: advance_epoch(t) closes the segment [prev_epoch, t) by
-// integrating the previous merged snapshot's certified bin-count bounds
-// (opt/bin_count.hpp, memoized per engine), then applies all queued
-// events and takes fresh per-shard RLE size-multiset snapshots. With an
-// epoch at every event boundary the integral equals estimate_opt_total's
-// (within accumulation-order rounding); sparser epochs trade fidelity for
+// feeding the previous merged snapshot's certified bin-count bounds
+// (opt/bin_count.hpp, memoized per engine) to the OptTotalIntegrator
+// estimate_opt_total also sums with (opt/opt_total.hpp), then applies all
+// queued events and takes fresh per-shard RLE size-multiset snapshots.
+// With an epoch at every event boundary the streaming bounds equal
+// estimate_opt_total's bit for bit; sparser epochs trade fidelity for
 // throughput, exactly like a metrics scrape cadence.
 #pragma once
 
@@ -37,11 +38,11 @@
 #include <mutex>
 #include <vector>
 
-#include "core/compensated_sum.hpp"
 #include "engine/mpsc_ring.hpp"
 #include "engine/router.hpp"
 #include "gaming/dispatcher.hpp"
 #include "opt/bin_count.hpp"
+#include "opt/opt_total.hpp"
 
 namespace dbp::engine {
 
@@ -101,8 +102,9 @@ struct EngineConfig {
 struct StreamingOptBounds {
   double lower_dollars = 0.0;
   double upper_dollars = 0.0;
-  /// Epoch segments integrated and how many had exact (lower == upper)
-  /// bin counts.
+  /// Epoch segments integrated (positive length, non-empty fleet — the
+  /// OptTotalIntegrator rule) and how many had exact (lower == upper) bin
+  /// counts.
   std::size_t segments = 0;
   std::size_t exact_segments = 0;
 };
@@ -172,7 +174,8 @@ class ShardedDispatchEngine {
   /// drains all rings and takes fresh per-shard RLE snapshots (merged on
   /// the caller thread in shard order). Emits one kEpochMark plus one
   /// kShardSnapshot trace record per shard when a tracer is in scope.
-  /// Epoch times must be non-decreasing.
+  /// Epoch times must be finite and non-decreasing; PreconditionError
+  /// otherwise, leaving the engine unchanged.
   void advance_epoch(Time now_minutes);
 
   [[nodiscard]] StreamingOptBounds opt_bounds() const;
@@ -221,16 +224,13 @@ class ShardedDispatchEngine {
   mutable std::mutex pump_mutex_;
   std::atomic<std::uint64_t> submit_backoffs_{0};
 
-  // Epoch state (guarded by pump_mutex_).
+  // Epoch state (guarded by pump_mutex_). Before the first epoch the fleet
+  // is empty, so last_bounds_ starts at {0, 0}.
   BinCountOracle oracle_;
+  OptTotalIntegrator integral_;
   std::vector<SizeRun> merged_runs_;
   BinCountBounds last_bounds_{};
-  bool have_snapshot_ = false;
   Time last_epoch_time_ = 0.0;
-  CompensatedSum lower_dollars_;
-  CompensatedSum upper_dollars_;
-  std::size_t segments_ = 0;
-  std::size_t exact_segments_ = 0;
   std::uint64_t epochs_ = 0;
 };
 

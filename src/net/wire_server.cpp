@@ -232,23 +232,11 @@ void WireServer::timer_loop() {
 }
 
 std::string WireServer::advance_epoch_checked(double t) {
-  std::lock_guard<std::mutex> lock(epoch_mutex_);
-  if (!std::isfinite(t)) {
-    // The engine's own monotonicity check would miss a NaN *first* epoch;
-    // the wire screens non-finite times before they can poison state.
-    return strfmt("epoch time %.17g is not finite", t);
-  }
-  if (any_epoch_sent_ && t < last_epoch_sent_) {
-    return strfmt("epoch time %.17g regresses below the last epoch %.17g", t,
-                  last_epoch_sent_);
-  }
   try {
     engine_.advance_epoch(t);
   } catch (const PreconditionError& error) {
-    return error.what();  // e.g. non-finite or pre-stream epoch time
+    return error.what();  // a non-finite or regressing epoch time
   }
-  any_epoch_sent_ = true;
-  last_epoch_sent_ = t;
   raise_watermark(t);
   epochs_advanced_.fetch_add(1, std::memory_order_relaxed);
   bump(c_epochs_);

@@ -141,10 +141,9 @@ class WireServer {
   void reject(Connection& conn, std::uint64_t seq, WireError error,
               std::string detail);
 
-  /// Advances the engine epoch under epoch_mutex_, enforcing that wire
-  /// epoch times never regress (the engine would throw; the wire rejects
-  /// first so the connection survives). Returns a rejection detail or
-  /// empty on success.
+  /// Advances the engine epoch. The engine refuses non-finite and
+  /// regressing epoch times with a PreconditionError, which comes back as
+  /// the rejection detail (empty on success), so the connection survives.
   [[nodiscard]] std::string advance_epoch_checked(double t);
 
   void raise_watermark(double t) noexcept;
@@ -170,12 +169,6 @@ class WireServer {
 
   std::mutex connections_mutex_;
   std::vector<std::unique_ptr<Connection>> connections_;
-
-  /// Serializes epoch advancement across connections and the timer;
-  /// tracks the last epoch time actually sent to the engine.
-  std::mutex epoch_mutex_;
-  double last_epoch_sent_ = 0.0;
-  bool any_epoch_sent_ = false;
 
   std::atomic<double> watermark_{0.0};
 

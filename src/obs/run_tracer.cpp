@@ -49,8 +49,6 @@ const char* to_string(TraceKind kind) noexcept {
     case TraceKind::kFaultCrash: return "fault_crash";
     case TraceKind::kFaultAnomaly: return "fault_anomaly";
     case TraceKind::kRedispatch: return "redispatch";
-    case TraceKind::kOracleHit: return "oracle_hit";
-    case TraceKind::kOracleMiss: return "oracle_miss";
     case TraceKind::kOptPhase: return "opt_phase";
     case TraceKind::kDispatchReject: return "dispatch_reject";
     case TraceKind::kSessionShed: return "session_shed";

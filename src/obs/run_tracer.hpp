@@ -36,8 +36,6 @@ enum class TraceKind : std::uint8_t {
   kFaultCrash,      ///< injected crash landed; bin = victim, count = live items
   kFaultAnomaly,    ///< injected anomaly; label = detected category
   kRedispatch,      ///< crash orphans re-dispatched; count = sessions
-  kOracleHit,       ///< bin-count oracle memo hit; count = snapshot index
-  kOracleMiss,      ///< oracle memo miss; count = snapshot index
   kOptPhase,        ///< estimator phase finished; label = phase, ms = duration
   kDispatchReject,  ///< dispatcher rejected an event; label = error kind
   kSessionShed,     ///< degraded mode shed a session

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "core/arena.hpp"
 #include "core/compensated_sum.hpp"
 #include "core/error.hpp"
 #include "opt/classical.hpp"
 #include "opt/lower_bounds.hpp"
-#include "opt/scratch.hpp"
 
 namespace dbp {
 
@@ -37,15 +37,29 @@ std::size_t per_bin_count(double size, const CostModel& model) {
   return std::max<std::size_t>(m, 1);
 }
 
-/// The computation behind both entry points, on the compressed form. Every
-/// step replays the flat algorithm's floating-point sequence (the `_rle`
-/// heuristics are bit-identical by construction; the exact solver runs on a
-/// transient expansion), so compute_rle(compress(S)) == compute_flat(S).
-/// With a scratch, the identical computation runs on reused storage — the
-/// scratch-taking kernel variants are documented value-identical to their
-/// allocating twins, so both branches below return the same bounds.
+/// The exact fast paths both entry points take before any heuristic runs:
+/// everything fits one bin, or all sizes are equal (within relative
+/// tolerance). `total` is the per-item compensated sum of the n > 0 sizes.
+std::optional<BinCountBounds> closed_form_count(std::uint64_t n, double total,
+                                                double largest, double smallest,
+                                                const CostModel& model,
+                                                const BinCountOptions& options) {
+  if (model.fits(total, model.bin_capacity)) return BinCountBounds{1, 1};
+  if (largest - smallest <= options.equal_size_rel_tolerance * largest) {
+    const std::size_t m = per_bin_count(largest, model);
+    const auto bins = static_cast<std::size_t>((n + m - 1) / m);
+    return BinCountBounds{bins, bins};
+  }
+  return std::nullopt;
+}
+
+/// optimal_bin_count_rle without the input validation, shared with the
+/// oracle's miss path. Every step replays the flat algorithm's
+/// floating-point sequence (the `_rle` kernels are bit-identical by
+/// construction; the exact solver runs on an expansion), so
+/// compute_rle(compress(S)) == optimal_bin_count(S).
 BinCountBounds compute_rle(std::span<const SizeRun> runs, const CostModel& model,
-                           const BinCountOptions& options, BinCountScratch* scratch) {
+                           const BinCountOptions& options, BinCountScratch& scratch) {
   const std::uint64_t n = rle_item_count(runs);
   if (n == 0) return {0, 0};
 
@@ -54,52 +68,31 @@ BinCountBounds compute_rle(std::span<const SizeRun> runs, const CostModel& model
   for (const SizeRun& run : runs) {
     for (std::uint64_t i = 0; i < run.count; ++i) sum.add(run.size);
   }
-
-  // Fast path: everything fits one bin.
-  if (model.fits(sum.value(), model.bin_capacity)) return {1, 1};
-
-  // Fast path: all sizes equal (within relative tolerance) => exact count.
-  const double largest = runs.front().size;
-  const double smallest = runs.back().size;
-  if (largest - smallest <= options.equal_size_rel_tolerance * largest) {
-    const std::size_t m = per_bin_count(largest, model);
-    const auto bins = static_cast<std::size_t>((n + m - 1) / m);
-    return {bins, bins};
+  if (const auto closed = closed_form_count(n, sum.value(), runs.front().size,
+                                            runs.back().size, model, options)) {
+    return *closed;
   }
 
-  std::size_t lower;
-  std::size_t upper;
-  if (scratch != nullptr) {
-    scratch->arena.reset();
-    lower = l2_lower_bound_rle(runs, model, scratch->arena);
-    upper = std::min(first_fit_decreasing_rle(runs, model, scratch->ffd_tree),
-                     best_fit_decreasing_rle(runs, model, scratch->bfd_residuals));
-  } else {
-    lower = l2_lower_bound_rle(runs, model);
-    upper = std::min(first_fit_decreasing_rle(runs, model),
-                     best_fit_decreasing_rle(runs, model));
-  }
+  scratch.arena.reset();
+  const std::size_t lower = l2_lower_bound_rle(runs, model, scratch.arena);
+  const std::size_t upper =
+      std::min(first_fit_decreasing_rle(runs, model, scratch.ffd_tree),
+               best_fit_decreasing_rle(runs, model, scratch.bfd_residuals));
   DBP_CHECK(lower <= upper, "L2 exceeds the FFD/BFD bin count");
   if (lower == upper || !options.use_exact_solver) return {lower, upper};
 
-  if (scratch != nullptr) {
-    // Arena-backed expansion (runs are strictly decreasing, so the expanded
-    // multiset is born sorted), then the search-only solver entry: it takes
-    // the bounds just computed — bit-identical to the ones exact_bin_count
-    // would recompute from the expansion — instead of re-deriving them.
-    const std::span<double> expanded =
-        scratch->arena.allocate_array<double>(static_cast<std::size_t>(n));
-    std::size_t at = 0;
-    for (const SizeRun& run : runs) {
-      for (std::uint64_t i = 0; i < run.count; ++i) expanded[at++] = run.size;
-    }
-    const ExactPackingResult exact = exact_bin_count_bounded(
-        expanded, model, lower, upper, options.exact, scratch->arena);
-    return {std::max(lower, exact.lower), std::min(upper, exact.upper)};
+  // Arena-backed expansion (runs are strictly decreasing, so the expanded
+  // multiset is born sorted), then the search-only solver entry: it takes
+  // the bounds just computed — bit-identical to the ones exact_bin_count
+  // would recompute from the expansion — instead of re-deriving them.
+  const std::span<double> expanded =
+      scratch.arena.allocate_array<double>(static_cast<std::size_t>(n));
+  std::size_t at = 0;
+  for (const SizeRun& run : runs) {
+    for (std::uint64_t i = 0; i < run.count; ++i) expanded[at++] = run.size;
   }
-  std::vector<double> expanded;
-  rle_expand(runs, expanded);
-  const ExactPackingResult exact = exact_bin_count(expanded, model, options.exact);
+  const ExactPackingResult exact = exact_bin_count_bounded(
+      expanded, model, lower, upper, options.exact, scratch.arena);
   return {std::max(lower, exact.lower), std::min(upper, exact.upper)};
 }
 
@@ -114,15 +107,23 @@ BinCountBounds optimal_bin_count(std::span<const double> sizes, const CostModel&
     DBP_REQUIRE(s > 0.0 && model.fits(s, model.bin_capacity),
                 "size must be in (0, bin capacity]");
   }
-  return compute_rle(rle_from_sorted(sorted), model, options, nullptr);
-}
+  if (sorted.empty()) return {0, 0};
 
-BinCountBounds optimal_bin_count_rle(std::span<const SizeRun> runs,
-                                     const CostModel& model,
-                                     const BinCountOptions& options) {
-  model.validate();
-  rle_validate(runs, model);
-  return compute_rle(runs, model, options, nullptr);
+  CompensatedSum sum;
+  for (double s : sorted) sum.add(s);
+  if (const auto closed = closed_form_count(sorted.size(), sum.value(), sorted.front(),
+                                            sorted.back(), model, options)) {
+    return *closed;
+  }
+
+  const std::size_t lower = l2_lower_bound_sorted(sorted, model);
+  const std::size_t upper = std::min(first_fit_decreasing_sorted(sorted, model),
+                                     best_fit_decreasing_sorted(sorted, model));
+  DBP_CHECK(lower <= upper, "L2 exceeds the FFD/BFD bin count");
+  if (lower == upper || !options.use_exact_solver) return {lower, upper};
+
+  const ExactPackingResult exact = exact_bin_count(sorted, model, options.exact);
+  return {std::max(lower, exact.lower), std::min(upper, exact.upper)};
 }
 
 BinCountBounds optimal_bin_count_rle(std::span<const SizeRun> runs,
@@ -131,7 +132,7 @@ BinCountBounds optimal_bin_count_rle(std::span<const SizeRun> runs,
                                      BinCountScratch& scratch) {
   model.validate();
   rle_validate(runs, model);
-  return compute_rle(runs, model, options, &scratch);
+  return compute_rle(runs, model, options, scratch);
 }
 
 BinCountOracle::BinCountOracle(CostModel model, BinCountOptions options,
@@ -145,47 +146,23 @@ BinCountBounds BinCountOracle::count_sorted(std::span<const double> sorted_desc)
 }
 
 BinCountBounds BinCountOracle::count_rle(std::span<const SizeRun> runs) {
-  // Transparent probe first: only a miss pays for the owning key copy
-  // (inside store_rle).
-  if (const auto cached = lookup_rle(runs)) return *cached;
-  const BinCountBounds bounds = compute_rle(runs, model_, options_, nullptr);
-  store_rle(runs, bounds);
-  return bounds;
-}
-
-std::optional<BinCountBounds> BinCountOracle::lookup_rle(
-    std::span<const SizeRun> runs) {
   if (const auto it = memo_.find(runs); it != memo_.end()) {
     ++hits_;
     return it->second.bounds;
   }
   ++misses_;
-  return std::nullopt;
-}
-
-void BinCountOracle::store_rle(std::span<const SizeRun> runs,
-                               BinCountBounds bounds) {
-  const auto existing = memo_.find(runs);
-  if (existing != memo_.end()) {
-    existing->second = MemoEntry{bounds, next_seq_++};
-    return;
-  }
+  const BinCountBounds bounds = compute_rle(runs, model_, options_, scratch_);
   if (memo_.size() >= memo_limit_) {
     // Bounded FIFO eviction: drop the older half (by insertion sequence) so
     // the amortized cost per insert stays O(1) and recent snapshots — the
     // ones cyclic workloads are about to revisit — survive.
     const std::uint64_t cutoff = next_seq_ - static_cast<std::uint64_t>(memo_limit_) / 2;
-    for (auto it = memo_.begin(); it != memo_.end();) {
-      if (it->second.seq < cutoff) {
-        it = memo_.erase(it);
-        ++evictions_;
-      } else {
-        ++it;
-      }
-    }
+    evictions_ += std::erase_if(
+        memo_, [cutoff](const auto& entry) { return entry.second.seq < cutoff; });
   }
   memo_.emplace(std::vector<SizeRun>(runs.begin(), runs.end()),
                 MemoEntry{bounds, next_seq_++});
+  return bounds;
 }
 
 }  // namespace dbp

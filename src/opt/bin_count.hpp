@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -11,6 +10,7 @@
 #include "core/types.hpp"
 #include "opt/exact.hpp"
 #include "opt/rle.hpp"
+#include "opt/scratch.hpp"
 
 namespace dbp {
 
@@ -35,41 +35,37 @@ struct BinCountOptions {
 /// Computes bounds for the given multiset. Fast paths (exact, O(n)):
 /// empty, everything-fits-one-bin, all-equal sizes. General path:
 /// max(L1, L2) lower, min(FFD, BFD) upper, branch-and-bound to close.
+///
+/// The flat algorithm on a sorted copy (l2_lower_bound_sorted, the
+/// `_sorted` FFD/BFD, exact_bin_count) — the specification the RLE entry
+/// point below is differentially tested against, and what
+/// estimate_opt_total_reference evaluates snapshots with.
 [[nodiscard]] BinCountBounds optimal_bin_count(std::span<const double> sizes,
                                                const CostModel& model,
                                                const BinCountOptions& options = {});
 
-/// Run-length-encoded entry point (strictly decreasing run sizes).
-/// Bit-identical to optimal_bin_count on the expanded multiset — the
-/// heuristic chain runs on the compressed form via the `_rle` variants
-/// (which replay the flat floating-point sequence exactly) and the exact
-/// solver, when needed, runs on a transient expansion. Thread-safe: pure.
-[[nodiscard]] BinCountBounds optimal_bin_count_rle(std::span<const SizeRun> runs,
-                                                   const CostModel& model,
-                                                   const BinCountOptions& options = {});
-
-struct BinCountScratch;
-
-/// Scratch variant: identical bounds, but every working structure (L2
-/// prefix arrays, FFD tree, BFD residual index, exact-solver expansion and
-/// stack) is reused from `scratch` — see opt/scratch.hpp. The OPT_total
-/// evaluate phase calls this once per distinct snapshot with a per-worker
-/// scratch, making the phase allocation-free in steady state.
+/// Run-length-encoded entry point (strictly decreasing run sizes), used by
+/// every production caller. Bit-identical to optimal_bin_count on the
+/// expanded multiset: the heuristic chain runs on the compressed form via
+/// the `_rle` kernels (which replay the flat floating-point sequence
+/// exactly) and the exact solver, when needed, runs on an expansion. Every
+/// working structure (L2 prefix arrays, FFD tree, BFD residual index,
+/// exact-solver expansion and stack) is reused from `scratch` — see
+/// opt/scratch.hpp — so evaluating many snapshots with one scratch is
+/// allocation-free in steady state.
 [[nodiscard]] BinCountBounds optimal_bin_count_rle(std::span<const SizeRun> runs,
                                                    const CostModel& model,
                                                    const BinCountOptions& options,
                                                    BinCountScratch& scratch);
 
-/// Memoizing wrapper around the bin-count computation, keyed on the exact
-/// run-length-encoded multiset. The OPT_total estimator evaluates the active
-/// multiset at every event boundary; adversarial and cyclic workloads
-/// revisit the same multiset many times. Not thread-safe — the estimator's
-/// parallel phase computes misses via the pure optimal_bin_count_rle and
-/// stores them sequentially.
+/// Memoizing wrapper around optimal_bin_count_rle, keyed on the exact
+/// run-length-encoded multiset and computing misses on its own scratch. The
+/// streaming engine counts the merged fleet at every epoch; cyclic workloads
+/// revisit the same multiset many times. Not thread-safe.
 class BinCountOracle {
  public:
-  /// Evictions trim the memo back under `memo_limit` entries (FIFO halves,
-  /// see store_rle) instead of wiping it wholesale.
+  /// Evictions trim the memo back under `memo_limit` entries (FIFO halves)
+  /// instead of wiping it wholesale.
   static constexpr std::size_t kMemoLimit = 1 << 18;
 
   explicit BinCountOracle(CostModel model, BinCountOptions options = {},
@@ -78,27 +74,12 @@ class BinCountOracle {
   /// `sorted_desc` must be non-increasing. Compresses to runs, then counts.
   [[nodiscard]] BinCountBounds count_sorted(std::span<const double> sorted_desc);
 
-  /// Memoized bounds for a compressed multiset (lookup + compute + store).
-  [[nodiscard]] BinCountBounds count_rle(std::span<const SizeRun> runs);
-
-  /// Memo probe only; counts a hit or a miss. Lets callers batch the
-  /// computation of misses (e.g. in parallel) before store_rle-ing them.
-  /// The span form probes without copying the key (transparent lookup) —
-  /// arena-backed snapshot spans pass through allocation-free.
-  [[nodiscard]] std::optional<BinCountBounds> lookup_rle(std::span<const SizeRun> runs);
-  [[nodiscard]] std::optional<BinCountBounds> lookup_rle(
-      const std::vector<SizeRun>& runs) {
-    return lookup_rle(std::span<const SizeRun>(runs));
-  }
-
-  /// Inserts a computed entry, evicting the oldest half of the memo first
+  /// Memoized bounds for a compressed multiset. The probe is transparent —
+  /// arena-backed snapshot spans pass through without a key copy — and only
+  /// a miss copies the key into the memo, evicting the oldest half first
   /// when `memo_limit` is reached (FIFO by insertion; bounded, never a
-  /// wholesale wipe). Overwrites silently on duplicate keys. Only an actual
-  /// insert copies the key into an owning vector.
-  void store_rle(std::span<const SizeRun> runs, BinCountBounds bounds);
-  void store_rle(const std::vector<SizeRun>& runs, BinCountBounds bounds) {
-    store_rle(std::span<const SizeRun>(runs), bounds);
-  }
+  /// wholesale wipe).
+  [[nodiscard]] BinCountBounds count_rle(std::span<const SizeRun> runs);
 
   [[nodiscard]] std::size_t memo_size() const noexcept { return memo_.size(); }
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
@@ -115,6 +96,7 @@ class BinCountOracle {
   CostModel model_;
   BinCountOptions options_;
   std::size_t memo_limit_;
+  BinCountScratch scratch_;
   // DBP_LINT_ALLOW(unordered-container): memo lookups by exact RLE key;
   // eviction keeps every entry with seq >= cutoff, so the surviving set is
   // determined by insertion sequence, not by iteration order.

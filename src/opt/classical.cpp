@@ -74,12 +74,6 @@ std::size_t best_fit_decreasing_sorted(std::span<const double> sorted_desc,
 }
 
 std::size_t first_fit_decreasing_rle(std::span<const SizeRun> runs,
-                                     const CostModel& model) {
-  MaxSegmentTree residuals;
-  return first_fit_decreasing_rle(runs, model, residuals);
-}
-
-std::size_t first_fit_decreasing_rle(std::span<const SizeRun> runs,
                                      const CostModel& model,
                                      MaxSegmentTree& residuals) {
   model.validate();
@@ -111,7 +105,8 @@ std::size_t first_fit_decreasing_rle(std::span<const SizeRun> runs,
 }
 
 std::size_t best_fit_decreasing_rle(std::span<const SizeRun> runs,
-                                    const CostModel& model) {
+                                    const CostModel& model,
+                                    std::vector<double>& residuals) {
   model.validate();
   rle_validate(runs, model);
   // Equivalence to the per-item loop: the best-fit bin is the smallest
@@ -120,48 +115,15 @@ std::size_t best_fit_decreasing_rle(std::span<const SizeRun> runs,
   // long as r - s still fits, the *same* bin is re-selected; once it drops
   // below the threshold it never receives s again. A run therefore drains
   // into one bin at a time with the per-item subtraction sequence replayed
-  // exactly, at one multiset erase/insert per bin touched instead of per
-  // item. A fresh bin behaves identically with r starting at W - s.
-  std::multiset<double> residuals;
-  std::size_t bins = 0;
-  for (const SizeRun& run : runs) {
-    const double threshold = run.size - model.fit_tolerance;
-    std::uint64_t remaining = run.count;
-    while (remaining > 0) {
-      auto it = residuals.lower_bound(threshold);
-      double residual;
-      if (it == residuals.end()) {
-        ++bins;
-        residual = model.bin_capacity - run.size;
-      } else {
-        residual = *it;
-        residuals.erase(it);
-        residual -= run.size;
-      }
-      --remaining;
-      while (remaining > 0 && !(residual < threshold)) {
-        residual -= run.size;
-        --remaining;
-      }
-      residuals.insert(residual);
-    }
-  }
-  return bins;
-}
-
-std::size_t best_fit_decreasing_rle(std::span<const SizeRun> runs,
-                                    const CostModel& model,
-                                    std::vector<double>& residuals) {
-  model.validate();
-  rle_validate(runs, model);
-  // Same run-draining walk as the multiset overload above, on a flat
-  // ascending-sorted vector. std::lower_bound finds the same residual value
-  // the multiset's lower_bound finds; erase/insert at the bound keep the
-  // vector sorted with the same value multiset, and only values are ever
-  // read, so the two overloads return identical counts (classical.hpp).
-  // Bins stay in the low tens here, so the memmove behind insert/erase is
-  // cheaper than multiset node churn — and clear() keeps the capacity, so a
-  // reusing caller allocates nothing in steady state.
+  // exactly, at one erase/insert per bin touched instead of per item. A
+  // fresh bin behaves identically with r starting at W - s.
+  //
+  // The residuals live in an ascending-sorted vector: std::lower_bound finds
+  // the same residual value best_fit_decreasing_sorted's multiset finds, and
+  // only values are ever read (classical.hpp). Bins stay in the low tens
+  // here, so the memmove behind insert/erase is cheaper than multiset node
+  // churn — and clear() keeps the capacity, so a reusing caller allocates
+  // nothing in steady state.
   residuals.clear();
   std::size_t bins = 0;
   for (const SizeRun& run : runs) {

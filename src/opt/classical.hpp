@@ -30,36 +30,31 @@ namespace dbp {
 [[nodiscard]] std::size_t best_fit_decreasing_sorted(std::span<const double> sorted_desc,
                                                      const CostModel& model);
 
-/// Run-length-encoded variants (strictly decreasing run sizes). Bit-identical
-/// to the `_sorted` variants on the expanded multiset: equal consecutive
-/// items land in the same bin under FFD, so a whole run is placed with one
-/// tree search per target bin while the per-item residual subtractions are
-/// replayed unchanged; BFD replays its per-item multiset walk verbatim.
-/// first_fit_decreasing_rle is O(d log b + placements) for d runs instead of
-/// O(n log b) for n items.
-[[nodiscard]] std::size_t first_fit_decreasing_rle(std::span<const SizeRun> runs,
-                                                   const CostModel& model);
-[[nodiscard]] std::size_t best_fit_decreasing_rle(std::span<const SizeRun> runs,
-                                                  const CostModel& model);
-
 class MaxSegmentTree;
 
-/// Scratch variants for callers that evaluate many multisets in a row (the
-/// OPT_total evaluate phase, see opt/scratch.hpp): the residual structures
-/// are clear()ed and reused instead of rebuilt, so steady-state calls touch
-/// no heap. Results are identical to the scratch-free overloads.
+/// Run-length-encoded variants (strictly decreasing run sizes) for callers
+/// that evaluate many multisets in a row — the bin-count oracle and the
+/// OPT_total evaluate phase, both through opt/scratch.hpp. Bit-identical to
+/// the `_sorted` variants on the expanded multiset, and the residual
+/// structures are clear()ed and reused instead of rebuilt, so steady-state
+/// calls touch no heap.
 ///
-/// FFD reuses the caller's segment tree (clear() keeps its storage).
+/// FFD: equal consecutive items land in the same bin, so a whole run is
+/// placed with one tree search per target bin while the per-item residual
+/// subtractions are replayed unchanged — O(d log b + placements) for d runs
+/// instead of O(n log b) for n items. Reuses the caller's segment tree
+/// (clear() keeps its storage).
 [[nodiscard]] std::size_t first_fit_decreasing_rle(std::span<const SizeRun> runs,
                                                    const CostModel& model,
                                                    MaxSegmentTree& scratch_tree);
 
-/// BFD on a flat ascending-sorted residual vector instead of the reference
-/// std::multiset. Value-equivalent by construction: lower_bound on a sorted
-/// double vector selects the same residual *value* the multiset's
-/// lower_bound does, and erase/insert keep the same sorted value sequence
-/// (ties are interchangeable — only values are ever read), so the per-item
-/// subtraction sequence and the bin count match the multiset walk exactly.
+/// BFD on a flat ascending-sorted residual vector, where
+/// best_fit_decreasing_sorted walks a std::multiset. Value-equivalent by
+/// construction: lower_bound on a sorted double vector selects the same
+/// residual *value* the multiset's lower_bound does, and erase/insert keep
+/// the same sorted value sequence (ties are interchangeable — only values
+/// are ever read), so the per-item subtraction sequence and the bin count
+/// match the multiset walk exactly.
 [[nodiscard]] std::size_t best_fit_decreasing_rle(std::span<const SizeRun> runs,
                                                   const CostModel& model,
                                                   std::vector<double>& scratch_residuals);

@@ -111,14 +111,14 @@ std::size_t l2_lower_bound_sorted(std::span<const double> sorted_desc,
   return std::max(best, l1_lower_bound(sorted_desc, model));
 }
 
-namespace {
-
-/// Shared body of the two l2_lower_bound_rle overloads; `cum` and `boundary`
-/// are caller-provided uninitialized arrays of d + 1 elements each.
-std::size_t l2_rle_with_buffers(std::span<const SizeRun> runs, const CostModel& model,
-                                std::span<std::uint64_t> cum,
-                                std::span<double> boundary) {
+std::size_t l2_lower_bound_rle(std::span<const SizeRun> runs, const CostModel& model,
+                               MonotonicArena& scratch) {
+  model.validate();
+  rle_validate(runs, model);
   const std::size_t d = runs.size();
+  if (d == 0) return 0;
+  const std::span<std::uint64_t> cum = scratch.allocate_array<std::uint64_t>(d + 1);
+  const std::span<double> boundary = scratch.allocate_array<double>(d + 1);
   const double capacity = model.bin_capacity + model.fit_tolerance;
   const double half = capacity / 2.0;
 
@@ -173,28 +173,6 @@ std::size_t l2_rle_with_buffers(std::span<const SizeRun> runs, const CostModel& 
   const std::size_t l1 =
       std::max<std::size_t>(1, guarded_ceil(boundary[d] / capacity));
   return std::max(best, l1);
-}
-
-}  // namespace
-
-std::size_t l2_lower_bound_rle(std::span<const SizeRun> runs, const CostModel& model) {
-  model.validate();
-  rle_validate(runs, model);
-  const std::size_t d = runs.size();
-  if (d == 0) return 0;
-  std::vector<std::uint64_t> cum(d + 1);
-  std::vector<double> boundary(d + 1);
-  return l2_rle_with_buffers(runs, model, cum, boundary);
-}
-
-std::size_t l2_lower_bound_rle(std::span<const SizeRun> runs, const CostModel& model,
-                               MonotonicArena& scratch) {
-  model.validate();
-  rle_validate(runs, model);
-  const std::size_t d = runs.size();
-  if (d == 0) return 0;
-  return l2_rle_with_buffers(runs, model, scratch.allocate_array<std::uint64_t>(d + 1),
-                             scratch.allocate_array<double>(d + 1));
 }
 
 }  // namespace dbp

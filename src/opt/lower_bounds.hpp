@@ -28,20 +28,16 @@ namespace dbp {
 [[nodiscard]] std::size_t l2_lower_bound_sorted(std::span<const double> sorted_desc,
                                                 const CostModel& model);
 
+class MonotonicArena;
+
 /// Run-length-encoded variant (strictly decreasing run sizes). Bit-identical
 /// to l2_lower_bound_sorted on the expanded multiset: every index the flat
 /// algorithm touches (threshold partitions, candidate alphas) is a run
 /// boundary, so only boundary prefix sums are materialized — O(d log d)
-/// bookkeeping for d runs on top of the O(n) compensated summation.
-[[nodiscard]] std::size_t l2_lower_bound_rle(std::span<const SizeRun> runs,
-                                             const CostModel& model);
-
-class MonotonicArena;
-
-/// Scratch variant: the boundary prefix arrays come out of `scratch` instead
-/// of the heap, so a caller that resets the arena between snapshots (see
-/// opt/scratch.hpp) pays zero allocations in steady state. Bit-identical to
-/// the overload above.
+/// bookkeeping for d runs on top of the O(n) compensated summation. The
+/// boundary arrays come out of `scratch`, so a caller that resets the arena
+/// between snapshots (see opt/scratch.hpp) pays zero allocations in steady
+/// state.
 [[nodiscard]] std::size_t l2_lower_bound_rle(std::span<const SizeRun> runs,
                                              const CostModel& model,
                                              MonotonicArena& scratch);

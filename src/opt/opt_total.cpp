@@ -11,7 +11,6 @@
 #include "exec/parallel_map.hpp"
 #include "core/arena.hpp"
 #include "core/audit.hpp"
-#include "core/compensated_sum.hpp"
 #include "core/error.hpp"
 #include "exec/execution_policy.hpp"
 #include "exec/worker_budget.hpp"
@@ -27,11 +26,10 @@ namespace dbp {
 
 namespace {
 
-/// Accumulated weight of one distinct snapshot: total segment width (in
-/// chronological add order — deterministic) and how many segments share it.
-struct SnapshotWeight {
-  CompensatedSum width;
-  std::size_t segment_count = 0;
+/// One inter-event segment: which distinct snapshot was active, for how long.
+struct Segment {
+  std::size_t snapshot = 0;
+  double width = 0.0;
 };
 
 /// Times the estimator's three phases when an observability context is
@@ -70,6 +68,14 @@ class PhaseObserver {
 
 }  // namespace
 
+void OptTotalIntegrator::add(BinCountBounds bounds, double width) noexcept {
+  if (!(width > 0.0) || bounds.upper == 0) return;
+  lower_.add(static_cast<double>(bounds.lower) * width);
+  upper_.add(static_cast<double>(bounds.upper) * width);
+  ++segments_;
+  if (bounds.exact()) ++exact_segments_;
+}
+
 OptTotalResult estimate_opt_total(const Instance& instance, const CostModel& model,
                                   const OptTotalOptions& options) {
   model.validate();
@@ -92,7 +98,7 @@ OptTotalResult estimate_opt_total(const Instance& instance, const CostModel& mod
   std::map<double, std::uint64_t, std::greater<>> active;
   MonotonicArena snapshot_arena;
   std::vector<std::span<const SizeRun>> snapshots;  // first-occurrence order
-  std::vector<SnapshotWeight> weights;              // parallel to snapshots
+  std::vector<Segment> segments;                    // chronological order
   // DBP_LINT_ALLOW(unordered-container): dedup via try_emplace by exact
   // key; never iterated — snapshot order is first-occurrence order.
   std::unordered_map<std::span<const SizeRun>, std::size_t, SizeRunVectorHash,
@@ -156,67 +162,38 @@ OptTotalResult estimate_opt_total(const Instance& instance, const CostModel& mod
         index.try_emplace(std::span<const SizeRun>(key), snapshots.size());
     if (inserted) {
       snapshots.push_back(key);
-      weights.emplace_back();
     } else {
       // Duplicate snapshot: release the provisional arena copy.
       snapshot_arena.rewind(mark);
     }
-    SnapshotWeight& weight = weights[slot->second];
-    weight.width.add(width);
-    ++weight.segment_count;
-    ++result.segments;
+    segments.push_back(Segment{slot->second, width});
   }
 
-  observer.end("sweep", result.segments);
+  observer.end("sweep", segments.size());
   observer.begin();
 
   // ---- Phase 2: evaluate the distinct snapshots. ----
-  // Snapshots are already deduplicated, so a memo can only pay off when the
-  // caller shares an oracle across calls; without one, every snapshot is a
-  // structural miss and the memo machinery is skipped entirely.
-  BinCountOracle* const oracle = options.oracle;
-  const std::uint64_t hits_before = oracle != nullptr ? oracle->hits() : 0;
-  const std::uint64_t evictions_before = oracle != nullptr ? oracle->evictions() : 0;
-
-  std::vector<BinCountBounds> bounds(snapshots.size());
-  std::vector<std::size_t> pending;
-  pending.reserve(snapshots.size());
-  for (std::size_t s = 0; s < snapshots.size(); ++s) {
-    if (oracle != nullptr) {
-      const auto cached = oracle->lookup_rle(snapshots[s]);
-      if (obs::RunTracer* tracer = obs::tracer()) {
-        obs::TraceRecord record;
-        record.kind = cached.has_value() ? obs::TraceKind::kOracleHit
-                                         : obs::TraceKind::kOracleMiss;
-        record.count = s;
-        tracer->record(std::move(record));
-      }
-      if (cached) {
-        bounds[s] = *cached;
-        continue;
-      }
-    }
-    pending.push_back(s);
-  }
   // The fan-out decision: the worker budget (1 worker, a held lease, or an
   // enclosing sweep-level parallel region all mean "no help available") and
-  // the pending job mix (few or tiny snapshots cannot amortize the OpenMP
-  // region + result-slot overhead) both have to justify parallel_map.
-  // work_units = total RLE runs across pending snapshots, so a thousand
-  // heavily-deduplicated two-run snapshots do not count as heavy work.
+  // the job mix (few or tiny snapshots cannot amortize the OpenMP region +
+  // result-slot overhead) both have to justify parallel_map. work_units =
+  // total RLE runs across snapshots, so a thousand heavily-deduplicated
+  // two-run snapshots do not count as heavy work.
   exec::ParallelWorkEstimate work;
-  work.jobs = pending.size();
-  for (const std::size_t s : pending) work.work_units += snapshots[s].size();
+  work.jobs = snapshots.size();
+  for (const std::span<const SizeRun> snapshot : snapshots) {
+    work.work_units += snapshot.size();
+  }
   const int workers = exec::WorkerBudget::effective();
   const bool fan_out = exec::should_parallelize(options.policy, work, workers);
   result.evaluate_parallel = fan_out;
   result.evaluate_workers = fan_out ? workers : 1;
   // Each worker evaluates thousands of snapshots against one reusable
   // scratch (opt/scratch.hpp), so the whole phase performs a bounded number
-  // of warm-up allocations instead of a dozen per snapshot. The scratch
-  // path is bit-identical, so results stay independent of the worker count.
+  // of warm-up allocations instead of a dozen per snapshot. Scratch reuse
+  // never changes a result, so they stay independent of the worker count.
+  std::vector<BinCountBounds> bounds;
   if (fan_out) {
-    // Pure evaluations; the oracle memo is written back sequentially below.
     // Scratches are indexed by OpenMP thread id; sizing by max_threads
     // covers any team parallel_map can start under the current budget.
 #if defined(DBP_HAVE_OPENMP)
@@ -225,55 +202,41 @@ OptTotalResult estimate_opt_total(const Instance& instance, const CostModel& mod
 #else
     std::vector<BinCountScratch> scratches(1);
 #endif
-    const auto evaluate = [&](std::size_t s) {
+    bounds = parallel_map(snapshots, [&](std::span<const SizeRun> snapshot) {
 #if defined(DBP_HAVE_OPENMP)
       BinCountScratch& scratch =
           scratches[static_cast<std::size_t>(omp_get_thread_num())];
 #else
       BinCountScratch& scratch = scratches.front();
 #endif
-      return optimal_bin_count_rle(snapshots[s], model, options.bin_count, scratch);
-    };
-    const std::vector<BinCountBounds> computed = parallel_map(pending, evaluate);
-    for (std::size_t p = 0; p < pending.size(); ++p) bounds[pending[p]] = computed[p];
+      return optimal_bin_count_rle(snapshot, model, options.bin_count, scratch);
+    });
   } else {
     BinCountScratch scratch;
-    for (const std::size_t s : pending) {
-      bounds[s] = optimal_bin_count_rle(snapshots[s], model, options.bin_count, scratch);
+    bounds.reserve(snapshots.size());
+    for (const std::span<const SizeRun> snapshot : snapshots) {
+      bounds.push_back(optimal_bin_count_rle(snapshot, model, options.bin_count, scratch));
     }
   }
-  if (oracle != nullptr) {
-    for (const std::size_t s : pending) oracle->store_rle(snapshots[s], bounds[s]);
-  }
-
-  result.distinct_snapshots = snapshots.size();
-  result.dedup_hits = result.segments - snapshots.size();
-  result.oracle_hits = oracle != nullptr ? oracle->hits() - hits_before : 0;
-  result.oracle_misses = pending.size();
-  result.oracle_evictions =
-      oracle != nullptr ? oracle->evictions() - evictions_before : 0;
-  observer.end("evaluate", result.distinct_snapshots);
-  observer.begin();
-
-  // ---- Phase 3: sequential combine in first-occurrence order. ----
-  CompensatedSum lower_integral;
-  CompensatedSum upper_integral;
-  for (std::size_t s = 0; s < snapshots.size(); ++s) {
-    const BinCountBounds& b = bounds[s];
-    const double width = weights[s].width.value();
-    if (b.exact()) {
-      result.exact_segments += weights[s].segment_count;
-    } else {
-      result.exact = false;
-    }
-    lower_integral.add(static_cast<double>(b.lower) * width);
-    upper_integral.add(static_cast<double>(b.upper) * width);
+  for (const BinCountBounds& b : bounds) {
     result.max_bins_lower = std::max(result.max_bins_lower, b.lower);
     result.max_bins_upper = std::max(result.max_bins_upper, b.upper);
   }
+  result.distinct_snapshots = snapshots.size();
+  observer.end("evaluate", result.distinct_snapshots);
+  observer.begin();
 
-  result.lower_cost = lower_integral.value() * model.cost_rate;
-  result.upper_cost = upper_integral.value() * model.cost_rate;
+  // ---- Phase 3: sequential combine, segment by segment in time order. ----
+  OptTotalIntegrator integral(model.cost_rate);
+  for (const Segment& segment : segments) {
+    integral.add(bounds[segment.snapshot], segment.width);
+  }
+  result.segments = integral.segments();
+  result.exact_segments = integral.exact_segments();
+  result.exact = result.exact_segments == result.segments;
+  result.dedup_hits = result.segments - result.distinct_snapshots;
+  result.lower_cost = integral.lower_cost();
+  result.upper_cost = integral.upper_cost();
 
   // The integral lower bound dominates (b.1) and (b.2) pointwise, but keep
   // the max for numerical safety.
@@ -286,8 +249,6 @@ OptTotalResult estimate_opt_total(const Instance& instance, const CostModel& mod
     metrics->counter("opt_total.segments").add(result.segments);
     metrics->counter("opt_total.distinct_snapshots").add(result.distinct_snapshots);
     metrics->counter("opt_total.dedup_hits").add(result.dedup_hits);
-    metrics->counter("opt_total.oracle_hits").add(result.oracle_hits);
-    metrics->counter("opt_total.oracle_misses").add(result.oracle_misses);
     // Which path phase 2 took, so the execution-policy choice is observable
     // (tests/exec_test.cpp pins the 1-worker sequential fallback on these).
     metrics->counter(result.evaluate_parallel ? "opt_total.evaluate_parallel"

@@ -7,22 +7,26 @@
 // optimality; otherwise certified [lower, upper] interval bounds are
 // integrated instead.
 //
-// Pipeline (three phases, deterministic end to end):
+// One path from bounds to dollars: OptTotalIntegrator below is shared by
+// estimate_opt_total and the streaming engine's epochs (engine/engine.hpp),
+// so an engine with an epoch at every event boundary reproduces the batch
+// integral bit for bit.
+//
+// Batch pipeline (three phases, deterministic end to end):
 //   1. A sequential event sweep maintains the active multiset run-length
-//      encoded (distinct size -> count) and collects one (snapshot, total
-//      width) entry per *distinct* snapshot — exact, because the integral
-//      is linear in segment width and adversarial/cyclic workloads revisit
-//      the same active set constantly.
-//   2. The distinct snapshots are evaluated through the memoizing oracle;
-//      misses go through the pure bin-count computation, in parallel when
-//      OpenMP is available.
-//   3. A sequential combine integrates the bounds in snapshot
-//      first-occurrence order with compensated summation, so results are
-//      bit-identical run to run regardless of worker count.
+//      encoded (distinct size -> count), records every segment in
+//      chronological order, and keeps one copy per *distinct* snapshot —
+//      adversarial/cyclic workloads revisit the same active set constantly.
+//   2. The distinct snapshots are evaluated through optimal_bin_count_rle,
+//      in parallel when the execution policy and worker budget allow.
+//   3. A sequential combine feeds every segment's bounds, in chronological
+//      order, through the integrator, so results are bit-identical run to
+//      run regardless of worker count.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 
+#include "core/compensated_sum.hpp"
 #include "core/instance.hpp"
 #include "core/metrics.hpp"
 #include "core/types.hpp"
@@ -58,13 +62,6 @@ struct OptTotalResult {
   std::size_t distinct_snapshots = 0;
   std::size_t dedup_hits = 0;
 
-  /// Bin-count oracle traffic attributable to this call. Hits are nonzero
-  /// only when OptTotalOptions::oracle carries a memo across calls —
-  /// within one call every snapshot is already distinct by construction.
-  std::uint64_t oracle_hits = 0;
-  std::uint64_t oracle_misses = 0;
-  std::uint64_t oracle_evictions = 0;
-
   /// Execution metadata, not part of the mathematical result (the
   /// differential suite compares every field above this line, never these):
   /// which path phase 2 took and how many workers it used. With the
@@ -87,15 +84,38 @@ struct OptTotalOptions {
   /// The combine is sequential under every policy, so results are
   /// bit-identical across policies and worker counts.
   exec::ExecutionPolicy policy = exec::ExecutionPolicy::kAdaptive;
-  /// Optional caller-owned oracle whose memo persists across calls (cyclic
-  /// workloads, repeated evaluation of transformed instances). The caller
-  /// must not share one oracle between concurrent estimate_opt_total calls.
-  BinCountOracle* oracle = nullptr;
+};
+
+/// Integrates per-segment bin-count bounds into OPT_total dollars — the one
+/// path both estimate_opt_total and the streaming engine take. Segments are
+/// added in chronological order; each adds bounds x width (minutes) to a
+/// compensated sum, and the cost rate is applied once, when the integral is
+/// read. A segment counts only when its width is positive and its fleet is
+/// non-empty: zero-length epochs and idle gaps add nothing, not even to
+/// segments(). An empty fleet is recognised by its bounds, {0, 0}, since
+/// every non-empty multiset needs at least one bin.
+class OptTotalIntegrator {
+ public:
+  explicit OptTotalIntegrator(double cost_rate) noexcept : cost_rate_(cost_rate) {}
+
+  void add(BinCountBounds bounds, double width) noexcept;
+
+  [[nodiscard]] double lower_cost() const noexcept { return lower_.value() * cost_rate_; }
+  [[nodiscard]] double upper_cost() const noexcept { return upper_.value() * cost_rate_; }
+  [[nodiscard]] std::size_t segments() const noexcept { return segments_; }
+  [[nodiscard]] std::size_t exact_segments() const noexcept { return exact_segments_; }
+
+ private:
+  double cost_rate_;
+  CompensatedSum lower_;
+  CompensatedSum upper_;
+  std::size_t segments_ = 0;
+  std::size_t exact_segments_ = 0;
 };
 
 /// Walks the instance's event sequence, maintaining the active size multiset
-/// run-length encoded, and integrates the oracle's per-snapshot bounds.
-/// O(E log d) sweep + one oracle evaluation per distinct snapshot, for E
+/// run-length encoded, and integrates the per-segment bin-count bounds.
+/// O(E log d) sweep + one bin-count evaluation per distinct snapshot, for E
 /// event batches and d distinct sizes.
 [[nodiscard]] OptTotalResult estimate_opt_total(const Instance& instance,
                                                 const CostModel& model,

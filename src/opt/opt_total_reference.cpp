@@ -4,6 +4,7 @@
 #include <cstring>
 #include <set>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/compensated_sum.hpp"
@@ -30,11 +31,6 @@ struct FlatSnapshotHash {
   }
 };
 
-struct SnapshotWeight {
-  CompensatedSum width;
-  std::size_t segment_count = 0;
-};
-
 }  // namespace
 
 OptTotalResult estimate_opt_total_reference(const Instance& instance,
@@ -52,7 +48,8 @@ OptTotalResult estimate_opt_total_reference(const Instance& instance,
   // is a straight copy.
   std::multiset<double, std::greater<>> active;
   std::vector<std::vector<double>> snapshots;  // first-occurrence order
-  std::vector<SnapshotWeight> weights;
+  // Chronological (distinct snapshot index, width) per segment.
+  std::vector<std::pair<std::size_t, double>> segments;
   // DBP_LINT_ALLOW(unordered-container): dedup via try_emplace by exact
   // key; never iterated — snapshot order is first-occurrence order.
   std::unordered_map<std::vector<double>, std::size_t, FlatSnapshotHash> index;
@@ -81,36 +78,32 @@ OptTotalResult estimate_opt_total_reference(const Instance& instance,
 
     snapshot.assign(active.begin(), active.end());
     const auto [slot, inserted] = index.try_emplace(snapshot, snapshots.size());
-    if (inserted) {
-      snapshots.push_back(snapshot);
-      weights.emplace_back();
-    }
-    SnapshotWeight& weight = weights[slot->second];
-    weight.width.add(width);
-    ++weight.segment_count;
-    ++result.segments;
+    if (inserted) snapshots.push_back(snapshot);
+    segments.emplace_back(slot->second, width);
+  }
+
+  std::vector<BinCountBounds> bounds;
+  for (const std::vector<double>& sizes : snapshots) {
+    bounds.push_back(optimal_bin_count(sizes, model, options.bin_count));
+    result.max_bins_lower = std::max(result.max_bins_lower, bounds.back().lower);
+    result.max_bins_upper = std::max(result.max_bins_upper, bounds.back().upper);
   }
 
   CompensatedSum lower_integral;
   CompensatedSum upper_integral;
-  for (std::size_t s = 0; s < snapshots.size(); ++s) {
-    const BinCountBounds bounds =
-        optimal_bin_count(snapshots[s], model, options.bin_count);
-    const double width = weights[s].width.value();
-    if (bounds.exact()) {
-      result.exact_segments += weights[s].segment_count;
+  for (const auto& [s, width] : segments) {
+    if (bounds[s].exact()) {
+      ++result.exact_segments;
     } else {
       result.exact = false;
     }
-    lower_integral.add(static_cast<double>(bounds.lower) * width);
-    upper_integral.add(static_cast<double>(bounds.upper) * width);
-    result.max_bins_lower = std::max(result.max_bins_lower, bounds.lower);
-    result.max_bins_upper = std::max(result.max_bins_upper, bounds.upper);
+    lower_integral.add(static_cast<double>(bounds[s].lower) * width);
+    upper_integral.add(static_cast<double>(bounds[s].upper) * width);
   }
 
+  result.segments = segments.size();
   result.distinct_snapshots = snapshots.size();
   result.dedup_hits = result.segments - snapshots.size();
-  result.oracle_misses = snapshots.size();  // one evaluation per distinct set
 
   result.lower_cost = lower_integral.value() * model.cost_rate;
   result.upper_cost = upper_integral.value() * model.cost_rate;

@@ -56,16 +56,6 @@ struct SizeRun {
   return runs;
 }
 
-/// Expands runs back into the flat non-increasing multiset, appending to
-/// `out` (cleared first).
-inline void rle_expand(std::span<const SizeRun> runs, std::vector<double>& out) {
-  out.clear();
-  out.reserve(static_cast<std::size_t>(rle_item_count(runs)));
-  for (const SizeRun& run : runs) {
-    for (std::uint64_t i = 0; i < run.count; ++i) out.push_back(run.size);
-  }
-}
-
 /// Throws PreconditionError unless runs are well-formed for `model`:
 /// positive counts, sizes in (0, bin capacity], strictly decreasing.
 inline void rle_validate(std::span<const SizeRun> runs, const CostModel& model) {

@@ -1,19 +1,18 @@
-// Reusable per-worker scratch for the bin-count computation.
+// Reusable scratch for the bin-count computation.
 //
 // The OPT_total evaluate phase calls optimal_bin_count_rle once per distinct
-// snapshot — routinely ~10k times per estimate. Each call's working set (an
-// FFD segment tree, a BFD residual index, L2 prefix arrays, the exact
-// solver's expansion and branch stack) is small but was heap-allocated
-// afresh every time, so the phase spent a large share of its time in the
-// allocator instead of in the bounds math. A BinCountScratch owns all of
-// that storage once per worker: containers are clear()ed between snapshots
-// (capacity retained) and transient arrays come out of a monotonic arena
-// that is reset() per call, so after the first few snapshots the evaluate
-// phase performs zero heap allocations (core/arena.hpp documents the
-// discipline; the arena counters are the regression-test hook).
+// snapshot — routinely ~10k times per estimate — and the streaming engine's
+// oracle once per epoch. Each call's working set (an FFD segment tree, a BFD
+// residual index, L2 prefix arrays, the exact solver's expansion and branch
+// stack) is small, and a BinCountScratch owns all of it once per worker (or
+// per oracle): containers are clear()ed between snapshots (capacity
+// retained) and transient arrays come out of a monotonic arena that is
+// reset() per call, so after the first few snapshots the computation
+// performs zero heap allocations (core/arena.hpp documents the discipline;
+// the arena counters are the regression-test hook).
 //
-// Not thread-safe — one scratch per worker. The scratch path is bit-identical
-// to the scratch-free one: it reuses storage, never changes the computation.
+// Not thread-safe — one scratch per worker. Reuse changes where buffers
+// live, never the computation: results are bit-identical to a fresh scratch.
 #pragma once
 
 #include <vector>
@@ -25,15 +24,15 @@ namespace dbp {
 
 struct BinCountScratch {
   /// Transient per-call arrays (L2 prefix sums, exact-solver expansion and
-  /// branch stack). reset() at the top of every optimal_bin_count_rle call.
+  /// branch stack). reset() before every heuristic chain.
   MonotonicArena arena;
 
   /// FFD residual tree; clear()ed per call, physical storage retained.
   MaxSegmentTree ffd_tree;
 
   /// BFD residual index: a flat ascending-sorted vector standing in for the
-  /// scratch-free path's std::multiset<double> (opt/classical.cpp documents
-  /// the value-equivalence). clear()ed per call, capacity retained.
+  /// flat path's std::multiset<double> (opt/classical.hpp documents the
+  /// value-equivalence). clear()ed per call, capacity retained.
   std::vector<double> bfd_residuals;
 };
 

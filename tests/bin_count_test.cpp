@@ -140,7 +140,21 @@ TEST(BinCountOracleTest, AgreesWithDirectComputation) {
   EXPECT_EQ(via_oracle.upper, direct.upper);
 }
 
+/// The flat optimal_bin_count (the `_sorted` kernels and exact_bin_count)
+/// and the RLE entry point (the `_rle` kernels on a reused scratch) are
+/// independent implementations that must agree exactly.
+void expect_rle_matches_flat(std::vector<double> sizes, const BinCountOptions& options,
+                             BinCountScratch& scratch, int round) {
+  std::sort(sizes.begin(), sizes.end(), std::greater<>());
+  const std::vector<SizeRun> runs = rle_from_sorted(sizes);
+  const BinCountBounds flat = optimal_bin_count(sizes, unit_model(), options);
+  const BinCountBounds rle = optimal_bin_count_rle(runs, unit_model(), options, scratch);
+  EXPECT_EQ(flat.lower, rle.lower) << "round " << round;
+  EXPECT_EQ(flat.upper, rle.upper) << "round " << round;
+}
+
 TEST(BinCountRleTest, MatchesFlatComputationOnRandomMultisets) {
+  BinCountScratch scratch;
   Rng rng(17);
   for (int round = 0; round < 30; ++round) {
     std::vector<double> sizes;
@@ -151,20 +165,17 @@ TEST(BinCountRleTest, MatchesFlatComputationOnRandomMultisets) {
                           ? rng.uniform(0.05, 0.9)
                           : 0.1 * static_cast<double>(rng.uniform_int(1, 9)));
     }
-    std::sort(sizes.begin(), sizes.end(), std::greater<>());
-    const std::vector<SizeRun> runs = rle_from_sorted(sizes);
-    const BinCountBounds flat = optimal_bin_count(sizes, unit_model());
-    const BinCountBounds rle = optimal_bin_count_rle(runs, unit_model());
-    EXPECT_EQ(flat.lower, rle.lower) << "round " << round;
-    EXPECT_EQ(flat.upper, rle.upper) << "round " << round;
+    expect_rle_matches_flat(sizes, {}, scratch, round);
   }
 }
 
 TEST(BinCountRleTest, MatchesFlatWithoutExactSolver) {
-  // With the solver off, the bounds come straight from the RLE heuristic
-  // chain (L2 / FFD / BFD) — this pins their bit-identity to the flat code.
+  // With the solver off, the bounds come straight from the heuristic chain
+  // (L2 / FFD / BFD) — this pins the RLE kernels' bit-identity to the flat
+  // ones.
   BinCountOptions options;
   options.use_exact_solver = false;
+  BinCountScratch scratch;
   Rng rng(23);
   for (int round = 0; round < 30; ++round) {
     std::vector<double> sizes;
@@ -174,22 +185,30 @@ TEST(BinCountRleTest, MatchesFlatWithoutExactSolver) {
                           ? rng.uniform(0.02, 0.6)
                           : 0.05 * static_cast<double>(rng.uniform_int(1, 12)));
     }
-    std::sort(sizes.begin(), sizes.end(), std::greater<>());
-    const std::vector<SizeRun> runs = rle_from_sorted(sizes);
-    const BinCountBounds flat = optimal_bin_count(sizes, unit_model(), options);
-    const BinCountBounds rle = optimal_bin_count_rle(runs, unit_model(), options);
-    EXPECT_EQ(flat.lower, rle.lower) << "round " << round;
-    EXPECT_EQ(flat.upper, rle.upper) << "round " << round;
+    expect_rle_matches_flat(sizes, options, scratch, round);
+  }
+  // Tie-heavy: a small catalog with large counts leaves many bins at
+  // bitwise-equal residuals. The RLE BFD keeps its residuals in a sorted
+  // vector where the flat BFD walks a std::multiset, so among equal
+  // residuals they may pick different bins — never a different value.
+  const double catalog[] = {0.6, 0.35, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05};
+  for (int round = 0; round < 30; ++round) {
+    std::vector<double> sizes;
+    for (const double size : catalog) {
+      sizes.insert(sizes.end(), rng.uniform_int(0, 40), size);
+    }
+    expect_rle_matches_flat(sizes, options, scratch, 30 + round);
   }
 }
 
 TEST(BinCountRleTest, RejectsMalformedRuns) {
   // Non-decreasing sizes and zero counts violate the RLE invariant.
-  EXPECT_THROW((void)optimal_bin_count_rle(
-                   std::vector<SizeRun>{{0.3, 1}, {0.5, 1}}, unit_model()),
+  BinCountScratch scratch;
+  EXPECT_THROW((void)optimal_bin_count_rle(std::vector<SizeRun>{{0.3, 1}, {0.5, 1}},
+                                           unit_model(), {}, scratch),
                PreconditionError);
   EXPECT_THROW((void)optimal_bin_count_rle(std::vector<SizeRun>{{0.3, 0}},
-                                           unit_model()),
+                                           unit_model(), {}, scratch),
                PreconditionError);
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -144,18 +145,27 @@ TEST(EngineTest, StreamingOptBoundsMatchBatchEstimator) {
   workload.peak_arrivals_per_minute = 1.0;
   const CloudGamingTrace trace = generate_cloud_gaming_trace(workload, 23);
 
+  // The trace twice, the second copy starting 30 minutes after the first
+  // one's last departure: the idle-fleet gap between them must count as
+  // no segment on either side.
+  Instance instance = trace.instance;
+  const TimeInterval first = trace.instance.packing_period();
+  const Time shift = first.end + 30.0 - first.begin;
+  for (const Item& item : trace.instance.items()) {
+    instance.add(item.arrival + shift, item.departure + shift, item.size);
+  }
+
   ShardedDispatchEngine eng(config(4));
-  stream_instance(eng, trace.instance);
+  stream_instance(eng, instance);
   const StreamingOptBounds streaming = eng.opt_bounds();
 
-  const OptTotalResult batch =
-      estimate_opt_total(trace.instance, spec().to_cost_model());
-  // Same integral, different accumulation order (chronological vs dedup
-  // first-occurrence), so compare to relative rounding tolerance.
-  EXPECT_NEAR(streaming.lower_dollars, batch.lower_cost,
-              1e-9 * std::max(1.0, batch.lower_cost));
-  EXPECT_NEAR(streaming.upper_dollars, batch.upper_cost,
-              1e-9 * std::max(1.0, batch.upper_cost));
+  const OptTotalResult batch = estimate_opt_total(instance, spec().to_cost_model());
+  // One integrator, one segment rule, the same segments in the same order:
+  // bit-identical, not merely close.
+  EXPECT_EQ(streaming.lower_dollars, batch.lower_cost);
+  EXPECT_EQ(streaming.upper_dollars, batch.upper_cost);
+  EXPECT_EQ(streaming.segments, batch.segments);
+  EXPECT_EQ(streaming.exact_segments, batch.exact_segments);
   EXPECT_GT(streaming.segments, 0u);
   EXPECT_LE(streaming.lower_dollars,
             streaming.upper_dollars + 1e-12 * streaming.upper_dollars);
@@ -261,10 +271,19 @@ TEST(EngineTest, ZeroLengthEpochSegmentsAreFree) {
 }
 
 TEST(EngineTest, EpochTimesMustBeMonotone) {
+  constexpr Time kNaN = std::numeric_limits<Time>::quiet_NaN();
+  constexpr Time kInf = std::numeric_limits<Time>::infinity();
   ShardedDispatchEngine eng(config(1));
+  // Non-finite times are refused even as the first epoch, and a refusal
+  // leaves the engine accepting the next finite one.
+  EXPECT_THROW(eng.advance_epoch(kNaN), PreconditionError);
+  EXPECT_THROW(eng.advance_epoch(kInf), PreconditionError);
   eng.advance_epoch(5.0);
   EXPECT_THROW(eng.advance_epoch(4.0), PreconditionError);
+  EXPECT_THROW(eng.advance_epoch(kNaN), PreconditionError);
+  EXPECT_THROW(eng.advance_epoch(kInf), PreconditionError);
   EXPECT_NO_THROW(eng.advance_epoch(5.0));  // equal is fine (empty segment)
+  EXPECT_NO_THROW(eng.advance_epoch(6.0));
 }
 
 TEST(EngineTest, RegionRoutingIsolatesFleets) {

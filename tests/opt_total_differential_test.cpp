@@ -182,25 +182,10 @@ TEST(OptTotalDifferentialTest, PolicyTimesThreadsCrossProduct) {
   }
 }
 
-TEST(OptTotalDifferentialTest, SharedOracleHitsAcrossCalls) {
-  const Instance instance = dyadic_burst_instance(400, 13);
-  BinCountOracle oracle(unit_model());
-  OptTotalOptions options;
-  options.oracle = &oracle;
-  const OptTotalResult first = estimate_opt_total(instance, unit_model(), options);
-  EXPECT_EQ(first.oracle_hits, 0u);
-  EXPECT_EQ(first.oracle_misses, first.distinct_snapshots);
-  const OptTotalResult second = estimate_opt_total(instance, unit_model(), options);
-  EXPECT_EQ(second.oracle_hits, second.distinct_snapshots);
-  EXPECT_EQ(second.oracle_misses, 0u);
-  expect_bit_identical(second, first);
-}
-
 TEST(OptTotalDifferentialTest, ReferenceCountersMatchFastPath) {
   const Instance instance = dyadic_burst_instance(300, 2);
   const OptTotalResult reference =
       estimate_opt_total_reference(instance, unit_model());
-  EXPECT_EQ(reference.oracle_misses, reference.distinct_snapshots);
   EXPECT_EQ(reference.dedup_hits,
             reference.segments - reference.distinct_snapshots);
 }

@@ -5,7 +5,8 @@
 // library documents as thread-safe — parallel_map's cancellation flag,
 // MetricsRegistry's relaxed atomics and registration mutex, RunTracer's
 // ring buffer, and concurrent estimate_opt_total calls with per-thread
-// oracles. The suite also runs (and must pass) in plain builds.
+// observability contexts. The suite also runs (and must pass) in plain
+// builds.
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -135,20 +136,16 @@ TEST(TsanStress, RunTracerConcurrentRecording) {
 }
 
 TEST(TsanStress, ConcurrentOptTotalWithThreadLocalObs) {
-  // Each thread runs the full estimator with its own oracle, tracer and
-  // metrics; the thread-local ObsScope must keep the contexts isolated.
+  // Each thread runs the full estimator with its own tracer and metrics;
+  // the thread-local ObsScope must keep the contexts isolated.
   std::vector<OptTotalResult> results(kThreads);
   run_on_threads([&](int t) {
     const Instance instance = make_instance(0x9E3779B97F4A7C15ULL);
     const CostModel model{};
-    BinCountOracle oracle(model);
     obs::RunTracer tracer;
     obs::MetricsRegistry metrics;
     obs::ObsScope scope(&tracer, &metrics);
-    OptTotalOptions options;
-    options.oracle = &oracle;
-    results[static_cast<std::size_t>(t)] =
-        estimate_opt_total(instance, model, options);
+    results[static_cast<std::size_t>(t)] = estimate_opt_total(instance, model);
     EXPECT_GT(tracer.total_recorded(), 0u);
   });
   // Identical input on every thread: the results must agree bit-for-bit.

@@ -191,12 +191,16 @@ TEST(ZeroAllocScratchTest, WarmBinCountScratchDoesNotAllocate) {
 }
 
 TEST(ZeroAllocScratchTest, ScratchMatchesAllocatingPathBitIdentically) {
+  // The allocating path is the flat optimal_bin_count on the expanded
+  // multiset — the independent implementation the scratch path must match.
   const CostModel model = unit_model();
   BinCountOptions options;
   BinCountScratch scratch;
   for (std::uint64_t seed = 10; seed < 16; ++seed) {
     const std::vector<SizeRun> runs = sample_runs(seed, 300);
-    const BinCountBounds plain = optimal_bin_count_rle(runs, model, options);
+    std::vector<double> sizes;
+    for (const SizeRun& run : runs) sizes.insert(sizes.end(), run.count, run.size);
+    const BinCountBounds plain = optimal_bin_count(sizes, model, options);
     const BinCountBounds reused =
         optimal_bin_count_rle(runs, model, options, scratch);
     EXPECT_EQ(plain.lower, reused.lower) << "seed " << seed;

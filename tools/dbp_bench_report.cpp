@@ -354,9 +354,10 @@ void append_oracle_cases(std::vector<BenchCase>& cases, const CostModel& model,
       DBP_CHECK(bounds.lower >= 1, "degenerate bin count");
     }
   });
+  BinCountScratch scratch;
   const double rle_ms = best_of_ms(repeats, [&] {
     for (int c = 0; c < kCalls; ++c) {
-      const BinCountBounds bounds = optimal_bin_count_rle(runs, model, options);
+      const BinCountBounds bounds = optimal_bin_count_rle(runs, model, options, scratch);
       DBP_CHECK(bounds.lower >= 1, "degenerate bin count");
     }
   });

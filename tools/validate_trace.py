@@ -30,8 +30,6 @@ KNOWN_KINDS = {
     "fault_crash",
     "fault_anomaly",
     "redispatch",
-    "oracle_hit",
-    "oracle_miss",
     "opt_phase",
     "dispatch_reject",
     "session_shed",

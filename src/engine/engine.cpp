@@ -207,16 +207,35 @@ void ShardedDispatchEngine::advance_epoch(Time now_minutes) {
   DBP_REQUIRE(std::isfinite(now_minutes), "epoch time must be finite");
   DBP_REQUIRE(epochs_ == 0 || now_minutes >= last_epoch_time_,
               "epoch times must be non-decreasing");
+  pump_locked();
+  cut_epoch_locked(now_minutes);
+}
+
+Time ShardedDispatchEngine::advance_epoch_to_event_clock() {
+  const std::lock_guard<std::mutex> lock(pump_mutex_);
+  pump_locked();
+  // Chosen after the drain and with no drain before the snapshot: the
+  // snapshot then holds every applied event, and none stamped later.
+  Time now_minutes = last_epoch_time_;
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    now_minutes = std::max(now_minutes, shard->dispatcher.last_event_time());
+  }
+  cut_epoch_locked(now_minutes);
+  return now_minutes;
+}
+
+void ShardedDispatchEngine::cut_epoch_locked(Time now_minutes) {
   // 1. Close the segment [last_epoch, now): the active multiset over that
   // segment is the one captured at the *previous* epoch (events queued
-  // since then carry timestamps >= the epoch they follow). The integrator
-  // drops zero-length segments (the wire timer thread produces coincident
-  // ticks under load — EngineTest.ZeroLengthEpochSegmentsAreFree) and
-  // empty-fleet ones, including the stretch before the first epoch, exactly
-  // as estimate_opt_total does.
+  // since then carry timestamps >= the epoch they follow). The integral
+  // reads only that snapshot's bounds, so it does not matter that the
+  // caller drained the rings first. The integrator drops zero-length
+  // segments (the wire timer thread produces coincident ticks under load —
+  // EngineTest.ZeroLengthEpochSegmentsAreFree) and empty-fleet ones,
+  // including the stretch before the first epoch, exactly as
+  // estimate_opt_total does.
   integral_.add(last_bounds_, now_minutes - last_epoch_time_);
-  // 2. Apply everything queued, then snapshot and merge.
-  pump_locked();
+  // 2. Snapshot what the caller's drain applied, and merge.
   snapshot_shards_locked();
   merge_snapshots_locked();
   last_bounds_ = oracle_.count_rle(merged_runs_);

@@ -169,14 +169,22 @@ class ShardedDispatchEngine {
   /// application so traces stay byte-identical across budgets.
   void drain();
 
-  /// Closes the epoch segment [previous epoch, now_minutes): integrates the
-  /// previous merged snapshot's bin-count bounds over the segment, then
-  /// drains all rings and takes fresh per-shard RLE snapshots (merged on
-  /// the caller thread in shard order). Emits one kEpochMark plus one
+  /// Closes the epoch segment [previous epoch, now_minutes): drains all
+  /// rings, integrates the previous merged snapshot's bin-count bounds over
+  /// the segment, then takes fresh per-shard RLE snapshots (merged on the
+  /// caller thread in shard order). Emits one kEpochMark plus one
   /// kShardSnapshot trace record per shard when a tracer is in scope.
   /// Epoch times must be finite and non-decreasing; PreconditionError
   /// otherwise, leaving the engine unchanged.
   void advance_epoch(Time now_minutes);
+
+  /// advance_epoch at the engine's own event clock: drains all rings once,
+  /// then cuts the epoch at max(last epoch time, latest event time any
+  /// shard dispatcher accepted) and snapshots exactly what that drain
+  /// applied. No event stamped after the epoch can land inside it, which
+  /// an epoch time chosen before the drain cannot promise. Returns the
+  /// epoch time. The wire server's timer ticks with this.
+  Time advance_epoch_to_event_clock();
 
   [[nodiscard]] StreamingOptBounds opt_bounds() const;
 
@@ -212,6 +220,8 @@ class ShardedDispatchEngine {
 
   void pump_locked();
   void drain_shard(Shard& shard);
+  /// advance_epoch after the drain: integrate, snapshot, merge, trace.
+  void cut_epoch_locked(Time now_minutes);
   void snapshot_shards_locked();
   void merge_snapshots_locked();
   [[nodiscard]] std::uint64_t events_applied_locked() const;

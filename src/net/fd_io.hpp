@@ -1,5 +1,7 @@
 // Internal Unix-socket fd helpers shared by wire_server.cpp and
-// wire_client.cpp. Not part of the public net API.
+// wire_client.cpp: descriptor ownership, whole writes, and the receive
+// buffer that is the wire layer's only way to read a socket. Not part of
+// the public net API.
 #pragma once
 
 #include <sys/socket.h>
@@ -10,8 +12,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "core/error.hpp"
 
@@ -82,21 +87,86 @@ inline void write_all(int fd, std::span<const std::uint8_t> bytes) {
   }
 }
 
-/// Reads exactly `want` bytes unless the peer closes first; returns the
-/// number actually read (== want, or less on EOF). Throws IoError on any
-/// socket error. A shutdown() from another thread reads as EOF.
-inline std::size_t read_exact(int fd, std::uint8_t* out, std::size_t want) {
-  std::size_t got = 0;
-  while (got < want) {
-    const ssize_t n = ::recv(fd, out + got, want - got, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw IoError("socket read failed: " + std::string(std::strerror(errno)));
-    }
-    if (n == 0) break;  // orderly EOF
-    got += static_cast<std::size_t>(n);
+/// One connection's receive buffer. The block is allocated once and not
+/// zero-filled; fill() tops it up with as much of what the peer has queued
+/// as fits, in one recv(). Callers decode complete frames (pending()) or
+/// lines (take_line()) in place and consume them; the next fill() moves
+/// only the trailing partial frame or line to the front.
+class RecvBuffer {
+ public:
+  explicit RecvBuffer(std::size_t capacity)
+      : storage_(std::make_unique_for_overwrite<std::uint8_t[]>(capacity)),
+        capacity_(capacity) {}
+
+  /// Received bytes not consumed yet. Valid until the next fill().
+  [[nodiscard]] std::span<const std::uint8_t> pending() const noexcept {
+    return {storage_.get() + begin_, end_ - begin_};
   }
-  return got;
-}
+
+  /// Drops the first `n` pending bytes; views into them stay valid until
+  /// the next fill().
+  void consume(std::size_t n) noexcept {
+    begin_ += n;
+    scanned_ = 0;
+  }
+
+  /// The next complete non-blank line, without its "\n" or "\r\n", and
+  /// consumed; nullopt when no further '\n' has arrived. Bytes searched
+  /// once are not searched again after a fill().
+  [[nodiscard]] std::optional<std::string_view> take_line() noexcept {
+    for (;;) {
+      const std::span<const std::uint8_t> bytes = pending();
+      const auto* text = reinterpret_cast<const char*>(bytes.data());
+      const void* newline =
+          std::memchr(text + scanned_, '\n', bytes.size() - scanned_);
+      if (newline == nullptr) {
+        scanned_ = bytes.size();
+        return std::nullopt;
+      }
+      std::string_view line(
+          text, static_cast<std::size_t>(static_cast<const char*>(newline) - text));
+      consume(line.size() + 1);
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+      if (!line.empty()) return line;
+    }
+  }
+
+  /// Moves the pending bytes to the front, then makes one recv() into the
+  /// free space. A block full of pending bytes doubles first; only a
+  /// reader without a size cap (the client's response lines) gets there,
+  /// since the server rejects an over-cap frame or line before reading on.
+  /// Returns the bytes received; 0 is an orderly EOF, or a shutdown() from
+  /// another thread. Throws IoError on any socket error.
+  std::size_t fill(int fd) {
+    const std::size_t kept = end_ - begin_;
+    if (kept == capacity_) {
+      auto grown = std::make_unique_for_overwrite<std::uint8_t[]>(2 * capacity_);
+      std::memcpy(grown.get(), storage_.get() + begin_, kept);
+      storage_ = std::move(grown);
+      capacity_ *= 2;
+    } else if (begin_ > 0 && kept > 0) {
+      std::memmove(storage_.get(), storage_.get() + begin_, kept);
+    }
+    begin_ = 0;
+    end_ = kept;
+    for (;;) {
+      const ssize_t n = ::recv(fd, storage_.get() + end_, capacity_ - end_, 0);
+      if (n >= 0) {
+        end_ += static_cast<std::size_t>(n);
+        return static_cast<std::size_t>(n);
+      }
+      if (errno != EINTR) {
+        throw IoError("socket read failed: " + std::string(std::strerror(errno)));
+      }
+    }
+  }
+
+ private:
+  std::unique_ptr<std::uint8_t[]> storage_;
+  std::size_t capacity_;
+  std::size_t begin_ = 0;    ///< first pending byte
+  std::size_t end_ = 0;      ///< one past the last received byte
+  std::size_t scanned_ = 0;  ///< pending bytes known to hold no '\n'
+};
 
 }  // namespace dbp::net::detail

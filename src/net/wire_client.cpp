@@ -3,9 +3,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <array>
 #include <cerrno>
 #include <cstring>
+#include <optional>
+#include <string_view>
 
 #include "core/crc32.hpp"
 #include "core/error.hpp"
@@ -21,7 +22,7 @@ constexpr std::size_t kFlushBytes = std::size_t{1} << 18;
 }  // namespace
 
 WireClient::WireClient(const std::string& socket_path, Framing framing)
-    : framing_(framing) {
+    : framing_(framing), in_(kMaxFrameBytes) {
   const sockaddr_un address = detail::make_unix_address(socket_path);
   detail::FdGuard sock(::socket(AF_UNIX, SOCK_STREAM, 0));
   if (!sock.valid()) {
@@ -108,47 +109,40 @@ WireResponse WireClient::await_seq(std::uint64_t seq) {
 }
 
 WireResponse WireClient::read_response() {
-  if (framing_ == Framing::kBinary) {
-    std::array<std::uint8_t, kFrameHeaderBytes> header_bytes{};
-    if (detail::read_exact(fd_.get(), header_bytes.data(),
-                           header_bytes.size()) < header_bytes.size()) {
-      throw IoError("server closed the connection");
+  if (framing_ == Framing::kJson) {
+    for (;;) {
+      if (const std::optional<std::string_view> line = in_.take_line()) {
+        return decode_json_response(*line);
+      }
+      if (in_.fill(fd_.get()) == 0) {
+        throw IoError("server closed the connection");
+      }
     }
-    FrameHeader header;
-    if (decode_frame_header(header_bytes, header) != WireError::kNone) {
-      throw CorruptionError("malformed response frame header");
-    }
-    std::vector<std::uint8_t> payload(header.payload_len);
-    if (detail::read_exact(fd_.get(), payload.data(), payload.size()) <
-        payload.size()) {
-      throw IoError("server closed the connection mid-response");
-    }
-    if (crc32(payload) != header.payload_crc) {
-      throw CorruptionError("response frame CRC mismatch");
-    }
-    return decode_response(payload);
   }
-
-  // JSON framing: one '\n'-terminated line per response.
-  std::array<char, 4096> chunk{};
   for (;;) {
-    const std::size_t newline = in_buffer_.find('\n');
-    if (newline != std::string::npos) {
-      std::string line = in_buffer_.substr(0, newline);
-      in_buffer_.erase(0, newline + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      return decode_json_response(line);
+    const std::span<const std::uint8_t> pending = in_.pending();
+    if (pending.size() >= kFrameHeaderBytes) {
+      FrameHeader header;
+      if (decode_frame_header(pending, header) != WireError::kNone) {
+        throw CorruptionError("malformed response frame header");
+      }
+      const std::size_t frame_bytes = kFrameHeaderBytes + header.payload_len;
+      if (pending.size() >= frame_bytes) {
+        const std::span<const std::uint8_t> payload =
+            pending.subspan(kFrameHeaderBytes, header.payload_len);
+        in_.consume(frame_bytes);
+        if (crc32(payload) != header.payload_crc) {
+          throw CorruptionError("response frame CRC mismatch");
+        }
+        return decode_response(payload);
+      }
     }
-    ssize_t n;
-    do {
-      n = ::recv(fd_.get(), chunk.data(), chunk.size(), 0);
-    } while (n < 0 && errno == EINTR);
-    if (n < 0) {
-      throw IoError("socket read failed: " + std::string(std::strerror(errno)));
+    const bool inside_header = pending.size() < kFrameHeaderBytes;
+    if (in_.fill(fd_.get()) == 0) {
+      throw IoError(inside_header
+                        ? "server closed the connection"
+                        : "server closed the connection mid-response");
     }
-    if (n == 0) throw IoError("server closed the connection");
-    in_buffer_.append(chunk.data(), static_cast<std::size_t>(n));
   }
 }
 

@@ -68,7 +68,9 @@ class WireClient {
   detail::FdGuard fd_;
   Framing framing_;
   std::vector<std::uint8_t> out_buffer_;
-  std::string in_buffer_;  ///< JSON-framing read carry
+  /// Starts at kMaxFrameBytes; grows only for a JSON response line longer
+  /// than that (a rejection detail may quote the offending request).
+  detail::RecvBuffer in_;
   std::uint64_t seq_ = 0;  ///< requests sent; server seqs are 1-based
   std::vector<WireResponse> async_errors_;
 };

@@ -52,14 +52,13 @@ void append_frame(ByteWriter& out, std::span<const std::uint8_t> payload) {
 }
 
 WireError decode_frame_header(std::span<const std::uint8_t> bytes,
-                              FrameHeader& header,
-                              std::uint32_t max_payload_bytes) {
+                              FrameHeader& header) {
   if (bytes.size() < kFrameHeaderBytes) return WireError::kTruncatedFrame;
   ByteReader reader(bytes.first(kFrameHeaderBytes));
   if (reader.u32() != kWireMagic) return WireError::kBadMagic;
   header.payload_len = reader.u32();
   header.payload_crc = reader.u32();
-  if (header.payload_len > max_payload_bytes) return WireError::kOversizedFrame;
+  if (header.payload_len > kMaxFramePayloadBytes) return WireError::kOversizedFrame;
   return WireError::kNone;
 }
 
@@ -399,11 +398,17 @@ DecodeResult bad_field(std::string detail) {
   return true;
 }
 
+/// "field 'KEY'", the name the strict parsers give in their errors. Every
+/// key fits the small-string buffer, so building it allocates nothing.
+std::string field_label(const char* key) {
+  return std::string("field '") + key + "'";
+}
+
 [[nodiscard]] bool parse_u64_field(const JsonValue* value, const char* key,
                                    std::uint64_t& out, DecodeResult& rejection) {
   if (!require_raw(value, key, rejection)) return false;
   try {
-    out = parse_u64_strict(value->text, strfmt("field '%s'", key));
+    out = parse_u64_strict(value->text, field_label(key));
   } catch (const PreconditionError& error) {
     rejection = bad_field(error.what());
     return false;
@@ -415,7 +420,7 @@ DecodeResult bad_field(std::string detail) {
                                       double& out, DecodeResult& rejection) {
   if (!require_raw(value, key, rejection)) return false;
   try {
-    out = parse_double_strict(value->text, strfmt("field '%s'", key));
+    out = parse_double_strict(value->text, field_label(key));
   } catch (const PreconditionError& error) {
     rejection = bad_field(error.what());
     return false;

@@ -39,6 +39,12 @@ inline constexpr std::size_t kFrameHeaderBytes = 12;
 /// request payload is remotely this large, so a bigger length field is
 /// garbage (or an attack), not a frame.
 inline constexpr std::uint32_t kMaxFramePayloadBytes = 1U << 16;
+/// The largest whole frame: header plus the payload cap. Sizes each
+/// connection's receive buffer.
+inline constexpr std::size_t kMaxFrameBytes =
+    kFrameHeaderBytes + kMaxFramePayloadBytes;
+/// Per-line cap for the JSON framing, newline excluded.
+inline constexpr std::size_t kMaxJsonLineBytes = std::size_t{1} << 16;
 
 enum class WireVerb : std::uint8_t {
   kSubmit = 1,    ///< one engine::SessionEvent
@@ -106,10 +112,11 @@ struct FrameHeader {
   std::uint32_t payload_crc = 0;
 };
 
-/// Validates magic and length bound. On error, `header` is unspecified.
+/// Validates magic, then the length against kMaxFramePayloadBytes, over the
+/// first kFrameHeaderBytes of `bytes`. After kOversizedFrame `header` holds
+/// the length read; after any other error it is unspecified.
 [[nodiscard]] WireError decode_frame_header(
-    std::span<const std::uint8_t> bytes, FrameHeader& header,
-    std::uint32_t max_payload_bytes = kMaxFramePayloadBytes);
+    std::span<const std::uint8_t> bytes, FrameHeader& header);
 
 /// Request payload encoders (payload only; append_frame adds the header).
 [[nodiscard]] std::vector<std::uint8_t> encode_request(const WireRequest& request);

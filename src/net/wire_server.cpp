@@ -4,11 +4,12 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <optional>
+#include <string_view>
 #include <utility>
 
 #include "core/crc32.hpp"
@@ -18,29 +19,35 @@
 
 // DBP_LINT_ALLOW(symbol-wall-clock): the epoch timer thread paces its ticks
 // with condition_variable::wait_for. Wall time decides only *when* an epoch
-// is cut; the epoch's logical time is always max(event watermark, last
-// epoch), so no clock reading ever reaches an engine result.
+// is cut; the epoch's logical time is always the engine's event clock,
+// max(last epoch, latest applied event), so no clock reading ever reaches
+// an engine result.
 
 namespace dbp::net {
 
 using detail::FdGuard;
-using detail::read_exact;
 using detail::write_all;
+
+// The largest binary frame also holds the largest JSON line with its
+// "\r\n", so one receive buffer serves both framings and never grows: a
+// partial frame is smaller than kMaxFrameBytes, and a partial line longer
+// than kMaxJsonLineBytes is rejected before the next read.
+static_assert(kMaxFrameBytes >= kMaxJsonLineBytes + 2);
 
 void WireServerConfig::validate() const {
   DBP_REQUIRE(!socket_path.empty(), "WireServerConfig.socket_path is empty");
-  DBP_REQUIRE(max_frame_payload_bytes > 0 &&
-                  max_frame_payload_bytes <= kMaxFramePayloadBytes,
-              "WireServerConfig.max_frame_payload_bytes must be in (0, " +
-                  std::to_string(kMaxFramePayloadBytes) + "]");
-  DBP_REQUIRE(max_json_line_bytes > 0,
-              "WireServerConfig.max_json_line_bytes must be positive");
   DBP_REQUIRE(listen_backlog > 0,
               "WireServerConfig.listen_backlog must be positive");
 }
 
 struct WireServer::Connection {
+  explicit Connection(int fd) : fd(fd), in(kMaxFrameBytes) {}
+
+  /// Closes with the Connection, after its thread is joined (the thread
+  /// itself ends with shutdown()), so stop() never shuts down a descriptor
+  /// number that is already closed or reused.
   FdGuard fd;
+  detail::RecvBuffer in;
   std::thread thread;
   std::atomic<bool> done{false};
   bool json_mode = false;
@@ -50,6 +57,10 @@ namespace {
 
 void bump(obs::Counter* counter, std::uint64_t n = 1) {
   if (counter != nullptr) counter->add(n);
+}
+
+std::string_view as_text(std::span<const std::uint8_t> bytes) {
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
 }
 
 }  // namespace
@@ -109,10 +120,10 @@ void WireServer::stop() {
   if (timer_thread_.joinable()) timer_thread_.join();
   {
     std::lock_guard<std::mutex> lock(connections_mutex_);
-    // Wake every blocked read with EOF, then join; fds close in the joins'
-    // wake order via each connection's own epilogue.
+    // Wake every blocked read with EOF, then join; each fd closes with its
+    // Connection, after the join.
     for (const std::unique_ptr<Connection>& conn : connections_) {
-      if (conn->fd.valid()) ::shutdown(conn->fd.get(), SHUT_RDWR);
+      ::shutdown(conn->fd.get(), SHUT_RDWR);
     }
     for (const std::unique_ptr<Connection>& conn : connections_) {
       if (conn->thread.joinable()) conn->thread.join();
@@ -188,8 +199,7 @@ void WireServer::accept_loop() {
       ::close(fd);
       break;
     }
-    auto conn = std::make_unique<Connection>();
-    conn->fd = FdGuard(fd);
+    auto conn = std::make_unique<Connection>(fd);
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     connections_open_.fetch_add(1, std::memory_order_relaxed);
     bump(c_connections_);
@@ -217,16 +227,14 @@ void WireServer::timer_loop() {
     stop_cv_.wait_for(lock, cadence);
     if (stopping_.load(std::memory_order_acquire)) break;
     lock.unlock();
-    // Tick at the event-time high-water mark. With no new events since the
-    // last tick this is a zero-length epoch segment, which the engine
-    // integrates as exactly zero dollars and zero segments
-    // (EngineTest.ZeroLengthEpochSegmentsAreFree) — an idle server's timer
-    // never distorts the OPT bounds.
-    const std::string problem =
-        advance_epoch_checked(watermark_.load(std::memory_order_relaxed));
-    if (problem.empty()) {
-      timer_ticks_.fetch_add(1, std::memory_order_relaxed);
-    }
+    // Tick at the engine's event clock, chosen after the tick's own pump,
+    // so no event stamped later than the epoch is applied inside it. With
+    // no new events since the last tick this is a zero-length epoch
+    // segment, which the engine integrates as exactly zero dollars and zero
+    // segments (EngineTest.ZeroLengthEpochSegmentsAreFree) — an idle
+    // server's timer never distorts the OPT bounds.
+    count_epoch(engine_.advance_epoch_to_event_clock());
+    timer_ticks_.fetch_add(1, std::memory_order_relaxed);
     lock.lock();
   }
 }
@@ -237,24 +245,31 @@ std::string WireServer::advance_epoch_checked(double t) {
   } catch (const PreconditionError& error) {
     return error.what();  // a non-finite or regressing epoch time
   }
+  count_epoch(t);
+  return {};
+}
+
+void WireServer::count_epoch(double t) noexcept {
   raise_watermark(t);
   epochs_advanced_.fetch_add(1, std::memory_order_relaxed);
   bump(c_epochs_);
-  return {};
+}
+
+std::size_t WireServer::receive(Connection& conn) {
+  const std::size_t n = conn.in.fill(conn.fd.get());
+  bytes_in_.fetch_add(n, std::memory_order_relaxed);
+  bump(c_bytes_in_, n);
+  return n;
 }
 
 void WireServer::serve_connection(Connection& conn) {
   obs::ObsScope scope(tracer_, metrics_);
   try {
-    // First byte picks the framing: '{' is line-JSON, anything else binary.
-    // MSG_PEEK leaves the byte for the real reader.
-    std::uint8_t first = 0;
-    ssize_t n;
-    do {
-      n = ::recv(conn.fd.get(), &first, 1, MSG_PEEK);
-    } while (n < 0 && errno == EINTR);
-    if (n > 0) {
-      conn.json_mode = first == static_cast<std::uint8_t>('{');
+    // The first byte picks the framing: '{' is line-JSON, anything else
+    // binary.
+    if (receive(conn) > 0) {
+      conn.json_mode =
+          conn.in.pending().front() == static_cast<std::uint8_t>('{');
       if (conn.json_mode) {
         serve_json(conn);
       } else {
@@ -267,76 +282,77 @@ void WireServer::serve_connection(Connection& conn) {
     // Backstop — a serving defect must never take the process down; the
     // connection is dropped and every other connection keeps running.
   }
-  conn.fd.reset();
+  // The peer sees EOF now; the descriptor stays open until ~Connection.
+  ::shutdown(conn.fd.get(), SHUT_RDWR);
   connections_open_.fetch_sub(1, std::memory_order_relaxed);
   conn.done.store(true, std::memory_order_release);
 }
 
 void WireServer::serve_binary(Connection& conn) {
   std::uint64_t seq = 0;
-  std::array<std::uint8_t, kFrameHeaderBytes> header_bytes{};
-  for (;;) {
-    const std::size_t header_got =
-        read_exact(conn.fd.get(), header_bytes.data(), header_bytes.size());
-    if (header_got == 0) return;  // clean EOF on a frame boundary
-    ++seq;
+  const auto next_seq = [&] {
     frames_received_.fetch_add(1, std::memory_order_relaxed);
     bump(c_frames_received_);
-    bytes_in_.fetch_add(header_got, std::memory_order_relaxed);
-    bump(c_bytes_in_, header_got);
-    if (header_got < header_bytes.size()) {
-      reject(conn, seq, WireError::kTruncatedFrame,
-             "connection closed inside a frame header");
-      return;
+    return ++seq;
+  };
+  for (;;) {
+    // Serve every complete frame in the buffer. A header is checked as soon
+    // as it is whole, so a bad magic or length is answered before any of
+    // its payload is waited for.
+    const std::span<const std::uint8_t> pending = conn.in.pending();
+    if (pending.size() >= kFrameHeaderBytes) {
+      FrameHeader header;
+      const WireError header_error = decode_frame_header(pending, header);
+      if (header_error != WireError::kNone) {
+        reject(conn, next_seq(), header_error,
+               header_error == WireError::kBadMagic
+                   ? "frame header magic mismatch (expected \"DBPW\")"
+                   : strfmt("frame length %u exceeds the %u-byte payload cap",
+                            header.payload_len, kMaxFramePayloadBytes));
+        return;  // both header errors are fatal: the stream is unframed now
+      }
+      const std::size_t frame_bytes = kFrameHeaderBytes + header.payload_len;
+      if (pending.size() >= frame_bytes) {
+        const std::uint64_t frame_seq = next_seq();
+        const std::span<const std::uint8_t> payload =
+            pending.subspan(kFrameHeaderBytes, header.payload_len);
+        conn.in.consume(frame_bytes);
+        if (crc32(payload) != header.payload_crc) {
+          reject(conn, frame_seq, WireError::kBadCrc,
+                 "frame payload CRC mismatch");
+          return;
+        }
+        const DecodeResult decoded = decode_request(payload);
+        if (decoded.error != WireError::kNone) {
+          reject(conn, frame_seq, decoded.error, decoded.detail);
+          if (fatal(decoded.error)) return;
+          continue;
+        }
+        if (handle_request(conn, frame_seq, decoded.request)) return;
+        continue;
+      }
     }
-    FrameHeader header;
-    const WireError header_error = decode_frame_header(
-        header_bytes, header, config_.max_frame_payload_bytes);
-    if (header_error != WireError::kNone) {
-      reject(conn, seq, header_error,
-             header_error == WireError::kBadMagic
-                 ? "frame header magic mismatch (expected \"DBPW\")"
-                 : strfmt("frame length %u exceeds the %u-byte payload cap",
-                          header.payload_len, config_.max_frame_payload_bytes));
-      return;  // both header errors are fatal: the stream is unframed now
-    }
-    std::vector<std::uint8_t> payload(header.payload_len);
-    const std::size_t payload_got =
-        read_exact(conn.fd.get(), payload.data(), payload.size());
-    bytes_in_.fetch_add(payload_got, std::memory_order_relaxed);
-    bump(c_bytes_in_, payload_got);
-    if (payload_got < payload.size()) {
-      reject(conn, seq, WireError::kTruncatedFrame,
-             "connection closed inside a frame payload");
-      return;
-    }
-    if (crc32(payload) != header.payload_crc) {
-      reject(conn, seq, WireError::kBadCrc, "frame payload CRC mismatch");
-      return;
-    }
-    const DecodeResult decoded = decode_request(payload);
-    if (decoded.error != WireError::kNone) {
-      reject(conn, seq, decoded.error, decoded.detail);
-      if (fatal(decoded.error)) return;
-      continue;
-    }
-    if (handle_request(conn, seq, decoded.request)) return;
+    if (receive(conn) > 0) continue;
+    const std::size_t partial = conn.in.pending().size();
+    if (partial == 0) return;  // clean EOF on a frame boundary
+    reject(conn, next_seq(), WireError::kTruncatedFrame,
+           partial < kFrameHeaderBytes
+               ? "connection closed inside a frame header"
+               : "connection closed inside a frame payload");
+    return;
   }
 }
 
 void WireServer::serve_json(Connection& conn) {
   std::uint64_t seq = 0;
-  std::string buffer;
-  std::array<char, 4096> chunk{};
-
   const auto process_line = [&](std::string_view line) {
     ++seq;
     frames_received_.fetch_add(1, std::memory_order_relaxed);
     bump(c_frames_received_);
-    if (line.size() > config_.max_json_line_bytes) {
+    if (line.size() > kMaxJsonLineBytes) {
       reject(conn, seq, WireError::kOversizedLine,
              strfmt("request line exceeds the %zu-byte cap",
-                    config_.max_json_line_bytes));
+                    kMaxJsonLineBytes));
       return true;  // close
     }
     const DecodeResult decoded = decode_json_request(line);
@@ -348,38 +364,20 @@ void WireServer::serve_json(Connection& conn) {
   };
 
   for (;;) {
-    std::size_t newline;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;  // blank lines are interactive noise
-      if (process_line(line)) return;
+    if (const std::optional<std::string_view> line = conn.in.take_line()) {
+      if (process_line(*line)) return;
+      continue;
     }
-    if (buffer.size() > config_.max_json_line_bytes) {
-      ++seq;
-      frames_received_.fetch_add(1, std::memory_order_relaxed);
-      bump(c_frames_received_);
-      reject(conn, seq, WireError::kOversizedLine,
-             strfmt("request line exceeds the %zu-byte cap",
-                    config_.max_json_line_bytes));
+    // No newline in what is left. A partial line already over the cap is
+    // rejected by process_line without waiting for the rest.
+    if (conn.in.pending().size() > kMaxJsonLineBytes) {
+      process_line(as_text(conn.in.pending()));
       return;
     }
-    ssize_t n;
-    do {
-      n = ::recv(conn.fd.get(), chunk.data(), chunk.size(), 0);
-    } while (n < 0 && errno == EINTR);
-    if (n < 0) {
-      throw IoError("socket read failed: " + std::string(std::strerror(errno)));
-    }
-    if (n == 0) break;  // EOF
-    bytes_in_.fetch_add(static_cast<std::uint64_t>(n),
-                        std::memory_order_relaxed);
-    bump(c_bytes_in_, static_cast<std::uint64_t>(n));
-    buffer.append(chunk.data(), static_cast<std::size_t>(n));
+    if (receive(conn) == 0) break;
   }
   // A final line without its newline still counts (echo without -n).
-  if (!buffer.empty()) process_line(buffer);
+  if (!conn.in.pending().empty()) process_line(as_text(conn.in.pending()));
 }
 
 bool WireServer::handle_request(Connection& conn, std::uint64_t seq,

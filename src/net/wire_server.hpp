@@ -11,10 +11,15 @@
 // producer uses; it never applies events, never reorders a connection's
 // stream (per-connection FIFO == per-producer FIFO), and never invents
 // timestamps. Epoch ticks come either from explicit `epoch` requests or
-// from the optional timer thread, which advances to the high-water mark of
-// event times seen so far — wall time paces *when* an epoch is cut, but
-// the epoch's logical time is always derived from the event stream, so a
-// wire-fed run replays bit-identically (tests/net_differential_test.cpp).
+// from the optional timer thread, which cuts each epoch at the engine's
+// event clock (the latest applied event time) — wall time paces *when* an
+// epoch is cut, but the epoch's logical time is always derived from the
+// event stream, so a wire-fed run replays bit-identically
+// (tests/net_differential_test.cpp).
+//
+// Each connection reads through one receive buffer, allocated once and
+// sized for the largest frame: one recv() takes everything the peer has
+// queued, and every complete frame or line in it is decoded in place.
 //
 // Fault containment: every malformed frame is a typed WireError answered
 // on the offending connection only. Recoverable errors (unknown verb, bad
@@ -41,10 +46,6 @@ namespace dbp::net {
 struct WireServerConfig {
   /// Filesystem path of the AF_UNIX listening socket.
   std::string socket_path;
-  /// Per-frame payload cap for the binary framing.
-  std::uint32_t max_frame_payload_bytes = kMaxFramePayloadBytes;
-  /// Per-line cap for the JSON framing.
-  std::size_t max_json_line_bytes = std::size_t{1} << 16;
   /// Timer-thread epoch cadence in milliseconds; 0 disables the timer and
   /// leaves epochs entirely to explicit `epoch` requests.
   std::uint64_t epoch_cadence_ms = 0;
@@ -65,6 +66,8 @@ struct WireServerStats {
   std::uint64_t connections_open = 0;
   std::uint64_t frames_received = 0;  ///< frames or JSON lines parsed
   std::uint64_t frames_rejected = 0;  ///< typed rejections (any WireError)
+  /// Bytes received from the sockets. After a fatal frame this can exceed
+  /// the bytes parsed: the rest of that read is dropped unserved.
   std::uint64_t bytes_in = 0;
   std::uint64_t events_submitted = 0;
   std::uint64_t epochs_advanced = 0;  ///< explicit requests + timer ticks
@@ -113,8 +116,8 @@ class WireServer {
 
   [[nodiscard]] WireServerStats stats() const noexcept;
 
-  /// High-water mark of finite event/epoch times seen on the wire; the
-  /// timer thread cuts its epochs here.
+  /// High-water mark of finite event/epoch times seen on the wire, as
+  /// reported by `query`.
   [[nodiscard]] double watermark_minutes() const noexcept {
     return watermark_.load(std::memory_order_relaxed);
   }
@@ -129,6 +132,8 @@ class WireServer {
   void accept_loop();
   void timer_loop();
   void serve_connection(Connection& conn);
+  /// One read into the connection's buffer, counted in bytes_in; 0 on EOF.
+  std::size_t receive(Connection& conn);
   void serve_binary(Connection& conn);
   void serve_json(Connection& conn);
 
@@ -145,6 +150,8 @@ class WireServer {
   /// regressing epoch times with a PreconditionError, which comes back as
   /// the rejection detail (empty on success), so the connection survives.
   [[nodiscard]] std::string advance_epoch_checked(double t);
+  /// Counts one epoch the engine cut at `t`.
+  void count_epoch(double t) noexcept;
 
   void raise_watermark(double t) noexcept;
   [[nodiscard]] std::string build_query_body(double horizon);

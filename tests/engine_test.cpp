@@ -270,6 +270,48 @@ TEST(EngineTest, ZeroLengthEpochSegmentsAreFree) {
   EXPECT_EQ(eng.rental_cost_dollars(12.0), ref.rental_cost_dollars(12.0));
 }
 
+TEST(EngineTest, EventClockEpochCutsAtTheLatestAppliedEvent) {
+  // advance_epoch_to_event_clock() must equal advance_epoch(t) at the time
+  // of the latest event its own drain applied: never earlier than the last
+  // epoch, and blind to dropped events.
+  ShardedDispatchEngine eng(config(2));
+  ShardedDispatchEngine ref(config(2));
+  const auto step = [&](Time expected) {
+    EXPECT_EQ(eng.advance_epoch_to_event_clock(), expected);
+    ref.advance_epoch(expected);
+    const StreamingOptBounds a = eng.opt_bounds();
+    const StreamingOptBounds b = ref.opt_bounds();
+    EXPECT_EQ(a.lower_dollars, b.lower_dollars);
+    EXPECT_EQ(a.upper_dollars, b.upper_dollars);
+    EXPECT_EQ(a.segments, b.segments);
+    EXPECT_EQ(a.exact_segments, b.exact_segments);
+    EXPECT_EQ(eng.merged_snapshot_rle(), ref.merged_snapshot_rle());
+  };
+  const auto submit_both = [&](const SessionEvent& event) {
+    eng.submit(event);
+    ref.submit(event);
+  };
+
+  step(0.0);  // no events yet: the initial epoch time
+  submit_both(start_event(1, 0.5, 1.0));
+  submit_both(start_event(2, 0.25, 2.0));
+  submit_both(start_event(3, 0.75, 4.0));
+  step(4.0);
+  EXPECT_EQ(eng.merged_snapshot_rle().size(), 3u);
+  submit_both(end_event(1, 10.0));
+  step(10.0);
+  EXPECT_GT(eng.opt_bounds().segments, 0u);
+  step(10.0);  // nothing new: a zero-length segment
+  submit_both(end_event(99, 50.0));  // unknown session: dropped
+  step(10.0);
+  EXPECT_EQ(eng.merged_fault_stats().unknown_ends, 1u);
+  eng.advance_epoch(20.0);
+  ref.advance_epoch(20.0);
+  submit_both(end_event(2, 15.0));  // applied, but behind the last epoch
+  step(20.0);
+  EXPECT_EQ(eng.active_sessions(), 1u);
+}
+
 TEST(EngineTest, EpochTimesMustBeMonotone) {
   constexpr Time kNaN = std::numeric_limits<Time>::quiet_NaN();
   constexpr Time kInf = std::numeric_limits<Time>::infinity();

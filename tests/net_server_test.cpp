@@ -1,20 +1,29 @@
-// WireServer lifecycle and fault-containment tests (ISSUE 10): real
-// AF_UNIX sockets in a per-test temp directory, both framings, the
-// malformed-frame containment contract (a fatal frame closes only its own
-// connection), graceful-shutdown draining, and the epoch timer thread.
+// WireServer lifecycle and fault-containment tests: real AF_UNIX sockets
+// in a per-test temp directory, both framings, the malformed-frame
+// containment contract (a fatal frame closes only its own connection),
+// the receive buffer's framing (any split of a stream across writes serves
+// it identically), graceful-shutdown draining, and the epoch timer thread.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/error.hpp"
 #include "engine/engine.hpp"
+#include "net/fd_io.hpp"
 #include "net/wire_client.hpp"
 #include "net/wire_protocol.hpp"
 #include "net/wire_server.hpp"
@@ -66,6 +75,62 @@ class WireServerTest : public ::testing::Test {
 
   std::string dir_;
 };
+
+/// The requests in one framing's encoding, concatenated.
+std::vector<std::uint8_t> encode_stream(WireClient::Framing framing,
+                                        const std::vector<WireRequest>& requests) {
+  std::vector<std::uint8_t> bytes;
+  for (const WireRequest& request : requests) {
+    if (framing == WireClient::Framing::kBinary) {
+      const std::vector<std::uint8_t> frame = encode_request_frame(request);
+      bytes.insert(bytes.end(), frame.begin(), frame.end());
+    } else {
+      const std::string line = encode_json_request(request) + "\n";
+      bytes.insert(bytes.end(), line.begin(), line.end());
+    }
+  }
+  return bytes;
+}
+
+std::vector<std::uint8_t> as_bytes(const std::string& text) {
+  return {text.begin(), text.end()};
+}
+
+WireRequest submit_request(const engine::SessionEvent& event) {
+  WireRequest request;
+  request.verb = WireVerb::kSubmit;
+  request.event = event;
+  return request;
+}
+
+WireRequest timed_request(WireVerb verb, double time_minutes) {
+  WireRequest request;
+  request.verb = verb;
+  request.time_minutes = time_minutes;
+  return request;
+}
+
+/// Every response until the server closes the connection.
+std::vector<WireResponse> read_until_closed(WireClient& client) {
+  std::vector<WireResponse> responses;
+  for (;;) {
+    try {
+      responses.push_back(client.read_response());
+    } catch (const IoError&) {
+      return responses;
+    }
+  }
+}
+
+auto stats_tuple(const WireServerStats& s) {
+  return std::make_tuple(s.connections_accepted, s.connections_open,
+                         s.frames_received, s.frames_rejected, s.bytes_in,
+                         s.events_submitted, s.epochs_advanced, s.timer_ticks);
+}
+
+auto response_tuple(const WireResponse& r) {
+  return std::make_tuple(r.request_seq, r.error, r.detail, r.body);
+}
 
 TEST_F(WireServerTest, ConfigValidationRejectsUnusableSetups) {
   WireServerConfig config;  // empty socket path
@@ -271,6 +336,285 @@ TEST_F(WireServerTest, ObsCountersMirrorServingStats) {
   EXPECT_EQ(metrics.counter("net.bytes_in").value(), stats.bytes_in);
   EXPECT_EQ(metrics.counter("net.events_submitted").value(),
             stats.events_submitted);
+}
+
+TEST_F(WireServerTest, AnySplitOfAStreamAcrossWritesServesItIdentically) {
+  // Submits, a recoverable rejection (a regressing epoch), an epoch and a
+  // query: the receive buffer must decode the same requests however the
+  // bytes arrive.
+  const std::vector<WireRequest> requests = {
+      submit_request(engine::start_event(1, 0.25, 1.0)),
+      submit_request(engine::start_event(2, 0.5, 2.0)),
+      submit_request(engine::start_event(3, 0.5, 3.0)),
+      submit_request(engine::end_event(1, 4.0)),
+      timed_request(WireVerb::kEpoch, 5.0),
+      timed_request(WireVerb::kEpoch, 4.5),
+      submit_request(engine::start_event(4, 0.125, 6.0)),
+      submit_request(engine::end_event(2, 7.0)),
+      timed_request(WireVerb::kQuery, 8.0),
+  };
+  struct Outcome {
+    std::vector<WireResponse> responses;
+    WireServerStats stats;
+    std::uint64_t events_applied = 0;
+    std::size_t active_sessions = 0;
+    engine::StreamingOptBounds bounds;
+    double bill = 0.0;
+    std::vector<SizeRun> snapshot;
+  };
+  const auto serve = [&](WireClient::Framing framing,
+                         const std::vector<std::size_t>& chunk_sizes) {
+    const std::vector<std::uint8_t> bytes = encode_stream(framing, requests);
+    engine::ShardedDispatchEngine eng(engine_config());
+    WireServer server(eng, server_config());
+    server.start();
+    WireClient client(socket_path(), framing);
+    std::size_t sent = 0;
+    for (std::size_t i = 0; sent < bytes.size(); ++i) {
+      const std::size_t n =
+          std::min(chunk_sizes[i % chunk_sizes.size()], bytes.size() - sent);
+      client.send_raw(std::span(bytes).subspan(sent, n));
+      sent += n;
+    }
+    client.finish_writes();
+    Outcome out;
+    out.responses = read_until_closed(client);
+    server.stop();
+    out.stats = server.stats();
+    out.events_applied = eng.events_applied();
+    out.active_sessions = eng.active_sessions();
+    out.bounds = eng.opt_bounds();
+    out.bill = eng.rental_cost_dollars(8.0);
+    out.snapshot = eng.merged_snapshot_rle();
+    return out;
+  };
+
+  for (const auto framing :
+       {WireClient::Framing::kBinary, WireClient::Framing::kJson}) {
+    SCOPED_TRACE(framing == WireClient::Framing::kBinary ? "binary" : "json");
+    const Outcome whole = serve(framing, {std::size_t{1} << 20});
+    ASSERT_EQ(whole.responses.size(), 2u);
+    EXPECT_EQ(whole.responses[0].request_seq, 6u);
+    EXPECT_EQ(whole.responses[0].error, WireError::kBadField);
+    EXPECT_EQ(whole.responses[1].request_seq, 9u);
+    EXPECT_EQ(whole.responses[1].error, WireError::kNone);
+    EXPECT_EQ(whole.stats.frames_received, requests.size());
+    EXPECT_EQ(whole.stats.frames_rejected, 1u);
+    EXPECT_EQ(whole.stats.events_submitted, 6u);
+    EXPECT_EQ(whole.stats.epochs_advanced, 1u);
+    EXPECT_EQ(whole.stats.bytes_in,
+              encode_stream(framing, requests).size());
+    EXPECT_EQ(whole.events_applied, 6u);
+    EXPECT_EQ(whole.active_sessions, 2u);
+
+    for (const std::vector<std::size_t>& chunks :
+         {std::vector<std::size_t>{1}, std::vector<std::size_t>{5, 1, 13, 46, 2, 91, 7}}) {
+      SCOPED_TRACE(chunks.size() == 1 ? "one byte per write" : "uneven chunks");
+      const Outcome split = serve(framing, chunks);
+      ASSERT_EQ(split.responses.size(), whole.responses.size());
+      for (std::size_t i = 0; i < whole.responses.size(); ++i) {
+        EXPECT_EQ(response_tuple(split.responses[i]),
+                  response_tuple(whole.responses[i]));
+      }
+      EXPECT_EQ(stats_tuple(split.stats), stats_tuple(whole.stats));
+      EXPECT_EQ(split.events_applied, whole.events_applied);
+      EXPECT_EQ(split.active_sessions, whole.active_sessions);
+      EXPECT_EQ(split.bounds.lower_dollars, whole.bounds.lower_dollars);
+      EXPECT_EQ(split.bounds.upper_dollars, whole.bounds.upper_dollars);
+      EXPECT_EQ(split.bounds.segments, whole.bounds.segments);
+      EXPECT_EQ(split.bounds.exact_segments, whole.bounds.exact_segments);
+      EXPECT_EQ(split.bill, whole.bill);
+      EXPECT_EQ(split.snapshot, whole.snapshot);
+    }
+  }
+}
+
+TEST_F(WireServerTest, FatalFrameDropsTheRestOfItsRead) {
+  // Valid submits queued behind a fatal frame in the same write are never
+  // served: one answer, then the connection closes.
+  const std::vector<WireRequest> tail = {
+      submit_request(engine::start_event(1, 0.25, 1.0)),
+      submit_request(engine::start_event(2, 0.25, 2.0)),
+  };
+  const std::vector<std::uint8_t> binary_tail =
+      encode_stream(WireClient::Framing::kBinary, tail);
+  std::vector<std::uint8_t> bad_crc =
+      encode_request_frame(submit_request(engine::start_event(9, 0.5, 0.5)));
+  bad_crc.back() ^= 0x01U;
+  const std::string long_line =
+      "{\"verb\":\"query\",\"t\":0" + std::string(kMaxJsonLineBytes, ' ') + "}\n";
+
+  struct Case {
+    const char* name;
+    WireClient::Framing framing;
+    std::vector<std::uint8_t> head;
+    WireError error;
+  };
+  const std::vector<Case> cases = {
+      {"bad magic", WireClient::Framing::kBinary,
+       as_bytes("GARBAGE-NOT-A-FRAME!"), WireError::kBadMagic},
+      {"bad crc", WireClient::Framing::kBinary, bad_crc, WireError::kBadCrc},
+      {"oversized line", WireClient::Framing::kJson, as_bytes(long_line),
+       WireError::kOversizedLine},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<std::uint8_t> bytes = c.head;
+    const std::vector<std::uint8_t> rest =
+        c.framing == WireClient::Framing::kBinary
+            ? binary_tail
+            : encode_stream(WireClient::Framing::kJson, tail);
+    bytes.insert(bytes.end(), rest.begin(), rest.end());
+
+    engine::ShardedDispatchEngine eng(engine_config());
+    WireServer server(eng, server_config());
+    server.start();
+    WireClient client(socket_path(), c.framing);
+    client.send_raw(std::span(bytes));
+    client.finish_writes();
+    const std::vector<WireResponse> responses = read_until_closed(client);
+    server.stop();
+
+    ASSERT_EQ(responses.size(), 1u);
+    EXPECT_EQ(responses[0].request_seq, 1u);
+    EXPECT_EQ(responses[0].error, c.error);
+    const WireServerStats stats = server.stats();
+    EXPECT_EQ(stats.frames_received, 1u);
+    EXPECT_EQ(stats.frames_rejected, 1u);
+    EXPECT_EQ(stats.events_submitted, 0u);
+    EXPECT_EQ(eng.events_applied(), 0u);
+    EXPECT_LE(stats.bytes_in, bytes.size());
+  }
+}
+
+TEST_F(WireServerTest, TruncatedFramesSayWhereTheStreamEnded) {
+  const std::vector<std::uint8_t> first =
+      encode_request_frame(submit_request(engine::start_event(1, 0.25, 1.0)));
+  const std::vector<std::uint8_t> second =
+      encode_request_frame(submit_request(engine::start_event(2, 0.25, 2.0)));
+  struct Case {
+    std::size_t second_bytes;  ///< how much of the second frame is sent
+    const char* detail;
+  };
+  for (const Case& c :
+       {Case{5, "connection closed inside a frame header"},
+        Case{kFrameHeaderBytes, "connection closed inside a frame payload"},
+        Case{kFrameHeaderBytes + 10, "connection closed inside a frame payload"}}) {
+    SCOPED_TRACE(c.second_bytes);
+    std::vector<std::uint8_t> bytes = first;
+    bytes.insert(bytes.end(), second.begin(),
+                 second.begin() + static_cast<std::ptrdiff_t>(c.second_bytes));
+
+    engine::ShardedDispatchEngine eng(engine_config());
+    WireServer server(eng, server_config());
+    server.start();
+    WireClient client(socket_path(), WireClient::Framing::kBinary);
+    client.send_raw(std::span(bytes));
+    client.finish_writes();
+    const std::vector<WireResponse> responses = read_until_closed(client);
+    server.stop();
+
+    ASSERT_EQ(responses.size(), 1u);
+    EXPECT_EQ(responses[0].request_seq, 2u);
+    EXPECT_EQ(responses[0].error, WireError::kTruncatedFrame);
+    EXPECT_EQ(responses[0].detail, c.detail);
+    const WireServerStats stats = server.stats();
+    EXPECT_EQ(stats.frames_received, 2u);
+    EXPECT_EQ(stats.frames_rejected, 1u);
+    EXPECT_EQ(stats.events_submitted, 1u);
+    EXPECT_EQ(stats.bytes_in, bytes.size());
+    EXPECT_EQ(eng.events_applied(), 1u);
+  }
+}
+
+TEST_F(WireServerTest, JsonLinesSurviveCrlfBlanksSplitsAndAMissingFinalNewline) {
+  engine::ShardedDispatchEngine eng(engine_config());
+  WireServer server(eng, server_config());
+  server.start();
+
+  const std::string first =
+      encode_json_request(submit_request(engine::start_event(1, 0.25, 1.0)));
+  const std::string second =
+      encode_json_request(submit_request(engine::start_event(2, 0.5, 2.0)));
+  const std::string query = encode_json_request(timed_request(WireVerb::kQuery, 3.0));
+  WireClient client(socket_path(), WireClient::Framing::kJson);
+  // CRLF, a blank line and a blank CRLF line, then the second request split
+  // across two writes, then a final line with no newline before EOF.
+  const std::vector<std::uint8_t> head =
+      as_bytes(first + "\r\n\n\r\n" + second.substr(0, 9));
+  const std::vector<std::uint8_t> rest = as_bytes(second.substr(9) + "\n" + query);
+  client.send_raw(std::span(head));
+  client.send_raw(std::span(rest));
+  client.finish_writes();
+  const std::vector<WireResponse> responses = read_until_closed(client);
+  server.stop();
+
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].request_seq, 3u);
+  ASSERT_EQ(responses[0].error, WireError::kNone) << responses[0].detail;
+  EXPECT_NE(responses[0].body.find("\"events_applied\":2"), std::string::npos);
+  const WireServerStats stats = server.stats();
+  EXPECT_EQ(stats.frames_received, 3u);
+  EXPECT_EQ(stats.frames_rejected, 0u);
+  EXPECT_EQ(stats.events_submitted, 2u);
+  EXPECT_EQ(stats.bytes_in, head.size() + rest.size());
+  EXPECT_EQ(eng.active_sessions(), 2u);
+}
+
+TEST_F(WireServerTest, PartialJsonLineOverTheCapIsRejectedWithoutItsNewline) {
+  engine::ShardedDispatchEngine eng(engine_config());
+  WireServer server(eng, server_config());
+  server.start();
+
+  // A raw connection whose reads time out: a server that waited for the
+  // rest of the line would fail this test instead of hanging it.
+  const sockaddr_un address = detail::make_unix_address(socket_path());
+  const detail::FdGuard fd(::socket(AF_UNIX, SOCK_STREAM, 0));
+  ASSERT_TRUE(fd.valid());
+  ASSERT_EQ(::connect(fd.get(), reinterpret_cast<const sockaddr*>(&address),
+                      sizeof(address)),
+            0);
+  const timeval timeout{10, 0};
+  ASSERT_EQ(::setsockopt(fd.get(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  // One byte over the cap and no newline, with the write side left open.
+  detail::write_all(fd.get(), as_bytes("{" + std::string(kMaxJsonLineBytes, ' ')));
+  detail::RecvBuffer in(kMaxFrameBytes);
+  std::optional<std::string_view> line;
+  while (!(line = in.take_line())) ASSERT_GT(in.fill(fd.get()), 0u);
+  const WireResponse rejection = decode_json_response(*line);
+  EXPECT_EQ(rejection.request_seq, 1u);
+  EXPECT_EQ(rejection.error, WireError::kOversizedLine);
+  EXPECT_EQ(rejection.detail, "request line exceeds the 65536-byte cap");
+  EXPECT_EQ(in.fill(fd.get()), 0u);  // then the server closes
+  server.stop();
+  EXPECT_EQ(server.stats().frames_received, 1u);
+  EXPECT_EQ(server.stats().frames_rejected, 1u);
+}
+
+TEST_F(WireServerTest, ClientReadsResponseLinesLongerThanAFrame) {
+  // A rejection detail quotes the offending token, and the server escapes
+  // each control byte in it as six, so a JSON response line can outgrow
+  // the client's kMaxFrameBytes receive buffer.
+  engine::ShardedDispatchEngine eng(engine_config());
+  WireServer server(eng, server_config());
+  server.start();
+
+  const std::string token(30000, '\x01');
+  const std::vector<std::uint8_t> line =
+      as_bytes("{\"verb\":\"query\",\"t\":" + token + "}\n");
+  WireClient client(socket_path(), WireClient::Framing::kJson);
+  client.send_raw(std::span(line));
+  const WireResponse rejection = client.read_response();
+  EXPECT_EQ(rejection.request_seq, 1u);
+  EXPECT_EQ(rejection.error, WireError::kBadField);
+  EXPECT_TRUE(rejection.detail.ends_with("invalid field 't' '" + token +
+                                         "': expected a finite number"));
+  // The connection survives a recoverable rejection.
+  const WireResponse answer = client.query(0.0);
+  EXPECT_EQ(answer.error, WireError::kNone) << answer.detail;
+  server.stop();
 }
 
 TEST_F(WireServerTest, StopIsIdempotentAndUnlinksTheSocket) {

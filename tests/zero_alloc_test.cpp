@@ -5,7 +5,10 @@
 //      without touching the heap for every devirtualized strategy, and
 //   2. the OPT bin-count kernel with a warm BinCountScratch re-evaluates
 //      snapshots allocation-free (the arena/tree/residual buffers are
-//      reused, not reallocated).
+//      reused, not reallocated), and
+//   3. a live WireServer serves binary submit frames allocation-free once
+//      its connection is open: frames are decoded in place from the
+//      connection's receive buffer.
 //
 // The overrides live at global scope in this translation unit, so they
 // replace the program-wide allocation functions for this test binary only.
@@ -16,6 +19,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <functional>
 #include <cstddef>
 #include <cstdint>
@@ -24,11 +29,16 @@
 #include <new>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "algo/factory.hpp"
 #include "algo/packer.hpp"
 #include "core/types.hpp"
+#include "engine/engine.hpp"
+#include "net/wire_client.hpp"
+#include "net/wire_protocol.hpp"
+#include "net/wire_server.hpp"
 #include "opt/bin_count.hpp"
 #include "opt/rle.hpp"
 #include "opt/scratch.hpp"
@@ -206,6 +216,54 @@ TEST(ZeroAllocScratchTest, ScratchMatchesAllocatingPathBitIdentically) {
     EXPECT_EQ(plain.lower, reused.lower) << "seed " << seed;
     EXPECT_EQ(plain.upper, reused.upper) << "seed " << seed;
   }
+}
+
+// ---- wire server read path --------------------------------------------
+
+TEST(ZeroAllocWireTest, BinarySubmitFramesAreServedWithoutAllocating) {
+  constexpr std::uint64_t kFrames = 8192;
+  const std::string dir = (std::filesystem::temp_directory_path() /
+                           "dbp_zero_alloc_test.wire")
+                              .string();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
+  engine::EngineConfig engine_config;
+  engine_config.ring_capacity = 2 * kFrames;  // no ring fills, so no drain
+  engine::ShardedDispatchEngine eng(engine_config);
+  net::WireServerConfig server_config;
+  server_config.socket_path = dir + "/wire.sock";
+  net::WireServer server(eng, server_config);
+  server.start();
+
+  std::vector<std::uint8_t> frames;
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    net::WireRequest request;
+    request.verb = net::WireVerb::kSubmit;
+    request.event = engine::start_event(i + 1, 0.125, static_cast<double>(i));
+    const std::vector<std::uint8_t> frame = net::encode_request_frame(request);
+    frames.insert(frames.end(), frame.begin(), frame.end());
+  }
+  net::WireClient client(server_config.socket_path,
+                         net::WireClient::Framing::kBinary);
+  // The warm query opens the connection: its thread and receive buffer.
+  ASSERT_EQ(client.query(0.0).error, net::WireError::kNone);
+
+  const std::uint64_t before = allocation_count();
+  client.send_raw(frames);
+  for (int round = 0; round < 2000 && server.stats().events_submitted < kFrames;
+       ++round) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const std::uint64_t after = allocation_count();
+
+  ASSERT_EQ(server.stats().events_submitted, kFrames);
+  EXPECT_EQ(after - before, 0u)
+      << "serving " << kFrames << " submit frames allocated "
+      << (after - before) << " time(s)";
+  server.stop();
+  EXPECT_EQ(eng.events_applied(), kFrames);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

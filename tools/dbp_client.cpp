@@ -306,7 +306,7 @@ int main(int argc, char** argv) {
         stream.empty() ? 0.0 : stream.back().time_minutes;
     // Only an epoch-driving client (--epoch-every) cuts the final epoch.
     // When the server's timer (or another client) owns the cadence, the
-    // global watermark can already be past this stream's end, and an
+    // last epoch can already be past this stream's end, and an
     // unconditional epoch here would be rejected as regressing.
     if (epoch_every != 0) client.epoch(end_time);
 

@@ -13,7 +13,7 @@
 //             [--trace-out=FILE] [--metrics]
 //
 // --epoch-cadence-ms=N starts a timer thread cutting an epoch every N ms at
-// the event-time high-water mark (0 = epochs only on explicit request).
+// the engine's event clock (0 = epochs only on explicit request).
 // --trace-out/--metrics hand the tracer/registry to every serving thread,
 // so the exported trace matches a direct driver's (docs/wire_protocol.md).
 #include <csignal>

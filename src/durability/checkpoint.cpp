@@ -3,8 +3,10 @@
 #include <fcntl.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
+#include <string_view>
 
 #include "core/binary_io.hpp"
 #include "core/crc32.hpp"
@@ -17,14 +19,14 @@ namespace dbp::durability {
 
 namespace {
 
-constexpr const char* kPrefix = "ckpt-";
-constexpr const char* kSuffix = ".dbpc";
+constexpr std::string_view kPrefix = "ckpt-";
+constexpr std::string_view kSuffix = ".dbpc";
 
 }  // namespace
 
 std::string checkpoint_file_name(std::uint64_t next_seq) {
-  return strfmt("%s%020llu%s", kPrefix,
-                static_cast<unsigned long long>(next_seq), kSuffix);
+  return strfmt("%s%020llu%s", kPrefix.data(),
+                static_cast<unsigned long long>(next_seq), kSuffix.data());
 }
 
 std::string write_checkpoint(const std::string& dir, const CheckpointData& data) {
@@ -60,16 +62,18 @@ std::vector<CheckpointEntry> list_checkpoints(const std::string& dir) {
   std::error_code ec;
   for (const auto& item : std::filesystem::directory_iterator(dir, ec)) {
     const std::string name = item.path().filename().string();
-    if (name.rfind(kPrefix, 0) != 0 || name.size() <= std::string(kPrefix).size() +
-                                                          std::string(kSuffix).size()) {
+    if (name.size() <= kPrefix.size() + kSuffix.size() ||
+        !name.starts_with(kPrefix) || !name.ends_with(kSuffix)) {
       continue;
     }
-    if (name.substr(name.size() - std::string(kSuffix).size()) != kSuffix) continue;
-    const std::string digits = name.substr(
-        std::string(kPrefix).size(),
-        name.size() - std::string(kPrefix).size() - std::string(kSuffix).size());
-    if (digits.find_first_not_of("0123456789") != std::string::npos) continue;
-    entries.push_back(CheckpointEntry{std::stoull(digits), item.path().string()});
+    // Digits only, and within u64: anything else (a sign, a stray letter,
+    // more digits than a u64 holds) is not a checkpoint name.
+    const char* digits_end = name.data() + name.size() - kSuffix.size();
+    std::uint64_t next_seq = 0;
+    const auto [end, error] =
+        std::from_chars(name.data() + kPrefix.size(), digits_end, next_seq);
+    if (error != std::errc{} || end != digits_end) continue;
+    entries.push_back(CheckpointEntry{next_seq, item.path().string()});
   }
   if (ec) throw IoError("cannot list checkpoint directory: " + dir);
   // directory_iterator order is filesystem-dependent; sort for determinism.

@@ -19,7 +19,7 @@
 namespace dbp::durability {
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x43504244U;  // "DBPC" LE
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 struct CheckpointData {
   std::uint64_t stream_id = 0;
@@ -43,8 +43,9 @@ struct CheckpointEntry {
 std::string write_checkpoint(const std::string& dir, const CheckpointData& data);
 
 /// Checkpoints in `dir`, sorted newest (highest next_seq) first. Files that
-/// do not match the ckpt-*.dbpc name pattern are ignored; a leftover .tmp
-/// from a mid-write crash is skipped here and cleaned by prune.
+/// do not match ckpt-<digits>.dbpc with the digits fitting a u64 are
+/// ignored; a leftover .tmp from a mid-write crash is skipped here and
+/// cleaned by prune.
 [[nodiscard]] std::vector<CheckpointEntry> list_checkpoints(
     const std::string& dir);
 

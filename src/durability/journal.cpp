@@ -37,7 +37,7 @@ std::vector<std::uint8_t> encode_record(const JournalEvent& event) {
 
 bool valid_kind(std::uint8_t kind) {
   return kind >= static_cast<std::uint8_t>(JournalEventKind::kStartSession) &&
-         kind <= static_cast<std::uint8_t>(JournalEventKind::kDeparture);
+         kind <= static_cast<std::uint8_t>(JournalEventKind::kFailServer);
 }
 
 }  // namespace

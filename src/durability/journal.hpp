@@ -22,21 +22,18 @@
 namespace dbp::durability {
 
 inline constexpr std::uint32_t kJournalMagic = 0x4A504244U;  // "DBPJ" LE
-inline constexpr std::uint32_t kJournalVersion = 1;
+inline constexpr std::uint32_t kJournalVersion = 2;
 inline constexpr std::size_t kJournalHeaderBytes = 20;
 /// Framing sanity bound: no event payload is remotely this large, so a
 /// length field beyond it is torn garbage, not a record.
 inline constexpr std::uint32_t kMaxRecordPayloadBytes = 1 << 20;
 
-/// What happened, to whom. One vocabulary for both durable modes: the
-/// dispatcher journals session starts/ends and server failures; the
-/// simulation journals item arrivals/departures.
+/// What happened, to whom: the dispatcher's three inputs. A packing run
+/// journals its arrivals and departures as session starts and ends.
 enum class JournalEventKind : std::uint8_t {
   kStartSession = 1,  ///< subject = session id, size = GPU fraction
   kEndSession = 2,    ///< subject = session id
   kFailServer = 3,    ///< subject = server id
-  kArrival = 4,       ///< subject = item id, size = item size
-  kDeparture = 5,     ///< subject = item id
 };
 
 struct JournalEvent {

@@ -1,8 +1,6 @@
 #include "durability/recovery.hpp"
 
-#include <algorithm>
 #include <filesystem>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -10,17 +8,10 @@
 #include "core/error.hpp"
 #include "durability/checkpoint.hpp"
 #include "obs/obs.hpp"
-#include "opt/rle.hpp"
 
 namespace dbp::durability {
 
 namespace {
-
-/// Checkpoint payload mode byte (first byte of every payload).
-constexpr std::uint8_t kModeDispatcher =
-    static_cast<std::uint8_t>(DurableMode::kDispatcher);
-constexpr std::uint8_t kModeSimulation =
-    static_cast<std::uint8_t>(DurableMode::kSimulation);
 
 std::string journal_path(const DurabilityConfig& config) {
   return config.dir + "/" + kJournalFileName;
@@ -83,65 +74,6 @@ void DurabilityConfig::validate() const {
   DBP_REQUIRE(flush_every >= 1, "flush cadence must be at least 1");
 }
 
-namespace detail {
-
-StreamCore::StreamCore(DurabilityConfig cfg) : config(std::move(cfg)) {
-  config.validate();
-  std::error_code ec;
-  std::filesystem::create_directories(config.dir, ec);
-  if (ec) throw IoError("cannot create durability directory: " + config.dir);
-}
-
-void StreamCore::open_fresh_journal() {
-  journal = std::make_unique<JournalWriter>(journal_path(config),
-                                            config.stream_id);
-}
-
-void StreamCore::open_resumed_journal(std::uint64_t resume_offset) {
-  journal = std::make_unique<JournalWriter>(journal_path(config),
-                                            config.stream_id, resume_offset);
-}
-
-void StreamCore::journal_event(JournalEventKind kind, Time time,
-                               std::uint64_t subject, double size) {
-  JournalEvent event;
-  event.seq = next_seq;
-  event.kind = kind;
-  event.time = time;
-  event.subject = subject;
-  event.size = size;
-  journal->append(event);
-  if (++unflushed >= config.flush_every) {
-    journal->flush();
-    unflushed = 0;
-  }
-  ++next_seq;
-}
-
-bool StreamCore::checkpoint_due() const {
-  return config.checkpoint_every > 0 && next_seq > 0 &&
-         next_seq % config.checkpoint_every == 0;
-}
-
-void StreamCore::commit_checkpoint(std::vector<std::uint8_t> payload) {
-  // The journal must be durable through the checkpoint's position before
-  // the checkpoint lands, or a crash right after the rename could leave a
-  // checkpoint that claims events the journal never recorded. (During
-  // bootstrap the journal does not exist yet and next_seq is 0.)
-  if (journal) {
-    journal->flush();
-    unflushed = 0;
-  }
-  CheckpointData data;
-  data.stream_id = config.stream_id;
-  data.next_seq = next_seq;
-  data.payload = std::move(payload);
-  write_checkpoint(config.dir, data);
-  prune_checkpoints(config.dir, config.keep_checkpoints);
-}
-
-}  // namespace detail
-
 // ---------------------------------------------------------------------------
 // DurableDispatcher
 
@@ -150,47 +82,37 @@ DurableDispatcher::DurableDispatcher(const DurabilityConfig& config,
                                      const std::string& algorithm,
                                      const PackerOptions& options,
                                      const FaultPolicy& policy)
-    : core_(config),
-      spec_(spec),
-      algorithm_(algorithm),
-      options_(options),
-      policy_(policy),
-      dispatcher_(spec, algorithm, options, policy) {
-  DBP_REQUIRE(dispatcher_.snapshot_supported(),
-              "algorithm cannot run durably (no snapshot support): " +
-                  algorithm);
+    : DurableDispatcher(RecoveredTag{}, config, spec, algorithm, options,
+                        policy) {
+  config_.validate();
+  std::error_code ec;
+  std::filesystem::create_directories(config_.dir, ec);
+  if (ec) throw IoError("cannot create durability directory: " + config_.dir);
   // Checkpoint 0 before the journal exists: recovery can always fall back
   // to "nothing happened yet" even if the very first record never lands.
-  core_.commit_checkpoint(checkpoint_payload());
-  core_.open_fresh_journal();
+  checkpoint_now();
+  journal_ = std::make_unique<JournalWriter>(journal_path(config_),
+                                             config_.stream_id);
 }
 
 DurableDispatcher::DurableDispatcher(RecoveredTag, DurabilityConfig config,
                                      ServerSpec spec, std::string algorithm,
                                      PackerOptions options, FaultPolicy policy)
-    : core_(std::move(config)),
+    : config_(std::move(config)),
       spec_(spec),
       algorithm_(std::move(algorithm)),
       options_(options),
       policy_(policy),
-      dispatcher_(spec_, algorithm_, options_, policy_) {}
-
-std::vector<std::uint8_t> DurableDispatcher::checkpoint_payload() const {
-  ByteWriter out;
-  out.u8(kModeDispatcher);
-  out.f64(spec_.gpu_capacity);
-  out.f64(spec_.price_per_hour);
-  out.str(algorithm_);
-  write_packer_options(out, options_);
-  write_fault_policy(out, policy_);
-  dispatcher_.save_state(out);
-  return out.take();
+      dispatcher_(spec_, algorithm_, options_, policy_) {
+  DBP_REQUIRE(dispatcher_.snapshot_supported(),
+              "algorithm cannot run durably (no snapshot support): " +
+                  algorithm_);
 }
 
 BinId DurableDispatcher::start_session(std::uint64_t session_id,
                                        double gpu_fraction, Time now_minutes) {
-  core_.journal_event(JournalEventKind::kStartSession, now_minutes, session_id,
-                      gpu_fraction);
+  journal_event(JournalEventKind::kStartSession, now_minutes, session_id,
+                gpu_fraction);
   const BinId server =
       dispatcher_.start_session(session_id, gpu_fraction, now_minutes);
   maybe_checkpoint();
@@ -199,14 +121,13 @@ BinId DurableDispatcher::start_session(std::uint64_t session_id,
 
 void DurableDispatcher::end_session(std::uint64_t session_id,
                                     Time now_minutes) {
-  core_.journal_event(JournalEventKind::kEndSession, now_minutes, session_id,
-                      0.0);
+  journal_event(JournalEventKind::kEndSession, now_minutes, session_id, 0.0);
   dispatcher_.end_session(session_id, now_minutes);
   maybe_checkpoint();
 }
 
 std::size_t DurableDispatcher::fail_server(BinId server, Time now_minutes) {
-  core_.journal_event(JournalEventKind::kFailServer, now_minutes, server, 0.0);
+  journal_event(JournalEventKind::kFailServer, now_minutes, server, 0.0);
   const std::size_t redispatched =
       dispatcher_.fail_server(server, now_minutes);
   maybe_checkpoint();
@@ -214,16 +135,43 @@ std::size_t DurableDispatcher::fail_server(BinId server, Time now_minutes) {
 }
 
 void DurableDispatcher::checkpoint_now() {
-  core_.commit_checkpoint(checkpoint_payload());
+  // The journal must be durable through the checkpoint's position before
+  // the checkpoint lands, or a crash right after the rename could leave a
+  // checkpoint that claims events the journal never recorded. (Checkpoint 0
+  // is written before the journal exists, at next_seq 0.)
+  if (journal_) flush();
+  ByteWriter out;
+  out.f64(spec_.gpu_capacity);
+  out.f64(spec_.price_per_hour);
+  out.str(algorithm_);
+  write_packer_options(out, options_);
+  write_fault_policy(out, policy_);
+  dispatcher_.save_state(out);
+  CheckpointData data;
+  data.stream_id = config_.stream_id;
+  data.next_seq = next_seq_;
+  data.payload = out.take();
+  write_checkpoint(config_.dir, data);
+  prune_checkpoints(config_.dir, config_.keep_checkpoints);
 }
 
 void DurableDispatcher::flush() {
-  core_.journal->flush();
-  core_.unflushed = 0;
+  journal_->flush();
+  unflushed_ = 0;
+}
+
+void DurableDispatcher::journal_event(JournalEventKind kind, Time time,
+                                      std::uint64_t subject, double size) {
+  journal_->append(JournalEvent{next_seq_, kind, time, subject, size});
+  if (++unflushed_ >= config_.flush_every) flush();
+  ++next_seq_;
 }
 
 void DurableDispatcher::maybe_checkpoint() {
-  if (core_.checkpoint_due()) checkpoint_now();
+  if (config_.checkpoint_every > 0 &&
+      next_seq_ % config_.checkpoint_every == 0) {
+    checkpoint_now();
+  }
 }
 
 void DurableDispatcher::apply_replayed(const JournalEvent& event) {
@@ -241,121 +189,9 @@ void DurableDispatcher::apply_replayed(const JournalEvent& event) {
       case JournalEventKind::kFailServer:
         (void)dispatcher_.fail_server(event.subject, event.time);
         break;
-      case JournalEventKind::kArrival:
-      case JournalEventKind::kDeparture:
-        throw CorruptionError(
-            "simulation event in a dispatcher journal (seq " +
-            std::to_string(event.seq) + ")");
     }
   } catch (const DispatchError&) {
     // Replayed rejection; the counters advanced exactly as they did live.
-  }
-}
-
-// ---------------------------------------------------------------------------
-// DurableRun
-
-DurableRun::DurableRun(const DurabilityConfig& config, const CostModel& model,
-                       const std::string& algorithm,
-                       const PackerOptions& options)
-    : core_(config),
-      model_(model),
-      algorithm_(algorithm),
-      options_(options),
-      packer_(make_packer(algorithm, model, options)) {
-  DBP_REQUIRE(packer_->snapshot_supported(),
-              "algorithm cannot run durably (no snapshot support): " +
-                  algorithm);
-  core_.commit_checkpoint(checkpoint_payload());
-  core_.open_fresh_journal();
-}
-
-DurableRun::DurableRun(RecoveredTag, DurabilityConfig config, CostModel model,
-                       std::string algorithm, PackerOptions options)
-    : core_(std::move(config)),
-      model_(model),
-      algorithm_(std::move(algorithm)),
-      options_(options),
-      packer_(make_packer(algorithm_, model_, options_)) {}
-
-std::vector<std::uint8_t> DurableRun::checkpoint_payload() const {
-  ByteWriter out;
-  out.u8(kModeSimulation);
-  out.f64(model_.bin_capacity);
-  out.f64(model_.cost_rate);
-  out.f64(model_.fit_tolerance);
-  out.str(algorithm_);
-  write_packer_options(out, options_);
-  packer_->save_snapshot(out);
-  // Active item table plus an RLE size-multiset cross-check: two
-  // independently decoded views of the live load that must agree on restore.
-  out.u64(active_.size());
-  for (const auto& [id, size] : active_) {
-    out.u64(id);
-    out.f64(size);
-  }
-  std::vector<double> sizes;
-  sizes.reserve(active_.size());
-  for (const auto& [id, size] : active_) sizes.push_back(size);
-  std::sort(sizes.begin(), sizes.end(), std::greater<>());
-  const std::vector<SizeRun> runs = rle_from_sorted(sizes);
-  out.u64(runs.size());
-  for (const SizeRun& run : runs) {
-    out.f64(run.size);
-    out.u64(run.count);
-  }
-  return out.take();
-}
-
-BinId DurableRun::apply_arrival(const ArrivingItem& item) {
-  core_.journal_event(JournalEventKind::kArrival, item.arrival, item.id,
-                      item.size);
-  const BinId bin = packer_->on_arrival(item);
-  active_[item.id] = item.size;
-  maybe_checkpoint();
-  return bin;
-}
-
-void DurableRun::apply_departure(ItemId item, Time now) {
-  core_.journal_event(JournalEventKind::kDeparture, now, item, 0.0);
-  packer_->on_departure(item, now);
-  active_.erase(item);
-  maybe_checkpoint();
-}
-
-void DurableRun::checkpoint_now() {
-  core_.commit_checkpoint(checkpoint_payload());
-}
-
-void DurableRun::flush() {
-  core_.journal->flush();
-  core_.unflushed = 0;
-}
-
-void DurableRun::maybe_checkpoint() {
-  if (core_.checkpoint_due()) checkpoint_now();
-}
-
-void DurableRun::apply_replayed(const JournalEvent& event) {
-  switch (event.kind) {
-    case JournalEventKind::kArrival: {
-      ArrivingItem item;
-      item.id = event.subject;
-      item.arrival = event.time;
-      item.size = event.size;
-      (void)packer_->on_arrival(item);
-      active_[item.id] = item.size;
-      break;
-    }
-    case JournalEventKind::kDeparture:
-      packer_->on_departure(event.subject, event.time);
-      active_.erase(event.subject);
-      break;
-    case JournalEventKind::kStartSession:
-    case JournalEventKind::kEndSession:
-    case JournalEventKind::kFailServer:
-      throw CorruptionError("dispatcher event in a simulation journal (seq " +
-                            std::to_string(event.seq) + ")");
   }
 }
 
@@ -395,139 +231,84 @@ RecoveredState RecoveryManager::recover() {
   const std::uint64_t journal_next =
       scan.events.empty() ? 0 : scan.events.back().seq + 1;
 
-  // Newest checkpoint that fully validates AND whose position the journal
-  // covers wins. Corrupt ones are skipped (counted), never trusted; a valid
-  // checkpoint ahead of the journal's valid prefix is equally unusable —
-  // replaying into it is impossible, so recovery falls back past it too.
-  // (WAL flushes the journal before every checkpoint, so a crash cannot
-  // produce that state; mid-journal corruption can.)
-  CheckpointData checkpoint;
+  // Newest checkpoint that loads, decodes and restores, AND whose position
+  // the journal covers, wins. Unusable ones are skipped (counted), never
+  // trusted; a valid checkpoint ahead of the journal's valid prefix is
+  // equally unusable — replaying into it is impossible, so recovery falls
+  // back past it too. (WAL flushes the journal before every checkpoint, so
+  // a crash cannot produce that state; mid-journal corruption can.)
+  RecoveredState state;
+  std::uint64_t checkpoint_seq = 0;
   std::size_t skipped = 0;
-  bool loaded = false;
   for (const CheckpointEntry& entry : entries) {
     try {
-      CheckpointData candidate = load_checkpoint(entry.path);
-      if (candidate.stream_id != config_.stream_id) {
+      const CheckpointData checkpoint = load_checkpoint(entry.path);
+      if (checkpoint.stream_id != config_.stream_id) {
         throw CorruptionError("checkpoint belongs to a different stream: " +
                               entry.path);
       }
-      if (candidate.next_seq > journal_next) {
+      if (checkpoint.next_seq > journal_next) {
         throw CorruptionError(
-            "checkpoint at seq " + std::to_string(candidate.next_seq) +
+            "checkpoint at seq " + std::to_string(checkpoint.next_seq) +
             " is ahead of the journal's valid prefix (seq " +
             std::to_string(journal_next) + "): " + entry.path);
       }
-      checkpoint = std::move(candidate);
-      loaded = true;
+      // Rebuild the dispatcher from the payload's own parameters.
+      ByteReader in(checkpoint.payload);
+      ServerSpec spec;
+      spec.gpu_capacity = in.f64();
+      spec.price_per_hour = in.f64();
+      std::string algorithm = in.str();
+      const PackerOptions options = read_packer_options(in);
+      const FaultPolicy policy = read_fault_policy(in);
+      std::unique_ptr<DurableDispatcher> restored;
+      try {
+        restored.reset(new DurableDispatcher(DurableDispatcher::RecoveredTag{},
+                                             config_, spec,
+                                             std::move(algorithm), options,
+                                             policy));
+      } catch (const PreconditionError& error) {
+        throw CorruptionError(
+            std::string("checkpoint names a dispatcher that cannot be "
+                        "built (") +
+            error.what() + "): " + entry.path);
+      }
+      restored->dispatcher_.restore_state(in);
+      in.expect_done();
+      state.dispatcher = std::move(restored);
+      checkpoint_seq = checkpoint.next_seq;
       break;
     } catch (const CorruptionError&) {
       ++skipped;
     }
   }
-  if (!loaded) {
+  if (!state.dispatcher) {
     throw CorruptionError("no usable checkpoint in " + config_.dir +
                           "; nothing safe to recover to");
   }
 
-  // Reconstruct the durable object from the payload's own parameters.
-  RecoveredState state;
-  ByteReader in(checkpoint.payload);
-  const std::uint8_t mode = in.u8();
-  if (mode == kModeDispatcher) {
-    ServerSpec spec;
-    spec.gpu_capacity = in.f64();
-    spec.price_per_hour = in.f64();
-    std::string algorithm = in.str();
-    const PackerOptions options = read_packer_options(in);
-    const FaultPolicy policy = read_fault_policy(in);
-    state.mode = DurableMode::kDispatcher;
-    state.dispatcher.reset(new DurableDispatcher(
-        DurableDispatcher::RecoveredTag{}, config_, spec, std::move(algorithm),
-        options, policy));
-    state.dispatcher->dispatcher_.restore_state(in);
-    in.expect_done();
-  } else if (mode == kModeSimulation) {
-    CostModel model;
-    model.bin_capacity = in.f64();
-    model.cost_rate = in.f64();
-    model.fit_tolerance = in.f64();
-    std::string algorithm = in.str();
-    const PackerOptions options = read_packer_options(in);
-    state.mode = DurableMode::kSimulation;
-    state.run.reset(new DurableRun(DurableRun::RecoveredTag{}, config_, model,
-                                   std::move(algorithm), options));
-    state.run->packer_->restore_snapshot(in);
-    // Active item table, cross-checked against the restored packer and the
-    // independently persisted RLE multiset before anything is trusted.
-    const std::uint64_t active_count = in.u64();
-    std::map<ItemId, double>& active = state.run->active_;
-    for (std::uint64_t i = 0; i < active_count; ++i) {
-      const ItemId id = in.u64();
-      const double size = in.f64();
-      if (!active.emplace(id, size).second) {
-        throw CorruptionError("duplicate active item in checkpoint");
-      }
-    }
-    const BinManager& bins = state.run->packer_->bins();
-    if (active.size() != bins.active_item_count()) {
-      throw CorruptionError("active item table disagrees with packer census");
-    }
-    for (BinId bin : bins.open_bins()) {
-      for (ItemId id : bins.items_in(bin)) {
-        if (active.find(id) == active.end()) {
-          throw CorruptionError("packer resident missing from the checkpoint's "
-                                "active item table");
-        }
-      }
-    }
-    std::vector<double> sizes;
-    sizes.reserve(active.size());
-    for (const auto& [id, size] : active) sizes.push_back(size);
-    std::sort(sizes.begin(), sizes.end(), std::greater<>());
-    const std::vector<SizeRun> recomputed = rle_from_sorted(sizes);
-    rle_validate(recomputed, model);
-    const std::uint64_t run_count = in.u64();
-    if (run_count != recomputed.size()) {
-      throw CorruptionError("RLE cross-check run count mismatch");
-    }
-    for (const SizeRun& run : recomputed) {
-      if (in.f64() != run.size || in.u64() != run.count) {
-        throw CorruptionError("RLE cross-check multiset mismatch");
-      }
-    }
-    in.expect_done();
-  } else {
-    throw CorruptionError("unknown checkpoint payload mode " +
-                          std::to_string(mode));
-  }
-
   // Deterministic suffix replay: the events the checkpoint has not seen.
+  DurableDispatcher& durable = *state.dispatcher;
   std::uint64_t replayed = 0;
   for (const JournalEvent& event : scan.events) {
-    if (event.seq < checkpoint.next_seq) continue;
-    if (state.dispatcher) {
-      state.dispatcher->apply_replayed(event);
-    } else {
-      state.run->apply_replayed(event);
-    }
+    if (event.seq < checkpoint_seq) continue;
+    durable.apply_replayed(event);
     ++replayed;
   }
 
-  detail::StreamCore& core =
-      state.dispatcher ? state.dispatcher->core_ : state.run->core_;
-  if (journal_exists) {
-    core.open_resumed_journal(scan.valid_bytes);
-  } else {
-    core.open_fresh_journal();
-  }
-  core.next_seq = journal_next;
+  durable.journal_ =
+      journal_exists
+          ? std::make_unique<JournalWriter>(path, config_.stream_id,
+                                            scan.valid_bytes)
+          : std::make_unique<JournalWriter>(path, config_.stream_id);
+  durable.next_seq_ = journal_next;
 
   if (obs::MetricsRegistry* metrics = obs::metrics()) {
     metrics->counter("recovery.replayed_events").add(replayed);
     metrics->counter("recovery.runs").add();
   }
 
-  state.report.checkpoint_seq = checkpoint.next_seq;
+  state.report.checkpoint_seq = checkpoint_seq;
   state.report.checkpoints_skipped = skipped;
   state.report.replayed_events = replayed;
   state.report.next_seq = journal_next;

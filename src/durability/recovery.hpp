@@ -1,17 +1,19 @@
-// Durable wrappers and crash recovery (docs/durability.md Sections 4-5).
+// The durable dispatcher and crash recovery (docs/durability.md Sections 4-5).
 //
-// DurableDispatcher / DurableRun implement write-ahead logging over the
-// cloud-gaming dispatcher and the plain packing simulation: every input
-// event is journaled and flushed *before* it is applied, and a full state
-// checkpoint is written atomically every `checkpoint_every` events. The
-// RecoveryManager inverts that: load the newest checkpoint that validates
-// (falling back across corrupt ones), truncate the journal's torn tail,
-// replay the journal suffix, and hand back a wrapper that continues the
+// DurableDispatcher implements write-ahead logging over the cloud-gaming
+// dispatcher: every input event is journaled and flushed *before* it is
+// applied, and a full state checkpoint is written atomically every
+// `checkpoint_every` events. A plain packing run is a strict dispatcher
+// (default FaultPolicy) whose ServerSpec bills the run's CostModel
+// (ServerSpec{1.0, 60.0} is CostModel{1.0, 1.0, 1e-9}), fed the instance's
+// arrivals and departures as session starts and ends. The RecoveryManager
+// inverts that: load the newest checkpoint that validates (falling back
+// across corrupt ones), truncate the journal's torn tail, replay the
+// journal suffix, and hand back a dispatcher that continues the
 // interrupted stream — bit-identically to a run that never crashed.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 
@@ -49,31 +51,6 @@ struct RecoveryReport {
   bool torn_tail = false;                ///< journal had a truncated tail
 };
 
-namespace detail {
-
-/// Journal + checkpoint bookkeeping shared by both durable wrappers.
-struct StreamCore {
-  DurabilityConfig config;
-  std::unique_ptr<JournalWriter> journal;
-  std::uint64_t next_seq = 0;
-  std::uint64_t unflushed = 0;
-
-  /// Fresh stream: creates the directory; the caller writes checkpoint 0
-  /// and then calls open_fresh_journal().
-  explicit StreamCore(DurabilityConfig cfg);
-
-  void open_fresh_journal();
-  void open_resumed_journal(std::uint64_t resume_offset);
-
-  /// WAL step: append + flush (per config.flush_every) and advance the seq.
-  void journal_event(JournalEventKind kind, Time time, std::uint64_t subject,
-                     double size);
-  [[nodiscard]] bool checkpoint_due() const;
-  void commit_checkpoint(std::vector<std::uint8_t> payload);
-};
-
-}  // namespace detail
-
 /// Crash-durable facade over GameServerDispatcher. Construction writes
 /// checkpoint 0; every event is journaled ahead of being applied, so the
 /// dispatcher's visible behavior (return values, throw behavior, stats) is
@@ -98,28 +75,34 @@ class DurableDispatcher {
   [[nodiscard]] const GameServerDispatcher& dispatcher() const noexcept {
     return dispatcher_;
   }
-  [[nodiscard]] std::uint64_t next_seq() const noexcept {
-    return core_.next_seq;
-  }
+  [[nodiscard]] std::uint64_t next_seq() const noexcept { return next_seq_; }
   [[nodiscard]] const JournalWriter& journal() const noexcept {
-    return *core_.journal;
+    return *journal_;
   }
 
  private:
   friend class RecoveryManager;
   struct RecoveredTag {};
+  /// Builds the dispatcher only: no checkpoint, no journal. Recovery
+  /// restores its state and reopens the journal itself.
   DurableDispatcher(RecoveredTag, DurabilityConfig config, ServerSpec spec,
                     std::string algorithm, PackerOptions options,
                     FaultPolicy policy);
 
-  [[nodiscard]] std::vector<std::uint8_t> checkpoint_payload() const;
+  /// WAL step: append + flush (per config.flush_every) and advance the seq.
+  void journal_event(JournalEventKind kind, Time time, std::uint64_t subject,
+                     double size);
   void maybe_checkpoint();
   /// Replay-side application: reproduces the original call, swallowing the
   /// DispatchError a kThrow policy would re-raise (the original caller
   /// already observed it; the state change — counters — is what replays).
   void apply_replayed(const JournalEvent& event);
 
-  detail::StreamCore core_;
+  DurabilityConfig config_;
+  /// Null until checkpoint 0 has landed (and while recovery is replaying).
+  std::unique_ptr<JournalWriter> journal_;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t unflushed_ = 0;
   ServerSpec spec_;
   std::string algorithm_;
   PackerOptions options_;
@@ -127,62 +110,10 @@ class DurableDispatcher {
   GameServerDispatcher dispatcher_;
 };
 
-/// Crash-durable packing run: the simulation-mode twin of DurableDispatcher.
-/// Feed it the instance's event sequence (arrivals and departures in time
-/// order); after the last departure the underlying packer's bin state yields
-/// the same SimulationResult an uninterrupted simulate() would produce.
-class DurableRun {
- public:
-  DurableRun(const DurabilityConfig& config, const CostModel& model,
-             const std::string& algorithm, const PackerOptions& options);
-
-  BinId apply_arrival(const ArrivingItem& item);
-  void apply_departure(ItemId item, Time now);
-
-  void checkpoint_now();
-  void flush();
-
-  [[nodiscard]] const Packer& packer() const noexcept { return *packer_; }
-  [[nodiscard]] std::uint64_t next_seq() const noexcept {
-    return core_.next_seq;
-  }
-  [[nodiscard]] const JournalWriter& journal() const noexcept {
-    return *core_.journal;
-  }
-
- private:
-  friend class RecoveryManager;
-  struct RecoveredTag {};
-  DurableRun(RecoveredTag, DurabilityConfig config, CostModel model,
-             std::string algorithm, PackerOptions options);
-
-  [[nodiscard]] std::vector<std::uint8_t> checkpoint_payload() const;
-  void maybe_checkpoint();
-  void apply_replayed(const JournalEvent& event);
-
-  detail::StreamCore core_;
-  CostModel model_;
-  std::string algorithm_;
-  PackerOptions options_;
-  std::unique_ptr<Packer> packer_;
-  /// Active item sizes, for the checkpoint's RLE cross-check. Ordered map:
-  /// iterated when building checkpoint payloads.
-  std::map<ItemId, double> active_;
-};
-
-/// Which durable wrapper a directory's newest valid checkpoint belongs to.
-enum class DurableMode : std::uint8_t {
-  kDispatcher = 1,
-  kSimulation = 2,
-};
-
 /// Loads the newest valid checkpoint, repairs the journal, replays the
-/// suffix and returns a wrapper ready to continue the stream. Exactly one
-/// of `dispatcher` / `run` is non-null (matching `mode`).
+/// suffix and returns a dispatcher ready to continue the stream.
 struct RecoveredState {
-  DurableMode mode = DurableMode::kDispatcher;
   std::unique_ptr<DurableDispatcher> dispatcher;
-  std::unique_ptr<DurableRun> run;
   RecoveryReport report;
 };
 

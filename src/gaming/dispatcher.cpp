@@ -98,23 +98,12 @@ void GameServerDispatcher::shed_for(double gpu_fraction, Time now_minutes) {
 
 BinId GameServerDispatcher::place_session(std::uint64_t session_id,
                                           double gpu_fraction, Time now_minutes) {
-  // Capacity gate only when a policy can actually refuse a rental: with no
-  // fleet cap and a perfectly reliable provider every arrival is placed
-  // unconditionally, and fits_open_server is an O(open servers) scan (with
-  // an open_bins() allocation) that the packer's own fit search repeats.
-  // Skipping it is behavior-preserving — the gate's two branches are dead
-  // under this policy — and is what lets the streaming engine's dispatch
-  // path run allocation-free per event.
-  if (policy_.max_fleet_servers == 0 && policy_.rental_failure_rate <= 0.0) {
-    const BinId server =
-        packer_->on_arrival(ArrivingItem{session_id, now_minutes, gpu_fraction});
-    sessions_[session_id] = gpu_fraction;
-    if (obs::MetricsRegistry* metrics = obs::metrics()) {
-      metrics->counter("dispatcher.sessions_placed").add();
-    }
-    return server;
-  }
-  if (!fits_open_server(gpu_fraction)) {
+  // Capacity gate only when a policy can actually refuse a rental. With no
+  // fleet cap and a perfectly reliable provider both of its branches are
+  // dead, so skipping it changes nothing and saves one O(open servers)
+  // fits_open_server scan per arrival, plus its open_bins() vector.
+  if ((policy_.max_fleet_servers > 0 || policy_.rental_failure_rate > 0.0) &&
+      !fits_open_server(gpu_fraction)) {
     // No open server can host the session: a new rental is needed.
     if (policy_.max_fleet_servers > 0 &&
         active_servers() >= policy_.max_fleet_servers) {

@@ -1,20 +1,25 @@
 // Unit tests for the durability subsystem: journal framing and torn-tail
-// repair, atomic checkpoints, packer snapshot round-trips, and the
-// dispatcher retry/backoff state surviving checkpoint/restore exactly.
+// repair, atomic checkpoints, packer snapshot round-trips, the dispatcher
+// retry/backoff state surviving checkpoint/restore exactly, and recovery of
+// packing runs driven through a strict DurableDispatcher.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
+#include <map>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "algo/factory.hpp"
 #include "core/binary_io.hpp"
+#include "core/crc32.hpp"
 #include "core/error.hpp"
 #include "durability/checkpoint.hpp"
 #include "durability/file_io.hpp"
@@ -54,11 +59,14 @@ class DurabilityTest : public ::testing::Test {
 };
 
 std::vector<durability::JournalEvent> sample_events(std::size_t count) {
+  constexpr durability::JournalEventKind kKinds[] = {
+      durability::JournalEventKind::kStartSession,
+      durability::JournalEventKind::kEndSession,
+      durability::JournalEventKind::kFailServer};
   std::vector<durability::JournalEvent> events(count);
   for (std::size_t i = 0; i < count; ++i) {
     events[i].seq = i;
-    events[i].kind = (i % 2 == 0) ? durability::JournalEventKind::kArrival
-                                  : durability::JournalEventKind::kDeparture;
+    events[i].kind = kKinds[i % 3];
     events[i].time = 0.25 * static_cast<double>(i);
     events[i].subject = 1000 + i;
     events[i].size = 0.125;
@@ -74,14 +82,19 @@ void write_journal(const std::string& path,
   writer.flush();
 }
 
-void flip_byte(const std::string& path, std::uint64_t at) {
-  std::vector<std::uint8_t> bytes = durability::detail::read_file(path);
-  ASSERT_LT(at, bytes.size());
-  bytes[static_cast<std::size_t>(at)] ^= 0x40U;
+void rewrite_file(const std::string& path,
+                  const std::vector<std::uint8_t>& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
   ASSERT_TRUE(out.good());
+}
+
+void flip_byte(const std::string& path, std::uint64_t at) {
+  std::vector<std::uint8_t> bytes = durability::detail::read_file(path);
+  ASSERT_LT(at, bytes.size());
+  bytes[static_cast<std::size_t>(at)] ^= 0x40U;
+  rewrite_file(path, bytes);
 }
 
 // ---- journal -------------------------------------------------------------
@@ -428,7 +441,7 @@ TEST(DispatcherRetryStateTest, RestoredRngPositionDiffersFromNaiveReseed) {
   EXPECT_NE(restored_suffix_failures, reseeded_failures);
 }
 
-// ---- durable wrappers + recovery ----------------------------------------
+// ---- durable dispatcher + recovery ---------------------------------------
 
 durability::DurabilityConfig make_config(const std::string& dir,
                                          std::uint64_t every = 16) {
@@ -439,30 +452,47 @@ durability::DurabilityConfig make_config(const std::string& dir,
   return config;
 }
 
-void feed_events(durability::DurableRun& run, const Instance& instance,
-                 const std::vector<Event>& events, std::size_t from,
-                 std::size_t to) {
+/// A packing run made durable: a strict dispatcher (default FaultPolicy)
+/// whose spec bills exactly kModel, fed arrivals and departures as session
+/// starts and ends.
+const ServerSpec kRunSpec{1.0, 60.0};
+
+durability::DurableDispatcher durable_run(
+    const durability::DurabilityConfig& config, const std::string& algorithm) {
+  return durability::DurableDispatcher(config, kRunSpec, algorithm, {},
+                                       FaultPolicy{});
+}
+
+void feed_events(durability::DurableDispatcher& durable,
+                 const Instance& instance, const std::vector<Event>& events,
+                 std::size_t from, std::size_t to) {
   for (std::size_t i = from; i < to; ++i) {
     const Item& item = instance.item(events[i].item);
     if (events[i].kind == EventKind::kArrival) {
-      (void)run.apply_arrival({item.id, item.arrival, item.size});
+      (void)durable.start_session(item.id, item.size, item.arrival);
     } else {
-      run.apply_departure(item.id, item.departure);
+      durable.end_session(item.id, item.departure);
     }
   }
 }
 
-SimulationResult result_of(const durability::DurableRun& run,
-                           const Instance& instance) {
+/// The run's SimulationResult, after checking that the dispatcher runs the
+/// requested algorithm under exactly kModel.
+SimulationResult result_of(const durability::DurableDispatcher& durable,
+                           const Instance& instance,
+                           const std::string& algorithm) {
+  EXPECT_EQ(durable.dispatcher().algorithm(), algorithm);
+  const CostModel billed = durable.dispatcher().spec().to_cost_model();
+  EXPECT_EQ(billed.bin_capacity, kModel.bin_capacity);
+  EXPECT_EQ(billed.cost_rate, kModel.cost_rate);
+  EXPECT_EQ(billed.fit_tolerance, kModel.fit_tolerance);
   SimulationResult result;
-  result.algorithm = run.packer().name();
   result.packing_period = instance.packing_period();
-  detail::finalize_accounting(result, instance, run.packer().bins());
+  detail::finalize_accounting(result, instance, durable.dispatcher().bins());
   return result;
 }
 
 void expect_identical(const SimulationResult& a, const SimulationResult& b) {
-  EXPECT_EQ(a.algorithm, b.algorithm);
   EXPECT_EQ(a.total_cost, b.total_cost);
   EXPECT_EQ(a.total_cost_from_bins, b.total_cost_from_bins);
   EXPECT_EQ(a.max_open_bins, b.max_open_bins);
@@ -475,17 +505,18 @@ void expect_identical(const SimulationResult& a, const SimulationResult& b) {
   }
 }
 
-TEST_F(DurabilityTest, DurableRunCleanPathMatchesSimulate) {
+TEST_F(DurabilityTest, StrictDispatcherCleanPathMatchesSimulate) {
   RandomInstanceConfig config;
   config.item_count = 100;
   const Instance instance = generate_random_instance(config, 23);
   const std::vector<Event> events = build_event_sequence(instance);
   const SimulationResult reference = simulate(instance, "first-fit", kModel);
 
-  durability::DurableRun run(make_config(path("run")), kModel, "first-fit", {});
-  feed_events(run, instance, events, 0, events.size());
-  run.flush();
-  expect_identical(reference, result_of(run, instance));
+  durability::DurableDispatcher durable =
+      durable_run(make_config(path("run")), "first-fit");
+  feed_events(durable, instance, events, 0, events.size());
+  durable.flush();
+  expect_identical(reference, result_of(durable, instance, "first-fit"));
 }
 
 TEST_F(DurabilityTest, RecoveryResumesInterruptedRunBitIdentically) {
@@ -500,26 +531,26 @@ TEST_F(DurabilityTest, RecoveryResumesInterruptedRunBitIdentically) {
   // would have left.
   const std::size_t cut = events.size() / 3;
   {
-    durability::DurableRun run(make_config(path("run")), kModel, "first-fit",
-                               {});
-    feed_events(run, instance, events, 0, cut);
-    run.flush();
+    durability::DurableDispatcher durable =
+        durable_run(make_config(path("run")), "first-fit");
+    feed_events(durable, instance, events, 0, cut);
+    durable.flush();
   }
 
   obs::MetricsRegistry metrics;
   obs::ObsScope scope(nullptr, &metrics);
   durability::RecoveryManager manager(make_config(path("run")));
   durability::RecoveredState state = manager.recover();
-  ASSERT_EQ(state.mode, durability::DurableMode::kSimulation);
-  ASSERT_NE(state.run, nullptr);
+  ASSERT_NE(state.dispatcher, nullptr);
   EXPECT_EQ(state.report.next_seq, cut);
   EXPECT_EQ(state.report.replayed_events + state.report.checkpoint_seq, cut);
   EXPECT_EQ(metrics.counter_value("recovery.replayed_events"),
             std::optional<std::uint64_t>(state.report.replayed_events));
 
-  feed_events(*state.run, instance, events, cut, events.size());
-  state.run->flush();
-  expect_identical(reference, result_of(*state.run, instance));
+  feed_events(*state.dispatcher, instance, events, cut, events.size());
+  state.dispatcher->flush();
+  expect_identical(reference,
+                   result_of(*state.dispatcher, instance, "first-fit"));
 }
 
 TEST_F(DurabilityTest, RecoveryFallsBackWhenNewestCheckpointIsCorrupt) {
@@ -529,10 +560,10 @@ TEST_F(DurabilityTest, RecoveryFallsBackWhenNewestCheckpointIsCorrupt) {
   const std::vector<Event> events = build_event_sequence(instance);
   const SimulationResult reference = simulate(instance, "first-fit", kModel);
   {
-    durability::DurableRun run(make_config(path("run")), kModel, "first-fit",
-                               {});
-    feed_events(run, instance, events, 0, events.size());
-    run.flush();
+    durability::DurableDispatcher durable =
+        durable_run(make_config(path("run")), "first-fit");
+    feed_events(durable, instance, events, 0, events.size());
+    durable.flush();
   }
   const auto entries = durability::list_checkpoints(path("run"));
   ASSERT_GE(entries.size(), 2u);
@@ -541,13 +572,158 @@ TEST_F(DurabilityTest, RecoveryFallsBackWhenNewestCheckpointIsCorrupt) {
 
   durability::RecoveryManager manager(make_config(path("run")));
   durability::RecoveredState state = manager.recover();
-  ASSERT_NE(state.run, nullptr);
+  ASSERT_NE(state.dispatcher, nullptr);
   EXPECT_GE(state.report.checkpoints_skipped, 1u);
   EXPECT_LT(state.report.checkpoint_seq, entries.front().next_seq);
-  feed_events(*state.run, instance, events, state.report.next_seq,
+  feed_events(*state.dispatcher, instance, events, state.report.next_seq,
               events.size());
-  state.run->flush();
-  expect_identical(reference, result_of(*state.run, instance));
+  state.dispatcher->flush();
+  expect_identical(reference,
+                   result_of(*state.dispatcher, instance, "first-fit"));
+}
+
+TEST_F(DurabilityTest, RecoveryFallsBackPastANewestCheckpointThatDoesNotDecode) {
+  // The newest checkpoint passes its CRC, but its payload cannot rebuild a
+  // dispatcher. Recovery must skip it like any other unusable checkpoint.
+  RandomInstanceConfig config;
+  config.item_count = 120;
+  const Instance instance = generate_random_instance(config, 41);
+  const std::vector<Event> events = build_event_sequence(instance);
+  const SimulationResult reference = simulate(instance, "first-fit", kModel);
+  const std::vector<std::function<void(std::vector<std::uint8_t>&)>> damages =
+      {
+          [](std::vector<std::uint8_t>& payload) {
+            payload.resize(payload.size() / 2);
+          },
+          [](std::vector<std::uint8_t>& payload) {
+            // The payload names its algorithm before the dispatcher state
+            // does: rename that first mention to a name no factory knows.
+            const std::string known = "first-fit";
+            const std::string unknown = "no-such-x";
+            ASSERT_EQ(known.size(), unknown.size());
+            const auto at = std::search(payload.begin(), payload.end(),
+                                        known.begin(), known.end());
+            ASSERT_NE(at, payload.end());
+            std::copy(unknown.begin(), unknown.end(), at);
+          },
+      };
+  for (std::size_t d = 0; d < damages.size(); ++d) {
+    SCOPED_TRACE("damage " + std::to_string(d));
+    const std::string dir = path("run" + std::to_string(d));
+    {
+      durability::DurableDispatcher durable =
+          durable_run(make_config(dir), "first-fit");
+      feed_events(durable, instance, events, 0, events.size());
+      durable.flush();
+    }
+    const auto entries = durability::list_checkpoints(dir);
+    ASSERT_GE(entries.size(), 2u);
+    durability::CheckpointData newest =
+        durability::load_checkpoint(entries.front().path);
+    damages[d](newest.payload);
+    (void)durability::write_checkpoint(dir, newest);
+    ASSERT_NO_THROW((void)durability::load_checkpoint(entries.front().path));
+
+    durability::RecoveryManager manager(make_config(dir));
+    durability::RecoveredState state = manager.recover();
+    ASSERT_NE(state.dispatcher, nullptr);
+    EXPECT_GE(state.report.checkpoints_skipped, 1u);
+    EXPECT_LT(state.report.checkpoint_seq, entries.front().next_seq);
+    feed_events(*state.dispatcher, instance, events, state.report.next_seq,
+                events.size());
+    state.dispatcher->flush();
+    expect_identical(reference,
+                     result_of(*state.dispatcher, instance, "first-fit"));
+  }
+}
+
+TEST_F(DurabilityTest, OverlongCheckpointNamesAreIgnored) {
+  // All digits, but more of them than a u64 holds: like any other name that
+  // does not match ckpt-<seq>.dbpc, neither live checkpointing (which lists
+  // the directory to prune it) nor recovery may trip over it.
+  const std::string stray = "ckpt-99999999999999999999999.dbpc";
+  RandomInstanceConfig config;
+  config.item_count = 60;
+  const Instance instance = generate_random_instance(config, 37);
+  const std::vector<Event> events = build_event_sequence(instance);
+  const SimulationResult reference = simulate(instance, "first-fit", kModel);
+
+  const std::size_t cut = events.size() / 2;
+  ASSERT_GT(cut, 16u);  // crosses at least one due checkpoint
+  {
+    durability::DurableDispatcher durable =
+        durable_run(make_config(path("run")), "first-fit");
+    { std::ofstream junk(path("run/" + stray)); junk << "junk"; }
+    feed_events(durable, instance, events, 0, cut);
+    durable.flush();
+  }
+  EXPECT_TRUE(std::filesystem::exists(path("run/" + stray)));
+  const auto entries = durability::list_checkpoints(path("run"));
+  ASSERT_FALSE(entries.empty());
+  for (const durability::CheckpointEntry& entry : entries) {
+    EXPECT_NE(std::filesystem::path(entry.path).filename().string(), stray);
+  }
+
+  durability::RecoveryManager manager(make_config(path("run")));
+  durability::RecoveredState state = manager.recover();
+  ASSERT_NE(state.dispatcher, nullptr);
+  EXPECT_EQ(state.report.checkpoints_skipped, 0u);
+  EXPECT_EQ(state.report.next_seq, cut);
+  feed_events(*state.dispatcher, instance, events, cut, events.size());
+  state.dispatcher->flush();
+  expect_identical(reference,
+                   result_of(*state.dispatcher, instance, "first-fit"));
+}
+
+TEST_F(DurabilityTest, PreviousFormatDirectoryIsRefusedUntouched) {
+  // Version 1 wrote a payload mode byte and simulation event kinds. A
+  // directory whose headers still say version 1 (here with a half-written
+  // record at the journal's end) must be refused before recovery truncates
+  // or rewrites any of its files.
+  {
+    durability::DurableDispatcher durable =
+        durable_run(make_config(path("run")), "first-fit");
+    for (std::uint64_t i = 0; i < 40; ++i) {
+      (void)durable.start_session(i, 0.25, static_cast<Time>(i));
+      if (i >= 3) durable.end_session(i - 3, static_cast<Time>(i));
+    }
+    durable.flush();
+  }
+  const auto set_version = [](std::vector<std::uint8_t>& bytes) {
+    ByteWriter version;
+    version.u32(1);
+    std::copy(version.data().begin(), version.data().end(), bytes.begin() + 4);
+  };
+  const std::string journal = path("run/") + durability::kJournalFileName;
+  {
+    std::vector<std::uint8_t> bytes = durability::detail::read_file(journal);
+    set_version(bytes);
+    ByteWriter crc;  // the journal header's CRC covers its version field
+    crc.u32(crc32(std::span(bytes).first(16)));
+    std::copy(crc.data().begin(), crc.data().end(), bytes.begin() + 16);
+    bytes.insert(bytes.end(), {0x25, 0x00, 0x00});  // torn record length
+    rewrite_file(journal, bytes);
+  }
+  const auto entries = durability::list_checkpoints(path("run"));
+  ASSERT_GE(entries.size(), 2u);
+  for (const durability::CheckpointEntry& entry : entries) {
+    std::vector<std::uint8_t> bytes = durability::detail::read_file(entry.path);
+    set_version(bytes);
+    rewrite_file(entry.path, bytes);
+  }
+
+  const auto contents = [&] {
+    std::map<std::string, std::vector<std::uint8_t>> files;
+    for (const auto& file : std::filesystem::directory_iterator(path("run"))) {
+      files[file.path().string()] =
+          durability::detail::read_file(file.path().string());
+    }
+    return files;
+  };
+  const auto before = contents();
+  durability::RecoveryManager manager(make_config(path("run")));
+  EXPECT_THROW((void)manager.recover(), CorruptionError);
+  EXPECT_EQ(contents(), before);
 }
 
 TEST_F(DurabilityTest, RecoveryRefusesDirectoryWithoutUsableCheckpoint) {
@@ -562,10 +738,10 @@ TEST_F(DurabilityTest, RecoveryRefusesDirectoryWithoutUsableCheckpoint) {
 
   // All checkpoints damaged -> typed refusal, never a fabricated state.
   {
-    durability::DurableRun run(make_config(path("run")), kModel, "first-fit",
-                               {});
-    (void)run.apply_arrival({0, 0.0, 0.5});
-    run.flush();
+    durability::DurableDispatcher durable =
+        durable_run(make_config(path("run")), "first-fit");
+    (void)durable.start_session(0, 0.5, 0.0);
+    durable.flush();
   }
   for (const auto& entry : durability::list_checkpoints(path("run"))) {
     flip_byte(entry.path, durability::detail::file_size(entry.path) / 2);
@@ -574,9 +750,9 @@ TEST_F(DurabilityTest, RecoveryRefusesDirectoryWithoutUsableCheckpoint) {
   EXPECT_THROW((void)manager.recover(), CorruptionError);
 }
 
-TEST_F(DurabilityTest, DurableRunRejectsClairvoyantAlgorithms) {
-  EXPECT_THROW(durability::DurableRun(make_config(path("run")), kModel,
-                                      "align-departures-fit", {}),
+TEST_F(DurabilityTest, DurableDispatcherRejectsClairvoyantAlgorithms) {
+  EXPECT_THROW((void)durable_run(make_config(path("run")),
+                                 "align-departures-fit"),
                PreconditionError);
 }
 
@@ -607,7 +783,6 @@ TEST_F(DurabilityTest, DurableDispatcherSurvivesRecoveryWithFaultState) {
   }
   durability::RecoveryManager manager(make_config(path("d"), 8));
   durability::RecoveredState state = manager.recover();
-  ASSERT_EQ(state.mode, durability::DurableMode::kDispatcher);
   ASSERT_NE(state.dispatcher, nullptr);
   drive(*state.dispatcher, cut, 40);
 

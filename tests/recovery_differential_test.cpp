@@ -1,8 +1,9 @@
 // Recovery differential: for every snapshot-capable algorithm and several
-// chaos-style workloads, interrupt a durable run at many cut points, run
-// the full recovery protocol (checkpoint load + journal replay), finish the
-// stream, and require the result to be bit-identical to an uninterrupted
-// run — the durability tentpole's core guarantee, exercised end to end.
+// chaos-style workloads, interrupt a durable run (a strict DurableDispatcher
+// fed the instance's events) at many cut points, run the full recovery
+// protocol (checkpoint load + journal replay), finish the stream, and
+// require the result to be bit-identical to an uninterrupted run — the
+// durability layer's core guarantee, exercised end to end.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -45,21 +46,25 @@ class RecoveryDifferentialTest : public ::testing::Test {
   std::string dir_;
 };
 
-void feed_events(durability::DurableRun& run, const Instance& instance,
-                 const std::vector<Event>& events, std::size_t from,
-                 std::size_t to) {
+/// A packing run made durable: a strict dispatcher (default FaultPolicy)
+/// whose spec bills exactly kModel, fed arrivals and departures as session
+/// starts and ends.
+const ServerSpec kRunSpec{1.0, 60.0};
+
+void feed_events(durability::DurableDispatcher& durable,
+                 const Instance& instance, const std::vector<Event>& events,
+                 std::size_t from, std::size_t to) {
   for (std::size_t i = from; i < to; ++i) {
     const Item& item = instance.item(events[i].item);
     if (events[i].kind == EventKind::kArrival) {
-      (void)run.apply_arrival({item.id, item.arrival, item.size});
+      (void)durable.start_session(item.id, item.size, item.arrival);
     } else {
-      run.apply_departure(item.id, item.departure);
+      durable.end_session(item.id, item.departure);
     }
   }
 }
 
 void expect_identical(const SimulationResult& a, const SimulationResult& b) {
-  EXPECT_EQ(a.algorithm, b.algorithm);
   EXPECT_EQ(a.total_cost, b.total_cost);
   EXPECT_EQ(a.total_cost_from_bins, b.total_cost_from_bins);
   EXPECT_EQ(a.max_open_bins, b.max_open_bins);
@@ -80,22 +85,27 @@ void run_cut(const durability::DurabilityConfig& config,
   SCOPED_TRACE("cut=" + std::to_string(cut));
   std::filesystem::remove_all(config.dir);
   {
-    durability::DurableRun run(config, kModel, algorithm, options);
-    feed_events(run, instance, events, 0, cut);
-    run.flush();
+    durability::DurableDispatcher durable(config, kRunSpec, algorithm, options,
+                                          FaultPolicy{});
+    feed_events(durable, instance, events, 0, cut);
+    durable.flush();
   }
   durability::RecoveryManager manager(config);
   durability::RecoveredState state = manager.recover();
-  ASSERT_EQ(state.mode, durability::DurableMode::kSimulation);
-  ASSERT_NE(state.run, nullptr);
+  ASSERT_NE(state.dispatcher, nullptr);
   ASSERT_EQ(state.report.next_seq, cut);
-  feed_events(*state.run, instance, events, cut, events.size());
-  state.run->flush();
+  feed_events(*state.dispatcher, instance, events, cut, events.size());
+  state.dispatcher->flush();
 
+  const GameServerDispatcher& recovered = state.dispatcher->dispatcher();
+  EXPECT_EQ(recovered.algorithm(), algorithm);
+  const CostModel billed = recovered.spec().to_cost_model();
+  EXPECT_EQ(billed.bin_capacity, kModel.bin_capacity);
+  EXPECT_EQ(billed.cost_rate, kModel.cost_rate);
+  EXPECT_EQ(billed.fit_tolerance, kModel.fit_tolerance);
   SimulationResult result;
-  result.algorithm = state.run->packer().name();
   result.packing_period = instance.packing_period();
-  detail::finalize_accounting(result, instance, state.run->packer().bins());
+  detail::finalize_accounting(result, instance, recovered.bins());
   expect_identical(reference, result);
 }
 
@@ -214,7 +224,6 @@ TEST_F(RecoveryDifferentialTest, DispatcherChaosRecoversAtEveryStride) {
     }
     durability::RecoveryManager manager(cfg);
     durability::RecoveredState state = manager.recover();
-    ASSERT_EQ(state.mode, durability::DurableMode::kDispatcher);
     ASSERT_NE(state.dispatcher, nullptr);
     ASSERT_EQ(state.report.next_seq, cut);
     apply(*state.dispatcher, state.dispatcher->dispatcher().bins(), cut,

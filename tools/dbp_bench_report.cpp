@@ -370,8 +370,7 @@ void append_oracle_cases(std::vector<BenchCase>& cases, const CostModel& model,
 /// Sharded dispatch engine cases (schema dbp-bench-perf/4).
 ///
 /// Timed region: submit() of every event through the MPSC rings plus the
-/// final epoch drain — the sustained streaming path tools/dbp_dispatch_bench
-/// exposes standalone. The 1-shard engine is asserted bit-identical to a
+/// final epoch drain — the sustained streaming path. The 1-shard engine is asserted bit-identical to a
 /// plain GameServerDispatcher on the same stream before any timing, and
 /// the guard (tools/check_bench_guard.py) checks the headline case's
 /// events_per_sec against the baseline, machine-normalized.

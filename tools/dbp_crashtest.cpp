@@ -2,8 +2,10 @@
 //
 // For every workload class it runs a reference (uninterrupted) packing run,
 // then forks children that replay the same event stream through a
-// DurableRun/DurableDispatcher and SIGKILL themselves at a randomized byte
-// offset inside the journal/checkpoint write path (durability::WriteCrashHook).
+// DurableDispatcher and SIGKILL themselves at a randomized byte offset
+// inside the journal/checkpoint write path (durability::WriteCrashHook). A
+// packing run is made durable as a strict dispatcher whose server spec
+// bills exactly the run's cost model.
 // The parent recovers each crashed directory, re-feeds the not-yet-durable
 // suffix of the input, and requires the final state to be bit-identical to
 // the reference — exact == on every SimulationResult field, and exact
@@ -95,7 +97,6 @@ RandomInstanceConfig workload_config(const std::string& name,
 
 std::optional<std::string> diff_results(const SimulationResult& ref,
                                         const SimulationResult& got) {
-  if (got.algorithm != ref.algorithm) return "algorithm name differs";
   if (got.total_cost != ref.total_cost) {
     return strfmt("total_cost %.17g != %.17g", got.total_cost, ref.total_cost);
   }
@@ -123,29 +124,52 @@ std::optional<std::string> diff_results(const SimulationResult& ref,
 }
 
 // --------------------------------------------------------------------------
-// Simulation-mode plumbing.
+// Simulation-mode plumbing: a strict dispatcher (default FaultPolicy) whose
+// spec bills exactly kRunModel, fed the instance's arrivals and departures
+// as session starts and ends.
 
-void feed_run(durability::DurableRun& run, const Instance& instance,
+const CostModel kRunModel{1.0, 1.0, 1e-9};
+const ServerSpec kRunSpec{1.0, 60.0};
+
+durability::DurableDispatcher durable_run(
+    const durability::DurabilityConfig& config, const std::string& algorithm,
+    const PackerOptions& options) {
+  return durability::DurableDispatcher(config, kRunSpec, algorithm, options,
+                                       FaultPolicy{});
+}
+
+void feed_run(durability::DurableDispatcher& durable, const Instance& instance,
               const std::vector<Event>& events, std::uint64_t from_seq) {
   for (std::uint64_t i = from_seq; i < events.size(); ++i) {
     const Item& item = instance.item(events[i].item);
     if (events[i].kind == EventKind::kArrival) {
-      (void)run.apply_arrival(ArrivingItem{item.id, item.arrival, item.size});
+      (void)durable.start_session(item.id, item.size, item.arrival);
     } else {
-      run.apply_departure(item.id, item.departure);
+      durable.end_session(item.id, item.departure);
     }
   }
 }
 
-SimulationResult finalize_run(const durability::DurableRun& run,
-                              const Instance& instance) {
-  DBP_CHECK(run.packer().bins().open_count() == 0,
+/// Checks that a finished durable run used `algorithm` under exactly
+/// kRunModel, then compares its SimulationResult bit-exactly to `ref`.
+std::optional<std::string> diff_run(const durability::DurableDispatcher& durable,
+                                    const Instance& instance,
+                                    const std::string& algorithm,
+                                    const SimulationResult& ref) {
+  const GameServerDispatcher& dispatcher = durable.dispatcher();
+  if (dispatcher.algorithm() != algorithm) return "algorithm name differs";
+  const CostModel billed = dispatcher.spec().to_cost_model();
+  if (billed.bin_capacity != kRunModel.bin_capacity ||
+      billed.cost_rate != kRunModel.cost_rate ||
+      billed.fit_tolerance != kRunModel.fit_tolerance) {
+    return "server spec does not bill the run's cost model";
+  }
+  DBP_CHECK(dispatcher.bins().open_count() == 0,
             "bins remain open after the last departure");
   SimulationResult result;
-  result.algorithm = run.packer().name();
   result.packing_period = instance.packing_period();
-  detail::finalize_accounting(result, instance, run.packer().bins());
-  return result;
+  detail::finalize_accounting(result, instance, dispatcher.bins());
+  return diff_results(ref, result);
 }
 
 /// Runs the full stream durably with a byte-counting hook; verifies the
@@ -154,7 +178,6 @@ SimulationResult finalize_run(const durability::DurableRun& run,
 std::uint64_t measure_clean_run(const durability::DurabilityConfig& config,
                                 const Instance& instance,
                                 const std::vector<Event>& events,
-                                const CostModel& model,
                                 const std::string& algorithm,
                                 const PackerOptions& options,
                                 const SimulationResult& reference) {
@@ -164,12 +187,11 @@ std::uint64_t measure_clean_run(const durability::DurabilityConfig& config,
         total += length;
         return std::optional<std::size_t>{};
       });
-  durability::DurableRun run(config, model, algorithm, options);
-  feed_run(run, instance, events, 0);
-  run.flush();
+  durability::DurableDispatcher durable = durable_run(config, algorithm, options);
+  feed_run(durable, instance, events, 0);
+  durable.flush();
   durability::set_write_crash_hook({});
-  const SimulationResult clean = finalize_run(run, instance);
-  if (auto why = diff_results(reference, clean)) {
+  if (auto why = diff_run(durable, instance, algorithm, reference)) {
     throw InvariantError("clean durable run diverged from simulate(): " + *why);
   }
   return total;
@@ -195,16 +217,17 @@ void install_kill_hook(std::uint64_t threshold) {
 bool run_crashing_child(const durability::DurabilityConfig& config,
                         const Instance& instance,
                         const std::vector<Event>& events,
-                        const CostModel& model, const std::string& algorithm,
+                        const std::string& algorithm,
                         const PackerOptions& options, std::uint64_t threshold) {
   const pid_t pid = ::fork();
   DBP_REQUIRE(pid >= 0, "fork failed");
   if (pid == 0) {
     try {
-      durability::DurableRun run(config, model, algorithm, options);
+      durability::DurableDispatcher durable =
+          durable_run(config, algorithm, options);
       install_kill_hook(threshold);
-      feed_run(run, instance, events, 0);
-      run.flush();
+      feed_run(durable, instance, events, 0);
+      durable.flush();
     } catch (...) {
       std::_Exit(3);
     }
@@ -231,23 +254,18 @@ struct TrialTally {
 std::optional<std::string> sim_trial(const durability::DurabilityConfig& config,
                                      const Instance& instance,
                                      const std::vector<Event>& events,
-                                     const CostModel& model,
                                      const std::string& algorithm,
                                      const PackerOptions& options,
                                      const SimulationResult& reference,
                                      std::uint64_t threshold,
                                      TrialTally& tally) {
   ++tally.trials;
-  if (!run_crashing_child(config, instance, events, model, algorithm, options,
+  if (!run_crashing_child(config, instance, events, algorithm, options,
                           threshold)) {
     return "child failed with an unexpected status";
   }
   durability::RecoveryManager manager(config);
   durability::RecoveredState state = manager.recover();
-  if (state.mode != durability::DurableMode::kSimulation ||
-      state.run == nullptr) {
-    return "recovered the wrong durable mode";
-  }
   if (state.report.next_seq > events.size()) {
     return "recovered next_seq beyond the input stream";
   }
@@ -255,11 +273,9 @@ std::optional<std::string> sim_trial(const durability::DurabilityConfig& config,
   if (state.report.torn_tail) ++tally.torn_tails;
   tally.replayed += state.report.replayed_events;
   tally.refed += events.size() - state.report.next_seq;
-  feed_run(*state.run, instance, events, state.report.next_seq);
-  state.run->flush();
-  const SimulationResult got = finalize_run(*state.run, instance);
-  if (auto why = diff_results(reference, got)) return why;
-  return std::nullopt;
+  feed_run(*state.dispatcher, instance, events, state.report.next_seq);
+  state.dispatcher->flush();
+  return diff_run(*state.dispatcher, instance, algorithm, reference);
 }
 
 // --------------------------------------------------------------------------
@@ -373,10 +389,6 @@ std::optional<std::string> dispatch_trial(
 
   durability::RecoveryManager manager(config);
   durability::RecoveredState state = manager.recover();
-  if (state.mode != durability::DurableMode::kDispatcher ||
-      state.dispatcher == nullptr) {
-    return "recovered the wrong durable mode";
-  }
   if (state.report.next_seq > ops.size()) {
     return "recovered next_seq beyond the script";
   }
@@ -417,11 +429,10 @@ void flip_bit(const std::string& path, std::uint64_t byte, unsigned bit) {
 /// checkpoints plus the complete journal).
 void populate_dir(const durability::DurabilityConfig& config,
                   const Instance& instance, const std::vector<Event>& events,
-                  const CostModel& model, const std::string& algorithm,
-                  const PackerOptions& options) {
-  durability::DurableRun run(config, model, algorithm, options);
-  feed_run(run, instance, events, 0);
-  run.flush();
+                  const std::string& algorithm, const PackerOptions& options) {
+  durability::DurableDispatcher durable = durable_run(config, algorithm, options);
+  feed_run(durable, instance, events, 0);
+  durable.flush();
 }
 
 /// Attempts recovery of a (possibly corrupted) directory. Returns nullopt
@@ -429,24 +440,20 @@ void populate_dir(const durability::DurabilityConfig& config,
 /// result is bit-identical — and a description of any silent mismatch.
 std::optional<std::string> recover_and_check(
     const durability::DurabilityConfig& config, const Instance& instance,
-    const std::vector<Event>& events, const SimulationResult& reference,
-    bool* out_recovered = nullptr, std::size_t* out_skipped = nullptr) {
+    const std::vector<Event>& events, const std::string& algorithm,
+    const SimulationResult& reference, bool* out_recovered = nullptr,
+    std::size_t* out_skipped = nullptr) {
   try {
     durability::RecoveryManager manager(config);
     durability::RecoveredState state = manager.recover();
-    if (state.mode != durability::DurableMode::kSimulation ||
-        state.run == nullptr) {
-      return "recovered the wrong durable mode";
-    }
     if (state.report.next_seq > events.size()) {
       return "recovered next_seq beyond the input stream";
     }
     if (out_recovered != nullptr) *out_recovered = true;
     if (out_skipped != nullptr) *out_skipped = state.report.checkpoints_skipped;
-    feed_run(*state.run, instance, events, state.report.next_seq);
-    state.run->flush();
-    const SimulationResult got = finalize_run(*state.run, instance);
-    if (auto why = diff_results(reference, got)) {
+    feed_run(*state.dispatcher, instance, events, state.report.next_seq);
+    state.dispatcher->flush();
+    if (auto why = diff_run(*state.dispatcher, instance, algorithm, reference)) {
       return "silent corruption: " + *why;
     }
   } catch (const CorruptionError&) {
@@ -463,9 +470,9 @@ struct CorruptionOutcome {
 
 std::optional<std::string> corruption_battery(
     const std::string& base_dir, const Instance& instance,
-    const std::vector<Event>& events, const CostModel& model,
-    const std::string& algorithm, const PackerOptions& options,
-    const SimulationResult& reference, Rng& rng, CorruptionOutcome& outcome) {
+    const std::vector<Event>& events, const std::string& algorithm,
+    const PackerOptions& options, const SimulationResult& reference, Rng& rng,
+    CorruptionOutcome& outcome) {
   std::size_t case_id = 0;
   const auto fresh_config = [&](const std::string& label) {
     durability::DurabilityConfig config;
@@ -490,7 +497,7 @@ std::optional<std::string> corruption_battery(
   for (int i = 0; i < 4; ++i) {
     ++case_id;
     const durability::DurabilityConfig config = fresh_config("jflip");
-    populate_dir(config, instance, events, model, algorithm, options);
+    populate_dir(config, instance, events, algorithm, options);
     const std::string journal =
         config.dir + "/" + durability::kJournalFileName;
     const std::uint64_t size = durability::detail::file_size(journal);
@@ -500,7 +507,8 @@ std::optional<std::string> corruption_battery(
     flip_bit(journal, byte, static_cast<unsigned>(rng.uniform_int(0, 7)));
     bool recovered = false;
     if (auto err = finish_case(
-            recover_and_check(config, instance, events, reference, &recovered),
+            recover_and_check(config, instance, events, algorithm, reference,
+                              &recovered),
             recovered)) {
       return "journal bit flip: " + *err;
     }
@@ -510,7 +518,7 @@ std::optional<std::string> corruption_battery(
   for (int i = 0; i < 4; ++i) {
     ++case_id;
     const durability::DurabilityConfig config = fresh_config("jtrunc");
-    populate_dir(config, instance, events, model, algorithm, options);
+    populate_dir(config, instance, events, algorithm, options);
     const std::string journal =
         config.dir + "/" + durability::kJournalFileName;
     const std::uint64_t size = durability::detail::file_size(journal);
@@ -518,7 +526,8 @@ std::optional<std::string> corruption_battery(
         journal, rng.uniform_int(durability::kJournalHeaderBytes, size));
     bool recovered = false;
     if (auto err = finish_case(
-            recover_and_check(config, instance, events, reference, &recovered),
+            recover_and_check(config, instance, events, algorithm, reference,
+                              &recovered),
             recovered)) {
       return "journal truncation: " + *err;
     }
@@ -529,7 +538,7 @@ std::optional<std::string> corruption_battery(
   {
     ++case_id;
     const durability::DurabilityConfig config = fresh_config("stale");
-    populate_dir(config, instance, events, model, algorithm, options);
+    populate_dir(config, instance, events, algorithm, options);
     const auto entries = durability::list_checkpoints(config.dir);
     DBP_REQUIRE(!entries.empty(), "populate left no checkpoints");
     const std::vector<std::uint8_t> bytes =
@@ -544,8 +553,8 @@ std::optional<std::string> corruption_battery(
     out.close();
     bool recovered = false;
     std::size_t skipped = 0;
-    auto err = recover_and_check(config, instance, events, reference,
-                                 &recovered, &skipped);
+    auto err = recover_and_check(config, instance, events, algorithm,
+                                 reference, &recovered, &skipped);
     if (!err && recovered && skipped == 0) {
       err = "impostor checkpoint was not skipped";
     }
@@ -560,7 +569,7 @@ std::optional<std::string> corruption_battery(
   for (int i = 0; i < 4; ++i) {
     ++case_id;
     const durability::DurabilityConfig config = fresh_config("cflip");
-    populate_dir(config, instance, events, model, algorithm, options);
+    populate_dir(config, instance, events, algorithm, options);
     const auto entries = durability::list_checkpoints(config.dir);
     DBP_REQUIRE(entries.size() >= 2, "need two checkpoints for fallback");
     const std::uint64_t size =
@@ -569,8 +578,8 @@ std::optional<std::string> corruption_battery(
              static_cast<unsigned>(rng.uniform_int(0, 7)));
     bool recovered = false;
     std::size_t skipped = 0;
-    auto err = recover_and_check(config, instance, events, reference,
-                                 &recovered, &skipped);
+    auto err = recover_and_check(config, instance, events, algorithm,
+                                 reference, &recovered, &skipped);
     if (!err && recovered && skipped == 0) {
       err = "corrupt newest checkpoint was not skipped";
     }
@@ -587,15 +596,15 @@ std::optional<std::string> corruption_battery(
   {
     ++case_id;
     const durability::DurabilityConfig config = fresh_config("allbad");
-    populate_dir(config, instance, events, model, algorithm, options);
+    populate_dir(config, instance, events, algorithm, options);
     for (const auto& entry : durability::list_checkpoints(config.dir)) {
       const std::uint64_t size = durability::detail::file_size(entry.path);
       flip_bit(entry.path, rng.uniform_int(0, size - 1),
                static_cast<unsigned>(rng.uniform_int(0, 7)));
     }
     bool recovered = false;
-    auto err =
-        recover_and_check(config, instance, events, reference, &recovered);
+    auto err = recover_and_check(config, instance, events, algorithm,
+                                 reference, &recovered);
     if (!err && recovered) {
       err = "recovery accepted a directory with only corrupt checkpoints";
     }
@@ -608,14 +617,14 @@ std::optional<std::string> corruption_battery(
   {
     ++case_id;
     const durability::DurabilityConfig config = fresh_config("jheader");
-    populate_dir(config, instance, events, model, algorithm, options);
+    populate_dir(config, instance, events, algorithm, options);
     const std::string journal =
         config.dir + "/" + durability::kJournalFileName;
     flip_bit(journal, rng.uniform_int(0, durability::kJournalHeaderBytes - 1),
              static_cast<unsigned>(rng.uniform_int(0, 7)));
     bool recovered = false;
-    auto err =
-        recover_and_check(config, instance, events, reference, &recovered);
+    auto err = recover_and_check(config, instance, events, algorithm,
+                                 reference, &recovered);
     if (!err && recovered) {
       err = "recovery accepted a journal with a corrupt header";
     }
@@ -654,7 +663,6 @@ int main(int argc, char** argv) {
                    .string());
     std::filesystem::create_directories(base_dir);
 
-    const CostModel model{1.0, 1.0, 1e-9};
     Rng rng(seed ^ 0xC4A5585ULL);
     std::size_t failures = 0;
 
@@ -666,13 +674,13 @@ int main(int argc, char** argv) {
       PackerOptions options;
       options.seed = seed;
       const SimulationResult reference =
-          simulate(instance, algorithm, model, options);
+          simulate(instance, algorithm, kRunModel, options);
 
       durability::DurabilityConfig probe;
       probe.dir = base_dir + "/probe-" + workload;
       probe.checkpoint_every = checkpoint_every;
       const std::uint64_t total_bytes = measure_clean_run(
-          probe, instance, events, model, algorithm, options, reference);
+          probe, instance, events, algorithm, options, reference);
       std::filesystem::remove_all(probe.dir);
 
       TrialTally tally;
@@ -683,8 +691,8 @@ int main(int argc, char** argv) {
         // +5% headroom so some children run to completion (clean-exit path).
         const std::uint64_t threshold =
             rng.uniform_int(0, total_bytes + total_bytes / 20);
-        if (auto why = sim_trial(config, instance, events, model, algorithm,
-                                 options, reference, threshold, tally)) {
+        if (auto why = sim_trial(config, instance, events, algorithm, options,
+                                 reference, threshold, tally)) {
           std::cerr << strfmt("FAIL [%s trial %llu threshold %llu]: %s\n",
                               workload.c_str(),
                               static_cast<unsigned long long>(t),
@@ -779,10 +787,10 @@ int main(int argc, char** argv) {
       PackerOptions options;
       options.seed = seed;
       const SimulationResult reference =
-          simulate(instance, algorithm, model, options);
+          simulate(instance, algorithm, kRunModel, options);
       CorruptionOutcome outcome;
       if (auto why =
-              corruption_battery(base_dir, instance, events, model, algorithm,
+              corruption_battery(base_dir, instance, events, algorithm,
                                  options, reference, rng, outcome)) {
         std::cerr << "FAIL [corruption]: " << *why << "\n";
         ++failures;

@@ -160,7 +160,7 @@ bool run_journal_fuzz_round(std::uint64_t round, std::uint64_t seed) {
   std::vector<dur::JournalEvent> truth(count);
   for (std::size_t i = 0; i < count; ++i) {
     truth[i].seq = base_seq + i;
-    truth[i].kind = static_cast<dur::JournalEventKind>(rng.uniform_int(1, 5));
+    truth[i].kind = static_cast<dur::JournalEventKind>(rng.uniform_int(1, 3));
     truth[i].time = rng.uniform(0.0, 1000.0);
     truth[i].subject = rng.uniform_int(0, 1'000'000);
     truth[i].size = rng.uniform(0.0, 1.0);

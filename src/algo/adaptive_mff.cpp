@@ -28,12 +28,11 @@ BinId AdaptiveMffPacker::on_arrival(const ArrivingItem& item) {
                     "adaptive MFF routed an item to the wrong pool's bin");
 #if DBP_AUDIT_ENABLED
     // Pool-local First Fit scan-order monotonicity (both pools are FF).
-    for (const BinId open : manager_.open_bins()) {
-      if (open >= bin) break;
-      if (bin_is_large_.at(open) != large) continue;
-      DBP_AUDIT_CHECK(!manager_.fits(item.size, open),
+    manager_.for_each_open_bin([&](BinId open) {
+      DBP_AUDIT_CHECK(open >= bin || bin_is_large_.at(open) != large ||
+                          !manager_.fits(item.size, open),
                       "adaptive MFF skipped an earlier-opened fitting bin");
-    }
+    });
 #endif
   } else {
     bin = manager_.open_bin(item.arrival);

@@ -1,5 +1,7 @@
 #include "algo/any_fit_packer.hpp"
 
+#include "algo/strategies.hpp"
+
 namespace dbp {
 
 AnyFitPacker::AnyFitPacker(CostModel model, std::unique_ptr<FitStrategy> strategy)
@@ -30,5 +32,16 @@ void AnyFitPacker::restore_extra(ByteReader& in) {
   }
   strategy_->load_state(in);
 }
+
+#if DBP_AUDIT_ENABLED
+void AnyFitPacker::audit_first_fit_choice(const FitStrategy& strategy, double size,
+                                          BinId chosen) const {
+  if (dynamic_cast<const FirstFitStrategy*>(&strategy) == nullptr) return;
+  manager_.for_each_open_bin([&](BinId open) {
+    DBP_AUDIT_CHECK(open >= chosen || !manager_.fits(size, open),
+                    "First Fit skipped an earlier-opened fitting bin");
+  });
+}
+#endif
 
 }  // namespace dbp

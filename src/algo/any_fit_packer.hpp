@@ -60,24 +60,13 @@ class AnyFitPacker : public Packer {
     BinId bin;
     if (chosen) {
       bin = *chosen;
-#if DBP_AUDIT_ENABLED
-      // First Fit scan-order monotonicity: the selected bin must be the
-      // *earliest-opened* open bin that fits — no open bin with a smaller id
-      // may accommodate the item (bin ids are assigned in opening order).
-      if (strategy.name() == "first-fit") {
-        for (const BinId open : manager_.open_bins()) {
-          if (open >= bin) break;
-          DBP_AUDIT_CHECK(!manager_.fits(item.size, open),
-                          "First Fit skipped an earlier-opened fitting bin");
-        }
-      }
-#endif
+      DBP_AUDIT_ONLY(audit_first_fit_choice(strategy, item.size, bin);)
     } else {
       if ((paranoid_ || audit_enabled()) && strategy.any_fit_contract()) {
-        for (BinId open : manager_.open_bins()) {
+        manager_.for_each_open_bin([&](BinId open) {
           DBP_CHECK(!manager_.fits(item.size, open),
                     "Any Fit contract violated: a fitting bin was declined");
-        }
+        });
       }
       bin = manager_.open_bin(item.arrival);
       strategy.on_bin_registered(bin, manager_.residual(bin));
@@ -101,6 +90,15 @@ class AnyFitPacker : public Packer {
   }
 
  private:
+#if DBP_AUDIT_ENABLED
+  /// First Fit scan-order monotonicity: when `strategy` is First Fit, the
+  /// chosen bin must be the earliest-opened open bin that fits — no open
+  /// bin with a smaller id may accommodate `size` (bin ids are assigned in
+  /// opening order). Allocation-free, like the event loop it checks.
+  void audit_first_fit_choice(const FitStrategy& strategy, double size,
+                              BinId chosen) const;
+#endif
+
   std::unique_ptr<FitStrategy> strategy_;
   bool paranoid_ = false;
 };

@@ -62,9 +62,7 @@ const BinUsageRecord& BinManager::usage(BinId bin) const {
 std::vector<BinId> BinManager::open_bins() const {
   std::vector<BinId> result;
   result.reserve(open_count_);
-  for (std::size_t i = 0; i < bins_.size(); ++i) {
-    if (bins_[i].open) result.push_back(static_cast<BinId>(i));
-  }
+  for_each_open_bin([&result](BinId bin) { result.push_back(bin); });
   return result;
 }
 

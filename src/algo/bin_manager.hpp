@@ -98,6 +98,15 @@ class BinManager {
   /// Ids of all currently open bins, ascending (= opening order).
   [[nodiscard]] std::vector<BinId> open_bins() const;
 
+  /// Calls `visit(bin)` for the same ids in the same order without
+  /// allocating, for checks that run on every event.
+  template <typename Visit>
+  void for_each_open_bin(Visit&& visit) const {
+    for (std::size_t i = 0; i < bins_.size(); ++i) {
+      if (bins_[i].open) visit(static_cast<BinId>(i));
+    }
+  }
+
   /// The bin an item was assigned to, including items that already departed.
   /// std::nullopt for items this manager never saw.
   [[nodiscard]] std::optional<BinId> assignment_of(ItemId item) const;

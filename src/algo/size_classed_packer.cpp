@@ -57,25 +57,23 @@ BinId SizeClassedPacker::on_arrival(const ArrivingItem& item) {
 #if DBP_AUDIT_ENABLED
     // Per-pool First Fit scan-order monotonicity: within the item's class,
     // no earlier-opened open bin may accommodate it.
-    if (strategy.name() == "first-fit") {
-      for (const BinId open : manager_.open_bins()) {
-        if (open >= bin) break;
-        if (class_of_bin(open) != cls) continue;
-        DBP_AUDIT_CHECK(!manager_.fits(item.size, open),
+    if (dynamic_cast<const FirstFitStrategy*>(&strategy) != nullptr) {
+      manager_.for_each_open_bin([&](BinId open) {
+        DBP_AUDIT_CHECK(open >= bin || class_of_bin(open) != cls ||
+                            !manager_.fits(item.size, open),
                         "pool First Fit skipped an earlier-opened fitting bin");
-      }
+      });
     }
 #endif
   } else {
 #if DBP_AUDIT_ENABLED
     // Opening a new bin is only legal when every open bin of the class is
     // unable to host the item (First Fit pools obey the Any Fit contract).
-    if (strategy.name() == "first-fit") {
-      for (const BinId open : manager_.open_bins()) {
-        if (class_of_bin(open) != cls) continue;
-        DBP_AUDIT_CHECK(!manager_.fits(item.size, open),
+    if (dynamic_cast<const FirstFitStrategy*>(&strategy) != nullptr) {
+      manager_.for_each_open_bin([&](BinId open) {
+        DBP_AUDIT_CHECK(class_of_bin(open) != cls || !manager_.fits(item.size, open),
                         "pool declined an item although an open bin fits");
-      }
+      });
     }
 #endif
     bin = manager_.open_bin(item.arrival);

@@ -6,7 +6,7 @@ namespace dbp::obs {
 
 namespace detail {
 
-thread_local ObsContext g_context{};
+constinit thread_local ObsContext g_context{};
 
 }  // namespace detail
 

@@ -28,8 +28,10 @@ struct ObsContext {
 
 namespace detail {
 /// The active context of this thread. Do not touch directly — install an
-/// ObsScope instead.
-extern thread_local ObsContext g_context;
+/// ObsScope instead. constinit: the variable is constant-initialized, so
+/// other translation units read it directly instead of through a TLS init
+/// wrapper (whose pointer UBSan reports as a null member access).
+extern constinit thread_local ObsContext g_context;
 }  // namespace detail
 
 /// The tracer of the current thread's scope, or null (tracing off).

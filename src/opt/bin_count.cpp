@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "core/arena.hpp"
+#include "core/audit.hpp"
 #include "core/compensated_sum.hpp"
 #include "core/error.hpp"
 #include "opt/classical.hpp"
@@ -53,11 +54,222 @@ std::optional<BinCountBounds> closed_form_count(std::uint64_t n, double total,
   return std::nullopt;
 }
 
+/// The minimum-bin-slack witness over runs (Gupta & Ho 1999, in the variant
+/// where the largest remaining item opens each bin). Bins are built one at a
+/// time: after the opener, a depth-first search over the remaining runs,
+/// largest first, looks for the fill that leaves the least slack. One node
+/// is one tentative addition of an item to the bin; a run is tried once per
+/// depth, since equal sizes are interchangeable. A bin's search stops after
+/// kWitnessNodesPerBin nodes or at a fill within the fit tolerance, and the
+/// best fill found is committed. Residuals are W minus the sizes in
+/// placement order, the arithmetic FFD and the exact search use.
+///
+/// FlatSlackWitness implements the same node definition item by item and
+/// shares no code with this class; the two return the same count on every
+/// multiset. Working arrays live in the scratch, so a warm scratch packs
+/// without allocating.
+class RunSlackWitness {
+ public:
+  RunSlackWitness(std::span<const SizeRun> runs, const CostModel& model,
+                  BinCountScratch& scratch)
+      : runs_(runs),
+        model_(model),
+        left_(scratch.witness_left),
+        live_(scratch.witness_live),
+        path_(scratch.witness_path),
+        best_path_(scratch.witness_best) {
+    DBP_AUDIT_ONLY(placed_ = scratch.arena.allocate_array<std::uint64_t>(runs.size());
+                   std::fill(placed_.begin(), placed_.end(), 0);)
+  }
+
+  /// Packs every item and returns the bins used, or `upper` as soon as the
+  /// packing cannot use fewer than `upper` bins.
+  std::size_t pack(std::size_t upper) {
+    left_.clear();
+    for (const SizeRun& run : runs_) left_.push_back(run.count);
+    live_.clear();
+    for (std::size_t j = 0; j < runs_.size(); ++j) {
+      live_.push_back(static_cast<std::uint32_t>(j));
+    }
+    std::size_t bins = 0;
+    while (!live_.empty()) {
+      if (bins + 1 >= upper) return upper;
+      const std::uint32_t opener = live_.front();
+      --left_[opener];
+      best_ = model_.bin_capacity - runs_[opener].size;
+      best_path_.clear();
+      nodes_ = 0;
+      done_ = false;
+      if (best_ > model_.fit_tolerance) extend(0, best_);
+      for (const std::uint32_t j : best_path_) --left_[j];
+      ++bins;
+#if DBP_AUDIT_ENABLED
+      double residual = model_.bin_capacity;
+      for (std::size_t k = 0; k <= best_path_.size(); ++k) {
+        const std::uint32_t j = k == 0 ? opener : best_path_[k - 1];
+        DBP_AUDIT_CHECK(model_.fits(runs_[j].size, residual),
+                        "minimum-bin-slack witness overfilled a bin");
+        residual -= runs_[j].size;
+        ++placed_[j];
+        DBP_AUDIT_CHECK(placed_[j] <= runs_[j].count,
+                        "minimum-bin-slack witness placed an item twice");
+      }
+#endif
+      std::erase_if(live_, [this](std::uint32_t j) { return left_[j] == 0; });
+    }
+#if DBP_AUDIT_ENABLED
+    for (std::size_t j = 0; j < runs_.size(); ++j) {
+      DBP_AUDIT_CHECK(placed_[j] == runs_[j].count,
+                      "minimum-bin-slack witness left an item unpacked");
+    }
+#endif
+    return bins;
+  }
+
+ private:
+  /// One depth of the current bin's search: tries each live run from
+  /// position `from` on that still has an item and fits `residual`.
+  void extend(std::size_t from, double residual) {
+    // Live runs keep decreasing sizes, so the runs too large for `residual`
+    // are a prefix of the remaining list.
+    const auto fitting = std::partition_point(
+        live_.begin() + static_cast<std::ptrdiff_t>(from), live_.end(),
+        [&](std::uint32_t j) { return !model_.fits(runs_[j].size, residual); });
+    for (auto at = static_cast<std::size_t>(fitting - live_.begin()); at < live_.size();
+         ++at) {
+      const std::uint32_t j = live_[at];
+      if (left_[j] == 0) continue;
+      if (nodes_ == kWitnessNodesPerBin) {
+        done_ = true;
+        return;
+      }
+      ++nodes_;
+      --left_[j];
+      path_.push_back(j);
+      const double child = residual - runs_[j].size;
+      if (child < best_) {
+        best_ = child;
+        best_path_.assign(path_.begin(), path_.end());
+      }
+      if (best_ <= model_.fit_tolerance) {
+        done_ = true;
+      } else {
+        extend(at, child);
+      }
+      path_.pop_back();
+      ++left_[j];
+      if (done_) return;
+    }
+  }
+
+  std::span<const SizeRun> runs_;
+  const CostModel& model_;
+  std::vector<std::uint64_t>& left_;        // items of each run not yet placed
+  std::vector<std::uint32_t>& live_;        // runs with items left, by size
+  std::vector<std::uint32_t>& path_;        // the fill being tried (sans opener)
+  std::vector<std::uint32_t>& best_path_;   // the least-slack fill found
+  double best_ = 0.0;                       // residual of best_path_
+  std::uint64_t nodes_ = 0;
+  bool done_ = false;
+  DBP_AUDIT_ONLY(std::span<std::uint64_t> placed_;)  // items placed per run
+};
+
+/// The minimum-bin-slack witness item by item, on a sorted flat multiset:
+/// the specification RunSlackWitness is differentially tested against.
+/// `packed_` marks items committed to earlier bins or in the fill being
+/// tried; among equal sizes only the first available one is tried per depth.
+class FlatSlackWitness {
+ public:
+  FlatSlackWitness(std::span<const double> sorted_desc, const CostModel& model)
+      : sizes_(sorted_desc), model_(model), packed_(sorted_desc.size(), 0) {}
+
+  /// Same contract as RunSlackWitness::pack.
+  std::size_t pack(std::size_t upper) {
+#if DBP_AUDIT_ENABLED
+    constexpr std::size_t kUnplaced = static_cast<std::size_t>(-1);
+    std::vector<std::size_t> bin_of(sizes_.size(), kUnplaced);
+#endif
+    std::size_t bins = 0;
+    std::size_t placed = 0;
+    std::size_t first = 0;
+    while (placed < sizes_.size()) {
+      if (bins + 1 >= upper) return upper;
+      while (packed_[first]) ++first;
+      packed_[first] = 1;
+      best_ = model_.bin_capacity - sizes_[first];
+      best_path_.clear();
+      nodes_ = 0;
+      done_ = false;
+      if (best_ > model_.fit_tolerance) extend(first + 1, best_);
+      for (const std::size_t r : best_path_) packed_[r] = 1;
+      placed += 1 + best_path_.size();
+#if DBP_AUDIT_ENABLED
+      double residual = model_.bin_capacity;
+      for (std::size_t k = 0; k <= best_path_.size(); ++k) {
+        const std::size_t r = k == 0 ? first : best_path_[k - 1];
+        DBP_AUDIT_CHECK(model_.fits(sizes_[r], residual),
+                        "minimum-bin-slack witness overfilled a bin");
+        residual -= sizes_[r];
+        DBP_AUDIT_CHECK(bin_of[r] == kUnplaced,
+                        "minimum-bin-slack witness placed an item twice");
+        bin_of[r] = bins;
+      }
+#endif
+      ++bins;
+    }
+#if DBP_AUDIT_ENABLED
+    DBP_AUDIT_CHECK(std::find(bin_of.begin(), bin_of.end(), kUnplaced) == bin_of.end(),
+                    "minimum-bin-slack witness left an item unpacked");
+#endif
+    return bins;
+  }
+
+ private:
+  void extend(std::size_t from, double residual) {
+    double tried = 0.0;  // size tried at this depth; no item has size 0
+    for (std::size_t r = from; r < sizes_.size(); ++r) {
+      const double size = sizes_[r];
+      if (packed_[r] || size == tried || !model_.fits(size, residual)) continue;
+      if (nodes_ == kWitnessNodesPerBin) {
+        done_ = true;
+        return;
+      }
+      ++nodes_;
+      tried = size;
+      packed_[r] = 1;
+      path_.push_back(r);
+      const double child = residual - size;
+      if (child < best_) {
+        best_ = child;
+        best_path_ = path_;
+      }
+      if (best_ <= model_.fit_tolerance) {
+        done_ = true;
+      } else {
+        extend(r + 1, child);
+      }
+      path_.pop_back();
+      packed_[r] = 0;
+      if (done_) return;
+    }
+  }
+
+  std::span<const double> sizes_;
+  const CostModel& model_;
+  std::vector<char> packed_;
+  std::vector<std::size_t> path_;
+  std::vector<std::size_t> best_path_;
+  double best_ = 0.0;
+  std::uint64_t nodes_ = 0;
+  bool done_ = false;
+};
+
 /// optimal_bin_count_rle without the input validation, shared with the
 /// oracle's miss path. Every step replays the flat algorithm's
 /// floating-point sequence (the `_rle` kernels are bit-identical by
-/// construction; the exact solver runs on an expansion), so
-/// compute_rle(compress(S)) == optimal_bin_count(S).
+/// construction, the two witnesses share one node definition, and the exact
+/// solver runs on an expansion), so compute_rle(compress(S)) ==
+/// optimal_bin_count(S).
 BinCountBounds compute_rle(std::span<const SizeRun> runs, const CostModel& model,
                            const BinCountOptions& options, BinCountScratch& scratch) {
   const std::uint64_t n = rle_item_count(runs);
@@ -75,16 +287,19 @@ BinCountBounds compute_rle(std::span<const SizeRun> runs, const CostModel& model
 
   scratch.arena.reset();
   const std::size_t lower = l2_lower_bound_rle(runs, model, scratch.arena);
-  const std::size_t upper =
+  std::size_t upper =
       std::min(first_fit_decreasing_rle(runs, model, scratch.ffd_tree),
                best_fit_decreasing_rle(runs, model, scratch.bfd_residuals));
   DBP_CHECK(lower <= upper, "L2 exceeds the FFD/BFD bin count");
   if (lower == upper || !options.use_exact_solver) return {lower, upper};
 
+  upper = RunSlackWitness(runs, model, scratch).pack(upper);
+  DBP_CHECK(lower <= upper, "L2 exceeds the witness bin count");
+  if (lower == upper) return {lower, upper};
+
   // Arena-backed expansion (runs are strictly decreasing, so the expanded
-  // multiset is born sorted), then the search-only solver entry: it takes
-  // the bounds just computed — bit-identical to the ones exact_bin_count
-  // would recompute from the expansion — instead of re-deriving them.
+  // multiset is born sorted), then the search-only solver entry, started
+  // from the bounds just computed — the same pair the flat chain passes.
   const std::span<double> expanded =
       scratch.arena.allocate_array<double>(static_cast<std::size_t>(n));
   std::size_t at = 0;
@@ -117,12 +332,18 @@ BinCountBounds optimal_bin_count(std::span<const double> sizes, const CostModel&
   }
 
   const std::size_t lower = l2_lower_bound_sorted(sorted, model);
-  const std::size_t upper = std::min(first_fit_decreasing_sorted(sorted, model),
-                                     best_fit_decreasing_sorted(sorted, model));
+  std::size_t upper = std::min(first_fit_decreasing_sorted(sorted, model),
+                               best_fit_decreasing_sorted(sorted, model));
   DBP_CHECK(lower <= upper, "L2 exceeds the FFD/BFD bin count");
   if (lower == upper || !options.use_exact_solver) return {lower, upper};
 
-  const ExactPackingResult exact = exact_bin_count(sorted, model, options.exact);
+  upper = FlatSlackWitness(sorted, model).pack(upper);
+  DBP_CHECK(lower <= upper, "L2 exceeds the witness bin count");
+  if (lower == upper) return {lower, upper};
+
+  MonotonicArena arena;
+  const ExactPackingResult exact =
+      exact_bin_count_bounded(sorted, model, lower, upper, options.exact, arena);
   return {std::max(lower, exact.lower), std::min(upper, exact.upper)};
 }
 
@@ -152,16 +373,23 @@ BinCountBounds BinCountOracle::count_rle(std::span<const SizeRun> runs) {
   }
   ++misses_;
   const BinCountBounds bounds = compute_rle(runs, model_, options_, scratch_);
-  if (memo_.size() >= memo_limit_) {
+  if (runs.size() > kMemoRunBudget) return bounds;
+  while (memo_.size() >= memo_limit_ || stored_runs_ + runs.size() > kMemoRunBudget) {
     // Bounded FIFO eviction: drop the older half (by insertion sequence) so
     // the amortized cost per insert stays O(1) and recent snapshots — the
-    // ones cyclic workloads are about to revisit — survive.
-    const std::uint64_t cutoff = next_seq_ - static_cast<std::uint64_t>(memo_limit_) / 2;
-    evictions_ += std::erase_if(
-        memo_, [cutoff](const auto& entry) { return entry.second.seq < cutoff; });
+    // ones cyclic workloads are about to revisit — survive. Evictions only
+    // ever remove the oldest entries, so the stored sequence numbers are
+    // the contiguous range ending at next_seq_.
+    const std::uint64_t cutoff = next_seq_ - memo_.size() / 2;
+    evictions_ += std::erase_if(memo_, [this, cutoff](const auto& entry) {
+      if (entry.second.seq >= cutoff) return false;
+      stored_runs_ -= entry.first.size();
+      return true;
+    });
   }
   memo_.emplace(std::vector<SizeRun>(runs.begin(), runs.end()),
                 MemoEntry{bounds, next_seq_++});
+  stored_runs_ += runs.size();
   return bounds;
 }
 

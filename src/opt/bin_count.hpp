@@ -21,6 +21,12 @@ struct BinCountBounds {
   [[nodiscard]] bool exact() const noexcept { return lower == upper; }
 };
 
+/// Search nodes the minimum-bin-slack witness may spend on each bin it
+/// builds (one node = one tentative addition of an item). A constant of the
+/// algorithm, not an option: larger caps fill early bins more tightly and
+/// strand the large items (docs/opt_certification.md).
+inline constexpr std::uint64_t kWitnessNodesPerBin = 200;
+
 struct BinCountOptions {
   /// Forwarded to the exact solver when heuristic bounds do not meet.
   ExactPackingOptions exact{};
@@ -34,12 +40,15 @@ struct BinCountOptions {
 
 /// Computes bounds for the given multiset. Fast paths (exact, O(n)):
 /// empty, everything-fits-one-bin, all-equal sizes. General path:
-/// max(L1, L2) lower, min(FFD, BFD) upper, branch-and-bound to close.
+/// max(L1, L2) lower, min(FFD, BFD) upper; when they differ and the exact
+/// solver is enabled, a minimum-bin-slack packing (at most
+/// kWitnessNodesPerBin search nodes per bin) may lower the upper bound, and
+/// branch-and-bound closes what remains.
 ///
 /// The flat algorithm on a sorted copy (l2_lower_bound_sorted, the
-/// `_sorted` FFD/BFD, exact_bin_count) — the specification the RLE entry
-/// point below is differentially tested against, and what
-/// estimate_opt_total_reference evaluates snapshots with.
+/// `_sorted` FFD/BFD, a per-item witness, exact_bin_count_bounded) — the
+/// specification the RLE entry point below is differentially tested
+/// against, and what estimate_opt_total_reference evaluates snapshots with.
 [[nodiscard]] BinCountBounds optimal_bin_count(std::span<const double> sizes,
                                                const CostModel& model,
                                                const BinCountOptions& options = {});
@@ -48,11 +57,12 @@ struct BinCountOptions {
 /// every production caller. Bit-identical to optimal_bin_count on the
 /// expanded multiset: the heuristic chain runs on the compressed form via
 /// the `_rle` kernels (which replay the flat floating-point sequence
-/// exactly) and the exact solver, when needed, runs on an expansion. Every
-/// working structure (L2 prefix arrays, FFD tree, BFD residual index,
-/// exact-solver expansion and stack) is reused from `scratch` — see
-/// opt/scratch.hpp — so evaluating many snapshots with one scratch is
-/// allocation-free in steady state.
+/// exactly), the witness searches run counts under the flat witness's node
+/// definition, and the exact solver, when needed, runs on an expansion.
+/// Every working structure (L2 prefix arrays, FFD tree, BFD residual index,
+/// witness counts and stacks, exact-solver expansion and stack) is reused
+/// from `scratch` — see opt/scratch.hpp — so evaluating many snapshots with
+/// one scratch is allocation-free in steady state.
 [[nodiscard]] BinCountBounds optimal_bin_count_rle(std::span<const SizeRun> runs,
                                                    const CostModel& model,
                                                    const BinCountOptions& options,
@@ -67,6 +77,10 @@ class BinCountOracle {
   /// Evictions trim the memo back under `memo_limit` entries (FIFO halves)
   /// instead of wiping it wholesale.
   static constexpr std::size_t kMemoLimit = 1 << 18;
+  /// Second eviction trigger: the runs stored across all keys (16 bytes
+  /// each). Continuous-size keys run to ~150 runs, so the entry limit alone
+  /// would let the memo grow to ~650 MB; this caps the keys at 16 MiB.
+  static constexpr std::size_t kMemoRunBudget = std::size_t{1} << 20;
 
   explicit BinCountOracle(CostModel model, BinCountOptions options = {},
                           std::size_t memo_limit = kMemoLimit);
@@ -77,11 +91,14 @@ class BinCountOracle {
   /// Memoized bounds for a compressed multiset. The probe is transparent —
   /// arena-backed snapshot spans pass through without a key copy — and only
   /// a miss copies the key into the memo, evicting the oldest half first
-  /// when `memo_limit` is reached (FIFO by insertion; bounded, never a
-  /// wholesale wipe).
+  /// when `memo_limit` entries or kMemoRunBudget stored runs would be
+  /// exceeded (FIFO by insertion; bounded, never a wholesale wipe). A key
+  /// longer than the whole run budget is computed but not stored.
   [[nodiscard]] BinCountBounds count_rle(std::span<const SizeRun> runs);
 
   [[nodiscard]] std::size_t memo_size() const noexcept { return memo_.size(); }
+  /// Runs stored across all memo keys; never exceeds kMemoRunBudget.
+  [[nodiscard]] std::size_t stored_runs() const noexcept { return stored_runs_; }
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
   [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
   /// Total entries evicted over the oracle's lifetime.
@@ -103,6 +120,7 @@ class BinCountOracle {
   std::unordered_map<std::vector<SizeRun>, MemoEntry, SizeRunVectorHash,
                      SizeRunKeyEqual>
       memo_;
+  std::size_t stored_runs_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -33,13 +33,18 @@ struct ExactPackingOptions {
 class MonotonicArena;
 
 /// Search-only entry point for callers that already hold valid bounds:
-/// `sorted_desc` must be non-increasing, `lower` must come from
-/// l2_lower_bound_* and `upper` from min(FFD, BFD) over the same multiset.
-/// Under that contract the result is bit-identical to exact_bin_count (which
-/// recomputes exactly those bounds before searching); the recomputation is
-/// skipped and every working array comes out of `scratch`, so a caller that
-/// resets the arena between snapshots (opt/scratch.hpp) runs the solver
-/// without heap allocations.
+/// `sorted_desc` must be non-increasing, `lower` must be a lower bound on
+/// the optimum (l2_lower_bound_* in the library), and `upper` is the best
+/// upper bound the caller holds: the bin count of a packing it has found
+/// (min(FFD, BFD), or a minimum-bin-slack witness that beats them; see
+/// opt/bin_count.hpp). The search looks only for packings with fewer than
+/// `upper` bins, so exhausting it proves `upper` optimal. With `upper` =
+/// min(FFD, BFD) and `lower` = L2 the result is bit-identical to
+/// exact_bin_count (which recomputes exactly those bounds); a smaller
+/// `upper` searches a subset of that tree, so bounds only tighten. Every
+/// working array comes out of `scratch`, so a caller that resets the arena
+/// between snapshots (opt/scratch.hpp) runs the solver without heap
+/// allocations.
 [[nodiscard]] ExactPackingResult exact_bin_count_bounded(
     std::span<const double> sorted_desc, const CostModel& model, std::size_t lower,
     std::size_t upper, const ExactPackingOptions& options, MonotonicArena& scratch);

@@ -8,6 +8,10 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "opt/classical.hpp"
+#include "opt/exact.hpp"
+#include "opt/lower_bounds.hpp"
+#include "witness_fixtures.hpp"
 #include "workload/rng.hpp"
 
 namespace dbp {
@@ -140,9 +144,10 @@ TEST(BinCountOracleTest, AgreesWithDirectComputation) {
   EXPECT_EQ(via_oracle.upper, direct.upper);
 }
 
-/// The flat optimal_bin_count (the `_sorted` kernels and exact_bin_count)
-/// and the RLE entry point (the `_rle` kernels on a reused scratch) are
-/// independent implementations that must agree exactly.
+/// The flat optimal_bin_count (the `_sorted` kernels and the per-item
+/// witness) and the RLE entry point (the `_rle` kernels and the run-count
+/// witness on a reused scratch) are independent implementations that must
+/// agree exactly.
 void expect_rle_matches_flat(std::vector<double> sizes, const BinCountOptions& options,
                              BinCountScratch& scratch, int round) {
   std::sort(sizes.begin(), sizes.end(), std::greater<>());
@@ -199,6 +204,129 @@ TEST(BinCountRleTest, MatchesFlatWithoutExactSolver) {
     }
     expect_rle_matches_flat(sizes, options, scratch, 30 + round);
   }
+}
+
+using witness_fixtures::witness_only;
+
+TEST(BinCountRleTest, MatchesFlatWithWitnessOnTieHeavyCatalogs) {
+  // Small catalogs with large counts: the flat witness skips equal sizes
+  // item by item, the RLE witness tries each run once per depth, and both
+  // must count the same search nodes and pack the same bins.
+  const CostModel model = unit_model();
+  BinCountOptions bounded_search;
+  bounded_search.exact.node_budget = 20'000;
+  BinCountScratch scratch;
+  Rng rng(29);
+  const std::vector<std::vector<double>> catalogs = {
+      {0.6, 0.35, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05},
+      {0.47, 0.41, 0.31, 0.29, 0.23, 0.17, 0.13, 0.11, 0.07},
+      {0.5, 0.34, 0.33, 0.26, 0.25, 0.24, 0.16}};
+  int round = 0;
+  int gaps = 0;
+  for (const std::vector<double>& catalog : catalogs) {
+    for (int i = 0; i < 20; ++i, ++round) {
+      std::vector<double> sizes;
+      for (const double size : catalog) {
+        sizes.insert(sizes.end(), rng.uniform_int(0, 30), size);
+      }
+      if (sizes.empty()) continue;
+      std::sort(sizes.begin(), sizes.end(), std::greater<>());
+      if (l2_lower_bound_sorted(sizes, model) <
+          std::min(first_fit_decreasing_sorted(sizes, model),
+                   best_fit_decreasing_sorted(sizes, model))) {
+        ++gaps;  // the witness runs on this multiset
+      }
+      expect_rle_matches_flat(sizes, witness_only(), scratch, round);
+      expect_rle_matches_flat(sizes, bounded_search, scratch, round);
+    }
+  }
+  EXPECT_GT(gaps, 10);
+}
+
+TEST(BinCountRleTest, MatchesFlatWhereTheWitnessCapBinds) {
+  const CostModel model = unit_model();
+  BinCountScratch scratch;
+  // The first bin's only exact fill is reached at search node `nodes`. The
+  // opener 0.625 leaves 0.375. Fillers just above 0.1875 — `distinct`
+  // sizes plus one run of `copies` equal ones — each fit alone, one node
+  // per size: no two fit together and nothing fits after one. Then q and
+  // 0.375 - q fill the bin exactly. Every later bin takes five fillers, so
+  // the witness packs 1 + fillers / 5 bins when it reaches the exact fill
+  // and one more when the cap stops it first. min(FFD, BFD) is one more
+  // still, so `upper` shows which: the fill at node kWitnessNodesPerBin
+  // counts, the one a node later does not.
+  const double q = 0.1875 + 1.0 / 1024.0;
+  for (std::uint64_t nodes = kWitnessNodesPerBin - 1; nodes <= kWitnessNodesPerBin + 1;
+       ++nodes) {
+    const std::uint64_t distinct = nodes - 3;
+    const std::uint64_t copies = 5 - distinct % 5;  // fillers: a multiple of 5
+    std::vector<double> sizes{0.625};
+    sizes.insert(sizes.end(), copies,
+                 q + std::ldexp(static_cast<double>(distinct + 1), -20));
+    for (std::uint64_t i = distinct; i >= 1; --i) {
+      sizes.push_back(q + std::ldexp(static_cast<double>(i), -20));
+    }
+    sizes.push_back(q);
+    sizes.push_back(0.375 - q);
+    const std::size_t reached = 1 + (distinct + copies) / 5;
+    const BinCountBounds flat = optimal_bin_count(sizes, model, witness_only());
+    EXPECT_EQ(flat.upper, nodes <= kWitnessNodesPerBin ? reached : reached + 1)
+        << "exact fill at node " << nodes;
+    expect_rle_matches_flat(sizes, witness_only(), scratch, static_cast<int>(nodes));
+  }
+  // Continuous sizes: no fill lands within the tolerance, so every bin with
+  // enough items left ends its search at the cap.
+  Rng rng(31);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<double> sizes;
+    const std::size_t n = 30 + rng.uniform_int(0, 120);
+    for (std::size_t i = 0; i < n; ++i) sizes.push_back(rng.uniform(0.05, 0.5));
+    expect_rle_matches_flat(sizes, witness_only(), scratch, 1000 + round);
+  }
+}
+
+TEST(BinCountWitnessTest, ClosesAGapTheSearchAloneCannot) {
+  const CostModel model = unit_model();
+  const std::vector<double> sizes = witness_fixtures::closes_at_l2();
+  ASSERT_EQ(l2_lower_bound_sorted(sizes, model), 13u);
+  ASSERT_EQ(std::min(first_fit_decreasing_sorted(sizes, model),
+                     best_fit_decreasing_sorted(sizes, model)),
+            14u);
+  // Without the witness, the search starts from [L2, min(FFD, BFD)] and
+  // aborts at its default budget with both bounds where they started.
+  const ExactPackingResult search = exact_bin_count(sizes, model);
+  EXPECT_FALSE(search.proven);
+  EXPECT_EQ(search.lower, 13u);
+  EXPECT_EQ(search.upper, 14u);
+  // With it, the chain returns {L2, L2} without searching: the same answer
+  // under the default budget and under one the search cannot use.
+  BinCountScratch scratch;
+  for (const BinCountOptions& options : {BinCountOptions{}, witness_only()}) {
+    const BinCountBounds flat = optimal_bin_count(sizes, model, options);
+    EXPECT_EQ(flat.lower, 13u);
+    EXPECT_EQ(flat.upper, 13u);
+    const BinCountBounds rle =
+        optimal_bin_count_rle(rle_from_sorted(sizes), model, options, scratch);
+    EXPECT_EQ(rle.lower, 13u);
+    EXPECT_EQ(rle.upper, 13u);
+  }
+  // The stage belongs to the exact solver: without it the bounds stay
+  // L2 and min(FFD, BFD).
+  BinCountOptions heuristics_only;
+  heuristics_only.use_exact_solver = false;
+  const BinCountBounds heuristic = optimal_bin_count(sizes, model, heuristics_only);
+  EXPECT_EQ(heuristic.lower, 13u);
+  EXPECT_EQ(heuristic.upper, 14u);
+}
+
+TEST(BinCountWitnessTest, GapTheWitnessMissesFallsThroughToTheSearch) {
+  const std::vector<double> sizes = witness_fixtures::falls_through();
+  const BinCountBounds witness = optimal_bin_count(sizes, unit_model(), witness_only());
+  EXPECT_EQ(witness.lower, 11u);
+  EXPECT_EQ(witness.upper, 12u);
+  const BinCountBounds searched = optimal_bin_count(sizes, unit_model());
+  EXPECT_EQ(searched.lower, 11u);
+  EXPECT_EQ(searched.upper, 11u);
 }
 
 TEST(BinCountRleTest, RejectsMalformedRuns) {
@@ -266,6 +394,36 @@ TEST(BinCountOracleTest, FifoEvictionCountersPinned) {
   (void)oracle.count_sorted(std::vector<double>(1, 0.25));
   EXPECT_EQ(oracle.hits(), 3u);
   EXPECT_EQ(oracle.misses(), 8u);
+}
+
+TEST(BinCountOracleTest, RunBudgetBoundsStoredKeys) {
+  // Continuous-size keys are ~150 runs long. The entry limit alone would let
+  // the memo hold 2^18 of them; the run budget evicts long before that.
+  constexpr std::size_t kRuns = 150;
+  constexpr std::size_t kKeys = 2 * BinCountOracle::kMemoRunBudget / kRuns;
+  BinCountOptions options;
+  options.use_exact_solver = false;  // the memo is under test, not the search
+  BinCountOracle oracle(unit_model(), options);
+  std::vector<SizeRun> key(kRuns);
+  std::size_t peak_entries = 0;
+  for (std::size_t k = 0; k < kKeys; ++k) {
+    for (std::size_t i = 0; i < kRuns; ++i) {
+      key[i] = SizeRun{0.5 - 0.0025 * static_cast<double>(i) -
+                           1e-9 * static_cast<double>(k),
+                       1};
+    }
+    (void)oracle.count_rle(key);
+    ASSERT_LE(oracle.stored_runs(), BinCountOracle::kMemoRunBudget) << "key " << k;
+    ASSERT_EQ(oracle.stored_runs(), oracle.memo_size() * kRuns) << "key " << k;
+    peak_entries = std::max(peak_entries, oracle.memo_size());
+  }
+  EXPECT_EQ(oracle.misses(), kKeys);
+  EXPECT_GT(oracle.evictions(), 0u);
+  EXPECT_LT(peak_entries, BinCountOracle::kMemoLimit);
+  // FIFO halving, not a wipe: the newest key survives and hits.
+  EXPECT_GT(oracle.memo_size(), BinCountOracle::kMemoRunBudget / kRuns / 4);
+  (void)oracle.count_rle(key);
+  EXPECT_EQ(oracle.hits(), 1u);
 }
 
 TEST(BinCountOracleTest, EvictedEntriesAreRecomputedCorrectly) {

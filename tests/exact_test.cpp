@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <random>
 #include <vector>
 
+#include "opt/bin_count.hpp"
 #include "opt/classical.hpp"
 #include "opt/lower_bounds.hpp"
+#include "witness_fixtures.hpp"
 
 namespace dbp {
 namespace {
@@ -71,6 +75,46 @@ TEST(ExactTest, MatchesBruteForceOnRandomInstances) {
         << "trial " << trial;
     EXPECT_EQ(result.lower, result.upper);
   }
+}
+
+TEST(ExactTest, WitnessBoundsAreSoundAgainstBruteForce) {
+  // The bin-count chain with a 1-node search budget returns the minimum-
+  // bin-slack witness's count as its upper bound whenever that beats
+  // min(FFD, BFD); no bound may pass the true optimum, flat or RLE, and
+  // the full chain must land on it.
+  const CostModel model = unit_model();
+  std::mt19937_64 rng(77);
+  std::uniform_real_distribution<double> size_dist(0.05, 0.7);
+  const BinCountOptions witness_only = witness_fixtures::witness_only();
+  BinCountScratch scratch;
+  int witness_closed = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    std::vector<double> sizes;
+    const std::size_t n = 3 + rng() % 8;  // up to 10 items
+    for (std::size_t i = 0; i < n; ++i) {
+      // Alternate continuous and tie-heavy multisets.
+      sizes.push_back(trial % 2 == 0 ? size_dist(rng)
+                                     : 0.05 * static_cast<double>(1 + rng() % 12));
+    }
+    std::sort(sizes.begin(), sizes.end(), std::greater<>());
+    const std::size_t optimum = brute_force_bins(sizes, model);
+    const BinCountBounds flat = optimal_bin_count(sizes, model, witness_only);
+    const BinCountBounds rle =
+        optimal_bin_count_rle(rle_from_sorted(sizes), model, witness_only, scratch);
+    EXPECT_LE(flat.lower, optimum) << "trial " << trial;
+    EXPECT_GE(flat.upper, optimum) << "trial " << trial;
+    EXPECT_EQ(rle.lower, flat.lower) << "trial " << trial;
+    EXPECT_EQ(rle.upper, flat.upper) << "trial " << trial;
+    const BinCountBounds full = optimal_bin_count(sizes, model);
+    EXPECT_TRUE(full.exact()) << "trial " << trial;
+    EXPECT_EQ(full.upper, optimum) << "trial " << trial;
+    if (flat.upper < std::min(first_fit_decreasing_sorted(sizes, model),
+                              best_fit_decreasing_sorted(sizes, model))) {
+      ++witness_closed;
+    }
+  }
+  // The stage must actually have run and beaten the heuristics.
+  EXPECT_GT(witness_closed, 0);
 }
 
 TEST(ExactTest, BudgetAbortKeepsSoundBounds) {

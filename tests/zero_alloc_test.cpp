@@ -4,8 +4,8 @@
 //   1. the packer event loop — replay_events() after reserve_hint() — runs
 //      without touching the heap for every devirtualized strategy, and
 //   2. the OPT bin-count kernel with a warm BinCountScratch re-evaluates
-//      snapshots allocation-free (the arena/tree/residual buffers are
-//      reused, not reallocated), and
+//      snapshots allocation-free (the arena/tree/residual/witness buffers
+//      are reused, not reallocated), and
 //   3. a live WireServer serves binary submit frames allocation-free once
 //      its connection is open: frames are decoded in place from the
 //      connection's receive buffer.
@@ -44,6 +44,7 @@
 #include "opt/scratch.hpp"
 #include "sim/event.hpp"
 #include "sim/simulator.hpp"
+#include "witness_fixtures.hpp"
 #include "workload/random_instance.hpp"
 
 namespace {
@@ -54,19 +55,28 @@ std::uint64_t allocation_count() {
   return g_allocations.load(std::memory_order_relaxed);
 }
 
-void* counted_allocate(std::size_t size) {
+/// Counted malloc; null on failure. Every operator new form below comes
+/// through here or counted_malloc_aligned, and every operator delete form
+/// releases with free, so allocation and release always pair.
+void* counted_malloc(std::size_t size) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* ptr = std::malloc(size == 0 ? 1 : size)) return ptr;
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* counted_malloc_aligned(std::size_t size, std::size_t alignment) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  // aligned_alloc requires size to be a multiple of the alignment.
+  const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
+  return std::aligned_alloc(alignment, rounded == 0 ? alignment : rounded);
+}
+
+void* counted_allocate(std::size_t size) {
+  if (void* ptr = counted_malloc(size)) return ptr;
   throw std::bad_alloc();
 }
 
 void* counted_allocate_aligned(std::size_t size, std::size_t alignment) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  // aligned_alloc requires size to be a multiple of the alignment.
-  const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
-  if (void* ptr = std::aligned_alloc(alignment, rounded == 0 ? alignment : rounded)) {
-    return ptr;
-  }
+  if (void* ptr = counted_malloc_aligned(size, alignment)) return ptr;
   throw std::bad_alloc();
 }
 
@@ -80,6 +90,23 @@ void* operator new(std::size_t size, std::align_val_t alignment) {
 void* operator new[](std::size_t size, std::align_val_t alignment) {
   return counted_allocate_aligned(size, static_cast<std::size_t>(alignment));
 }
+// The nothrow forms: the standard library asks for temporary buffers this
+// way (std::inplace_merge, std::stable_sort), and releases them through the
+// matching nothrow or plain delete.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t alignment,
+                   const std::nothrow_t&) noexcept {
+  return counted_malloc_aligned(size, static_cast<std::size_t>(alignment));
+}
+void* operator new[](std::size_t size, std::align_val_t alignment,
+                     const std::nothrow_t&) noexcept {
+  return counted_malloc_aligned(size, static_cast<std::size_t>(alignment));
+}
 
 void operator delete(void* ptr) noexcept { std::free(ptr); }
 void operator delete[](void* ptr) noexcept { std::free(ptr); }
@@ -91,6 +118,14 @@ void operator delete(void* ptr, std::size_t, std::align_val_t) noexcept {
   std::free(ptr);
 }
 void operator delete[](void* ptr, std::size_t, std::align_val_t) noexcept {
+  std::free(ptr);
+}
+void operator delete(void* ptr, const std::nothrow_t&) noexcept { std::free(ptr); }
+void operator delete[](void* ptr, const std::nothrow_t&) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(ptr);
+}
+void operator delete[](void* ptr, std::align_val_t, const std::nothrow_t&) noexcept {
   std::free(ptr);
 }
 
@@ -171,6 +206,18 @@ TEST(ZeroAllocScratchTest, WarmBinCountScratchDoesNotAllocate) {
   std::vector<std::vector<SizeRun>> snapshots;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     snapshots.push_back(sample_runs(seed, 400 * static_cast<std::size_t>(seed)));
+  }
+  // One gap the minimum-bin-slack witness closes at L2 and one it falls
+  // short on, which goes on to branch-and-bound. A 1-node search budget
+  // shows which is which: only the witness can close a gap under it.
+  for (const bool closes : {true, false}) {
+    std::vector<SizeRun> runs = rle_from_sorted(
+        closes ? witness_fixtures::closes_at_l2() : witness_fixtures::falls_through());
+    BinCountScratch probe;
+    ASSERT_EQ(optimal_bin_count_rle(runs, model, witness_fixtures::witness_only(), probe)
+                  .exact(),
+              closes);
+    snapshots.push_back(std::move(runs));
   }
 
   // Warm-up pass: the arena grows its chunks, the FFD tree and BFD residual

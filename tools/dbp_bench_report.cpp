@@ -194,6 +194,7 @@ void append_opt_total_cases(std::vector<BenchCase>& cases,
   }
   std::vector<std::string> fast_extras = {
       "\"segments\": " + std::to_string(fast.segments),
+      "\"exact_segments\": " + std::to_string(fast.exact_segments),
       "\"distinct_snapshots\": " + std::to_string(fast.distinct_snapshots),
       "\"dedup_hits\": " + std::to_string(fast.dedup_hits),
       "\"speedup_vs_reference\": " + json_number(ref_ms / fast_ms)};

@@ -15,6 +15,7 @@ BinId BinManager::open_bin(Time t) {
   const BinId id = static_cast<BinId>(bins_.size());
   bins_.push_back(BinState{CompensatedSum{}, 0, kNoItem, true});
   usage_.push_back(BinUsageRecord{id, t, kTimeInfinity});
+  link_open(id);
   ++open_count_;
   if (obs::RunTracer* tracer = obs::tracer()) {
     obs::TraceRecord record;
@@ -31,11 +32,32 @@ BinId BinManager::open_bin(Time t) {
   return id;
 }
 
+void BinManager::link_open(BinId bin) {
+  bins_[static_cast<std::size_t>(bin)].prev_open = last_open_;
+  if (last_open_ != kNoBin) {
+    bins_[static_cast<std::size_t>(last_open_)].next_open = bin;
+  } else {
+    first_open_ = bin;
+  }
+  last_open_ = bin;
+}
+
 void BinManager::close_emptied_bin(BinId bin, Time t) {
   BinState& state = bins_[static_cast<std::size_t>(bin)];
   DBP_CHECK(state.head == kNoItem, "empty bin with a non-empty resident list");
   state.level.reset();  // exact zero: no drift survives a bin closure
   state.open = false;
+  // Unlink from the open-bin list.
+  if (state.prev_open != kNoBin) {
+    bins_[static_cast<std::size_t>(state.prev_open)].next_open = state.next_open;
+  } else {
+    first_open_ = state.next_open;
+  }
+  if (state.next_open != kNoBin) {
+    bins_[static_cast<std::size_t>(state.next_open)].prev_open = state.prev_open;
+  } else {
+    last_open_ = state.prev_open;
+  }
   usage_[static_cast<std::size_t>(bin)].closed = t;
   --open_count_;
   if (obs::RunTracer* tracer = obs::tracer()) {
@@ -79,13 +101,9 @@ std::vector<BinId> BinManager::assignment_history() const {
 }
 
 std::vector<ItemId> BinManager::items_in(BinId bin) const {
-  const BinState& state = state_of(bin);
   std::vector<ItemId> result;
-  result.reserve(state.item_count);
-  for (ItemId id = state.head; id != kNoItem;
-       id = items_[static_cast<std::size_t>(id)].next) {
-    result.push_back(id);
-  }
+  result.reserve(state_of(bin).item_count);
+  for_each_resident(bin, [&result](ItemId id, double) { result.push_back(id); });
   std::sort(result.begin(), result.end());
   return result;
 }
@@ -138,9 +156,12 @@ void BinManager::restore_state(ByteReader& in) {
     if (state.open != !record.is_closed()) {
       throw CorruptionError("bin open flag disagrees with its usage record");
     }
-    if (state.open) ++open_count_;
     bins_.push_back(state);
     usage_.push_back(record);
+    if (state.open) {
+      link_open(static_cast<BinId>(i));
+      ++open_count_;
+    }
   }
   const std::uint64_t item_count = in.u64();
   items_.reserve(item_count);
@@ -197,6 +218,8 @@ void BinManager::reset() {
   bins_.clear();
   usage_.clear();
   items_.clear();
+  first_open_ = kNoBin;
+  last_open_ = kNoBin;
   open_count_ = 0;
   active_count_ = 0;
 }
@@ -259,6 +282,22 @@ void BinManager::audit() const {
   }
   DBP_AUDIT_CHECK(open_census == open_count_,
                   "open-bin count disagrees with the census of open bins");
+  // The open-bin list: strictly ascending (so no bin twice and no cycle),
+  // only open bins, back links that match, and one entry per open bin.
+  std::size_t listed = 0;
+  BinId prev = kNoBin;
+  for (BinId bin = first_open_; bin != kNoBin;
+       bin = bins_[static_cast<std::size_t>(bin)].next_open) {
+    DBP_AUDIT_CHECK(bin < bins_.size() && (prev == kNoBin || bin > prev),
+                    "open-bin list is not ascending within the bin table");
+    const BinState& state = bins_[static_cast<std::size_t>(bin)];
+    DBP_AUDIT_CHECK(state.open && state.prev_open == prev,
+                    "open-bin list holds a closed bin or a wrong back link");
+    prev = bin;
+    ++listed;
+  }
+  DBP_AUDIT_CHECK(prev == last_open_ && listed == open_count_,
+                  "open-bin list disagrees with its tail or the open-bin count");
   DBP_AUDIT_CHECK(resident_census == active_count_,
                   "active-item count disagrees with the per-bin item counts");
   std::size_t active_slots = 0;

@@ -9,7 +9,9 @@
 // Instance assigns them sequentially), so per-item state lives in vectors
 // indexed by ItemId and each bin's residents form an intrusive doubly-linked
 // list through those slots. place/remove are O(1) plus the compensated level
-// update — no hashing in the packer event loop.
+// update — no hashing in the packer event loop. The item slots are the only
+// record of the resident items and their sizes (the gaming dispatcher's
+// sessions). The open bins form a second intrusive list, in opening order.
 #pragma once
 
 #include <optional>
@@ -55,10 +57,11 @@ class BinManager {
   BinId open_bin(Time t);
 
   /// Places an arriving item into `bin`. Throws PreconditionError when the
-  /// bin is closed, the item does not fit (beyond tolerance), or the item id
-  /// is already present. Defined inline below: place/remove run once per
-  /// event inside the devirtualized replay loop, and out-of-line they cost
-  /// a call (plus a call to the no-op audit hook) per event.
+  /// item id is kNoItem (the list terminator), the bin is closed, the item
+  /// does not fit (beyond tolerance), or the item id is already present.
+  /// Defined inline below: place/remove run once per event inside the
+  /// devirtualized replay loop, and out-of-line they cost a call (plus a
+  /// call to the no-op audit hook) per event.
   void place(const ArrivingItem& item, BinId bin);
 
   /// Removes a previously placed item at time `t`; closes the bin when it
@@ -99,12 +102,31 @@ class BinManager {
   [[nodiscard]] std::vector<BinId> open_bins() const;
 
   /// Calls `visit(bin)` for the same ids in the same order without
-  /// allocating, for checks that run on every event.
+  /// allocating, for checks that run on every event. O(open bins).
   template <typename Visit>
   void for_each_open_bin(Visit&& visit) const {
-    for (std::size_t i = 0; i < bins_.size(); ++i) {
-      if (bins_[i].open) visit(static_cast<BinId>(i));
+    for (BinId bin = first_open_; bin != kNoBin;
+         bin = bins_[static_cast<std::size_t>(bin)].next_open) {
+      visit(bin);
     }
+  }
+
+  /// Calls `visit(item, size)` for every resident of `bin`, in resident-list
+  /// order, without allocating.
+  template <typename Visit>
+  void for_each_resident(BinId bin, Visit&& visit) const {
+    for (ItemId id = state_of(bin).head; id != kNoItem;
+         id = items_[static_cast<std::size_t>(id)].next) {
+      visit(id, items_[static_cast<std::size_t>(id)].size);
+    }
+  }
+
+  /// The size of `item` while it is resident; std::nullopt for any other
+  /// id, including ids this manager never saw. Never grows the item table.
+  [[nodiscard]] std::optional<double> active_size(ItemId item) const noexcept {
+    const auto index = static_cast<std::size_t>(item);
+    if (index >= items_.size() || !items_[index].active) return std::nullopt;
+    return items_[index].size;
   }
 
   /// The bin an item was assigned to, including items that already departed.
@@ -142,8 +164,9 @@ class BinManager {
 
   /// Deep structural audit: every open bin's level equals the sum of its
   /// residents (within fit tolerance), levels respect W, the open-bin count
-  /// matches a census of open bins, intrusive resident lists are doubly
-  /// linked consistently, and the active-item count matches the per-bin item
+  /// matches a census of open bins, the open-bin list holds each open bin
+  /// once in ascending order, intrusive resident lists are doubly linked
+  /// consistently, and the active-item count matches the per-bin item
   /// counts. Throws InvariantError on violation. Compiled to a no-op unless
   /// the build defines DBP_AUDIT (core/audit.hpp); place/remove additionally
   /// audit the touched bin on every call in audit builds.
@@ -155,6 +178,8 @@ class BinManager {
     std::size_t item_count = 0;
     ItemId head = kNoItem;  ///< first resident of the intrusive item list
     bool open = false;
+    BinId prev_open = kNoBin;  ///< open-bin list links (open bins only)
+    BinId next_open = kNoBin;
   };
 
   /// Per-item slot, indexed by ItemId. `bin` persists after departure (the
@@ -172,8 +197,12 @@ class BinManager {
     return bins_[static_cast<std::size_t>(bin)];
   }
 
+  /// Appends the newest bin to the open-bin list; its id is the largest.
+  void link_open(BinId bin);
+
   /// Cold half of remove(): closes a bin whose last resident just departed
-  /// (resets the level exactly, stamps the usage record, traces).
+  /// (resets the level exactly, unlinks it from the open-bin list, stamps
+  /// the usage record, traces).
   void close_emptied_bin(BinId bin, Time t);
 
   /// Audits one bin's resident list against its cached level/item count
@@ -184,6 +213,8 @@ class BinManager {
   std::vector<BinState> bins_;         // by BinId
   std::vector<BinUsageRecord> usage_;  // by BinId
   std::vector<ItemSlot> items_;        // by ItemId (dense)
+  BinId first_open_ = kNoBin;  // open-bin list, ascending
+  BinId last_open_ = kNoBin;
   std::size_t open_count_ = 0;
   std::size_t active_count_ = 0;
 };
@@ -196,6 +227,7 @@ class BinManager {
 // ------------------------------------------------------------------------
 
 inline void BinManager::place(const ArrivingItem& item, BinId bin) {
+  DBP_REQUIRE(item.id != kNoItem, "item id 2^64-1 is reserved (kNoItem)");
   DBP_REQUIRE(bin < bins_.size(), "unknown bin id");
   BinState& state = bins_[static_cast<std::size_t>(bin)];
   DBP_REQUIRE(state.open, "cannot place into a closed bin");

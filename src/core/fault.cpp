@@ -28,6 +28,20 @@ const char* to_string(AnomalyKind kind) noexcept {
   return "unknown";
 }
 
+const char* to_string(DispatchErrorKind kind) noexcept {
+  switch (kind) {
+    case DispatchErrorKind::kDuplicateStart: return "duplicate-start";
+    case DispatchErrorKind::kUnknownSession: return "unknown-session";
+    case DispatchErrorKind::kTimeOrderViolation: return "time-order-violation";
+    case DispatchErrorKind::kInvalidSize: return "invalid-size";
+    case DispatchErrorKind::kUnknownServer: return "unknown-server";
+    case DispatchErrorKind::kRentalFailed: return "rental-failed";
+    case DispatchErrorKind::kFleetCapExceeded: return "fleet-cap-exceeded";
+    case DispatchErrorKind::kInvalidSessionId: return "invalid-session-id";
+  }
+  return "unknown";
+}
+
 void FaultPlan::validate() const {
   Time previous = -kTimeInfinity;
   for (const CrashFault& crash : crashes) {

@@ -1,13 +1,16 @@
 // Deterministic fault vocabulary for chaos experiments: seeded, reproducible
-// schedules of bin crashes and event-stream anomalies (docs/fault_model.md).
+// schedules of bin crashes and event-stream anomalies, and the one admission
+// check that refuses anomalous events (docs/fault_model.md).
 //
 // A FaultPlan is algorithm-independent: crash *targets* are selection
 // policies ("the fullest open bin") resolved against the packer's live bin
 // state at injection time, so one plan is comparable across algorithms.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/types.hpp"
@@ -83,5 +86,52 @@ struct FaultPlan {
 
   friend bool operator==(const FaultPlan&, const FaultPlan&) = default;
 };
+
+/// Why an event or a session was refused. GameServerDispatcher and
+/// simulate_faulted share this vocabulary; trace labels and the
+/// dispatcher.rejected.* metric names are its to_string() strings.
+enum class DispatchErrorKind : std::uint8_t {
+  kDuplicateStart,     ///< start_session with an already-active session id
+  kUnknownSession,     ///< end_session with an id that was never started
+  kTimeOrderViolation, ///< event timestamped before an earlier event
+  kInvalidSize,        ///< NaN / non-positive / over-capacity GPU fraction
+  kUnknownServer,      ///< fail_server on an id that is not an active server
+  kRentalFailed,       ///< every rental attempt failed (provider outage)
+  kFleetCapExceeded,   ///< fleet cap hit and shedding could not make room
+  kInvalidSessionId,   ///< start with kNoItem (2^64 - 1), the packer's sentinel
+};
+
+[[nodiscard]] const char* to_string(DispatchErrorKind kind) noexcept;
+
+// The admission check: the first rule an event breaks, in the order clock,
+// size, id, membership, or std::nullopt to admit it. `clock` is the time of
+// the last accepted event; `active` says whether the event's id is resident.
+
+/// The clock rule (fail_server's too): `t` is finite and not before `clock`.
+[[nodiscard]] inline bool breaks_clock(Time clock, Time t) noexcept {
+  return !std::isfinite(t) || t < clock;
+}
+
+/// A start needs a finite positive size that fits an empty bin of `model`
+/// and an id that is neither kNoItem nor active.
+[[nodiscard]] inline std::optional<DispatchErrorKind> check_start(
+    Time clock, ItemId id, double size, Time t, const CostModel& model,
+    bool active) noexcept {
+  if (breaks_clock(clock, t)) return DispatchErrorKind::kTimeOrderViolation;
+  if (!std::isfinite(size) || size <= 0.0 || !model.fits(size, model.bin_capacity)) {
+    return DispatchErrorKind::kInvalidSize;
+  }
+  if (id == kNoItem) return DispatchErrorKind::kInvalidSessionId;
+  if (active) return DispatchErrorKind::kDuplicateStart;
+  return std::nullopt;
+}
+
+/// An end needs an active id.
+[[nodiscard]] inline std::optional<DispatchErrorKind> check_end(
+    Time clock, Time t, bool active) noexcept {
+  if (breaks_clock(clock, t)) return DispatchErrorKind::kTimeOrderViolation;
+  if (!active) return DispatchErrorKind::kUnknownSession;
+  return std::nullopt;
+}
 
 }  // namespace dbp

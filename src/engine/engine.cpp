@@ -322,6 +322,7 @@ DispatcherFaultStats ShardedDispatchEngine::merged_fault_stats() const {
     merged.unknown_servers += stats.unknown_servers;
     merged.time_order_violations += stats.time_order_violations;
     merged.invalid_sizes += stats.invalid_sizes;
+    merged.invalid_session_ids += stats.invalid_session_ids;
     merged.rental_attempts_failed += stats.rental_attempts_failed;
     merged.sessions_rejected_rental += stats.sessions_rejected_rental;
     merged.sessions_rejected_cap += stats.sessions_rejected_cap;

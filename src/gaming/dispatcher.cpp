@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <optional>
 #include <utility>
 
 #include "core/error.hpp"
@@ -29,7 +30,7 @@ GameServerDispatcher::GameServerDispatcher(ServerSpec spec,
   packer_ = make_packer(algorithm, spec.to_cost_model(), options);
 }
 
-bool GameServerDispatcher::reject(DispatchErrorKind kind, std::uint64_t& counter,
+void GameServerDispatcher::reject(DispatchErrorKind kind, std::uint64_t& counter,
                                   const std::string& message) {
   ++counter;
   if (obs::RunTracer* tracer = obs::tracer()) {
@@ -45,7 +46,6 @@ bool GameServerDispatcher::reject(DispatchErrorKind kind, std::uint64_t& counter
   if (policy_.on_anomaly == FaultPolicy::AnomalyAction::kThrow) {
     throw DispatchError(kind, message);
   }
-  return false;
 }
 
 bool GameServerDispatcher::fits_open_server(double gpu_fraction) const {
@@ -66,21 +66,19 @@ void GameServerDispatcher::shed_for(double gpu_fraction, Time now_minutes) {
     bool found = false;
     std::uint64_t victim = 0;
     double victim_size = 0.0;
-    for (const BinId bin : bins.open_bins()) {
-      for (const ItemId session : bins.items_in(bin)) {
-        const double size = sessions_.at(session);
-        if (size >= gpu_fraction) continue;
+    bins.for_each_open_bin([&](BinId bin) {
+      bins.for_each_resident(bin, [&](ItemId session, double size) {
+        if (size >= gpu_fraction) return;
         if (!found || size < victim_size ||
             (size == victim_size && session < victim)) {
           found = true;
           victim = session;
           victim_size = size;
         }
-      }
-    }
+      });
+    });
     if (!found) return;  // nothing smaller left to sacrifice
     packer_->on_departure(victim, now_minutes);
-    sessions_.erase(victim);
     ++stats_.sessions_shed;
     if (obs::RunTracer* tracer = obs::tracer()) {
       obs::TraceRecord record;
@@ -145,7 +143,6 @@ BinId GameServerDispatcher::place_session(std::uint64_t session_id,
   }
   const BinId server =
       packer_->on_arrival(ArrivingItem{session_id, now_minutes, gpu_fraction});
-  sessions_[session_id] = gpu_fraction;
   if (obs::MetricsRegistry* metrics = obs::metrics()) {
     metrics->counter("dispatcher.sessions_placed").add();
   }
@@ -154,72 +151,68 @@ BinId GameServerDispatcher::place_session(std::uint64_t session_id,
 
 BinId GameServerDispatcher::start_session(std::uint64_t session_id,
                                           double gpu_fraction, Time now_minutes) {
-  if (!std::isfinite(now_minutes) || now_minutes < last_event_time_) {
-    if (!reject(DispatchErrorKind::kTimeOrderViolation,
-                stats_.time_order_violations,
-                strfmt("session %llu: start at t=%g violates the "
-                       "non-decreasing-time contract (clock at t=%g)",
-                       static_cast<unsigned long long>(session_id), now_minutes,
-                       last_event_time_))) {
-      return kNoServer;
+  const BinManager& bins = packer_->bins();
+  if (const std::optional<DispatchErrorKind> refusal =
+          check_start(last_event_time_, session_id, gpu_fraction, now_minutes,
+                      bins.model(), bins.active_size(session_id).has_value())) {
+    const auto id = static_cast<unsigned long long>(session_id);
+    switch (*refusal) {
+      case DispatchErrorKind::kTimeOrderViolation:
+        reject(*refusal, stats_.time_order_violations,
+               strfmt("session %llu: start at t=%g violates the "
+                      "non-decreasing-time contract (clock at t=%g)",
+                      id, now_minutes, last_event_time_));
+        break;
+      case DispatchErrorKind::kInvalidSize:
+        reject(*refusal, stats_.invalid_sizes,
+               strfmt("session %llu: invalid GPU fraction %g (capacity %g)", id,
+                      gpu_fraction, spec_.gpu_capacity));
+        break;
+      case DispatchErrorKind::kInvalidSessionId:
+        reject(*refusal, stats_.invalid_session_ids,
+               strfmt("session %llu is reserved: invalid session id", id));
+        break;
+      default:
+        reject(*refusal, stats_.duplicate_starts,
+               strfmt("session %llu is already active: duplicate start_session", id));
     }
-  }
-  if (!std::isfinite(gpu_fraction) || gpu_fraction <= 0.0 ||
-      !packer_->model().fits(gpu_fraction, spec_.gpu_capacity)) {
-    if (!reject(DispatchErrorKind::kInvalidSize, stats_.invalid_sizes,
-                strfmt("session %llu: invalid GPU fraction %g (capacity %g)",
-                       static_cast<unsigned long long>(session_id), gpu_fraction,
-                       spec_.gpu_capacity))) {
-      return kNoServer;
-    }
-  }
-  if (sessions_.contains(session_id)) {
-    if (!reject(DispatchErrorKind::kDuplicateStart, stats_.duplicate_starts,
-                strfmt("session %llu is already active: duplicate start_session",
-                       static_cast<unsigned long long>(session_id)))) {
-      return kNoServer;
-    }
+    return kNoServer;
   }
   last_event_time_ = now_minutes;
   return place_session(session_id, gpu_fraction, now_minutes);
 }
 
 void GameServerDispatcher::end_session(std::uint64_t session_id, Time now_minutes) {
-  if (!std::isfinite(now_minutes) || now_minutes < last_event_time_) {
-    if (!reject(DispatchErrorKind::kTimeOrderViolation,
-                stats_.time_order_violations,
-                strfmt("session %llu: end at t=%g violates the "
-                       "non-decreasing-time contract (clock at t=%g)",
-                       static_cast<unsigned long long>(session_id), now_minutes,
-                       last_event_time_))) {
-      return;
+  if (const std::optional<DispatchErrorKind> refusal =
+          check_end(last_event_time_, now_minutes,
+                    packer_->bins().active_size(session_id).has_value())) {
+    const auto id = static_cast<unsigned long long>(session_id);
+    if (*refusal == DispatchErrorKind::kTimeOrderViolation) {
+      reject(*refusal, stats_.time_order_violations,
+             strfmt("session %llu: end at t=%g violates the "
+                    "non-decreasing-time contract (clock at t=%g)",
+                    id, now_minutes, last_event_time_));
+    } else {
+      reject(*refusal, stats_.unknown_ends,
+             strfmt("session %llu is not active: unknown end_session", id));
     }
-  }
-  auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) {
-    reject(DispatchErrorKind::kUnknownSession, stats_.unknown_ends,
-           strfmt("session %llu is not active: unknown end_session",
-                  static_cast<unsigned long long>(session_id)));
     return;
   }
   last_event_time_ = now_minutes;
   packer_->on_departure(session_id, now_minutes);
-  sessions_.erase(it);
   if (obs::MetricsRegistry* metrics = obs::metrics()) {
     metrics->counter("dispatcher.sessions_ended").add();
   }
 }
 
 std::size_t GameServerDispatcher::fail_server(BinId server, Time now_minutes) {
-  if (!std::isfinite(now_minutes) || now_minutes < last_event_time_) {
-    if (!reject(DispatchErrorKind::kTimeOrderViolation,
-                stats_.time_order_violations,
-                strfmt("fail_server(%llu) at t=%g violates the "
-                       "non-decreasing-time contract (clock at t=%g)",
-                       static_cast<unsigned long long>(server), now_minutes,
-                       last_event_time_))) {
-      return 0;
-    }
+  if (breaks_clock(last_event_time_, now_minutes)) {
+    reject(DispatchErrorKind::kTimeOrderViolation, stats_.time_order_violations,
+           strfmt("fail_server(%llu) at t=%g violates the "
+                  "non-decreasing-time contract (clock at t=%g)",
+                  static_cast<unsigned long long>(server), now_minutes,
+                  last_event_time_));
+    return 0;
   }
   const BinManager& bins = packer_->bins();
   if (server >= bins.total_bins_opened() || !bins.is_open(server)) {
@@ -230,8 +223,13 @@ std::size_t GameServerDispatcher::fail_server(BinId server, Time now_minutes) {
   }
   last_event_time_ = now_minutes;
   // The crash ends the rental now: every resident session departs, which
-  // closes the server's usage record at the crash time.
-  const std::vector<ItemId> orphans = bins.items_in(server);
+  // closes the server's usage record at the crash time. Each orphan's size
+  // is read first, while it is still resident.
+  std::vector<std::pair<ItemId, double>> orphans;
+  bins.for_each_resident(server, [&](ItemId session, double size) {
+    orphans.emplace_back(session, size);
+  });
+  std::sort(orphans.begin(), orphans.end());
   if (obs::RunTracer* tracer = obs::tracer()) {
     obs::TraceRecord record;
     record.time = now_minutes;
@@ -240,7 +238,7 @@ std::size_t GameServerDispatcher::fail_server(BinId server, Time now_minutes) {
     record.count = orphans.size();
     tracer->record(std::move(record));
   }
-  for (const ItemId session : orphans) {
+  for (const auto& [session, size] : orphans) {
     packer_->on_departure(session, now_minutes);
   }
   ++stats_.servers_crashed;
@@ -254,13 +252,11 @@ std::size_t GameServerDispatcher::fail_server(BinId server, Time now_minutes) {
   const FaultPolicy::AnomalyAction saved = policy_.on_anomaly;
   policy_.on_anomaly = FaultPolicy::AnomalyAction::kDropAndCount;
   std::size_t redispatched = 0;
-  for (const ItemId session : orphans) {
-    const double size = sessions_.at(session);
+  for (const auto& [session, size] : orphans) {
     if (place_session(session, size, now_minutes) != kNoServer) {
       ++redispatched;
       ++stats_.sessions_redispatched;
     } else {
-      sessions_.erase(session);
       ++stats_.sessions_lost_on_crash;
     }
   }
@@ -279,21 +275,11 @@ void GameServerDispatcher::save_state(ByteWriter& out) const {
   out.u64(policy_.max_fleet_servers);
   out.u64(policy_.seed);
   packer_->save_snapshot(out);
-  std::vector<std::pair<std::uint64_t, double>> sessions(sessions_.begin(),
-                                                         sessions_.end());
-  std::sort(sessions.begin(), sessions.end());
-  out.u64(sessions.size());
-  for (const auto& [id, size] : sessions) {
-    out.u64(id);
-    out.f64(size);
-  }
   // RLE size-multiset cross-check (opt/rle.hpp): a compact semantic summary
-  // of the active load, validated independently of the packer bytes on
-  // restore so a checkpoint whose halves disagree is rejected, not trusted.
-  std::vector<double> sizes;
-  sizes.reserve(sessions.size());
-  for (const auto& [id, size] : sessions) sizes.push_back(size);
-  std::sort(sizes.begin(), sizes.end(), std::greater<>());
+  // of the packer's residents. Restore re-derives it from the restored
+  // packer and refuses a checkpoint whose two halves disagree.
+  std::vector<double> sizes(active_sessions());
+  active_sizes_desc(sizes);
   const std::vector<SizeRun> runs = rle_from_sorted(sizes);
   out.u64(runs.size());
   for (const SizeRun& run : runs) {
@@ -305,6 +291,7 @@ void GameServerDispatcher::save_state(ByteWriter& out) const {
   out.u64(stats_.unknown_servers);
   out.u64(stats_.time_order_violations);
   out.u64(stats_.invalid_sizes);
+  out.u64(stats_.invalid_session_ids);
   out.u64(stats_.rental_attempts_failed);
   out.u64(stats_.sessions_rejected_rental);
   out.u64(stats_.sessions_rejected_cap);
@@ -335,34 +322,10 @@ void GameServerDispatcher::restore_state(ByteReader& in) {
     throw CorruptionError("checkpoint fault policy differs from this dispatcher's");
   }
   packer_->restore_snapshot(in);
-  sessions_.clear();
-  const std::uint64_t session_count = in.u64();
-  for (std::uint64_t i = 0; i < session_count; ++i) {
-    const std::uint64_t id = in.u64();
-    const double size = in.f64();
-    if (!sessions_.emplace(id, size).second) {
-      throw CorruptionError("checkpoint session table repeats an id");
-    }
-  }
-  // The session table must exactly cover the packer's resident items.
-  const BinManager& bins = packer_->bins();
-  if (session_count != bins.active_item_count()) {
-    throw CorruptionError("session census disagrees with the packer's residents");
-  }
-  std::vector<double> active_sizes;
-  active_sizes.reserve(session_count);
-  for (const BinId bin : bins.open_bins()) {
-    for (const ItemId item : bins.items_in(bin)) {
-      const auto it = sessions_.find(item);
-      if (it == sessions_.end()) {
-        throw CorruptionError("packer resident missing from the session table");
-      }
-      active_sizes.push_back(it->second);
-    }
-  }
-  // Recompute the RLE active-size multiset from the restored state and
+  // Recompute the RLE active-size multiset from the restored packer and
   // require it to match the persisted runs bit-for-bit.
-  std::sort(active_sizes.begin(), active_sizes.end(), std::greater<>());
+  std::vector<double> active_sizes(active_sessions());
+  active_sizes_desc(active_sizes);
   const std::vector<SizeRun> recomputed = rle_from_sorted(active_sizes);
   rle_validate(recomputed, packer_->model());
   const std::uint64_t run_count = in.u64();
@@ -379,6 +342,7 @@ void GameServerDispatcher::restore_state(ByteReader& in) {
   stats_.unknown_servers = in.u64();
   stats_.time_order_violations = in.u64();
   stats_.invalid_sizes = in.u64();
+  stats_.invalid_session_ids = in.u64();
   stats_.rental_attempts_failed = in.u64();
   stats_.sessions_rejected_rental = in.u64();
   stats_.sessions_rejected_cap = in.u64();
@@ -404,12 +368,13 @@ std::size_t GameServerDispatcher::active_sessions() const {
 }
 
 void GameServerDispatcher::active_sizes_desc(std::span<double> out) const {
-  DBP_REQUIRE(out.size() == sessions_.size(),
+  const BinManager& bins = packer_->bins();
+  DBP_REQUIRE(out.size() == bins.active_item_count(),
               "active_sizes_desc span must cover exactly the active sessions");
   std::size_t i = 0;
-  // Collection order is the map's (arbitrary); the sort below makes the
-  // result independent of it.
-  for (const auto& [id, size] : sessions_) out[i++] = size;
+  bins.for_each_open_bin([&](BinId bin) {
+    bins.for_each_resident(bin, [&](ItemId, double size) { out[i++] = size; });
+  });
   std::sort(out.begin(), out.end(), std::greater<>());
 }
 
@@ -464,13 +429,10 @@ BinId RegionalDispatcher::start_session(const std::string& region,
                                         std::uint64_t session_id,
                                         double gpu_fraction, Time now_minutes) {
   // Validate before any state mutation, and reject with the same typed
-  // DispatchError contract GameServerDispatcher documents. The historical
-  // order — create the fleet, record the session->fleet mapping, then
-  // dispatch — leaked an empty fleet on a duplicate start and left a stale
-  // session_fleet_ entry behind when the inner dispatch threw (invalid
-  // size, time travel), after which end_session on the never-started id
-  // would corrupt the bookkeeping instead of rejecting it.
-  if (session_fleet_.contains(session_id)) {
+  // DispatchError contract GameServerDispatcher documents. The duplicate
+  // check asks every fleet before a new region's fleet is created, so a
+  // duplicate start leaks no empty fleet.
+  if (fleet_of(session_id) != nullptr) {
     throw DispatchError(
         DispatchErrorKind::kDuplicateStart,
         strfmt("session %llu is already active in a regional fleet: "
@@ -486,28 +448,31 @@ BinId RegionalDispatcher::start_session(const std::string& region,
   } else {
     fleet = it->second.get();
   }
-  // May throw; a freshly created fleet is then discarded untouched and no
-  // mapping has been recorded yet.
+  // May throw; a freshly created fleet is then discarded untouched.
   const BinId server = fleet->start_session(session_id, gpu_fraction, now_minutes);
   if (server == kNoServer) return kNoServer;  // dropped under kDropAndCount
   if (created) fleets_.emplace(region, std::move(created));
-  session_fleet_[session_id] = fleet;
   return server;
 }
 
 void RegionalDispatcher::end_session(std::uint64_t session_id, Time now_minutes) {
-  auto it = session_fleet_.find(session_id);
-  if (it == session_fleet_.end()) {
+  GameServerDispatcher* fleet = fleet_of(session_id);
+  if (fleet == nullptr) {
     throw DispatchError(
         DispatchErrorKind::kUnknownSession,
         strfmt("session %llu is not active in any regional fleet: "
                "unknown end_session",
                static_cast<unsigned long long>(session_id)));
   }
-  // A throwing end (time-order violation) leaves the mapping in place: the
-  // session is still active in its fleet.
-  it->second->end_session(session_id, now_minutes);
-  session_fleet_.erase(it);
+  fleet->end_session(session_id, now_minutes);
+}
+
+GameServerDispatcher* RegionalDispatcher::fleet_of(std::uint64_t session_id) const {
+  for (const std::string& region : regions()) {
+    GameServerDispatcher* fleet = fleets_.at(region).get();
+    if (fleet->bins().active_size(session_id)) return fleet;
+  }
+  return nullptr;
 }
 
 std::size_t RegionalDispatcher::active_servers() const {

@@ -36,8 +36,9 @@ struct ServerSpec {
 /// it maintains the rented server fleet via the chosen packing algorithm.
 ///
 /// Anomalous events (duplicate starts, unknown ends, time travel, invalid
-/// sizes) are rejected up front with a typed DispatchError — before any
-/// packing state changes — or counted and dropped, per the FaultPolicy.
+/// sizes, the reserved id 2^64-1) are rejected up front by the admission
+/// check in core/fault.hpp with a typed DispatchError — before any packing
+/// state changes — or counted and dropped, per the FaultPolicy.
 class GameServerDispatcher {
  public:
   /// `algorithm` is any algo/factory.hpp name; "first-fit" and
@@ -104,11 +105,11 @@ class GameServerDispatcher {
     return packer_->snapshot_supported();
   }
 
-  /// Serializes the complete dispatcher state: packer snapshot, active
-  /// session table, fault statistics (including the retry/backoff
-  /// accumulators), the rental RNG *position*, and the event clock — plus an
-  /// RLE size-multiset cross-check of the active sessions. Requires
-  /// snapshot_supported().
+  /// Serializes the complete dispatcher state: packer snapshot (whose item
+  /// slots are the active sessions), fault statistics (including the
+  /// retry/backoff accumulators), the rental RNG *position*, and the event
+  /// clock — plus an RLE size-multiset cross-check of the active sessions.
+  /// Requires snapshot_supported().
   void save_state(ByteWriter& out) const;
 
   /// Restores save_state() bytes into a dispatcher freshly constructed with
@@ -118,9 +119,9 @@ class GameServerDispatcher {
   void restore_state(ByteReader& in);
 
  private:
-  /// Validation failure: throws DispatchError (kThrow) or bumps `counter`
-  /// and returns false (kDropAndCount).
-  bool reject(DispatchErrorKind kind, std::uint64_t& counter,
+  /// Refusal: bumps `counter`, then throws DispatchError (kThrow) or
+  /// returns (kDropAndCount).
+  void reject(DispatchErrorKind kind, std::uint64_t& counter,
               const std::string& message);
   /// Capacity gate + placement shared by start_session and fail_server
   /// re-dispatch. Returns the server, or kNoServer when rejected.
@@ -136,12 +137,8 @@ class GameServerDispatcher {
   std::string algorithm_;
   FaultPolicy policy_;
   DispatcherFaultStats stats_;
+  /// The packer's item slots are the active sessions and their sizes.
   std::unique_ptr<Packer> packer_;
-  /// Active session sizes — needed for crash re-dispatch and shedding.
-  // DBP_LINT_ALLOW(unordered-container): point lookups by session id only;
-  // crash re-dispatch and shedding candidates come from the BinManager's
-  // sorted items_in()/open_bins(), never from iterating this map.
-  std::unordered_map<std::uint64_t, double> sessions_;
   Rng rental_rng_;
   Time last_event_time_ = -kTimeInfinity;
 };
@@ -188,6 +185,10 @@ class RegionalDispatcher {
   [[nodiscard]] std::vector<std::string> regions() const;
 
  private:
+  /// The fleet whose servers host `session_id` (asked in regions() order),
+  /// or nullptr when no fleet does.
+  [[nodiscard]] GameServerDispatcher* fleet_of(std::uint64_t session_id) const;
+
   ServerSpec spec_;
   std::string algorithm_;
   PackerOptions options_;
@@ -195,8 +196,6 @@ class RegionalDispatcher {
   // goes through regions() (sorted); the remaining iterations are
   // order-independent integer sums or name collection followed by a sort.
   std::unordered_map<std::string, std::unique_ptr<GameServerDispatcher>> fleets_;
-  // DBP_LINT_ALLOW(unordered-container): point lookups by session id only.
-  std::unordered_map<std::uint64_t, GameServerDispatcher*> session_fleet_;
 };
 
 }  // namespace dbp

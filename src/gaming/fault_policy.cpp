@@ -4,19 +4,6 @@
 
 namespace dbp {
 
-const char* to_string(DispatchErrorKind kind) noexcept {
-  switch (kind) {
-    case DispatchErrorKind::kDuplicateStart: return "duplicate-start";
-    case DispatchErrorKind::kUnknownSession: return "unknown-session";
-    case DispatchErrorKind::kTimeOrderViolation: return "time-order-violation";
-    case DispatchErrorKind::kInvalidSize: return "invalid-size";
-    case DispatchErrorKind::kUnknownServer: return "unknown-server";
-    case DispatchErrorKind::kRentalFailed: return "rental-failed";
-    case DispatchErrorKind::kFleetCapExceeded: return "fleet-cap-exceeded";
-  }
-  return "unknown";
-}
-
 void FaultPolicy::validate() const {
   DBP_REQUIRE(std::isfinite(rental_failure_rate) && rental_failure_rate >= 0.0 &&
                   rental_failure_rate <= 1.0,

@@ -8,22 +8,10 @@
 #include <string>
 
 #include "core/error.hpp"
+#include "core/fault.hpp"
 #include "core/types.hpp"
 
 namespace dbp {
-
-/// Why the dispatcher rejected an event or a session.
-enum class DispatchErrorKind : std::uint8_t {
-  kDuplicateStart,     ///< start_session with an already-active session id
-  kUnknownSession,     ///< end_session with an id that was never started
-  kTimeOrderViolation, ///< event timestamped before an earlier event
-  kInvalidSize,        ///< NaN / non-positive / over-capacity GPU fraction
-  kUnknownServer,      ///< fail_server on an id that is not an active server
-  kRentalFailed,       ///< every rental attempt failed (provider outage)
-  kFleetCapExceeded,   ///< fleet cap hit and shedding could not make room
-};
-
-[[nodiscard]] const char* to_string(DispatchErrorKind kind) noexcept;
 
 /// Typed dispatcher rejection. Derives from PreconditionError so existing
 /// callers that catch the library's precondition failures keep working,
@@ -89,6 +77,8 @@ struct DispatcherFaultStats {
   std::uint64_t unknown_servers = 0;
   std::uint64_t time_order_violations = 0;
   std::uint64_t invalid_sizes = 0;
+  /// Starts refused because their id is kNoItem (2^64 - 1).
+  std::uint64_t invalid_session_ids = 0;
   /// Individual rental attempts that failed (includes retried ones).
   std::uint64_t rental_attempts_failed = 0;
   /// Sessions rejected after the retry budget was exhausted.
@@ -107,7 +97,7 @@ struct DispatcherFaultStats {
 
   [[nodiscard]] std::uint64_t total_dropped_events() const noexcept {
     return duplicate_starts + unknown_ends + time_order_violations +
-           invalid_sizes;
+           invalid_sizes + invalid_session_ids;
   }
 
   /// Exact field equality, including the accumulated backoff_minutes double

@@ -442,14 +442,16 @@ std::string WireServer::build_query_body(double horizon) {
   body += strfmt(
       ",\"fault_stats\":{\"duplicate_starts\":%llu,\"unknown_ends\":%llu,"
       "\"unknown_servers\":%llu,\"time_order_violations\":%llu,"
-      "\"invalid_sizes\":%llu,\"rental_attempts_failed\":%llu,"
+      "\"invalid_sizes\":%llu,\"invalid_session_ids\":%llu,"
+      "\"rental_attempts_failed\":%llu,"
       "\"sessions_rejected_rental\":%llu,\"sessions_rejected_cap\":%llu,"
       "\"sessions_shed\":%llu,\"sessions_redispatched\":%llu,"
       "\"sessions_lost_on_crash\":%llu,\"servers_crashed\":%llu,"
       "\"backoff_minutes\":%.17g,\"total_dropped_events\":%llu}}",
       u(faults.duplicate_starts), u(faults.unknown_ends),
       u(faults.unknown_servers), u(faults.time_order_violations),
-      u(faults.invalid_sizes), u(faults.rental_attempts_failed),
+      u(faults.invalid_sizes), u(faults.invalid_session_ids),
+      u(faults.rental_attempts_failed),
       u(faults.sessions_rejected_rental), u(faults.sessions_rejected_cap),
       u(faults.sessions_shed), u(faults.sessions_redispatched),
       u(faults.sessions_lost_on_crash), u(faults.servers_crashed),

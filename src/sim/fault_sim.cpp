@@ -1,8 +1,8 @@
 #include "sim/fault_sim.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <limits>
-#include <set>
+#include <optional>
 
 #include "algo/clairvoyant.hpp"
 #include "core/error.hpp"
@@ -22,88 +22,6 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
 }
-
-/// An event as fed to the guarded layer — either straight from the
-/// instance or synthesized from an AnomalyFault.
-struct RawEvent {
-  Time time = 0.0;
-  bool is_arrival = true;
-  ItemId id = 0;
-  double size = 0.0;
-};
-
-/// Why the guard refused an event, in FaultInjectionStats categories.
-enum class Reject : std::uint8_t {
-  kNone,
-  kOutOfOrder,
-  kNaNSize,
-  kNegativeSize,
-  kDuplicateStart,
-  kUnknownEnd,
-};
-
-AnomalyKind to_anomaly_kind(Reject reject) {
-  switch (reject) {
-    case Reject::kOutOfOrder: return AnomalyKind::kOutOfOrderTimestamp;
-    case Reject::kNaNSize: return AnomalyKind::kNaNSize;
-    case Reject::kNegativeSize: return AnomalyKind::kNegativeSize;
-    case Reject::kDuplicateStart: return AnomalyKind::kDuplicateStart;
-    case Reject::kUnknownEnd: return AnomalyKind::kUnknownSessionEnd;
-    case Reject::kNone: break;
-  }
-  DBP_CHECK(false, "unreachable reject category");
-  return AnomalyKind::kDuplicateStart;  // unreachable
-}
-
-/// Validation layer between the event stream and the packer: anomalous
-/// events are classified and never reach the packer, so a malformed feed
-/// cannot corrupt packing state.
-class GuardedFeeder {
- public:
-  explicit GuardedFeeder(Packer& packer) : packer_(packer) {}
-
-  [[nodiscard]] Reject classify(const RawEvent& event) const {
-    if (event.time < clock_) return Reject::kOutOfOrder;
-    if (event.is_arrival) {
-      if (std::isnan(event.size)) return Reject::kNaNSize;
-      if (!std::isfinite(event.size)) {
-        return event.size < 0.0 ? Reject::kNegativeSize : Reject::kNaNSize;
-      }
-      if (event.size <= 0.0) return Reject::kNegativeSize;
-      if (active_.contains(event.id)) return Reject::kDuplicateStart;
-    } else if (!active_.contains(event.id)) {
-      return Reject::kUnknownEnd;
-    }
-    return Reject::kNone;
-  }
-
-  /// Applies the event when it is valid; returns the reject category
-  /// otherwise. Only accepted events advance the stream clock.
-  Reject feed(const RawEvent& event) {
-    const Reject reject = classify(event);
-    if (reject != Reject::kNone) return reject;
-    clock_ = event.time;
-    if (event.is_arrival) {
-      packer_.on_arrival(ArrivingItem{event.id, event.time, event.size});
-      active_.insert(event.id);
-    } else {
-      packer_.on_departure(event.id, event.time);
-      active_.erase(event.id);
-    }
-    return Reject::kNone;
-  }
-
-  /// Faults carry wall-clock times too; processing one advances the clock.
-  void advance_clock(Time t) noexcept { clock_ = std::max(clock_, t); }
-
-  [[nodiscard]] Time clock() const noexcept { return clock_; }
-  [[nodiscard]] const std::set<ItemId>& active() const noexcept { return active_; }
-
- private:
-  Packer& packer_;
-  std::set<ItemId> active_;  // ordered: deterministic duplicate-target picks
-  Time clock_ = -kTimeInfinity;
-};
 
 BinId select_victim(const BinManager& bins, const std::vector<BinId>& open,
                     CrashTarget target, std::uint64_t& rng_state) {
@@ -176,7 +94,16 @@ SimulationResult simulate_faulted(const Instance& instance, Packer& packer,
   }
 
   const std::vector<Event> events = build_event_sequence(instance);
-  GuardedFeeder feeder(packer);
+  const BinManager& bins = packer.bins();
+  // Every event passes the admission check (core/fault.hpp) against the
+  // packer's residents. Only accepted events reach the packer and advance
+  // the clock; faults advance it to their own time.
+  Time clock = -kTimeInfinity;
+  const auto refusal_of = [&](bool arrival, ItemId id, double size, Time t) {
+    const bool active = bins.active_size(id).has_value();
+    return arrival ? check_start(clock, id, size, t, bins.model(), active)
+                   : check_end(clock, t, active);
+  };
   std::uint64_t rng_state = plan.seed;
   ItemId next_synthetic_id = static_cast<ItemId>(instance.size());
   stats.crashes_requested = plan.crashes.size();
@@ -191,65 +118,77 @@ SimulationResult simulate_faulted(const Instance& instance, Packer& packer,
         ci < plan.crashes.size() ? plan.crashes[ci].time : kTimeInfinity;
 
     if (event_time <= anomaly_time && event_time <= crash_time) {
-      // Instance events are trusted input: a guard rejection here means the
-      // caller fed corrupt data, which is a precondition violation.
+      // Instance events are trusted input: a refusal here means the caller
+      // fed corrupt data, which is a precondition violation.
       const Event& event = events[ei++];
       const Item& item = instance.item(event.item);
-      RawEvent raw;
-      raw.time = event.time;
-      raw.is_arrival = event.kind == EventKind::kArrival;
-      raw.id = item.id;
-      raw.size = item.size;
-      const Reject reject = feeder.feed(raw);
-      DBP_REQUIRE(reject == Reject::kNone,
-                  strfmt("instance event for item %llu rejected as %s",
-                         static_cast<unsigned long long>(item.id),
-                         to_string(to_anomaly_kind(reject))));
+      const bool arrival = event.kind == EventKind::kArrival;
+      const std::optional<DispatchErrorKind> refusal =
+          refusal_of(arrival, item.id, item.size, event.time);
+      DBP_REQUIRE(!refusal, strfmt("instance event for item %llu rejected as %s",
+                                   static_cast<unsigned long long>(item.id),
+                                   to_string(*refusal)));
+      clock = event.time;
+      if (arrival) {
+        packer.on_arrival(ArrivingItem{item.id, event.time, item.size});
+      } else {
+        packer.on_departure(item.id, event.time);
+      }
     } else if (anomaly_time <= crash_time) {
       const AnomalyFault& fault = plan.anomalies[ai++];
-      feeder.advance_clock(fault.time);
-      RawEvent raw;
-      raw.time = fault.time;
+      clock = std::max(clock, fault.time);
+      Time time = fault.time;
+      bool arrival = true;
+      ItemId id = 0;
+      double size = 0.0;
+      DispatchErrorKind expected = DispatchErrorKind::kInvalidSize;  // NaN, negative
       switch (fault.kind) {
         case AnomalyKind::kDuplicateStart: {
-          if (feeder.active().empty()) continue;  // no session to duplicate
-          const auto& active = feeder.active();
-          auto it = active.begin();
-          std::advance(it, static_cast<std::ptrdiff_t>(
-                               splitmix64(rng_state) % active.size()));
-          raw.id = *it;
-          raw.size = instance.item(*it).size;
+          // Duplicates the k-th smallest resident id, k drawn from the plan.
+          std::vector<ItemId> residents;
+          bins.for_each_open_bin([&](BinId bin) {
+            bins.for_each_resident(bin, [&](ItemId resident, double) {
+              residents.push_back(resident);
+            });
+          });
+          if (residents.empty()) continue;  // no session to duplicate
+          std::sort(residents.begin(), residents.end());
+          id = residents[static_cast<std::size_t>(splitmix64(rng_state) %
+                                                  residents.size())];
+          size = instance.item(id).size;
+          expected = DispatchErrorKind::kDuplicateStart;
           break;
         }
         case AnomalyKind::kUnknownSessionEnd:
-          raw.is_arrival = false;
-          raw.id = next_synthetic_id++;
+          arrival = false;
+          id = next_synthetic_id++;
+          expected = DispatchErrorKind::kUnknownSession;
           break;
         case AnomalyKind::kOutOfOrderTimestamp:
-          raw.id = next_synthetic_id++;
-          raw.size = 0.25;
-          raw.time = feeder.clock() - 1.0;
+          id = next_synthetic_id++;
+          size = 0.25;
+          time = clock - 1.0;
+          expected = DispatchErrorKind::kTimeOrderViolation;
           break;
         case AnomalyKind::kNaNSize:
-          raw.id = next_synthetic_id++;
-          raw.size = std::numeric_limits<double>::quiet_NaN();
+          id = next_synthetic_id++;
+          size = std::numeric_limits<double>::quiet_NaN();
           break;
         case AnomalyKind::kNegativeSize:
-          raw.id = next_synthetic_id++;
-          raw.size = -0.25;
+          id = next_synthetic_id++;
+          size = -0.25;
           break;
       }
       ++stats.anomalies_injected;
-      const Reject reject = feeder.feed(raw);
-      DBP_CHECK(reject != Reject::kNone,
-                "injected anomaly slipped past the event guard");
-      ++stats.anomalies_dropped[static_cast<std::size_t>(to_anomaly_kind(reject))];
+      DBP_CHECK(refusal_of(arrival, id, size, time) == expected,
+                "injected anomaly was not refused as its kind");
+      ++stats.anomalies_dropped[static_cast<std::size_t>(fault.kind)];
       if (obs::RunTracer* tracer = obs::tracer()) {
         obs::TraceRecord record;
-        record.time = raw.time;
+        record.time = time;
         record.kind = obs::TraceKind::kFaultAnomaly;
-        record.item = raw.id;
-        record.label = to_string(to_anomaly_kind(reject));
+        record.item = id;
+        record.label = to_string(fault.kind);
         tracer->record(std::move(record));
       }
       if (obs::MetricsRegistry* metrics = obs::metrics()) {
@@ -257,8 +196,7 @@ SimulationResult simulate_faulted(const Instance& instance, Packer& packer,
       }
     } else {
       const CrashFault& fault = plan.crashes[ci++];
-      feeder.advance_clock(fault.time);
-      const BinManager& bins = packer.bins();
+      clock = std::max(clock, fault.time);
       const std::vector<BinId> open = bins.open_bins();
       if (open.empty()) continue;  // crash on an idle fleet: nothing to kill
       const BinId victim = select_victim(bins, open, fault.target, rng_state);
@@ -298,7 +236,6 @@ SimulationResult simulate_faulted(const Instance& instance, Packer& packer,
     }
   }
 
-  const BinManager& bins = packer.bins();
   DBP_CHECK(bins.open_count() == 0, "bins remain open after the last departure");
   detail::finalize_accounting(result, instance, bins);
   if (obs::RunTracer* tracer = obs::tracer()) {

@@ -19,9 +19,9 @@ struct FaultInjectionStats {
   std::size_t crashes_landed = 0;
   /// Live items re-injected as fresh arrivals after their bin crashed.
   std::size_t sessions_redispatched = 0;
-  /// Anomalous events synthesized and fed to the guarded event layer.
+  /// Anomalous events synthesized and fed to the admission check.
   std::size_t anomalies_injected = 0;
-  /// Anomalous events the guard rejected, by detected category. Every
+  /// Anomalous events the admission check refused, by injected kind. Every
   /// injected anomaly must land here: the instance itself is clean, so
   /// total_dropped() == anomalies_injected on a correct run.
   std::array<std::uint64_t, kAnomalyKindCount> anomalies_dropped{};
@@ -50,9 +50,11 @@ struct FaultSimulationResult {
 /// Core faulted replay. On a bin crash at time t the victim's live items
 /// depart at t (closing its cost accrual) and immediately re-arrive, in
 /// ascending item-id order, as fresh online arrivals at t — re-dispatch
-/// without migration, preserving the online contract. Anomalous events are
-/// rejected by a validation layer with per-category counters; they never
-/// reach the packer.
+/// without migration, preserving the online contract. Every event passes the
+/// admission check of core/fault.hpp, which GameServerDispatcher shares:
+/// anomalous events are counted and never reach the packer, and an instance
+/// event it refuses (e.g. an item larger than the bin) is a
+/// PreconditionError.
 ///
 /// With an empty plan this performs exactly the operations of simulate():
 /// the results are bit-identical. Clairvoyant packers are rejected

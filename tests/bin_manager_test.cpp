@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "core/binary_io.hpp"
 #include "core/error.hpp"
 
 namespace dbp {
@@ -112,6 +115,90 @@ TEST(BinManagerTest, OpenBinsListsAscending) {
   ASSERT_EQ(open.size(), 2u);
   EXPECT_EQ(open[0], a);
   EXPECT_EQ(open[1], c);
+}
+
+// The open bins form a list in opening order. Bins closed out of that order,
+// bins opened after them, and a restore into a fresh manager (which rebuilds
+// the list from the open flags) must all keep the walk equal to the census.
+TEST(BinManagerTest, OpenBinListFollowsClosesOpensAndRestore) {
+  const auto walked = [](const BinManager& manager) {
+    std::vector<BinId> open;
+    manager.for_each_open_bin([&open](BinId bin) { open.push_back(bin); });
+    return open;
+  };
+  const auto census = [](const BinManager& manager) {
+    std::vector<BinId> open;
+    for (BinId bin = 0; bin < manager.total_bins_opened(); ++bin) {
+      if (manager.is_open(bin)) open.push_back(bin);
+    }
+    return open;
+  };
+  const auto expect_list = [&](const BinManager& manager,
+                               const std::vector<BinId>& expected) {
+    EXPECT_EQ(walked(manager), expected);
+    EXPECT_EQ(manager.open_bins(), expected);
+    EXPECT_EQ(census(manager), expected);
+    EXPECT_EQ(manager.open_count(), expected.size());
+    manager.audit();  // checks the list itself in DBP_AUDIT builds
+  };
+  const auto open_with_item = [](BinManager& manager, ItemId id, Time t) {
+    manager.place({id, t, 0.5}, manager.open_bin(t));
+  };
+
+  BinManager manager(unit_model());
+  for (ItemId i = 0; i < 6; ++i) open_with_item(manager, i, static_cast<Time>(i));
+  manager.remove(3, 10.0);  // a middle bin,
+  manager.remove(5, 11.0);  // the newest,
+  manager.remove(0, 12.0);  // and the oldest
+  expect_list(manager, {1, 2, 4});
+  open_with_item(manager, 6, 13.0);
+  open_with_item(manager, 7, 14.0);
+  manager.remove(6, 15.0);
+  expect_list(manager, {1, 2, 4, 7});
+
+  ByteWriter out;
+  manager.save_state(out);
+  BinManager restored(unit_model());
+  ByteReader in(out.data());
+  restored.restore_state(in);
+  expect_list(restored, {1, 2, 4, 7});
+
+  // Both lists keep working after the restore.
+  for (BinManager* m : {&manager, &restored}) {
+    m->remove(1, 16.0);
+    m->remove(7, 16.0);
+    open_with_item(*m, 8, 17.0);
+    expect_list(*m, {2, 4, 8});
+  }
+  manager.remove(2, 18.0);
+  manager.remove(4, 18.0);
+  manager.remove(8, 18.0);
+  expect_list(manager, {});
+  open_with_item(manager, 9, 19.0);
+  expect_list(manager, {9});
+}
+
+TEST(BinManagerTest, ActiveSizeIsValidForAnyIdAndNeverGrowsTheTable) {
+  BinManager manager(unit_model());
+  const BinId bin = manager.open_bin(0.0);
+  manager.place({3, 0.0, 0.25}, bin);
+  EXPECT_EQ(manager.active_size(3), 0.25);
+  EXPECT_FALSE(manager.active_size(2).has_value());  // a slot never used
+  EXPECT_FALSE(manager.active_size(1u << 30).has_value());
+  EXPECT_FALSE(manager.active_size(kNoItem).has_value());
+  EXPECT_EQ(manager.assignment_history().size(), 4u);  // no growth
+  manager.remove(3, 1.0);
+  EXPECT_FALSE(manager.active_size(3).has_value());  // departed
+}
+
+TEST(BinManagerTest, PlaceRefusesTheReservedItemId) {
+  BinManager manager(unit_model());
+  const BinId bin = manager.open_bin(0.0);
+  manager.place({0, 0.0, 0.25}, bin);
+  EXPECT_THROW(manager.place({kNoItem, 0.0, 0.25}, bin), PreconditionError);
+  EXPECT_EQ(manager.item_count(bin), 1u);
+  EXPECT_EQ(manager.active_size(0), 0.25);  // the table was not cleared
+  EXPECT_EQ(manager.assignment_history().size(), 1u);
 }
 
 TEST(BinManagerTest, AssignmentHistorySurvivesDeparture) {

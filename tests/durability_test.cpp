@@ -676,54 +676,60 @@ TEST_F(DurabilityTest, OverlongCheckpointNamesAreIgnored) {
 }
 
 TEST_F(DurabilityTest, PreviousFormatDirectoryIsRefusedUntouched) {
-  // Version 1 wrote a payload mode byte and simulation event kinds. A
-  // directory whose headers still say version 1 (here with a half-written
-  // record at the journal's end) must be refused before recovery truncates
-  // or rewrites any of its files.
-  {
-    durability::DurableDispatcher durable =
-        durable_run(make_config(path("run")), "first-fit");
-    for (std::uint64_t i = 0; i < 40; ++i) {
-      (void)durable.start_session(i, 0.25, static_cast<Time>(i));
-      if (i >= 3) durable.end_session(i - 3, static_cast<Time>(i));
+  // Version 1 wrote a payload mode byte and simulation event kinds; version
+  // 2 wrote the dispatcher's session table. A directory whose headers still
+  // say either version (here with a half-written record at the journal's
+  // end) must be refused before recovery truncates or rewrites any of its
+  // files. The journal records did not change in version 3, but the
+  // journal's version moved with the checkpoint's: recovery repairs a torn
+  // journal tail before it reads any checkpoint.
+  for (const std::uint32_t old_version : {1u, 2u}) {
+    SCOPED_TRACE(old_version);
+    const std::string dir = path("run-v" + std::to_string(old_version));
+    {
+      durability::DurableDispatcher durable = durable_run(make_config(dir), "first-fit");
+      for (std::uint64_t i = 0; i < 40; ++i) {
+        (void)durable.start_session(i, 0.25, static_cast<Time>(i));
+        if (i >= 3) durable.end_session(i - 3, static_cast<Time>(i));
+      }
+      durable.flush();
     }
-    durable.flush();
-  }
-  const auto set_version = [](std::vector<std::uint8_t>& bytes) {
-    ByteWriter version;
-    version.u32(1);
-    std::copy(version.data().begin(), version.data().end(), bytes.begin() + 4);
-  };
-  const std::string journal = path("run/") + durability::kJournalFileName;
-  {
-    std::vector<std::uint8_t> bytes = durability::detail::read_file(journal);
-    set_version(bytes);
-    ByteWriter crc;  // the journal header's CRC covers its version field
-    crc.u32(crc32(std::span(bytes).first(16)));
-    std::copy(crc.data().begin(), crc.data().end(), bytes.begin() + 16);
-    bytes.insert(bytes.end(), {0x25, 0x00, 0x00});  // torn record length
-    rewrite_file(journal, bytes);
-  }
-  const auto entries = durability::list_checkpoints(path("run"));
-  ASSERT_GE(entries.size(), 2u);
-  for (const durability::CheckpointEntry& entry : entries) {
-    std::vector<std::uint8_t> bytes = durability::detail::read_file(entry.path);
-    set_version(bytes);
-    rewrite_file(entry.path, bytes);
-  }
+    const auto set_version = [old_version](std::vector<std::uint8_t>& bytes) {
+      ByteWriter version;
+      version.u32(old_version);
+      std::copy(version.data().begin(), version.data().end(), bytes.begin() + 4);
+    };
+    const std::string journal = dir + "/" + durability::kJournalFileName;
+    {
+      std::vector<std::uint8_t> bytes = durability::detail::read_file(journal);
+      set_version(bytes);
+      ByteWriter crc;  // the journal header's CRC covers its version field
+      crc.u32(crc32(std::span(bytes).first(16)));
+      std::copy(crc.data().begin(), crc.data().end(), bytes.begin() + 16);
+      bytes.insert(bytes.end(), {0x25, 0x00, 0x00});  // torn record length
+      rewrite_file(journal, bytes);
+    }
+    const auto entries = durability::list_checkpoints(dir);
+    ASSERT_GE(entries.size(), 2u);
+    for (const durability::CheckpointEntry& entry : entries) {
+      std::vector<std::uint8_t> bytes = durability::detail::read_file(entry.path);
+      set_version(bytes);
+      rewrite_file(entry.path, bytes);
+    }
 
-  const auto contents = [&] {
-    std::map<std::string, std::vector<std::uint8_t>> files;
-    for (const auto& file : std::filesystem::directory_iterator(path("run"))) {
-      files[file.path().string()] =
-          durability::detail::read_file(file.path().string());
-    }
-    return files;
-  };
-  const auto before = contents();
-  durability::RecoveryManager manager(make_config(path("run")));
-  EXPECT_THROW((void)manager.recover(), CorruptionError);
-  EXPECT_EQ(contents(), before);
+    const auto contents = [&] {
+      std::map<std::string, std::vector<std::uint8_t>> files;
+      for (const auto& file : std::filesystem::directory_iterator(dir)) {
+        files[file.path().string()] =
+            durability::detail::read_file(file.path().string());
+      }
+      return files;
+    };
+    const auto before = contents();
+    durability::RecoveryManager manager(make_config(dir));
+    EXPECT_THROW((void)manager.recover(), CorruptionError);
+    EXPECT_EQ(contents(), before);
+  }
 }
 
 TEST_F(DurabilityTest, RecoveryRefusesDirectoryWithoutUsableCheckpoint) {

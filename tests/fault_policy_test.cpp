@@ -97,6 +97,43 @@ TEST(DispatchErrorTest, InvalidSizesAreTyped) {
   EXPECT_EQ(dispatcher.fault_stats().invalid_sizes, 4u);
 }
 
+// The session id 2^64 - 1 is kNoItem, the packer's list terminator: placing
+// it would wrap the packer's item table to zero slots and write past its
+// end, so the admission check refuses it before the packer sees it.
+TEST(DispatchErrorTest, ReservedSessionIdIsTyped) {
+  GameServerDispatcher dispatcher(basic_spec(), "first-fit");
+  dispatcher.start_session(5, 0.5, 0.0);
+  expect_dispatch_error([&] { dispatcher.start_session(kNoItem, 0.5, 1.0); },
+                        DispatchErrorKind::kInvalidSessionId,
+                        "18446744073709551615");
+  EXPECT_EQ(dispatcher.fault_stats().invalid_session_ids, 1u);
+  EXPECT_EQ(dispatcher.fault_stats().total_dropped_events(), 1u);
+  EXPECT_STREQ(to_string(DispatchErrorKind::kInvalidSessionId), "invalid-session-id");
+  EXPECT_EQ(dispatcher.active_sessions(), 1u);
+  dispatcher.end_session(5, 2.0);
+  EXPECT_EQ(dispatcher.active_sessions(), 0u);
+}
+
+TEST(FaultPolicyTest, ReservedSessionIdIsDroppedAndCounted) {
+  GameServerDispatcher dispatcher(basic_spec(), "first-fit", {}, drop_policy());
+  const BinId server = dispatcher.start_session(5, 0.5, 0.0);
+  EXPECT_EQ(dispatcher.start_session(kNoItem, 0.5, 1.0), kNoServer);
+  const DispatcherFaultStats& stats = dispatcher.fault_stats();
+  EXPECT_EQ(stats.invalid_session_ids, 1u);
+  EXPECT_EQ(stats.total_dropped_events(), 1u);
+  // Nothing changed: one session on one server, and the clock stays at t=0.
+  EXPECT_EQ(dispatcher.active_sessions(), 1u);
+  EXPECT_EQ(dispatcher.active_servers(), 1u);
+  EXPECT_EQ(dispatcher.servers_ever_rented(), 1u);
+  EXPECT_EQ(dispatcher.last_event_time(), 0.0);
+  EXPECT_EQ(dispatcher.bins().active_size(5), 0.5);
+  EXPECT_FALSE(dispatcher.bins().active_size(kNoItem).has_value());
+  // The later end of session 5 is served and closes its server at t=2.
+  dispatcher.end_session(5, 2.0);
+  EXPECT_EQ(dispatcher.active_sessions(), 0u);
+  EXPECT_EQ(dispatcher.bins().usage(server).closed, 2.0);
+}
+
 TEST(FaultPolicyTest, DropAndCountReturnsSentinelInsteadOfThrowing) {
   GameServerDispatcher dispatcher(basic_spec(), "first-fit", {}, drop_policy());
   const BinId server = dispatcher.start_session(1, 0.5, 0.0);

@@ -617,6 +617,44 @@ TEST_F(WireServerTest, ClientReadsResponseLinesLongerThanAFrame) {
   server.stop();
 }
 
+// The session id 2^64 - 1 is the packer's list terminator: placing it would
+// wrap a shard's item table, close connections without an answer and lose
+// later events, leaving servers billing forever. Four line-JSON connections
+// in turn: a start of session 5, a start of the reserved id, the end of
+// session 5, each with a query, then a last query. The reserved id must be
+// counted, and everything else served.
+TEST_F(WireServerTest, ReservedSessionIdIsCountedAndLaterEventsAreServed) {
+  engine::ShardedDispatchEngine eng(engine_config());
+  WireServer server(eng, server_config());
+  server.start();
+
+  const auto submit_and_query = [&](const engine::SessionEvent& event) {
+    WireClient client(socket_path(), WireClient::Framing::kJson);
+    client.submit(event);
+    const WireResponse answer = client.query(event.time_minutes);
+    EXPECT_EQ(answer.error, WireError::kNone) << answer.detail;
+    EXPECT_TRUE(client.async_errors().empty());
+  };
+  submit_and_query(engine::start_event(5, 0.5, 0.0));
+  submit_and_query(engine::start_event(kNoItem, 0.5, 1.0));
+  submit_and_query(engine::end_event(5, 2.0));
+
+  WireClient client(socket_path(), WireClient::Framing::kJson);
+  const WireResponse answer = client.query(100.0);
+  ASSERT_EQ(answer.error, WireError::kNone) << answer.detail;
+  EXPECT_NE(answer.body.find("\"active_sessions\":0,"), std::string::npos) << answer.body;
+  EXPECT_NE(answer.body.find("\"active_servers\":0,"), std::string::npos) << answer.body;
+  EXPECT_NE(answer.body.find("\"events_applied\":3,"), std::string::npos) << answer.body;
+  EXPECT_NE(answer.body.find("\"invalid_session_ids\":1,"), std::string::npos)
+      << answer.body;
+  EXPECT_NE(answer.body.find("\"total_dropped_events\":1}"), std::string::npos)
+      << answer.body;
+  server.stop();
+  EXPECT_EQ(eng.merged_fault_stats().invalid_session_ids, 1u);
+  // Session 5 billed [0, 2) minutes at $6/hour, and nothing after.
+  EXPECT_EQ(eng.rental_cost_dollars(100.0), eng.rental_cost_dollars(2.0));
+}
+
 TEST_F(WireServerTest, StopIsIdempotentAndUnlinksTheSocket) {
   engine::ShardedDispatchEngine eng(engine_config());
   WireServer server(eng, server_config());

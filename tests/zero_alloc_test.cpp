@@ -8,7 +8,10 @@
 //      are reused, not reallocated), and
 //   3. a live WireServer serves binary submit frames allocation-free once
 //      its connection is open: frames are decoded in place from the
-//      connection's receive buffer.
+//      connection's receive buffer, and
+//   4. a warm GameServerDispatcher serves session starts and ends and
+//      writes its epoch snapshot allocation-free: the packer's item slots
+//      are its only session table.
 //
 // The overrides live at global scope in this translation unit, so they
 // replace the program-wide allocation functions for this test binary only.
@@ -36,6 +39,7 @@
 #include "algo/packer.hpp"
 #include "core/types.hpp"
 #include "engine/engine.hpp"
+#include "gaming/dispatcher.hpp"
 #include "net/wire_client.hpp"
 #include "net/wire_protocol.hpp"
 #include "net/wire_server.hpp"
@@ -263,6 +267,42 @@ TEST(ZeroAllocScratchTest, ScratchMatchesAllocatingPathBitIdentically) {
     EXPECT_EQ(plain.lower, reused.lower) << "seed " << seed;
     EXPECT_EQ(plain.upper, reused.upper) << "seed " << seed;
   }
+}
+
+// ---- serving dispatcher -------------------------------------------------
+
+TEST(ZeroAllocDispatcherTest, WarmDispatcherServesSessionsWithoutAllocating) {
+  constexpr std::uint64_t kChurnIds = 64;
+  constexpr std::uint64_t kPairs = 20000;
+  FaultPolicy policy;
+  policy.on_anomaly = FaultPolicy::AnomalyAction::kDropAndCount;
+  GameServerDispatcher dispatcher(ServerSpec{1.0, 6.0}, "first-fit", {}, policy);
+  // Session 0 holds server 0 for the whole run, and every churn session
+  // fits beside it, so no pair needs a new server.
+  ASSERT_EQ(dispatcher.start_session(0, 0.5, 0.0), BinId{0});
+  Time t = 0.0;
+  for (std::uint64_t id = 1; id <= kChurnIds; ++id) {  // warm the id range
+    ASSERT_EQ(dispatcher.start_session(id, 0.25, t), BinId{0});
+    dispatcher.end_session(id, t += 1.0);
+  }
+  std::vector<double> sizes(2);
+
+  const std::uint64_t before = allocation_count();
+  for (std::uint64_t i = 0; i < kPairs; ++i) {
+    const std::uint64_t id = 1 + i % kChurnIds;
+    (void)dispatcher.start_session(id, 0.25, t);
+    if (i % 64 == 0) dispatcher.active_sizes_desc(sizes);
+    dispatcher.end_session(id, t += 1.0);
+  }
+  const std::uint64_t after = allocation_count();
+
+  EXPECT_EQ(after - before, 0u)
+      << kPairs << " warm start/end pairs allocated " << (after - before)
+      << " time(s)";
+  EXPECT_EQ(sizes, (std::vector<double>{0.5, 0.25}));
+  EXPECT_EQ(dispatcher.servers_ever_rented(), 1u);
+  EXPECT_EQ(dispatcher.active_sessions(), 1u);
+  EXPECT_EQ(dispatcher.fault_stats().total_dropped_events(), 0u);
 }
 
 // ---- wire server read path --------------------------------------------

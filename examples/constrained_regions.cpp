@@ -6,12 +6,19 @@
 //   $ ./constrained_regions
 //
 // Players are latency-bound to their nearest region, so each region runs an
-// isolated fleet. The example quantifies the fragmentation cost of the
-// constraint: per-region fleets vs one hypothetical global fleet.
+// isolated fleet: a dispatch engine with one shard per region, each region
+// pinned to its shard by a RegionShardRouter. The example quantifies the
+// fragmentation cost of the constraint: per-region fleets vs one
+// hypothetical global fleet.
+#include <algorithm>
 #include <iostream>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/strfmt.hpp"
+#include "engine/engine.hpp"
+#include "engine/router.hpp"
 #include "gaming/dispatcher.hpp"
 #include "sim/event.hpp"
 #include "workload/cloud_gaming.hpp"
@@ -33,16 +40,16 @@ int main() {
       {"ap-south", 6.0, 0.7, 303},
   };
 
-  RegionalDispatcher constrained(spec, "modified-first-fit");
-  GameServerDispatcher global(spec, "modified-first-fit");
+  // Shard i is the i-th region in name order, so the engine's shard-order
+  // bill sums the regions alphabetically.
+  std::vector<std::string> names;
+  for (const Region& region : regions) names.emplace_back(region.name);
+  std::sort(names.begin(), names.end());
+  auto router = std::make_unique<engine::RegionShardRouter>(names);
 
   // Merge all regions' traces into one event stream.
-  struct Tagged {
-    const char* region;
-    Item item;
-  };
   Instance merged;
-  std::vector<const char*> region_of;
+  std::vector<std::uint64_t> route_of;
   for (const Region& region : regions) {
     CloudGamingConfig config;
     config.horizon_hours = 24.0;
@@ -51,23 +58,34 @@ int main() {
     const CloudGamingTrace trace = generate_cloud_gaming_trace(config, region.seed);
     for (const Item& item : trace.instance.items()) {
       merged.add(item.arrival, item.departure, item.size);
-      region_of.push_back(region.name);
+      route_of.push_back(router->route_key_for(region.name));
     }
     std::cout << strfmt("%-9s %5zu sessions (peak hour %.0f)\n", region.name,
                         trace.instance.size(), region.peak_hour);
   }
 
+  engine::EngineConfig engine_config;
+  engine_config.shard_count = names.size();
+  engine_config.algorithm = "modified-first-fit";
+  engine_config.spec = spec;
+  engine::ShardedDispatchEngine constrained(engine_config, std::move(router));
+  GameServerDispatcher global(spec, "modified-first-fit");
+
   for (const Event& event : build_event_sequence(merged)) {
     const Item& item = merged.item(event.item);
-    const char* region = region_of[static_cast<std::size_t>(item.id)];
+    engine::SessionEvent routed =
+        event.kind == EventKind::kArrival
+            ? engine::start_event(item.id, item.size, item.arrival)
+            : engine::end_event(item.id, item.departure);
+    routed.route_key = route_of[static_cast<std::size_t>(item.id)];
+    constrained.submit(routed);
     if (event.kind == EventKind::kArrival) {
-      constrained.start_session(region, item.id, item.size, item.arrival);
       global.start_session(item.id, item.size, item.arrival);
     } else {
-      constrained.end_session(item.id, item.departure);
       global.end_session(item.id, item.departure);
     }
   }
+  constrained.drain();
 
   const Time end = merged.packing_period().end;
   const double constrained_bill = constrained.rental_cost_dollars(end);

@@ -104,6 +104,16 @@ void SizeClassedPacker::reserve_hint(std::size_t items) {
   for (const auto& strategy : strategies_) strategy->reserve(items);
 }
 
+void SizeClassedPacker::set_boundary(std::size_t index, double value) {
+  DBP_REQUIRE(index < boundaries_.size(), "unknown class boundary");
+  DBP_REQUIRE(value > 0.0 && value <= model().bin_capacity,
+              "class boundaries must lie in (0, W]");
+  DBP_REQUIRE((index == 0 || boundaries_[index - 1] < value) &&
+                  (index + 1 == boundaries_.size() || value < boundaries_[index + 1]),
+              "class boundaries must be strictly increasing");
+  boundaries_[index] = value;
+}
+
 void SizeClassedPacker::save_extra(ByteWriter& out) const {
   out.u64(boundaries_.size());
   for (const double b : boundaries_) out.f64(b);

@@ -2,9 +2,11 @@
 // class into its own bin pool with an independent policy.
 //
 // Modified First Fit (paper Section 4.4) is the two-class case (threshold
-// W/k, First Fit in both pools); the Harmonic-style packer (extension) is
-// the K-class case. Bin ids stay globally unique because all pools share
-// one BinManager — total cost accounting needs no special cases.
+// W/k, First Fit in both pools); adaptive MFF (algo/adaptive_mff.hpp) is
+// the two-class case whose boundary moves with its mu estimate; the
+// Harmonic-style packer (extension) is the K-class case. Bin ids stay
+// globally unique because all pools share one BinManager — total cost
+// accounting needs no special cases.
 #pragma once
 
 #include <functional>
@@ -54,6 +56,11 @@ class SizeClassedPacker : public Packer {
  protected:
   void save_extra(ByteWriter& out) const override;
   void restore_extra(ByteReader& in) override;
+
+  /// Moves boundary `index` to `value`; the boundaries must stay strictly
+  /// increasing in (0, W]. Open bins keep the class they were opened in;
+  /// only the classification of later arrivals changes.
+  void set_boundary(std::size_t index, double value);
 
  private:
   std::string name_;

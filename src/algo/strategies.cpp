@@ -21,13 +21,14 @@ inline bool registered_residual(const std::vector<double>& residual_of,
 
 }  // namespace
 
-// ---------------------------------------------------------------- FirstFit
+// ------------------------------------------------------ First and Last Fit
 // (hot-path handlers are inline in strategies.hpp)
 
-void FirstFitStrategy::compact() {
+template <FitSide Side>
+void OpeningOrderFitStrategy<Side>::compact() {
   // Re-register the live bins in position order. Relative order — the only
-  // thing the leftmost descent depends on — is preserved, so every future
-  // selection is identical to the uncompacted tree's.
+  // thing the leftmost and rightmost descents depend on — is preserved, so
+  // every future selection is identical to the uncompacted tree's.
   scratch_.clear();
   for (std::size_t p = 0; p < bin_at_.size(); ++p) {
     const BinId bin = bin_at_[p];
@@ -44,55 +45,28 @@ void FirstFitStrategy::compact() {
   }
 }
 
-void FirstFitStrategy::reserve(std::size_t bins_hint) {
+template <FitSide Side>
+void OpeningOrderFitStrategy<Side>::reserve(std::size_t bins_hint) {
   residuals_.reserve(bins_hint);
   bin_at_.reserve(bins_hint);
   pos_of_.reserve(bins_hint);
   scratch_.reserve(bins_hint);
 }
 
-// ----------------------------------------------------------------- LastFit
+template class OpeningOrderFitStrategy<FitSide::kFirst>;
+template class OpeningOrderFitStrategy<FitSide::kLast>;
+
+// ------------------------------------------------------ Best and Worst Fit
 // (hot-path handlers are inline in strategies.hpp)
 
-void LastFitStrategy::compact() {
-  scratch_.clear();
-  for (std::size_t p = 0; p < bin_at_.size(); ++p) {
-    const BinId bin = bin_at_[p];
-    if (pos_of_[static_cast<std::size_t>(bin)] == p) {
-      scratch_.emplace_back(residuals_.value_at(p), bin);
-    }
-  }
-  residuals_.clear();
-  bin_at_.clear();
-  for (const auto& [residual, bin] : scratch_) {
-    const std::size_t pos = residuals_.push_back(residual);
-    bin_at_.push_back(bin);
-    pos_of_[static_cast<std::size_t>(bin)] = pos;
-  }
-}
-
-void LastFitStrategy::reserve(std::size_t bins_hint) {
-  residuals_.reserve(bins_hint);
-  bin_at_.reserve(bins_hint);
-  pos_of_.reserve(bins_hint);
-  scratch_.reserve(bins_hint);
-}
-
-// ----------------------------------------------------------------- BestFit
-// (hot-path handlers are inline in strategies.hpp)
-
-void BestFitStrategy::reserve(std::size_t bins_hint) {
+template <FitFill Fill>
+void ResidualOrderFitStrategy<Fill>::reserve(std::size_t bins_hint) {
   by_residual_.reserve(bins_hint);
   pos_of_.reserve(bins_hint);
 }
 
-// ---------------------------------------------------------------- WorstFit
-// (hot-path handlers are inline in strategies.hpp)
-
-void WorstFitStrategy::reserve(std::size_t bins_hint) {
-  by_residual_.reserve(bins_hint);
-  pos_of_.reserve(bins_hint);
-}
+template class ResidualOrderFitStrategy<FitFill::kBest>;
+template class ResidualOrderFitStrategy<FitFill::kWorst>;
 
 // ----------------------------------------------------------------- NextFit
 

@@ -26,10 +26,16 @@
 
 namespace dbp {
 
-/// First Fit: the earliest-opened bin that accommodates the item
-/// (paper Section 3.2). O(log m) per operation via a max segment tree
-/// indexed by opening order; position lookup is a dense BinId-indexed
-/// vector.
+/// Which end of the opening order an OpeningOrderFitStrategy serves.
+enum class FitSide {
+  kFirst,  ///< First Fit: the earliest-opened fitting bin (paper Section 3.2)
+  kLast,   ///< Last Fit: the latest-opened fitting bin
+};
+
+/// First Fit and Last Fit: the earliest- (or latest-) opened bin that
+/// accommodates the item. O(log m) per operation via a max segment tree
+/// indexed by opening order, with the leftmost (or rightmost) descent;
+/// position lookup is a dense BinId-indexed vector.
 ///
 /// Positions of closed bins are dead weight: without reuse the tree's depth
 /// (and footprint) grows with *total* bins opened, even when only a handful
@@ -38,11 +44,14 @@ namespace dbp {
 /// relative order — selection depends only on that order, so decisions are
 /// unchanged while the tree stays within 4x the peak open-bin count and its
 /// hot path stays cache-resident.
-class FirstFitStrategy final : public FitStrategy {
+template <FitSide Side>
+class OpeningOrderFitStrategy final : public FitStrategy {
  public:
-  explicit FirstFitStrategy(const CostModel& model) : model_(model) {}
+  explicit OpeningOrderFitStrategy(const CostModel& model) : model_(model) {}
 
-  [[nodiscard]] std::string name() const override { return "first-fit"; }
+  [[nodiscard]] std::string name() const override {
+    return Side == FitSide::kFirst ? "first-fit" : "last-fit";
+  }
   // Hot-path handlers are defined inline at the bottom of this header so the
   // statically-typed packer (StaticAnyFitPacker) can inline them into the
   // event loop.
@@ -65,43 +74,30 @@ class FirstFitStrategy final : public FitStrategy {
   std::vector<std::pair<double, BinId>> scratch_;  // compaction gather buffer
 };
 
-/// Last Fit: the *latest*-opened bin that accommodates the item. Mirror
-/// image of First Fit (rightmost descent), including the dead-position
-/// compaction.
-class LastFitStrategy final : public FitStrategy {
- public:
-  explicit LastFitStrategy(const CostModel& model) : model_(model) {}
+using FirstFitStrategy = OpeningOrderFitStrategy<FitSide::kFirst>;
+using LastFitStrategy = OpeningOrderFitStrategy<FitSide::kLast>;
 
-  [[nodiscard]] std::string name() const override { return "last-fit"; }
-  [[nodiscard]] std::optional<BinId> select(double size) override;
-  void on_bin_registered(BinId bin, double residual) override;
-  void on_residual_changed(BinId bin, double residual) override;
-  void on_bin_closed(BinId bin) override;
-  void reserve(std::size_t bins_hint) override;
-
- private:
-  static constexpr std::size_t kNoPos = std::numeric_limits<std::size_t>::max();
-
-  void compact();
-
-  CostModel model_;
-  MaxSegmentTree residuals_;
-  std::vector<BinId> bin_at_;
-  std::vector<std::size_t> pos_of_;   // bin -> position (kNoPos = unregistered)
-  std::size_t active_ = 0;
-  std::vector<std::pair<double, BinId>> scratch_;
+/// Which fitting residual a ResidualOrderFitStrategy picks.
+enum class FitFill {
+  kBest,   ///< Best Fit: the smallest residual that fits (paper Section 3.2)
+  kWorst,  ///< Worst Fit: the largest residual
 };
 
-/// Best Fit: the open bin with the smallest residual capacity that still
-/// accommodates the item (paper Section 3.2); ties broken toward the
-/// earliest-opened bin. The (residual, id) index is a flat sorted vector —
-/// value-identical to the reference std::set ordering (std::pair's
-/// lexicographic compare) at a fraction of the node churn.
-class BestFitStrategy final : public FitStrategy {
+/// Best Fit and Worst Fit: the open bin with the smallest (or largest)
+/// residual capacity that accommodates the item; ties broken toward the
+/// earliest-opened bin. The (residual, id) index is a flat sorted vector.
+/// Best Fit orders it by std::pair's lexicographic compare — value-identical
+/// to the reference std::set ordering at a fraction of the node churn.
+/// Worst Fit orders it by residual ascending, then id descending, so back()
+/// is the (max residual, min id) entry.
+template <FitFill Fill>
+class ResidualOrderFitStrategy final : public FitStrategy {
  public:
-  explicit BestFitStrategy(const CostModel& model) : model_(model) {}
+  explicit ResidualOrderFitStrategy(const CostModel& model) : model_(model) {}
 
-  [[nodiscard]] std::string name() const override { return "best-fit"; }
+  [[nodiscard]] std::string name() const override {
+    return Fill == FitFill::kBest ? "best-fit" : "worst-fit";
+  }
   [[nodiscard]] std::optional<BinId> select(double size) override;
   void on_bin_registered(BinId bin, double residual) override;
   void on_residual_changed(BinId bin, double residual) override;
@@ -109,52 +105,33 @@ class BestFitStrategy final : public FitStrategy {
   void reserve(std::size_t bins_hint) override;
 
  private:
+  using Entry = std::pair<double, BinId>;
+
   static constexpr std::size_t kNoPos = std::numeric_limits<std::size_t>::max();
+
+  /// The index order: true when `a` sorts strictly before `b`.
+  static bool before(const Entry& a, const Entry& b) noexcept {
+    if constexpr (Fill == FitFill::kBest) {
+      return a < b;
+    } else {
+      if (a.first != b.first) return a.first < b.first;
+      return a.second > b.second;
+    }
+  }
 
   /// Moves the entry at `pos` to the sorted position of `to` by shifting the
   /// entries in between (updating their dense positions as they move) — no
   /// binary search, no node churn; the array contents end up exactly as a
   /// set erase+insert would leave them.
-  void relocate(std::size_t pos, std::pair<double, BinId> to);
+  void relocate(std::size_t pos, Entry to);
 
   CostModel model_;
-  std::vector<std::pair<double, BinId>> by_residual_;  // sorted ascending
+  std::vector<Entry> by_residual_;   // sorted by before()
   std::vector<std::size_t> pos_of_;  // bin -> index in by_residual_ (kNoPos)
 };
 
-/// Worst Fit: the open bin with the *largest* residual capacity that
-/// accommodates the item; ties toward the earliest-opened bin. Same flat
-/// index as Best Fit under the (residual asc, id desc) order, so back() is
-/// the (max residual, min id) entry.
-class WorstFitStrategy final : public FitStrategy {
- public:
-  explicit WorstFitStrategy(const CostModel& model) : model_(model) {}
-
-  [[nodiscard]] std::string name() const override { return "worst-fit"; }
-  [[nodiscard]] std::optional<BinId> select(double size) override;
-  void on_bin_registered(BinId bin, double residual) override;
-  void on_residual_changed(BinId bin, double residual) override;
-  void on_bin_closed(BinId bin) override;
-  void reserve(std::size_t bins_hint) override;
-
- private:
-  struct Order {
-    // residual ascending, id descending => back() = (max residual, min id).
-    bool operator()(const std::pair<double, BinId>& a,
-                    const std::pair<double, BinId>& b) const noexcept {
-      if (a.first != b.first) return a.first < b.first;
-      return a.second > b.second;
-    }
-  };
-
-  static constexpr std::size_t kNoPos = std::numeric_limits<std::size_t>::max();
-
-  void relocate(std::size_t pos, std::pair<double, BinId> to);
-
-  CostModel model_;
-  std::vector<std::pair<double, BinId>> by_residual_;  // sorted by Order
-  std::vector<std::size_t> pos_of_;  // bin -> index in by_residual_ (kNoPos)
-};
+using BestFitStrategy = ResidualOrderFitStrategy<FitFill::kBest>;
+using WorstFitStrategy = ResidualOrderFitStrategy<FitFill::kWorst>;
 
 /// Next Fit adapted to dynamic bin packing: only the most recently opened
 /// bin is a candidate; once an item fails to fit there, a new bin is opened
@@ -254,16 +231,21 @@ class MoveToFrontStrategy final : public FitStrategy {
 // strategies.cpp.
 // ------------------------------------------------------------------------
 
-// ---------------------------------------------------------------- FirstFit
+// ------------------------------------------------------ First and Last Fit
 
-inline std::optional<BinId> FirstFitStrategy::select(double size) {
+template <FitSide Side>
+inline std::optional<BinId> OpeningOrderFitStrategy<Side>::select(double size) {
   // The descent inlines CostModel::fits exactly: size <= residual + tol.
-  auto pos = residuals_.find_first_fit(size, model_.fit_tolerance);
+  auto pos = Side == FitSide::kFirst
+                 ? residuals_.find_first_fit(size, model_.fit_tolerance)
+                 : residuals_.find_last_fit(size, model_.fit_tolerance);
   if (!pos) return std::nullopt;
   return bin_at_[*pos];
 }
 
-inline void FirstFitStrategy::on_bin_registered(BinId bin, double residual) {
+template <FitSide Side>
+inline void OpeningOrderFitStrategy<Side>::on_bin_registered(BinId bin,
+                                                             double residual) {
   // Compact instead of growing when at least half the positions are dead:
   // the tree depth then tracks the *peak open* bin count, not the total.
   if (residuals_.size() == residuals_.capacity() &&
@@ -272,7 +254,7 @@ inline void FirstFitStrategy::on_bin_registered(BinId bin, double residual) {
   }
   const std::size_t pos = residuals_.push_back(residual);
   bin_at_.push_back(bin);
-  DBP_CHECK(bin_at_.size() == pos + 1, "first-fit position bookkeeping");
+  DBP_CHECK(bin_at_.size() == pos + 1, "opening-order position bookkeeping");
   if (bin >= pos_of_.size()) {
     pos_of_.resize(static_cast<std::size_t>(bin) + 1, kNoPos);
   }
@@ -280,13 +262,16 @@ inline void FirstFitStrategy::on_bin_registered(BinId bin, double residual) {
   ++active_;
 }
 
-inline void FirstFitStrategy::on_residual_changed(BinId bin, double residual) {
+template <FitSide Side>
+inline void OpeningOrderFitStrategy<Side>::on_residual_changed(BinId bin,
+                                                               double residual) {
   DBP_REQUIRE(bin < pos_of_.size() && pos_of_[static_cast<std::size_t>(bin)] != kNoPos,
               "residual change for unregistered bin");
   residuals_.assign(pos_of_[static_cast<std::size_t>(bin)], residual);
 }
 
-inline void FirstFitStrategy::on_bin_closed(BinId bin) {
+template <FitSide Side>
+inline void OpeningOrderFitStrategy<Side>::on_bin_closed(BinId bin) {
   DBP_REQUIRE(bin < pos_of_.size() && pos_of_[static_cast<std::size_t>(bin)] != kNoPos,
               "closing an unregistered bin");
   residuals_.deactivate(pos_of_[static_cast<std::size_t>(bin)]);
@@ -294,76 +279,49 @@ inline void FirstFitStrategy::on_bin_closed(BinId bin) {
   --active_;
 }
 
-// ----------------------------------------------------------------- LastFit
+// ------------------------------------------------------ Best and Worst Fit
 
-inline std::optional<BinId> LastFitStrategy::select(double size) {
-  auto pos = residuals_.find_last_fit(size, model_.fit_tolerance);
-  if (!pos) return std::nullopt;
-  return bin_at_[*pos];
-}
-
-inline void LastFitStrategy::on_bin_registered(BinId bin, double residual) {
-  if (residuals_.size() == residuals_.capacity() &&
-      2 * active_ <= residuals_.capacity()) {
-    compact();
-  }
-  const std::size_t pos = residuals_.push_back(residual);
-  bin_at_.push_back(bin);
-  if (bin >= pos_of_.size()) {
-    pos_of_.resize(static_cast<std::size_t>(bin) + 1, kNoPos);
-  }
-  pos_of_[static_cast<std::size_t>(bin)] = pos;
-  ++active_;
-}
-
-inline void LastFitStrategy::on_residual_changed(BinId bin, double residual) {
-  DBP_REQUIRE(bin < pos_of_.size() && pos_of_[static_cast<std::size_t>(bin)] != kNoPos,
-              "residual change for unregistered bin");
-  residuals_.assign(pos_of_[static_cast<std::size_t>(bin)], residual);
-}
-
-inline void LastFitStrategy::on_bin_closed(BinId bin) {
-  DBP_REQUIRE(bin < pos_of_.size() && pos_of_[static_cast<std::size_t>(bin)] != kNoPos,
-              "closing an unregistered bin");
-  residuals_.deactivate(pos_of_[static_cast<std::size_t>(bin)]);
-  pos_of_[static_cast<std::size_t>(bin)] = kNoPos;
-  --active_;
-}
-
-// ----------------------------------------------------------------- BestFit
-
-inline std::optional<BinId> BestFitStrategy::select(double size) {
-  // Smallest residual r with fits(size, r), i.e. r >= size - tolerance —
-  // the first entry not below the key, exactly what the reference std::set
-  // lower_bound returns (std::pair's lexicographic operator< over the same
-  // (residual, id) keys). Small indexes scan linearly: the loop branch is
-  // predictable where a binary search mispredicts half its probes.
-  const std::pair<double, BinId> key{size - model_.fit_tolerance, 0};
-  const auto* const data = by_residual_.data();
-  const std::size_t count = by_residual_.size();
-  std::size_t i;
-  if (count <= 64) {
-    for (i = 0; i < count && data[i] < key; ++i) {
-    }
+template <FitFill Fill>
+inline std::optional<BinId> ResidualOrderFitStrategy<Fill>::select(double size) {
+  if constexpr (Fill == FitFill::kWorst) {
+    if (by_residual_.empty()) return std::nullopt;
+    const Entry& best = by_residual_.back();  // max residual, min id
+    if (!model_.fits(size, best.first)) return std::nullopt;
+    return best.second;
   } else {
-    i = static_cast<std::size_t>(
-        std::lower_bound(data, data + count, key) - data);
+    // Smallest residual r with fits(size, r), i.e. r >= size - tolerance —
+    // the first entry not below the key, exactly what the reference
+    // std::set lower_bound returns (std::pair's lexicographic operator<
+    // over the same (residual, id) keys). Small indexes scan linearly: the
+    // loop branch is predictable where a binary search mispredicts half its
+    // probes.
+    const Entry key{size - model_.fit_tolerance, 0};
+    const auto* const data = by_residual_.data();
+    const std::size_t count = by_residual_.size();
+    std::size_t i;
+    if (count <= 64) {
+      for (i = 0; i < count && data[i] < key; ++i) {
+      }
+    } else {
+      i = static_cast<std::size_t>(
+          std::lower_bound(data, data + count, key) - data);
+    }
+    if (i == count) return std::nullopt;
+    DBP_CHECK(model_.fits(size, data[i].first), "best-fit index out of sync");
+    return data[i].second;
   }
-  if (i == count) return std::nullopt;
-  DBP_CHECK(model_.fits(size, data[i].first), "best-fit index out of sync");
-  return data[i].second;
 }
 
-inline void BestFitStrategy::relocate(std::size_t pos,
-                                      std::pair<double, BinId> to) {
+template <FitFill Fill>
+inline void ResidualOrderFitStrategy<Fill>::relocate(std::size_t pos, Entry to) {
   auto* const data = by_residual_.data();
   const std::size_t count = by_residual_.size();
-  while (pos > 0 && to < data[pos - 1]) {
+  while (pos > 0 && before(to, data[pos - 1])) {
     data[pos] = data[pos - 1];
     pos_of_[static_cast<std::size_t>(data[pos].second)] = pos;
     --pos;
   }
-  while (pos + 1 < count && data[pos + 1] < to) {
+  while (pos + 1 < count && before(data[pos + 1], to)) {
     data[pos] = data[pos + 1];
     pos_of_[static_cast<std::size_t>(data[pos].second)] = pos;
     ++pos;
@@ -372,86 +330,31 @@ inline void BestFitStrategy::relocate(std::size_t pos,
   pos_of_[static_cast<std::size_t>(to.second)] = pos;
 }
 
-inline void BestFitStrategy::on_bin_registered(BinId bin, double residual) {
+template <FitFill Fill>
+inline void ResidualOrderFitStrategy<Fill>::on_bin_registered(BinId bin,
+                                                              double residual) {
   if (bin >= pos_of_.size()) {
     pos_of_.resize(static_cast<std::size_t>(bin) + 1, kNoPos);
   }
   DBP_CHECK(pos_of_[static_cast<std::size_t>(bin)] == kNoPos,
-            "duplicate best-fit registration");
-  // Append past the end, then let relocate shift it left into sorted place.
-  const std::pair<double, BinId> entry{residual, bin};
+            "duplicate residual-index registration");
+  // Append past the end, then let relocate shift it into sorted place.
+  const Entry entry{residual, bin};
   by_residual_.push_back(entry);
   pos_of_[static_cast<std::size_t>(bin)] = by_residual_.size() - 1;
   relocate(by_residual_.size() - 1, entry);
 }
 
-inline void BestFitStrategy::on_residual_changed(BinId bin, double residual) {
+template <FitFill Fill>
+inline void ResidualOrderFitStrategy<Fill>::on_residual_changed(BinId bin,
+                                                                double residual) {
   DBP_REQUIRE(bin < pos_of_.size() && pos_of_[static_cast<std::size_t>(bin)] != kNoPos,
               "residual change for unregistered bin");
   relocate(pos_of_[static_cast<std::size_t>(bin)], {residual, bin});
 }
 
-inline void BestFitStrategy::on_bin_closed(BinId bin) {
-  DBP_REQUIRE(bin < pos_of_.size() && pos_of_[static_cast<std::size_t>(bin)] != kNoPos,
-              "closing an unregistered bin");
-  std::size_t pos = pos_of_[static_cast<std::size_t>(bin)];
-  auto* const data = by_residual_.data();
-  const std::size_t count = by_residual_.size();
-  for (; pos + 1 < count; ++pos) {
-    data[pos] = data[pos + 1];
-    pos_of_[static_cast<std::size_t>(data[pos].second)] = pos;
-  }
-  by_residual_.pop_back();
-  pos_of_[static_cast<std::size_t>(bin)] = kNoPos;
-}
-
-// ---------------------------------------------------------------- WorstFit
-
-inline std::optional<BinId> WorstFitStrategy::select(double size) {
-  if (by_residual_.empty()) return std::nullopt;
-  const auto& best = by_residual_.back();  // max residual, min id
-  if (!model_.fits(size, best.first)) return std::nullopt;
-  return best.second;
-}
-
-inline void WorstFitStrategy::relocate(std::size_t pos,
-                                       std::pair<double, BinId> to) {
-  constexpr Order kOrder{};
-  auto* const data = by_residual_.data();
-  const std::size_t count = by_residual_.size();
-  while (pos > 0 && kOrder(to, data[pos - 1])) {
-    data[pos] = data[pos - 1];
-    pos_of_[static_cast<std::size_t>(data[pos].second)] = pos;
-    --pos;
-  }
-  while (pos + 1 < count && kOrder(data[pos + 1], to)) {
-    data[pos] = data[pos + 1];
-    pos_of_[static_cast<std::size_t>(data[pos].second)] = pos;
-    ++pos;
-  }
-  data[pos] = to;
-  pos_of_[static_cast<std::size_t>(to.second)] = pos;
-}
-
-inline void WorstFitStrategy::on_bin_registered(BinId bin, double residual) {
-  if (bin >= pos_of_.size()) {
-    pos_of_.resize(static_cast<std::size_t>(bin) + 1, kNoPos);
-  }
-  DBP_CHECK(pos_of_[static_cast<std::size_t>(bin)] == kNoPos,
-            "duplicate worst-fit registration");
-  const std::pair<double, BinId> entry{residual, bin};
-  by_residual_.push_back(entry);
-  pos_of_[static_cast<std::size_t>(bin)] = by_residual_.size() - 1;
-  relocate(by_residual_.size() - 1, entry);
-}
-
-inline void WorstFitStrategy::on_residual_changed(BinId bin, double residual) {
-  DBP_REQUIRE(bin < pos_of_.size() && pos_of_[static_cast<std::size_t>(bin)] != kNoPos,
-              "residual change for unregistered bin");
-  relocate(pos_of_[static_cast<std::size_t>(bin)], {residual, bin});
-}
-
-inline void WorstFitStrategy::on_bin_closed(BinId bin) {
+template <FitFill Fill>
+inline void ResidualOrderFitStrategy<Fill>::on_bin_closed(BinId bin) {
   DBP_REQUIRE(bin < pos_of_.size() && pos_of_[static_cast<std::size_t>(bin)] != kNoPos,
               "closing an unregistered bin");
   std::size_t pos = pos_of_[static_cast<std::size_t>(bin)];

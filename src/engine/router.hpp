@@ -44,11 +44,11 @@ class HashShardRouter final : public ShardRouter {
   }
 };
 
-/// Region-aware router reusing RegionalDispatcher semantics: a shard is a
-/// fleet, and every session of a region is pinned to that region's shard,
-/// so region isolation holds whenever shard_count >= regions (Section 5's
-/// constrained-DBP hook, docs/dispatch_engine.md). The region set is fixed
-/// at construction; producers translate names to keys once via
+/// Region-aware router: a shard is a fleet, and every session of a region
+/// is pinned to that region's shard, so region isolation holds whenever
+/// shard_count >= regions (Section 5's constrained-DBP hook,
+/// docs/dispatch_engine.md, examples/constrained_regions). The region set
+/// is fixed at construction; producers translate names to keys once via
 /// route_key_for and stamp the key on every event of the session.
 class RegionShardRouter final : public ShardRouter {
  public:

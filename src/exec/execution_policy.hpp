@@ -33,14 +33,18 @@ struct ParallelWorkEstimate {
   std::size_t work_units = 0;
 };
 
-/// Measured on the bench container with bench_perf_micro (BM_OptTotal* on
-/// 5000-item instances; docs/performance.md "Adaptive execution policy"):
-/// below ~16 jobs the OpenMP region startup is visible against the work,
-/// and below ~256 total work units the per-job slot overhead is. Both are
-/// deliberately conservative — the sequential path is never wrong, only
+/// Below ~16 jobs the OpenMP region startup is visible against the work
+/// (bench_perf_micro, BM_OptTotal* on 5000-item instances). Below 2^15
+/// total RLE runs the evaluate phase takes a few milliseconds at most, the
+/// same order as what a fan-out costs when a worker is slow to start:
+/// dbp_bench_report's dyadic 300-item instance (3,243 runs, ~0.7 ms
+/// sequential) ran up to 6x slower fanned out. The dyadic 2000-item
+/// instance (21,690 runs) now evaluates sequentially too; the uniform ones
+/// (40,660 runs and up) still fan out (docs/performance.md "Adaptive
+/// execution policy"). The sequential path is never wrong, only
 /// occasionally a little slower on hardware we could have used.
 inline constexpr std::size_t kMinParallelJobs = 16;
-inline constexpr std::size_t kMinParallelWorkUnits = 256;
+inline constexpr std::size_t kMinParallelWorkUnits = std::size_t{1} << 15;
 
 /// The decision: should this fan-out use parallel_map? Pure function of its
 /// arguments so tests can pin the truth table.

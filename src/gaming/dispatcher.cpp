@@ -268,12 +268,7 @@ void GameServerDispatcher::save_state(ByteWriter& out) const {
   out.str(algorithm_);
   out.f64(spec_.gpu_capacity);
   out.f64(spec_.price_per_hour);
-  out.u8(static_cast<std::uint8_t>(policy_.on_anomaly));
-  out.f64(policy_.rental_failure_rate);
-  out.u64(static_cast<std::uint64_t>(policy_.max_rental_retries));
-  out.f64(policy_.backoff_base_minutes);
-  out.u64(policy_.max_fleet_servers);
-  out.u64(policy_.seed);
+  write_fault_policy(out, policy_);
   packer_->save_snapshot(out);
   // RLE size-multiset cross-check (opt/rle.hpp): a compact semantic summary
   // of the packer's residents. Restore re-derives it from the restored
@@ -311,14 +306,7 @@ void GameServerDispatcher::restore_state(ByteReader& in) {
   if (in.f64() != spec_.gpu_capacity || in.f64() != spec_.price_per_hour) {
     throw CorruptionError("checkpoint server spec differs from this dispatcher's");
   }
-  FaultPolicy persisted = policy_;
-  persisted.on_anomaly = static_cast<FaultPolicy::AnomalyAction>(in.u8());
-  persisted.rental_failure_rate = in.f64();
-  persisted.max_rental_retries = static_cast<int>(in.u64());
-  persisted.backoff_base_minutes = in.f64();
-  persisted.max_fleet_servers = static_cast<std::size_t>(in.u64());
-  persisted.seed = in.u64();
-  if (!(persisted == policy_)) {
+  if (!(read_fault_policy(in) == policy_)) {
     throw CorruptionError("checkpoint fault policy differs from this dispatcher's");
   }
   packer_->restore_snapshot(in);
@@ -419,86 +407,6 @@ DispatchComparison compare_dispatch_algorithms(
     comparison.reports.push_back(std::move(report));
   }
   return comparison;
-}
-
-RegionalDispatcher::RegionalDispatcher(ServerSpec spec, std::string algorithm,
-                                       PackerOptions options)
-    : spec_(spec), algorithm_(std::move(algorithm)), options_(options) {}
-
-BinId RegionalDispatcher::start_session(const std::string& region,
-                                        std::uint64_t session_id,
-                                        double gpu_fraction, Time now_minutes) {
-  // Validate before any state mutation, and reject with the same typed
-  // DispatchError contract GameServerDispatcher documents. The duplicate
-  // check asks every fleet before a new region's fleet is created, so a
-  // duplicate start leaks no empty fleet.
-  if (fleet_of(session_id) != nullptr) {
-    throw DispatchError(
-        DispatchErrorKind::kDuplicateStart,
-        strfmt("session %llu is already active in a regional fleet: "
-               "duplicate start_session",
-               static_cast<unsigned long long>(session_id)));
-  }
-  const auto it = fleets_.find(region);
-  std::unique_ptr<GameServerDispatcher> created;
-  GameServerDispatcher* fleet;
-  if (it == fleets_.end()) {
-    created = std::make_unique<GameServerDispatcher>(spec_, algorithm_, options_);
-    fleet = created.get();
-  } else {
-    fleet = it->second.get();
-  }
-  // May throw; a freshly created fleet is then discarded untouched.
-  const BinId server = fleet->start_session(session_id, gpu_fraction, now_minutes);
-  if (server == kNoServer) return kNoServer;  // dropped under kDropAndCount
-  if (created) fleets_.emplace(region, std::move(created));
-  return server;
-}
-
-void RegionalDispatcher::end_session(std::uint64_t session_id, Time now_minutes) {
-  GameServerDispatcher* fleet = fleet_of(session_id);
-  if (fleet == nullptr) {
-    throw DispatchError(
-        DispatchErrorKind::kUnknownSession,
-        strfmt("session %llu is not active in any regional fleet: "
-               "unknown end_session",
-               static_cast<unsigned long long>(session_id)));
-  }
-  fleet->end_session(session_id, now_minutes);
-}
-
-GameServerDispatcher* RegionalDispatcher::fleet_of(std::uint64_t session_id) const {
-  for (const std::string& region : regions()) {
-    GameServerDispatcher* fleet = fleets_.at(region).get();
-    if (fleet->bins().active_size(session_id)) return fleet;
-  }
-  return nullptr;
-}
-
-std::size_t RegionalDispatcher::active_servers() const {
-  std::size_t total = 0;
-  // DBP_LINT_ALLOW(unordered-container): integer sum, order-independent.
-  for (const auto& [region, fleet] : fleets_) total += fleet->active_servers();
-  return total;
-}
-
-double RegionalDispatcher::rental_cost_dollars(Time now_minutes) const {
-  // Sum fleets in sorted region order: the bill is a floating-point
-  // accumulation, and hash-map iteration order would make it vary across
-  // standard-library implementations.
-  double total = 0.0;
-  for (const std::string& region : regions()) {
-    total += fleets_.at(region)->rental_cost_dollars(now_minutes);
-  }
-  return total;
-}
-
-std::vector<std::string> RegionalDispatcher::regions() const {
-  std::vector<std::string> names;
-  names.reserve(fleets_.size());
-  for (const auto& [region, fleet] : fleets_) names.push_back(region);
-  std::sort(names.begin(), names.end());
-  return names;
 }
 
 }  // namespace dbp

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "algo/factory.hpp"
@@ -167,35 +166,5 @@ struct DispatchComparison {
 [[nodiscard]] DispatchComparison compare_dispatch_algorithms(
     const CloudGamingTrace& trace, const std::vector<std::string>& algorithms,
     const ServerSpec& spec);
-
-/// Section 5 future-work hook (constrained DBP): sessions carry a region
-/// tag and may only be dispatched to servers of that region. Implemented as
-/// independent per-region fleets.
-class RegionalDispatcher {
- public:
-  RegionalDispatcher(ServerSpec spec, std::string algorithm,
-                     PackerOptions options = {});
-
-  BinId start_session(const std::string& region, std::uint64_t session_id,
-                      double gpu_fraction, Time now_minutes);
-  void end_session(std::uint64_t session_id, Time now_minutes);
-
-  [[nodiscard]] std::size_t active_servers() const;
-  [[nodiscard]] double rental_cost_dollars(Time now_minutes) const;
-  [[nodiscard]] std::vector<std::string> regions() const;
-
- private:
-  /// The fleet whose servers host `session_id` (asked in regions() order),
-  /// or nullptr when no fleet does.
-  [[nodiscard]] GameServerDispatcher* fleet_of(std::uint64_t session_id) const;
-
-  ServerSpec spec_;
-  std::string algorithm_;
-  PackerOptions options_;
-  // DBP_LINT_ALLOW(unordered-container): every float-accumulating traversal
-  // goes through regions() (sorted); the remaining iterations are
-  // order-independent integer sums or name collection followed by a sort.
-  std::unordered_map<std::string, std::unique_ptr<GameServerDispatcher>> fleets_;
-};
 
 }  // namespace dbp

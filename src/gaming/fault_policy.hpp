@@ -7,6 +7,7 @@
 #include <limits>
 #include <string>
 
+#include "core/binary_io.hpp"
 #include "core/error.hpp"
 #include "core/fault.hpp"
 #include "core/types.hpp"
@@ -67,6 +68,13 @@ struct FaultPolicy {
   /// with a different policy.
   friend bool operator==(const FaultPolicy&, const FaultPolicy&) = default;
 };
+
+/// The policy's checkpoint encoding: its six fields in declaration order.
+void write_fault_policy(ByteWriter& out, const FaultPolicy& policy);
+
+/// Reads write_fault_policy() bytes; throws CorruptionError on an unknown
+/// anomaly action or an implausible retry count.
+[[nodiscard]] FaultPolicy read_fault_policy(ByteReader& in);
 
 /// Per-category counters of everything the fault policy absorbed. Counters
 /// advance in both kThrow and kDropAndCount modes (a thrown anomaly is

@@ -94,7 +94,9 @@ void WireServer::start() {
     throw IoError("cannot create unix socket: " +
                   std::string(std::strerror(errno)));
   }
-  if (config_.unlink_existing) ::unlink(config_.socket_path.c_str());
+  // Remove a stale socket file before binding: a previous server that died
+  // without stop() leaves one behind.
+  ::unlink(config_.socket_path.c_str());
   if (::bind(sock.get(), reinterpret_cast<const sockaddr*>(&address),
              sizeof(address)) != 0) {
     throw IoError("cannot bind '" + config_.socket_path +

@@ -50,9 +50,6 @@ struct WireServerConfig {
   /// leaves epochs entirely to explicit `epoch` requests.
   std::uint64_t epoch_cadence_ms = 0;
   int listen_backlog = 64;
-  /// Remove a stale socket file before binding (a previous server that
-  /// died without stop() leaves one behind).
-  bool unlink_existing = true;
 
   /// Throws PreconditionError unless the configuration is usable.
   void validate() const;

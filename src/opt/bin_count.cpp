@@ -43,10 +43,9 @@ std::size_t per_bin_count(double size, const CostModel& model) {
 /// tolerance). `total` is the per-item compensated sum of the n > 0 sizes.
 std::optional<BinCountBounds> closed_form_count(std::uint64_t n, double total,
                                                 double largest, double smallest,
-                                                const CostModel& model,
-                                                const BinCountOptions& options) {
+                                                const CostModel& model) {
   if (model.fits(total, model.bin_capacity)) return BinCountBounds{1, 1};
-  if (largest - smallest <= options.equal_size_rel_tolerance * largest) {
+  if (largest - smallest <= kEqualSizeRelTolerance * largest) {
     const std::size_t m = per_bin_count(largest, model);
     const auto bins = static_cast<std::size_t>((n + m - 1) / m);
     return BinCountBounds{bins, bins};
@@ -281,7 +280,7 @@ BinCountBounds compute_rle(std::span<const SizeRun> runs, const CostModel& model
     for (std::uint64_t i = 0; i < run.count; ++i) sum.add(run.size);
   }
   if (const auto closed = closed_form_count(n, sum.value(), runs.front().size,
-                                            runs.back().size, model, options)) {
+                                            runs.back().size, model)) {
     return *closed;
   }
 
@@ -327,7 +326,7 @@ BinCountBounds optimal_bin_count(std::span<const double> sizes, const CostModel&
   CompensatedSum sum;
   for (double s : sorted) sum.add(s);
   if (const auto closed = closed_form_count(sorted.size(), sum.value(), sorted.front(),
-                                            sorted.back(), model, options)) {
+                                            sorted.back(), model)) {
     return *closed;
   }
 

@@ -27,15 +27,16 @@ struct BinCountBounds {
 /// strand the large items (docs/opt_certification.md).
 inline constexpr std::uint64_t kWitnessNodesPerBin = 200;
 
+/// Sizes whose relative spread is at most this are treated as equal, which
+/// takes the exact equal-size fast path.
+inline constexpr double kEqualSizeRelTolerance = 1e-12;
+
 struct BinCountOptions {
   /// Forwarded to the exact solver when heuristic bounds do not meet.
   ExactPackingOptions exact{};
   /// Disable the exact solver entirely (bounds then come from L2 and
   /// FFD/BFD only) — used by large sweeps where speed matters more.
   bool use_exact_solver = true;
-  /// Sizes whose relative spread is below this are treated as equal,
-  /// enabling the exact equal-size fast path.
-  double equal_size_rel_tolerance = 1e-12;
 };
 
 /// Computes bounds for the given multiset. Fast paths (exact, O(n)):

@@ -677,13 +677,14 @@ TEST_F(DurabilityTest, OverlongCheckpointNamesAreIgnored) {
 
 TEST_F(DurabilityTest, PreviousFormatDirectoryIsRefusedUntouched) {
   // Version 1 wrote a payload mode byte and simulation event kinds; version
-  // 2 wrote the dispatcher's session table. A directory whose headers still
-  // say either version (here with a half-written record at the journal's
-  // end) must be refused before recovery truncates or rewrites any of its
-  // files. The journal records did not change in version 3, but the
-  // journal's version moved with the checkpoint's: recovery repairs a torn
-  // journal tail before it reads any checkpoint.
-  for (const std::uint32_t old_version : {1u, 2u}) {
+  // 2 wrote the dispatcher's session table; version 3 wrote adaptive-mff's
+  // own pool map. A directory whose headers still say any of these versions
+  // (here with a half-written record at the journal's end) must be refused
+  // before recovery truncates or rewrites any of its files. The journal
+  // records did not change in versions 3 and 4, but the journal's version
+  // moves with the checkpoint's: recovery repairs a torn journal tail before
+  // it reads any checkpoint.
+  for (const std::uint32_t old_version : {1u, 2u, 3u}) {
     SCOPED_TRACE(old_version);
     const std::string dir = path("run-v" + std::to_string(old_version));
     {

@@ -347,6 +347,53 @@ TEST(EngineTest, RegionRoutingIsolatesFleets) {
   EXPECT_EQ(eng.active_servers(), 2u);
   EXPECT_EQ(eng.shard_dispatcher(eng.router().shard_for(ap, 2)).active_sessions(), 1u);
   EXPECT_EQ(eng.shard_dispatcher(eng.router().shard_for(eu, 2)).active_sessions(), 1u);
+
+  SessionEvent a_end = end_event(1, 30.0);
+  a_end.route_key = ap;
+  SessionEvent b_end = end_event(2, 60.0);
+  b_end.route_key = eu;
+  eng.submit(a_end);
+  eng.submit(b_end);
+  eng.drain();
+  EXPECT_EQ(eng.active_servers(), 0u);
+  // Bill: 30 + 60 server-minutes at $6/hour = $9.
+  EXPECT_DOUBLE_EQ(eng.rental_cost_dollars(60.0), 9.0);
+}
+
+TEST(EngineTest, RegionRoutingSharesWithinARegion) {
+  auto router = std::make_unique<RegionShardRouter>(
+      std::vector<std::string>{"ap", "eu"});
+  const std::uint64_t eu = router->route_key_for("eu");
+  ShardedDispatchEngine eng(config(2), std::move(router));
+
+  SessionEvent a = start_event(1, 0.4, 0.0);
+  a.route_key = eu;
+  SessionEvent b = start_event(2, 0.4, 1.0);
+  b.route_key = eu;
+  eng.submit(a);
+  eng.submit(b);
+  eng.drain();
+  EXPECT_EQ(eng.active_servers(), 1u);
+}
+
+TEST(EngineTest, RegionRoutingAdmitsPerShard) {
+  // Admission is per shard: an id active in one region is not refused in
+  // another, where it is a separate session.
+  auto router = std::make_unique<RegionShardRouter>(
+      std::vector<std::string>{"ap", "eu"});
+  const std::uint64_t ap = router->route_key_for("ap");
+  const std::uint64_t eu = router->route_key_for("eu");
+  ShardedDispatchEngine eng(config(2), std::move(router));
+
+  SessionEvent a = start_event(1, 0.4, 0.0);
+  a.route_key = ap;
+  SessionEvent b = start_event(1, 0.4, 0.0);
+  b.route_key = eu;
+  eng.submit(a);
+  eng.submit(b);
+  eng.drain();
+  EXPECT_EQ(eng.active_sessions(), 2u);
+  EXPECT_EQ(eng.merged_fault_stats().duplicate_starts, 0u);
 }
 
 }  // namespace

@@ -93,6 +93,11 @@ TEST(ExecutionPolicyTest, ShouldParallelizeTruthTable) {
                                                exec::kMinParallelWorkUnits - 1};
   EXPECT_FALSE(
       exec::should_parallelize(ExecutionPolicy::kAdaptive, below_units, 2));
+  // dbp_bench_report's dyadic 300-item instance: many jobs, but its whole
+  // evaluate phase is sub-millisecond, so it stays sequential.
+  const exec::ParallelWorkEstimate dyadic_300{/*jobs=*/550, /*work_units=*/3'243};
+  EXPECT_FALSE(
+      exec::should_parallelize(ExecutionPolicy::kAdaptive, dyadic_300, 4));
 }
 
 TEST(ExecutionPolicyTest, NamesRoundTrip) {

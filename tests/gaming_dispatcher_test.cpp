@@ -86,92 +86,6 @@ TEST(DispatchComparisonTest, ComparesAlgorithmsOnTrace) {
   }
 }
 
-TEST(RegionalDispatcherTest, RegionsAreIsolatedFleets) {
-  RegionalDispatcher dispatcher(basic_spec(), "first-fit");
-  dispatcher.start_session("us-east", 1, 0.4, 0.0);
-  dispatcher.start_session("eu-west", 2, 0.4, 0.0);
-  // Both sessions would fit one server, but regions cannot share.
-  EXPECT_EQ(dispatcher.active_servers(), 2u);
-  EXPECT_EQ(dispatcher.regions(), (std::vector<std::string>{"eu-west", "us-east"}));
-  dispatcher.end_session(1, 30.0);
-  dispatcher.end_session(2, 60.0);
-  EXPECT_EQ(dispatcher.active_servers(), 0u);
-  // Bill: 30 + 60 minutes = 1.5 hours = $9.
-  EXPECT_DOUBLE_EQ(dispatcher.rental_cost_dollars(60.0), 9.0);
-}
-
-TEST(RegionalDispatcherTest, SameRegionShares) {
-  RegionalDispatcher dispatcher(basic_spec(), "first-fit");
-  dispatcher.start_session("us-east", 1, 0.4, 0.0);
-  dispatcher.start_session("us-east", 2, 0.4, 1.0);
-  EXPECT_EQ(dispatcher.active_servers(), 1u);
-}
-
-TEST(RegionalDispatcherTest, SessionBookkeeping) {
-  RegionalDispatcher dispatcher(basic_spec(), "first-fit");
-  dispatcher.start_session("ap", 1, 0.4, 0.0);
-  EXPECT_THROW(dispatcher.start_session("ap", 1, 0.4, 1.0), PreconditionError);
-  EXPECT_THROW(dispatcher.end_session(99, 1.0), PreconditionError);
-}
-
-/// Runs `fn`, which must throw DispatchError, and returns its kind().
-template <typename Fn>
-DispatchErrorKind dispatch_error_kind(Fn&& fn) {
-  try {
-    fn();
-  } catch (const DispatchError& error) {
-    return error.kind();
-  }
-  ADD_FAILURE() << "expected a DispatchError";
-  return DispatchErrorKind::kUnknownServer;
-}
-
-// Regression (PR 8 satellite): RegionalDispatcher used to surface bare
-// PreconditionError from DBP_REQUIRE for unknown session ids and duplicate
-// starts instead of the typed DispatchError contract GameServerDispatcher
-// documents. Callers switching on kind() must work through the regional
-// facade too.
-TEST(RegionalDispatcherTest, TypedDispatchErrors) {
-  RegionalDispatcher dispatcher(basic_spec(), "first-fit");
-  dispatcher.start_session("ap", 1, 0.4, 0.0);
-  EXPECT_EQ(dispatch_error_kind(
-                [&] { dispatcher.start_session("ap", 1, 0.4, 1.0); }),
-            DispatchErrorKind::kDuplicateStart);
-  EXPECT_EQ(dispatch_error_kind([&] { dispatcher.end_session(99, 1.0); }),
-            DispatchErrorKind::kUnknownSession);
-}
-
-// Regression: a duplicate start naming a *new* region used to create (and
-// leak) an empty fleet for that region before the duplicate check fired.
-TEST(RegionalDispatcherTest, DuplicateStartLeaksNoEmptyFleet) {
-  RegionalDispatcher dispatcher(basic_spec(), "first-fit");
-  dispatcher.start_session("ap", 1, 0.4, 0.0);
-  EXPECT_EQ(dispatch_error_kind(
-                [&] { dispatcher.start_session("eu-west", 1, 0.4, 1.0); }),
-            DispatchErrorKind::kDuplicateStart);
-  EXPECT_EQ(dispatcher.regions(), (std::vector<std::string>{"ap"}));
-}
-
-// Regression: the session->fleet mapping used to be recorded *before* the
-// inner dispatch, so a rejected start (invalid size here) left a stale
-// entry behind — end_session on the never-started id then corrupted the
-// bookkeeping instead of rejecting it as unknown.
-TEST(RegionalDispatcherTest, RejectedStartLeavesNoStaleMapping) {
-  RegionalDispatcher dispatcher(basic_spec(), "first-fit");
-  dispatcher.start_session("ap", 1, 0.4, 0.0);
-  EXPECT_EQ(dispatch_error_kind(
-                [&] { dispatcher.start_session("eu-west", 7, 2.0, 1.0); }),
-            DispatchErrorKind::kInvalidSize);
-  // The failed start created nothing: no fleet for the new region...
-  EXPECT_EQ(dispatcher.regions(), (std::vector<std::string>{"ap"}));
-  // ...and no session mapping, so ending the never-started id is *unknown*.
-  EXPECT_EQ(dispatch_error_kind([&] { dispatcher.end_session(7, 2.0); }),
-            DispatchErrorKind::kUnknownSession);
-  // The healthy session is untouched by the failed start.
-  dispatcher.end_session(1, 3.0);
-  EXPECT_EQ(dispatcher.active_servers(), 0u);
-}
-
 // Pinned counter-example (PR 8 satellite): rental_cost_dollars probed with
 // `now` earlier than a server's open time must clamp that rental at zero
 // dollars, never accrue a negative tail.

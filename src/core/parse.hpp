@@ -9,6 +9,7 @@
 // net/wire_protocol.cpp are the two consumers).
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -28,8 +29,9 @@ namespace dbp {
                                                     const std::string& what) {
   DBP_REQUIRE(!text.empty(), "invalid " + what + ": empty, expected a "
               "non-negative integer");
-  const bool all_digits =
-      text.find_first_not_of("0123456789") == std::string_view::npos;
+  const bool all_digits = std::all_of(text.begin(), text.end(), [](char c) {
+    return c >= '0' && c <= '9';
+  });
   DBP_REQUIRE(all_digits, "invalid " + what + " '" + std::string(text) +
               "': expected a non-negative integer");
   std::uint64_t value = 0;

@@ -51,6 +51,7 @@ ShardedDispatchEngine::ShardedDispatchEngine(EngineConfig config,
       integral_(config_.spec.to_cost_model().cost_rate) {
   config_.validate();
   shards_.reserve(config_.shard_count);
+  merge_cursor_.resize(config_.shard_count);
   for (std::size_t i = 0; i < config_.shard_count; ++i) {
     shards_.push_back(std::make_unique<Shard>(config_));
   }
@@ -69,9 +70,9 @@ void ShardedDispatchEngine::submit(const SessionEvent& event) {
   while (!try_submit(event)) {
     // The shard's ring is full: become the pump if nobody else is, so
     // backpressure drains the backlog instead of deadlocking producers.
-    if (pump_mutex_.try_lock()) {
+    if (const std::unique_lock<std::mutex> pump(pump_mutex_, std::try_to_lock);
+        pump.owns_lock()) {
       pump_locked();
-      pump_mutex_.unlock();
       failed_rounds = 0;
       continue;
     }
@@ -113,39 +114,46 @@ void ShardedDispatchEngine::drain_shard(Shard& shard) {
 }
 
 void ShardedDispatchEngine::pump_locked() {
-  const int effective = exec::WorkerBudget::effective();
-  const std::size_t workers = std::min(
-      shards_.size(), static_cast<std::size_t>(std::max(1, effective)));
-  if (workers <= 1) {
-    // Inline: the caller thread applies every shard's FIFO in shard order.
-    // Observability is suppressed exactly as on worker threads, so the
-    // exported trace is byte-identical across budgets.
-    const exec::WorkerLease lease;
-    const obs::ObsScope quiet(nullptr, nullptr);
-    for (const std::unique_ptr<Shard>& shard : shards_) drain_shard(*shard);
-    return;
+  std::size_t backlog = 0;
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    backlog += shard->ring.size_approx();
   }
-  // Fork-join over contiguous shard blocks. Each worker owns its shards
-  // exclusively for this pump, so per-shard application stays FIFO and the
-  // partition never affects results — only which thread runs them.
+  // A producer racing this read can move the choice, never a result.
+  const std::size_t workers = drain_workers(backlog, shards_.size(),
+                                            exec::WorkerBudget::effective());
+  // Fork-join over contiguous shard blocks, block 0 on the caller thread.
+  // Each thread owns its shards exclusively for this pump, so per-shard
+  // application stays FIFO and the partition never affects results — only
+  // which thread runs them. Observability is suppressed on every draining
+  // thread, so the exported trace is byte-identical across budgets. An
+  // exception is kept for the caller, so every started worker is joined.
   std::exception_ptr first_error;
   std::mutex error_mutex;
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::size_t begin = w * shards_.size() / workers;
-    const std::size_t end = (w + 1) * shards_.size() / workers;
-    threads.emplace_back([this, begin, end, &first_error, &error_mutex] {
-      const exec::WorkerLease lease;
-      const obs::ObsScope quiet(nullptr, nullptr);
-      try {
-        for (std::size_t s = begin; s < end; ++s) drain_shard(*shards_[s]);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
+  const auto drain_block = [&](std::size_t w) {
+    const exec::WorkerLease lease;
+    const obs::ObsScope quiet(nullptr, nullptr);
+    try {
+      const std::size_t end = (w + 1) * shards_.size() / workers;
+      for (std::size_t s = w * shards_.size() / workers; s < end; ++s) {
+        drain_shard(*shards_[s]);
       }
-    });
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(error_mutex);
+      if (!first_error) first_error = std::current_exception();
+    }
+  };
+  std::vector<std::thread> threads;
+  std::size_t unstarted = workers;  // first block no thread was started for
+  try {
+    threads.reserve(workers - 1);
+    for (std::size_t w = 1; w < workers; ++w) threads.emplace_back(drain_block, w);
+  } catch (...) {
+    // A thread failed to start (std::system_error, EAGAIN when no stack can
+    // be mapped): the caller drains the blocks that have none.
+    unstarted = threads.size() + 1;
   }
+  drain_block(0);
+  for (std::size_t w = unstarted; w < workers; ++w) drain_block(w);
   for (std::thread& thread : threads) thread.join();
   if (first_error) std::rethrow_exception(first_error);
 }
@@ -176,7 +184,8 @@ void ShardedDispatchEngine::merge_snapshots_locked() {
   // invariant: the same active sessions yield the same runs for any shard
   // count — the property the cross-shard differential test pins.
   merged_runs_.clear();
-  std::vector<std::size_t> next(shards_.size(), 0);
+  std::vector<std::size_t>& next = merge_cursor_;
+  std::fill(next.begin(), next.end(), 0);
   for (;;) {
     bool any = false;
     double best = 0.0;

@@ -14,6 +14,7 @@
 // arithmetic uses `& (capacity - 1)` indexing.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <memory>
@@ -89,9 +90,18 @@ class BoundedMpscRing {
   }
 
   /// Approximate — exact only when producers and consumer are quiescent.
-  [[nodiscard]] bool empty() const noexcept {
-    return head_.load(std::memory_order_acquire) ==
-           tail_.load(std::memory_order_acquire);
+  [[nodiscard]] bool empty() const noexcept { return size_approx() == 0; }
+
+  /// Approximate occupancy: claimed tickets minus consumed ones, in
+  /// [0, capacity]. Exact only when producers and consumer are quiescent;
+  /// a claimed cell still being written counts as occupied.
+  [[nodiscard]] std::size_t size_approx() const noexcept {
+    // The head is read first and the tail only grows, so tail >= head; pops
+    // and pushes between the two reads can take the difference past the
+    // capacity, hence the clamp.
+    const std::size_t head = head_.load(std::memory_order_acquire);
+    const std::size_t tail = tail_.load(std::memory_order_acquire);
+    return std::min(tail - head, capacity_);
   }
 
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }

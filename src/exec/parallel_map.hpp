@@ -21,6 +21,17 @@
 
 namespace dbp {
 
+/// Number of worker threads parallel_map will use from this thread:
+/// exec::WorkerBudget::effective() when OpenMP is compiled in, and 1
+/// without it, since the OpenMP fan-outs then run sequentially.
+[[nodiscard]] inline int parallel_worker_count() {
+#if defined(DBP_HAVE_OPENMP)
+  return exec::WorkerBudget::effective();
+#else
+  return 1;
+#endif
+}
+
 /// Applies `fn(job)` to every element of `jobs` in parallel and returns the
 /// results in order. `fn` must be safe to call concurrently on distinct
 /// jobs. The first exception to be *captured* by any job is rethrown after
@@ -50,7 +61,7 @@ auto parallel_map(const std::vector<Job>& jobs, Fn&& fn)
   // 1-worker budget, a held WorkerLease, or an enclosing active parallel
   // region (nested map) all serialize the loop instead of paying for an
   // OpenMP team that cannot help.
-  const bool fan_out = jobs.size() > 1 && exec::WorkerBudget::effective() > 1;
+  const bool fan_out = jobs.size() > 1 && parallel_worker_count() > 1;
   // Signed induction variable: unsigned ones break OpenMP 2.0 / MSVC builds.
   const auto job_count = static_cast<std::ptrdiff_t>(jobs.size());
 #if defined(DBP_HAVE_OPENMP)
@@ -77,13 +88,6 @@ auto parallel_map(const std::vector<Job>& jobs, Fn&& fn)
   results.reserve(jobs.size());
   for (std::optional<Result>& slot : slots) results.push_back(std::move(*slot));
   return results;
-}
-
-/// Number of worker threads parallel_map will use from this thread. Thin
-/// wrapper over exec::WorkerBudget::effective() kept for existing call
-/// sites; new code should talk to the budget directly.
-[[nodiscard]] inline int parallel_worker_count() {
-  return exec::WorkerBudget::effective();
 }
 
 /// Caps the worker count for subsequent parallel_map calls (CLI --threads

@@ -48,15 +48,14 @@ int WorkerBudget::available() noexcept { return runtime_default(); }
 int WorkerBudget::effective() noexcept {
   if (in_parallel_region() || WorkerLease::held()) return 1;
   const int configured = budget();
+  if (configured > 0) return std::min(configured, kMaxWorkers);
 #if defined(DBP_HAVE_OPENMP)
   // omp_get_max_threads already reflects set()'s omp_set_num_threads, but
-  // consulting the budget keeps the answer right even if third-party code
-  // fiddled with the ICV behind our back.
-  const int runtime = std::max(1, omp_get_max_threads());
-  return configured > 0 ? std::min(configured, kMaxWorkers) : runtime;
+  // consulting the budget first keeps an explicit cap right even if
+  // third-party code fiddled with the ICV behind our back.
+  return std::max(1, omp_get_max_threads());
 #else
-  (void)configured;
-  return 1;
+  return available();
 #endif
 }
 

@@ -45,7 +45,9 @@ class WorkerBudget {
 
   /// Workers the next parallel fan-out on this thread will get: 1 inside an
   /// active parallel region or under a WorkerLease (nested fan-outs run
-  /// sequentially instead of oversubscribing), otherwise the budgeted count.
+  /// sequentially instead of oversubscribing), otherwise the budgeted count
+  /// in every build, available() when none is set. A fan-out that needs
+  /// OpenMP asks parallel_worker_count() instead, which is 1 without it.
   [[nodiscard]] static int effective() noexcept;
 
   /// True when the calling thread is part of an active (multi-thread)

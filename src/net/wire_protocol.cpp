@@ -2,6 +2,11 @@
 
 #include <array>
 #include <cstddef>
+#include <cstring>
+#include <memory_resource>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "core/crc32.hpp"
 #include "core/error.hpp"
@@ -174,6 +179,15 @@ WireResponse decode_response(std::span<const std::uint8_t> payload) {
 bool is_valid_utf8(std::string_view text) noexcept {
   std::size_t i = 0;
   while (i < text.size()) {
+    // ASCII runs eight bytes at a time: no byte has its high bit set.
+    std::uint64_t word = 0;
+    if (i + sizeof word <= text.size()) {
+      std::memcpy(&word, text.data() + i, sizeof word);
+      if ((word & 0x8080808080808080ULL) == 0) {
+        i += sizeof word;
+        continue;
+      }
+    }
     const auto byte = static_cast<std::uint8_t>(text[i]);
     std::size_t extra = 0;
     std::uint32_t code_point = 0;
@@ -239,28 +253,85 @@ namespace {
 /// which the differential test depends on for sizes and times.
 std::string json_number(double value) { return strfmt("%.17g", value); }
 
-/// One value in the flat-object subset: either a JSON string (decoded) or
-/// the raw token text of a number/bool/null, kept verbatim so numeric
-/// fields run through the same strict parsers as CLI flags.
-struct JsonValue {
-  bool is_string = false;
-  std::string text;
+// Request lines are scanned once, into fields that are views into the line,
+// so an accepted request allocates nothing. No key, verb or kind word
+// contains a character JSON escapes, so text holding an escape never equals
+// one. Such text is decoded only to compare two keys for duplicates (in
+// place) and to build an error text.
+
+/// A string's text between its quotes, or a bare value token, in the line.
+/// `escaped` marks string text holding an escape the scan accepted.
+struct JsonText {
+  std::string_view raw;
+  bool escaped = false;
 };
+
+/// The character at `raw[i]`, its escape decoded; advances `i` past it.
+char unescape_next(std::string_view raw, std::size_t& i) {
+  const char c = raw[i++];
+  if (c != '\\') return c;
+  const char esc = raw[i++];
+  switch (esc) {
+    case 'n': return '\n';
+    case 'r': return '\r';
+    case 't': return '\t';
+    default: return esc;  // '"', '\\' or '/'
+  }
+}
+
+std::string unescape(const JsonText& text) {
+  std::string out;
+  for (std::size_t i = 0; i < text.raw.size();) {
+    out.push_back(unescape_next(text.raw, i));
+  }
+  return out;
+}
+
+/// True when both texts decode to the same characters.
+bool same_text(const JsonText& a, const JsonText& b) {
+  if (!a.escaped && !b.escaped) return a.raw == b.raw;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.raw.size() && j < b.raw.size()) {
+    if (unescape_next(a.raw, i) != unescape_next(b.raw, j)) return false;
+  }
+  return i == a.raw.size() && j == b.raw.size();
+}
+
+/// True when `text` decodes to `word`, which holds nothing JSON escapes.
+bool is_word(const JsonText& text, std::string_view word) {
+  return !text.escaped && text.raw == word;
+}
+
+/// The request keys, in kKeyNames order; kUnknown is any other key.
+enum class Key : std::uint8_t { kVerb, kKind, kId, kRoute, kSize, kT, kUnknown };
+constexpr std::array<std::string_view, 6> kKeyNames = {"verb", "kind", "id",
+                                                       "route", "size", "t"};
+
+constexpr unsigned key_bit(Key key) { return 1U << static_cast<unsigned>(key); }
+constexpr unsigned kSubmitKeys = key_bit(Key::kVerb) | key_bit(Key::kKind) |
+                                 key_bit(Key::kId) | key_bit(Key::kRoute) |
+                                 key_bit(Key::kSize) | key_bit(Key::kT);
+constexpr unsigned kTimedKeys = key_bit(Key::kVerb) | key_bit(Key::kT);
+constexpr unsigned kShutdownKeys = key_bit(Key::kVerb);
 
 struct JsonField {
-  std::string key;
-  JsonValue value;
+  JsonText key;
+  JsonText value;
+  bool is_string = false;  ///< otherwise `value` is a bare token
+  Key name = Key::kUnknown;
 };
 
-/// Strict parser for one-line flat JSON objects. Fails (returns false with
-/// a detail message) on nesting, duplicate keys, unsupported escapes and
-/// any structural deviation — the wire rejects what it does not fully
-/// understand.
-class FlatJsonParser {
+/// Strict single-pass scanner for one-line flat JSON objects. Fails
+/// (returns false with a detail message) on nesting, duplicate keys,
+/// unsupported escapes and any structural deviation, at the first one in
+/// scan order — the wire rejects what it does not fully understand.
+class FlatJsonScanner {
  public:
-  explicit FlatJsonParser(std::string_view line) : line_(line) {}
+  FlatJsonScanner(std::string_view line, std::pmr::vector<JsonField>& fields)
+      : line_(line), fields_(fields) {}
 
-  [[nodiscard]] bool parse(std::vector<JsonField>& fields, std::string& detail) {
+  [[nodiscard]] bool scan(std::string& detail) {
     skip_ws();
     if (!consume('{')) return fail(detail, "expected '{'");
     skip_ws();
@@ -268,17 +339,17 @@ class FlatJsonParser {
     while (true) {
       skip_ws();
       JsonField field;
-      if (!parse_string(field.key, detail)) return false;
-      for (const JsonField& existing : fields) {
-        if (existing.key == field.key) {
-          return fail(detail, "duplicate key '" + field.key + "'");
+      if (!scan_string(field.key, detail)) return false;
+      for (const JsonField& existing : fields_) {
+        if (same_text(existing.key, field.key)) {
+          return fail(detail, "duplicate key '" + unescape(field.key) + "'");
         }
       }
       skip_ws();
       if (!consume(':')) return fail(detail, "expected ':' after key");
       skip_ws();
-      if (!parse_value(field.value, detail)) return false;
-      fields.push_back(std::move(field));
+      if (!scan_value(field, detail)) return false;
+      fields_.push_back(field);
       skip_ws();
       if (consume(',')) continue;
       if (consume('}')) return finish(detail);
@@ -313,68 +384,70 @@ class FlatJsonParser {
     return false;
   }
 
-  [[nodiscard]] bool parse_string(std::string& out, std::string& detail) {
+  [[nodiscard]] bool scan_string(JsonText& out, std::string& detail) {
     if (!consume('"')) return fail(detail, "expected '\"'");
-    out.clear();
+    const std::size_t begin = pos_;
     while (pos_ < line_.size()) {
       const char c = line_[pos_++];
-      if (c == '"') return true;
+      if (c == '"') {
+        out.raw = line_.substr(begin, pos_ - 1 - begin);
+        return true;
+      }
       if (c == '\\') {
         if (pos_ >= line_.size()) return fail(detail, "dangling escape");
         const char esc = line_[pos_++];
         switch (esc) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'n': out.push_back('\n'); break;
-          case 'r': out.push_back('\r'); break;
-          case 't': out.push_back('\t'); break;
+          case '"':
+          case '\\':
+          case '/':
+          case 'n':
+          case 'r':
+          case 't':
+            out.escaped = true;
+            break;
           default:
-            return fail(detail,
-                        strfmt("unsupported escape '\\%c'", esc));
+            return fail(detail, strfmt("unsupported escape '\\%c'", esc));
         }
         continue;
       }
       if (static_cast<unsigned char>(c) < 0x20U) {
         return fail(detail, "raw control byte inside string");
       }
-      out.push_back(c);
     }
     return fail(detail, "unterminated string");
   }
 
-  [[nodiscard]] bool parse_value(JsonValue& out, std::string& detail) {
+  [[nodiscard]] bool scan_value(JsonField& field, std::string& detail) {
     if (pos_ >= line_.size()) return fail(detail, "expected a value");
     const char head = line_[pos_];
     if (head == '"') {
-      out.is_string = true;
-      return parse_string(out.text, detail);
+      field.is_string = true;
+      return scan_string(field.value, detail);
     }
     if (head == '{' || head == '[') {
       return fail(detail, "nested values are not supported (flat object only)");
     }
-    out.is_string = false;
-    out.text.clear();
+    const std::size_t begin = pos_;
     while (pos_ < line_.size()) {
       const char c = line_[pos_];
       if (c == ',' || c == '}' || c == ' ' || c == '\t' || c == '\r') break;
-      out.text.push_back(c);
       ++pos_;
     }
-    if (out.text.empty()) return fail(detail, "expected a value");
+    if (pos_ == begin) return fail(detail, "expected a value");
+    field.value.raw = line_.substr(begin, pos_ - begin);
     return true;
   }
 
   std::string_view line_;
+  std::pmr::vector<JsonField>& fields_;
   std::size_t pos_ = 0;
 };
 
-[[nodiscard]] const JsonValue* find_field(const std::vector<JsonField>& fields,
-                                          std::string_view key) {
-  for (const JsonField& field : fields) {
-    if (field.key == key) return &field.value;
+Key key_of(const JsonText& key) {
+  for (std::size_t k = 0; k < kKeyNames.size(); ++k) {
+    if (is_word(key, kKeyNames[k])) return static_cast<Key>(k);
   }
-  return nullptr;
+  return Key::kUnknown;
 }
 
 /// Marks `result` rejected with kBadField carrying `detail`.
@@ -385,65 +458,68 @@ DecodeResult bad_field(std::string detail) {
   return result;
 }
 
-[[nodiscard]] bool require_raw(const JsonValue* value, const char* key,
+[[nodiscard]] bool require_raw(const JsonField* field, Key key,
                                DecodeResult& rejection) {
-  if (value == nullptr) {
-    rejection = bad_field(strfmt("missing field '%s'", key));
+  const char* name = kKeyNames[static_cast<std::size_t>(key)].data();
+  if (field == nullptr) {
+    rejection = bad_field(strfmt("missing field '%s'", name));
     return false;
   }
-  if (value->is_string) {
-    rejection = bad_field(strfmt("field '%s' must be a number, got a string", key));
-    return false;
-  }
-  return true;
-}
-
-/// "field 'KEY'", the name the strict parsers give in their errors. Every
-/// key fits the small-string buffer, so building it allocates nothing.
-std::string field_label(const char* key) {
-  return std::string("field '") + key + "'";
-}
-
-[[nodiscard]] bool parse_u64_field(const JsonValue* value, const char* key,
-                                   std::uint64_t& out, DecodeResult& rejection) {
-  if (!require_raw(value, key, rejection)) return false;
-  try {
-    out = parse_u64_strict(value->text, field_label(key));
-  } catch (const PreconditionError& error) {
-    rejection = bad_field(error.what());
+  if (field->is_string) {
+    rejection = bad_field(strfmt("field '%s' must be a number, got a string", name));
     return false;
   }
   return true;
 }
 
-[[nodiscard]] bool parse_double_field(const JsonValue* value, const char* key,
-                                      double& out, DecodeResult& rejection) {
-  if (!require_raw(value, key, rejection)) return false;
-  try {
-    out = parse_double_strict(value->text, field_label(key));
-  } catch (const PreconditionError& error) {
-    rejection = bad_field(error.what());
-    return false;
-  }
-  return true;
-}
-
-/// Rejects keys outside the verb's vocabulary so typos ("szie") surface as
-/// errors instead of silently ignored fields.
-[[nodiscard]] bool check_known_keys(const std::vector<JsonField>& fields,
-                                    std::span<const std::string_view> allowed,
-                                    DecodeResult& rejection) {
-  for (const JsonField& field : fields) {
-    bool known = false;
-    for (const std::string_view key : allowed) {
-      if (field.key == key) {
-        known = true;
-        break;
-      }
+/// "field 'KEY'", the name the strict parsers give in their errors. Built
+/// once; every label fits the small-string buffer, so that allocates
+/// nothing either.
+const std::string& field_label(Key key) {
+  static const std::array<std::string, kKeyNames.size()> kLabels = [] {
+    std::array<std::string, kKeyNames.size()> labels;
+    for (std::size_t k = 0; k < kKeyNames.size(); ++k) {
+      labels[k] = "field '";
+      labels[k] += kKeyNames[k];
+      labels[k] += '\'';
     }
-    if (!known) {
+    return labels;
+  }();
+  return kLabels[static_cast<std::size_t>(key)];
+}
+
+[[nodiscard]] bool parse_u64_field(const JsonField* field, Key key,
+                                   std::uint64_t& out, DecodeResult& rejection) {
+  if (!require_raw(field, key, rejection)) return false;
+  try {
+    out = parse_u64_strict(field->value.raw, field_label(key));
+  } catch (const PreconditionError& error) {
+    rejection = bad_field(error.what());
+    return false;
+  }
+  return true;
+}
+
+[[nodiscard]] bool parse_double_field(const JsonField* field, Key key,
+                                      double& out, DecodeResult& rejection) {
+  if (!require_raw(field, key, rejection)) return false;
+  try {
+    out = parse_double_strict(field->value.raw, field_label(key));
+  } catch (const PreconditionError& error) {
+    rejection = bad_field(error.what());
+    return false;
+  }
+  return true;
+}
+
+/// Rejects keys outside the verb's vocabulary (a mask of key_bit) so typos
+/// ("szie") surface as errors instead of silently ignored fields.
+[[nodiscard]] bool check_known_keys(std::span<const JsonField> fields,
+                                    unsigned allowed, DecodeResult& rejection) {
+  for (const JsonField& field : fields) {
+    if ((allowed & key_bit(field.name)) == 0) {
       rejection = bad_field(
-          strfmt("unexpected field '%s'", field.key.c_str()));
+          strfmt("unexpected field '%s'", unescape(field.key).c_str()));
       return false;
     }
   }
@@ -451,6 +527,7 @@ std::string field_label(const char* key) {
 }
 
 }  // namespace
+
 
 std::string encode_json_request(const WireRequest& request) {
   switch (request.verb) {
@@ -491,84 +568,95 @@ DecodeResult decode_json_request(std::string_view line) {
     result.detail = "request line is not valid UTF-8";
     return result;
   }
-  std::vector<JsonField> fields;
-  std::string detail;
-  if (!FlatJsonParser(line).parse(fields, detail)) {
+  // An accepted line has at most one field per key, so its fields fit this
+  // buffer. Only a longer line, which is always rejected, spills to the
+  // heap; no field count changes a result.
+  alignas(JsonField) std::array<std::byte, kKeyNames.size() * sizeof(JsonField)>
+      buffer;
+  std::pmr::monotonic_buffer_resource arena(buffer.data(), buffer.size());
+  std::pmr::vector<JsonField> fields(&arena);
+  fields.reserve(kKeyNames.size());
+  if (!FlatJsonScanner(line, fields).scan(result.detail)) {
     result.error = WireError::kBadJson;
-    result.detail = std::move(detail);
     return result;
   }
+  // The scan refused duplicates, so each key names at most one field.
+  std::array<const JsonField*, kKeyNames.size()> by_key{};
+  for (JsonField& field : fields) {
+    field.name = key_of(field.key);
+    if (field.name != Key::kUnknown) by_key[static_cast<std::size_t>(field.name)] = &field;
+  }
+  const auto find_field = [&by_key](Key key) {
+    return by_key[static_cast<std::size_t>(key)];
+  };
 
-  const JsonValue* verb = find_field(fields, "verb");
+  const JsonField* verb = find_field(Key::kVerb);
   if (verb == nullptr || !verb->is_string) {
     result.error = WireError::kBadField;
     result.detail = "missing string field 'verb'";
     return result;
   }
 
-  if (verb->text == "submit") {
-    static constexpr std::string_view kKeys[] = {"verb", "kind", "id",
-                                                 "route", "size", "t"};
-    if (!check_known_keys(fields, kKeys, result)) return result;
+  if (is_word(verb->value, "submit")) {
+    if (!check_known_keys(fields, kSubmitKeys, result)) return result;
     result.request.verb = WireVerb::kSubmit;
-    const JsonValue* kind = find_field(fields, "kind");
+    const JsonField* kind = find_field(Key::kKind);
     if (kind == nullptr || !kind->is_string ||
-        (kind->text != "start" && kind->text != "end")) {
+        (!is_word(kind->value, "start") && !is_word(kind->value, "end"))) {
       return bad_field("field 'kind' must be \"start\" or \"end\"");
     }
-    const bool is_start = kind->text == "start";
+    const bool is_start = is_word(kind->value, "start");
     result.request.event.kind = is_start ? engine::SessionEvent::Kind::kStart
                                          : engine::SessionEvent::Kind::kEnd;
-    if (!parse_u64_field(find_field(fields, "id"), "id",
+    if (!parse_u64_field(find_field(Key::kId), Key::kId,
                          result.request.event.session_id, result)) {
       return result;
     }
     // Routing defaults to the session id, matching start_event/end_event.
     result.request.event.route_key = result.request.event.session_id;
-    if (const JsonValue* route = find_field(fields, "route")) {
-      if (!parse_u64_field(route, "route", result.request.event.route_key,
+    if (const JsonField* route = find_field(Key::kRoute)) {
+      if (!parse_u64_field(route, Key::kRoute, result.request.event.route_key,
                            result)) {
         return result;
       }
     }
     if (is_start) {
-      if (!parse_double_field(find_field(fields, "size"), "size",
+      if (!parse_double_field(find_field(Key::kSize), Key::kSize,
                               result.request.event.gpu_fraction, result)) {
         return result;
       }
-    } else if (find_field(fields, "size") != nullptr) {
+    } else if (find_field(Key::kSize) != nullptr) {
       return bad_field("field 'size' is not allowed on kind \"end\"");
     }
-    if (!parse_double_field(find_field(fields, "t"), "t",
+    if (!parse_double_field(find_field(Key::kT), Key::kT,
                             result.request.event.time_minutes, result)) {
       return result;
     }
     return result;
   }
 
-  if (verb->text == "epoch" || verb->text == "query") {
-    static constexpr std::string_view kKeys[] = {"verb", "t"};
-    if (!check_known_keys(fields, kKeys, result)) return result;
+  if (is_word(verb->value, "epoch") || is_word(verb->value, "query")) {
+    if (!check_known_keys(fields, kTimedKeys, result)) return result;
     result.request.verb =
-        verb->text == "epoch" ? WireVerb::kEpoch : WireVerb::kQuery;
-    if (!parse_double_field(find_field(fields, "t"), "t",
+        is_word(verb->value, "epoch") ? WireVerb::kEpoch : WireVerb::kQuery;
+    if (!parse_double_field(find_field(Key::kT), Key::kT,
                             result.request.time_minutes, result)) {
       return result;
     }
     return result;
   }
 
-  if (verb->text == "shutdown") {
-    static constexpr std::string_view kKeys[] = {"verb"};
-    if (!check_known_keys(fields, kKeys, result)) return result;
+  if (is_word(verb->value, "shutdown")) {
+    if (!check_known_keys(fields, kShutdownKeys, result)) return result;
     result.request.verb = WireVerb::kShutdown;
     return result;
   }
 
   result.error = WireError::kUnknownVerb;
-  result.detail = strfmt("unknown verb '%s'", verb->text.c_str());
+  result.detail = strfmt("unknown verb '%s'", unescape(verb->value).c_str());
   return result;
 }
+
 
 std::string encode_json_response(const WireResponse& response) {
   if (response.error == WireError::kNone) {

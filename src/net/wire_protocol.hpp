@@ -141,8 +141,9 @@ struct FrameHeader {
 [[nodiscard]] std::string encode_json_request(const WireRequest& request);
 
 /// Decodes one JSON line (newline already stripped). Validates UTF-8,
-/// parses the flat-object subset, and runs every numeric field through the
-/// strict core parsers.
+/// scans the flat-object subset once into views of the line, and runs
+/// every numeric field through the strict core parsers. An accepted line
+/// allocates nothing; a rejected one allocates its detail text.
 [[nodiscard]] DecodeResult decode_json_request(std::string_view line);
 
 /// Encodes a response as one JSON line (no trailing newline):

@@ -184,7 +184,7 @@ OptTotalResult estimate_opt_total(const Instance& instance, const CostModel& mod
   for (const std::span<const SizeRun> snapshot : snapshots) {
     work.work_units += snapshot.size();
   }
-  const int workers = exec::WorkerBudget::effective();
+  const int workers = parallel_worker_count();
   const bool fan_out = exec::should_parallelize(options.policy, work, workers);
   result.evaluate_parallel = fan_out;
   result.evaluate_workers = fan_out ? workers : 1;

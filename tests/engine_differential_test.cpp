@@ -17,9 +17,14 @@
 // First Fit on a union is not the sum of First Fit on partitions
 // (docs/dispatch_engine.md "What sharding changes").
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <vector>
 
 #include "engine/engine.hpp"
@@ -55,7 +60,12 @@ Instance workload() {
   return generate_cloud_gaming_trace(config, 42).instance;
 }
 
-RunResult run(const Instance& instance, std::size_t shards, int budget) {
+/// Cuts an epoch at each time boundary once at least `min_batch_events`
+/// were submitted since the last one (1: at every boundary), and captures
+/// mid-stream state at epoch `capture_batch`.
+RunResult run(const Instance& instance, std::size_t shards, int budget,
+              std::size_t min_batch_events = 1,
+              std::size_t capture_batch = kCaptureBatch) {
   exec::WorkerBudget::set(budget);
   obs::RunTracer tracer;
   const obs::ObsScope scope(&tracer, nullptr);
@@ -68,6 +78,7 @@ RunResult run(const Instance& instance, std::size_t shards, int budget) {
   const std::vector<Event> events = build_event_sequence(instance);
   RunResult result;
   std::size_t batch = 0;
+  std::size_t since_epoch = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const Event& event = events[i];
     if (event.kind == EventKind::kArrival) {
@@ -76,9 +87,12 @@ RunResult run(const Instance& instance, std::size_t shards, int budget) {
     } else {
       eng.submit(end_event(event.item, event.time));
     }
-    if (i + 1 == events.size() || events[i + 1].time != event.time) {
+    ++since_epoch;
+    if (i + 1 == events.size() ||
+        (events[i + 1].time != event.time && since_epoch >= min_batch_events)) {
       eng.advance_epoch(event.time);
-      if (batch == kCaptureBatch) {
+      since_epoch = 0;
+      if (batch == capture_batch) {
         result.mid_rle = eng.merged_snapshot_rle();
         result.mid_active = eng.active_sessions();
       }
@@ -129,6 +143,53 @@ TEST(EngineDifferentialTest, BitIdenticalAcrossWorkerBudgets) {
     expect_bitwise_equal(budget1, budget2);
     expect_bitwise_equal(budget1, budget8);
   }
+}
+
+/// Epochs far enough apart that every drain's backlog reaches
+/// kMinParallelDrainEvents, so budgets 2 and 8 fan out to threads while
+/// budget 1 drains inline.
+TEST(EngineDifferentialTest, BitIdenticalAcrossWorkerBudgetsAtFanOutBacklogs) {
+  CloudGamingConfig config;
+  config.peak_arrivals_per_minute = 10.0;  // ~9k sessions over the day
+  const Instance instance = generate_cloud_gaming_trace(config, 42).instance;
+  constexpr std::size_t kBatch = ShardedDispatchEngine::kMinParallelDrainEvents;
+  ASSERT_GE(2 * instance.size(), 3 * kBatch);  // several fan-out epochs
+  for (const std::size_t shards : {std::size_t{4}, std::size_t{16}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const RunResult budget1 = run(instance, shards, 1, kBatch, 1);
+    const RunResult budget2 = run(instance, shards, 2, kBatch, 1);
+    const RunResult budget8 = run(instance, shards, 8, kBatch, 1);
+    EXPECT_FALSE(budget1.mid_rle.empty());
+    EXPECT_EQ(budget1.events_applied, 2 * instance.size());
+    expect_bitwise_equal(budget1, budget2);
+    expect_bitwise_equal(budget1, budget8);
+  }
+}
+
+/// The drain decision: threads only when the budget, the shard count and
+/// the queued backlog all allow more than the calling thread.
+TEST(EngineDifferentialTest, DrainFansOutOnlyForLargeBacklogs) {
+  constexpr std::size_t kCutoff = ShardedDispatchEngine::kMinParallelDrainEvents;
+  const auto workers = [](std::size_t backlog, std::size_t shards, int budget) {
+    return ShardedDispatchEngine::drain_workers(backlog, shards, budget);
+  };
+  // Below the cutoff the caller drains alone, whatever the budget.
+  EXPECT_EQ(workers(0, 16, 8), 1u);
+  EXPECT_EQ(workers(186, 2, 4), 1u);  // a typical mixed_json_openloop drain
+  EXPECT_EQ(workers(kCutoff - 1, 4, 4), 1u);
+  // At and above it, one thread per shard up to the budget.
+  EXPECT_EQ(workers(kCutoff, 4, 4), 4u);
+  EXPECT_EQ(workers(kCutoff, 2, 8), 2u);
+  EXPECT_EQ(workers(kCutoff, 16, 8), 8u);
+  EXPECT_EQ(workers(100 * kCutoff, 4, 2), 2u);
+  // One shard, or a budget of one (or an unset, non-positive one), never
+  // fans out.
+  EXPECT_EQ(workers(100 * kCutoff, 1, 8), 1u);
+  EXPECT_EQ(workers(100 * kCutoff, 4, 1), 1u);
+  EXPECT_EQ(workers(100 * kCutoff, 4, 0), 1u);
+  EXPECT_EQ(workers(100 * kCutoff, 4, -3), 1u);
+  // One default ring is exactly the cutoff: a full-ring self-pump fans out.
+  EXPECT_EQ(EngineConfig{}.ring_capacity, kCutoff);
 }
 
 TEST(EngineDifferentialTest, PartitionInvariantsRemergeAcrossShardCounts) {
@@ -190,6 +251,110 @@ TEST(EngineDifferentialTest, ShardsMatchStandaloneDispatchers) {
   }
   // The aggregate bill is exactly the shard-order sum of standalone bills.
   EXPECT_EQ(sharded.bill, aggregate);
+}
+
+// ---- spawn failure -------------------------------------------------------
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizedBuild = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitizedBuild = true;
+#else
+constexpr bool kSanitizedBuild = false;
+#endif
+#else
+constexpr bool kSanitizedBuild = false;
+#endif
+
+constexpr std::uint64_t kRoundSessions = 3000;
+
+/// One round: sessions 1..kRoundSessions start from `t0`, then all end.
+/// False when a ring was full (no self-pump may run before the test's
+/// drain).
+bool submit_round(ShardedDispatchEngine& eng, Time t0) {
+  for (std::uint64_t id = 1; id <= kRoundSessions; ++id) {
+    const double size = 0.05 + 0.45 * static_cast<double>(id * 7919 % 1000) / 1000.0;
+    if (!eng.try_submit(start_event(id, size, t0 + 0.01 * static_cast<double>(id)))) {
+      return false;
+    }
+  }
+  for (std::uint64_t id = 1; id <= kRoundSessions; ++id) {
+    if (!eng.try_submit(end_event(id, t0 + 100.0 + 0.01 * static_cast<double>(id)))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// This process's mapped address space, from /proc/self/status.
+std::uint64_t vm_size_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      std::uint64_t kib = 0;
+      status >> kib;
+      return kib * 1024;
+    }
+  }
+  return 0;
+}
+
+/// Runs in the death-test child: drains a 4-shard backlog above the
+/// fan-out cutoff under budget 4 while RLIMIT_AS leaves no room for a
+/// thread stack. 0 when the drain applied what a budget-1 run applies,
+/// with the same bill and fault statistics.
+int drain_without_thread_stacks() {
+  EngineConfig config;
+  config.shard_count = 4;
+  config.spec = spec();
+  ShardedDispatchEngine reference(config);
+  ShardedDispatchEngine eng(config);
+  // Round 1 drains inline in both engines and sizes their tables, so the
+  // drain under the limit needs little memory beyond thread stacks.
+  exec::WorkerBudget::set(1);
+  for (ShardedDispatchEngine* e : {&reference, &eng}) {
+    if (!submit_round(*e, 0.0) || (e->drain(), !submit_round(*e, 1000.0))) return 3;
+  }
+  reference.drain();
+
+  rlimit limit{};
+  if (getrlimit(RLIMIT_AS, &limit) != 0) return 4;
+  limit.rlim_cur = vm_size_bytes() + (std::uint64_t{1} << 20);
+  if (setrlimit(RLIMIT_AS, &limit) != 0) return 4;
+  exec::WorkerBudget::set(4);
+  static_assert(2 * kRoundSessions >= ShardedDispatchEngine::kMinParallelDrainEvents);
+  eng.drain();
+  bool spawn_fails = false;  // the limit must really stop a thread
+  try {
+    std::thread([] {}).join();
+  } catch (const std::system_error&) {
+    spawn_fails = true;
+  }
+  if (!spawn_fails) return 5;
+
+  const Time horizon = 2000.0;
+  const bool same = eng.events_applied() == reference.events_applied() &&
+                    eng.events_applied() == 4 * kRoundSessions &&
+                    eng.rental_cost_dollars(horizon) ==
+                        reference.rental_cost_dollars(horizon) &&
+                    eng.merged_fault_stats() == reference.merged_fault_stats();
+  return same ? 0 : 1;
+}
+
+/// A drain that cannot start its workers falls back to the calling thread
+/// and serves the same result. The child re-executes the binary
+/// ("threadsafe" style), so it inherits no cached thread stack that could
+/// start a thread under the limit.
+TEST(EngineSpawnFailureDeathTest, DrainsInlineWhenNoThreadCanStart) {
+  if (kSanitizedBuild) {
+    GTEST_SKIP() << "sanitizer runtimes map more address space than the "
+                    "limit leaves";
+  }
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(std::_Exit(drain_without_thread_stacks()),
+              ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

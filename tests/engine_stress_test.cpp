@@ -11,6 +11,7 @@
 
 #include "engine/engine.hpp"
 #include "engine/mpsc_ring.hpp"
+#include "exec/worker_budget.hpp"
 
 namespace dbp::engine {
 namespace {
@@ -58,6 +59,45 @@ TEST(EngineStressTest, MultiProducerRingPreservesPerProducerFifo) {
   }
 }
 
+TEST(EngineStressTest, RingOccupancyIsExactWhenQuiescentAndBoundedUnderRaces) {
+  BoundedMpscRing<std::uint64_t> ring(8);
+  EXPECT_EQ(ring.size_approx(), 0u);
+  for (std::uint64_t i = 1; i <= 8; ++i) {
+    ASSERT_TRUE(ring.try_push(i));
+    EXPECT_EQ(ring.size_approx(), i);
+  }
+  EXPECT_FALSE(ring.try_push(9));
+  EXPECT_EQ(ring.size_approx(), 8u);
+  std::uint64_t value = 0;
+  ASSERT_TRUE(ring.try_pop(value));
+  EXPECT_EQ(ring.size_approx(), 7u);
+
+  // Under racing producers and a consumer the read stays in [0, capacity].
+  constexpr std::uint64_t kPerProducer = 20000;
+  std::atomic<bool> done{false};
+  std::uint64_t popped = 0;
+  std::thread consumer([&] {
+    std::uint64_t out = 0;
+    while (!done.load(std::memory_order_acquire) || !ring.empty()) {
+      ASSERT_LE(ring.size_approx(), ring.capacity());
+      if (ring.try_pop(out)) ++popped;
+    }
+  });
+  std::vector<std::thread> producers;
+  for (int p = 0; p < 2; ++p) {
+    producers.emplace_back([&ring] {
+      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
+        while (!ring.try_push(i)) std::this_thread::yield();
+      }
+    });
+  }
+  for (std::thread& producer : producers) producer.join();
+  done.store(true, std::memory_order_release);
+  consumer.join();
+  EXPECT_EQ(popped, 7 + 2 * kPerProducer);
+  EXPECT_EQ(ring.size_approx(), 0u);
+}
+
 TEST(EngineStressTest, ConcurrentSubmittersWithSelfPumpingBackpressure) {
   constexpr std::uint64_t kProducers = 4;
   constexpr std::uint64_t kPerProducer = 5000;
@@ -99,6 +139,40 @@ TEST(EngineStressTest, ConcurrentSubmittersWithSelfPumpingBackpressure) {
   EXPECT_EQ(eng.merged_fault_stats().total_dropped_events(), 0u);
   // Every server closed at t=1: the bill is frozen from here on.
   EXPECT_EQ(eng.rental_cost_dollars(1.0), eng.rental_cost_dollars(100.0));
+}
+
+/// Full default rings hold a backlog at the fan-out cutoff, so each
+/// self-pump forks workers while the other producers keep submitting.
+TEST(EngineStressTest, ConcurrentSubmittersFanOutFullRingDrains) {
+  constexpr std::uint64_t kProducers = 4;
+  constexpr std::uint64_t kPerProducer = 12000;
+  exec::WorkerBudget::set(4);
+  EngineConfig config;
+  config.shard_count = 4;
+  config.spec = ServerSpec{1.0, 6.0};
+  static_assert(EngineConfig{}.ring_capacity >=
+                ShardedDispatchEngine::kMinParallelDrainEvents);
+  ShardedDispatchEngine eng(config);
+
+  // Starts at t=0, then (after a join, so no shard sees time go back) ends
+  // at t=1.
+  for (const bool start : {true, false}) {
+    std::vector<std::thread> producers;
+    for (std::uint64_t p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&eng, p, start] {
+        for (std::uint64_t i = 0; i < kPerProducer; ++i) {
+          const std::uint64_t id = p * kPerProducer + i;
+          eng.submit(start ? start_event(id, 0.125, 0.0) : end_event(id, 1.0));
+        }
+      });
+    }
+    for (std::thread& producer : producers) producer.join();
+  }
+  eng.advance_epoch(1.0);
+  exec::WorkerBudget::set(0);
+  EXPECT_EQ(eng.events_applied(), 2 * kProducers * kPerProducer);
+  EXPECT_EQ(eng.active_sessions(), 0u);
+  EXPECT_EQ(eng.merged_fault_stats().total_dropped_events(), 0u);
 }
 
 TEST(EngineStressTest, SubmitBackoffScheduleIsBoundedExponential) {

@@ -11,7 +11,11 @@
 //      connection's receive buffer, and
 //   4. a warm GameServerDispatcher serves session starts and ends and
 //      writes its epoch snapshot allocation-free: the packer's item slots
-//      are its only session table.
+//      are its only session table, and
+//   5. a warm sharded engine drains small backlogs on the calling thread
+//      and cuts memo-hit epochs allocation-free, and a line-JSON
+//      connection decodes submit lines in place as a binary one decodes
+//      frames.
 //
 // The overrides live at global scope in this translation unit, so they
 // replace the program-wide allocation functions for this test binary only.
@@ -39,6 +43,7 @@
 #include "algo/packer.hpp"
 #include "core/types.hpp"
 #include "engine/engine.hpp"
+#include "exec/worker_budget.hpp"
 #include "gaming/dispatcher.hpp"
 #include "net/wire_client.hpp"
 #include "net/wire_protocol.hpp"
@@ -305,10 +310,115 @@ TEST(ZeroAllocDispatcherTest, WarmDispatcherServesSessionsWithoutAllocating) {
   EXPECT_EQ(dispatcher.fault_stats().total_dropped_events(), 0u);
 }
 
+// ---- sharded engine ------------------------------------------------------
+
+/// Restores the runtime-default worker budget however a test exits.
+struct BudgetGuard {
+  ~BudgetGuard() { exec::WorkerBudget::set(0); }
+};
+
+/// A 2-shard engine in which each shard holds one half-GPU session for the
+/// whole run, with churn session ids 1..kChurnIds warmed on their shards.
+/// Churn sessions of 0.25 fit beside either holder, so churn never rents a
+/// server, and every epoch between churn pairs snapshots the same two
+/// holders.
+class WarmEngine {
+ public:
+  static constexpr std::uint64_t kChurnIds = 64;
+
+  WarmEngine() : eng_(config()) {
+    const engine::HashShardRouter router;
+    for (std::uint64_t id = kChurnIds + 1; holders_ < 2; ++id) {
+      if (router.shard_for(id, 2) == holders_) {
+        eng_.submit(engine::start_event(id, 0.5, 0.0));
+        ++holders_;
+      }
+    }
+    churn(kChurnIds);
+    eng_.advance_epoch(t_);  // a memo miss, stored
+  }
+
+  /// Submits `pairs` start/end pairs over the churn ids, one minute apart.
+  void churn(std::uint64_t pairs) {
+    for (std::uint64_t i = 0; i < pairs; ++i) {
+      const std::uint64_t id = 1 + i % kChurnIds;
+      eng_.submit(engine::start_event(id, 0.25, t_));
+      eng_.submit(engine::end_event(id, t_ += 1.0));
+    }
+  }
+
+  engine::ShardedDispatchEngine& engine() { return eng_; }
+  [[nodiscard]] Time now() const { return t_; }
+
+ private:
+  static engine::EngineConfig config() {
+    engine::EngineConfig config;
+    config.shard_count = 2;
+    config.spec = ServerSpec{1.0, 6.0};
+    return config;
+  }
+
+  engine::ShardedDispatchEngine eng_;
+  std::size_t holders_ = 0;
+  Time t_ = 0.0;
+};
+
+TEST(ZeroAllocEngineTest, SmallBacklogDrainsRunInlineWithoutAllocating) {
+  const BudgetGuard guard;
+  exec::WorkerBudget::set(2);  // two workers for two shards, if a drain paid
+  WarmEngine warm;
+  engine::ShardedDispatchEngine& eng = warm.engine();
+  warm.churn(WarmEngine::kChurnIds);
+  eng.drain();
+
+  constexpr int kDrains = 200;
+  const std::uint64_t before = allocation_count();
+  for (int d = 0; d < kDrains; ++d) {
+    warm.churn(WarmEngine::kChurnIds);  // a 128-event backlog per drain
+    eng.drain();
+  }
+  const std::uint64_t after = allocation_count();
+
+  EXPECT_EQ(after - before, 0u)
+      << kDrains << " small-backlog drains allocated " << (after - before)
+      << " time(s)";
+  EXPECT_EQ(eng.active_sessions(), 2u);
+  EXPECT_EQ(eng.active_servers(), 2u);
+  EXPECT_EQ(eng.merged_fault_stats().total_dropped_events(), 0u);
+}
+
+TEST(ZeroAllocEngineTest, MemoHitEpochDoesNotAllocate) {
+  WarmEngine warm;
+  engine::ShardedDispatchEngine& eng = warm.engine();
+  warm.churn(WarmEngine::kChurnIds);
+  eng.advance_epoch(warm.now());  // the first hit
+  const std::uint64_t hits = eng.oracle_hits();
+  const std::uint64_t misses = eng.oracle_misses();
+
+  constexpr int kEpochs = 200;
+  const std::uint64_t before = allocation_count();
+  for (int e = 0; e < kEpochs; ++e) {
+    warm.churn(8);
+    eng.advance_epoch(warm.now());
+  }
+  const std::uint64_t after = allocation_count();
+
+  EXPECT_EQ(after - before, 0u)
+      << kEpochs << " memo-hit epochs allocated " << (after - before)
+      << " time(s)";
+  EXPECT_EQ(eng.oracle_hits(), hits + kEpochs);
+  EXPECT_EQ(eng.oracle_misses(), misses);
+  EXPECT_EQ(eng.merged_snapshot_rle(), (std::vector<SizeRun>{{0.5, 2}}));
+}
+
 // ---- wire server read path --------------------------------------------
 
-TEST(ZeroAllocWireTest, BinarySubmitFramesAreServedWithoutAllocating) {
-  constexpr std::uint64_t kFrames = 8192;
+/// Serves `stream` over one connection in `framing` and returns how many
+/// allocations the server made while decoding and submitting its
+/// `requests` submit requests. A warm query opens the connection first.
+std::uint64_t allocations_serving(net::WireClient::Framing framing,
+                                  const std::vector<std::uint8_t>& stream,
+                                  std::uint64_t requests) {
   const std::string dir = (std::filesystem::temp_directory_path() /
                            "dbp_zero_alloc_test.wire")
                               .string();
@@ -316,41 +426,68 @@ TEST(ZeroAllocWireTest, BinarySubmitFramesAreServedWithoutAllocating) {
   std::filesystem::create_directories(dir);
 
   engine::EngineConfig engine_config;
-  engine_config.ring_capacity = 2 * kFrames;  // no ring fills, so no drain
+  engine_config.ring_capacity = 2 * requests;  // no ring fills, so no drain
   engine::ShardedDispatchEngine eng(engine_config);
   net::WireServerConfig server_config;
   server_config.socket_path = dir + "/wire.sock";
   net::WireServer server(eng, server_config);
   server.start();
 
-  std::vector<std::uint8_t> frames;
-  for (std::uint64_t i = 0; i < kFrames; ++i) {
-    net::WireRequest request;
-    request.verb = net::WireVerb::kSubmit;
-    request.event = engine::start_event(i + 1, 0.125, static_cast<double>(i));
-    const std::vector<std::uint8_t> frame = net::encode_request_frame(request);
-    frames.insert(frames.end(), frame.begin(), frame.end());
-  }
-  net::WireClient client(server_config.socket_path,
-                         net::WireClient::Framing::kBinary);
+  net::WireClient client(server_config.socket_path, framing);
   // The warm query opens the connection: its thread and receive buffer.
-  ASSERT_EQ(client.query(0.0).error, net::WireError::kNone);
+  EXPECT_EQ(client.query(0.0).error, net::WireError::kNone);
 
   const std::uint64_t before = allocation_count();
-  client.send_raw(frames);
-  for (int round = 0; round < 2000 && server.stats().events_submitted < kFrames;
+  client.send_raw(stream);
+  for (int round = 0; round < 2000 && server.stats().events_submitted < requests;
        ++round) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   const std::uint64_t after = allocation_count();
 
-  ASSERT_EQ(server.stats().events_submitted, kFrames);
-  EXPECT_EQ(after - before, 0u)
-      << "serving " << kFrames << " submit frames allocated "
-      << (after - before) << " time(s)";
+  EXPECT_EQ(server.stats().events_submitted, requests);
+  EXPECT_EQ(server.stats().frames_rejected, 0u);
   server.stop();
-  EXPECT_EQ(eng.events_applied(), kFrames);
+  EXPECT_EQ(eng.events_applied(), requests);
   std::filesystem::remove_all(dir);
+  return after - before;
+}
+
+net::WireRequest submit_request(std::uint64_t i) {
+  net::WireRequest request;
+  request.verb = net::WireVerb::kSubmit;
+  request.event = engine::start_event(i + 1, 0.125, static_cast<double>(i));
+  return request;
+}
+
+TEST(ZeroAllocWireTest, BinarySubmitFramesAreServedWithoutAllocating) {
+  constexpr std::uint64_t kFrames = 8192;
+  std::vector<std::uint8_t> frames;
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    const std::vector<std::uint8_t> frame =
+        net::encode_request_frame(submit_request(i));
+    frames.insert(frames.end(), frame.begin(), frame.end());
+  }
+  const std::uint64_t allocations =
+      allocations_serving(net::WireClient::Framing::kBinary, frames, kFrames);
+  EXPECT_EQ(allocations, 0u) << "serving " << kFrames << " submit frames allocated "
+                             << allocations << " time(s)";
+}
+
+TEST(ZeroAllocWireTest, JsonSubmitLinesAreServedWithoutAllocating) {
+  constexpr std::uint64_t kLines = 8192;
+  std::vector<std::uint8_t> lines;
+  for (std::uint64_t i = 0; i < kLines; ++i) {
+    // Starts and ends alternate, so both kinds' lines are covered.
+    net::WireRequest request = submit_request(i);
+    if (i % 2 == 1) request.event = engine::end_event(i, static_cast<double>(i));
+    const std::string line = net::encode_json_request(request) + "\n";
+    lines.insert(lines.end(), line.begin(), line.end());
+  }
+  const std::uint64_t allocations =
+      allocations_serving(net::WireClient::Framing::kJson, lines, kLines);
+  EXPECT_EQ(allocations, 0u) << "serving " << kLines << " submit lines allocated "
+                             << allocations << " time(s)";
 }
 
 }  // namespace

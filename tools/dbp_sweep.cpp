@@ -183,7 +183,7 @@ void write_json(const std::vector<CellOutcome>& outcomes,
                 const std::string& path) {
   std::ostringstream json;
   json << "{\n  \"schema\": \"dbp-sweep/1\",\n";
-  json << "  \"workers\": " << exec::WorkerBudget::effective() << ",\n";
+  json << "  \"workers\": " << parallel_worker_count() << ",\n";
   json << "  \"cells\": [\n";
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const CellOutcome& o = outcomes[i];
@@ -249,7 +249,7 @@ int main(int argc, char** argv) {
         "dbp_sweep: %zu cells (%zu workloads x %zu algorithms x %llu seeds), "
         "%d worker(s), policy=%s\n\n",
         cells.size(), workloads.size(), algorithms.size(),
-        static_cast<unsigned long long>(seeds), exec::WorkerBudget::effective(),
+        static_cast<unsigned long long>(seeds), parallel_worker_count(),
         exec::to_string(policy));
 
     const std::vector<CellOutcome> outcomes =

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
 #include <thread>
 
 #include "core/arena.hpp"
 #include "core/error.hpp"
+#include "exec/fork_join.hpp"
 #include "exec/worker_budget.hpp"
 #include "obs/obs.hpp"
 
@@ -121,41 +121,19 @@ void ShardedDispatchEngine::pump_locked() {
   // A producer racing this read can move the choice, never a result.
   const std::size_t workers = drain_workers(backlog, shards_.size(),
                                             exec::WorkerBudget::effective());
-  // Fork-join over contiguous shard blocks, block 0 on the caller thread.
-  // Each thread owns its shards exclusively for this pump, so per-shard
-  // application stays FIFO and the partition never affects results — only
-  // which thread runs them. Observability is suppressed on every draining
-  // thread, so the exported trace is byte-identical across budgets. An
-  // exception is kept for the caller, so every started worker is joined.
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  const auto drain_block = [&](std::size_t w) {
-    const exec::WorkerLease lease;
+  // One block of contiguous shards per worker, block 0 on the calling
+  // thread (exec::fork_join). Each worker owns its shards exclusively for
+  // this pump, so per-shard application stays FIFO and the partition never
+  // affects results — only which thread runs them. Observability is
+  // suppressed on every draining thread, so the exported trace is
+  // byte-identical across budgets.
+  exec::fork_join(workers, [&](std::size_t w) {
     const obs::ObsScope quiet(nullptr, nullptr);
-    try {
-      const std::size_t end = (w + 1) * shards_.size() / workers;
-      for (std::size_t s = w * shards_.size() / workers; s < end; ++s) {
-        drain_shard(*shards_[s]);
-      }
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(error_mutex);
-      if (!first_error) first_error = std::current_exception();
+    const std::size_t end = (w + 1) * shards_.size() / workers;
+    for (std::size_t s = w * shards_.size() / workers; s < end; ++s) {
+      drain_shard(*shards_[s]);
     }
-  };
-  std::vector<std::thread> threads;
-  std::size_t unstarted = workers;  // first block no thread was started for
-  try {
-    threads.reserve(workers - 1);
-    for (std::size_t w = 1; w < workers; ++w) threads.emplace_back(drain_block, w);
-  } catch (...) {
-    // A thread failed to start (std::system_error, EAGAIN when no stack can
-    // be mapped): the caller drains the blocks that have none.
-    unstarted = threads.size() + 1;
-  }
-  drain_block(0);
-  for (std::size_t w = unstarted; w < workers; ++w) drain_block(w);
-  for (std::thread& thread : threads) thread.join();
-  if (first_error) std::rethrow_exception(first_error);
+  });
 }
 
 void ShardedDispatchEngine::snapshot_shards_locked() {

@@ -13,7 +13,7 @@ bool should_parallelize(ExecutionPolicy policy,
       return false;
     case ExecutionPolicy::kParallel:
       // Unconditional by design: the differential suite uses this to drive
-      // the parallel_map path even on a 1-worker budget.
+      // the fan-out path even on a 1-worker budget.
       return true;
     case ExecutionPolicy::kAdaptive:
       return workers > 1 && estimate.jobs >= kMinParallelJobs &&

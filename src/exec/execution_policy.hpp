@@ -2,15 +2,13 @@
 // paths. Both paths are required to be bit-identical; the policy only picks
 // the faster one, so callers can default to kAdaptive without thinking.
 //
-// The adaptive cutoffs exist because parallel_map is not free even when it
-// ends up running on one thread: the OpenMP region, the dynamic scheduler,
-// and the per-job std::optional result slots cost ~18% on the OPT_total
-// uniform-5000 workload (BENCH_perf.json recorded 1748 ms parallel vs
-// 1474 ms sequential with a 1-worker budget — the regression this layer
-// fixes). Sequential is therefore the right answer when the budget is one
-// worker, when there are too few independent jobs to amortize the region
-// startup, or when the jobs are so small (heavily deduplicated snapshots,
-// few RLE runs each) that slot overhead dominates the work itself.
+// The adaptive cutoffs exist because a fan-out is not free: exec::fork_join
+// starts its threads on every call (a two-thread fork-join costs ~65-78 µs
+// of wall time on a 4-vCPU guest), and its workers share one job index.
+// Sequential is therefore the right answer when the budget is one worker,
+// when there are too few independent jobs to amortize starting threads, or
+// when the jobs are so small (heavily deduplicated snapshots, few RLE runs
+// each) that the fan-out's fixed cost dominates the work itself.
 #pragma once
 
 #include <cstddef>
@@ -33,7 +31,7 @@ struct ParallelWorkEstimate {
   std::size_t work_units = 0;
 };
 
-/// Below ~16 jobs the OpenMP region startup is visible against the work
+/// Below ~16 jobs starting a fan-out is visible against the work
 /// (bench_perf_micro, BM_OptTotal* on 5000-item instances). Below 2^15
 /// total RLE runs the evaluate phase takes a few milliseconds at most, the
 /// same order as what a fan-out costs when a worker is slow to start:
@@ -46,7 +44,7 @@ struct ParallelWorkEstimate {
 inline constexpr std::size_t kMinParallelJobs = 16;
 inline constexpr std::size_t kMinParallelWorkUnits = std::size_t{1} << 15;
 
-/// The decision: should this fan-out use parallel_map? Pure function of its
+/// The decision: should this fan-out start threads? Pure function of its
 /// arguments so tests can pin the truth table.
 [[nodiscard]] bool should_parallelize(ExecutionPolicy policy,
                                       const ParallelWorkEstimate& estimate,

@@ -1,18 +1,18 @@
 #include "opt/opt_total.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <map>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include <string>
-
-#include "exec/parallel_map.hpp"
 #include "core/arena.hpp"
 #include "core/audit.hpp"
 #include "core/error.hpp"
 #include "exec/execution_policy.hpp"
+#include "exec/fork_join.hpp"
 #include "exec/worker_budget.hpp"
 #include "obs/obs.hpp"
 #include "opt/scratch.hpp"
@@ -173,51 +173,37 @@ OptTotalResult estimate_opt_total(const Instance& instance, const CostModel& mod
   observer.begin();
 
   // ---- Phase 2: evaluate the distinct snapshots. ----
-  // The fan-out decision: the worker budget (1 worker, a held lease, or an
-  // enclosing sweep-level parallel region all mean "no help available") and
-  // the job mix (few or tiny snapshots cannot amortize the OpenMP region +
-  // result-slot overhead) both have to justify parallel_map. work_units =
-  // total RLE runs across snapshots, so a thousand heavily-deduplicated
-  // two-run snapshots do not count as heavy work.
+  // The fan-out decision: the worker budget (1 worker or a held lease mean
+  // "no help available") and the job mix (few or tiny snapshots cannot
+  // amortize starting threads) both have to justify a fork-join.
+  // work_units = total RLE runs across snapshots, so a thousand
+  // heavily-deduplicated two-run snapshots do not count as heavy work.
   exec::ParallelWorkEstimate work;
   work.jobs = snapshots.size();
   for (const std::span<const SizeRun> snapshot : snapshots) {
     work.work_units += snapshot.size();
   }
-  const int workers = parallel_worker_count();
+  const int workers = exec::WorkerBudget::effective();
   const bool fan_out = exec::should_parallelize(options.policy, work, workers);
   result.evaluate_parallel = fan_out;
   result.evaluate_workers = fan_out ? workers : 1;
-  // Each worker evaluates thousands of snapshots against one reusable
-  // scratch (opt/scratch.hpp), so the whole phase performs a bounded number
-  // of warm-up allocations instead of a dozen per snapshot. Scratch reuse
-  // never changes a result, so they stay independent of the worker count.
-  std::vector<BinCountBounds> bounds;
-  if (fan_out) {
-    // Scratches are indexed by OpenMP thread id; sizing by max_threads
-    // covers any team parallel_map can start under the current budget.
-#if defined(DBP_HAVE_OPENMP)
-    std::vector<BinCountScratch> scratches(
-        static_cast<std::size_t>(omp_get_max_threads()));
-#else
-    std::vector<BinCountScratch> scratches(1);
-#endif
-    bounds = parallel_map(snapshots, [&](std::span<const SizeRun> snapshot) {
-#if defined(DBP_HAVE_OPENMP)
-      BinCountScratch& scratch =
-          scratches[static_cast<std::size_t>(omp_get_thread_num())];
-#else
-      BinCountScratch& scratch = scratches.front();
-#endif
-      return optimal_bin_count_rle(snapshot, model, options.bin_count, scratch);
-    });
-  } else {
-    BinCountScratch scratch;
-    bounds.reserve(snapshots.size());
-    for (const std::span<const SizeRun> snapshot : snapshots) {
-      bounds.push_back(optimal_bin_count_rle(snapshot, model, options.bin_count, scratch));
+  // Workers claim snapshots through one atomic index, and each evaluates
+  // its share against its own reusable scratch (opt/scratch.hpp), so the
+  // phase touches the allocator only while the buffers grow to their
+  // high-water mark. One worker is the sequential path. Neither the
+  // scratch nor the worker that evaluates a snapshot changes its bounds.
+  const std::size_t threads = std::clamp<std::size_t>(
+      snapshots.size(), 1, static_cast<std::size_t>(result.evaluate_workers));
+  std::vector<BinCountScratch> scratches(threads);
+  std::vector<BinCountBounds> bounds(snapshots.size());
+  std::atomic<std::size_t> next{0};
+  exec::fork_join(threads, [&](std::size_t worker) {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+         i < snapshots.size(); i = next.fetch_add(1, std::memory_order_relaxed)) {
+      bounds[i] = optimal_bin_count_rle(snapshots[i], model, options.bin_count,
+                                        scratches[worker]);
     }
-  }
+  });
   for (const BinCountBounds& b : bounds) {
     result.max_bins_lower = std::max(result.max_bins_lower, b.lower);
     result.max_bins_upper = std::max(result.max_bins_upper, b.upper);

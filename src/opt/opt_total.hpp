@@ -78,7 +78,7 @@ struct OptTotalResult {
 struct OptTotalOptions {
   BinCountOptions bin_count{};
   /// How phase 2 evaluates the distinct snapshots. kAdaptive (the default)
-  /// routes through parallel_map only when the worker budget and the
+  /// fans out (exec::fork_join) only when the worker budget and the
   /// pending job mix can amortize the fan-out overhead (see
   /// exec/execution_policy.hpp); kSequential and kParallel force one path.
   /// The combine is sequential under every policy, so results are

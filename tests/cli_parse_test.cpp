@@ -15,6 +15,7 @@
 #include "cli.hpp"
 #include "core/error.hpp"
 #include "core/parse.hpp"
+#include "exec/worker_budget.hpp"
 
 namespace dbp {
 namespace {
@@ -120,6 +121,19 @@ TEST(CliParseTest, ThreadCountKeepsCapAndStrictness) {
                PreconditionError);
   EXPECT_THROW((void)make_args({"--threads=-1"}).get_thread_count(),
                PreconditionError);
+  // The cap is the worker budget's own, and the refusal reads as it always
+  // has.
+  EXPECT_EQ(make_args({"--threads=512"}).get_thread_count(),
+            exec::WorkerBudget::kMaxWorkers);
+  try {
+    (void)make_args({"--threads=513"}).get_thread_count();
+    ADD_FAILURE() << "--threads=513 was accepted";
+  } catch (const PreconditionError& error) {
+    const std::string message = error.what();
+    EXPECT_EQ(message.substr(0, message.find('\n')),
+              "precondition failed: parsed <= kMaxThreads: --threads value "
+              "'513' is out of range (max 512)");
+  }
 }
 
 // The shared core parsers, as the wire protocol uses them (no usage hint).

@@ -17,20 +17,17 @@
 // First Fit on a union is not the sum of First Fit on partitions
 // (docs/dispatch_engine.md "What sharding changes").
 #include <gtest/gtest.h>
-#include <sys/resource.h>
 
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
-#include <system_error>
-#include <thread>
 #include <vector>
 
 #include "engine/engine.hpp"
 #include "exec/worker_budget.hpp"
 #include "obs/obs.hpp"
 #include "sim/event.hpp"
+#include "thread_start_failure.hpp"
 #include "workload/cloud_gaming.hpp"
 
 namespace dbp::engine {
@@ -255,18 +252,6 @@ TEST(EngineDifferentialTest, ShardsMatchStandaloneDispatchers) {
 
 // ---- spawn failure -------------------------------------------------------
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitizedBuild = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-constexpr bool kSanitizedBuild = true;
-#else
-constexpr bool kSanitizedBuild = false;
-#endif
-#else
-constexpr bool kSanitizedBuild = false;
-#endif
-
 constexpr std::uint64_t kRoundSessions = 3000;
 
 /// One round: sessions 1..kRoundSessions start from `t0`, then all end.
@@ -287,20 +272,6 @@ bool submit_round(ShardedDispatchEngine& eng, Time t0) {
   return true;
 }
 
-/// This process's mapped address space, from /proc/self/status.
-std::uint64_t vm_size_bytes() {
-  std::ifstream status("/proc/self/status");
-  std::string key;
-  while (status >> key) {
-    if (key == "VmSize:") {
-      std::uint64_t kib = 0;
-      status >> kib;
-      return kib * 1024;
-    }
-  }
-  return 0;
-}
-
 /// Runs in the death-test child: drains a 4-shard backlog above the
 /// fan-out cutoff under budget 4 while RLIMIT_AS leaves no room for a
 /// thread stack. 0 when the drain applied what a budget-1 run applies,
@@ -319,20 +290,11 @@ int drain_without_thread_stacks() {
   }
   reference.drain();
 
-  rlimit limit{};
-  if (getrlimit(RLIMIT_AS, &limit) != 0) return 4;
-  limit.rlim_cur = vm_size_bytes() + (std::uint64_t{1} << 20);
-  if (setrlimit(RLIMIT_AS, &limit) != 0) return 4;
+  if (!thread_start_failure::leave_no_room_for_thread_stacks()) return 4;
   exec::WorkerBudget::set(4);
   static_assert(2 * kRoundSessions >= ShardedDispatchEngine::kMinParallelDrainEvents);
   eng.drain();
-  bool spawn_fails = false;  // the limit must really stop a thread
-  try {
-    std::thread([] {}).join();
-  } catch (const std::system_error&) {
-    spawn_fails = true;
-  }
-  if (!spawn_fails) return 5;
+  if (!thread_start_failure::thread_start_fails()) return 5;
 
   const Time horizon = 2000.0;
   const bool same = eng.events_applied() == reference.events_applied() &&
@@ -344,11 +306,9 @@ int drain_without_thread_stacks() {
 }
 
 /// A drain that cannot start its workers falls back to the calling thread
-/// and serves the same result. The child re-executes the binary
-/// ("threadsafe" style), so it inherits no cached thread stack that could
-/// start a thread under the limit.
+/// and serves the same result.
 TEST(EngineSpawnFailureDeathTest, DrainsInlineWhenNoThreadCanStart) {
-  if (kSanitizedBuild) {
+  if (thread_start_failure::kSanitizedBuild) {
     GTEST_SKIP() << "sanitizer runtimes map more address space than the "
                     "limit leaves";
   }

@@ -1,18 +1,30 @@
 // Tests for the exec subsystem: the process-wide WorkerBudget, the
-// WorkerLease arbitration, the ExecutionPolicy decision function, and the
-// regression the subsystem exists to fix — a 1-worker budget must route
-// estimate_opt_total down the sequential path (no OpenMP team, observable
-// through the phase metrics), while still producing results bit-identical
-// to the unconditional parallel path.
+// WorkerLease arbitration, the fork-join every fan-out runs on, the
+// ExecutionPolicy decision function, and the regression the subsystem
+// exists to fix — a 1-worker budget must route estimate_opt_total down the
+// sequential path (one worker, observable through the phase metrics), while
+// still producing results bit-identical to the unconditional parallel path.
 #include "exec/worker_budget.hpp"
 
 #include <gtest/gtest.h>
+#include <sched.h>
+
+#include <atomic>
+#include <chrono>
+#include <cstdlib>
+#include <numeric>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "core/error.hpp"
 #include "exec/execution_policy.hpp"
+#include "exec/fork_join.hpp"
+#include "exec/parallel_map.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/obs.hpp"
 #include "opt/opt_total.hpp"
+#include "thread_start_failure.hpp"
 #include "workload/random_instance.hpp"
 
 namespace dbp {
@@ -64,6 +76,75 @@ TEST(WorkerBudgetTest, LeaseForcesSequentialAndNests) {
   EXPECT_EQ(exec::WorkerBudget::effective(), 8);
   // The lease gates effective(), not the configured budget.
   EXPECT_EQ(exec::WorkerBudget::budget(), 8);
+}
+
+/// Runs in a death-test child: pins the process to its lowest allowed CPU
+/// before anything reads the budget. 0 when the default budget is then one
+/// worker.
+int default_budget_pinned_to_one_cpu() {
+  cpu_set_t cpus{};
+  if (sched_getaffinity(0, sizeof(cpus), &cpus) != 0) return 4;
+  int first = 0;
+  while (first < CPU_SETSIZE && !CPU_ISSET(first, &cpus)) ++first;
+  cpu_set_t one{};
+  CPU_SET(first, &one);
+  if (sched_setaffinity(0, sizeof(one), &one) != 0) return 4;
+  return exec::WorkerBudget::available() == 1 &&
+                 exec::WorkerBudget::effective() == 1
+             ? 0
+             : 1;
+}
+
+/// The default budget is the CPU count of the process's affinity mask, so a
+/// process started under taskset fans out no wider than its CPUs.
+TEST(WorkerBudgetDeathTest, DefaultIsTheAffinityMaskCpuCount) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(std::_Exit(default_budget_pinned_to_one_cpu()),
+              ::testing::ExitedWithCode(0), "");
+}
+
+TEST(ForkJoinTest, OneWorkerRunsInlineWithoutALease) {
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;
+  exec::fork_join(1, [&](std::size_t w) {
+    EXPECT_EQ(w, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_FALSE(exec::WorkerLease::held());
+    ++calls;
+  });
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(ForkJoinTest, BlockZeroRunsOnTheCallerAndEveryBlockUnderALease) {
+  constexpr std::size_t kWorkers = 4;
+  std::vector<std::thread::id> ran_on(kWorkers);
+  std::vector<int> leased(kWorkers, 0);
+  exec::fork_join(kWorkers, [&](std::size_t w) {
+    ran_on[w] = std::this_thread::get_id();
+    leased[w] = exec::WorkerLease::held() ? 1 : 0;
+  });
+  EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+  for (std::size_t w = 0; w < kWorkers; ++w) {
+    EXPECT_NE(ran_on[w], std::thread::id{}) << "block " << w << " never ran";
+    if (w > 0) {
+      EXPECT_NE(ran_on[w], ran_on[0]) << "block " << w;
+    }
+    EXPECT_EQ(leased[w], 1) << "block " << w << " ran without a lease";
+  }
+  EXPECT_FALSE(exec::WorkerLease::held());
+}
+
+TEST(ForkJoinTest, JoinsEveryThreadBeforeRethrowing) {
+  std::atomic<int> finished{0};
+  EXPECT_THROW(exec::fork_join(3,
+                               [&](std::size_t w) {
+                                 if (w == 0) throw std::runtime_error("block 0");
+                                 std::this_thread::sleep_for(
+                                     std::chrono::milliseconds(20));
+                                 finished.fetch_add(1);
+                               }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 2);
 }
 
 TEST(ExecutionPolicyTest, ShouldParallelizeTruthTable) {
@@ -121,10 +202,10 @@ Instance uniform_instance(std::size_t items, std::uint64_t seed) {
   return generate_random_instance(config, seed);
 }
 
-/// The regression this PR fixes: under a 1-worker budget the adaptive
-/// policy must take the sequential evaluation path — no OpenMP team, which
-/// the opt_total.evaluate_* metrics make observable — while the result
-/// stays bit-identical to the unconditional parallel path.
+/// Under a 1-worker budget the adaptive policy must take the sequential
+/// evaluation path — one worker, which the opt_total.evaluate_* metrics
+/// make observable — while the result stays bit-identical to the
+/// unconditional parallel path.
 TEST(AdaptiveOptTotalTest, OneWorkerBudgetTakesSequentialPath) {
   const BudgetGuard guard;
   const Instance instance = uniform_instance(400, 99);
@@ -145,8 +226,8 @@ TEST(AdaptiveOptTotalTest, OneWorkerBudgetTakesSequentialPath) {
   EXPECT_FALSE(registry.counter_value("opt_total.evaluate_parallel").has_value());
   EXPECT_EQ(registry.gauge_value("opt_total.evaluate_workers"), 1.0);
 
-  // Same budget, forced-parallel policy: the OpenMP region is entered (the
-  // estimator reports the path it took) but the numbers cannot move.
+  // Same budget, forced-parallel policy: the estimator reports the parallel
+  // path (on its one worker), and the numbers cannot move.
   options.policy = exec::ExecutionPolicy::kParallel;
   const OptTotalResult parallel = estimate_opt_total(instance, model, options);
   EXPECT_TRUE(parallel.evaluate_parallel);
@@ -158,8 +239,8 @@ TEST(AdaptiveOptTotalTest, OneWorkerBudgetTakesSequentialPath) {
 }
 
 /// A held lease must defeat even an explicit multi-worker budget: this is
-/// how an outer sweep (dbp_sweep's cells) keeps inner estimators off the
-/// OpenMP runtime.
+/// how an outer sweep (dbp_sweep's cells) keeps inner estimators from
+/// starting threads of their own.
 TEST(AdaptiveOptTotalTest, LeaseKeepsAdaptiveSequentialUnderBigBudget) {
   const BudgetGuard guard;
   exec::WorkerBudget::set(8);
@@ -172,6 +253,51 @@ TEST(AdaptiveOptTotalTest, LeaseKeepsAdaptiveSequentialUnderBigBudget) {
   const OptTotalResult result = estimate_opt_total(instance, model, options);
   EXPECT_FALSE(result.evaluate_parallel);
   EXPECT_EQ(result.evaluate_workers, 1);
+}
+
+/// Runs in the death-test child: under budget 4, with no room left for a
+/// thread stack, parallel_map and the forced-parallel evaluate phase must
+/// return what they return under budget 1. 0 when they do.
+int fan_out_without_thread_stacks() {
+  std::vector<int> jobs(64);
+  std::iota(jobs.begin(), jobs.end(), 0);
+  const auto square = [](int x) { return x * x; };
+  const Instance instance = uniform_instance(80, 17);
+  const CostModel model{1.0, 1.0, 1e-9};
+  OptTotalOptions options;
+  options.policy = exec::ExecutionPolicy::kParallel;
+  exec::WorkerBudget::set(1);
+  const std::vector<int> reference_map = parallel_map(jobs, square);
+  const OptTotalResult reference = estimate_opt_total(instance, model, options);
+
+  if (!thread_start_failure::leave_no_room_for_thread_stacks()) return 4;
+  exec::WorkerBudget::set(4);
+  const std::vector<int> mapped = parallel_map(jobs, square);
+  const OptTotalResult estimated = estimate_opt_total(instance, model, options);
+  if (!thread_start_failure::thread_start_fails()) return 5;
+  if (estimated.evaluate_workers != 4) return 6;  // it did ask for 4 workers
+
+  const bool same = mapped == reference_map &&
+                    estimated.lower_cost == reference.lower_cost &&
+                    estimated.upper_cost == reference.upper_cost &&
+                    estimated.segments == reference.segments &&
+                    estimated.exact_segments == reference.exact_segments &&
+                    estimated.distinct_snapshots == reference.distinct_snapshots &&
+                    estimated.max_bins_lower == reference.max_bins_lower &&
+                    estimated.max_bins_upper == reference.max_bins_upper;
+  return same ? 0 : 1;
+}
+
+/// A fan-out that cannot start its threads runs on the calling thread and
+/// returns the same results.
+TEST(FanOutSpawnFailureDeathTest, RunsOnTheCallerWhenNoThreadCanStart) {
+  if (thread_start_failure::kSanitizedBuild) {
+    GTEST_SKIP() << "sanitizer runtimes map more address space than the "
+                    "limit leaves";
+  }
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(std::_Exit(fan_out_without_thread_stacks()),
+              ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

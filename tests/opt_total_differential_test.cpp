@@ -10,7 +10,6 @@
 
 #include <algorithm>
 
-#include "exec/parallel_map.hpp"
 #include "exec/worker_budget.hpp"
 #include "opt/opt_total_reference.hpp"
 #include "workload/adversary_anyfit.hpp"
@@ -146,11 +145,11 @@ TEST(OptTotalDifferentialTest, WithoutExactSolver) {
 
 TEST(OptTotalDifferentialTest, DeterministicAcrossWorkerCounts) {
   const Instance instance = dyadic_burst_instance(500, 21);
-  set_parallel_worker_count(1);
+  exec::WorkerBudget::set(1);
   const OptTotalResult one = estimate_opt_total(instance, unit_model());
-  set_parallel_worker_count(4);
+  exec::WorkerBudget::set(4);
   const OptTotalResult four = estimate_opt_total(instance, unit_model());
-  set_parallel_worker_count(0);  // restore the runtime default
+  exec::WorkerBudget::set(0);  // restore the default
   expect_bit_identical(four, one);
 }
 
@@ -178,7 +177,7 @@ TEST(OptTotalDifferentialTest, PolicyTimesThreadsCrossProduct) {
         EXPECT_LE(result.evaluate_workers, std::max(threads, 1));
       }
     }
-    exec::WorkerBudget::set(0);  // restore the runtime default
+    exec::WorkerBudget::set(0);  // restore the default
   }
 }
 

@@ -9,6 +9,8 @@
 #include <type_traits>
 #include <vector>
 
+#include "exec/worker_budget.hpp"
+
 namespace dbp {
 namespace {
 
@@ -99,7 +101,7 @@ TEST(SweepTest, NonTrivialResultType) {
 }
 
 TEST(SweepTest, WorkerCountPositive) {
-  EXPECT_GE(parallel_worker_count(), 1);
+  EXPECT_GE(exec::WorkerBudget::effective(), 1);
 }
 
 }  // namespace

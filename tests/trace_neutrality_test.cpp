@@ -8,7 +8,7 @@
 #include <sstream>
 #include <string>
 
-#include "exec/parallel_map.hpp"
+#include "exec/worker_budget.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/obs.hpp"
 #include "obs/run_tracer.hpp"
@@ -128,8 +128,8 @@ TEST(TraceNeutralityTest, OptTotalIsBitIdenticalWithTracing) {
 /// fields stripped.
 std::string traced_pipeline_jsonl(const Instance& instance,
                                   const CostModel& model, int threads) {
-  const int saved = parallel_worker_count();
-  set_parallel_worker_count(threads);
+  const int saved = exec::WorkerBudget::budget();
+  exec::WorkerBudget::set(threads);
   obs::RunTracer tracer;
   {
     const obs::ObsScope scope(&tracer, nullptr);
@@ -138,7 +138,7 @@ std::string traced_pipeline_jsonl(const Instance& instance,
     options.bin_count.exact.node_budget = 20'000;
     (void)estimate_opt_total(instance, model, options);
   }
-  set_parallel_worker_count(saved);
+  exec::WorkerBudget::set(saved);
   std::ostringstream out;
   tracer.export_jsonl(out, /*include_timings=*/false);
   return out.str();
@@ -147,9 +147,12 @@ std::string traced_pipeline_jsonl(const Instance& instance,
 TEST(TraceDeterminismTest, IdenticalJsonlAcrossWorkerCounts) {
   const Instance instance = make_instance(200, 31);
   const CostModel model{1.0, 1.0, 1e-9};
+  const int budget = exec::WorkerBudget::budget();
   const std::string one_worker = traced_pipeline_jsonl(instance, model, 1);
   const std::string four_workers = traced_pipeline_jsonl(instance, model, 4);
   EXPECT_EQ(one_worker, four_workers);
+  // The helper restores the budget it found, an unset default included.
+  EXPECT_EQ(exec::WorkerBudget::budget(), budget);
 }
 
 TEST(TraceDeterminismTest, RepeatedRunsProduceIdenticalJsonl) {

@@ -1,12 +1,12 @@
 // Thread-safety stress suite, written for the DBP_SANITIZE=thread build
-// (ctest -L tsan). TSan builds force OpenMP off (libgomp is not
-// TSan-instrumented — see docs/static_analysis.md), so all concurrency
-// here comes from std::thread: the suite hammers exactly the surfaces the
-// library documents as thread-safe — parallel_map's cancellation flag,
-// MetricsRegistry's relaxed atomics and registration mutex, RunTracer's
-// ring buffer, and concurrent estimate_opt_total calls with per-thread
-// observability contexts. The suite also runs (and must pass) in plain
-// builds.
+// (ctest -L tsan). It hammers the surfaces the library documents as
+// thread-safe: parallel_map's job index, cancellation flag and exception
+// capture, with several maps fanning out at once (each map's
+// exec::fork_join starts kThreads - 1 threads of its own, the same code
+// release builds run); MetricsRegistry's relaxed atomics and
+// registration mutex; RunTracer's ring buffer; and concurrent
+// estimate_opt_total calls with per-thread observability contexts. The
+// suite also runs (and must pass) in plain builds.
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -18,8 +18,9 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/parallel_map.hpp"
 #include "core/instance.hpp"
+#include "exec/parallel_map.hpp"
+#include "exec/worker_budget.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/obs.hpp"
 #include "obs/run_tracer.hpp"
@@ -39,6 +40,14 @@ void run_on_threads(const std::function<void(int)>& body) {
   for (std::thread& thread : threads) thread.join();
 }
 
+/// Fans every map out to kThreads workers, whatever the host's CPU count.
+struct FanOutBudget {
+  FanOutBudget() { exec::WorkerBudget::set(kThreads); }
+  ~FanOutBudget() { exec::WorkerBudget::set(0); }
+  FanOutBudget(const FanOutBudget&) = delete;
+  FanOutBudget& operator=(const FanOutBudget&) = delete;
+};
+
 Instance make_instance(std::uint64_t seed) {
   Instance instance;
   std::uint64_t state = seed;
@@ -56,6 +65,7 @@ TEST(TsanStress, ParallelMapConcurrentThrowAndCancel) {
   // Several threads each run a parallel_map whose jobs race a shared
   // counter and one of which throws; the cancellation flag and the
   // exception slot are the surfaces under test.
+  const FanOutBudget budget;
   run_on_threads([](int t) {
     for (int iter = 0; iter < kIterations / 4; ++iter) {
       std::vector<int> jobs(64);
@@ -78,6 +88,7 @@ TEST(TsanStress, ParallelMapConcurrentThrowAndCancel) {
 }
 
 TEST(TsanStress, ParallelMapConcurrentCleanRuns) {
+  const FanOutBudget budget;
   run_on_threads([](int) {
     for (int iter = 0; iter < kIterations / 4; ++iter) {
       std::vector<int> jobs(32);

@@ -11,6 +11,7 @@
 #include "core/error.hpp"
 #include "core/parse.hpp"
 #include "exec/execution_policy.hpp"
+#include "exec/worker_budget.hpp"
 
 namespace dbp::cli {
 
@@ -87,11 +88,12 @@ class Args {
     }
   }
 
-  /// get_u64 additionally capped at kMaxThreads for --threads. Returns 0
-  /// (runtime default) when the option is absent or empty.
-  static constexpr std::uint64_t kMaxThreads = 512;
-
+  /// get_u64 additionally capped at exec::WorkerBudget::kMaxWorkers for
+  /// --threads. Returns 0 (the default budget) when the option is absent or
+  /// empty.
   [[nodiscard]] int get_thread_count(const std::string& key = "threads") const {
+    // Named for the refusal's text: DBP_REQUIRE prints its condition.
+    constexpr std::uint64_t kMaxThreads = exec::WorkerBudget::kMaxWorkers;
     auto it = values_.find(key);
     if (it == values_.end() || it->second.empty()) return 0;
     const std::uint64_t parsed = get_u64(key, 0);

@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/parallel_map.hpp"
 #include "cli.hpp"
 #include "core/checked_output.hpp"
 #include "core/error.hpp"

@@ -6,7 +6,6 @@
 //              [--threads=N] [--sequential]
 #include <iostream>
 
-#include "exec/parallel_map.hpp"
 #include "cli.hpp"
 #include "core/metrics.hpp"
 #include "core/strfmt.hpp"
@@ -43,7 +42,7 @@ int main(int argc, char** argv) {
         "%zu items | mu = %.3f | Delta = %.3f | sizes [%.4f, %.4f] | %d "
         "worker(s)\n",
         metrics.item_count, metrics.mu, metrics.min_interval_length,
-        metrics.min_size, metrics.max_size, parallel_worker_count());
+        metrics.min_size, metrics.max_size, exec::WorkerBudget::effective());
 
     const CostBounds closed = compute_cost_bounds(instance, model);
     std::cout << strfmt("closed-form bounds:  (b.1) demand %.4f | (b.2) span "

@@ -69,12 +69,12 @@ LAYER_DEPS: dict[str, set[str]] = {
     # Simulation replays instances through packers; instrumented.
     "sim": {"core", "algo", "obs"},
     # OPT machinery. sim: the event sweep shares sim's event sequence;
-    # exec: snapshot evaluation fans out through parallel_map under the
+    # exec: snapshot evaluation fans out through exec::fork_join under the
     # worker budget; obs: phase timers/records.
     "opt": {"core", "algo", "sim", "exec", "obs"},
     # Experiment harnesses (ratio tables, decompositions, adversary
     # evaluation) sit above everything they measure.
-    "analysis": {"core", "algo", "sim", "opt", "exec"},
+    "analysis": {"core", "algo", "sim", "opt"},
     # The cloud-gaming dispatcher consumes workloads, packs with algo,
     # reports through analysis, and is instrumented.
     "gaming": {"core", "algo", "sim", "opt", "analysis", "workload", "obs"},

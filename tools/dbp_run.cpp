@@ -13,7 +13,6 @@
 
 #include "analysis/ratio.hpp"
 #include "analysis/svg.hpp"
-#include "exec/parallel_map.hpp"
 #include "analysis/table.hpp"
 #include "analysis/timeline.hpp"
 #include "cli.hpp"
@@ -53,7 +52,7 @@ int main(int argc, char** argv) {
     std::cout << strfmt(
         "%zu items, mu = %.3f, span = %.3f, demand = %.3f | %d worker(s)\n",
         metrics.item_count, metrics.mu, metrics.span, metrics.total_demand,
-        parallel_worker_count());
+        exec::WorkerBudget::effective());
 
     if (args.has("no-opt")) {
       Table table({"algorithm", "total cost", "bins opened", "peak open"});

@@ -10,17 +10,18 @@
 // Nested-parallelism arbitration: the sweep owns the fan-out. Every cell
 // takes an exec::WorkerLease before doing any work, so the work inside a
 // cell (packer simulation, OPT_total estimation) always runs sequentially
-// — whether the cell landed on an OpenMP worker or on the main thread
-// because the budget was 1. The alternative (cells racing to spawn their
-// own teams) would oversubscribe the budget and make per-cell timings
-// meaningless. One consequence worth knowing: with fewer cells than
-// workers the surplus workers idle rather than accelerate a single cell.
+// — whether the cell landed on a fan-out worker or on the main thread
+// because the budget was 1 or there was one cell. The alternative (cells
+// racing to start their own fan-outs) would oversubscribe the budget and
+// make per-cell timings meaningless. One consequence worth knowing: with
+// fewer cells than workers the surplus budget goes unused rather than
+// accelerating a single cell.
 //
 // Observability attribution is per cell: each cell installs its own
 // ObsScope with a private MetricsRegistry (and, under --trace-dir, a
 // private RunTracer), so counters and traces from concurrent cells never
 // interleave. The scope is thread-local, which is what makes this safe
-// inside an OpenMP team. --trace-dir=PREFIX writes
+// on parallel_map's workers. --trace-dir=PREFIX writes
 // PREFIX.<workload>.<algo>.<seed>.jsonl per cell.
 //
 // Cell order in the output is the job-list order (workload-major, then
@@ -183,7 +184,7 @@ void write_json(const std::vector<CellOutcome>& outcomes,
                 const std::string& path) {
   std::ostringstream json;
   json << "{\n  \"schema\": \"dbp-sweep/1\",\n";
-  json << "  \"workers\": " << parallel_worker_count() << ",\n";
+  json << "  \"workers\": " << exec::WorkerBudget::effective() << ",\n";
   json << "  \"cells\": [\n";
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const CellOutcome& o = outcomes[i];
@@ -249,7 +250,7 @@ int main(int argc, char** argv) {
         "dbp_sweep: %zu cells (%zu workloads x %zu algorithms x %llu seeds), "
         "%d worker(s), policy=%s\n\n",
         cells.size(), workloads.size(), algorithms.size(),
-        static_cast<unsigned long long>(seeds), parallel_worker_count(),
+        static_cast<unsigned long long>(seeds), exec::WorkerBudget::effective(),
         exec::to_string(policy));
 
     const std::vector<CellOutcome> outcomes =

@@ -6,12 +6,13 @@
 // "when all the items in a bin depart, the bin is closed").
 //
 // Item bookkeeping is hash-free: ItemIds are dense by construction (the
-// Instance assigns them sequentially), so per-item state lives in vectors
+// Instance assigns them sequentially, and the gaming dispatcher's session
+// table hands out the lowest free slot), so per-item state lives in vectors
 // indexed by ItemId and each bin's residents form an intrusive doubly-linked
 // list through those slots. place/remove are O(1) plus the compensated level
 // update — no hashing in the packer event loop. The item slots are the only
-// record of the resident items and their sizes (the gaming dispatcher's
-// sessions). The open bins form a second intrusive list, in opening order.
+// record of the resident items' sizes. The open bins form a second
+// intrusive list, in opening order.
 #pragma once
 
 #include <optional>

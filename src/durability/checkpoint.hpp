@@ -19,7 +19,7 @@
 namespace dbp::durability {
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x43504244U;  // "DBPC" LE
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 struct CheckpointData {
   std::uint64_t stream_id = 0;

@@ -22,7 +22,7 @@
 namespace dbp::durability {
 
 inline constexpr std::uint32_t kJournalMagic = 0x4A504244U;  // "DBPJ" LE
-inline constexpr std::uint32_t kJournalVersion = 4;
+inline constexpr std::uint32_t kJournalVersion = 5;
 inline constexpr std::size_t kJournalHeaderBytes = 20;
 /// Framing sanity bound: no event payload is remotely this large, so a
 /// length field beyond it is torn garbage, not a record.

@@ -6,6 +6,7 @@
 #include <optional>
 #include <utility>
 
+#include "core/audit.hpp"
 #include "core/error.hpp"
 #include "core/strfmt.hpp"
 #include "obs/obs.hpp"
@@ -65,20 +66,24 @@ void GameServerDispatcher::shed_for(double gpu_fraction, Time now_minutes) {
     // are mid-re-dispatch.
     bool found = false;
     std::uint64_t victim = 0;
+    ItemId victim_slot = 0;
     double victim_size = 0.0;
     bins.for_each_open_bin([&](BinId bin) {
-      bins.for_each_resident(bin, [&](ItemId session, double size) {
+      bins.for_each_resident(bin, [&](ItemId slot, double size) {
         if (size >= gpu_fraction) return;
+        const std::uint64_t session = sessions_.id_of(slot);
         if (!found || size < victim_size ||
             (size == victim_size && session < victim)) {
           found = true;
           victim = session;
+          victim_slot = slot;
           victim_size = size;
         }
       });
     });
     if (!found) return;  // nothing smaller left to sacrifice
-    packer_->on_departure(victim, now_minutes);
+    packer_->on_departure(victim_slot, now_minutes);
+    sessions_.erase(sessions_.find(victim));
     ++stats_.sessions_shed;
     if (obs::RunTracer* tracer = obs::tracer()) {
       obs::TraceRecord record;
@@ -94,55 +99,58 @@ void GameServerDispatcher::shed_for(double gpu_fraction, Time now_minutes) {
   }
 }
 
-BinId GameServerDispatcher::place_session(std::uint64_t session_id,
-                                          double gpu_fraction, Time now_minutes) {
-  // Capacity gate only when a policy can actually refuse a rental. With no
-  // fleet cap and a perfectly reliable provider both of its branches are
-  // dead, so skipping it changes nothing and saves one O(open servers)
-  // fits_open_server scan per arrival, plus its open_bins() vector.
-  if ((policy_.max_fleet_servers > 0 || policy_.rental_failure_rate > 0.0) &&
-      !fits_open_server(gpu_fraction)) {
-    // No open server can host the session: a new rental is needed.
-    if (policy_.max_fleet_servers > 0 &&
+bool GameServerDispatcher::needs_rental(double gpu_fraction) const {
+  // With no fleet cap and a perfectly reliable provider every rental
+  // succeeds, so skipping the O(open servers) fits_open_server scan
+  // changes nothing.
+  return (policy_.max_fleet_servers > 0 || policy_.rental_failure_rate > 0.0) &&
+         !fits_open_server(gpu_fraction);
+}
+
+bool GameServerDispatcher::admit_rental(std::uint64_t session_id,
+                                        double gpu_fraction, Time now_minutes) {
+  if (policy_.max_fleet_servers > 0 &&
+      active_servers() >= policy_.max_fleet_servers) {
+    shed_for(gpu_fraction, now_minutes);
+    if (!fits_open_server(gpu_fraction) &&
         active_servers() >= policy_.max_fleet_servers) {
-      shed_for(gpu_fraction, now_minutes);
-      if (!fits_open_server(gpu_fraction) &&
-          active_servers() >= policy_.max_fleet_servers) {
-        reject(DispatchErrorKind::kFleetCapExceeded,
-               stats_.sessions_rejected_cap,
-               strfmt("session %llu rejected: fleet cap of %zu servers hit and "
-                      "shedding could not make room",
-                      static_cast<unsigned long long>(session_id),
-                      policy_.max_fleet_servers));
-        return kNoServer;
-      }
-    }
-    if (!fits_open_server(gpu_fraction) && policy_.rental_failure_rate > 0.0) {
-      // Bounded retry with exponential backoff against a flaky provider.
-      bool rented = false;
-      for (int attempt = 0; attempt <= policy_.max_rental_retries; ++attempt) {
-        if (!rental_rng_.bernoulli(policy_.rental_failure_rate)) {
-          rented = true;
-          break;
-        }
-        ++stats_.rental_attempts_failed;
-        if (attempt < policy_.max_rental_retries) {
-          stats_.backoff_minutes +=
-              policy_.backoff_base_minutes * std::pow(2.0, attempt);
-        }
-      }
-      if (!rented) {
-        reject(DispatchErrorKind::kRentalFailed,
-               stats_.sessions_rejected_rental,
-               strfmt("session %llu rejected: %d rental attempts failed",
-                      static_cast<unsigned long long>(session_id),
-                      policy_.max_rental_retries + 1));
-        return kNoServer;
-      }
+      reject(DispatchErrorKind::kFleetCapExceeded, stats_.sessions_rejected_cap,
+             strfmt("session %llu rejected: fleet cap of %zu servers hit and "
+                    "shedding could not make room",
+                    static_cast<unsigned long long>(session_id),
+                    policy_.max_fleet_servers));
+      return false;
     }
   }
+  if (!fits_open_server(gpu_fraction) && policy_.rental_failure_rate > 0.0) {
+    // Bounded retry with exponential backoff against a flaky provider.
+    bool rented = false;
+    for (int attempt = 0; attempt <= policy_.max_rental_retries; ++attempt) {
+      if (!rental_rng_.bernoulli(policy_.rental_failure_rate)) {
+        rented = true;
+        break;
+      }
+      ++stats_.rental_attempts_failed;
+      if (attempt < policy_.max_rental_retries) {
+        stats_.backoff_minutes +=
+            policy_.backoff_base_minutes * std::pow(2.0, attempt);
+      }
+    }
+    if (!rented) {
+      reject(DispatchErrorKind::kRentalFailed, stats_.sessions_rejected_rental,
+             strfmt("session %llu rejected: %d rental attempts failed",
+                    static_cast<unsigned long long>(session_id),
+                    policy_.max_rental_retries + 1));
+      return false;
+    }
+  }
+  return true;
+}
+
+BinId GameServerDispatcher::place(ItemId slot, double gpu_fraction,
+                                  Time now_minutes) {
   const BinId server =
-      packer_->on_arrival(ArrivingItem{session_id, now_minutes, gpu_fraction});
+      packer_->on_arrival(ArrivingItem{slot, now_minutes, gpu_fraction});
   if (obs::MetricsRegistry* metrics = obs::metrics()) {
     metrics->counter("dispatcher.sessions_placed").add();
   }
@@ -151,10 +159,10 @@ BinId GameServerDispatcher::place_session(std::uint64_t session_id,
 
 BinId GameServerDispatcher::start_session(std::uint64_t session_id,
                                           double gpu_fraction, Time now_minutes) {
-  const BinManager& bins = packer_->bins();
+  SessionTable::Probe probe = sessions_.find(session_id);
   if (const std::optional<DispatchErrorKind> refusal =
           check_start(last_event_time_, session_id, gpu_fraction, now_minutes,
-                      bins.model(), bins.active_size(session_id).has_value())) {
+                      packer_->model(), probe.found)) {
     const auto id = static_cast<unsigned long long>(session_id);
     switch (*refusal) {
       case DispatchErrorKind::kTimeOrderViolation:
@@ -179,13 +187,30 @@ BinId GameServerDispatcher::start_session(std::uint64_t session_id,
     return kNoServer;
   }
   last_event_time_ = now_minutes;
-  return place_session(session_id, gpu_fraction, now_minutes);
+  if (needs_rental(gpu_fraction)) {
+    if (!admit_rental(session_id, gpu_fraction, now_minutes)) return kNoServer;
+    probe = sessions_.find(session_id);  // shedding may have moved entries
+  }
+  const ItemId slot = sessions_.insert(probe, session_id);
+  BinId server = kNoServer;
+  try {
+    server = place(slot, gpu_fraction, now_minutes);
+  } catch (...) {
+    // The packer refused (a clairvoyant one refuses every online arrival):
+    // no session was started, so none may stay in the table.
+    sessions_.erase(sessions_.find(session_id));
+    throw;
+  }
+#if DBP_AUDIT_ENABLED
+  sessions_.audit_session(session_id, packer_->bins());
+#endif
+  return server;
 }
 
 void GameServerDispatcher::end_session(std::uint64_t session_id, Time now_minutes) {
+  const SessionTable::Probe probe = sessions_.find(session_id);
   if (const std::optional<DispatchErrorKind> refusal =
-          check_end(last_event_time_, now_minutes,
-                    packer_->bins().active_size(session_id).has_value())) {
+          check_end(last_event_time_, now_minutes, probe.found)) {
     const auto id = static_cast<unsigned long long>(session_id);
     if (*refusal == DispatchErrorKind::kTimeOrderViolation) {
       reject(*refusal, stats_.time_order_violations,
@@ -199,10 +224,15 @@ void GameServerDispatcher::end_session(std::uint64_t session_id, Time now_minute
     return;
   }
   last_event_time_ = now_minutes;
-  packer_->on_departure(session_id, now_minutes);
+  const ItemId slot = sessions_.slot(probe);
+  sessions_.erase(probe);
+  packer_->on_departure(slot, now_minutes);
   if (obs::MetricsRegistry* metrics = obs::metrics()) {
     metrics->counter("dispatcher.sessions_ended").add();
   }
+#if DBP_AUDIT_ENABLED
+  sessions_.audit_session(session_id, packer_->bins());
+#endif
 }
 
 std::size_t GameServerDispatcher::fail_server(BinId server, Time now_minutes) {
@@ -224,12 +254,18 @@ std::size_t GameServerDispatcher::fail_server(BinId server, Time now_minutes) {
   last_event_time_ = now_minutes;
   // The crash ends the rental now: every resident session departs, which
   // closes the server's usage record at the crash time. Each orphan's size
-  // is read first, while it is still resident.
-  std::vector<std::pair<ItemId, double>> orphans;
-  bins.for_each_resident(server, [&](ItemId session, double size) {
-    orphans.emplace_back(session, size);
+  // is read first, while it is still resident; it keeps its slot.
+  struct Orphan {
+    std::uint64_t session;
+    ItemId slot;
+    double size;
+  };
+  std::vector<Orphan> orphans;
+  bins.for_each_resident(server, [&](ItemId slot, double size) {
+    orphans.push_back(Orphan{sessions_.id_of(slot), slot, size});
   });
-  std::sort(orphans.begin(), orphans.end());
+  std::sort(orphans.begin(), orphans.end(),
+            [](const Orphan& a, const Orphan& b) { return a.session < b.session; });
   if (obs::RunTracer* tracer = obs::tracer()) {
     obs::TraceRecord record;
     record.time = now_minutes;
@@ -238,8 +274,8 @@ std::size_t GameServerDispatcher::fail_server(BinId server, Time now_minutes) {
     record.count = orphans.size();
     tracer->record(std::move(record));
   }
-  for (const auto& [session, size] : orphans) {
-    packer_->on_departure(session, now_minutes);
+  for (const Orphan& orphan : orphans) {
+    packer_->on_departure(orphan.slot, now_minutes);
   }
   ++stats_.servers_crashed;
   if (obs::MetricsRegistry* metrics = obs::metrics()) {
@@ -252,15 +288,23 @@ std::size_t GameServerDispatcher::fail_server(BinId server, Time now_minutes) {
   const FaultPolicy::AnomalyAction saved = policy_.on_anomaly;
   policy_.on_anomaly = FaultPolicy::AnomalyAction::kDropAndCount;
   std::size_t redispatched = 0;
-  for (const auto& [session, size] : orphans) {
-    if (place_session(session, size, now_minutes) != kNoServer) {
-      ++redispatched;
-      ++stats_.sessions_redispatched;
-    } else {
+  for (const Orphan& orphan : orphans) {
+    if (needs_rental(orphan.size) &&
+        !admit_rental(orphan.session, orphan.size, now_minutes)) {
+      sessions_.erase(sessions_.find(orphan.session));
       ++stats_.sessions_lost_on_crash;
+      continue;
     }
+    place(orphan.slot, orphan.size, now_minutes);
+    ++redispatched;
+    ++stats_.sessions_redispatched;
   }
   policy_.on_anomaly = saved;
+#if DBP_AUDIT_ENABLED
+  for (const Orphan& orphan : orphans) {
+    sessions_.audit_session(orphan.session, packer_->bins());
+  }
+#endif
   return redispatched;
 }
 
@@ -297,6 +341,11 @@ void GameServerDispatcher::save_state(ByteWriter& out) const {
   out.f64(stats_.backoff_minutes);
   out.str(rental_rng_.save_state());
   out.f64(last_event_time_);
+  out.u64(sessions_.size());
+  sessions_.for_each([&out](ItemId slot, std::uint64_t id) {
+    out.u64(slot);
+    out.u64(id);
+  });
 }
 
 void GameServerDispatcher::restore_state(ByteReader& in) {
@@ -341,6 +390,33 @@ void GameServerDispatcher::restore_state(ByteReader& in) {
   stats_.backoff_minutes = in.f64();
   rental_rng_.load_state(in.str());
   last_event_time_ = in.f64();
+  // The session table: one (slot, id) pair per active packer item, slots
+  // strictly ascending, ids distinct and never the reserved 2^64-1.
+  const BinManager& bins = packer_->bins();
+  const std::uint64_t count = in.u64();
+  if (count != bins.active_item_count()) {
+    throw CorruptionError("session table size differs from the packer's sessions");
+  }
+  sessions_.clear();
+  ItemId lowest_next = 0;  // the smallest slot the next pair may name
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const ItemId slot = in.u64();
+    const std::uint64_t id = in.u64();
+    if (id == kNoItem) {
+      throw CorruptionError("session table holds the reserved id 2^64-1");
+    }
+    if (slot < lowest_next) {
+      throw CorruptionError("session table slots are not strictly ascending");
+    }
+    lowest_next = slot + 1;
+    if (!bins.active_size(slot).has_value()) {
+      throw CorruptionError("session table names a slot the packer does not hold");
+    }
+    const SessionTable::Probe probe = sessions_.find(id);
+    if (probe.found) throw CorruptionError("session table repeats a session id");
+    sessions_.restore(probe, id, slot);
+  }
+  sessions_.finish_restore();
 }
 
 std::size_t GameServerDispatcher::active_servers() const {
@@ -353,6 +429,15 @@ std::size_t GameServerDispatcher::servers_ever_rented() const {
 
 std::size_t GameServerDispatcher::active_sessions() const {
   return packer_->bins().active_item_count();
+}
+
+std::optional<ActiveSession> GameServerDispatcher::find_session(
+    std::uint64_t session_id) const {
+  const SessionTable::Probe probe = sessions_.find(session_id);
+  if (!probe.found) return std::nullopt;
+  const BinManager& bins = packer_->bins();
+  const ItemId slot = sessions_.slot(probe);
+  return ActiveSession{*bins.assignment_of(slot), *bins.active_size(slot)};
 }
 
 void GameServerDispatcher::active_sizes_desc(std::span<double> out) const {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "analysis/ratio.hpp"
 #include "core/types.hpp"
 #include "gaming/fault_policy.hpp"
+#include "gaming/session_table.hpp"
 #include "workload/cloud_gaming.hpp"
 #include "workload/rng.hpp"
 
@@ -31,8 +33,20 @@ struct ServerSpec {
   [[nodiscard]] CostModel to_cost_model() const;
 };
 
+/// Where an active session runs and what it needs.
+struct ActiveSession {
+  BinId server = 0;
+  double gpu_fraction = 0.0;
+};
+
 /// Online dispatcher facade: feed it session starts/ends in time order and
 /// it maintains the rented server fleet via the chosen packing algorithm.
+///
+/// Session ids are opaque 64-bit client values. The dispatcher's
+/// SessionTable maps each active id to a dense slot, and the packer sees
+/// only slots, so memory follows the active sessions, not the largest id.
+/// Client ids stay at the edges: the admission check, shedding's and crash
+/// re-dispatch's id order, the dispatcher's trace records and save_state.
 ///
 /// Anomalous events (duplicate starts, unknown ends, time travel, invalid
 /// sizes, the reserved id 2^64-1) are rejected up front by the admission
@@ -71,6 +85,14 @@ class GameServerDispatcher {
   [[nodiscard]] std::size_t servers_ever_rented() const;
   [[nodiscard]] std::size_t active_sessions() const;
 
+  /// The server and GPU fraction of an active session; std::nullopt for
+  /// any other id. A departed session's server is not remembered.
+  [[nodiscard]] std::optional<ActiveSession> find_session(
+      std::uint64_t session_id) const;
+
+  /// The session table (id -> slot) the packer's items are indexed by.
+  [[nodiscard]] const SessionTable& sessions() const noexcept { return sessions_; }
+
   /// The dispatcher's event clock: the time of the last accepted event
   /// (-inf before any event). Read-only probes may use earlier times.
   [[nodiscard]] Time last_event_time() const noexcept { return last_event_time_; }
@@ -97,6 +119,7 @@ class GameServerDispatcher {
   }
 
   /// Read access to the underlying packer's bin state (servers = bins).
+  /// Its item ids are session slots, not session ids (sessions()).
   [[nodiscard]] const BinManager& bins() const noexcept { return packer_->bins(); }
 
   /// True when the configured algorithm's packer can checkpoint bit-exactly.
@@ -104,17 +127,20 @@ class GameServerDispatcher {
     return packer_->snapshot_supported();
   }
 
-  /// Serializes the complete dispatcher state: packer snapshot (whose item
-  /// slots are the active sessions), fault statistics (including the
-  /// retry/backoff accumulators), the rental RNG *position*, and the event
-  /// clock — plus an RLE size-multiset cross-check of the active sessions.
+  /// Serializes the complete dispatcher state: packer snapshot (whose
+  /// active items are the sessions' slots), fault statistics (including the
+  /// retry/backoff accumulators), the rental RNG *position*, the event
+  /// clock, and last the session table as (slot, id) pairs in slot order —
+  /// plus an RLE size-multiset cross-check of the active sessions.
   /// Requires snapshot_supported().
   void save_state(ByteWriter& out) const;
 
   /// Restores save_state() bytes into a dispatcher freshly constructed with
   /// the same (spec, algorithm, options, policy). Mismatched construction or
-  /// inconsistent state throws CorruptionError; afterwards the dispatcher
-  /// continues the interrupted run bit-identically.
+  /// inconsistent state throws CorruptionError, including a session table
+  /// that repeats an id, holds 2^64-1, or does not name exactly the
+  /// packer's active slots; afterwards the dispatcher continues the
+  /// interrupted run bit-identically.
   void restore_state(ByteReader& in);
 
  private:
@@ -122,10 +148,17 @@ class GameServerDispatcher {
   /// returns (kDropAndCount).
   void reject(DispatchErrorKind kind, std::uint64_t& counter,
               const std::string& message);
-  /// Capacity gate + placement shared by start_session and fail_server
-  /// re-dispatch. Returns the server, or kNoServer when rejected.
-  BinId place_session(std::uint64_t session_id, double gpu_fraction,
-                      Time now_minutes);
+  /// True when placing a session of `gpu_fraction` needs a rental that the
+  /// policy could refuse: a fleet cap or a flaky provider is configured and
+  /// no open server can host it.
+  [[nodiscard]] bool needs_rental(double gpu_fraction) const;
+  /// The rental gate shared by start_session and fail_server re-dispatch,
+  /// run when needs_rental(): sheds for a capped fleet, retries a flaky
+  /// provider, and returns false after rejecting the session.
+  bool admit_rental(std::uint64_t session_id, double gpu_fraction,
+                    Time now_minutes);
+  /// Hands an admitted session's slot to the packer; returns its server.
+  BinId place(ItemId slot, double gpu_fraction, Time now_minutes);
   /// True when any open server can host a session of `gpu_fraction`.
   [[nodiscard]] bool fits_open_server(double gpu_fraction) const;
   /// Degraded mode: sheds active sessions strictly smaller than
@@ -136,7 +169,8 @@ class GameServerDispatcher {
   std::string algorithm_;
   FaultPolicy policy_;
   DispatcherFaultStats stats_;
-  /// The packer's item slots are the active sessions and their sizes.
+  /// Active session id -> slot; the packer's items are the slots.
+  SessionTable sessions_;
   std::unique_ptr<Packer> packer_;
   Rng rental_rng_;
   Time last_event_time_ = -kTimeInfinity;

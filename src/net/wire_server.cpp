@@ -75,6 +75,7 @@ WireServer::WireServer(engine::ShardedDispatchEngine& eng,
   config_.validate();
   if (metrics_ != nullptr) {
     c_connections_ = &metrics_->counter("net.connections");
+    c_connections_failed_ = &metrics_->counter("net.connections_failed");
     c_frames_received_ = &metrics_->counter("net.frames_received");
     c_frames_rejected_ = &metrics_->counter("net.frames_rejected");
     c_bytes_in_ = &metrics_->counter("net.bytes_in");
@@ -171,6 +172,7 @@ WireServerStats WireServer::stats() const noexcept {
   WireServerStats out;
   out.connections_accepted = connections_accepted_.load();
   out.connections_open = connections_open_.load();
+  out.connections_failed = connections_failed_.load();
   out.frames_received = frames_received_.load();
   out.frames_rejected = frames_rejected_.load();
   out.bytes_in = bytes_in_.load();
@@ -282,7 +284,10 @@ void WireServer::serve_connection(Connection& conn) {
     // Peer vanished mid-read or mid-write: that connection's problem only.
   } catch (const std::exception&) {
     // Backstop — a serving defect must never take the process down; the
-    // connection is dropped and every other connection keeps running.
+    // connection is dropped, counted, and every other connection keeps
+    // running.
+    connections_failed_.fetch_add(1, std::memory_order_relaxed);
+    bump(c_connections_failed_);
   }
   // The peer sees EOF now; the descriptor stays open until ~Connection.
   ::shutdown(conn.fd.get(), SHUT_RDWR);

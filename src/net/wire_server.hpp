@@ -61,6 +61,9 @@ struct WireServerConfig {
 struct WireServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_open = 0;
+  /// Connections closed without an answer because serving them threw
+  /// something other than an I/O error (a serving defect).
+  std::uint64_t connections_failed = 0;
   std::uint64_t frames_received = 0;  ///< frames or JSON lines parsed
   std::uint64_t frames_rejected = 0;  ///< typed rejections (any WireError)
   /// Bytes received from the sockets. After a fatal frame this can exceed
@@ -161,6 +164,7 @@ class WireServer {
 
   // Cached "net.*" obs counters (null when no registry is attached).
   obs::Counter* c_connections_ = nullptr;
+  obs::Counter* c_connections_failed_ = nullptr;
   obs::Counter* c_frames_received_ = nullptr;
   obs::Counter* c_frames_rejected_ = nullptr;
   obs::Counter* c_bytes_in_ = nullptr;
@@ -186,6 +190,7 @@ class WireServer {
   // Serving counters (relaxed; exact totals read after stop()).
   std::atomic<std::uint64_t> connections_accepted_{0};
   std::atomic<std::uint64_t> connections_open_{0};
+  std::atomic<std::uint64_t> connections_failed_{0};
   std::atomic<std::uint64_t> frames_received_{0};
   std::atomic<std::uint64_t> frames_rejected_{0};
   std::atomic<std::uint64_t> bytes_in_{0};

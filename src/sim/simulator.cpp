@@ -72,6 +72,17 @@ SimulationResult simulate(const Instance& instance, Packer& packer) {
 void detail::finalize_accounting(SimulationResult& result,
                                  const Instance& instance,
                                  const BinManager& bins) {
+  finalize_bin_accounting(result, bins);
+  result.assignment.resize(instance.size());
+  for (const Item& item : instance.items()) {
+    auto bin = bins.assignment_of(item.id);
+    DBP_CHECK(bin.has_value(), "item missing from assignment history");
+    result.assignment[static_cast<std::size_t>(item.id)] = *bin;
+  }
+}
+
+void detail::finalize_bin_accounting(SimulationResult& result,
+                                     const BinManager& bins) {
   result.bins_opened = bins.total_bins_opened();
   result.bin_usage.assign(bins.usage_records().begin(), bins.usage_records().end());
 
@@ -92,13 +103,6 @@ void detail::finalize_accounting(SimulationResult& result,
   DBP_CHECK(std::abs(result.total_cost - result.total_cost_from_bins) <=
                 1e-9 * scale,
             "per-bin and integral cost accounting disagree");
-
-  result.assignment.resize(instance.size());
-  for (const Item& item : instance.items()) {
-    auto bin = bins.assignment_of(item.id);
-    DBP_CHECK(bin.has_value(), "item missing from assignment history");
-    result.assignment[static_cast<std::size_t>(item.id)] = *bin;
-  }
 }
 
 SimulationResult simulate(const Instance& instance, const std::string& algorithm,

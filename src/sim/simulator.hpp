@@ -72,12 +72,18 @@ void replay_events(const Instance& instance, std::span<const Event> events,
 
 namespace detail {
 
-/// Shared result finalization for simulate() and simulate_faulted(): copies
-/// usage records, computes both cost accountings (and checks they agree to
-/// relative 1e-9), and fills the per-item assignment from the manager's
-/// history. Requires every bin to be closed.
+/// Shared result finalization for simulate() and simulate_faulted():
+/// finalize_bin_accounting, then the per-item assignment from the manager's
+/// history (item ids are the instance's).
 void finalize_accounting(SimulationResult& result, const Instance& instance,
                          const BinManager& bins);
+
+/// The bin half of finalize_accounting: copies usage records and computes
+/// both cost accountings (and checks they agree to relative 1e-9); leaves
+/// `result.assignment` alone. Requires every bin to be closed. A dispatcher
+/// run, whose packer items are session slots, uses this and records the
+/// assignment from start_session's return values.
+void finalize_bin_accounting(SimulationResult& result, const BinManager& bins);
 
 }  // namespace detail
 

@@ -126,8 +126,10 @@ TEST(FaultPolicyTest, ReservedSessionIdIsDroppedAndCounted) {
   EXPECT_EQ(dispatcher.active_servers(), 1u);
   EXPECT_EQ(dispatcher.servers_ever_rented(), 1u);
   EXPECT_EQ(dispatcher.last_event_time(), 0.0);
-  EXPECT_EQ(dispatcher.bins().active_size(5), 0.5);
-  EXPECT_FALSE(dispatcher.bins().active_size(kNoItem).has_value());
+  ASSERT_TRUE(dispatcher.find_session(5).has_value());
+  EXPECT_EQ(dispatcher.find_session(5)->gpu_fraction, 0.5);
+  EXPECT_EQ(dispatcher.find_session(5)->server, server);
+  EXPECT_FALSE(dispatcher.find_session(kNoItem).has_value());
   // The later end of session 5 is served and closes its server at t=2.
   dispatcher.end_session(5, 2.0);
   EXPECT_EQ(dispatcher.active_sessions(), 0u);

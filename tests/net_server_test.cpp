@@ -13,8 +13,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -124,8 +126,9 @@ std::vector<WireResponse> read_until_closed(WireClient& client) {
 
 auto stats_tuple(const WireServerStats& s) {
   return std::make_tuple(s.connections_accepted, s.connections_open,
-                         s.frames_received, s.frames_rejected, s.bytes_in,
-                         s.events_submitted, s.epochs_advanced, s.timer_ticks);
+                         s.connections_failed, s.frames_received,
+                         s.frames_rejected, s.bytes_in, s.events_submitted,
+                         s.epochs_advanced, s.timer_ticks);
 }
 
 auto response_tuple(const WireResponse& r) {
@@ -653,6 +656,47 @@ TEST_F(WireServerTest, ReservedSessionIdIsCountedAndLaterEventsAreServed) {
   EXPECT_EQ(eng.merged_fault_stats().invalid_session_ids, 1u);
   // Session 5 billed [0, 2) minutes at $6/hour, and nothing after.
   EXPECT_EQ(eng.rental_cost_dollars(100.0), eng.rental_cost_dollars(2.0));
+}
+
+/// Throws for one route key: a serving defect no wire error describes.
+class ThrowingRouter final : public engine::ShardRouter {
+ public:
+  static constexpr std::uint64_t kPoisonKey = 13;
+
+  [[nodiscard]] std::size_t shard_for(std::uint64_t route_key,
+                                      std::size_t shard_count) const override {
+    if (route_key == kPoisonKey) throw std::runtime_error("router defect");
+    return static_cast<std::size_t>(route_key % shard_count);
+  }
+};
+
+// The backstop closes a connection whose serving threw, without an answer.
+// It must count that connection, and keep serving the next one.
+TEST_F(WireServerTest, BackstopCountsTheConnectionsItDrops) {
+  obs::MetricsRegistry metrics;
+  engine::ShardedDispatchEngine eng(engine_config(),
+                                    std::make_unique<ThrowingRouter>());
+  WireServer server(eng, server_config(), nullptr, &metrics);
+  server.start();
+
+  WireClient doomed(socket_path(), WireClient::Framing::kJson);
+  doomed.submit(engine::start_event(ThrowingRouter::kPoisonKey, 0.25, 1.0));
+  doomed.flush();
+  doomed.finish_writes();
+  EXPECT_TRUE(read_until_closed(doomed).empty());
+  wait_for([&] { return server.stats().connections_failed == 1; });
+
+  WireClient next(socket_path(), WireClient::Framing::kJson);
+  next.submit(engine::start_event(1, 0.25, 2.0));
+  const WireResponse answer = next.query(3.0);
+  ASSERT_EQ(answer.error, WireError::kNone) << answer.detail;
+  EXPECT_NE(answer.body.find("\"events_applied\":1,"), std::string::npos)
+      << answer.body;
+  server.stop();
+  EXPECT_EQ(server.stats().connections_failed, 1u);
+  EXPECT_EQ(server.stats().connections_accepted, 2u);
+  EXPECT_EQ(metrics.counter_value("net.connections_failed"),
+            std::optional<std::uint64_t>(1));
 }
 
 TEST_F(WireServerTest, StopIsIdempotentAndUnlinksTheSocket) {

@@ -276,38 +276,47 @@ TEST(ZeroAllocScratchTest, ScratchMatchesAllocatingPathBitIdentically) {
 
 // ---- serving dispatcher -------------------------------------------------
 
+/// Session id bases: dense ids, and ids past 2^40. The dispatcher's session
+/// table hands the packer the same slots for both.
+constexpr std::uint64_t kIdBases[] = {0, std::uint64_t{1} << 40};
+
 TEST(ZeroAllocDispatcherTest, WarmDispatcherServesSessionsWithoutAllocating) {
   constexpr std::uint64_t kChurnIds = 64;
   constexpr std::uint64_t kPairs = 20000;
-  FaultPolicy policy;
-  policy.on_anomaly = FaultPolicy::AnomalyAction::kDropAndCount;
-  GameServerDispatcher dispatcher(ServerSpec{1.0, 6.0}, "first-fit", {}, policy);
-  // Session 0 holds server 0 for the whole run, and every churn session
-  // fits beside it, so no pair needs a new server.
-  ASSERT_EQ(dispatcher.start_session(0, 0.5, 0.0), BinId{0});
-  Time t = 0.0;
-  for (std::uint64_t id = 1; id <= kChurnIds; ++id) {  // warm the id range
-    ASSERT_EQ(dispatcher.start_session(id, 0.25, t), BinId{0});
-    dispatcher.end_session(id, t += 1.0);
-  }
-  std::vector<double> sizes(2);
+  for (const std::uint64_t base : kIdBases) {
+    SCOPED_TRACE("id base " + std::to_string(base));
+    FaultPolicy policy;
+    policy.on_anomaly = FaultPolicy::AnomalyAction::kDropAndCount;
+    GameServerDispatcher dispatcher(ServerSpec{1.0, 6.0}, "first-fit", {},
+                                    policy);
+    // Session `base` holds server 0 for the whole run, and every churn
+    // session fits beside it, so no pair needs a new server.
+    ASSERT_EQ(dispatcher.start_session(base, 0.5, 0.0), BinId{0});
+    Time t = 0.0;
+    for (std::uint64_t id = 1; id <= kChurnIds; ++id) {  // warm the id range
+      ASSERT_EQ(dispatcher.start_session(base + id, 0.25, t), BinId{0});
+      dispatcher.end_session(base + id, t += 1.0);
+    }
+    std::vector<double> sizes(2);
 
-  const std::uint64_t before = allocation_count();
-  for (std::uint64_t i = 0; i < kPairs; ++i) {
-    const std::uint64_t id = 1 + i % kChurnIds;
-    (void)dispatcher.start_session(id, 0.25, t);
-    if (i % 64 == 0) dispatcher.active_sizes_desc(sizes);
-    dispatcher.end_session(id, t += 1.0);
-  }
-  const std::uint64_t after = allocation_count();
+    const std::uint64_t before = allocation_count();
+    for (std::uint64_t i = 0; i < kPairs; ++i) {
+      const std::uint64_t id = base + 1 + i % kChurnIds;
+      (void)dispatcher.start_session(id, 0.25, t);
+      if (i % 64 == 0) dispatcher.active_sizes_desc(sizes);
+      dispatcher.end_session(id, t += 1.0);
+    }
+    const std::uint64_t after = allocation_count();
 
-  EXPECT_EQ(after - before, 0u)
-      << kPairs << " warm start/end pairs allocated " << (after - before)
-      << " time(s)";
-  EXPECT_EQ(sizes, (std::vector<double>{0.5, 0.25}));
-  EXPECT_EQ(dispatcher.servers_ever_rented(), 1u);
-  EXPECT_EQ(dispatcher.active_sessions(), 1u);
-  EXPECT_EQ(dispatcher.fault_stats().total_dropped_events(), 0u);
+    EXPECT_EQ(after - before, 0u)
+        << kPairs << " warm start/end pairs allocated " << (after - before)
+        << " time(s)";
+    EXPECT_EQ(sizes, (std::vector<double>{0.5, 0.25}));
+    EXPECT_EQ(dispatcher.servers_ever_rented(), 1u);
+    EXPECT_EQ(dispatcher.active_sessions(), 1u);
+    EXPECT_EQ(dispatcher.sessions().slot_count(), 2u);
+    EXPECT_EQ(dispatcher.fault_stats().total_dropped_events(), 0u);
+  }
 }
 
 // ---- sharded engine ------------------------------------------------------
@@ -318,17 +327,18 @@ struct BudgetGuard {
 };
 
 /// A 2-shard engine in which each shard holds one half-GPU session for the
-/// whole run, with churn session ids 1..kChurnIds warmed on their shards.
-/// Churn sessions of 0.25 fit beside either holder, so churn never rents a
-/// server, and every epoch between churn pairs snapshots the same two
-/// holders.
+/// whole run, with churn session ids base+1..base+kChurnIds warmed on their
+/// shards. Churn sessions of 0.25 fit beside either holder, so churn never
+/// rents a server, and every epoch between churn pairs snapshots the same
+/// two holders.
 class WarmEngine {
  public:
   static constexpr std::uint64_t kChurnIds = 64;
 
-  WarmEngine() : eng_(config()) {
+  explicit WarmEngine(std::uint64_t id_base = 0)
+      : eng_(config()), id_base_(id_base) {
     const engine::HashShardRouter router;
-    for (std::uint64_t id = kChurnIds + 1; holders_ < 2; ++id) {
+    for (std::uint64_t id = id_base_ + kChurnIds + 1; holders_ < 2; ++id) {
       if (router.shard_for(id, 2) == holders_) {
         eng_.submit(engine::start_event(id, 0.5, 0.0));
         ++holders_;
@@ -341,7 +351,7 @@ class WarmEngine {
   /// Submits `pairs` start/end pairs over the churn ids, one minute apart.
   void churn(std::uint64_t pairs) {
     for (std::uint64_t i = 0; i < pairs; ++i) {
-      const std::uint64_t id = 1 + i % kChurnIds;
+      const std::uint64_t id = id_base_ + 1 + i % kChurnIds;
       eng_.submit(engine::start_event(id, 0.25, t_));
       eng_.submit(engine::end_event(id, t_ += 1.0));
     }
@@ -359,6 +369,7 @@ class WarmEngine {
   }
 
   engine::ShardedDispatchEngine eng_;
+  std::uint64_t id_base_;
   std::size_t holders_ = 0;
   Time t_ = 0.0;
 };
@@ -366,25 +377,28 @@ class WarmEngine {
 TEST(ZeroAllocEngineTest, SmallBacklogDrainsRunInlineWithoutAllocating) {
   const BudgetGuard guard;
   exec::WorkerBudget::set(2);  // two workers for two shards, if a drain paid
-  WarmEngine warm;
-  engine::ShardedDispatchEngine& eng = warm.engine();
-  warm.churn(WarmEngine::kChurnIds);
-  eng.drain();
-
-  constexpr int kDrains = 200;
-  const std::uint64_t before = allocation_count();
-  for (int d = 0; d < kDrains; ++d) {
-    warm.churn(WarmEngine::kChurnIds);  // a 128-event backlog per drain
+  for (const std::uint64_t base : kIdBases) {
+    SCOPED_TRACE("id base " + std::to_string(base));
+    WarmEngine warm(base);
+    engine::ShardedDispatchEngine& eng = warm.engine();
+    warm.churn(WarmEngine::kChurnIds);
     eng.drain();
-  }
-  const std::uint64_t after = allocation_count();
 
-  EXPECT_EQ(after - before, 0u)
-      << kDrains << " small-backlog drains allocated " << (after - before)
-      << " time(s)";
-  EXPECT_EQ(eng.active_sessions(), 2u);
-  EXPECT_EQ(eng.active_servers(), 2u);
-  EXPECT_EQ(eng.merged_fault_stats().total_dropped_events(), 0u);
+    constexpr int kDrains = 200;
+    const std::uint64_t before = allocation_count();
+    for (int d = 0; d < kDrains; ++d) {
+      warm.churn(WarmEngine::kChurnIds);  // a 128-event backlog per drain
+      eng.drain();
+    }
+    const std::uint64_t after = allocation_count();
+
+    EXPECT_EQ(after - before, 0u)
+        << kDrains << " small-backlog drains allocated " << (after - before)
+        << " time(s)";
+    EXPECT_EQ(eng.active_sessions(), 2u);
+    EXPECT_EQ(eng.active_servers(), 2u);
+    EXPECT_EQ(eng.merged_fault_stats().total_dropped_events(), 0u);
+  }
 }
 
 TEST(ZeroAllocEngineTest, MemoHitEpochDoesNotAllocate) {

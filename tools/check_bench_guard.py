@@ -27,7 +27,9 @@ Three checks over a dbp-bench-perf report (schema 1 through 4):
    reference cases are the machine probe for the whole report). A case fails
    when its normalized events/sec drops by more than
    ``--max-dispatch-regression`` (default 0.20). Skipped gracefully when the
-   baseline predates schema 4.
+   baseline predates schema 4. A case timed at another ``workers`` count
+   than its baseline case is bad input: single-threaded reference cases
+   cannot normalize the parallel capacity a wider drain adds.
 
 Exit codes: 0 = all within bounds, 1 = regression, 2 = bad input.
 
@@ -139,6 +141,16 @@ def check_packers(cases, baseline, machine, max_regression):
         "items_per_sec", "items/s")
 
 
+def dispatch_worker_mismatches(cases, baseline):
+    """Names of bench_dispatch* cases whose ``workers`` differs from the
+    same baseline case's."""
+    return [
+        name for name, case in sorted(cases.items())
+        if name.startswith("bench_dispatch") and name in baseline
+        and case.get("workers") != baseline[name].get("workers")
+    ]
+
+
 def check_dispatch(cases, baseline, machine, max_regression):
     """Normalized dispatch events_per_sec check. Returns (checked, failures)."""
     if not any(name.startswith("bench_dispatch") for name in baseline):
@@ -201,6 +213,14 @@ def main(argv):
         except (OSError, ValueError, KeyError, TypeError) as error:
             print(f"check_bench_guard: cannot read {baseline_path}: {error}",
                   file=sys.stderr)
+            return 2
+        for name in dispatch_worker_mismatches(cases, baseline):
+            print(
+                f"check_bench_guard: {name} ran at workers="
+                f"{cases[name].get('workers')} but its baseline at workers="
+                f"{baseline[name].get('workers')}",
+                file=sys.stderr,
+            )
             return 2
         machine = machine_factor(cases, baseline)
         if machine is None:

@@ -444,7 +444,12 @@ void append_dispatch_cases(std::vector<BenchCase>& cases, std::size_t repeats) {
   }
 
   // Interleaved best-of timing over the shard counts, same rationale as
-  // the packer cases.
+  // the packer cases. Both run under a one-worker budget, the worker count
+  // BENCH_perf.json recorded them at: the guard normalizes them by
+  // single-threaded reference cases, and a drain that fans out would add
+  // the host's spare parallel capacity to what it measures.
+  const int saved_budget = exec::WorkerBudget::budget();
+  exec::WorkerBudget::set(1);
   const std::vector<std::size_t> shard_counts = {4, 1};
   std::vector<double> best_ms(shard_counts.size(),
                               std::numeric_limits<double>::infinity());
@@ -473,6 +478,7 @@ void append_dispatch_cases(std::vector<BenchCase>& cases, std::size_t repeats) {
           "\"shards\": " + std::to_string(shard_counts[s]),
           "\"workers\": " + std::to_string(exec::WorkerBudget::effective())}});
   }
+  exec::WorkerBudget::set(saved_budget);
 }
 
 }  // namespace

@@ -9,7 +9,11 @@
 // The parent recovers each crashed directory, re-feeds the not-yet-durable
 // suffix of the input, and requires the final state to be bit-identical to
 // the reference — exact == on every SimulationResult field, and exact
-// save_state byte equality for the dispatcher.
+// save_state byte equality for the dispatcher. The dispatcher does not
+// remember which server a departed session used, so a run's assignment is
+// the servers its start_session calls returned: the child streams each one
+// to the parent over a pipe, and every session still active after recovery
+// must sit on the server its start returned.
 //
 // A second battery injects deliberate corruption (journal bit flips and
 // truncation, checkpoint bit flips, stale checkpoint names, corrupt
@@ -25,7 +29,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -138,24 +144,85 @@ durability::DurableDispatcher durable_run(
                                        FaultPolicy{});
 }
 
+/// The server each start_session returned, by item id; kNoBin until known.
+using Placements = std::vector<BinId>;
+
+/// Writes one (item, server) placement record to the parent's pipe. Plain
+/// write(2), not durability::detail::write_all: these bytes must not count
+/// toward the crash hook's kill threshold.
+void send_placement(int fd, std::uint64_t item, BinId server) {
+  const std::uint64_t record[2] = {item, server};
+  const auto* bytes = reinterpret_cast<const char*>(record);
+  std::size_t sent = 0;
+  while (sent < sizeof(record)) {
+    const ssize_t n = ::write(fd, bytes + sent, sizeof(record) - sent);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) std::_Exit(4);
+    sent += static_cast<std::size_t>(n);
+  }
+}
+
+/// Feeds events [from_seq, end) and records each start's server in
+/// `placements`, and in the pipe `placement_fd` when it is open.
 void feed_run(durability::DurableDispatcher& durable, const Instance& instance,
-              const std::vector<Event>& events, std::uint64_t from_seq) {
+              const std::vector<Event>& events, std::uint64_t from_seq,
+              Placements& placements, int placement_fd = -1) {
   for (std::uint64_t i = from_seq; i < events.size(); ++i) {
     const Item& item = instance.item(events[i].item);
     if (events[i].kind == EventKind::kArrival) {
-      (void)durable.start_session(item.id, item.size, item.arrival);
+      const BinId server =
+          durable.start_session(item.id, item.size, item.arrival);
+      placements[static_cast<std::size_t>(item.id)] = server;
+      if (placement_fd >= 0) send_placement(placement_fd, item.id, server);
     } else {
       durable.end_session(item.id, item.departure);
     }
   }
 }
 
+/// Checks `placements` against a dispatcher recovered at `next_seq`:
+/// exactly the sessions started and not ended before `next_seq` are
+/// active, each on the server its start returned. A crash in the checkpoint
+/// written after a start leaves that start applied but unreported; it is
+/// the last event applied, so its session is active, and its server is
+/// read back here.
+std::optional<std::string> reconcile_placements(
+    const GameServerDispatcher& dispatcher, const Instance& instance,
+    const std::vector<Event>& events, std::uint64_t next_seq,
+    Placements& placements) {
+  std::vector<bool> active(instance.size(), false);
+  for (std::uint64_t i = 0; i < next_seq; ++i) {
+    active[static_cast<std::size_t>(events[i].item)] =
+        events[i].kind == EventKind::kArrival;
+  }
+  for (const Item& item : instance.items()) {
+    const auto index = static_cast<std::size_t>(item.id);
+    const std::optional<ActiveSession> session = dispatcher.find_session(item.id);
+    if (active[index] != session.has_value()) {
+      return strfmt("session %zu is %s after recovery", index,
+                    active[index] ? "missing" : "unexpectedly active");
+    }
+    if (!session) continue;
+    if (placements[index] == kNoBin) {
+      placements[index] = session->server;
+    } else if (placements[index] != session->server) {
+      return strfmt("recovered session %zu sits on server %llu, its start "
+                    "returned %llu",
+                    index, static_cast<unsigned long long>(session->server),
+                    static_cast<unsigned long long>(placements[index]));
+    }
+  }
+  return std::nullopt;
+}
+
 /// Checks that a finished durable run used `algorithm` under exactly
-/// kRunModel, then compares its SimulationResult bit-exactly to `ref`.
+/// kRunModel, then compares its SimulationResult, with `placements` as its
+/// assignment, bit-exactly to `ref`.
 std::optional<std::string> diff_run(const durability::DurableDispatcher& durable,
                                     const Instance& instance,
                                     const std::string& algorithm,
-                                    const SimulationResult& ref) {
+                                    const SimulationResult& ref,
+                                    const Placements& placements) {
   const GameServerDispatcher& dispatcher = durable.dispatcher();
   if (dispatcher.algorithm() != algorithm) return "algorithm name differs";
   const CostModel billed = dispatcher.spec().to_cost_model();
@@ -168,7 +235,8 @@ std::optional<std::string> diff_run(const durability::DurableDispatcher& durable
             "bins remain open after the last departure");
   SimulationResult result;
   result.packing_period = instance.packing_period();
-  detail::finalize_accounting(result, instance, dispatcher.bins());
+  detail::finalize_bin_accounting(result, dispatcher.bins());
+  result.assignment = placements;
   return diff_results(ref, result);
 }
 
@@ -188,10 +256,11 @@ std::uint64_t measure_clean_run(const durability::DurabilityConfig& config,
         return std::optional<std::size_t>{};
       });
   durability::DurableDispatcher durable = durable_run(config, algorithm, options);
-  feed_run(durable, instance, events, 0);
+  Placements placements(instance.size(), kNoBin);
+  feed_run(durable, instance, events, 0, placements);
   durable.flush();
   durability::set_write_crash_hook({});
-  if (auto why = diff_run(durable, instance, algorithm, reference)) {
+  if (auto why = diff_run(durable, instance, algorithm, reference, placements)) {
     throw InvariantError("clean durable run diverged from simulate(): " + *why);
   }
   return total;
@@ -213,25 +282,48 @@ void install_kill_hook(std::uint64_t threshold) {
 }
 
 /// Forks a child that feeds the whole stream and dies at `threshold` bytes
-/// of durable writes. Returns true when the child exited 0 or was SIGKILLed.
+/// of durable writes, streaming every placement it returned into
+/// `placements`. Returns true when the child exited 0 or was SIGKILLed.
 bool run_crashing_child(const durability::DurabilityConfig& config,
                         const Instance& instance,
                         const std::vector<Event>& events,
                         const std::string& algorithm,
-                        const PackerOptions& options, std::uint64_t threshold) {
+                        const PackerOptions& options, std::uint64_t threshold,
+                        Placements& placements) {
+  int pipe_fds[2] = {-1, -1};
+  DBP_REQUIRE(::pipe(pipe_fds) == 0, "pipe failed");
   const pid_t pid = ::fork();
   DBP_REQUIRE(pid >= 0, "fork failed");
   if (pid == 0) {
+    ::close(pipe_fds[0]);
     try {
       durability::DurableDispatcher durable =
           durable_run(config, algorithm, options);
       install_kill_hook(threshold);
-      feed_run(durable, instance, events, 0);
+      feed_run(durable, instance, events, 0, placements, pipe_fds[1]);
       durable.flush();
     } catch (...) {
       std::_Exit(3);
     }
     std::_Exit(0);
+  }
+  // Read to EOF (the child's exit or kill closes the write end) before
+  // waiting, so a full pipe can never stall the child.
+  ::close(pipe_fds[1]);
+  std::vector<std::uint8_t> stream;
+  std::uint8_t buffer[4096];
+  for (;;) {
+    const ssize_t n = ::read(pipe_fds[0], buffer, sizeof(buffer));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    stream.insert(stream.end(), buffer, buffer + n);
+  }
+  ::close(pipe_fds[0]);
+  for (std::size_t at = 0; at + 16 <= stream.size(); at += 16) {
+    std::uint64_t record[2];
+    std::memcpy(record, stream.data() + at, sizeof(record));
+    DBP_REQUIRE(record[0] < placements.size(), "placement of an unknown item");
+    placements[static_cast<std::size_t>(record[0])] = record[1];
   }
   int status = 0;
   DBP_REQUIRE(::waitpid(pid, &status, 0) == pid, "waitpid failed");
@@ -260,8 +352,9 @@ std::optional<std::string> sim_trial(const durability::DurabilityConfig& config,
                                      std::uint64_t threshold,
                                      TrialTally& tally) {
   ++tally.trials;
+  Placements placements(instance.size(), kNoBin);
   if (!run_crashing_child(config, instance, events, algorithm, options,
-                          threshold)) {
+                          threshold, placements)) {
     return "child failed with an unexpected status";
   }
   durability::RecoveryManager manager(config);
@@ -273,9 +366,16 @@ std::optional<std::string> sim_trial(const durability::DurabilityConfig& config,
   if (state.report.torn_tail) ++tally.torn_tails;
   tally.replayed += state.report.replayed_events;
   tally.refed += events.size() - state.report.next_seq;
-  feed_run(*state.dispatcher, instance, events, state.report.next_seq);
+  if (auto why = reconcile_placements(state.dispatcher->dispatcher(), instance,
+                                      events, state.report.next_seq,
+                                      placements)) {
+    return why;
+  }
+  feed_run(*state.dispatcher, instance, events, state.report.next_seq,
+           placements);
   state.dispatcher->flush();
-  return diff_run(*state.dispatcher, instance, algorithm, reference);
+  return diff_run(*state.dispatcher, instance, algorithm, reference,
+                  placements);
 }
 
 // --------------------------------------------------------------------------
@@ -426,23 +526,28 @@ void flip_bit(const std::string& path, std::uint64_t byte, unsigned bit) {
 }
 
 /// Populates `dir` with a full durable run of the stream (several
-/// checkpoints plus the complete journal).
-void populate_dir(const durability::DurabilityConfig& config,
-                  const Instance& instance, const std::vector<Event>& events,
-                  const std::string& algorithm, const PackerOptions& options) {
+/// checkpoints plus the complete journal) and returns its placements.
+Placements populate_dir(const durability::DurabilityConfig& config,
+                        const Instance& instance,
+                        const std::vector<Event>& events,
+                        const std::string& algorithm,
+                        const PackerOptions& options) {
   durability::DurableDispatcher durable = durable_run(config, algorithm, options);
-  feed_run(durable, instance, events, 0);
+  Placements placements(instance.size(), kNoBin);
+  feed_run(durable, instance, events, 0, placements);
   durable.flush();
+  return placements;
 }
 
-/// Attempts recovery of a (possibly corrupted) directory. Returns nullopt
-/// on a graceful outcome — CorruptionError, or a recovery whose re-fed
-/// result is bit-identical — and a description of any silent mismatch.
+/// Attempts recovery of a (possibly corrupted) directory that
+/// populate_dir() filled with `placements`. Returns nullopt on a graceful
+/// outcome — CorruptionError, or a recovery whose re-fed result is
+/// bit-identical — and a description of any silent mismatch.
 std::optional<std::string> recover_and_check(
     const durability::DurabilityConfig& config, const Instance& instance,
     const std::vector<Event>& events, const std::string& algorithm,
-    const SimulationResult& reference, bool* out_recovered = nullptr,
-    std::size_t* out_skipped = nullptr) {
+    const SimulationResult& reference, Placements placements,
+    bool* out_recovered = nullptr, std::size_t* out_skipped = nullptr) {
   try {
     durability::RecoveryManager manager(config);
     durability::RecoveredState state = manager.recover();
@@ -451,9 +556,16 @@ std::optional<std::string> recover_and_check(
     }
     if (out_recovered != nullptr) *out_recovered = true;
     if (out_skipped != nullptr) *out_skipped = state.report.checkpoints_skipped;
-    feed_run(*state.dispatcher, instance, events, state.report.next_seq);
+    if (auto why = reconcile_placements(state.dispatcher->dispatcher(),
+                                        instance, events,
+                                        state.report.next_seq, placements)) {
+      return "silent corruption: " + *why;
+    }
+    feed_run(*state.dispatcher, instance, events, state.report.next_seq,
+             placements);
     state.dispatcher->flush();
-    if (auto why = diff_run(*state.dispatcher, instance, algorithm, reference)) {
+    if (auto why = diff_run(*state.dispatcher, instance, algorithm, reference,
+                            placements)) {
       return "silent corruption: " + *why;
     }
   } catch (const CorruptionError&) {
@@ -497,7 +609,8 @@ std::optional<std::string> corruption_battery(
   for (int i = 0; i < 4; ++i) {
     ++case_id;
     const durability::DurabilityConfig config = fresh_config("jflip");
-    populate_dir(config, instance, events, algorithm, options);
+    const Placements placements =
+        populate_dir(config, instance, events, algorithm, options);
     const std::string journal =
         config.dir + "/" + durability::kJournalFileName;
     const std::uint64_t size = durability::detail::file_size(journal);
@@ -508,7 +621,7 @@ std::optional<std::string> corruption_battery(
     bool recovered = false;
     if (auto err = finish_case(
             recover_and_check(config, instance, events, algorithm, reference,
-                              &recovered),
+                              placements, &recovered),
             recovered)) {
       return "journal bit flip: " + *err;
     }
@@ -518,7 +631,8 @@ std::optional<std::string> corruption_battery(
   for (int i = 0; i < 4; ++i) {
     ++case_id;
     const durability::DurabilityConfig config = fresh_config("jtrunc");
-    populate_dir(config, instance, events, algorithm, options);
+    const Placements placements =
+        populate_dir(config, instance, events, algorithm, options);
     const std::string journal =
         config.dir + "/" + durability::kJournalFileName;
     const std::uint64_t size = durability::detail::file_size(journal);
@@ -527,7 +641,7 @@ std::optional<std::string> corruption_battery(
     bool recovered = false;
     if (auto err = finish_case(
             recover_and_check(config, instance, events, algorithm, reference,
-                              &recovered),
+                              placements, &recovered),
             recovered)) {
       return "journal truncation: " + *err;
     }
@@ -538,7 +652,8 @@ std::optional<std::string> corruption_battery(
   {
     ++case_id;
     const durability::DurabilityConfig config = fresh_config("stale");
-    populate_dir(config, instance, events, algorithm, options);
+    const Placements placements =
+        populate_dir(config, instance, events, algorithm, options);
     const auto entries = durability::list_checkpoints(config.dir);
     DBP_REQUIRE(!entries.empty(), "populate left no checkpoints");
     const std::vector<std::uint8_t> bytes =
@@ -554,7 +669,7 @@ std::optional<std::string> corruption_battery(
     bool recovered = false;
     std::size_t skipped = 0;
     auto err = recover_and_check(config, instance, events, algorithm,
-                                 reference, &recovered, &skipped);
+                                 reference, placements, &recovered, &skipped);
     if (!err && recovered && skipped == 0) {
       err = "impostor checkpoint was not skipped";
     }
@@ -569,7 +684,8 @@ std::optional<std::string> corruption_battery(
   for (int i = 0; i < 4; ++i) {
     ++case_id;
     const durability::DurabilityConfig config = fresh_config("cflip");
-    populate_dir(config, instance, events, algorithm, options);
+    const Placements placements =
+        populate_dir(config, instance, events, algorithm, options);
     const auto entries = durability::list_checkpoints(config.dir);
     DBP_REQUIRE(entries.size() >= 2, "need two checkpoints for fallback");
     const std::uint64_t size =
@@ -579,7 +695,7 @@ std::optional<std::string> corruption_battery(
     bool recovered = false;
     std::size_t skipped = 0;
     auto err = recover_and_check(config, instance, events, algorithm,
-                                 reference, &recovered, &skipped);
+                                 reference, placements, &recovered, &skipped);
     if (!err && recovered && skipped == 0) {
       err = "corrupt newest checkpoint was not skipped";
     }
@@ -596,7 +712,8 @@ std::optional<std::string> corruption_battery(
   {
     ++case_id;
     const durability::DurabilityConfig config = fresh_config("allbad");
-    populate_dir(config, instance, events, algorithm, options);
+    const Placements placements =
+        populate_dir(config, instance, events, algorithm, options);
     for (const auto& entry : durability::list_checkpoints(config.dir)) {
       const std::uint64_t size = durability::detail::file_size(entry.path);
       flip_bit(entry.path, rng.uniform_int(0, size - 1),
@@ -604,7 +721,7 @@ std::optional<std::string> corruption_battery(
     }
     bool recovered = false;
     auto err = recover_and_check(config, instance, events, algorithm,
-                                 reference, &recovered);
+                                 reference, placements, &recovered);
     if (!err && recovered) {
       err = "recovery accepted a directory with only corrupt checkpoints";
     }
@@ -617,14 +734,15 @@ std::optional<std::string> corruption_battery(
   {
     ++case_id;
     const durability::DurabilityConfig config = fresh_config("jheader");
-    populate_dir(config, instance, events, algorithm, options);
+    const Placements placements =
+        populate_dir(config, instance, events, algorithm, options);
     const std::string journal =
         config.dir + "/" + durability::kJournalFileName;
     flip_bit(journal, rng.uniform_int(0, durability::kJournalHeaderBytes - 1),
              static_cast<unsigned>(rng.uniform_int(0, 7)));
     bool recovered = false;
     auto err = recover_and_check(config, instance, events, algorithm,
-                                 reference, &recovered);
+                                 reference, placements, &recovered);
     if (!err && recovered) {
       err = "recovery accepted a journal with a corrupt header";
     }

@@ -58,6 +58,56 @@ done
 client --framing=json --malform=unknown-verb >> "$work_dir/corpus.jsonl"
 [ "$(grep -c '"server_alive":true' "$work_dir/corpus.jsonl")" -eq 8 ]
 
+# Hostile ids: session ids are opaque, so huge ones must be served without
+# the server's memory following them. One line-JSON connection starts and
+# ends sessions 2^25, 2^40 and 2^64-2 later than every replay's clock, then
+# starts the reserved id 2^64-1, which is refused. A query before and after
+# brackets the step: events_applied rises by 7 (a refused submit is still
+# applied), and only the reserved start is dropped. VmHWM, the server's
+# peak RSS, must rise by less than 8 MB across the step.
+vm_hwm_kb() { awk '/^VmHWM:/ {print $2}' "/proc/$serve_pid/status"; }
+hwm_before=$(vm_hwm_kb)
+"$python" - "$sock" <<'PY'
+import json, socket, sys
+
+conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+conn.connect(sys.argv[1])
+lines = conn.makefile("r")
+
+def query(t):
+    conn.sendall(('{"verb":"query","t":%r}\n' % t).encode())
+    reply = json.loads(lines.readline())
+    assert reply["ok"], reply
+    return reply["result"]
+
+t = 1e7
+before = query(t)
+ids = [2**25, 2**40, 2**64 - 2]
+requests = ['{"verb":"submit","kind":"start","id":%d,"size":0.25,"t":%r}' % (i, t)
+            for i in ids]
+requests += ['{"verb":"submit","kind":"end","id":%d,"t":%r}' % (i, t + 1)
+             for i in ids]
+requests.append('{"verb":"submit","kind":"start","id":%d,"size":0.25,"t":%r}'
+                % (2**64 - 1, t + 2))
+conn.sendall(("\n".join(requests) + "\n").encode())
+after = query(t + 2)
+faults_before, faults_after = before["fault_stats"], after["fault_stats"]
+checks = {
+    "events_applied": after["events_applied"] - before["events_applied"] == 7,
+    "invalid_session_ids": faults_after["invalid_session_ids"]
+        - faults_before["invalid_session_ids"] == 1,
+    "total_dropped_events": faults_after["total_dropped_events"]
+        - faults_before["total_dropped_events"] == 1,
+}
+if not all(checks.values()):
+    sys.exit("hostile-id step failed %s: before %s after %s" % (checks, before, after))
+PY
+hwm_after=$(vm_hwm_kb)
+if [ $((hwm_after - hwm_before)) -ge 8192 ]; then
+  echo "hostile ids raised dbp_serve's VmHWM from ${hwm_before} kB to ${hwm_after} kB" >&2
+  exit 1
+fi
+
 # Final replay, then stop the server over the wire and collect its exit.
 client --framing=binary --events=200 --workload=uniform --shutdown \
     > "$work_dir/client.final.json"

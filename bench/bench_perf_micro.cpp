@@ -1,11 +1,16 @@
 // E11 — throughput microbenchmarks (google-benchmark).
 //
 // Measures the engineering half of the library: packer event throughput
-// (items/sec) per algorithm and scale, the bin-count oracle, and the
-// OPT_total estimator.
+// (items/sec) per algorithm and scale, the bin-count oracle, the OPT_total
+// estimator, and the CRC-32 kernel every wire frame and durable record
+// goes through.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "core/crc32.hpp"
 
 #include "opt/bin_count.hpp"
 #include "opt/opt_total.hpp"
@@ -180,6 +185,24 @@ void BM_EventSequence(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_EventSequence)->Arg(10'000)->Arg(100'000)->MinTime(0.05);
+
+// 34 B is one binary submit payload (checked once per frame on the serving
+// path); 4 KiB and 1 MiB are journal-flush and checkpoint sized.
+void BM_Crc32(benchmark::State& state) {
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(state.range(0)));
+  std::uint32_t x = 0x9E3779B9U;
+  for (std::uint8_t& byte : bytes) {
+    x = x * 1664525U + 1013904223U;
+    byte = static_cast<std::uint8_t>(x >> 24);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bytes.data());
+    benchmark::DoNotOptimize(crc32(bytes));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(34)->Arg(4 << 10)->Arg(1 << 20)->MinTime(0.05);
 
 }  // namespace
 

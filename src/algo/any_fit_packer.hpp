@@ -23,6 +23,10 @@ class AnyFitPacker : public Packer {
   BinId on_arrival(const ArrivingItem& item) override;
   void on_departure(ItemId item, Time now) override;
 
+  [[nodiscard]] bool would_open_bin(double size) const override {
+    return !strategy_->has_fit(size);
+  }
+
   /// Forwards the capacity hint to the manager and the fit strategy.
   void reserve_hint(std::size_t items) override {
     Packer::reserve_hint(items);

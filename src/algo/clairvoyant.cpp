@@ -15,6 +15,13 @@ BinId ClairvoyantPacker::on_arrival(const ArrivingItem& item) {
   return 0;  // unreachable
 }
 
+bool ClairvoyantPacker::would_open_bin(double size) const {
+  bool fits = false;
+  manager_.for_each_open_bin(
+      [&](BinId bin) { fits = fits || manager_.fits(size, bin); });
+  return !fits;
+}
+
 DurationAwarePacker::DurationAwarePacker(CostModel model, Policy policy)
     : ClairvoyantPacker(model), policy_(policy) {}
 

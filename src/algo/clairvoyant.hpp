@@ -31,6 +31,10 @@ class ClairvoyantPacker : public Packer {
   /// Online arrivals are rejected — this packer needs departure times.
   BinId on_arrival(const ArrivingItem& item) final;
 
+  /// The Any Fit opening rule of on_arrival_clairvoyant: a new bin exactly
+  /// when no open bin fits.
+  [[nodiscard]] bool would_open_bin(double size) const final;
+
   [[nodiscard]] static constexpr bool is_clairvoyant() noexcept { return true; }
 };
 

@@ -31,6 +31,12 @@ class FitStrategy {
   /// Chooses an open registered bin that fits `size`, or nullopt.
   [[nodiscard]] virtual std::optional<BinId> select(double size) = 0;
 
+  /// True when select(size) would return a bin. Const and allocation-free:
+  /// it leaves select's side effects (Next Fit's retirement, Random Fit's
+  /// RNG draw, Move-To-Front's promotion) to select, so a caller can ask
+  /// before deciding whether to place at all.
+  [[nodiscard]] virtual bool has_fit(double size) const = 0;
+
   /// A bin freshly opened for this strategy's pool.
   virtual void on_bin_registered(BinId bin, double residual) = 0;
 

@@ -37,6 +37,13 @@ class Packer {
   /// Handles the departure of a previously placed item at time `now`.
   virtual void on_departure(ItemId item, Time now) = 0;
 
+  /// True when on_arrival of an item of `size` would open a new bin, by
+  /// this packer's own rule: Next Fit asks its current bin, a size-classed
+  /// packer its class's pool. That is not the same as "no open bin fits".
+  /// Const and allocation-free; the dispatcher's rental gate (fleet cap,
+  /// flaky provider) asks it before every placement it may refuse.
+  [[nodiscard]] virtual bool would_open_bin(double size) const = 0;
+
   /// Drives this packer over a prebuilt sorted event sequence — the
   /// steady-state event loop. The default dispatches every event through
   /// the virtual on_arrival/on_departure (clairvoyant-aware); packers whose

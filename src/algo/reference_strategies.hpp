@@ -33,6 +33,9 @@ class FirstFitReferenceStrategy final : public FitStrategy {
 
   [[nodiscard]] std::string name() const override { return "first-fit-reference"; }
   [[nodiscard]] std::optional<BinId> select(double size) override;
+  [[nodiscard]] bool has_fit(double size) const override {
+    return model_.fits(size, residuals_.max_value());
+  }
   void on_bin_registered(BinId bin, double residual) override;
   void on_residual_changed(BinId bin, double residual) override;
   void on_bin_closed(BinId bin) override;
@@ -53,6 +56,10 @@ class BestFitReferenceStrategy final : public FitStrategy {
 
   [[nodiscard]] std::string name() const override { return "best-fit-reference"; }
   [[nodiscard]] std::optional<BinId> select(double size) override;
+  [[nodiscard]] bool has_fit(double size) const override {
+    return !by_residual_.empty() &&
+           !(by_residual_.rbegin()->first < size - model_.fit_tolerance);
+  }
   void on_bin_registered(BinId bin, double residual) override;
   void on_residual_changed(BinId bin, double residual) override;
   void on_bin_closed(BinId bin) override;

@@ -35,6 +35,12 @@ class SizeClassedPacker : public Packer {
   BinId on_arrival(const ArrivingItem& item) override;
   void on_departure(ItemId item, Time now) override;
 
+  /// Asks only the pool of the item's class: a bin of another class that
+  /// has room never receives it.
+  [[nodiscard]] bool would_open_bin(double size) const override {
+    return !strategies_[class_of(size)]->has_fit(size);
+  }
+
   /// Index of the class an item of `size` belongs to.
   [[nodiscard]] std::size_t class_of(double size) const;
 

@@ -120,6 +120,12 @@ std::optional<BinId> RandomFitStrategy::select(double size) {
   return chosen;
 }
 
+bool RandomFitStrategy::has_fit(double size) const {
+  return std::any_of(open_.begin(), open_.end(), [&](const auto& entry) {
+    return model_.fits(size, entry.second);
+  });
+}
+
 void RandomFitStrategy::on_bin_registered(BinId bin, double residual) {
   if (bin >= pos_of_.size()) {
     pos_of_.resize(static_cast<std::size_t>(bin) + 1, kNoPos);
@@ -266,6 +272,16 @@ std::optional<BinId> MoveToFrontStrategy::select(double size) {
     }
   }
   return std::nullopt;
+}
+
+bool MoveToFrontStrategy::has_fit(double size) const {
+  for (BinId bin = head_; bin != kNoBin;
+       bin = next_[static_cast<std::size_t>(bin)]) {
+    if (model_.fits(size, residual_of_[static_cast<std::size_t>(bin)])) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void MoveToFrontStrategy::on_bin_registered(BinId bin, double residual) {

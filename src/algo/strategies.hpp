@@ -56,6 +56,10 @@ class OpeningOrderFitStrategy final : public FitStrategy {
   // statically-typed packer (StaticAnyFitPacker) can inline them into the
   // event loop.
   [[nodiscard]] std::optional<BinId> select(double size) override;
+  /// The descent's own root test: some registered bin fits.
+  [[nodiscard]] bool has_fit(double size) const override {
+    return model_.fits(size, residuals_.max_value());
+  }
   void on_bin_registered(BinId bin, double residual) override;
   void on_residual_changed(BinId bin, double residual) override;
   void on_bin_closed(BinId bin) override;
@@ -99,6 +103,17 @@ class ResidualOrderFitStrategy final : public FitStrategy {
     return Fill == FitFill::kBest ? "best-fit" : "worst-fit";
   }
   [[nodiscard]] std::optional<BinId> select(double size) override;
+  /// select's own test, applied to the largest residual (last in both
+  /// orders).
+  [[nodiscard]] bool has_fit(double size) const override {
+    if (by_residual_.empty()) return false;
+    const double largest = by_residual_.back().first;
+    if constexpr (Fill == FitFill::kBest) {
+      return !(largest < size - model_.fit_tolerance);
+    } else {
+      return model_.fits(size, largest);
+    }
+  }
   void on_bin_registered(BinId bin, double residual) override;
   void on_residual_changed(BinId bin, double residual) override;
   void on_bin_closed(BinId bin) override;
@@ -145,6 +160,10 @@ class NextFitStrategy final : public FitStrategy {
   [[nodiscard]] std::string name() const override { return "next-fit"; }
   [[nodiscard]] bool any_fit_contract() const override { return false; }
   [[nodiscard]] std::optional<BinId> select(double size) override;
+  /// Only the current bin is a candidate, however many older bins have room.
+  [[nodiscard]] bool has_fit(double size) const override {
+    return current_ && model_.fits(size, current_residual_);
+  }
   void on_bin_registered(BinId bin, double residual) override;
   void on_residual_changed(BinId bin, double residual) override;
   void on_bin_closed(BinId bin) override;
@@ -168,6 +187,7 @@ class RandomFitStrategy final : public FitStrategy {
 
   [[nodiscard]] std::string name() const override { return "random-fit"; }
   [[nodiscard]] std::optional<BinId> select(double size) override;
+  [[nodiscard]] bool has_fit(double size) const override;
   void on_bin_registered(BinId bin, double residual) override;
   void on_residual_changed(BinId bin, double residual) override;
   void on_bin_closed(BinId bin) override;
@@ -198,6 +218,7 @@ class MoveToFrontStrategy final : public FitStrategy {
 
   [[nodiscard]] std::string name() const override { return "move-to-front-fit"; }
   [[nodiscard]] std::optional<BinId> select(double size) override;
+  [[nodiscard]] bool has_fit(double size) const override;
   void on_bin_registered(BinId bin, double residual) override;
   void on_residual_changed(BinId bin, double residual) override;
   void on_bin_closed(BinId bin) override;

@@ -49,17 +49,9 @@ void GameServerDispatcher::reject(DispatchErrorKind kind, std::uint64_t& counter
   }
 }
 
-bool GameServerDispatcher::fits_open_server(double gpu_fraction) const {
-  const BinManager& bins = packer_->bins();
-  for (const BinId bin : bins.open_bins()) {
-    if (bins.fits(gpu_fraction, bin)) return true;
-  }
-  return false;
-}
-
 void GameServerDispatcher::shed_for(double gpu_fraction, Time now_minutes) {
   const BinManager& bins = packer_->bins();
-  while (!fits_open_server(gpu_fraction) &&
+  while (packer_->would_open_bin(gpu_fraction) &&
          active_servers() >= policy_.max_fleet_servers) {
     // Lowest GPU fraction strictly below the arrival's, ties to the lowest
     // session id. Candidates come from the bins, never from orphans that
@@ -100,11 +92,10 @@ void GameServerDispatcher::shed_for(double gpu_fraction, Time now_minutes) {
 }
 
 bool GameServerDispatcher::needs_rental(double gpu_fraction) const {
-  // With no fleet cap and a perfectly reliable provider every rental
-  // succeeds, so skipping the O(open servers) fits_open_server scan
-  // changes nothing.
+  // The packer answers by its own rule: Next Fit and the size-classed
+  // packers rent a server even when some other open server has room.
   return (policy_.max_fleet_servers > 0 || policy_.rental_failure_rate > 0.0) &&
-         !fits_open_server(gpu_fraction);
+         packer_->would_open_bin(gpu_fraction);
 }
 
 bool GameServerDispatcher::admit_rental(std::uint64_t session_id,
@@ -112,7 +103,7 @@ bool GameServerDispatcher::admit_rental(std::uint64_t session_id,
   if (policy_.max_fleet_servers > 0 &&
       active_servers() >= policy_.max_fleet_servers) {
     shed_for(gpu_fraction, now_minutes);
-    if (!fits_open_server(gpu_fraction) &&
+    if (packer_->would_open_bin(gpu_fraction) &&
         active_servers() >= policy_.max_fleet_servers) {
       reject(DispatchErrorKind::kFleetCapExceeded, stats_.sessions_rejected_cap,
              strfmt("session %llu rejected: fleet cap of %zu servers hit and "
@@ -122,7 +113,7 @@ bool GameServerDispatcher::admit_rental(std::uint64_t session_id,
       return false;
     }
   }
-  if (!fits_open_server(gpu_fraction) && policy_.rental_failure_rate > 0.0) {
+  if (packer_->would_open_bin(gpu_fraction) && policy_.rental_failure_rate > 0.0) {
     // Bounded retry with exponential backoff against a flaky provider.
     bool rented = false;
     for (int attempt = 0; attempt <= policy_.max_rental_retries; ++attempt) {

@@ -150,7 +150,7 @@ class GameServerDispatcher {
               const std::string& message);
   /// True when placing a session of `gpu_fraction` needs a rental that the
   /// policy could refuse: a fleet cap or a flaky provider is configured and
-  /// no open server can host it.
+  /// the packer would open a server for it (Packer::would_open_bin).
   [[nodiscard]] bool needs_rental(double gpu_fraction) const;
   /// The rental gate shared by start_session and fail_server re-dispatch,
   /// run when needs_rental(): sheds for a capped fleet, retries a flaky
@@ -159,10 +159,9 @@ class GameServerDispatcher {
                     Time now_minutes);
   /// Hands an admitted session's slot to the packer; returns its server.
   BinId place(ItemId slot, double gpu_fraction, Time now_minutes);
-  /// True when any open server can host a session of `gpu_fraction`.
-  [[nodiscard]] bool fits_open_server(double gpu_fraction) const;
   /// Degraded mode: sheds active sessions strictly smaller than
-  /// `gpu_fraction` (lowest first) until it fits or candidates run out.
+  /// `gpu_fraction` (lowest first) until the packer needs no new server for
+  /// it, the fleet drops below the cap, or candidates run out.
   void shed_for(double gpu_fraction, Time now_minutes);
 
   ServerSpec spec_;

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "core/error.hpp"
+#include "workload/rng.hpp"
 
 namespace dbp {
 namespace {
@@ -58,6 +63,52 @@ TEST(FactoryTest, RandomFitSeedIsDeterministic) {
   for (ItemId i = 0; i < 200; ++i) {
     const double size = 0.1 + 0.05 * static_cast<double>(i % 5);
     EXPECT_EQ(a->on_arrival({i, 0.0, size}), b->on_arrival({i, 0.0, size}));
+  }
+}
+
+// would_open_bin is the dispatcher's rental gate: it must predict, for
+// every packer's own rule, whether the next arrival opens a bin. Next Fit
+// and the size-classed packers open one while another open bin has room,
+// so "some open bin fits" is the wrong answer for them.
+TEST(FactoryTest, WouldOpenBinPredictsEveryArrival) {
+  PackerOptions options;
+  options.known_mu = 4.0;
+  std::vector<std::string> names = all_algorithm_names();
+  names.insert(names.end(), {"first-fit-reference", "best-fit-reference"});
+  const std::set<std::string> own_rule{"next-fit", "modified-first-fit",
+                                       "modified-first-fit-known-mu",
+                                       "adaptive-mff", "harmonic-first-fit"};
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    auto packer = make_packer(name, unit_model(), options);
+    Rng rng(11);
+    std::vector<ItemId> active;
+    std::size_t opened_with_room = 0;
+    for (ItemId id = 0; id < 2000; ++id) {
+      const Time now = static_cast<Time>(id);
+      while (!active.empty() && rng.bernoulli(0.45)) {
+        const std::size_t pick = rng.uniform_int(0, active.size() - 1);
+        packer->on_departure(active[pick], now);
+        active[pick] = active.back();
+        active.pop_back();
+      }
+      const double size = rng.uniform(0.02, 0.7);
+      bool room = false;
+      packer->bins().for_each_open_bin(
+          [&](BinId bin) { room = room || packer->bins().fits(size, bin); });
+      const bool predicted = packer->would_open_bin(size);
+      const std::size_t before = packer->bins().total_bins_opened();
+      packer->on_arrival({id, now, size});
+      const bool opened = packer->bins().total_bins_opened() > before;
+      ASSERT_EQ(predicted, opened) << "arrival " << id << " size " << size;
+      if (opened && room) ++opened_with_room;
+      active.push_back(id);
+    }
+    if (own_rule.count(name) != 0) {
+      EXPECT_GT(opened_with_room, 0u) << "the stream never tells the rules apart";
+    } else {
+      EXPECT_EQ(opened_with_room, 0u) << "an Any Fit packer opened a bin with room";
+    }
   }
 }
 

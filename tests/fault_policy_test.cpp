@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <vector>
 
+#include "algo/factory.hpp"
 #include "core/error.hpp"
 #include "gaming/dispatcher.hpp"
+#include "workload/rng.hpp"
 
 namespace dbp {
 namespace {
@@ -208,6 +212,119 @@ TEST(FaultPolicyTest, FleetCapShedsSmallerSessions) {
   EXPECT_EQ(dispatcher.start_session(4, 0.5, 3.0), kNoServer);
   EXPECT_EQ(dispatcher.fault_stats().sessions_rejected_cap, 1u);
   EXPECT_EQ(dispatcher.active_sessions(), 1u);
+}
+
+/// Every registered packer; known_mu lets the semi-online MFF build.
+PackerOptions every_packer_options() {
+  PackerOptions options;
+  options.known_mu = 4.0;
+  return options;
+}
+
+/// Packers that rent a server while another open server has room: Next Fit
+/// (only its current bin is a candidate) and the size-classed packers (only
+/// the session's own class pool is).
+const std::set<std::string>& own_rule_packers() {
+  static const std::set<std::string> names{
+      "next-fit", "modified-first-fit", "modified-first-fit-known-mu",
+      "adaptive-mff", "harmonic-first-fit"};
+  return names;
+}
+
+/// Starts of 0.5, 0.6, 0.45 and 0.05 at t = 0..3: First Fit needs two
+/// servers, while Next Fit and the size-classed packers each want a third
+/// (Harmonic a fourth) although server 0 has room for the last two.
+constexpr double kFourStarts[] = {0.5, 0.6, 0.45, 0.05};
+
+TEST(FaultPolicyTest, FleetCapBindsEveryPacker) {
+  FaultPolicy policy = drop_policy();
+  policy.max_fleet_servers = 2;
+  for (const std::string& algorithm : all_algorithm_names()) {
+    SCOPED_TRACE(algorithm);
+    GameServerDispatcher dispatcher(basic_spec(), algorithm,
+                                    every_packer_options(), policy);
+    for (std::uint64_t id = 0; id < 4; ++id) {
+      dispatcher.start_session(id, kFourStarts[id], static_cast<Time>(id));
+      EXPECT_LE(dispatcher.active_servers(), 2u) << "after start " << id;
+    }
+    const DispatcherFaultStats& stats = dispatcher.fault_stats();
+    if (own_rule_packers().count(algorithm) != 0) {
+      EXPECT_GT(stats.sessions_rejected_cap + stats.sessions_shed, 0u);
+    }
+    if (algorithm == "first-fit") {
+      EXPECT_EQ(dispatcher.active_servers(), 2u);
+      EXPECT_EQ(dispatcher.active_sessions(), 4u);
+      EXPECT_EQ(stats.sessions_rejected_cap + stats.sessions_shed, 0u);
+    }
+  }
+}
+
+TEST(FaultPolicyTest, FleetCapHoldsAfterEveryEventForEveryPacker) {
+  for (const std::string& algorithm : all_algorithm_names()) {
+    for (std::size_t cap = 2; cap <= 4; ++cap) {
+      SCOPED_TRACE(algorithm + " cap=" + std::to_string(cap));
+      FaultPolicy policy = drop_policy();
+      policy.max_fleet_servers = cap;
+      GameServerDispatcher dispatcher(basic_spec(), algorithm,
+                                      every_packer_options(), policy);
+      Rng rng(1000 + cap);
+      std::vector<std::uint64_t> started;
+      for (std::uint64_t id = 0; id < 600; ++id) {
+        const Time now = static_cast<Time>(id);
+        if (!started.empty() && rng.bernoulli(0.4)) {
+          const std::size_t pick = rng.uniform_int(0, started.size() - 1);
+          // A shed or rejected session's end is an unknown end: dropped.
+          dispatcher.end_session(started[pick], now);
+          started[pick] = started.back();
+          started.pop_back();
+        } else if (id % 50 == 49 && dispatcher.active_servers() > 0) {
+          dispatcher.fail_server(dispatcher.bins().open_bins().front(), now);
+        } else {
+          dispatcher.start_session(id, rng.uniform(0.02, 0.7), now);
+          started.push_back(id);
+        }
+        ASSERT_LE(dispatcher.active_servers(), cap) << "after event " << id;
+      }
+    }
+  }
+}
+
+TEST(FaultPolicyTest, RentalDrawsGateEveryPackersRentals) {
+  // Find a provider seed whose first two rentals succeed and whose next two
+  // fail (one attempt each), using First Fit sessions that each need a
+  // server of their own.
+  FaultPolicy policy = drop_policy();
+  policy.rental_failure_rate = 0.5;
+  policy.max_rental_retries = 0;
+  bool found = false;
+  for (std::uint64_t seed = 0; seed < 256 && !found; ++seed) {
+    policy.seed = seed;
+    GameServerDispatcher probe(basic_spec(), "first-fit", {}, policy);
+    std::vector<bool> placed;
+    for (std::uint64_t id = 0; id < 4; ++id) {
+      placed.push_back(probe.start_session(id, 0.9, static_cast<Time>(id)) !=
+                       kNoServer);
+    }
+    found = placed == std::vector<bool>{true, true, false, false};
+  }
+  ASSERT_TRUE(found) << "no seed in [0, 256) gives two rentals, then two failures";
+  for (const std::string& algorithm : all_algorithm_names()) {
+    SCOPED_TRACE(algorithm);
+    GameServerDispatcher dispatcher(basic_spec(), algorithm,
+                                    every_packer_options(), policy);
+    for (std::uint64_t id = 0; id < 4; ++id) {
+      dispatcher.start_session(id, kFourStarts[id], static_cast<Time>(id));
+      // Every rental past the second draws a failure, so none may happen.
+      EXPECT_LE(dispatcher.servers_ever_rented(), 2u) << "after start " << id;
+    }
+    const DispatcherFaultStats& stats = dispatcher.fault_stats();
+    if (own_rule_packers().count(algorithm) != 0) {
+      EXPECT_GT(stats.sessions_rejected_rental, 0u);
+    } else if (algorithm == "first-fit") {
+      EXPECT_EQ(stats.sessions_rejected_rental, 0u);
+      EXPECT_EQ(dispatcher.active_sessions(), 4u);
+    }
+  }
 }
 
 TEST(FaultPolicyTest, FleetCapUnsetNeverSheds) {

@@ -20,6 +20,12 @@
 // headers): every case must end in either a typed CorruptionError or a
 // bit-identical recovery — a silently wrong result is the only failure.
 //
+// Every run directory the harness names under --dir is cleared before the
+// run that uses it and removed when that run ends, on the exception path
+// too, so a failed run cannot fail the next one. Nothing else under a
+// given --dir is touched; without --dir the harness uses, and removes, a
+// fresh directory of its own under the system temp directory.
+//
 // Usage:
 //   dbp_crashtest [--quick] [--trials=N] [--items=N] [--seed=S]
 //                 [--workloads=uniform,dyadic,discrete,bursts]
@@ -37,6 +43,8 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <system_error>
+#include <utility>
 #include <vector>
 
 #include "cli.hpp"
@@ -64,6 +72,29 @@ constexpr const char* kUsage =
     "                     [--workloads=uniform,dyadic,discrete,bursts]\n"
     "                     [--algorithm=NAME] [--checkpoint-every=N]\n"
     "                     [--dir=BASE] [--trace-out=FILE] [--metrics]\n";
+
+/// A directory the harness names itself: cleared on construction, so what
+/// an earlier, interrupted run left there (a journal it would refuse to
+/// overwrite) cannot fail this one, and removed on destruction, also during
+/// unwinding. Forked children leave through std::_Exit or SIGKILL, so only
+/// the parent ever runs the destructor.
+class RunDir {
+ public:
+  explicit RunDir(std::string path) : path_(std::move(path)) {
+    std::filesystem::remove_all(path_);
+  }
+  ~RunDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  RunDir(const RunDir&) = delete;
+  RunDir& operator=(const RunDir&) = delete;
+
+  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+
+ private:
+  std::string path_;
+};
 
 RandomInstanceConfig workload_config(const std::string& name,
                                      std::size_t items) {
@@ -586,9 +617,12 @@ std::optional<std::string> corruption_battery(
     const PackerOptions& options, const SimulationResult& reference, Rng& rng,
     CorruptionOutcome& outcome) {
   std::size_t case_id = 0;
-  const auto fresh_config = [&](const std::string& label) {
+  const auto case_dir = [&](const std::string& label) {
+    return base_dir + "/corrupt-" + label + "-" + std::to_string(case_id);
+  };
+  const auto config_in = [](const RunDir& dir) {
     durability::DurabilityConfig config;
-    config.dir = base_dir + "/corrupt-" + label + "-" + std::to_string(case_id);
+    config.dir = dir.path();
     config.checkpoint_every = 32;
     config.keep_checkpoints = 2;
     return config;
@@ -608,7 +642,8 @@ std::optional<std::string> corruption_battery(
   // 1. Journal bit flips past the header: torn tail or checkpoint fallback.
   for (int i = 0; i < 4; ++i) {
     ++case_id;
-    const durability::DurabilityConfig config = fresh_config("jflip");
+    const RunDir dir(case_dir("jflip"));
+    const durability::DurabilityConfig config = config_in(dir);
     const Placements placements =
         populate_dir(config, instance, events, algorithm, options);
     const std::string journal =
@@ -630,7 +665,8 @@ std::optional<std::string> corruption_battery(
   // 2. Journal truncation at a random byte (including mid-record).
   for (int i = 0; i < 4; ++i) {
     ++case_id;
-    const durability::DurabilityConfig config = fresh_config("jtrunc");
+    const RunDir dir(case_dir("jtrunc"));
+    const durability::DurabilityConfig config = config_in(dir);
     const Placements placements =
         populate_dir(config, instance, events, algorithm, options);
     const std::string journal =
@@ -651,7 +687,8 @@ std::optional<std::string> corruption_battery(
   //    must be detected (name/header disagreement) and skipped.
   {
     ++case_id;
-    const durability::DurabilityConfig config = fresh_config("stale");
+    const RunDir dir(case_dir("stale"));
+    const durability::DurabilityConfig config = config_in(dir);
     const Placements placements =
         populate_dir(config, instance, events, algorithm, options);
     const auto entries = durability::list_checkpoints(config.dir);
@@ -683,7 +720,8 @@ std::optional<std::string> corruption_battery(
   //    fall back to the previous checkpoint, then replay further.
   for (int i = 0; i < 4; ++i) {
     ++case_id;
-    const durability::DurabilityConfig config = fresh_config("cflip");
+    const RunDir dir(case_dir("cflip"));
+    const durability::DurabilityConfig config = config_in(dir);
     const Placements placements =
         populate_dir(config, instance, events, algorithm, options);
     const auto entries = durability::list_checkpoints(config.dir);
@@ -711,7 +749,8 @@ std::optional<std::string> corruption_battery(
   //    CorruptionError, never fabricate a state.
   {
     ++case_id;
-    const durability::DurabilityConfig config = fresh_config("allbad");
+    const RunDir dir(case_dir("allbad"));
+    const durability::DurabilityConfig config = config_in(dir);
     const Placements placements =
         populate_dir(config, instance, events, algorithm, options);
     for (const auto& entry : durability::list_checkpoints(config.dir)) {
@@ -733,7 +772,8 @@ std::optional<std::string> corruption_battery(
   // 6. Corrupt journal header: no safe prefix exists; refuse.
   {
     ++case_id;
-    const durability::DurabilityConfig config = fresh_config("jheader");
+    const RunDir dir(case_dir("jheader"));
+    const durability::DurabilityConfig config = config_in(dir);
     const Placements placements =
         populate_dir(config, instance, events, algorithm, options);
     const std::string journal =
@@ -775,10 +815,14 @@ int main(int argc, char** argv) {
     const std::string algorithm = args.get("algorithm", "first-fit");
     const std::uint64_t checkpoint_every = args.get_u64("checkpoint-every", 64);
 
-    const std::string base_dir = args.get(
-        "dir", (std::filesystem::temp_directory_path() /
-                ("dbp_crashtest." + std::to_string(::getpid())))
-                   .string());
+    // Without --dir the whole base directory is the harness's own.
+    std::optional<RunDir> own_base;
+    if (!args.has("dir")) {
+      own_base.emplace((std::filesystem::temp_directory_path() /
+                        ("dbp_crashtest." + std::to_string(::getpid())))
+                           .string());
+    }
+    const std::string base_dir = own_base ? own_base->path() : args.get("dir", "");
     std::filesystem::create_directories(base_dir);
 
     Rng rng(seed ^ 0xC4A5585ULL);
@@ -794,17 +838,21 @@ int main(int argc, char** argv) {
       const SimulationResult reference =
           simulate(instance, algorithm, kRunModel, options);
 
-      durability::DurabilityConfig probe;
-      probe.dir = base_dir + "/probe-" + workload;
-      probe.checkpoint_every = checkpoint_every;
-      const std::uint64_t total_bytes = measure_clean_run(
-          probe, instance, events, algorithm, options, reference);
-      std::filesystem::remove_all(probe.dir);
+      std::uint64_t total_bytes = 0;
+      {
+        const RunDir dir(base_dir + "/probe-" + workload);
+        durability::DurabilityConfig probe;
+        probe.dir = dir.path();
+        probe.checkpoint_every = checkpoint_every;
+        total_bytes = measure_clean_run(probe, instance, events, algorithm,
+                                        options, reference);
+      }
 
       TrialTally tally;
       for (std::uint64_t t = 0; t < trials; ++t) {
+        const RunDir dir(base_dir + "/" + workload + "-" + std::to_string(t));
         durability::DurabilityConfig config;
-        config.dir = base_dir + "/" + workload + "-" + std::to_string(t);
+        config.dir = dir.path();
         config.checkpoint_every = checkpoint_every;
         // +5% headroom so some children run to completion (clean-exit path).
         const std::uint64_t threshold =
@@ -818,7 +866,6 @@ int main(int argc, char** argv) {
                               why->c_str());
           ++failures;
         }
-        std::filesystem::remove_all(config.dir);
       }
       std::cout << strfmt(
           "%-8s %4zu kill points | crashed %4zu | torn tails %3zu | "
@@ -856,8 +903,9 @@ int main(int argc, char** argv) {
             return std::optional<std::size_t>{};
           });
       {
+        const RunDir dir(base_dir + "/probe-dispatch");
         durability::DurabilityConfig probe;
-        probe.dir = base_dir + "/probe-dispatch";
+        probe.dir = dir.path();
         probe.checkpoint_every = checkpoint_every;
         durability::DurableDispatcher durable(probe, spec, algorithm, options,
                                               policy);
@@ -867,13 +915,13 @@ int main(int argc, char** argv) {
         DBP_CHECK(dispatcher_state_bytes(durable.dispatcher()) ==
                       reference_state,
                   "clean durable dispatcher diverged from the plain one");
-        std::filesystem::remove_all(probe.dir);
       }
 
       TrialTally tally;
       for (std::uint64_t t = 0; t < trials; ++t) {
+        const RunDir dir(base_dir + "/dispatch-" + std::to_string(t));
         durability::DurabilityConfig config;
-        config.dir = base_dir + "/dispatch-" + std::to_string(t);
+        config.dir = dir.path();
         config.checkpoint_every = checkpoint_every;
         const std::uint64_t threshold =
             rng.uniform_int(0, total_bytes + total_bytes / 20);
@@ -886,7 +934,6 @@ int main(int argc, char** argv) {
                               why->c_str());
           ++failures;
         }
-        std::filesystem::remove_all(config.dir);
       }
       std::cout << strfmt(
           "%-8s %4zu kill points | crashed %4zu | torn tails %3zu | "
@@ -920,7 +967,6 @@ int main(int argc, char** argv) {
           failures == 0 ? "no silent wrong answers" : "FAILURES");
     }
 
-    std::filesystem::remove_all(base_dir);
     obs_session.finish();
     if (failures != 0) {
       std::cerr << "dbp_crashtest: " << failures << " failure(s)\n";

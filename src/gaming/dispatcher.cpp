@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/audit.hpp"
+#include "core/binary_io.hpp"
 #include "core/error.hpp"
 #include "core/strfmt.hpp"
 #include "obs/obs.hpp"
@@ -23,7 +24,7 @@ GameServerDispatcher::GameServerDispatcher(ServerSpec spec,
                                            const std::string& algorithm,
                                            const PackerOptions& options,
                                            const FaultPolicy& policy)
-    : spec_(spec), algorithm_(algorithm), policy_(policy),
+    : spec_(spec), algorithm_(algorithm), options_(options), policy_(policy),
       rental_rng_(policy.seed) {
   DBP_REQUIRE(spec.gpu_capacity > 0.0, "server GPU capacity must be positive");
   DBP_REQUIRE(spec.price_per_hour > 0.0, "server price must be positive");
@@ -49,40 +50,86 @@ void GameServerDispatcher::reject(DispatchErrorKind kind, std::uint64_t& counter
   }
 }
 
-void GameServerDispatcher::shed_for(double gpu_fraction, Time now_minutes) {
-  const BinManager& bins = packer_->bins();
-  while (packer_->would_open_bin(gpu_fraction) &&
-         active_servers() >= policy_.max_fleet_servers) {
-    // Lowest GPU fraction strictly below the arrival's, ties to the lowest
-    // session id. Candidates come from the bins, never from orphans that
-    // are mid-re-dispatch.
-    bool found = false;
-    std::uint64_t victim = 0;
-    ItemId victim_slot = 0;
-    double victim_size = 0.0;
-    bins.for_each_open_bin([&](BinId bin) {
-      bins.for_each_resident(bin, [&](ItemId slot, double size) {
-        if (size >= gpu_fraction) return;
-        const std::uint64_t session = sessions_.id_of(slot);
-        if (!found || size < victim_size ||
-            (size == victim_size && session < victim)) {
-          found = true;
-          victim = session;
-          victim_slot = slot;
-          victim_size = size;
-        }
-      });
+namespace {
+
+/// The session degraded mode sheds next for an arrival of `gpu_fraction`.
+struct ShedVictim {
+  std::uint64_t session = 0;
+  ItemId slot = 0;
+  double size = 0.0;
+};
+
+/// Lowest GPU fraction strictly below the arrival's, ties to the lowest
+/// session id. Candidates come from the bins, never from orphans that are
+/// mid-re-dispatch.
+std::optional<ShedVictim> next_victim(const BinManager& bins,
+                                      const SessionTable& sessions,
+                                      double gpu_fraction) {
+  std::optional<ShedVictim> victim;
+  bins.for_each_open_bin([&](BinId bin) {
+    bins.for_each_resident(bin, [&](ItemId slot, double size) {
+      if (size >= gpu_fraction) return;
+      const std::uint64_t session = sessions.id_of(slot);
+      if (!victim || size < victim->size ||
+          (size == victim->size && session < victim->session)) {
+        victim = ShedVictim{session, slot, size};
+      }
     });
-    if (!found) return;  // nothing smaller left to sacrifice
-    packer_->on_departure(victim_slot, now_minutes);
-    sessions_.erase(sessions_.find(victim));
+  });
+  return victim;
+}
+
+}  // namespace
+
+bool GameServerDispatcher::cap_blocks(const Packer& packer,
+                                      double gpu_fraction) const {
+  return packer.would_open_bin(gpu_fraction) &&
+         packer.bins().open_count() >= policy_.max_fleet_servers;
+}
+
+bool GameServerDispatcher::shedding_makes_room(double gpu_fraction,
+                                               Time now_minutes) const {
+  // Nothing smaller to shed needs no copy of the packer.
+  if (!next_victim(packer_->bins(), sessions_, gpu_fraction)) return false;
+  // Otherwise only a trial run tells: whether a departure lets the packer
+  // place the arrival without a new server is the packer's own rule. A
+  // packer that cannot be copied (the clairvoyant baselines, which refuse
+  // every online arrival anyway) never sheds.
+  if (!packer_->snapshot_supported()) return false;
+  // The trial's departures are not events: nothing traces or counts them.
+  const obs::ObsScope quiet(nullptr, nullptr);
+  ByteWriter image;
+  packer_->save_snapshot(image);
+  const std::unique_ptr<Packer> trial =
+      make_packer(algorithm_, spec_.to_cost_model(), options_);
+  ByteReader reader(image.data());
+  trial->restore_snapshot(reader);
+  // The trial sheds as shed_for does; the session table is left alone, and
+  // slots keep their ids while other sessions leave.
+  while (cap_blocks(*trial, gpu_fraction)) {
+    const std::optional<ShedVictim> victim =
+        next_victim(trial->bins(), sessions_, gpu_fraction);
+    if (!victim) return false;
+    trial->on_departure(victim->slot, now_minutes);
+  }
+  return true;
+}
+
+void GameServerDispatcher::shed_for(double gpu_fraction, Time now_minutes) {
+  if (!shedding_makes_room(gpu_fraction, now_minutes)) return;
+  while (cap_blocks(*packer_, gpu_fraction)) {
+    const std::optional<ShedVictim> victim =
+        next_victim(packer_->bins(), sessions_, gpu_fraction);
+    DBP_CHECK(victim.has_value(), "shedding ran out of the sessions its trial shed");
+    packer_->on_departure(victim->slot, now_minutes);
+    sessions_.erase(sessions_.find(victim->session));
     ++stats_.sessions_shed;
     if (obs::RunTracer* tracer = obs::tracer()) {
       obs::TraceRecord record;
       record.time = now_minutes;
       record.kind = obs::TraceKind::kSessionShed;
-      record.item = victim;
-      record.size = victim_size;
+      record.item = victim->session;
+      record.size = victim->size;
       tracer->record(std::move(record));
     }
     if (obs::MetricsRegistry* metrics = obs::metrics()) {
@@ -103,8 +150,7 @@ bool GameServerDispatcher::admit_rental(std::uint64_t session_id,
   if (policy_.max_fleet_servers > 0 &&
       active_servers() >= policy_.max_fleet_servers) {
     shed_for(gpu_fraction, now_minutes);
-    if (packer_->would_open_bin(gpu_fraction) &&
-        active_servers() >= policy_.max_fleet_servers) {
+    if (cap_blocks(*packer_, gpu_fraction)) {
       reject(DispatchErrorKind::kFleetCapExceeded, stats_.sessions_rejected_cap,
              strfmt("session %llu rejected: fleet cap of %zu servers hit and "
                     "shedding could not make room",

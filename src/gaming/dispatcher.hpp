@@ -159,13 +159,23 @@ class GameServerDispatcher {
                     Time now_minutes);
   /// Hands an admitted session's slot to the packer; returns its server.
   BinId place(ItemId slot, double gpu_fraction, Time now_minutes);
-  /// Degraded mode: sheds active sessions strictly smaller than
-  /// `gpu_fraction` (lowest first) until the packer needs no new server for
-  /// it, the fleet drops below the cap, or candidates run out.
+  /// True when `packer` would rent a server for `gpu_fraction` while the
+  /// fleet is at its cap.
+  [[nodiscard]] bool cap_blocks(const Packer& packer, double gpu_fraction) const;
+  /// True when shedding, as shed_for does it, ends with the packer needing
+  /// no new server for `gpu_fraction` or the fleet below the cap. Decided
+  /// by a trial run on a copy of the packer (its snapshot); the
+  /// dispatcher's state does not change.
+  [[nodiscard]] bool shedding_makes_room(double gpu_fraction, Time now_minutes) const;
+  /// Degraded mode: when shedding makes room (shedding_makes_room), sheds
+  /// active sessions strictly smaller than `gpu_fraction` — lowest first,
+  /// ties to the lowest session id — until the packer needs no new server
+  /// for it or the fleet drops below the cap. Otherwise sheds nothing.
   void shed_for(double gpu_fraction, Time now_minutes);
 
   ServerSpec spec_;
   std::string algorithm_;
+  PackerOptions options_;
   FaultPolicy policy_;
   DispatcherFaultStats stats_;
   /// Active session id -> slot; the packer's items are the slots.

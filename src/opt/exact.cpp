@@ -17,6 +17,13 @@ namespace {
 /// doubles) and the open-bin residual stack (upper + 1 doubles) is provided
 /// by the caller — a plain vector for the one-shot entry point, an arena for
 /// the scratch-reusing one — so the search itself never allocates.
+///
+/// The area prune compares the volume still to place with the open bins'
+/// usable spare, kept as one running value along the search path: an open
+/// bin counts `residual + fit_tolerance` (what CostModel::fits lets it
+/// still take) while the smallest item — the search's last — fits it, and
+/// 0 once nothing can. Each placement and each new bin updates it in O(1);
+/// every branch restores the value it saved, so backtracking is exact.
 class Search {
  public:
   Search(std::span<const double> sorted_desc, const CostModel& model,
@@ -26,6 +33,7 @@ class Search {
         capacity_(model.bin_capacity + model.fit_tolerance),  // for area bounds
         real_capacity_(model.bin_capacity),  // fresh-bin residual, as BinManager
         tolerance_(model.fit_tolerance),
+        smallest_(sorted_desc.empty() ? 0.0 : sorted_desc.back()),
         options_(options),
         residuals_(residual_stack),
         suffix_sum_(suffix_sum) {
@@ -62,9 +70,8 @@ class Search {
       return;
     }
     // Area prune: open bins + bins forced by volume that cannot go into the
-    // open bins' spare capacity.
-    double spare = 0.0;
-    for (std::size_t b = 0; b < open_; ++b) spare += residuals_[b];
+    // open bins' usable spare.
+    const double spare = spare_;
     const double overflow = suffix_sum_[index] - spare;
     std::size_t forced = 0;
     if (overflow > 0.0) {
@@ -82,8 +89,10 @@ class Search {
       if (residual == last_residual) continue;
       last_residual = residual;
       residuals_[b] = residual - size;
+      spare_ = spare - usable(residual) + usable(residual - size);
       branch(index + 1);
       residuals_[b] = residual;
+      spare_ = spare;
       if (aborted_) return;
       // Perfect fit dominance: if the item exactly fills a bin, no other
       // placement can do better.
@@ -94,18 +103,27 @@ class Search {
     // <= the initial upper after every push.
     if (open_ + 1 + (forced > 0 ? forced - 1 : 0) < best_) {
       residuals_[open_++] = real_capacity_ - size;
+      spare_ = spare + usable(real_capacity_ - size);
       branch(index + 1);
       --open_;
+      spare_ = spare;
     }
+  }
+
+  /// What an open bin at `residual` can still take of the remaining items.
+  [[nodiscard]] double usable(double residual) const {
+    return smallest_ <= residual + tolerance_ ? residual + tolerance_ : 0.0;
   }
 
   std::span<const double> sizes_;
   double capacity_;
   double real_capacity_;
   double tolerance_;
+  double smallest_;                // sizes_.back(): a bin it cannot fit is dead
   ExactPackingOptions options_;
   std::span<double> residuals_;    // open-bin stack; live prefix is [0, open_)
   std::span<double> suffix_sum_;
+  double spare_ = 0.0;             // usable(residual) summed over the open bins
   std::size_t open_ = 0;
   std::size_t best_ = 0;
   std::size_t lower_ = 0;

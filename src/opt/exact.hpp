@@ -24,8 +24,10 @@ struct ExactPackingOptions {
 
 /// Branch-and-bound over items in non-increasing size order: each item is
 /// tried in every open bin with a distinct residual (symmetry breaking) and
-/// in a fresh bin; subtrees are pruned with the area bound. Sound under the
-/// library-wide tolerance-based feasibility (see opt/lower_bounds.hpp).
+/// in a fresh bin; subtrees are pruned with the area bound, which counts an
+/// open bin's spare as residual + fit_tolerance while the smallest item
+/// still fits it and as 0 once none can. Sound under the library-wide
+/// tolerance-based feasibility (see opt/lower_bounds.hpp).
 [[nodiscard]] ExactPackingResult exact_bin_count(std::span<const double> sizes,
                                                  const CostModel& model,
                                                  const ExactPackingOptions& options = {});

@@ -100,6 +100,23 @@ TEST(BinCountTest, GeneralMixSolvedExactly) {
   EXPECT_EQ(bounds.upper, 2u);
 }
 
+TEST(BinCountTest, PerfectFillsWithRoundingResiduesStayBracketed) {
+  // Three exact fills — {0.7, 0.15, 0.15}, {0.65, 0.25, 0.1},
+  // {0.55, 0.25, 0.2} — whose rounding residues are within the fit
+  // tolerance. Every entry point of the chain must keep 3 in its bounds;
+  // a search prune blind to the tolerance certified [4, 4].
+  const std::vector<double> sizes{0.7, 0.65, 0.55, 0.25, 0.25, 0.2, 0.15, 0.15, 0.1};
+  const std::vector<SizeRun> runs = rle_from_sorted(sizes);
+  BinCountScratch scratch;
+  BinCountOracle oracle(unit_model());
+  for (const BinCountBounds bounds :
+       {optimal_bin_count(sizes, unit_model()),
+        optimal_bin_count_rle(runs, unit_model(), {}, scratch), oracle.count_rle(runs)}) {
+    EXPECT_LE(bounds.lower, 3u);
+    EXPECT_GE(bounds.upper, 3u);
+  }
+}
+
 TEST(BinCountTest, SolverDisabledGivesHeuristicBounds) {
   const std::vector<double> sizes{0.45, 0.4, 0.35, 0.3, 0.25, 0.25};
   BinCountOptions options;

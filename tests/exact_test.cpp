@@ -7,6 +7,7 @@
 #include <random>
 #include <vector>
 
+#include "core/arena.hpp"
 #include "opt/bin_count.hpp"
 #include "opt/classical.hpp"
 #include "opt/lower_bounds.hpp"
@@ -75,6 +76,79 @@ TEST(ExactTest, MatchesBruteForceOnRandomInstances) {
         << "trial " << trial;
     EXPECT_EQ(result.lower, result.upper);
   }
+}
+
+TEST(ExactTest, PerfectFillsWithRoundingResiduesPackTight) {
+  // Nine decimal sizes summing to 3 that fill three bins exactly:
+  // {0.7, 0.15, 0.15}, {0.65, 0.25, 0.1}, {0.55, 0.25, 0.2}. The fills
+  // leave rounding residues of either sign, within the fit tolerance. An
+  // area prune that counts open bins at their bare residual sees a
+  // positive residue as volume no open bin can take, forces one more bin
+  // and "proves" 4.
+  const std::vector<double> sizes{0.7, 0.65, 0.55, 0.25, 0.25, 0.2, 0.15, 0.15, 0.1};
+  ASSERT_EQ(brute_force_bins(sizes, unit_model()), 3u);
+  const ExactPackingResult result = exact_bin_count(sizes, unit_model());
+  EXPECT_LE(result.lower, 3u);
+  EXPECT_TRUE(result.proven);
+  EXPECT_EQ(result.upper, 3u);
+}
+
+TEST(ExactTest, MatchesBruteForceOnDecimalCatalog) {
+  // Sizes on a 0.05 grid fill bins exactly, and every exact fill leaves a
+  // rounding residue: the search and the whole chain must stay sound under
+  // CostModel::fits, flat and RLE alike.
+  const CostModel model = unit_model();
+  std::mt19937_64 rng(1);
+  BinCountScratch scratch;
+  for (int trial = 0; trial < 8'000; ++trial) {
+    std::vector<double> sizes;
+    const std::size_t n = 3 + rng() % 8;  // up to 10 items
+    for (std::size_t i = 0; i < n; ++i) {
+      sizes.push_back(0.05 * static_cast<double>(1 + rng() % 14));  // 0.05..0.70
+    }
+    const std::size_t optimum = brute_force_bins(sizes, model);
+    const ExactPackingResult result = exact_bin_count(sizes, model);
+    ASSERT_TRUE(result.proven) << "trial " << trial;
+    ASSERT_EQ(result.upper, optimum) << "trial " << trial;
+    const BinCountBounds flat = optimal_bin_count(sizes, model);
+    ASSERT_LE(flat.lower, optimum) << "trial " << trial;
+    ASSERT_GE(flat.upper, optimum) << "trial " << trial;
+    std::sort(sizes.begin(), sizes.end(), std::greater<>());
+    const BinCountBounds rle =
+        optimal_bin_count_rle(rle_from_sorted(sizes), model, {}, scratch);
+    ASSERT_LE(rle.lower, optimum) << "trial " << trial;
+    ASSERT_GE(rle.upper, optimum) << "trial " << trial;
+  }
+}
+
+TEST(ExactTest, ProvesADenseEpochWithinTheDefaultBudget) {
+  // A 20-size epoch snapshot from servebench's opt_dense_epochs stream: L2
+  // is 5 while min(FFD, BFD) and the minimum-bin-slack witness are 6. An
+  // area prune that counts capacity no remaining item fits as spare never
+  // cuts a branch that has already wasted more than the total slack, and
+  // the search uses up its budget at [5, 6].
+  const std::vector<double> sizes{
+      0.46199923905757112,  0.41873479919668632,  0.39713670250615674,
+      0.38438132503459133,  0.3815657907357653,   0.33689384113839688,
+      0.32237908702751017,  0.30364170478396663,  0.29035731896276656,
+      0.27630812393550752,  0.2500218742304362,   0.21647848107790896,
+      0.18973939958074082,  0.1893551912523318,   0.1659921904507847,
+      0.16471762486288385,  0.070477615768579333, 0.065703133307765227,
+      0.061770794976926849, 0.050094778546414663};
+  const CostModel model = unit_model();
+  ASSERT_EQ(l2_lower_bound_sorted(sizes, model), 5u);
+  ASSERT_EQ(std::min(first_fit_decreasing_sorted(sizes, model),
+                     best_fit_decreasing_sorted(sizes, model)),
+            6u);
+  ASSERT_EQ(optimal_bin_count(sizes, model, witness_fixtures::witness_only()).upper,
+            6u);
+  MonotonicArena arena;
+  const ExactPackingResult result =
+      exact_bin_count_bounded(sizes, model, 5, 6, ExactPackingOptions{}, arena);
+  EXPECT_TRUE(result.proven);
+  EXPECT_EQ(result.lower, 6u);
+  EXPECT_EQ(result.upper, 6u);
+  EXPECT_LT(result.nodes, ExactPackingOptions{}.node_budget);
 }
 
 TEST(ExactTest, WitnessBoundsAreSoundAgainstBruteForce) {

@@ -9,6 +9,7 @@
 #include "algo/factory.hpp"
 #include "core/error.hpp"
 #include "gaming/dispatcher.hpp"
+#include "obs/obs.hpp"
 #include "workload/rng.hpp"
 
 namespace dbp {
@@ -214,6 +215,46 @@ TEST(FaultPolicyTest, FleetCapShedsSmallerSessions) {
   EXPECT_EQ(dispatcher.active_sessions(), 1u);
 }
 
+TEST(FaultPolicyTest, FleetCapShedsNothingWhenSheddingCannotMakeRoom) {
+  FaultPolicy policy = drop_policy();
+  policy.max_fleet_servers = 1;
+  for (const char* algorithm :
+       {"first-fit", "best-fit", "worst-fit", "last-fit", "next-fit"}) {
+    SCOPED_TRACE(algorithm);
+    GameServerDispatcher dispatcher(basic_spec(), algorithm, {}, policy);
+    dispatcher.start_session(1, 0.6, 0.0);
+    dispatcher.start_session(2, 0.1, 1.0);
+    dispatcher.start_session(3, 0.1, 2.0);
+    ASSERT_EQ(dispatcher.active_servers(), 1u);
+    // Without both 0.1 sessions the server still holds 0.6, so 0.5 cannot
+    // join it: the start is refused and nobody is shed for it.
+    EXPECT_EQ(dispatcher.start_session(4, 0.5, 3.0), kNoServer);
+    EXPECT_EQ(dispatcher.fault_stats().sessions_shed, 0u);
+    EXPECT_EQ(dispatcher.fault_stats().sessions_rejected_cap, 1u);
+    EXPECT_EQ(dispatcher.active_sessions(), 3u);
+    for (std::uint64_t id = 1; id <= 3; ++id) {
+      EXPECT_TRUE(dispatcher.find_session(id).has_value()) << "session " << id;
+    }
+  }
+}
+
+TEST(FaultPolicyTest, FleetCapShedsEverySessionItTakesToMakeRoom) {
+  FaultPolicy policy = drop_policy();
+  policy.max_fleet_servers = 1;
+  GameServerDispatcher dispatcher(basic_spec(), "first-fit", {}, policy);
+  dispatcher.start_session(1, 0.6, 0.0);
+  dispatcher.start_session(2, 0.2, 1.0);
+  dispatcher.start_session(3, 0.1, 2.0);
+  // Shedding 0.1 leaves 0.8 in use; shedding 0.2 as well makes room.
+  EXPECT_EQ(dispatcher.start_session(4, 0.3, 3.0), BinId{0});
+  EXPECT_EQ(dispatcher.fault_stats().sessions_shed, 2u);
+  EXPECT_EQ(dispatcher.fault_stats().sessions_rejected_cap, 0u);
+  EXPECT_FALSE(dispatcher.find_session(2).has_value());
+  EXPECT_FALSE(dispatcher.find_session(3).has_value());
+  EXPECT_TRUE(dispatcher.find_session(1).has_value());
+  EXPECT_TRUE(dispatcher.find_session(4).has_value());
+}
+
 /// Every registered packer; known_mu lets the semi-online MFF build.
 PackerOptions every_packer_options() {
   PackerOptions options;
@@ -287,6 +328,61 @@ TEST(FaultPolicyTest, FleetCapHoldsAfterEveryEventForEveryPacker) {
       }
     }
   }
+}
+
+TEST(FaultPolicyTest, NoAdmissionShedsAndIsThenRefusedForTheCap) {
+  // Each admission's records end in the arrival's placement or in its
+  // refusal. A shed must be followed by a placement: shedding that cannot
+  // make room sheds nothing. Crash re-dispatch admits orphans through the
+  // same gate.
+  std::uint64_t sheds = 0;
+  std::uint64_t refusals = 0;
+  for (const std::string& algorithm : all_algorithm_names()) {
+    for (std::size_t cap = 1; cap <= 3; ++cap) {
+      SCOPED_TRACE(algorithm + " cap=" + std::to_string(cap));
+      FaultPolicy policy = drop_policy();
+      policy.max_fleet_servers = cap;
+      GameServerDispatcher dispatcher(basic_spec(), algorithm,
+                                      every_packer_options(), policy);
+      if (!dispatcher.snapshot_supported()) continue;
+      obs::RunTracer tracer;
+      const obs::ObsScope scope(&tracer, nullptr);
+      Rng rng(2000 + cap);
+      std::vector<std::uint64_t> started;
+      for (std::uint64_t id = 0; id < 400; ++id) {
+        const Time now = static_cast<Time>(id);
+        if (!started.empty() && rng.bernoulli(0.35)) {
+          const std::size_t pick = rng.uniform_int(0, started.size() - 1);
+          dispatcher.end_session(started[pick], now);
+          started[pick] = started.back();
+          started.pop_back();
+        } else if (id % 40 == 39 && dispatcher.active_servers() > 0) {
+          dispatcher.fail_server(dispatcher.bins().open_bins().front(), now);
+        } else {
+          dispatcher.start_session(id, rng.uniform(0.02, 0.7), now);
+          started.push_back(id);
+        }
+      }
+      bool shedding = false;
+      for (const obs::TraceRecord& record : tracer.snapshot()) {
+        if (record.kind == obs::TraceKind::kSessionShed) {
+          shedding = true;
+        } else if (record.kind == obs::TraceKind::kArrival) {
+          shedding = false;
+        } else if (record.kind == obs::TraceKind::kDispatchReject &&
+                   record.label == to_string(DispatchErrorKind::kFleetCapExceeded)) {
+          EXPECT_FALSE(shedding) << "shed, then refused at t=" << record.time;
+          shedding = false;
+        }
+      }
+      ASSERT_EQ(tracer.dropped(), 0u);
+      sheds += dispatcher.fault_stats().sessions_shed;
+      refusals += dispatcher.fault_stats().sessions_rejected_cap;
+    }
+  }
+  // Both outcomes occur: the streams exercise the gate.
+  EXPECT_GT(sheds, 0u);
+  EXPECT_GT(refusals, 0u);
 }
 
 TEST(FaultPolicyTest, RentalDrawsGateEveryPackersRentals) {

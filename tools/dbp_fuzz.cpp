@@ -9,14 +9,18 @@
 // the OPT sandwich, and (for First Fit) the Section 4.3 invariants. Unless
 // --no-chaos is given, each round then replays the instance under a random
 // FaultPlan (crashes + anomalous events) and checks that the cost
-// accounting invariants survive recovery. Each round also fuzzes the
-// durability journal codec: a journal encoded by the real JournalWriter is
-// truncated, bit-flipped, spliced and garbage-extended, and the scanner
-// must return exactly the intact record prefix or a typed CorruptionError —
-// it must never crash and never accept a damaged record. On any violation
-// it prints the offending (round, seed) so the failure is reproducible, and
-// exits non-zero. Used as a long-running robustness soak beyond what the
-// unit-test sweeps cover.
+// accounting invariants survive recovery. Each round also checks the
+// bin-count chain against exhaustive enumeration: a few dozen multisets of
+// at most 10 sizes, half on a 0.05 grid (whose exact fills leave rounding
+// residues) and half continuous, whose optimum under CostModel::fits is
+// enumerated here; exact_bin_count and optimal_bin_count_rle must bracket
+// it. And each round fuzzes the durability journal codec: a journal
+// encoded by the real JournalWriter is truncated, bit-flipped, spliced and
+// garbage-extended, and the scanner must return exactly the intact record
+// prefix or a typed CorruptionError — it must never crash and never accept
+// a damaged record. On any violation it prints the offending (round, seed)
+// so the failure is reproducible, and exits non-zero. Used as a
+// long-running robustness soak beyond what the unit-test sweeps cover.
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
@@ -31,7 +35,10 @@
 #include "exec/worker_budget.hpp"
 #include "core/metrics.hpp"
 #include "core/strfmt.hpp"
+#include "opt/bin_count.hpp"
+#include "opt/exact.hpp"
 #include "opt/opt_total.hpp"
+#include "opt/rle.hpp"
 #include "sim/fault_sim.hpp"
 #include "sim/simulator.hpp"
 #include "workload/fault_schedule.hpp"
@@ -134,6 +141,74 @@ bool run_chaos_round(std::uint64_t round, std::uint64_t seed,
     if (cell.stats.total_dropped() != cell.stats.anomalies_injected) {
       fail(name + " guard dropped a different count than was injected");
     }
+  }
+  return ok;
+}
+
+/// The fewest bins `sizes` packs into, by trying every assignment of the
+/// items (in order) to the bins opened so far or to a new one, under
+/// CostModel::fits against each bin's running level. Exponential: meant for
+/// at most ~10 items.
+std::size_t enumerated_bin_count(const std::vector<double>& sizes,
+                                 const CostModel& model) {
+  std::size_t best = sizes.size();
+  std::vector<double> levels;
+  const auto place = [&](auto&& self, std::size_t index) -> void {
+    if (levels.size() >= best) return;
+    if (index == sizes.size()) {
+      best = levels.size();
+      return;
+    }
+    // By index: deeper calls push onto `levels` and may reallocate it.
+    for (std::size_t bin = 0; bin < levels.size(); ++bin) {
+      if (model.fits(sizes[index], model.bin_capacity - levels[bin])) {
+        levels[bin] += sizes[index];
+        self(self, index + 1);
+        levels[bin] -= sizes[index];
+      }
+    }
+    levels.push_back(sizes[index]);
+    self(self, index + 1);
+    levels.pop_back();
+  };
+  place(place, 0);
+  return best;
+}
+
+/// Checks the bin-count chain's certified bounds against enumeration on
+/// small multisets. A bound past the optimum is a wrong certificate, which
+/// the OPT_total checks of run_round cannot see: one bin too many on a few
+/// segments moves no integral past a closed-form bound or a packer's cost.
+bool run_bin_count_round(std::uint64_t round, std::uint64_t seed) {
+  constexpr int kMultisets = 48;
+  Rng rng(seed ^ 0xB1AC0D7ULL);
+  const CostModel model{1.0, 1.0, 1e-9};
+  BinCountScratch scratch;
+  bool ok = true;
+  for (int draw = 0; draw < kMultisets; ++draw) {
+    const bool grid = draw % 2 == 0;
+    std::vector<double> sizes(1 + rng.uniform_int(0, 9));
+    for (double& size : sizes) {
+      size = grid ? 0.05 * static_cast<double>(rng.uniform_int(1, 14))
+                  : rng.uniform(0.02, 0.7);
+    }
+    std::sort(sizes.begin(), sizes.end(), std::greater<>());
+    const std::size_t optimum = enumerated_bin_count(sizes, model);
+    const ExactPackingResult search = exact_bin_count(sizes, model);
+    const BinCountBounds chain =
+        optimal_bin_count_rle(rle_from_sorted(sizes), model, {}, scratch);
+    const auto check = [&](const char* who, std::size_t lower, std::size_t upper) {
+      if (lower <= optimum && optimum <= upper) return;
+      std::cerr << strfmt(
+          "FUZZ BIN-COUNT FAILURE round=%llu seed=%llu draw=%d: %s certified "
+          "[%zu, %zu] for %zu %s sizes packing into %zu bins\n",
+          static_cast<unsigned long long>(round),
+          static_cast<unsigned long long>(seed), draw, who, lower, upper,
+          sizes.size(), grid ? "grid" : "continuous", optimum);
+      ok = false;
+    };
+    check("exact_bin_count", search.lower, search.upper);
+    check("optimal_bin_count_rle", chain.lower, chain.upper);
   }
   return ok;
 }
@@ -360,6 +435,7 @@ bool run_round(std::uint64_t round, std::uint64_t seed, std::size_t max_items,
       !run_chaos_round(round, seed, instance, model, closed, metrics, rng)) {
     ok = false;
   }
+  if (!run_bin_count_round(round, seed)) ok = false;
   if (!run_journal_fuzz_round(round, seed)) ok = false;
   return ok;
 }

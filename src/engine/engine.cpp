@@ -217,7 +217,7 @@ void ShardedDispatchEngine::cut_epoch_locked(Time now_minutes) {
   // since then carry timestamps >= the epoch they follow). The integral
   // reads only that snapshot's bounds, so it does not matter that the
   // caller drained the rings first. The integrator drops zero-length
-  // segments (the wire timer thread produces coincident ticks under load —
+  // segments (the wire epoch timer produces coincident ticks under load —
   // EngineTest.ZeroLengthEpochSegmentsAreFree) and empty-fleet ones,
   // including the stretch before the first epoch, exactly as
   // estimate_opt_total does.

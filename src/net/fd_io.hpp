@@ -1,7 +1,7 @@
 // Internal Unix-socket fd helpers shared by wire_server.cpp and
-// wire_client.cpp: descriptor ownership, whole writes, and the receive
-// buffer that is the wire layer's only way to read a socket. Not part of
-// the public net API.
+// wire_client.cpp: descriptor ownership, the client's whole writes, and
+// the receive buffer that is the wire layer's only way to read a socket,
+// blocking or not. Not part of the public net API.
 #pragma once
 
 #include <sys/socket.h>
@@ -136,8 +136,10 @@ class RecvBuffer {
   /// reader without a size cap (the client's response lines) gets there,
   /// since the server rejects an over-cap frame or line before reading on.
   /// Returns the bytes received; 0 is an orderly EOF, or a shutdown() from
-  /// another thread. Throws IoError on any socket error.
-  std::size_t fill(int fd) {
+  /// another thread. nullopt means nothing was queued: the socket is
+  /// non-blocking, or its receive timeout ran out. Throws IoError on any
+  /// other socket error.
+  std::optional<std::size_t> fill(int fd) {
     const std::size_t kept = end_ - begin_;
     if (kept == capacity_) {
       auto grown = std::make_unique_for_overwrite<std::uint8_t[]>(2 * capacity_);
@@ -155,6 +157,7 @@ class RecvBuffer {
         end_ += static_cast<std::size_t>(n);
         return static_cast<std::size_t>(n);
       }
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return std::nullopt;
       if (errno != EINTR) {
         throw IoError("socket read failed: " + std::string(std::strerror(errno)));
       }

@@ -114,7 +114,7 @@ WireResponse WireClient::read_response() {
       if (const std::optional<std::string_view> line = in_.take_line()) {
         return decode_json_response(*line);
       }
-      if (in_.fill(fd_.get()) == 0) {
+      if (in_.fill(fd_.get()) == 0U) {
         throw IoError("server closed the connection");
       }
     }
@@ -138,7 +138,7 @@ WireResponse WireClient::read_response() {
       }
     }
     const bool inside_header = pending.size() < kFrameHeaderBytes;
-    if (in_.fill(fd_.get()) == 0) {
+    if (in_.fill(fd_.get()) == 0U) {
       throw IoError(inside_header
                         ? "server closed the connection"
                         : "server closed the connection mid-response");

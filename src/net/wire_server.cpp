@@ -1,32 +1,36 @@
 #include "net/wire_server.hpp"
 
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/timerfd.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "core/crc32.hpp"
 #include "core/error.hpp"
 #include "core/strfmt.hpp"
-#include "net/fd_io.hpp"
 
-// DBP_LINT_ALLOW(symbol-wall-clock): the epoch timer thread paces its ticks
-// with condition_variable::wait_for. Wall time decides only *when* an epoch
-// is cut; the epoch's logical time is always the engine's event clock,
-// max(last epoch, latest applied event), so no clock reading ever reaches
-// an engine result.
+// DBP_LINT_ALLOW(symbol-wall-clock): poll_stop_requested bounds its wait on
+// the stop condition variable with wait_for. The epoch timer's ticks come
+// from a timerfd; wall time decides only *when* an epoch is cut, and the
+// epoch's logical time is always the engine's event clock, max(last epoch,
+// latest applied event), so no clock reading ever reaches an engine result.
 
 namespace dbp::net {
 
 using detail::FdGuard;
-using detail::write_all;
 
 // The largest binary frame also holds the largest JSON line with its
 // "\r\n", so one receive buffer serves both framings and never grows: a
@@ -34,36 +38,105 @@ using detail::write_all;
 // than kMaxJsonLineBytes is rejected before the next read.
 static_assert(kMaxFrameBytes >= kMaxJsonLineBytes + 2);
 
-void WireServerConfig::validate() const {
-  DBP_REQUIRE(!socket_path.empty(), "WireServerConfig.socket_path is empty");
-  DBP_REQUIRE(listen_backlog > 0,
-              "WireServerConfig.listen_backlog must be positive");
-}
-
-struct WireServer::Connection {
-  explicit Connection(int fd) : fd(fd), in(kMaxFrameBytes) {}
-
-  /// Closes with the Connection, after its thread is joined (the thread
-  /// itself ends with shutdown()), so stop() never shuts down a descriptor
-  /// number that is already closed or reused.
-  FdGuard fd;
-  detail::RecvBuffer in;
-  std::thread thread;
-  std::atomic<bool> done{false};
-  bool json_mode = false;
-};
-
 namespace {
 
-void bump(obs::Counter* counter, std::uint64_t n = 1) {
-  if (counter != nullptr) counter->add(n);
+/// Ready events taken per epoll_wait.
+constexpr int kEventsPerWait = 64;
+/// While the listening socket is paused for want of descriptors, a wait
+/// that sees no event ends after this long and accepting is retried.
+constexpr int kAcceptRetryMs = 100;
+
+/// Adds to a serving counter. The serving thread is its only writer, so a
+/// relaxed load and store replace the read-modify-write.
+void add(std::atomic<std::uint64_t>& counter, obs::Counter* mirror,
+         std::uint64_t n = 1) noexcept {
+  counter.store(counter.load(std::memory_order_relaxed) + n,
+                std::memory_order_relaxed);
+  if (mirror != nullptr) mirror->add(n);
 }
 
 std::string_view as_text(std::span<const std::uint8_t> bytes) {
   return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
 }
 
+/// Sends as much of `bytes` as the non-blocking socket takes now
+/// (MSG_NOSIGNAL: a peer that vanished surfaces as IoError, never SIGPIPE).
+std::size_t send_available(int fd, std::span<const std::uint8_t> bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n >= 0) {
+      sent += static_cast<std::size_t>(n);
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      break;
+    } else if (errno != EINTR) {
+      throw IoError("socket write failed: " + std::string(std::strerror(errno)));
+    }
+  }
+  return sent;
+}
+
+FdGuard checked(int fd, const char* what) {
+  if (fd < 0) {
+    throw IoError(std::string("cannot create ") + what + ": " +
+                  std::strerror(errno));
+  }
+  return FdGuard(fd);
+}
+
+void watch(int epoll_fd, int fd, std::uint32_t events) {
+  epoll_event event{};
+  event.events = events;
+  event.data.fd = fd;
+  if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &event) != 0) {
+    throw IoError("cannot watch a descriptor with epoll: " +
+                  std::string(std::strerror(errno)));
+  }
+}
+
 }  // namespace
+
+struct WireServer::Connection {
+  enum class Framing : std::uint8_t { kUndecided, kBinary, kJson };
+
+  explicit Connection(int fd) : fd(fd), in(kMaxFrameBytes) {}
+
+  /// Whether the loop serves and reads this connection: it is not closing,
+  /// and its output queue is within kMaxQueuedOutputBytes.
+  [[nodiscard]] bool serving() const noexcept {
+    return !closing && out.size() <= kMaxQueuedOutputBytes;
+  }
+
+  /// Sends `bytes` after whatever is queued; the socket's refusal is
+  /// queued.
+  void send(std::span<const std::uint8_t> bytes) {
+    if (out.empty()) bytes = bytes.subspan(send_available(fd.get(), bytes));
+    out.insert(out.end(), bytes.begin(), bytes.end());
+  }
+
+  /// Sends as much of the queue as the socket takes now.
+  void flush() {
+    const std::size_t sent = send_available(fd.get(), out);
+    out.erase(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(sent));
+  }
+
+  FdGuard fd;
+  detail::RecvBuffer in;
+  /// Response bytes the socket has not taken yet, oldest first.
+  std::vector<std::uint8_t> out;
+  std::uint64_t seq = 0;  ///< requests parsed so far
+  Framing framing = Framing::kUndecided;
+  /// Serves no further request; the connection closes once `out` is sent.
+  bool closing = false;
+  std::uint32_t interest = EPOLLIN;  ///< the epoll events registered now
+};
+
+void WireServerConfig::validate() const {
+  DBP_REQUIRE(!socket_path.empty(), "WireServerConfig.socket_path is empty");
+  DBP_REQUIRE(listen_backlog > 0,
+              "WireServerConfig.listen_backlog must be positive");
+}
 
 WireServer::WireServer(engine::ShardedDispatchEngine& eng,
                        WireServerConfig config, obs::RunTracer* tracer,
@@ -90,11 +163,9 @@ void WireServer::start() {
   DBP_REQUIRE(!running_.load() && !stopping_.load(),
               "WireServer cannot be restarted; construct a fresh one");
   const sockaddr_un address = detail::make_unix_address(config_.socket_path);
-  FdGuard sock(::socket(AF_UNIX, SOCK_STREAM, 0));
-  if (!sock.valid()) {
-    throw IoError("cannot create unix socket: " +
-                  std::string(std::strerror(errno)));
-  }
+  FdGuard sock = checked(
+      ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0),
+      "unix socket");
   // Remove a stale socket file before binding: a previous server that died
   // without stop() leaves one behind.
   ::unlink(config_.socket_path.c_str());
@@ -107,36 +178,57 @@ void WireServer::start() {
     throw IoError("cannot listen on '" + config_.socket_path +
                   "': " + std::string(std::strerror(errno)));
   }
-  listen_fd_ = sock.release();
-  running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread(&WireServer::accept_loop, this);
+  FdGuard epoll = checked(::epoll_create1(EPOLL_CLOEXEC), "epoll set");
+  FdGuard wake =
+      checked(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC), "stop eventfd");
+  watch(epoll.get(), sock.get(), EPOLLIN);
+  watch(epoll.get(), wake.get(), EPOLLIN);
+  FdGuard timer;
   if (config_.epoch_cadence_ms > 0) {
-    timer_thread_ = std::thread(&WireServer::timer_loop, this);
+    timer = checked(::timerfd_create(CLOCK_MONOTONIC,
+                                     TFD_NONBLOCK | TFD_CLOEXEC),
+                    "epoch timerfd");
+    itimerspec cadence{};
+    cadence.it_interval.tv_sec =
+        static_cast<time_t>(config_.epoch_cadence_ms / 1000);
+    cadence.it_interval.tv_nsec =
+        static_cast<long>(config_.epoch_cadence_ms % 1000) * 1'000'000L;
+    cadence.it_value = cadence.it_interval;
+    if (::timerfd_settime(timer.get(), 0, &cadence, nullptr) != 0) {
+      throw IoError("cannot arm the epoch timerfd: " +
+                    std::string(std::strerror(errno)));
+    }
+    watch(epoll.get(), timer.get(), EPOLLIN);
   }
+  listen_fd_ = std::move(sock);
+  epoll_fd_ = std::move(epoll);
+  wake_fd_ = std::move(wake);
+  timer_fd_ = std::move(timer);
+  running_.store(true, std::memory_order_release);
+  loop_thread_ = std::thread(&WireServer::serve_loop, this);
 }
 
 void WireServer::stop() {
   stopping_.store(true, std::memory_order_release);
   request_stop();
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (timer_thread_.joinable()) timer_thread_.join();
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    // Wake every blocked read with EOF, then join; each fd closes with its
-    // Connection, after the join.
-    for (const std::unique_ptr<Connection>& conn : connections_) {
-      ::shutdown(conn->fd.get(), SHUT_RDWR);
-    }
-    for (const std::unique_ptr<Connection>& conn : connections_) {
-      if (conn->thread.joinable()) conn->thread.join();
-    }
-    connections_.clear();
+  if (wake_fd_.valid()) {
+    // Makes the eventfd readable, which ends the serving loop. An eventfd
+    // write of 1 fails only on counter overflow, which one write per
+    // stop() cannot reach.
+    const std::uint64_t one = 1;
+    [[maybe_unused]] const ssize_t written =
+        ::write(wake_fd_.get(), &one, sizeof(one));
   }
+  if (loop_thread_.joinable()) loop_thread_.join();
+  // The serving thread has ended: every connection closes here, and its
+  // peer sees EOF.
+  connections_.clear();
   const bool was_running = running_.exchange(false);
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+  timer_fd_.reset();
+  wake_fd_.reset();
+  epoll_fd_.reset();
+  if (listen_fd_.valid()) {
+    listen_fd_.reset();
     ::unlink(config_.socket_path.c_str());
   }
   // Graceful drain: every event accepted onto a ring is applied before the
@@ -183,64 +275,95 @@ WireServerStats WireServer::stats() const noexcept {
 }
 
 void WireServer::raise_watermark(double t) noexcept {
-  if (!std::isfinite(t)) return;  // a NaN event time must not poison ticks
-  double current = watermark_.load(std::memory_order_relaxed);
-  while (t > current && !watermark_.compare_exchange_weak(
-                            current, t, std::memory_order_relaxed)) {
+  // A NaN event time must not poison ticks; the serving thread is the only
+  // writer.
+  if (std::isfinite(t) && t > watermark_.load(std::memory_order_relaxed)) {
+    watermark_.store(t, std::memory_order_relaxed);
   }
 }
 
-void WireServer::accept_loop() {
+void WireServer::serve_loop() {
   obs::ObsScope scope(tracer_, metrics_);
+  std::array<epoll_event, kEventsPerWait> events{};
   for (;;) {
-    reap_finished_connections();
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
+    const int ready =
+        ::epoll_wait(epoll_fd_.get(), events.data(), kEventsPerWait,
+                     accept_paused_ ? kAcceptRetryMs : -1);
+    if (ready < 0) {
       if (errno == EINTR) continue;
-      break;  // listening socket shut down by stop()
+      return;  // the epoll set itself failed; stop() still drains
     }
-    if (stopping_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      break;
+    if (ready == 0) set_accepting(true);  // retry after a quiet pause
+    for (int i = 0; i < ready; ++i) {
+      const int fd = events[i].data.fd;
+      if (fd == wake_fd_.get()) return;
+      if (fd == listen_fd_.get()) {
+        accept_connections();
+      } else if (fd == timer_fd_.get()) {
+        tick_timer();
+      } else if (Connection* conn =
+                     connections_[static_cast<std::size_t>(fd)].get()) {
+        serve_event(*conn, events[i].events);
+      }
+    }
+  }
+}
+
+void WireServer::accept_connections() {
+  for (;;) {
+    const int fd = ::accept4(listen_fd_.get(), nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) {
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      // Out of descriptors: the queued connections wait in the backlog,
+      // and the listening socket is not watched until a connection closes
+      // or a wait passes quietly, so the loop does not spin on it.
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+          errno == ENOMEM) {
+        set_accepting(false);
+      }
+      return;  // EAGAIN: the backlog is empty
     }
     auto conn = std::make_unique<Connection>(fd);
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    connections_open_.fetch_add(1, std::memory_order_relaxed);
-    bump(c_connections_);
-    Connection* raw = conn.get();
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections_.push_back(std::move(conn));
-    raw->thread = std::thread([this, raw] { serve_connection(*raw); });
+    try {
+      watch(epoll_fd_.get(), fd, EPOLLIN);
+    } catch (const IoError&) {
+      continue;  // unwatchable: closed with its Connection
+    }
+    const auto slot = static_cast<std::size_t>(fd);
+    if (slot >= connections_.size()) connections_.resize(slot + 1);
+    connections_[slot] = std::move(conn);
+    add(connections_accepted_, c_connections_);
+    add(connections_open_, nullptr);
   }
 }
 
-void WireServer::reap_finished_connections() {
-  std::lock_guard<std::mutex> lock(connections_mutex_);
-  std::erase_if(connections_, [](const std::unique_ptr<Connection>& conn) {
-    if (!conn->done.load(std::memory_order_acquire)) return false;
-    if (conn->thread.joinable()) conn->thread.join();
-    return true;
-  });
+void WireServer::set_accepting(bool accepting) {
+  if (accept_paused_ == !accepting) return;
+  epoll_event event{};
+  event.events = accepting ? EPOLLIN : 0U;
+  event.data.fd = listen_fd_.get();
+  if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_MOD, listen_fd_.get(), &event) ==
+      0) {
+    accept_paused_ = !accepting;
+  }
 }
 
-void WireServer::timer_loop() {
-  obs::ObsScope scope(tracer_, metrics_);
-  const auto cadence = std::chrono::milliseconds(config_.epoch_cadence_ms);
-  std::unique_lock<std::mutex> lock(stop_mutex_);
-  while (!stopping_.load(std::memory_order_acquire)) {
-    stop_cv_.wait_for(lock, cadence);
-    if (stopping_.load(std::memory_order_acquire)) break;
-    lock.unlock();
-    // Tick at the engine's event clock, chosen after the tick's own pump,
-    // so no event stamped later than the epoch is applied inside it. With
-    // no new events since the last tick this is a zero-length epoch
-    // segment, which the engine integrates as exactly zero dollars and zero
-    // segments (EngineTest.ZeroLengthEpochSegmentsAreFree) — an idle
-    // server's timer never distorts the OPT bounds.
-    count_epoch(engine_.advance_epoch_to_event_clock());
-    timer_ticks_.fetch_add(1, std::memory_order_relaxed);
-    lock.lock();
+void WireServer::tick_timer() {
+  std::uint64_t expirations = 0;
+  // One epoch per wake, however many periods a long epoch let pass.
+  if (::read(timer_fd_.get(), &expirations, sizeof(expirations)) !=
+      static_cast<ssize_t>(sizeof(expirations))) {
+    return;
   }
+  // Tick at the engine's event clock, chosen after the tick's own pump,
+  // so no event stamped later than the epoch is applied inside it. With
+  // no new events since the last tick this is a zero-length epoch
+  // segment, which the engine integrates as exactly zero dollars and zero
+  // segments (EngineTest.ZeroLengthEpochSegmentsAreFree) — an idle
+  // server's timer never distorts the OPT bounds.
+  count_epoch(engine_.advance_epoch_to_event_clock());
+  add(timer_ticks_, nullptr);
 }
 
 std::string WireServer::advance_epoch_checked(double t) {
@@ -255,136 +378,184 @@ std::string WireServer::advance_epoch_checked(double t) {
 
 void WireServer::count_epoch(double t) noexcept {
   raise_watermark(t);
-  epochs_advanced_.fetch_add(1, std::memory_order_relaxed);
-  bump(c_epochs_);
+  add(epochs_advanced_, c_epochs_);
 }
 
-std::size_t WireServer::receive(Connection& conn) {
-  const std::size_t n = conn.in.fill(conn.fd.get());
-  bytes_in_.fetch_add(n, std::memory_order_relaxed);
-  bump(c_bytes_in_, n);
-  return n;
-}
-
-void WireServer::serve_connection(Connection& conn) {
-  obs::ObsScope scope(tracer_, metrics_);
+void WireServer::serve_event(Connection& conn, std::uint32_t events) {
   try {
-    // The first byte picks the framing: '{' is line-JSON, anything else
-    // binary.
-    if (receive(conn) > 0) {
-      conn.json_mode =
-          conn.in.pending().front() == static_cast<std::uint8_t>('{');
-      if (conn.json_mode) {
-        serve_json(conn);
-      } else {
-        serve_binary(conn);
-      }
+    if (!conn.out.empty() && (events & (EPOLLOUT | EPOLLERR | EPOLLHUP)) != 0) {
+      conn.flush();
+      serve_buffered(conn);  // resumes a connection its queue paused
+    }
+    if (conn.serving() && (events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) {
+      read_and_serve(conn);
     }
   } catch (const IoError&) {
     // Peer vanished mid-read or mid-write: that connection's problem only.
+    conn.out.clear();
+    conn.closing = true;
   } catch (const std::exception&) {
     // Backstop — a serving defect must never take the process down; the
     // connection is dropped, counted, and every other connection keeps
     // running.
-    connections_failed_.fetch_add(1, std::memory_order_relaxed);
-    bump(c_connections_failed_);
+    add(connections_failed_, c_connections_failed_);
+    conn.out.clear();
+    conn.closing = true;
   }
-  // The peer sees EOF now; the descriptor stays open until ~Connection.
-  ::shutdown(conn.fd.get(), SHUT_RDWR);
-  connections_open_.fetch_sub(1, std::memory_order_relaxed);
-  conn.done.store(true, std::memory_order_release);
+  settle(conn);
+}
+
+void WireServer::read_and_serve(Connection& conn) {
+  const std::optional<std::size_t> received = conn.in.fill(conn.fd.get());
+  if (!received) return;  // woken with nothing queued
+  add(bytes_in_, c_bytes_in_, *received);
+  if (*received == 0) {
+    serve_eof(conn);
+    return;
+  }
+  if (conn.framing == Connection::Framing::kUndecided) {
+    // The first byte picks the framing: '{' is line-JSON, anything else
+    // binary.
+    conn.framing = conn.in.pending().front() == static_cast<std::uint8_t>('{')
+                       ? Connection::Framing::kJson
+                       : Connection::Framing::kBinary;
+  }
+  serve_buffered(conn);
+}
+
+void WireServer::serve_buffered(Connection& conn) {
+  switch (conn.framing) {
+    case Connection::Framing::kBinary:
+      serve_binary(conn);
+      break;
+    case Connection::Framing::kJson:
+      serve_json(conn);
+      break;
+    case Connection::Framing::kUndecided:
+      break;
+  }
 }
 
 void WireServer::serve_binary(Connection& conn) {
-  std::uint64_t seq = 0;
   const auto next_seq = [&] {
-    frames_received_.fetch_add(1, std::memory_order_relaxed);
-    bump(c_frames_received_);
-    return ++seq;
+    add(frames_received_, c_frames_received_);
+    return ++conn.seq;
   };
-  for (;;) {
+  while (conn.serving()) {
     // Serve every complete frame in the buffer. A header is checked as soon
     // as it is whole, so a bad magic or length is answered before any of
     // its payload is waited for.
     const std::span<const std::uint8_t> pending = conn.in.pending();
-    if (pending.size() >= kFrameHeaderBytes) {
-      FrameHeader header;
-      const WireError header_error = decode_frame_header(pending, header);
-      if (header_error != WireError::kNone) {
-        reject(conn, next_seq(), header_error,
-               header_error == WireError::kBadMagic
-                   ? "frame header magic mismatch (expected \"DBPW\")"
-                   : strfmt("frame length %u exceeds the %u-byte payload cap",
-                            header.payload_len, kMaxFramePayloadBytes));
-        return;  // both header errors are fatal: the stream is unframed now
-      }
-      const std::size_t frame_bytes = kFrameHeaderBytes + header.payload_len;
-      if (pending.size() >= frame_bytes) {
-        const std::uint64_t frame_seq = next_seq();
-        const std::span<const std::uint8_t> payload =
-            pending.subspan(kFrameHeaderBytes, header.payload_len);
-        conn.in.consume(frame_bytes);
-        if (crc32(payload) != header.payload_crc) {
-          reject(conn, frame_seq, WireError::kBadCrc,
-                 "frame payload CRC mismatch");
-          return;
-        }
-        const DecodeResult decoded = decode_request(payload);
-        if (decoded.error != WireError::kNone) {
-          reject(conn, frame_seq, decoded.error, decoded.detail);
-          if (fatal(decoded.error)) return;
-          continue;
-        }
-        if (handle_request(conn, frame_seq, decoded.request)) return;
-        continue;
-      }
+    if (pending.size() < kFrameHeaderBytes) return;
+    FrameHeader header;
+    const WireError header_error = decode_frame_header(pending, header);
+    if (header_error != WireError::kNone) {
+      reject(conn, next_seq(), header_error,
+             header_error == WireError::kBadMagic
+                 ? "frame header magic mismatch (expected \"DBPW\")"
+                 : strfmt("frame length %u exceeds the %u-byte payload cap",
+                          header.payload_len, kMaxFramePayloadBytes));
+      conn.closing = true;  // both header errors are fatal: the stream is unframed now
+      return;
     }
-    if (receive(conn) > 0) continue;
-    const std::size_t partial = conn.in.pending().size();
-    if (partial == 0) return;  // clean EOF on a frame boundary
-    reject(conn, next_seq(), WireError::kTruncatedFrame,
-           partial < kFrameHeaderBytes
-               ? "connection closed inside a frame header"
-               : "connection closed inside a frame payload");
-    return;
+    const std::size_t frame_bytes = kFrameHeaderBytes + header.payload_len;
+    if (pending.size() < frame_bytes) return;
+    const std::uint64_t frame_seq = next_seq();
+    const std::span<const std::uint8_t> payload =
+        pending.subspan(kFrameHeaderBytes, header.payload_len);
+    conn.in.consume(frame_bytes);
+    if (crc32(payload) != header.payload_crc) {
+      reject(conn, frame_seq, WireError::kBadCrc, "frame payload CRC mismatch");
+      conn.closing = true;
+      return;
+    }
+    serve_decoded(conn, frame_seq, decode_request(payload));
   }
 }
 
 void WireServer::serve_json(Connection& conn) {
-  std::uint64_t seq = 0;
-  const auto process_line = [&](std::string_view line) {
-    ++seq;
-    frames_received_.fetch_add(1, std::memory_order_relaxed);
-    bump(c_frames_received_);
-    if (line.size() > kMaxJsonLineBytes) {
-      reject(conn, seq, WireError::kOversizedLine,
-             strfmt("request line exceeds the %zu-byte cap",
-                    kMaxJsonLineBytes));
-      return true;  // close
-    }
-    const DecodeResult decoded = decode_json_request(line);
-    if (decoded.error != WireError::kNone) {
-      reject(conn, seq, decoded.error, decoded.detail);
-      return fatal(decoded.error);
-    }
-    return handle_request(conn, seq, decoded.request);
-  };
-
-  for (;;) {
+  while (conn.serving()) {
     if (const std::optional<std::string_view> line = conn.in.take_line()) {
-      if (process_line(*line)) return;
+      serve_line(conn, *line);
       continue;
     }
     // No newline in what is left. A partial line already over the cap is
-    // rejected by process_line without waiting for the rest.
+    // rejected by serve_line without waiting for the rest.
     if (conn.in.pending().size() > kMaxJsonLineBytes) {
-      process_line(as_text(conn.in.pending()));
-      return;
+      serve_line(conn, as_text(conn.in.pending()));
     }
-    if (receive(conn) == 0) break;
+    return;
   }
-  // A final line without its newline still counts (echo without -n).
-  if (!conn.in.pending().empty()) process_line(as_text(conn.in.pending()));
+}
+
+void WireServer::serve_line(Connection& conn, std::string_view line) {
+  const std::uint64_t seq = ++conn.seq;
+  add(frames_received_, c_frames_received_);
+  if (line.size() > kMaxJsonLineBytes) {
+    reject(conn, seq, WireError::kOversizedLine,
+           strfmt("request line exceeds the %zu-byte cap", kMaxJsonLineBytes));
+    conn.closing = true;
+    return;
+  }
+  serve_decoded(conn, seq, decode_json_request(line));
+}
+
+void WireServer::serve_decoded(Connection& conn, std::uint64_t seq,
+                               const DecodeResult& decoded) {
+  if (decoded.error != WireError::kNone) {
+    reject(conn, seq, decoded.error, decoded.detail);
+    if (fatal(decoded.error)) conn.closing = true;
+  } else if (handle_request(conn, seq, decoded.request)) {
+    conn.closing = true;
+  }
+}
+
+void WireServer::serve_eof(Connection& conn) {
+  const std::size_t partial = conn.in.pending().size();
+  if (partial > 0) {
+    if (conn.framing == Connection::Framing::kJson) {
+      // A final line without its newline still counts (echo without -n).
+      serve_line(conn, as_text(conn.in.pending()));
+    } else {
+      add(frames_received_, c_frames_received_);
+      reject(conn, ++conn.seq, WireError::kTruncatedFrame,
+             partial < kFrameHeaderBytes
+                 ? "connection closed inside a frame header"
+                 : "connection closed inside a frame payload");
+    }
+  }
+  conn.closing = true;
+}
+
+void WireServer::settle(Connection& conn) {
+  if (conn.closing && conn.out.empty()) {
+    close_connection(conn);
+    return;
+  }
+  // A closing or paused connection is not watched for input, so an EOF or
+  // a request it will not serve yet never wakes the loop.
+  const std::uint32_t wanted =
+      (conn.serving() ? EPOLLIN : 0U) |
+      (conn.out.empty() ? 0U : EPOLLOUT);
+  if (wanted == conn.interest) return;
+  epoll_event event{};
+  event.events = wanted;
+  event.data.fd = conn.fd.get();
+  if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_MOD, conn.fd.get(), &event) != 0) {
+    close_connection(conn);  // a connection the loop cannot watch is dropped
+    return;
+  }
+  conn.interest = wanted;
+}
+
+void WireServer::close_connection(Connection& conn) {
+  // Closing the descriptor takes it out of the epoll set; the peer sees
+  // EOF. A descriptor is free again, so a paused listener resumes.
+  connections_[static_cast<std::size_t>(conn.fd.get())].reset();
+  connections_open_.store(
+      connections_open_.load(std::memory_order_relaxed) - 1,
+      std::memory_order_relaxed);
+  set_accepting(true);
 }
 
 bool WireServer::handle_request(Connection& conn, std::uint64_t seq,
@@ -393,8 +564,7 @@ bool WireServer::handle_request(Connection& conn, std::uint64_t seq,
     case WireVerb::kSubmit:
       raise_watermark(request.event.time_minutes);
       engine_.submit(request.event);
-      events_submitted_.fetch_add(1, std::memory_order_relaxed);
-      bump(c_events_);
+      add(events_submitted_, c_events_);
       return false;  // fire-and-forget: success sends no response
     case WireVerb::kEpoch: {
       const std::string problem = advance_epoch_checked(request.time_minutes);
@@ -468,31 +638,24 @@ std::string WireServer::build_query_body(double horizon) {
 
 void WireServer::send_response(Connection& conn,
                                const WireResponse& response) {
-  if (conn.json_mode) {
+  if (conn.framing == Connection::Framing::kJson) {
     std::string line = encode_json_response(response);
     line += '\n';
-    write_all(conn.fd.get(),
-              std::span(reinterpret_cast<const std::uint8_t*>(line.data()),
+    conn.send(std::span(reinterpret_cast<const std::uint8_t*>(line.data()),
                         line.size()));
   } else {
-    const std::vector<std::uint8_t> frame = encode_response_frame(response);
-    write_all(conn.fd.get(), frame);
+    conn.send(encode_response_frame(response));
   }
 }
 
 void WireServer::reject(Connection& conn, std::uint64_t seq, WireError error,
                         std::string detail) {
-  frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-  bump(c_frames_rejected_);
+  add(frames_rejected_, c_frames_rejected_);
   WireResponse response;
   response.request_seq = seq;
   response.error = error;
   response.detail = std::move(detail);
-  try {
-    send_response(conn, response);
-  } catch (const IoError&) {
-    // The offender hung up before reading its rejection; nothing owed.
-  }
+  send_response(conn, response);
 }
 
 }  // namespace dbp::net

@@ -1,25 +1,33 @@
 // Unix-domain-socket front-end for the sharded dispatch engine.
 //
-// A WireServer listens on one AF_UNIX stream socket and accepts any number
-// of client connections, each served by its own thread. The first byte of
-// a connection picks its framing — '{' selects line-JSON, anything else
-// the CRC'd binary frames of wire_protocol.hpp — and both deserialize into
-// the same WireRequest vocabulary before touching the engine.
+// A WireServer listens on one AF_UNIX stream socket and serves any number
+// of client connections from one serving thread. That thread runs a
+// level-triggered epoll loop over the non-blocking listening socket, every
+// connection, an eventfd that stop() writes and, when an epoch cadence is
+// configured, a timerfd. The first byte of a connection picks its framing
+// — '{' selects line-JSON, anything else the CRC'd binary frames of
+// wire_protocol.hpp — and both deserialize into the same WireRequest
+// vocabulary before touching the engine.
 //
 // Determinism is preserved by construction: the wire layer only *produces*
 // engine::SessionEvents through the same submit() path every in-process
 // producer uses; it never applies events, never reorders a connection's
 // stream (per-connection FIFO == per-producer FIFO), and never invents
 // timestamps. Epoch ticks come either from explicit `epoch` requests or
-// from the optional timer thread, which cuts each epoch at the engine's
-// event clock (the latest applied event time) — wall time paces *when* an
-// epoch is cut, but the epoch's logical time is always derived from the
-// event stream, so a wire-fed run replays bit-identically
+// from the timerfd, whose ticks the loop cuts at the engine's event clock
+// (the latest applied event time) — wall time paces *when* an epoch is
+// cut, but the epoch's logical time is always derived from the event
+// stream, so a wire-fed run replays bit-identically
 // (tests/net_differential_test.cpp).
 //
 // Each connection reads through one receive buffer, allocated once and
 // sized for the largest frame: one recv() takes everything the peer has
 // queued, and every complete frame or line in it is decoded in place.
+// Responses the socket does not take at once wait in the connection's
+// output queue and go out when the socket turns writable. While that
+// queue holds more than kMaxQueuedOutputBytes the loop serves and reads
+// nothing more from that connection, so a client that does not read its
+// answers holds bounded memory and never stalls the others.
 //
 // Fault containment: every malformed frame is a typed WireError answered
 // on the offending connection only. Recoverable errors (unknown verb, bad
@@ -30,24 +38,33 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "engine/engine.hpp"
+#include "net/fd_io.hpp"
 #include "net/wire_protocol.hpp"
 #include "obs/obs.hpp"
 
 namespace dbp::net {
 
+/// Response bytes one connection may have queued, unsent, before the
+/// server stops serving and reading it; it resumes once the queue is back
+/// under the cap. One response can pass the cap by itself.
+inline constexpr std::size_t kMaxQueuedOutputBytes =
+    std::size_t{4} * kMaxFramePayloadBytes;
+
 struct WireServerConfig {
   /// Filesystem path of the AF_UNIX listening socket.
   std::string socket_path;
-  /// Timer-thread epoch cadence in milliseconds; 0 disables the timer and
-  /// leaves epochs entirely to explicit `epoch` requests.
+  /// Epoch timer cadence in milliseconds; 0 disables the timer and leaves
+  /// epochs entirely to explicit `epoch` requests.
   std::uint64_t epoch_cadence_ms = 0;
   int listen_backlog = 64;
 
@@ -77,7 +94,7 @@ struct WireServerStats {
 class WireServer {
  public:
   /// The engine must outlive the server. `tracer`/`metrics` (optional) are
-  /// installed as the observability context of every serving thread, so
+  /// installed as the observability context of the serving thread, so
   /// engine work triggered by wire requests emits trace records exactly
   /// like a direct driver would.
   WireServer(engine::ShardedDispatchEngine& eng, WireServerConfig config,
@@ -88,12 +105,12 @@ class WireServer {
   WireServer(const WireServer&) = delete;
   WireServer& operator=(const WireServer&) = delete;
 
-  /// Binds, listens and starts the accept (and, if configured, timer)
-  /// thread. Throws IoError when the socket cannot be created.
+  /// Binds, listens and starts the serving thread. Throws IoError when the
+  /// socket, the epoll set or its event descriptors cannot be created.
   void start();
 
-  /// Graceful shutdown: stops accepting, wakes and joins every connection
-  /// and the timer, then drains the engine's rings so no accepted event is
+  /// Graceful shutdown: wakes and joins the serving thread, closes every
+  /// connection, then drains the engine's rings so no accepted event is
   /// lost. Idempotent; also runs from the destructor.
   void stop();
 
@@ -129,13 +146,35 @@ class WireServer {
  private:
   struct Connection;
 
-  void accept_loop();
-  void timer_loop();
-  void serve_connection(Connection& conn);
-  /// One read into the connection's buffer, counted in bytes_in; 0 on EOF.
-  std::size_t receive(Connection& conn);
+  // Everything below start()/stop() runs on the serving thread only.
+  void serve_loop();
+  /// Accepts every queued connection; pauses the listening socket when the
+  /// process or the system is out of descriptors.
+  void accept_connections();
+  void set_accepting(bool accepting);
+  void tick_timer();
+
+  /// Handles one epoll event of a connection, then re-registers or closes
+  /// it.
+  void serve_event(Connection& conn, std::uint32_t events);
+  /// One recv(), then every request it completes.
+  void read_and_serve(Connection& conn);
+  /// Serves buffered complete requests until none is left, the connection
+  /// closes, or its output queue passes kMaxQueuedOutputBytes.
+  void serve_buffered(Connection& conn);
   void serve_binary(Connection& conn);
   void serve_json(Connection& conn);
+  void serve_line(Connection& conn, std::string_view line);
+  /// Answers a decode error or serves the request; the connection closes
+  /// after a fatal error or the shutdown verb.
+  void serve_decoded(Connection& conn, std::uint64_t seq,
+                     const DecodeResult& decoded);
+  /// The peer finished writing: serves or rejects a trailing partial
+  /// request, and the connection closes once its output is sent.
+  void serve_eof(Connection& conn);
+  /// Matches the connection's epoll interest to its state, or closes it.
+  void settle(Connection& conn);
+  void close_connection(Connection& conn);
 
   /// Dispatches one decoded request. Returns true when the connection
   /// should close (shutdown verb). Success responses go out for query and
@@ -155,7 +194,6 @@ class WireServer {
 
   void raise_watermark(double t) noexcept;
   [[nodiscard]] std::string build_query_body(double horizon);
-  void reap_finished_connections();
 
   engine::ShardedDispatchEngine& engine_;
   WireServerConfig config_;
@@ -171,12 +209,14 @@ class WireServer {
   obs::Counter* c_events_ = nullptr;
   obs::Counter* c_epochs_ = nullptr;
 
-  int listen_fd_ = -1;
-  std::thread accept_thread_;
-  std::thread timer_thread_;
+  detail::FdGuard listen_fd_;
+  detail::FdGuard epoll_fd_;
+  detail::FdGuard wake_fd_;   ///< eventfd: stop() ends the serving loop
+  detail::FdGuard timer_fd_;  ///< timerfd: epoch cadence (invalid when 0)
 
-  std::mutex connections_mutex_;
+  // Serving-thread state: connections indexed by descriptor.
   std::vector<std::unique_ptr<Connection>> connections_;
+  bool accept_paused_ = false;
 
   std::atomic<double> watermark_{0.0};
 
@@ -187,7 +227,8 @@ class WireServer {
   bool stop_requested_ = false;
   bool shutdown_verb_seen_ = false;
 
-  // Serving counters (relaxed; exact totals read after stop()).
+  // Serving counters: the serving thread is their only writer; stats()
+  // reads them from any thread (exact totals after stop()).
   std::atomic<std::uint64_t> connections_accepted_{0};
   std::atomic<std::uint64_t> connections_open_{0};
   std::atomic<std::uint64_t> connections_failed_{0};
@@ -197,6 +238,9 @@ class WireServer {
   std::atomic<std::uint64_t> events_submitted_{0};
   std::atomic<std::uint64_t> epochs_advanced_{0};
   std::atomic<std::uint64_t> timer_ticks_{0};
+
+  /// Runs serve_loop(); declared last, after everything the loop uses.
+  std::thread loop_thread_;
 };
 
 }  // namespace dbp::net

@@ -231,7 +231,7 @@ TEST(EngineTest, EpochEmitsShardAttributedTraceRecords) {
 }
 
 TEST(EngineTest, ZeroLengthEpochSegmentsAreFree) {
-  // The wire front-end's timer thread produces coincident epoch ticks under
+  // The wire front-end's epoch timer produces coincident epoch ticks under
   // load: a zero-length segment must contribute exactly 0 dollars and must
   // not inflate segments/exact_segments.
   ShardedDispatchEngine eng(config(2));

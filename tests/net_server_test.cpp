@@ -2,8 +2,12 @@
 // in a per-test temp directory, both framings, the malformed-frame
 // containment contract (a fatal frame closes only its own connection),
 // the receive buffer's framing (any split of a stream across writes serves
-// it identically), graceful-shutdown draining, and the epoch timer thread.
+// it identically), graceful-shutdown draining, the epoch timer, and the
+// one serving thread: many connections share it, and a client that reads
+// no answers stalls nobody else.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
@@ -133,6 +137,50 @@ auto stats_tuple(const WireServerStats& s) {
 
 auto response_tuple(const WireResponse& r) {
   return std::make_tuple(r.request_seq, r.error, r.detail, r.body);
+}
+
+/// The process's thread count, from the `Threads:` line of
+/// /proc/self/status; -1 when the line is missing.
+int thread_count() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "Threads:") {
+      int threads = -1;
+      status >> threads;
+      return threads;
+    }
+  }
+  return -1;
+}
+
+/// A raw connection whose reads time out after 10 s, so a server that
+/// never answers fails the test instead of hanging it.
+detail::FdGuard connect_with_read_timeout(const std::string& path) {
+  const sockaddr_un address = detail::make_unix_address(path);
+  detail::FdGuard fd(::socket(AF_UNIX, SOCK_STREAM, 0));
+  const timeval timeout{10, 0};
+  if (!fd.valid() ||
+      ::connect(fd.get(), reinterpret_cast<const sockaddr*>(&address),
+                sizeof(address)) != 0 ||
+      ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                   sizeof(timeout)) != 0) {
+    throw IoError("cannot connect to '" + path + "'");
+  }
+  return fd;
+}
+
+/// The next line-JSON response on `fd`. Throws IoError when the server
+/// closes the connection or the read times out first.
+WireResponse next_json_response(int fd, detail::RecvBuffer& in) {
+  for (;;) {
+    if (const std::optional<std::string_view> line = in.take_line()) {
+      return decode_json_response(*line);
+    }
+    const std::optional<std::size_t> received = in.fill(fd);
+    if (!received) throw IoError("no response within the read timeout");
+    if (*received == 0) throw IoError("server closed the connection");
+  }
 }
 
 TEST_F(WireServerTest, ConfigValidationRejectsUnusableSetups) {
@@ -697,6 +745,116 @@ TEST_F(WireServerTest, BackstopCountsTheConnectionsItDrops) {
   EXPECT_EQ(server.stats().connections_accepted, 2u);
   EXPECT_EQ(metrics.counter_value("net.connections_failed"),
             std::optional<std::uint64_t>(1));
+}
+
+// One serving thread runs every connection: 32 held open at once, half in
+// each framing, each get a submit and a query served, and the process
+// gains at most that one thread.
+TEST_F(WireServerTest, ManyConnectionsShareOneServingThread) {
+  // A runtime may start a helper thread along with the process's first
+  // thread (ThreadSanitizer does); starting one here counts it in the
+  // baseline.
+  std::thread([] {}).join();
+  const int threads_before = thread_count();
+  ASSERT_GT(threads_before, 0);
+
+  engine::ShardedDispatchEngine eng(engine_config());
+  WireServer server(eng, server_config());
+  server.start();
+
+  constexpr std::uint64_t kConnections = 32;
+  std::vector<std::unique_ptr<WireClient>> clients;
+  for (std::uint64_t i = 0; i < kConnections; ++i) {
+    clients.push_back(std::make_unique<WireClient>(
+        socket_path(), i < kConnections / 2 ? WireClient::Framing::kBinary
+                                            : WireClient::Framing::kJson));
+  }
+  for (std::uint64_t i = 0; i < kConnections; ++i) {
+    const double t = static_cast<double>(i);
+    clients[i]->submit(engine::start_event(i + 1, 0.125, t));
+    const WireResponse answer = clients[i]->query(t);
+    ASSERT_EQ(answer.error, WireError::kNone) << answer.detail;
+    EXPECT_NE(answer.body.find("\"events_applied\":" + std::to_string(i + 1) + ","),
+              std::string::npos)
+        << answer.body;
+    EXPECT_TRUE(clients[i]->async_errors().empty());
+  }
+  EXPECT_EQ(server.stats().connections_open, kConnections);
+  EXPECT_LE(thread_count(), threads_before + 1);
+
+  clients.clear();
+  server.stop();
+  EXPECT_EQ(server.stats().connections_accepted, kConnections);
+  EXPECT_EQ(eng.active_sessions(), kConnections);
+}
+
+// A client that pipelines queries and reads none of the answers fills its
+// output queue past kMaxQueuedOutputBytes, and the server stops reading
+// it. Another connection must still be served, and the first, once it
+// reads, must get every answer in order.
+TEST_F(WireServerTest, NonReadingClientDoesNotStallOthers) {
+  engine::ShardedDispatchEngine eng(engine_config());
+  WireServer server(eng, server_config());
+  server.start();
+
+  // The hog writes without blocking until its writes stall for half a
+  // second: by then the server has stopped reading it. A server that never
+  // stops would run the hog into the byte limit instead.
+  const std::string line =
+      encode_json_request(timed_request(WireVerb::kQuery, 0.0)) + "\n";
+  std::string chunk;
+  for (int i = 0; i < 256; ++i) chunk += line;
+  const detail::FdGuard hog = connect_with_read_timeout(socket_path());
+  ASSERT_EQ(::fcntl(hog.get(), F_SETFL, O_NONBLOCK), 0);
+  constexpr std::size_t kByteLimit = std::size_t{4} << 20;
+  std::size_t sent = 0;
+  for (;;) {
+    ASSERT_LT(sent, kByteLimit) << "the server never stopped reading the hog";
+    const std::size_t offset = sent % chunk.size();
+    const ssize_t n = ::send(hog.get(), chunk.data() + offset,
+                             chunk.size() - offset, MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+      continue;
+    }
+    ASSERT_TRUE(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK));
+    pollfd writable{hog.get(), POLLOUT, 0};
+    if (::poll(&writable, 1, 500) == 0) break;
+  }
+  const std::uint64_t hog_queries = sent / line.size();
+  EXPECT_GT(hog_queries, 1000u);
+  EXPECT_LT(server.stats().frames_received, hog_queries);
+
+  const detail::FdGuard other = connect_with_read_timeout(socket_path());
+  detail::write_all(
+      other.get(),
+      as_bytes(encode_json_request(
+                   submit_request(engine::start_event(1, 0.5, 1.0))) +
+               "\n" +
+               encode_json_request(timed_request(WireVerb::kQuery, 1.0)) +
+               "\n"));
+  detail::RecvBuffer other_in(kMaxFrameBytes);
+  const WireResponse answer = next_json_response(other.get(), other_in);
+  EXPECT_EQ(answer.request_seq, 2u);
+  ASSERT_EQ(answer.error, WireError::kNone) << answer.detail;
+  EXPECT_NE(answer.body.find("\"events_applied\":1,"), std::string::npos)
+      << answer.body;
+
+  ASSERT_EQ(::fcntl(hog.get(), F_SETFL, 0), 0);
+  detail::RecvBuffer hog_in(kMaxFrameBytes);
+  std::uint64_t answered_in_order = 0;
+  for (std::uint64_t seq = 1; seq <= hog_queries; ++seq) {
+    const WireResponse response = next_json_response(hog.get(), hog_in);
+    if (response.request_seq != seq || response.error != WireError::kNone) {
+      ADD_FAILURE() << "answer " << seq << " arrived as seq "
+                    << response.request_seq << ": " << response.detail;
+      break;
+    }
+    ++answered_in_order;
+  }
+  EXPECT_EQ(answered_in_order, hog_queries);
+  server.stop();
+  EXPECT_EQ(server.stats().connections_accepted, 2u);
 }
 
 TEST_F(WireServerTest, StopIsIdempotentAndUnlinksTheSocket) {

@@ -448,7 +448,7 @@ std::uint64_t allocations_serving(net::WireClient::Framing framing,
   server.start();
 
   net::WireClient client(server_config.socket_path, framing);
-  // The warm query opens the connection: its thread and receive buffer.
+  // The warm query opens the connection and its receive buffer.
   EXPECT_EQ(client.query(0.0).error, net::WireError::kNone);
 
   const std::uint64_t before = allocation_count();

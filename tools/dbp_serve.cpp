@@ -2,7 +2,10 @@
 //
 // Binds net::WireServer on --socket and serves until a client sends the
 // `shutdown` verb or the process receives SIGINT/SIGTERM; both paths run
-// the same graceful stop (drain rings, join connections, unlink socket).
+// the same graceful stop (close connections, drain rings, unlink socket).
+// However many clients connect, the process runs two threads: main, which
+// waits for the stop, and the server's serving loop (plus the engine's
+// fan-out workers while a drain of 4096 or more queued events lasts).
 // On exit a summary JSON goes to stdout: serving counters plus the final
 // engine view (events applied, active sessions, streaming OPT bounds).
 //
@@ -12,10 +15,11 @@
 //             [--epoch-cadence-ms=0] [--threads=N]
 //             [--trace-out=FILE] [--metrics]
 //
-// --epoch-cadence-ms=N starts a timer thread cutting an epoch every N ms at
-// the engine's event clock (0 = epochs only on explicit request).
-// --trace-out/--metrics hand the tracer/registry to every serving thread,
-// so the exported trace matches a direct driver's (docs/wire_protocol.md).
+// --epoch-cadence-ms=N arms a timerfd on the serving loop that cuts an
+// epoch every N ms at the engine's event clock (0 = epochs only on
+// explicit request). --trace-out/--metrics hand the tracer/registry to the
+// serving thread, so the exported trace matches a direct driver's
+// (docs/wire_protocol.md).
 #include <csignal>
 #include <iostream>
 #include <locale>

@@ -2,22 +2,27 @@
 //
 // Promotes the batch-simulated GameServerDispatcher to a long-running
 // service core: N shards, each owning a full dispatcher (BinManager +
-// packer + per-shard MonotonicArena scratch), drain session start/end
-// events from bounded MPSC rings filled by any number of producer threads.
-// A ShardRouter (engine/router.hpp) pins each session to one shard, so
-// per-shard event order is the submission order of that session's producer
-// and the shard's packing run is an ordinary sequential dispatcher run.
+// packer + per-shard MonotonicArena scratch) and a plain queue of the
+// session start/end events it has not applied yet. A ShardRouter
+// (engine/router.hpp) pins each session to one shard, so a shard applies
+// its sessions' events in submission order and its packing run is an
+// ordinary sequential dispatcher run.
+//
+// One thread drives the engine. It is not thread-safe: callers serialize
+// their calls (the wire server makes every call from its one serving loop,
+// and its stop() drains only after joining that loop), and every call does
+// its work on the calling thread.
 //
 // Determinism contract (tests/engine_differential_test.cpp): for a fixed
 // shard count and router, every observable result — per-shard packing
 // state, aggregate bill, fault statistics, OPT_total bounds, exported
-// traces — is bit-identical under any worker budget, because worker
-// threads only decide *which thread* applies a shard's FIFO, never the
-// order within it, and all cross-shard reductions run on the caller thread
-// in shard order. Across different shard counts the *merged* quantities
-// that are partition-invariant (active sessions, merged RLE multiset,
-// OPT_total bounds) are bit-identical too; the aggregate bill is not,
-// because First Fit on a union is not the sum of First Fit on partitions
+// traces — is bit-identical under any worker budget, which the engine
+// never reads: shards apply their queues in FIFO order, in shard order,
+// and all cross-shard reductions run in shard order. Across different
+// shard counts the *merged* quantities that are partition-invariant
+// (active sessions, merged RLE multiset, OPT_total bounds) are
+// bit-identical too; the aggregate bill is not, because First Fit on a
+// union is not the sum of First Fit on partitions
 // (docs/dispatch_engine.md).
 //
 // Epoch batching: advance_epoch(t) closes the segment [prev_epoch, t) by
@@ -30,15 +35,10 @@
 // throughput, exactly like a metrics scrape cadence.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
-#include "engine/mpsc_ring.hpp"
 #include "engine/router.hpp"
 #include "gaming/dispatcher.hpp"
 #include "opt/bin_count.hpp"
@@ -46,7 +46,7 @@
 
 namespace dbp::engine {
 
-/// One dispatch event as submitted by a producer. POD — ring cells copy it.
+/// One dispatch event as submitted by a producer. POD — shard queues copy it.
 struct SessionEvent {
   enum class Kind : std::uint8_t { kStart, kEnd };
 
@@ -75,15 +75,16 @@ struct SessionEvent {
 
 struct EngineConfig {
   std::size_t shard_count = 1;
-  /// Per-shard ring capacity; power of two >= 2. A full ring backpressures
-  /// submit() into self-pumping.
-  std::size_t ring_capacity = std::size_t{1} << 12;
+  /// An online algorithm; validate() refuses the clairvoyant baselines
+  /// (clairvoyant_algorithm_names()), which need each session's departure
+  /// when it arrives.
   std::string algorithm = "first-fit";
   ServerSpec spec{};
   PackerOptions packer_options{};
-  /// Shard dispatchers must run kDropAndCount: a DispatchError raised on a
-  /// worker thread cannot unwind into the submitting producer, so strict
-  /// mode is rejected by validate(). Rejected events surface through
+  /// Shard dispatchers must run kDropAndCount: an event is applied at a
+  /// later drain, epoch or full queue, after its submit() has returned, so a
+  /// DispatchError would have no submitter to unwind into, and strict mode
+  /// is rejected by validate(). Rejected events surface through
   /// fault_stats() exactly like the batch dispatcher's drop mode.
   FaultPolicy fault_policy = [] {
     FaultPolicy policy;
@@ -120,89 +121,33 @@ class ShardedDispatchEngine {
   ShardedDispatchEngine(const ShardedDispatchEngine&) = delete;
   ShardedDispatchEngine& operator=(const ShardedDispatchEngine&) = delete;
 
-  /// Non-blocking enqueue; false when the owning shard's ring is full.
-  /// Thread-safe (any number of producers).
-  bool try_submit(const SessionEvent& event);
+  /// Events a shard queues before submit() applies them, and the capacity
+  /// each queue reserves (memory that is touched only as the queue fills).
+  static constexpr std::size_t kShardQueueCap = 4096;
 
-  /// Enqueue with backpressure: when the shard's ring is full the calling
-  /// thread tries to become the pump (draining *all* shards) and retries.
-  /// While another thread holds the pump (e.g. a long advance_epoch) the
-  /// producer yields for kSpinYieldRounds rounds, then sleeps with bounded
-  /// exponential backoff (submit_backoff below) instead of burning a core
-  /// for the whole epoch. Thread-safe; timing-only — per-producer FIFO
-  /// order and all results are unaffected by the backoff.
+  /// Routes the event to its shard and queues it. When that shard's queue
+  /// already holds kShardQueueCap events, submit() applies them first.
   void submit(const SessionEvent& event);
 
-  /// Backoff schedule for submit() retry round `failed_rounds` (1-based,
-  /// reset whenever the producer makes progress): zero (pure yield) through
-  /// round kSpinYieldRounds, then sleeps doubling from 1us up to the
-  /// 1us << kMaxBackoffShift cap. Pure so the stress suite can pin the
-  /// schedule exactly.
-  static constexpr std::uint32_t kSpinYieldRounds = 64;
-  static constexpr std::uint32_t kMaxBackoffShift = 8;  // 256us cap
+  /// Always 0: submit() never waits. Kept because servebench's replay
+  /// reports it as `engine.submit_backoffs`.
+  [[nodiscard]] std::uint64_t submit_backoffs() const noexcept { return 0; }
 
-  [[nodiscard]] static constexpr std::chrono::microseconds submit_backoff(
-      std::uint32_t failed_rounds) noexcept {
-    if (failed_rounds <= kSpinYieldRounds) return std::chrono::microseconds{0};
-    const std::uint32_t shift =
-        std::min(failed_rounds - kSpinYieldRounds - 1, kMaxBackoffShift);
-    return std::chrono::microseconds{std::uint32_t{1} << shift};
-  }
-
-  /// Times submit() entered a backoff sleep (not yields). Monotonic;
-  /// nonzero proves producers stopped spinning under a held pump.
-  [[nodiscard]] std::uint64_t submit_backoffs() const noexcept {
-    return submit_backoffs_.load(std::memory_order_relaxed);
-  }
-
-  /// Test hook: acquires the pump lock and returns it, freezing pumping,
-  /// epochs and queries until the lock is released — an arbitrarily slow
-  /// epoch, idealized. Producers facing a full ring meanwhile take the
-  /// submit_backoff() path. Not part of the serving API.
-  [[nodiscard]] std::unique_lock<std::mutex> hold_pump_for_test() const {
-    return std::unique_lock<std::mutex>(pump_mutex_);
-  }
-
-  /// Applies every queued event. A backlog of at least
-  /// kMinParallelDrainEvents drains in parallel up to
-  /// exec::WorkerBudget::effective() workers, the calling thread taking the
-  /// first block of shards; a smaller one drains on the calling thread.
-  /// Results are bit-identical under any budget. Observability is
-  /// suppressed during application so traces stay byte-identical across
-  /// budgets.
+  /// Applies every queued event, shard by shard in shard order, on the
+  /// calling thread. Observability is suppressed during application, so
+  /// traces hold only the engine's own epoch records.
   void drain();
 
-  /// Below this many queued events (summed over the shards' rings) a drain
-  /// runs on the calling thread whatever the budget. On a 4-vCPU KVM guest
-  /// a fork-join of two empty std::threads cost 84–88 µs of CPU and
-  /// 65–72 µs of wall time per pump, and dispatch costs ~90–110 ns per
-  /// event, so a two-way split pays back its wall time only above ~1,500
-  /// events. 4096 is one default ring, so a full-ring self-pump still
-  /// fans out.
-  static constexpr std::size_t kMinParallelDrainEvents = 4096;
-
-  /// Threads a drain of `backlog` queued events over `shards` shards uses
-  /// under a `budget`-worker budget, the caller included: 1 unless both the
-  /// budget and the backlog can pay for more. Pure so tests can pin the
-  /// truth table; it picks which thread applies a shard's FIFO, never the
-  /// order within it.
-  [[nodiscard]] static constexpr std::size_t drain_workers(
-      std::size_t backlog, std::size_t shards, int budget) noexcept {
-    const std::size_t workers =
-        std::min(shards, static_cast<std::size_t>(std::max(1, budget)));
-    return workers > 1 && backlog >= kMinParallelDrainEvents ? workers : 1;
-  }
-
   /// Closes the epoch segment [previous epoch, now_minutes): drains all
-  /// rings, integrates the previous merged snapshot's bin-count bounds over
+  /// queues, integrates the previous merged snapshot's bin-count bounds over
   /// the segment, then takes fresh per-shard RLE snapshots (merged on the
-  /// caller thread in shard order). Emits one kEpochMark plus one
+  /// calling thread in shard order). Emits one kEpochMark plus one
   /// kShardSnapshot trace record per shard when a tracer is in scope.
   /// Epoch times must be finite and non-decreasing; PreconditionError
   /// otherwise, leaving the engine unchanged.
   void advance_epoch(Time now_minutes);
 
-  /// advance_epoch at the engine's own event clock: drains all rings once,
+  /// advance_epoch at the engine's own event clock: drains all queues once,
   /// then cuts the epoch at max(last epoch time, latest event time any
   /// shard dispatcher accepted) and snapshots exactly what that drain
   /// applied. No event stamped after the epoch can land inside it, which
@@ -242,24 +187,19 @@ class ShardedDispatchEngine {
  private:
   struct Shard;
 
-  void pump_locked();
-  void drain_shard(Shard& shard);
+  /// Applies the shard's queued events in FIFO order and empties its queue.
+  static void apply_queue(Shard& shard);
   /// advance_epoch after the drain: integrate, snapshot, merge, trace.
-  void cut_epoch_locked(Time now_minutes);
-  void snapshot_shards_locked();
-  void merge_snapshots_locked();
-  [[nodiscard]] std::uint64_t events_applied_locked() const;
+  void cut_epoch(Time now_minutes);
+  void snapshot_shards();
+  void merge_snapshots();
 
   EngineConfig config_;
   std::unique_ptr<ShardRouter> router_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  /// Serializes pumping, epochs and queries; producers only touch rings.
-  mutable std::mutex pump_mutex_;
-  std::atomic<std::uint64_t> submit_backoffs_{0};
-
-  // Epoch state (guarded by pump_mutex_). Before the first epoch the fleet
-  // is empty, so last_bounds_ starts at {0, 0}.
+  // Epoch state. Before the first epoch the fleet is empty, so
+  // last_bounds_ starts at {0, 0}.
   BinCountOracle oracle_;
   OptTotalIntegrator integral_;
   std::vector<SizeRun> merged_runs_;

@@ -1,7 +1,7 @@
 // The library's one fan-out: a fork-join over std::threads started for the
-// call. parallel_map, estimate_opt_total's evaluate phase and the sharded
-// engine's drains all run through it, so its rules are the rules of every
-// parallel code path in the library. No thread outlives the call.
+// call. parallel_map and estimate_opt_total's evaluate phase run through
+// it, so its rules are the rules of every parallel code path in the
+// library. No thread outlives the call.
 #pragma once
 
 #include <cstddef>

@@ -52,14 +52,8 @@ void GameServerDispatcher::reject(DispatchErrorKind kind, std::uint64_t& counter
 
 namespace {
 
-/// The session degraded mode sheds next for an arrival of `gpu_fraction`.
-struct ShedVictim {
-  std::uint64_t session = 0;
-  ItemId slot = 0;
-  double size = 0.0;
-};
-
-/// Lowest GPU fraction strictly below the arrival's, ties to the lowest
+/// The session degraded mode sheds next for an arrival of `gpu_fraction`:
+/// lowest GPU fraction strictly below the arrival's, ties to the lowest
 /// session id. Candidates come from the bins, never from orphans that are
 /// mid-re-dispatch.
 std::optional<ShedVictim> next_victim(const BinManager& bins,
@@ -87,15 +81,15 @@ bool GameServerDispatcher::cap_blocks(const Packer& packer,
          packer.bins().open_count() >= policy_.max_fleet_servers;
 }
 
-bool GameServerDispatcher::shedding_makes_room(double gpu_fraction,
-                                               Time now_minutes) const {
+std::vector<ShedVictim> GameServerDispatcher::trial_shed(
+    double gpu_fraction, Time now_minutes) const {
   // Nothing smaller to shed needs no copy of the packer.
-  if (!next_victim(packer_->bins(), sessions_, gpu_fraction)) return false;
+  if (!next_victim(packer_->bins(), sessions_, gpu_fraction)) return {};
   // Otherwise only a trial run tells: whether a departure lets the packer
   // place the arrival without a new server is the packer's own rule. A
   // packer that cannot be copied (the clairvoyant baselines, which refuse
   // every online arrival anyway) never sheds.
-  if (!packer_->snapshot_supported()) return false;
+  if (!packer_->snapshot_supported()) return {};
   // The trial's departures are not events: nothing traces or counts them.
   const obs::ObsScope quiet(nullptr, nullptr);
   ByteWriter image;
@@ -104,38 +98,40 @@ bool GameServerDispatcher::shedding_makes_room(double gpu_fraction,
       make_packer(algorithm_, spec_.to_cost_model(), options_);
   ByteReader reader(image.data());
   trial->restore_snapshot(reader);
-  // The trial sheds as shed_for does; the session table is left alone, and
-  // slots keep their ids while other sessions leave.
+  // The session table is left alone: slots keep their ids while other
+  // sessions leave.
+  std::vector<ShedVictim> victims;
   while (cap_blocks(*trial, gpu_fraction)) {
     const std::optional<ShedVictim> victim =
         next_victim(trial->bins(), sessions_, gpu_fraction);
-    if (!victim) return false;
+    if (!victim) return {};
     trial->on_departure(victim->slot, now_minutes);
+    victims.push_back(*victim);
   }
-  return true;
+  return victims;
 }
 
 void GameServerDispatcher::shed_for(double gpu_fraction, Time now_minutes) {
-  if (!shedding_makes_room(gpu_fraction, now_minutes)) return;
-  while (cap_blocks(*packer_, gpu_fraction)) {
-    const std::optional<ShedVictim> victim =
-        next_victim(packer_->bins(), sessions_, gpu_fraction);
-    DBP_CHECK(victim.has_value(), "shedding ran out of the sessions its trial shed");
-    packer_->on_departure(victim->slot, now_minutes);
-    sessions_.erase(sessions_.find(victim->session));
+  const std::vector<ShedVictim> victims = trial_shed(gpu_fraction, now_minutes);
+  if (victims.empty()) return;
+  for (const ShedVictim& victim : victims) {
+    packer_->on_departure(victim.slot, now_minutes);
+    sessions_.erase(sessions_.find(victim.session));
     ++stats_.sessions_shed;
     if (obs::RunTracer* tracer = obs::tracer()) {
       obs::TraceRecord record;
       record.time = now_minutes;
       record.kind = obs::TraceKind::kSessionShed;
-      record.item = victim->session;
-      record.size = victim->size;
+      record.item = victim.session;
+      record.size = victim.size;
       tracer->record(std::move(record));
     }
     if (obs::MetricsRegistry* metrics = obs::metrics()) {
       metrics->counter("dispatcher.sessions_shed").add();
     }
   }
+  DBP_CHECK(!cap_blocks(*packer_, gpu_fraction),
+            "shedding what the trial shed left the arrival blocked by the cap");
 }
 
 bool GameServerDispatcher::needs_rental(double gpu_fraction) const {

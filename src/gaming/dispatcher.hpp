@@ -39,6 +39,13 @@ struct ActiveSession {
   double gpu_fraction = 0.0;
 };
 
+/// A session degraded mode sheds to make room under the fleet cap.
+struct ShedVictim {
+  std::uint64_t session = 0;
+  ItemId slot = 0;
+  double size = 0.0;
+};
+
 /// Online dispatcher facade: feed it session starts/ends in time order and
 /// it maintains the rented server fleet via the chosen packing algorithm.
 ///
@@ -162,15 +169,15 @@ class GameServerDispatcher {
   /// True when `packer` would rent a server for `gpu_fraction` while the
   /// fleet is at its cap.
   [[nodiscard]] bool cap_blocks(const Packer& packer, double gpu_fraction) const;
-  /// True when shedding, as shed_for does it, ends with the packer needing
-  /// no new server for `gpu_fraction` or the fleet below the cap. Decided
-  /// by a trial run on a copy of the packer (its snapshot); the
-  /// dispatcher's state does not change.
-  [[nodiscard]] bool shedding_makes_room(double gpu_fraction, Time now_minutes) const;
-  /// Degraded mode: when shedding makes room (shedding_makes_room), sheds
-  /// active sessions strictly smaller than `gpu_fraction` — lowest first,
-  /// ties to the lowest session id — until the packer needs no new server
-  /// for it or the fleet drops below the cap. Otherwise sheds nothing.
+  /// The sessions to shed, in order, so that the packer needs no new server
+  /// for `gpu_fraction` or the fleet drops below the cap: active sessions
+  /// strictly smaller than `gpu_fraction`, lowest first, ties to the lowest
+  /// session id. Found by a trial run on a copy of the packer (its
+  /// snapshot); empty when shedding cannot make room. The dispatcher's
+  /// state does not change.
+  [[nodiscard]] std::vector<ShedVictim> trial_shed(double gpu_fraction,
+                                                   Time now_minutes) const;
+  /// Degraded mode: sheds the sessions trial_shed names, if any.
   void shed_for(double gpu_fraction, Time now_minutes);
 
   ServerSpec spec_;

@@ -50,7 +50,7 @@ enum class WireVerb : std::uint8_t {
   kSubmit = 1,    ///< one engine::SessionEvent
   kEpoch = 2,     ///< advance_epoch at an explicit time
   kQuery = 3,     ///< stats snapshot as JSON (drains first)
-  kShutdown = 4,  ///< graceful server stop (drains rings before exit)
+  kShutdown = 4,  ///< graceful server stop (drains the engine before exit)
 };
 
 /// Typed per-connection rejection codes. Stable names (to_string) appear in

@@ -231,7 +231,7 @@ void WireServer::stop() {
     listen_fd_.reset();
     ::unlink(config_.socket_path.c_str());
   }
-  // Graceful drain: every event accepted onto a ring is applied before the
+  // Graceful drain: every event the engine queued is applied before the
   // server reports stopped — shutdown never loses acknowledged work.
   if (was_running) {
     obs::ObsScope scope(tracer_, metrics_);
@@ -356,7 +356,7 @@ void WireServer::tick_timer() {
       static_cast<ssize_t>(sizeof(expirations))) {
     return;
   }
-  // Tick at the engine's event clock, chosen after the tick's own pump,
+  // Tick at the engine's event clock, chosen after the tick's own drain,
   // so no event stamped later than the epoch is applied inside it. With
   // no new events since the last tick this is a zero-length epoch
   // segment, which the engine integrates as exactly zero dollars and zero
@@ -596,8 +596,8 @@ bool WireServer::handle_request(Connection& conn, std::uint64_t seq,
 }
 
 std::string WireServer::build_query_body(double horizon) {
-  // Quiesce the rings first so the answer reflects every event accepted
-  // before the query on this connection (per-connection FIFO).
+  // Apply the queued events first, so the answer reflects every event
+  // accepted before the query on this connection (per-connection FIFO).
   engine_.drain();
   const engine::StreamingOptBounds bounds = engine_.opt_bounds();
   const DispatcherFaultStats faults = engine_.merged_fault_stats();

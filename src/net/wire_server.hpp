@@ -9,15 +9,19 @@
 // wire_protocol.hpp — and both deserialize into the same WireRequest
 // vocabulary before touching the engine.
 //
+// The engine is not thread-safe, and the server keeps its one-thread
+// contract: while the server runs, the serving thread makes every engine
+// call, and stop() drains the engine only after joining that thread. Read
+// the engine through a `query`, or directly once stop() has returned.
+//
 // Determinism is preserved by construction: the wire layer only *produces*
-// engine::SessionEvents through the same submit() path every in-process
-// producer uses; it never applies events, never reorders a connection's
-// stream (per-connection FIFO == per-producer FIFO), and never invents
-// timestamps. Epoch ticks come either from explicit `epoch` requests or
-// from the timerfd, whose ticks the loop cuts at the engine's event clock
-// (the latest applied event time) — wall time paces *when* an epoch is
-// cut, but the epoch's logical time is always derived from the event
-// stream, so a wire-fed run replays bit-identically
+// engine::SessionEvents through the same submit() a direct driver calls;
+// it never applies events itself, never reorders a connection's stream,
+// and never invents timestamps. Epoch ticks come either from explicit
+// `epoch` requests or from the timerfd, whose ticks the loop cuts at the
+// engine's event clock (the latest applied event time) — wall time paces
+// *when* an epoch is cut, but the epoch's logical time is always derived
+// from the event stream, so a wire-fed run replays bit-identically
 // (tests/net_differential_test.cpp).
 //
 // Each connection reads through one receive buffer, allocated once and
@@ -110,8 +114,8 @@ class WireServer {
   void start();
 
   /// Graceful shutdown: wakes and joins the serving thread, closes every
-  /// connection, then drains the engine's rings so no accepted event is
-  /// lost. Idempotent; also runs from the destructor.
+  /// connection, then applies the engine's queued events so no accepted
+  /// event is lost. Idempotent; also runs from the destructor.
   void stop();
 
   /// Blocks until a `shutdown` request arrives (or stop() is called from

@@ -7,15 +7,14 @@
 //      snapshots allocation-free (the arena/tree/residual/witness buffers
 //      are reused, not reallocated), and
 //   3. a live WireServer serves binary submit frames allocation-free once
-//      its connection is open: frames are decoded in place from the
-//      connection's receive buffer, and
+//      its connection is open and its engine's fleet is warm: frames are
+//      decoded in place from the connection's receive buffer, and
 //   4. a warm GameServerDispatcher serves session starts and ends and
 //      writes its epoch snapshot allocation-free: the packer's item slots
 //      are its only session table, and
-//   5. a warm sharded engine drains small backlogs on the calling thread
-//      and cuts memo-hit epochs allocation-free, and a line-JSON
-//      connection decodes submit lines in place as a binary one decodes
-//      frames.
+//   5. a warm sharded engine applies its queues and cuts memo-hit epochs
+//      allocation-free, and a line-JSON connection decodes submit lines in
+//      place as a binary one decodes frames.
 //
 // The overrides live at global scope in this translation unit, so they
 // replace the program-wide allocation functions for this test binary only.
@@ -43,7 +42,6 @@
 #include "algo/packer.hpp"
 #include "core/types.hpp"
 #include "engine/engine.hpp"
-#include "exec/worker_budget.hpp"
 #include "gaming/dispatcher.hpp"
 #include "net/wire_client.hpp"
 #include "net/wire_protocol.hpp"
@@ -321,11 +319,6 @@ TEST(ZeroAllocDispatcherTest, WarmDispatcherServesSessionsWithoutAllocating) {
 
 // ---- sharded engine ------------------------------------------------------
 
-/// Restores the runtime-default worker budget however a test exits.
-struct BudgetGuard {
-  ~BudgetGuard() { exec::WorkerBudget::set(0); }
-};
-
 /// A 2-shard engine in which each shard holds one half-GPU session for the
 /// whole run, with churn session ids base+1..base+kChurnIds warmed on their
 /// shards. Churn sessions of 0.25 fit beside either holder, so churn never
@@ -375,8 +368,6 @@ class WarmEngine {
 };
 
 TEST(ZeroAllocEngineTest, SmallBacklogDrainsRunInlineWithoutAllocating) {
-  const BudgetGuard guard;
-  exec::WorkerBudget::set(2);  // two workers for two shards, if a drain paid
   for (const std::uint64_t base : kIdBases) {
     SCOPED_TRACE("id base " + std::to_string(base));
     WarmEngine warm(base);
@@ -427,11 +418,28 @@ TEST(ZeroAllocEngineTest, MemoHitEpochDoesNotAllocate) {
 
 // ---- wire server read path --------------------------------------------
 
-/// Serves `stream` over one connection in `framing` and returns how many
-/// allocations the server made while decoding and submitting its
-/// `requests` submit requests. A warm query opens the connection first.
+/// Request `i` of a churn beside a holder session: churn session
+/// 1 + (i / 2) % kChurnIds starts (even i) or ends (odd i), and pair i / 2
+/// runs from minute i / 2 to minute i / 2 + 1. Starts and ends alternate,
+/// so both kinds are covered.
+net::WireRequest churn_request(std::uint64_t i) {
+  const std::uint64_t pair = i / 2;
+  const std::uint64_t id = 1 + pair % WarmEngine::kChurnIds;
+  net::WireRequest request;
+  request.verb = net::WireVerb::kSubmit;
+  request.event = i % 2 == 0
+                      ? engine::start_event(id, 0.25, static_cast<double>(pair))
+                      : engine::end_event(id, static_cast<double>(pair + 1));
+  return request;
+}
+
+/// Serves `requests` churn submits over one connection in `framing` and
+/// returns how many allocations the server made while decoding, queueing
+/// and applying them. The engine's fleet is warm first, as WarmEngine's
+/// is: a half-GPU holder session and one round of churn are applied before
+/// the server starts, so applying a full queue inside the measured window
+/// reuses every table. A warm query opens the connection.
 std::uint64_t allocations_serving(net::WireClient::Framing framing,
-                                  const std::vector<std::uint8_t>& stream,
                                   std::uint64_t requests) {
   const std::string dir = (std::filesystem::temp_directory_path() /
                            "dbp_zero_alloc_test.wire")
@@ -439,9 +447,25 @@ std::uint64_t allocations_serving(net::WireClient::Framing framing,
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 
-  engine::EngineConfig engine_config;
-  engine_config.ring_capacity = 2 * requests;  // no ring fills, so no drain
-  engine::ShardedDispatchEngine eng(engine_config);
+  engine::ShardedDispatchEngine eng(engine::EngineConfig{});
+  constexpr std::uint64_t kHolder = WarmEngine::kChurnIds + 1;
+  constexpr std::uint64_t kWarm = 2 * WarmEngine::kChurnIds;
+  eng.submit(engine::start_event(kHolder, 0.5, 0.0));
+  for (std::uint64_t i = 0; i < kWarm; ++i) eng.submit(churn_request(i).event);
+  eng.drain();
+
+  std::vector<std::uint8_t> stream;
+  for (std::uint64_t i = kWarm; i < kWarm + requests; ++i) {
+    if (framing == net::WireClient::Framing::kBinary) {
+      const std::vector<std::uint8_t> frame =
+          net::encode_request_frame(churn_request(i));
+      stream.insert(stream.end(), frame.begin(), frame.end());
+    } else {
+      const std::string line = net::encode_json_request(churn_request(i)) + "\n";
+      stream.insert(stream.end(), line.begin(), line.end());
+    }
+  }
+
   net::WireServerConfig server_config;
   server_config.socket_path = dir + "/wire.sock";
   net::WireServer server(eng, server_config);
@@ -462,46 +486,33 @@ std::uint64_t allocations_serving(net::WireClient::Framing framing,
   EXPECT_EQ(server.stats().events_submitted, requests);
   EXPECT_EQ(server.stats().frames_rejected, 0u);
   server.stop();
-  EXPECT_EQ(eng.events_applied(), requests);
+  EXPECT_EQ(eng.events_applied(), 1 + kWarm + requests);
+  EXPECT_EQ(eng.active_sessions(), 1u);
+  EXPECT_EQ(eng.active_servers(), 1u);
+  EXPECT_EQ(eng.merged_fault_stats().total_dropped_events(), 0u);
   std::filesystem::remove_all(dir);
   return after - before;
 }
 
-net::WireRequest submit_request(std::uint64_t i) {
-  net::WireRequest request;
-  request.verb = net::WireVerb::kSubmit;
-  request.event = engine::start_event(i + 1, 0.125, static_cast<double>(i));
-  return request;
-}
+// More requests than one shard queue holds, so the measured window applies
+// a full queue.
+constexpr std::uint64_t kWireRequests =
+    2 * engine::ShardedDispatchEngine::kShardQueueCap;
 
 TEST(ZeroAllocWireTest, BinarySubmitFramesAreServedWithoutAllocating) {
-  constexpr std::uint64_t kFrames = 8192;
-  std::vector<std::uint8_t> frames;
-  for (std::uint64_t i = 0; i < kFrames; ++i) {
-    const std::vector<std::uint8_t> frame =
-        net::encode_request_frame(submit_request(i));
-    frames.insert(frames.end(), frame.begin(), frame.end());
-  }
   const std::uint64_t allocations =
-      allocations_serving(net::WireClient::Framing::kBinary, frames, kFrames);
-  EXPECT_EQ(allocations, 0u) << "serving " << kFrames << " submit frames allocated "
-                             << allocations << " time(s)";
+      allocations_serving(net::WireClient::Framing::kBinary, kWireRequests);
+  EXPECT_EQ(allocations, 0u) << "serving " << kWireRequests
+                             << " submit frames allocated " << allocations
+                             << " time(s)";
 }
 
 TEST(ZeroAllocWireTest, JsonSubmitLinesAreServedWithoutAllocating) {
-  constexpr std::uint64_t kLines = 8192;
-  std::vector<std::uint8_t> lines;
-  for (std::uint64_t i = 0; i < kLines; ++i) {
-    // Starts and ends alternate, so both kinds' lines are covered.
-    net::WireRequest request = submit_request(i);
-    if (i % 2 == 1) request.event = engine::end_event(i, static_cast<double>(i));
-    const std::string line = net::encode_json_request(request) + "\n";
-    lines.insert(lines.end(), line.begin(), line.end());
-  }
   const std::uint64_t allocations =
-      allocations_serving(net::WireClient::Framing::kJson, lines, kLines);
-  EXPECT_EQ(allocations, 0u) << "serving " << kLines << " submit lines allocated "
-                             << allocations << " time(s)";
+      allocations_serving(net::WireClient::Framing::kJson, kWireRequests);
+  EXPECT_EQ(allocations, 0u) << "serving " << kWireRequests
+                             << " submit lines allocated " << allocations
+                             << " time(s)";
 }
 
 }  // namespace

@@ -385,11 +385,12 @@ void append_oracle_cases(std::vector<BenchCase>& cases, const CostModel& model,
 
 /// Sharded dispatch engine cases (schema dbp-bench-perf/4).
 ///
-/// Timed region: submit() of every event through the MPSC rings plus the
-/// final epoch drain — the sustained streaming path. The 1-shard engine is asserted bit-identical to a
-/// plain GameServerDispatcher on the same stream before any timing, and
-/// the guard (tools/check_bench_guard.py) checks the headline case's
-/// events_per_sec against the baseline, machine-normalized.
+/// Timed region: submit() of every event into the per-shard queues plus
+/// the final epoch drain — the sustained streaming path. The 1-shard
+/// engine is asserted bit-identical to a plain GameServerDispatcher on the
+/// same stream before any timing, and the guard (tools/check_bench_guard.py)
+/// checks the headline case's events_per_sec against the baseline,
+/// machine-normalized.
 void append_dispatch_cases(std::vector<BenchCase>& cases, std::size_t repeats) {
   const std::size_t kEvents = 100'000;
 
@@ -445,9 +446,8 @@ void append_dispatch_cases(std::vector<BenchCase>& cases, std::size_t repeats) {
 
   // Interleaved best-of timing over the shard counts, same rationale as
   // the packer cases. Both run under a one-worker budget, the worker count
-  // BENCH_perf.json recorded them at: the guard normalizes them by
-  // single-threaded reference cases, and a drain that fans out would add
-  // the host's spare parallel capacity to what it measures.
+  // BENCH_perf.json recorded them at; the engine itself runs on the calling
+  // thread whatever the budget.
   const int saved_budget = exec::WorkerBudget::budget();
   exec::WorkerBudget::set(1);
   const std::vector<std::size_t> shard_counts = {4, 1};

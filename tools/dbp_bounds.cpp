@@ -3,7 +3,7 @@
 //
 // Usage:
 //   dbp_bounds --trace=trace.csv [--capacity=W] [--rate=C] [--no-exact]
-//              [--threads=N] [--sequential]
+//              [--threads=N] [--policy=sequential|parallel|adaptive]
 #include <iostream>
 
 #include "cli.hpp"
@@ -18,8 +18,7 @@ namespace {
 
 constexpr const char* kUsage =
     "usage: dbp_bounds --trace=FILE [--capacity=W] [--rate=C] [--no-exact]\n"
-    "                  [--threads=N] [--policy=sequential|parallel|adaptive]\n"
-    "                  [--sequential]\n";
+    "                  [--threads=N] [--policy=sequential|parallel|adaptive]\n";
 
 }  // namespace
 
@@ -28,8 +27,7 @@ int main(int argc, char** argv) {
   try {
     const cli::Args args(
         argc, argv,
-        {"trace", "capacity", "rate", "no-exact", "threads", "policy",
-         "sequential"},
+        {"trace", "capacity", "rate", "no-exact", "threads", "policy"},
         kUsage);
     exec::WorkerBudget::set(args.get_thread_count());
     const Instance instance = read_instance_csv(args.require("trace"));
@@ -52,9 +50,7 @@ int main(int argc, char** argv) {
 
     OptTotalOptions options;
     options.bin_count.use_exact_solver = !args.has("no-exact");
-    // --sequential is the legacy spelling of --policy=sequential.
-    options.policy = args.has("sequential") ? exec::ExecutionPolicy::kSequential
-                                            : args.get_execution_policy();
+    options.policy = args.get_execution_policy();
     const OptTotalResult opt = estimate_opt_total(instance, model, options);
     std::cout << strfmt(
         "OPT_total in [%.6f, %.6f]%s  (%zu/%zu segments proven exact)\n",

@@ -79,8 +79,8 @@ LAYER_DEPS: dict[str, set[str]] = {
     # reports through analysis, and is instrumented.
     "gaming": {"core", "algo", "sim", "opt", "analysis", "workload", "obs"},
     # The sharded engine drives per-shard dispatchers and streams OPT
-    # bounds; fan-out goes through exec under the worker budget.
-    "engine": {"core", "exec", "obs", "opt", "gaming"},
+    # bounds; algo for the clairvoyant names its configuration refuses.
+    "engine": {"core", "algo", "obs", "opt", "gaming"},
     # Durability journals/checkpoints dispatcher and packer state.
     "durability": {"core", "algo", "opt", "gaming", "obs"},
     # The wire front-end frames/validates requests (core codecs + strict

@@ -2,18 +2,18 @@
 //
 // Binds net::WireServer on --socket and serves until a client sends the
 // `shutdown` verb or the process receives SIGINT/SIGTERM; both paths run
-// the same graceful stop (close connections, drain rings, unlink socket).
-// However many clients connect, the process runs two threads: main, which
-// waits for the stop, and the server's serving loop (plus the engine's
-// fan-out workers while a drain of 4096 or more queued events lasts).
-// On exit a summary JSON goes to stdout: serving counters plus the final
-// engine view (events applied, active sessions, streaming OPT bounds).
+// the same graceful stop (close connections, apply the engine's queued
+// events, unlink socket). However many clients connect, the process runs
+// two threads: main, which waits for the stop, and the server's serving
+// loop, which makes every engine call while it runs. A clairvoyant
+// --algorithm is refused at start-up. On exit a summary JSON goes to
+// stdout: serving counters plus the final engine view (events applied,
+// active sessions, streaming OPT bounds).
 //
 // Usage:
-//   dbp_serve --socket=PATH [--shards=1] [--ring=4096]
+//   dbp_serve --socket=PATH [--shards=1]
 //             [--algorithm=first-fit] [--capacity=1.0] [--price-per-hour=6.0]
-//             [--epoch-cadence-ms=0] [--threads=N]
-//             [--trace-out=FILE] [--metrics]
+//             [--epoch-cadence-ms=0] [--trace-out=FILE] [--metrics]
 //
 // --epoch-cadence-ms=N arms a timerfd on the serving loop that cuts an
 // epoch every N ms at the engine's event clock (0 = epochs only on
@@ -30,7 +30,6 @@
 #include "core/checked_output.hpp"
 #include "core/error.hpp"
 #include "engine/engine.hpp"
-#include "exec/worker_budget.hpp"
 #include "net/wire_server.hpp"
 #include "obs_cli.hpp"
 
@@ -39,10 +38,10 @@ namespace {
 using namespace dbp;
 
 constexpr const char* kUsage =
-    "usage: dbp_serve --socket=PATH [--shards=1] [--ring=4096]\n"
+    "usage: dbp_serve --socket=PATH [--shards=1]\n"
     "                 [--algorithm=first-fit] [--capacity=1.0]\n"
     "                 [--price-per-hour=6.0] [--epoch-cadence-ms=0]\n"
-    "                 [--threads=N] [--trace-out=FILE] [--metrics]\n";
+    "                 [--trace-out=FILE] [--metrics]\n";
 
 volatile std::sig_atomic_t g_signal_seen = 0;
 
@@ -62,16 +61,14 @@ int main(int argc, char** argv) {
   using namespace dbp;
   try {
     const cli::Args args(argc, argv,
-                         {"socket", "shards", "ring", "algorithm", "capacity",
-                          "price-per-hour", "epoch-cadence-ms", "threads",
-                          "trace-out", "metrics"},
+                         {"socket", "shards", "algorithm", "capacity",
+                          "price-per-hour", "epoch-cadence-ms", "trace-out",
+                          "metrics"},
                          kUsage);
-    exec::WorkerBudget::set(args.get_thread_count());
     cli::ObsSession obs_session(args);
 
     engine::EngineConfig config;
     config.shard_count = std::max<std::uint64_t>(1, args.get_u64("shards", 1));
-    config.ring_capacity = args.get_u64("ring", 4096);
     config.algorithm = args.get("algorithm", "first-fit");
     config.spec = ServerSpec{args.get_double("capacity", 1.0),
                              args.get_double("price-per-hour", 6.0)};

@@ -255,6 +255,43 @@ TEST(FaultPolicyTest, FleetCapShedsEverySessionItTakesToMakeRoom) {
   EXPECT_TRUE(dispatcher.find_session(4).has_value());
 }
 
+TEST(FaultPolicyTest, FleetCapShedsLowestFirstTiesToTheLowestId) {
+  FaultPolicy policy = drop_policy();
+  policy.max_fleet_servers = 1;
+  GameServerDispatcher dispatcher(basic_spec(), "first-fit", {}, policy);
+  obs::RunTracer tracer;
+  const obs::ObsScope scope(&tracer, nullptr);
+  dispatcher.start_session(1, 0.5, 0.0);
+  dispatcher.start_session(4, 0.1, 1.0);
+  dispatcher.start_session(3, 0.1, 2.0);
+  dispatcher.start_session(2, 0.2, 3.0);
+  // 0.15 needs one 0.1 gone: of the two, session 3 goes, although 4
+  // started first.
+  EXPECT_EQ(dispatcher.start_session(5, 0.15, 4.0), BinId{0});
+  EXPECT_FALSE(dispatcher.find_session(3).has_value());
+  EXPECT_TRUE(dispatcher.find_session(4).has_value());
+  // 0.28 needs 0.25 freed: 0.1 (session 4), then 0.15 (session 5); the
+  // 0.2 of session 2 stays.
+  EXPECT_EQ(dispatcher.start_session(6, 0.28, 5.0), BinId{0});
+  EXPECT_EQ(dispatcher.fault_stats().sessions_shed, 3u);
+  EXPECT_EQ(dispatcher.fault_stats().sessions_rejected_cap, 0u);
+  for (const std::uint64_t id : {1, 2, 6}) {
+    EXPECT_TRUE(dispatcher.find_session(id).has_value()) << "session " << id;
+  }
+  EXPECT_EQ(dispatcher.active_sessions(), 3u);
+
+  // Each victim is traced once, in the order it was shed, with its size.
+  std::vector<std::uint64_t> shed_ids;
+  std::vector<double> shed_sizes;
+  for (const obs::TraceRecord& record : tracer.snapshot()) {
+    if (record.kind != obs::TraceKind::kSessionShed) continue;
+    shed_ids.push_back(record.item);
+    shed_sizes.push_back(record.size);
+  }
+  EXPECT_EQ(shed_ids, (std::vector<std::uint64_t>{3, 4, 5}));
+  EXPECT_EQ(shed_sizes, (std::vector<double>{0.1, 0.1, 0.15}));
+}
+
 /// Every registered packer; known_mu lets the semi-online MFF build.
 PackerOptions every_packer_options() {
   PackerOptions options;

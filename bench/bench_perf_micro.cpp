@@ -12,14 +12,14 @@
 
 #include "core/arena.hpp"
 #include "core/crc32.hpp"
-
+#include "exec/worker_budget.hpp"
 #include "opt/bin_count.hpp"
 #include "opt/exact.hpp"
-#include "opt/lower_bounds.hpp"
 #include "opt/opt_total.hpp"
-#include "opt/opt_total_reference.hpp"
 #include "opt/rle.hpp"
 #include "sim/simulator.hpp"
+#include "support/flat_bin_count.hpp"
+#include "support/opt_total_reference.hpp"
 #include "workload/random_instance.hpp"
 
 namespace {
@@ -74,6 +74,8 @@ void RegisterPackerBenchmarks() {
   }
 }
 
+// The flat bin-count chain (the test oracle in support/flat_bin_count.hpp)
+// on `active` continuous sizes.
 void BM_BinCountOracle(benchmark::State& state) {
   const auto active = static_cast<std::size_t>(state.range(0));
   std::vector<double> sizes;
@@ -218,12 +220,10 @@ BENCHMARK_CAPTURE(BM_ExactSearch, openloop_exhausted, openloop_exhausted_sizes()
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.05);
 
-void RunOptTotal(benchmark::State& state, const Instance& instance,
-                 exec::ExecutionPolicy policy) {
+void RunOptTotal(benchmark::State& state, const Instance& instance) {
   const CostModel model = unit_model();
   OptTotalOptions options;
   options.bin_count.exact.node_budget = 20'000;
-  options.policy = policy;
   for (auto _ : state) {
     const OptTotalResult result = estimate_opt_total(instance, model, options);
     benchmark::DoNotOptimize(result.lower_cost);
@@ -231,26 +231,25 @@ void RunOptTotal(benchmark::State& state, const Instance& instance,
 }
 
 void BM_OptTotal(benchmark::State& state) {
-  RunOptTotal(state, make_instance(static_cast<std::size_t>(state.range(0))),
-              exec::ExecutionPolicy::kAdaptive);
+  RunOptTotal(state, make_instance(static_cast<std::size_t>(state.range(0))));
 }
 BENCHMARK(BM_OptTotal)->Arg(1'000)->Arg(5'000)->Unit(benchmark::kMillisecond)->MinTime(0.05);
 
+// A held lease leaves the estimate one worker: the sequential path.
 void BM_OptTotalSequential(benchmark::State& state) {
-  RunOptTotal(state, make_instance(static_cast<std::size_t>(state.range(0))),
-              exec::ExecutionPolicy::kSequential);
+  const exec::WorkerLease lease;
+  RunOptTotal(state, make_instance(static_cast<std::size_t>(state.range(0))));
 }
 BENCHMARK(BM_OptTotalSequential)->Arg(5'000)->Unit(benchmark::kMillisecond)->MinTime(0.05);
 
 void BM_OptTotalDyadic(benchmark::State& state) {
   RunOptTotal(state,
-              make_dyadic_instance(static_cast<std::size_t>(state.range(0))),
-              exec::ExecutionPolicy::kAdaptive);
+              make_dyadic_instance(static_cast<std::size_t>(state.range(0))));
 }
 BENCHMARK(BM_OptTotalDyadic)->Arg(1'000)->Arg(5'000)->Unit(benchmark::kMillisecond)->MinTime(0.05);
 
-// Pre-fast-path estimator retained as the differential-test specification;
-// benchmarked so the speedup of the RLE + dedup + parallel pipeline is a
+// Pre-fast-path estimator kept as the differential-test specification
+// (support/opt_total_reference.hpp); benchmarked so the speedup of the RLE + dedup + parallel pipeline is a
 // number in the report, not a claim.
 void BM_OptTotalReference(benchmark::State& state) {
   const Instance instance =

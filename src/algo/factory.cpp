@@ -5,7 +5,6 @@
 #include "algo/adaptive_mff.hpp"
 #include "algo/any_fit_packer.hpp"
 #include "algo/clairvoyant.hpp"
-#include "algo/reference_strategies.hpp"
 #include "algo/size_classed_packer.hpp"
 #include "algo/strategies.hpp"
 #include "core/error.hpp"
@@ -40,19 +39,6 @@ std::unique_ptr<Packer> make_packer(const std::string& name, const CostModel& mo
   }
   if (name == "move-to-front-fit") {
     return static_fit(std::make_unique<MoveToFrontStrategy>(model));
-  }
-  // Pre-arena reference implementations (algo/reference_strategies.hpp):
-  // same-run benchmark baselines and differential-test oracles. Deliberately
-  // absent from all_algorithm_names() — sweeps should not pack twice. They
-  // keep the seed's dynamic dispatch (plain AnyFitPacker) so the baseline
-  // they provide is the seed's, not a hybrid.
-  if (name == "first-fit-reference") {
-    return std::make_unique<AnyFitPacker>(
-        model, std::make_unique<FirstFitReferenceStrategy>(model));
-  }
-  if (name == "best-fit-reference") {
-    return std::make_unique<AnyFitPacker>(
-        model, std::make_unique<BestFitReferenceStrategy>(model));
   }
   if (name == "modified-first-fit") {
     return make_modified_first_fit(model, options.mff_k);

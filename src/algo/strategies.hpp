@@ -10,8 +10,8 @@
 // construction, so every per-bin lookup is a vector index — no hashing, no
 // node-based containers, and with reserve() called ahead of a run, no heap
 // allocation in the steady-state event loop. The pre-arena node-based
-// implementations survive as algo/reference_strategies.hpp for the same-run
-// benchmark baseline and the differential tests.
+// implementations survive as test oracles in tests/support, for the
+// same-run benchmark baseline and the differential tests.
 #pragma once
 
 #include <algorithm>

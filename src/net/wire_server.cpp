@@ -40,6 +40,8 @@ static_assert(kMaxFrameBytes >= kMaxJsonLineBytes + 2);
 
 namespace {
 
+/// Pending connections the kernel queues for accept().
+constexpr int kListenBacklog = 64;
 /// Ready events taken per epoll_wait.
 constexpr int kEventsPerWait = 64;
 /// While the listening socket is paused for want of descriptors, a wait
@@ -134,8 +136,6 @@ struct WireServer::Connection {
 
 void WireServerConfig::validate() const {
   DBP_REQUIRE(!socket_path.empty(), "WireServerConfig.socket_path is empty");
-  DBP_REQUIRE(listen_backlog > 0,
-              "WireServerConfig.listen_backlog must be positive");
 }
 
 WireServer::WireServer(engine::ShardedDispatchEngine& eng,
@@ -174,7 +174,7 @@ void WireServer::start() {
     throw IoError("cannot bind '" + config_.socket_path +
                   "': " + std::string(std::strerror(errno)));
   }
-  if (::listen(sock.get(), config_.listen_backlog) != 0) {
+  if (::listen(sock.get(), kListenBacklog) != 0) {
     throw IoError("cannot listen on '" + config_.socket_path +
                   "': " + std::string(std::strerror(errno)));
   }

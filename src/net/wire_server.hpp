@@ -70,7 +70,6 @@ struct WireServerConfig {
   /// Epoch timer cadence in milliseconds; 0 disables the timer and leaves
   /// epochs entirely to explicit `epoch` requests.
   std::uint64_t epoch_cadence_ms = 0;
-  int listen_backlog = 64;
 
   /// Throws PreconditionError unless the configuration is usable.
   void validate() const;

@@ -10,8 +10,6 @@ constinit thread_local ObsContext g_context{};
 
 }  // namespace detail
 
-std::uint64_t current_shard() noexcept { return detail::g_context.shard; }
-
 namespace {
 
 /// The one steady-clock read in the library. Everything that wants elapsed

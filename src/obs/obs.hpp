@@ -21,9 +21,6 @@ namespace dbp::obs {
 struct ObsContext {
   RunTracer* tracer = nullptr;
   MetricsRegistry* metrics = nullptr;
-  /// Engine shard attribution: records emitted under this context carry
-  /// this shard id in their "shard" JSONL field (kNoShard = omitted).
-  std::uint64_t shard = kNoShard;
 };
 
 namespace detail {
@@ -44,25 +41,14 @@ extern constinit thread_local ObsContext g_context;
   return detail::g_context.metrics;
 }
 
-/// The shard attribution of the current thread's scope (kNoShard = none).
-[[nodiscard]] inline std::uint64_t shard() noexcept {
-  return detail::g_context.shard;
-}
-
 /// Installs `tracer`/`metrics` as this thread's observability context for
 /// the scope's lifetime; restores the previous context on destruction
-/// (scopes nest). Pass null for either half to leave it disabled. The
-/// 3-argument form additionally tags records with an engine shard id.
+/// (scopes nest). Pass null for either half to leave it disabled.
 class ObsScope {
  public:
   ObsScope(RunTracer* tracer, MetricsRegistry* metrics) noexcept
       : saved_(detail::g_context) {
-    detail::g_context = ObsContext{tracer, metrics, kNoShard};
-  }
-  ObsScope(RunTracer* tracer, MetricsRegistry* metrics,
-           std::uint64_t shard) noexcept
-      : saved_(detail::g_context) {
-    detail::g_context = ObsContext{tracer, metrics, shard};
+    detail::g_context = ObsContext{tracer, metrics};
   }
   ~ObsScope() { detail::g_context = saved_; }
 

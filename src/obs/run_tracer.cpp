@@ -64,10 +64,6 @@ RunTracer::RunTracer(std::size_t capacity) : capacity_(capacity) {
 }
 
 void RunTracer::record(TraceRecord record) {
-  // Stamp the thread's shard attribution (obs.hpp) unless the emitter set
-  // one explicitly. Outside engine shard scopes this is kNoShard and the
-  // field is omitted from the export, so non-engine traces are unchanged.
-  if (record.shard == kNoShard) record.shard = current_shard();
   const std::lock_guard<std::mutex> lock(mutex_);
   record.seq = next_seq_++;
   if (ring_.size() < capacity_) {

@@ -47,15 +47,10 @@ enum class TraceKind : std::uint8_t {
 /// Stable JSONL name of a kind ("arrival", "bin_open", ...).
 [[nodiscard]] const char* to_string(TraceKind kind) noexcept;
 
-/// The current thread's shard attribution (ObsContext::shard, defined in
-/// obs.hpp/obs.cpp); kNoShard outside an engine shard scope. Declared here
-/// so RunTracer::record can stamp it without a header cycle.
-[[nodiscard]] std::uint64_t current_shard() noexcept;
-
 /// "no value" sentinel for TraceRecord::count.
 inline constexpr std::uint64_t kNoCount = std::numeric_limits<std::uint64_t>::max();
 
-/// "no shard" sentinel for TraceRecord::shard / ObsContext::shard.
+/// "no shard" sentinel for TraceRecord::shard.
 inline constexpr std::uint64_t kNoShard = std::numeric_limits<std::uint64_t>::max();
 
 /// One structured trace entry. Fields without a meaning for the record's
@@ -69,7 +64,7 @@ struct TraceRecord {
   double size = -1.0;             ///< item size / GPU fraction; < 0 = absent
   std::uint64_t count = kNoCount;  ///< kind-specific count (see TraceKind)
   double ms = -1.0;               ///< timing payload (kOptPhase); < 0 = absent
-  std::uint64_t shard = kNoShard;  ///< engine shard attribution; see obs.hpp
+  std::uint64_t shard = kNoShard;  ///< the shard a kShardSnapshot describes
   std::string label;              ///< kind-specific detail; empty = absent
 };
 

@@ -38,21 +38,6 @@ std::size_t per_bin_count(double size, const CostModel& model) {
   return std::max<std::size_t>(m, 1);
 }
 
-/// The exact fast paths both entry points take before any heuristic runs:
-/// everything fits one bin, or all sizes are equal (within relative
-/// tolerance). `total` is the per-item compensated sum of the n > 0 sizes.
-std::optional<BinCountBounds> closed_form_count(std::uint64_t n, double total,
-                                                double largest, double smallest,
-                                                const CostModel& model) {
-  if (model.fits(total, model.bin_capacity)) return BinCountBounds{1, 1};
-  if (largest - smallest <= kEqualSizeRelTolerance * largest) {
-    const std::size_t m = per_bin_count(largest, model);
-    const auto bins = static_cast<std::size_t>((n + m - 1) / m);
-    return BinCountBounds{bins, bins};
-  }
-  return std::nullopt;
-}
-
 /// The minimum-bin-slack witness over runs (Gupta & Ho 1999, in the variant
 /// where the largest remaining item opens each bin). Bins are built one at a
 /// time: after the opener, a depth-first search over the remaining runs,
@@ -63,10 +48,10 @@ std::optional<BinCountBounds> closed_form_count(std::uint64_t n, double total,
 /// best fill found is committed. Residuals are W minus the sizes in
 /// placement order, the arithmetic FFD and the exact search use.
 ///
-/// FlatSlackWitness implements the same node definition item by item and
-/// shares no code with this class; the two return the same count on every
-/// multiset. Working arrays live in the scratch, so a warm scratch packs
-/// without allocating.
+/// The flat test oracle's witness (tests/support/flat_bin_count.cpp)
+/// implements the same node definition item by item and shares no code with
+/// this class; the two return the same count on every multiset. Working
+/// arrays live in the scratch, so a warm scratch packs without allocating.
 class RunSlackWitness {
  public:
   RunSlackWitness(std::span<const SizeRun> runs, const CostModel& model,
@@ -173,102 +158,12 @@ class RunSlackWitness {
   DBP_AUDIT_ONLY(std::span<std::uint64_t> placed_;)  // items placed per run
 };
 
-/// The minimum-bin-slack witness item by item, on a sorted flat multiset:
-/// the specification RunSlackWitness is differentially tested against.
-/// `packed_` marks items committed to earlier bins or in the fill being
-/// tried; among equal sizes only the first available one is tried per depth.
-class FlatSlackWitness {
- public:
-  FlatSlackWitness(std::span<const double> sorted_desc, const CostModel& model)
-      : sizes_(sorted_desc), model_(model), packed_(sorted_desc.size(), 0) {}
-
-  /// Same contract as RunSlackWitness::pack.
-  std::size_t pack(std::size_t upper) {
-#if DBP_AUDIT_ENABLED
-    constexpr std::size_t kUnplaced = static_cast<std::size_t>(-1);
-    std::vector<std::size_t> bin_of(sizes_.size(), kUnplaced);
-#endif
-    std::size_t bins = 0;
-    std::size_t placed = 0;
-    std::size_t first = 0;
-    while (placed < sizes_.size()) {
-      if (bins + 1 >= upper) return upper;
-      while (packed_[first]) ++first;
-      packed_[first] = 1;
-      best_ = model_.bin_capacity - sizes_[first];
-      best_path_.clear();
-      nodes_ = 0;
-      done_ = false;
-      if (best_ > model_.fit_tolerance) extend(first + 1, best_);
-      for (const std::size_t r : best_path_) packed_[r] = 1;
-      placed += 1 + best_path_.size();
-#if DBP_AUDIT_ENABLED
-      double residual = model_.bin_capacity;
-      for (std::size_t k = 0; k <= best_path_.size(); ++k) {
-        const std::size_t r = k == 0 ? first : best_path_[k - 1];
-        DBP_AUDIT_CHECK(model_.fits(sizes_[r], residual),
-                        "minimum-bin-slack witness overfilled a bin");
-        residual -= sizes_[r];
-        DBP_AUDIT_CHECK(bin_of[r] == kUnplaced,
-                        "minimum-bin-slack witness placed an item twice");
-        bin_of[r] = bins;
-      }
-#endif
-      ++bins;
-    }
-#if DBP_AUDIT_ENABLED
-    DBP_AUDIT_CHECK(std::find(bin_of.begin(), bin_of.end(), kUnplaced) == bin_of.end(),
-                    "minimum-bin-slack witness left an item unpacked");
-#endif
-    return bins;
-  }
-
- private:
-  void extend(std::size_t from, double residual) {
-    double tried = 0.0;  // size tried at this depth; no item has size 0
-    for (std::size_t r = from; r < sizes_.size(); ++r) {
-      const double size = sizes_[r];
-      if (packed_[r] || size == tried || !model_.fits(size, residual)) continue;
-      if (nodes_ == kWitnessNodesPerBin) {
-        done_ = true;
-        return;
-      }
-      ++nodes_;
-      tried = size;
-      packed_[r] = 1;
-      path_.push_back(r);
-      const double child = residual - size;
-      if (child < best_) {
-        best_ = child;
-        best_path_ = path_;
-      }
-      if (best_ <= model_.fit_tolerance) {
-        done_ = true;
-      } else {
-        extend(r + 1, child);
-      }
-      path_.pop_back();
-      packed_[r] = 0;
-      if (done_) return;
-    }
-  }
-
-  std::span<const double> sizes_;
-  const CostModel& model_;
-  std::vector<char> packed_;
-  std::vector<std::size_t> path_;
-  std::vector<std::size_t> best_path_;
-  double best_ = 0.0;
-  std::uint64_t nodes_ = 0;
-  bool done_ = false;
-};
-
 /// optimal_bin_count_rle without the input validation, shared with the
-/// oracle's miss path. Every step replays the flat algorithm's
-/// floating-point sequence (the `_rle` kernels are bit-identical by
-/// construction, the two witnesses share one node definition, and the exact
-/// solver runs on an expansion), so compute_rle(compress(S)) ==
-/// optimal_bin_count(S).
+/// oracle's miss path. Every step replays the flat chain's floating-point
+/// sequence (the `_rle` kernels are bit-identical by construction, the two
+/// witnesses share one node definition, and the exact solver runs on an
+/// expansion), so compute_rle(compress(S)) equals what the flat test
+/// oracle's chain returns on S.
 BinCountBounds compute_rle(std::span<const SizeRun> runs, const CostModel& model,
                            const BinCountOptions& options, BinCountScratch& scratch) {
   const std::uint64_t n = rle_item_count(runs);
@@ -279,8 +174,8 @@ BinCountBounds compute_rle(std::span<const SizeRun> runs, const CostModel& model
   for (const SizeRun& run : runs) {
     for (std::uint64_t i = 0; i < run.count; ++i) sum.add(run.size);
   }
-  if (const auto closed = closed_form_count(n, sum.value(), runs.front().size,
-                                            runs.back().size, model)) {
+  if (const auto closed = closed_form_bin_count(n, sum.value(), runs.front().size,
+                                                runs.back().size, model)) {
     return *closed;
   }
 
@@ -312,38 +207,16 @@ BinCountBounds compute_rle(std::span<const SizeRun> runs, const CostModel& model
 
 }  // namespace
 
-BinCountBounds optimal_bin_count(std::span<const double> sizes, const CostModel& model,
-                                 const BinCountOptions& options) {
-  model.validate();
-  std::vector<double> sorted(sizes.begin(), sizes.end());
-  std::sort(sorted.begin(), sorted.end(), std::greater<>());
-  for (double s : sorted) {
-    DBP_REQUIRE(s > 0.0 && model.fits(s, model.bin_capacity),
-                "size must be in (0, bin capacity]");
+std::optional<BinCountBounds> closed_form_bin_count(std::uint64_t n, double total,
+                                                    double largest, double smallest,
+                                                    const CostModel& model) {
+  if (model.fits(total, model.bin_capacity)) return BinCountBounds{1, 1};
+  if (largest - smallest <= kEqualSizeRelTolerance * largest) {
+    const std::size_t m = per_bin_count(largest, model);
+    const auto bins = static_cast<std::size_t>((n + m - 1) / m);
+    return BinCountBounds{bins, bins};
   }
-  if (sorted.empty()) return {0, 0};
-
-  CompensatedSum sum;
-  for (double s : sorted) sum.add(s);
-  if (const auto closed = closed_form_count(sorted.size(), sum.value(), sorted.front(),
-                                            sorted.back(), model)) {
-    return *closed;
-  }
-
-  const std::size_t lower = l2_lower_bound_sorted(sorted, model);
-  std::size_t upper = std::min(first_fit_decreasing_sorted(sorted, model),
-                               best_fit_decreasing_sorted(sorted, model));
-  DBP_CHECK(lower <= upper, "L2 exceeds the FFD/BFD bin count");
-  if (lower == upper || !options.use_exact_solver) return {lower, upper};
-
-  upper = FlatSlackWitness(sorted, model).pack(upper);
-  DBP_CHECK(lower <= upper, "L2 exceeds the witness bin count");
-  if (lower == upper) return {lower, upper};
-
-  MonotonicArena arena;
-  const ExactPackingResult exact =
-      exact_bin_count_bounded(sorted, model, lower, upper, options.exact, arena);
-  return {std::max(lower, exact.lower), std::min(upper, exact.upper)};
+  return std::nullopt;
 }
 
 BinCountBounds optimal_bin_count_rle(std::span<const SizeRun> runs,
@@ -359,10 +232,6 @@ BinCountOracle::BinCountOracle(CostModel model, BinCountOptions options,
                                std::size_t memo_limit)
     : model_(model), options_(options), memo_limit_(std::max<std::size_t>(memo_limit, 2)) {
   model_.validate();
-}
-
-BinCountBounds BinCountOracle::count_sorted(std::span<const double> sorted_desc) {
-  return count_rle(rle_from_sorted(sorted_desc));
 }
 
 BinCountBounds BinCountOracle::count_rle(std::span<const SizeRun> runs) {

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -39,31 +40,32 @@ struct BinCountOptions {
   bool use_exact_solver = true;
 };
 
-/// Computes bounds for the given multiset. Fast paths (exact, O(n)):
-/// empty, everything-fits-one-bin, all-equal sizes. General path:
-/// max(L1, L2) lower, min(FFD, BFD) upper; when they differ and the exact
-/// solver is enabled, a minimum-bin-slack packing (at most
-/// kWitnessNodesPerBin search nodes per bin) may lower the upper bound, and
-/// branch-and-bound closes what remains.
-///
-/// The flat algorithm on a sorted copy (l2_lower_bound_sorted, the
-/// `_sorted` FFD/BFD, a per-item witness, exact_bin_count_bounded) — the
-/// specification the RLE entry point below is differentially tested
-/// against, and what estimate_opt_total_reference evaluates snapshots with.
-[[nodiscard]] BinCountBounds optimal_bin_count(std::span<const double> sizes,
-                                               const CostModel& model,
-                                               const BinCountOptions& options = {});
+/// The exact fast paths every bin count takes before any heuristic runs:
+/// {1, 1} when all n > 0 items fit one bin (`total`, their per-item
+/// compensated sum, fits W), and ceil(n / m) bins when all sizes are equal
+/// within kEqualSizeRelTolerance (`largest` and `smallest` bracket them; m
+/// is the most items of size `largest` one bin takes under CostModel::fits).
+/// std::nullopt when neither applies.
+[[nodiscard]] std::optional<BinCountBounds> closed_form_bin_count(
+    std::uint64_t n, double total, double largest, double smallest,
+    const CostModel& model);
 
-/// Run-length-encoded entry point (strictly decreasing run sizes), used by
-/// every production caller. Bit-identical to optimal_bin_count on the
-/// expanded multiset: the heuristic chain runs on the compressed form via
-/// the `_rle` kernels (which replay the flat floating-point sequence
-/// exactly), the witness searches run counts under the flat witness's node
-/// definition, and the exact solver, when needed, runs on an expansion.
-/// Every working structure (L2 prefix arrays, FFD tree, BFD residual index,
-/// witness counts and stacks, exact-solver expansion and stack) is reused
-/// from `scratch` — see opt/scratch.hpp — so evaluating many snapshots with
-/// one scratch is allocation-free in steady state.
+/// Computes bounds for a run-length-encoded multiset (strictly decreasing
+/// run sizes); every production caller counts this way. Fast paths (exact,
+/// O(n)): empty, everything-fits-one-bin, all-equal sizes. General path:
+/// max(L1, L2) lower, min(FFD, BFD) upper through the `_rle` kernels; when
+/// they differ and the exact solver is enabled, a minimum-bin-slack packing
+/// (at most kWitnessNodesPerBin search nodes per bin) may lower the upper
+/// bound, and branch-and-bound, on an expansion, closes what remains.
+///
+/// Bit-identical to the flat chain on the expanded multiset — the per-item
+/// specification kept as a test oracle in tests/support/flat_bin_count.hpp:
+/// the `_rle` kernels replay the flat floating-point sequence exactly and
+/// the witness searches run counts under the flat witness's node
+/// definition. Every working structure (L2 prefix arrays, FFD tree, BFD
+/// residual index, witness counts and stacks, exact-solver expansion and
+/// stack) is reused from `scratch` — see opt/scratch.hpp — so evaluating
+/// many snapshots with one scratch is allocation-free in steady state.
 [[nodiscard]] BinCountBounds optimal_bin_count_rle(std::span<const SizeRun> runs,
                                                    const CostModel& model,
                                                    const BinCountOptions& options,
@@ -85,9 +87,6 @@ class BinCountOracle {
 
   explicit BinCountOracle(CostModel model, BinCountOptions options = {},
                           std::size_t memo_limit = kMemoLimit);
-
-  /// `sorted_desc` must be non-increasing. Compresses to runs, then counts.
-  [[nodiscard]] BinCountBounds count_sorted(std::span<const double> sorted_desc);
 
   /// Memoized bounds for a compressed multiset. The probe is transparent —
   /// arena-backed snapshot spans pass through without a key copy — and only

@@ -1,77 +1,11 @@
 #include "opt/classical.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "algo/segment_tree.hpp"
 #include "core/error.hpp"
 
 namespace dbp {
-
-namespace {
-
-std::vector<double> sorted_desc(std::span<const double> sizes) {
-  std::vector<double> sorted(sizes.begin(), sizes.end());
-  std::sort(sorted.begin(), sorted.end(), std::greater<>());
-  return sorted;
-}
-
-void validate_sizes(std::span<const double> sizes, const CostModel& model) {
-  for (double s : sizes) {
-    DBP_REQUIRE(s > 0.0 && model.fits(s, model.bin_capacity),
-                "size must be in (0, bin capacity]");
-  }
-}
-
-}  // namespace
-
-std::size_t first_fit_decreasing(std::span<const double> sizes,
-                                 const CostModel& model) {
-  return first_fit_decreasing_sorted(sorted_desc(sizes), model);
-}
-
-std::size_t first_fit_decreasing_sorted(std::span<const double> sorted_desc,
-                                        const CostModel& model) {
-  model.validate();
-  validate_sizes(sorted_desc, model);
-  DBP_REQUIRE(std::is_sorted(sorted_desc.rbegin(), sorted_desc.rend()),
-              "sizes must be non-increasing");
-  MaxSegmentTree residuals;
-  for (double size : sorted_desc) {
-    auto pos = residuals.find_leftmost(
-        [&](double residual) { return model.fits(size, residual); });
-    if (!pos) pos = residuals.push_back(model.bin_capacity);
-    residuals.assign(*pos, residuals.value_at(*pos) - size);
-  }
-  return residuals.size();
-}
-
-std::size_t best_fit_decreasing(std::span<const double> sizes,
-                                const CostModel& model) {
-  return best_fit_decreasing_sorted(sorted_desc(sizes), model);
-}
-
-std::size_t best_fit_decreasing_sorted(std::span<const double> sorted_desc,
-                                       const CostModel& model) {
-  model.validate();
-  validate_sizes(sorted_desc, model);
-  DBP_REQUIRE(std::is_sorted(sorted_desc.rbegin(), sorted_desc.rend()),
-              "sizes must be non-increasing");
-  std::multiset<double> residuals;  // residual capacities of open bins
-  std::size_t bins = 0;
-  for (double size : sorted_desc) {
-    auto it = residuals.lower_bound(size - model.fit_tolerance);
-    if (it == residuals.end()) {
-      ++bins;
-      residuals.insert(model.bin_capacity - size);
-    } else {
-      const double residual = *it;
-      residuals.erase(it);
-      residuals.insert(residual - size);
-    }
-  }
-  return bins;
-}
 
 std::size_t first_fit_decreasing_rle(std::span<const SizeRun> runs,
                                      const CostModel& model,
@@ -119,8 +53,8 @@ std::size_t best_fit_decreasing_rle(std::span<const SizeRun> runs,
   // fresh bin behaves identically with r starting at W - s.
   //
   // The residuals live in an ascending-sorted vector: std::lower_bound finds
-  // the same residual value best_fit_decreasing_sorted's multiset finds, and
-  // only values are ever read (classical.hpp). Bins stay in the low tens
+  // the same residual value the flat kernel's multiset finds, and only
+  // values are ever read (classical.hpp). Bins stay in the low tens
   // here, so the memmove behind insert/erase is cheaper than multiset node
   // churn — and clear() keeps the capacity, so a reusing caller allocates
   // nothing in steady state.

@@ -3,7 +3,8 @@
 // OPT(R, t) — the paper's per-time-point optimum (Section 3.2) — is a
 // classical bin packing problem over the multiset of active item sizes.
 // FFD/BFD provide upper bounds; opt/lower_bounds.hpp provides lower bounds;
-// opt/exact.hpp closes the gap when affordable.
+// opt/exact.hpp closes the gap when affordable. The flat per-item kernels
+// these replay bit for bit are test oracles (tests/support/flat_bin_count.hpp).
 #pragma once
 
 #include <span>
@@ -14,28 +15,12 @@
 
 namespace dbp {
 
-/// Number of bins First Fit Decreasing uses to pack `sizes` into bins of
-/// capacity model.bin_capacity (tolerance-aware). O(n log n).
-[[nodiscard]] std::size_t first_fit_decreasing(std::span<const double> sizes,
-                                               const CostModel& model);
-
-/// Number of bins Best Fit Decreasing uses. O(n log n).
-[[nodiscard]] std::size_t best_fit_decreasing(std::span<const double> sizes,
-                                              const CostModel& model);
-
-/// Pre-sorted variants (sizes must be non-increasing); used on hot paths
-/// where the caller maintains sorted order.
-[[nodiscard]] std::size_t first_fit_decreasing_sorted(std::span<const double> sorted_desc,
-                                                      const CostModel& model);
-[[nodiscard]] std::size_t best_fit_decreasing_sorted(std::span<const double> sorted_desc,
-                                                     const CostModel& model);
-
 class MaxSegmentTree;
 
-/// Run-length-encoded variants (strictly decreasing run sizes) for callers
-/// that evaluate many multisets in a row — the bin-count oracle and the
-/// OPT_total evaluate phase, both through opt/scratch.hpp. Bit-identical to
-/// the `_sorted` variants on the expanded multiset, and the residual
+/// Run-length-encoded FFD and BFD (strictly decreasing run sizes) for
+/// callers that evaluate many multisets in a row — the bin-count oracle and
+/// the OPT_total evaluate phase, both through opt/scratch.hpp. Bit-identical
+/// to the flat per-item kernels on the expanded multiset, and the residual
 /// structures are clear()ed and reused instead of rebuilt, so steady-state
 /// calls touch no heap.
 ///
@@ -48,8 +33,8 @@ class MaxSegmentTree;
                                                    const CostModel& model,
                                                    MaxSegmentTree& scratch_tree);
 
-/// BFD on a flat ascending-sorted residual vector, where
-/// best_fit_decreasing_sorted walks a std::multiset. Value-equivalent by
+/// BFD on a flat ascending-sorted residual vector, where the flat per-item
+/// kernel walks a std::multiset. Value-equivalent by
 /// construction: lower_bound on a sorted double vector selects the same
 /// residual *value* the multiset's lower_bound does, and erase/insert keep
 /// the same sorted value sequence (ties are interchangeable — only values

@@ -2,21 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "core/arena.hpp"
 #include "core/error.hpp"
-#include "opt/classical.hpp"
-#include "opt/lower_bounds.hpp"
 
 namespace dbp {
 
 namespace {
 
 /// The branch-and-bound search body. Storage for the suffix sums (n + 1
-/// doubles) and the open-bin residual stack (upper + 1 doubles) is provided
-/// by the caller — a plain vector for the one-shot entry point, an arena for
-/// the scratch-reusing one — so the search itself never allocates.
+/// doubles) and the open-bin residual stack (upper + 1 doubles) comes from
+/// the caller's arena, so the search itself never allocates.
 ///
 /// The area prune compares the volume still to place with the open bins'
 /// usable spare, kept as one running value along the search path: an open
@@ -131,36 +127,7 @@ class Search {
   bool aborted_ = false;
 };
 
-ExactPackingResult run_search(std::span<const double> sorted_desc,
-                              const CostModel& model, std::size_t lower,
-                              std::size_t upper, const ExactPackingOptions& options,
-                              std::span<double> suffix_sum,
-                              std::span<double> residual_stack) {
-  Search search(sorted_desc, model, options, suffix_sum, residual_stack);
-  ExactPackingResult result = search.run(lower, upper);
-  DBP_CHECK(result.lower <= result.upper, "exact search produced crossed bounds");
-  return result;
-}
-
 }  // namespace
-
-ExactPackingResult exact_bin_count(std::span<const double> sizes,
-                                   const CostModel& model,
-                                   const ExactPackingOptions& options) {
-  model.validate();
-  std::vector<double> sorted(sizes.begin(), sizes.end());
-  std::sort(sorted.begin(), sorted.end(), std::greater<>());
-  const std::size_t lower = l2_lower_bound_sorted(sorted, model);
-  const std::size_t upper = std::min(first_fit_decreasing_sorted(sorted, model),
-                                     best_fit_decreasing_sorted(sorted, model));
-  DBP_CHECK(lower <= upper, "lower bound exceeds heuristic upper bound");
-  if (lower == upper) {
-    return ExactPackingResult{lower, upper, true, 0};
-  }
-  std::vector<double> suffix_sum(sorted.size() + 1);
-  std::vector<double> residual_stack(upper + 1);
-  return run_search(sorted, model, lower, upper, options, suffix_sum, residual_stack);
-}
 
 ExactPackingResult exact_bin_count_bounded(std::span<const double> sorted_desc,
                                            const CostModel& model, std::size_t lower,
@@ -174,9 +141,12 @@ ExactPackingResult exact_bin_count_bounded(std::span<const double> sorted_desc,
   if (lower == upper) {
     return ExactPackingResult{lower, upper, true, 0};
   }
-  return run_search(sorted_desc, model, lower, upper, options,
-                    scratch.allocate_array<double>(sorted_desc.size() + 1),
-                    scratch.allocate_array<double>(upper + 1));
+  Search search(sorted_desc, model, options,
+                scratch.allocate_array<double>(sorted_desc.size() + 1),
+                scratch.allocate_array<double>(upper + 1));
+  const ExactPackingResult result = search.run(lower, upper);
+  DBP_CHECK(result.lower <= result.upper, "exact search produced crossed bounds");
+  return result;
 }
 
 }  // namespace dbp

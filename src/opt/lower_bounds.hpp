@@ -14,26 +14,20 @@
 
 namespace dbp {
 
-/// L1 (continuous/area bound): ceil(sum sizes / W'). 0 for the empty set.
-[[nodiscard]] std::size_t l1_lower_bound(std::span<const double> sizes,
-                                         const CostModel& model);
-
-/// L2 (Martello-Toth): partitions items around a threshold alpha and counts
-/// bins that large items force open; maximized over all candidate alphas.
-/// Dominates L1. O(n log n).
-[[nodiscard]] std::size_t l2_lower_bound(std::span<const double> sizes,
-                                         const CostModel& model);
-
-/// Pre-sorted variant (non-increasing sizes).
-[[nodiscard]] std::size_t l2_lower_bound_sorted(std::span<const double> sorted_desc,
-                                                const CostModel& model);
+/// ceil(x) robust to x being a hair above an integer due to rounding
+/// (x * (1 - 1e-12) is rounded up); 0 for x <= 0. The rounding rule of every
+/// L1/L2 bound, shared with the flat test oracle.
+[[nodiscard]] std::size_t guarded_ceil(double x);
 
 class MonotonicArena;
 
-/// Run-length-encoded variant (strictly decreasing run sizes). Bit-identical
-/// to l2_lower_bound_sorted on the expanded multiset: every index the flat
-/// algorithm touches (threshold partitions, candidate alphas) is a run
-/// boundary, so only boundary prefix sums are materialized — O(d log d)
+/// L2 (Martello-Toth) over runs (strictly decreasing run sizes): partitions
+/// items around a threshold alpha and counts bins that large items force
+/// open, maximized over all candidate alphas; never below L1, the area
+/// bound ceil(sum sizes / W'). Bit-identical to the flat per-item L2 (a
+/// test oracle in tests/support) on the expanded multiset: every index
+/// the flat algorithm touches (threshold partitions, candidate alphas) is a
+/// run boundary, so only boundary prefix sums are materialized — O(d log d)
 /// bookkeeping for d runs on top of the O(n) compensated summation. The
 /// boundary arrays come out of `scratch`, so a caller that resets the arena
 /// between snapshots (see opt/scratch.hpp) pays zero allocations in steady

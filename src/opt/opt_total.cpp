@@ -11,7 +11,6 @@
 #include "core/arena.hpp"
 #include "core/audit.hpp"
 #include "core/error.hpp"
-#include "exec/execution_policy.hpp"
 #include "exec/fork_join.hpp"
 #include "exec/worker_budget.hpp"
 #include "obs/obs.hpp"
@@ -184,7 +183,7 @@ OptTotalResult estimate_opt_total(const Instance& instance, const CostModel& mod
     work.work_units += snapshot.size();
   }
   const int workers = exec::WorkerBudget::effective();
-  const bool fan_out = exec::should_parallelize(options.policy, work, workers);
+  const bool fan_out = exec::should_parallelize(work, workers);
   result.evaluate_parallel = fan_out;
   result.evaluate_workers = fan_out ? workers : 1;
   // Workers claim snapshots through one atomic index, and each evaluates
@@ -235,7 +234,7 @@ OptTotalResult estimate_opt_total(const Instance& instance, const CostModel& mod
     metrics->counter("opt_total.segments").add(result.segments);
     metrics->counter("opt_total.distinct_snapshots").add(result.distinct_snapshots);
     metrics->counter("opt_total.dedup_hits").add(result.dedup_hits);
-    // Which path phase 2 took, so the execution-policy choice is observable
+    // Which path phase 2 took, so the fan-out choice is observable
     // (tests/exec_test.cpp pins the 1-worker sequential fallback on these).
     metrics->counter(result.evaluate_parallel ? "opt_total.evaluate_parallel"
                                               : "opt_total.evaluate_sequential")

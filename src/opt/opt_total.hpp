@@ -18,7 +18,8 @@
 //      chronological order, and keeps one copy per *distinct* snapshot —
 //      adversarial/cyclic workloads revisit the same active set constantly.
 //   2. The distinct snapshots are evaluated through optimal_bin_count_rle,
-//      in parallel when the execution policy and worker budget allow.
+//      in parallel when the worker budget and the job mix can amortize a
+//      fan-out (exec::should_parallelize).
 //   3. A sequential combine feeds every segment's bounds, in chronological
 //      order, through the integrator, so results are bit-identical run to
 //      run regardless of worker count.
@@ -30,7 +31,6 @@
 #include "core/instance.hpp"
 #include "core/metrics.hpp"
 #include "core/types.hpp"
-#include "exec/execution_policy.hpp"
 #include "opt/bin_count.hpp"
 
 namespace dbp {
@@ -64,8 +64,8 @@ struct OptTotalResult {
 
   /// Execution metadata, not part of the mathematical result (the
   /// differential suite compares every field above this line, never these):
-  /// which path phase 2 took and how many workers it used. With the
-  /// adaptive policy on a 1-worker budget these read {false, 1}.
+  /// which path phase 2 took and how many workers it used. On a 1-worker
+  /// budget these read {false, 1}.
   bool evaluate_parallel = false;
   int evaluate_workers = 1;
 
@@ -75,15 +75,13 @@ struct OptTotalResult {
   }
 };
 
+/// Phase 2 fans out (exec::fork_join) only when the worker budget and the
+/// pending job mix can amortize the fan-out overhead
+/// (exec::should_parallelize); under a WorkerLease it runs on the calling
+/// thread. The combine is sequential either way, so results are
+/// bit-identical across worker counts.
 struct OptTotalOptions {
   BinCountOptions bin_count{};
-  /// How phase 2 evaluates the distinct snapshots. kAdaptive (the default)
-  /// fans out (exec::fork_join) only when the worker budget and the
-  /// pending job mix can amortize the fan-out overhead (see
-  /// exec/execution_policy.hpp); kSequential and kParallel force one path.
-  /// The combine is sequential under every policy, so results are
-  /// bit-identical across policies and worker counts.
-  exec::ExecutionPolicy policy = exec::ExecutionPolicy::kAdaptive;
 };
 
 /// Integrates per-segment bin-count bounds into OPT_total dollars — the one

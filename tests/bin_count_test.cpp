@@ -9,8 +9,8 @@
 
 #include "core/error.hpp"
 #include "opt/classical.hpp"
-#include "opt/exact.hpp"
 #include "opt/lower_bounds.hpp"
+#include "support/flat_bin_count.hpp"
 #include "witness_fixtures.hpp"
 #include "workload/rng.hpp"
 
@@ -136,8 +136,8 @@ TEST(BinCountTest, RejectsInvalidSizes) {
 TEST(BinCountOracleTest, MemoHitsOnRepeatedMultiset) {
   BinCountOracle oracle(unit_model());
   const std::vector<double> sorted{0.5, 0.4, 0.3};
-  const BinCountBounds first = oracle.count_sorted(sorted);
-  const BinCountBounds second = oracle.count_sorted(sorted);
+  const BinCountBounds first = oracle.count_rle(rle_from_sorted(sorted));
+  const BinCountBounds second = oracle.count_rle(rle_from_sorted(sorted));
   EXPECT_EQ(first.lower, second.lower);
   EXPECT_EQ(first.upper, second.upper);
   EXPECT_EQ(oracle.hits(), 1u);
@@ -147,15 +147,15 @@ TEST(BinCountOracleTest, MemoHitsOnRepeatedMultiset) {
 
 TEST(BinCountOracleTest, DistinguishesDifferentMultisets) {
   BinCountOracle oracle(unit_model());
-  (void)oracle.count_sorted(std::vector<double>{0.5, 0.5});
-  (void)oracle.count_sorted(std::vector<double>{0.5, 0.5, 0.5});
+  (void)oracle.count_rle(rle_from_sorted(std::vector<double>{0.5, 0.5}));
+  (void)oracle.count_rle(rle_from_sorted(std::vector<double>{0.5, 0.5, 0.5}));
   EXPECT_EQ(oracle.misses(), 2u);
 }
 
 TEST(BinCountOracleTest, AgreesWithDirectComputation) {
   BinCountOracle oracle(unit_model());
   const std::vector<double> sorted{0.9, 0.6, 0.6, 0.2, 0.2, 0.1};
-  const BinCountBounds via_oracle = oracle.count_sorted(sorted);
+  const BinCountBounds via_oracle = oracle.count_rle(rle_from_sorted(sorted));
   const BinCountBounds direct = optimal_bin_count(sorted, unit_model());
   EXPECT_EQ(via_oracle.lower, direct.lower);
   EXPECT_EQ(via_oracle.upper, direct.upper);
@@ -220,6 +220,36 @@ TEST(BinCountRleTest, MatchesFlatWithoutExactSolver) {
       sizes.insert(sizes.end(), rng.uniform_int(0, 40), size);
     }
     expect_rle_matches_flat(sizes, options, scratch, 30 + round);
+  }
+}
+
+// The chain compares only max(L1, L2) and min(FFD, BFD); each `_rle` kernel
+// must also match its flat twin on its own, so a kernel that loses to the
+// other one cannot hide behind the min.
+TEST(BinCountRleTest, EachKernelMatchesItsFlatTwin) {
+  const CostModel model = unit_model();
+  BinCountScratch scratch;
+  Rng rng(31);
+  for (int round = 0; round < 60; ++round) {
+    std::vector<double> sizes;
+    const std::size_t n = 1 + rng.uniform_int(0, 150);
+    for (std::size_t i = 0; i < n; ++i) {
+      sizes.push_back(rng.bernoulli(0.5)
+                          ? rng.uniform(0.02, 0.9)
+                          : 0.05 * static_cast<double>(rng.uniform_int(1, 18)));
+    }
+    std::sort(sizes.begin(), sizes.end(), std::greater<>());
+    const std::vector<SizeRun> runs = rle_from_sorted(sizes);
+    scratch.arena.reset();
+    EXPECT_EQ(first_fit_decreasing_rle(runs, model, scratch.ffd_tree),
+              first_fit_decreasing_sorted(sizes, model))
+        << "round " << round;
+    EXPECT_EQ(best_fit_decreasing_rle(runs, model, scratch.bfd_residuals),
+              best_fit_decreasing_sorted(sizes, model))
+        << "round " << round;
+    EXPECT_EQ(l2_lower_bound_rle(runs, model, scratch.arena),
+              l2_lower_bound_sorted(sizes, model))
+        << "round " << round;
   }
 }
 
@@ -362,7 +392,7 @@ TEST(BinCountOracleTest, BoundedEvictionKeepsMemoUnderLimit) {
   BinCountOracle oracle(unit_model(), {}, kLimit);
   for (int i = 1; i <= 200; ++i) {
     const std::vector<double> sorted(static_cast<std::size_t>(i), 0.25);
-    (void)oracle.count_sorted(sorted);
+    (void)oracle.count_rle(rle_from_sorted(sorted));
     EXPECT_LE(oracle.memo_size(), kLimit);
   }
   EXPECT_GT(oracle.evictions(), 0u);
@@ -375,11 +405,11 @@ TEST(BinCountOracleTest, EvictionKeepsRecentEntriesHot) {
   BinCountOracle oracle(unit_model(), {}, kLimit);
   for (int i = 1; i <= 100; ++i) {
     const std::vector<double> sorted(static_cast<std::size_t>(i), 0.25);
-    (void)oracle.count_sorted(sorted);
+    (void)oracle.count_rle(rle_from_sorted(sorted));
   }
   // The most recent key must have survived the FIFO trims.
   const std::uint64_t hits_before = oracle.hits();
-  (void)oracle.count_sorted(std::vector<double>(100, 0.25));
+  (void)oracle.count_rle(rle_from_sorted(std::vector<double>(100, 0.25)));
   EXPECT_EQ(oracle.hits(), hits_before + 1);
 }
 
@@ -394,7 +424,7 @@ TEST(BinCountOracleTest, FifoEvictionCountersPinned) {
   constexpr std::size_t kLimit = 4;
   BinCountOracle oracle(unit_model(), {}, kLimit);
   for (std::size_t k = 1; k <= 7; ++k) {
-    (void)oracle.count_sorted(std::vector<double>(k, 0.25));
+    (void)oracle.count_rle(rle_from_sorted(std::vector<double>(k, 0.25)));
   }
   EXPECT_EQ(oracle.misses(), 7u);
   EXPECT_EQ(oracle.hits(), 0u);
@@ -402,13 +432,13 @@ TEST(BinCountOracleTest, FifoEvictionCountersPinned) {
   EXPECT_EQ(oracle.memo_size(), 3u);
 
   // Survivors are exactly the last three inserts (seq 4, 5, 6)...
-  (void)oracle.count_sorted(std::vector<double>(5, 0.25));
-  (void)oracle.count_sorted(std::vector<double>(6, 0.25));
-  (void)oracle.count_sorted(std::vector<double>(7, 0.25));
+  (void)oracle.count_rle(rle_from_sorted(std::vector<double>(5, 0.25)));
+  (void)oracle.count_rle(rle_from_sorted(std::vector<double>(6, 0.25)));
+  (void)oracle.count_rle(rle_from_sorted(std::vector<double>(7, 0.25)));
   EXPECT_EQ(oracle.hits(), 3u);
   EXPECT_EQ(oracle.misses(), 7u);
   // ...and the evicted oldest key misses and is re-stored.
-  (void)oracle.count_sorted(std::vector<double>(1, 0.25));
+  (void)oracle.count_rle(rle_from_sorted(std::vector<double>(1, 0.25)));
   EXPECT_EQ(oracle.hits(), 3u);
   EXPECT_EQ(oracle.misses(), 8u);
 }
@@ -447,11 +477,12 @@ TEST(BinCountOracleTest, EvictedEntriesAreRecomputedCorrectly) {
   constexpr std::size_t kLimit = 4;
   BinCountOracle oracle(unit_model(), {}, kLimit);
   const std::vector<double> probe{0.9, 0.6, 0.6, 0.2};
-  const BinCountBounds first = oracle.count_sorted(probe);
+  const BinCountBounds first = oracle.count_rle(rle_from_sorted(probe));
   for (int i = 1; i <= 50; ++i) {
-    (void)oracle.count_sorted(std::vector<double>(static_cast<std::size_t>(i), 0.3));
+    (void)oracle.count_rle(
+        rle_from_sorted(std::vector<double>(static_cast<std::size_t>(i), 0.3)));
   }
-  const BinCountBounds again = oracle.count_sorted(probe);
+  const BinCountBounds again = oracle.count_rle(rle_from_sorted(probe));
   EXPECT_EQ(again.lower, first.lower);
   EXPECT_EQ(again.upper, first.upper);
   EXPECT_GT(oracle.evictions(), 0u);

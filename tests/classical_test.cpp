@@ -1,10 +1,11 @@
-#include "opt/classical.hpp"
-
+// The flat FFD/BFD kernels (support/flat_bin_count.hpp) on hand-checked
+// packings: the per-item specification the library's `_rle` kernels replay.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/error.hpp"
+#include "support/flat_bin_count.hpp"
 
 namespace dbp {
 namespace {

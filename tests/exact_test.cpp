@@ -9,8 +9,7 @@
 
 #include "core/arena.hpp"
 #include "opt/bin_count.hpp"
-#include "opt/classical.hpp"
-#include "opt/lower_bounds.hpp"
+#include "support/flat_bin_count.hpp"
 #include "witness_fixtures.hpp"
 
 namespace dbp {

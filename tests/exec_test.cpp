@@ -1,9 +1,9 @@
 // Tests for the exec subsystem: the process-wide WorkerBudget, the
 // WorkerLease arbitration, the fork-join every fan-out runs on, the
-// ExecutionPolicy decision function, and the regression the subsystem
-// exists to fix — a 1-worker budget must route estimate_opt_total down the
-// sequential path (one worker, observable through the phase metrics), while
-// still producing results bit-identical to the unconditional parallel path.
+// adaptive fan-out rule, and the regression the subsystem exists to fix —
+// a 1-worker budget must route estimate_opt_total down the sequential path
+// (one worker, observable through the phase metrics), while still
+// producing results bit-identical to the fanned-out path.
 #include "exec/worker_budget.hpp"
 
 #include <gtest/gtest.h>
@@ -17,8 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/error.hpp"
-#include "exec/execution_policy.hpp"
 #include "exec/fork_join.hpp"
 #include "exec/parallel_map.hpp"
 #include "obs/metrics_registry.hpp"
@@ -147,49 +145,31 @@ TEST(ForkJoinTest, JoinsEveryThreadBeforeRethrowing) {
   EXPECT_EQ(finished.load(), 2);
 }
 
-TEST(ExecutionPolicyTest, ShouldParallelizeTruthTable) {
-  using exec::ExecutionPolicy;
+TEST(AdaptiveRuleTest, ShouldParallelizeTruthTable) {
   const exec::ParallelWorkEstimate big{/*jobs=*/1000, /*work_units=*/100'000};
   const exec::ParallelWorkEstimate tiny{/*jobs=*/4, /*work_units=*/8};
   const exec::ParallelWorkEstimate one{/*jobs=*/1, /*work_units=*/1'000'000};
 
-  // Fewer than two jobs can never fan out, whatever the policy says.
-  EXPECT_FALSE(exec::should_parallelize(ExecutionPolicy::kParallel, one, 8));
+  // One job never fans out, however much work it holds.
+  EXPECT_FALSE(exec::should_parallelize(one, 8));
 
-  EXPECT_FALSE(exec::should_parallelize(ExecutionPolicy::kSequential, big, 8));
-  EXPECT_TRUE(exec::should_parallelize(ExecutionPolicy::kParallel, tiny, 1));
-
-  // Adaptive: needs workers, enough jobs, and enough work per the cutoffs.
-  EXPECT_TRUE(exec::should_parallelize(ExecutionPolicy::kAdaptive, big, 8));
-  EXPECT_FALSE(exec::should_parallelize(ExecutionPolicy::kAdaptive, big, 1));
-  EXPECT_FALSE(exec::should_parallelize(ExecutionPolicy::kAdaptive, tiny, 8));
+  // Needs workers, enough jobs, and enough work per the cutoffs.
+  EXPECT_TRUE(exec::should_parallelize(big, 8));
+  EXPECT_FALSE(exec::should_parallelize(big, 1));
+  EXPECT_FALSE(exec::should_parallelize(tiny, 8));
   const exec::ParallelWorkEstimate at_cutoff{exec::kMinParallelJobs,
                                              exec::kMinParallelWorkUnits};
-  EXPECT_TRUE(exec::should_parallelize(ExecutionPolicy::kAdaptive, at_cutoff, 2));
+  EXPECT_TRUE(exec::should_parallelize(at_cutoff, 2));
   const exec::ParallelWorkEstimate below_jobs{exec::kMinParallelJobs - 1,
                                               exec::kMinParallelWorkUnits};
-  EXPECT_FALSE(
-      exec::should_parallelize(ExecutionPolicy::kAdaptive, below_jobs, 2));
+  EXPECT_FALSE(exec::should_parallelize(below_jobs, 2));
   const exec::ParallelWorkEstimate below_units{exec::kMinParallelJobs,
                                                exec::kMinParallelWorkUnits - 1};
-  EXPECT_FALSE(
-      exec::should_parallelize(ExecutionPolicy::kAdaptive, below_units, 2));
+  EXPECT_FALSE(exec::should_parallelize(below_units, 2));
   // dbp_bench_report's dyadic 300-item instance: many jobs, but its whole
   // evaluate phase is sub-millisecond, so it stays sequential.
   const exec::ParallelWorkEstimate dyadic_300{/*jobs=*/550, /*work_units=*/3'243};
-  EXPECT_FALSE(
-      exec::should_parallelize(ExecutionPolicy::kAdaptive, dyadic_300, 4));
-}
-
-TEST(ExecutionPolicyTest, NamesRoundTrip) {
-  using exec::ExecutionPolicy;
-  for (const ExecutionPolicy policy :
-       {ExecutionPolicy::kSequential, ExecutionPolicy::kParallel,
-        ExecutionPolicy::kAdaptive}) {
-    EXPECT_EQ(exec::parse_execution_policy(exec::to_string(policy)), policy);
-  }
-  EXPECT_THROW((void)exec::parse_execution_policy("turbo"), PreconditionError);
-  EXPECT_THROW((void)exec::parse_execution_policy(""), PreconditionError);
+  EXPECT_FALSE(exec::should_parallelize(dyadic_300, 4));
 }
 
 Instance uniform_instance(std::size_t items, std::uint64_t seed) {
@@ -202,23 +182,21 @@ Instance uniform_instance(std::size_t items, std::uint64_t seed) {
   return generate_random_instance(config, seed);
 }
 
-/// Under a 1-worker budget the adaptive policy must take the sequential
-/// evaluation path — one worker, which the opt_total.evaluate_* metrics
-/// make observable — while the result stays bit-identical to the
-/// unconditional parallel path.
+/// Under a 1-worker budget the evaluate phase must take the sequential
+/// path — one worker, which the opt_total.evaluate_* metrics make
+/// observable — while the result stays bit-identical to the fanned-out
+/// path a larger budget takes on the same instance.
 TEST(AdaptiveOptTotalTest, OneWorkerBudgetTakesSequentialPath) {
   const BudgetGuard guard;
   const Instance instance = uniform_instance(400, 99);
   const CostModel model{1.0, 1.0, 1e-9};
 
   exec::WorkerBudget::set(1);
-  OptTotalOptions options;
-  options.policy = exec::ExecutionPolicy::kAdaptive;
   obs::MetricsRegistry registry;
   OptTotalResult adaptive;
   {
     const obs::ObsScope scope(nullptr, &registry);
-    adaptive = estimate_opt_total(instance, model, options);
+    adaptive = estimate_opt_total(instance, model);
   }
   EXPECT_FALSE(adaptive.evaluate_parallel);
   EXPECT_EQ(adaptive.evaluate_workers, 1);
@@ -226,11 +204,12 @@ TEST(AdaptiveOptTotalTest, OneWorkerBudgetTakesSequentialPath) {
   EXPECT_FALSE(registry.counter_value("opt_total.evaluate_parallel").has_value());
   EXPECT_EQ(registry.gauge_value("opt_total.evaluate_workers"), 1.0);
 
-  // Same budget, forced-parallel policy: the estimator reports the parallel
-  // path (on its one worker), and the numbers cannot move.
-  options.policy = exec::ExecutionPolicy::kParallel;
-  const OptTotalResult parallel = estimate_opt_total(instance, model, options);
+  // Budget 8: the adaptive rule fans the same instance out, and the numbers
+  // cannot move.
+  exec::WorkerBudget::set(8);
+  const OptTotalResult parallel = estimate_opt_total(instance, model);
   EXPECT_TRUE(parallel.evaluate_parallel);
+  EXPECT_EQ(parallel.evaluate_workers, 8);
   EXPECT_EQ(adaptive.lower_cost, parallel.lower_cost);
   EXPECT_EQ(adaptive.upper_cost, parallel.upper_cost);
   EXPECT_EQ(adaptive.segments, parallel.segments);
@@ -246,34 +225,31 @@ TEST(AdaptiveOptTotalTest, LeaseKeepsAdaptiveSequentialUnderBigBudget) {
   exec::WorkerBudget::set(8);
   const Instance instance = uniform_instance(300, 7);
   const CostModel model{1.0, 1.0, 1e-9};
-  OptTotalOptions options;
-  options.policy = exec::ExecutionPolicy::kAdaptive;
 
   const exec::WorkerLease lease;
-  const OptTotalResult result = estimate_opt_total(instance, model, options);
+  const OptTotalResult result = estimate_opt_total(instance, model);
   EXPECT_FALSE(result.evaluate_parallel);
   EXPECT_EQ(result.evaluate_workers, 1);
 }
 
 /// Runs in the death-test child: under budget 4, with no room left for a
-/// thread stack, parallel_map and the forced-parallel evaluate phase must
-/// return what they return under budget 1. 0 when they do.
+/// thread stack, parallel_map and the evaluate phase of an instance the
+/// adaptive rule fans out must return what they return under budget 1. 0
+/// when they do.
 int fan_out_without_thread_stacks() {
   std::vector<int> jobs(64);
   std::iota(jobs.begin(), jobs.end(), 0);
   const auto square = [](int x) { return x * x; };
-  const Instance instance = uniform_instance(80, 17);
+  const Instance instance = uniform_instance(400, 17);
   const CostModel model{1.0, 1.0, 1e-9};
-  OptTotalOptions options;
-  options.policy = exec::ExecutionPolicy::kParallel;
   exec::WorkerBudget::set(1);
   const std::vector<int> reference_map = parallel_map(jobs, square);
-  const OptTotalResult reference = estimate_opt_total(instance, model, options);
+  const OptTotalResult reference = estimate_opt_total(instance, model);
 
   if (!thread_start_failure::leave_no_room_for_thread_stacks()) return 4;
   exec::WorkerBudget::set(4);
   const std::vector<int> mapped = parallel_map(jobs, square);
-  const OptTotalResult estimated = estimate_opt_total(instance, model, options);
+  const OptTotalResult estimated = estimate_opt_total(instance, model);
   if (!thread_start_failure::thread_start_fails()) return 5;
   if (estimated.evaluate_workers != 4) return 6;  // it did ask for 4 workers
 

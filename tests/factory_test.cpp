@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "support/reference_strategies.hpp"
 #include "workload/rng.hpp"
 
 namespace dbp {
@@ -31,6 +32,12 @@ TEST(FactoryTest, BuildsEveryRegisteredAlgorithm) {
 TEST(FactoryTest, UnknownNameThrows) {
   EXPECT_THROW((void)make_packer("frist-fit", unit_model()), PreconditionError);
   EXPECT_THROW((void)make_packer("", unit_model()), PreconditionError);
+  // The reference twins are test oracles (support/reference_strategies.hpp):
+  // the library's factory does not build them.
+  EXPECT_THROW((void)make_packer("first-fit-reference", unit_model()),
+               PreconditionError);
+  EXPECT_THROW((void)make_packer("best-fit-reference", unit_model()),
+               PreconditionError);
 }
 
 TEST(FactoryTest, KnownMuVariantRequiresMu) {
@@ -75,12 +82,21 @@ TEST(FactoryTest, WouldOpenBinPredictsEveryArrival) {
   options.known_mu = 4.0;
   std::vector<std::string> names = all_algorithm_names();
   names.insert(names.end(), {"first-fit-reference", "best-fit-reference"});
+  const auto build = [&](const std::string& name) {
+    if (name == "first-fit-reference") {
+      return make_reference_packer("first-fit", unit_model());
+    }
+    if (name == "best-fit-reference") {
+      return make_reference_packer("best-fit", unit_model());
+    }
+    return make_packer(name, unit_model(), options);
+  };
   const std::set<std::string> own_rule{"next-fit", "modified-first-fit",
                                        "modified-first-fit-known-mu",
                                        "adaptive-mff", "harmonic-first-fit"};
   for (const std::string& name : names) {
     SCOPED_TRACE(name);
-    auto packer = make_packer(name, unit_model(), options);
+    auto packer = build(name);
     Rng rng(11);
     std::vector<ItemId> active;
     std::size_t opened_with_room = 0;

@@ -1,11 +1,11 @@
-#include "opt/lower_bounds.hpp"
-
+// The flat L1/L2 bounds (support/flat_bin_count.hpp) on hand-checked
+// multisets: the per-item specification l2_lower_bound_rle replays.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/error.hpp"
-#include "opt/classical.hpp"
+#include "support/flat_bin_count.hpp"
 
 namespace dbp {
 namespace {

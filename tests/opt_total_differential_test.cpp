@@ -1,17 +1,16 @@
 // Differential tests for the fast OPT_total pipeline.
 //
 // estimate_opt_total (RLE snapshots, dedup, parallel segment evaluation)
-// must reproduce the reference estimator bit for bit — not approximately:
-// the fast path is engineered to replay the reference's floating-point
-// operation sequence exactly, and these tests are the contract.
+// must reproduce the reference estimator (support/opt_total_reference.hpp)
+// bit for bit — not approximately: the fast path is engineered to replay
+// the reference's floating-point operation sequence exactly, and these
+// tests are the contract.
 #include "opt/opt_total.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "exec/worker_budget.hpp"
-#include "opt/opt_total_reference.hpp"
+#include "support/opt_total_reference.hpp"
 #include "workload/adversary_anyfit.hpp"
 #include "workload/adversary_bestfit.hpp"
 #include "workload/random_instance.hpp"
@@ -39,21 +38,32 @@ void expect_bit_identical(const OptTotalResult& fast,
   EXPECT_EQ(fast.closed_form.span_lower, reference.closed_form.span_lower);
 }
 
-/// Every execution policy must reproduce the reference bit for bit — the
-/// policy only chooses *where* snapshots are evaluated, never *what* is
-/// computed.
+/// Restores the runtime-default budget no matter how a test exits.
+struct BudgetGuard {
+  ~BudgetGuard() { exec::WorkerBudget::set(0); }
+};
+
+/// Under worker budgets 1, 2 and 8 the estimate must reproduce the
+/// reference bit for bit — the budget only chooses *where* snapshots are
+/// evaluated, never *what* is computed. A `fans_out` instance is large
+/// enough for the adaptive rule to fan the evaluate phase out whenever the
+/// budget allows, so the parallel path is taken, not just permitted.
 void expect_differential_match(const Instance& instance,
-                               const OptTotalOptions& options = {}) {
+                               const OptTotalOptions& options = {},
+                               bool fans_out = false) {
+  const BudgetGuard guard;
   const OptTotalResult reference =
       estimate_opt_total_reference(instance, unit_model(), options);
-  for (const exec::ExecutionPolicy policy :
-       {exec::ExecutionPolicy::kSequential, exec::ExecutionPolicy::kParallel,
-        exec::ExecutionPolicy::kAdaptive}) {
-    OptTotalOptions policy_options = options;
-    policy_options.policy = policy;
-    const OptTotalResult result =
-        estimate_opt_total(instance, unit_model(), policy_options);
+  for (const int threads : {1, 2, 8}) {
+    exec::WorkerBudget::set(threads);
+    const OptTotalResult result = estimate_opt_total(instance, unit_model(), options);
     expect_bit_identical(result, reference);
+    // The budget caps what the estimator may claim to have used.
+    EXPECT_LE(result.evaluate_workers, threads);
+    if (fans_out && threads > 1) {
+      EXPECT_TRUE(result.evaluate_parallel) << "budget " << threads;
+      EXPECT_EQ(result.evaluate_workers, threads);
+    }
   }
 }
 
@@ -98,18 +108,20 @@ Instance split_at(const Instance& instance, Time t) {
 }
 
 TEST(OptTotalDifferentialTest, SeededRandomUniform) {
-  for (const std::uint64_t seed : {1u, 7u, 99u}) {
-    expect_differential_match(uniform_instance(400, seed));
+  for (const std::uint64_t seed : {1u, 7u, 31u, 99u}) {
+    expect_differential_match(uniform_instance(400, seed), {}, /*fans_out=*/true);
   }
 }
 
 TEST(OptTotalDifferentialTest, DyadicBurstsBatchedEqualTimes) {
   // Burst arrivals exercise the batched-event path; dyadic sizes compress
   // heavily, so this is also the workload where snapshot dedup fires.
-  const Instance instance = dyadic_burst_instance(600, 3);
-  const OptTotalResult fast = estimate_opt_total(instance, unit_model());
-  EXPECT_GT(fast.dedup_hits, 0u);
-  expect_differential_match(instance);
+  for (const Instance& instance :
+       {dyadic_burst_instance(600, 3), dyadic_burst_instance(400, 31)}) {
+    const OptTotalResult fast = estimate_opt_total(instance, unit_model());
+    EXPECT_GT(fast.dedup_hits, 0u);
+    expect_differential_match(instance);
+  }
 }
 
 TEST(OptTotalDifferentialTest, AnyFitAdversaryTheorem1) {
@@ -140,45 +152,17 @@ TEST(OptTotalDifferentialTest, ChaosRecoveredInstances) {
 TEST(OptTotalDifferentialTest, WithoutExactSolver) {
   OptTotalOptions options;
   options.bin_count.use_exact_solver = false;
-  expect_differential_match(uniform_instance(400, 5), options);
+  expect_differential_match(uniform_instance(400, 5), options, /*fans_out=*/true);
 }
 
 TEST(OptTotalDifferentialTest, DeterministicAcrossWorkerCounts) {
+  const BudgetGuard guard;
   const Instance instance = dyadic_burst_instance(500, 21);
   exec::WorkerBudget::set(1);
   const OptTotalResult one = estimate_opt_total(instance, unit_model());
   exec::WorkerBudget::set(4);
   const OptTotalResult four = estimate_opt_total(instance, unit_model());
-  exec::WorkerBudget::set(0);  // restore the default
   expect_bit_identical(four, one);
-}
-
-// The full cross product the acceptance gate names: every ExecutionPolicy
-// under worker budgets {1, 2, 8} reproduces the reference bit for bit, on
-// both a uniform and a dedup-heavy workload.
-TEST(OptTotalDifferentialTest, PolicyTimesThreadsCrossProduct) {
-  const Instance instances[] = {uniform_instance(400, 31),
-                                dyadic_burst_instance(400, 31)};
-  for (const Instance& instance : instances) {
-    const OptTotalResult reference =
-        estimate_opt_total_reference(instance, unit_model());
-    for (const int threads : {1, 2, 8}) {
-      exec::WorkerBudget::set(threads);
-      for (const exec::ExecutionPolicy policy :
-           {exec::ExecutionPolicy::kSequential,
-            exec::ExecutionPolicy::kParallel,
-            exec::ExecutionPolicy::kAdaptive}) {
-        OptTotalOptions options;
-        options.policy = policy;
-        const OptTotalResult result =
-            estimate_opt_total(instance, unit_model(), options);
-        expect_bit_identical(result, reference);
-        // The budget caps what the estimator may claim to have used.
-        EXPECT_LE(result.evaluate_workers, std::max(threads, 1));
-      }
-    }
-    exec::WorkerBudget::set(0);  // restore the default
-  }
 }
 
 TEST(OptTotalDifferentialTest, ReferenceCountersMatchFastPath) {

@@ -1,8 +1,9 @@
 // Differential tests for the flat-index strategy rewrites: the optimized
 // "first-fit" (segment-tree threshold descent) and "best-fit" (dense
-// position vectors + flat sorted residual index) against the deliberately
-// naive "-reference" strategies (linear scans over a by-id bin list, the
-// seed implementation's decision procedure). Over chaotic high-churn
+// position vectors + flat sorted residual index) against the seed's
+// reference strategies, kept as test oracles in
+// support/reference_strategies.hpp (the seed implementation's decision
+// procedure over node-based and hashed indexes). Over chaotic high-churn
 // workloads the two must make bit-identical decisions — same assignment,
 // same bin count, same exact total cost — and the optimized packers must
 // round-trip save_snapshot/restore_snapshot byte-exactly mid-run.
@@ -21,6 +22,7 @@
 #include "core/types.hpp"
 #include "sim/event.hpp"
 #include "sim/simulator.hpp"
+#include "support/reference_strategies.hpp"
 #include "workload/random_instance.hpp"
 
 namespace dbp {
@@ -60,8 +62,8 @@ class PackerReferenceDifferentialTest
   [[nodiscard]] std::string optimized_name() const {
     return std::get<0>(GetParam());
   }
-  [[nodiscard]] std::string reference_name() const {
-    return optimized_name() + "-reference";
+  [[nodiscard]] std::unique_ptr<Packer> reference_packer() const {
+    return make_reference_packer(optimized_name(), unit_model());
   }
   [[nodiscard]] Instance instance() const {
     return make_instance(std::get<1>(GetParam()),
@@ -73,10 +75,10 @@ class PackerReferenceDifferentialTest
 TEST_P(PackerReferenceDifferentialTest, DecisionsAreBitIdentical) {
   const Instance inst = instance();
   const SimulationResult opt = simulate(inst, optimized_name(), unit_model());
-  const SimulationResult ref = simulate(inst, reference_name(), unit_model());
+  const SimulationResult ref = simulate(inst, *reference_packer());
 
   EXPECT_EQ(opt.assignment, ref.assignment)
-      << optimized_name() << " diverged from " << reference_name();
+      << optimized_name() << " diverged from " << ref.algorithm;
   EXPECT_EQ(opt.bins_opened, ref.bins_opened);
   EXPECT_EQ(opt.max_open_bins, ref.max_open_bins);
   // Same placements in the same order integrate to the same cost bit for
@@ -123,7 +125,7 @@ TEST_P(PackerReferenceDifferentialTest, MidRunSnapshotRoundTripsByteExactly) {
   EXPECT_EQ(end_original.data(), end_restored.data())
       << optimized_name() << ": the restored packer diverged after resuming";
 
-  std::unique_ptr<Packer> reference = make_packer(reference_name(), unit_model());
+  std::unique_ptr<Packer> reference = reference_packer();
   reference->replay(inst, all);
   EXPECT_EQ(original->bins().total_bins_opened(),
             reference->bins().total_bins_opened());

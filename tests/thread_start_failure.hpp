@@ -1,11 +1,13 @@
-// Running a fan-out where no thread can start, shared by the engine's and
-// the exec layer's spawn-failure death tests. The death-test child caps its
-// address space (RLIMIT_AS) just above what it has mapped: small
-// allocations still fit, a thread stack does not. Run the child in gtest's
-// "threadsafe" style, which re-executes the binary, so it inherits no
-// cached thread stack that could start a thread under the limit.
+// Running a fan-out where no thread can start, for the exec layer's
+// spawn-failure death test. The death-test child caps its address space
+// (RLIMIT_AS) above what it has mapped by half a default thread stack: the
+// heap can still grow by a few MiB, a thread stack does not fit. Run the
+// child in gtest's "threadsafe" style, which re-executes the binary, so it
+// inherits no cached thread stack that could start a thread under the
+// limit.
 #pragma once
 
+#include <pthread.h>
 #include <sys/resource.h>
 
 #include <cstdint>
@@ -44,12 +46,24 @@ inline std::uint64_t vm_size_bytes() {
   return 0;
 }
 
-/// Caps RLIMIT_AS at the current VmSize + 1 MiB. False when the limit
-/// cannot be read or set.
+/// The stack size a std::thread maps by default; 0 when it cannot be read.
+inline std::uint64_t default_thread_stack_bytes() {
+  pthread_attr_t attr;
+  if (pthread_getattr_default_np(&attr) != 0) return 0;
+  std::size_t size = 0;
+  const bool read = pthread_attr_getstacksize(&attr, &size) == 0;
+  pthread_attr_destroy(&attr);
+  return read ? size : 0;
+}
+
+/// Caps RLIMIT_AS at the current VmSize + half a default thread stack.
+/// False when the stack size or the limit cannot be read, or the limit
+/// cannot be set.
 inline bool leave_no_room_for_thread_stacks() {
+  const std::uint64_t stack = default_thread_stack_bytes();
   rlimit limit{};
-  if (getrlimit(RLIMIT_AS, &limit) != 0) return false;
-  limit.rlim_cur = vm_size_bytes() + (std::uint64_t{1} << 20);
+  if (stack == 0 || getrlimit(RLIMIT_AS, &limit) != 0) return false;
+  limit.rlim_cur = vm_size_bytes() + stack / 2;
   return setrlimit(RLIMIT_AS, &limit) == 0;
 }
 

@@ -51,6 +51,7 @@
 #include "opt/scratch.hpp"
 #include "sim/event.hpp"
 #include "sim/simulator.hpp"
+#include "support/flat_bin_count.hpp"
 #include "witness_fixtures.hpp"
 #include "workload/random_instance.hpp"
 

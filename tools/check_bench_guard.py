@@ -3,10 +3,10 @@
 
 Three checks over a dbp-bench-perf report (schema 1 through 4):
 
-1. Adaptive-policy guard (schema >= 1): for every workload that reports
+1. Adaptive-rule guard (schema >= 1): for every workload that reports
    both, ``opt_total_<w>_fast`` must be no slower than
    ``opt_total_<w>_fast_sequential`` by more than the allowed ratio. The
-   adaptive execution policy exists precisely so the fast path can never do
+   adaptive fan-out rule exists precisely so the fast path can never do
    worse than sequential plus noise.
 
 2. Packer throughput guard (schema >= 3, needs ``--baseline``): every
@@ -201,7 +201,7 @@ def main(argv):
     if failures:
         print(
             f"check_bench_guard: {failures}/{checked} workload(s) regressed — "
-            "the adaptive policy should never lose to sequential by more "
+            "the adaptive rule should never lose to sequential by more "
             "than noise",
             file=sys.stderr,
         )

@@ -10,7 +10,6 @@
 
 #include "core/error.hpp"
 #include "core/parse.hpp"
-#include "exec/execution_policy.hpp"
 #include "exec/worker_budget.hpp"
 
 namespace dbp::cli {
@@ -101,23 +100,6 @@ class Args {
                 "--" + key + " value '" + it->second + "' is out of range (max " +
                     std::to_string(kMaxThreads) + ")\n" + usage_);
     return static_cast<int>(parsed);
-  }
-
-  /// Strict parse for --policy: sequential | parallel | adaptive, mapped to
-  /// exec::ExecutionPolicy (anything else is a CLI error with the usage
-  /// hint). Returns `fallback` when the option is absent.
-  [[nodiscard]] exec::ExecutionPolicy get_execution_policy(
-      exec::ExecutionPolicy fallback = exec::ExecutionPolicy::kAdaptive,
-      const std::string& key = "policy") const {
-    auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    try {
-      return exec::parse_execution_policy(it->second);
-    } catch (const PreconditionError& error) {
-      // Re-throw with the usage block appended; the parse error already
-      // carries the DBP_REQUIRE prefix, so don't wrap it in another one.
-      throw PreconditionError(std::string(error.what()) + "\n" + usage_);
-    }
   }
 
   /// Splits a comma-separated value ("a,b,c").

@@ -29,16 +29,17 @@
 #include "core/checked_output.hpp"
 #include "core/error.hpp"
 #include "engine/engine.hpp"
-#include "exec/execution_policy.hpp"
 #include "exec/worker_budget.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/obs.hpp"
 #include "obs_cli.hpp"
 #include "opt/bin_count.hpp"
 #include "opt/opt_total.hpp"
-#include "opt/opt_total_reference.hpp"
 #include "opt/rle.hpp"
 #include "sim/simulator.hpp"
+#include "support/flat_bin_count.hpp"
+#include "support/opt_total_reference.hpp"
+#include "support/reference_strategies.hpp"
 #include "workload/random_instance.hpp"
 
 namespace {
@@ -126,13 +127,12 @@ std::string json_number(double value) {
   return out.str();
 }
 
-/// `"workers": N, "policy": "..."` fragments recording what phase 2
-/// actually did — the report must never advertise a parallel path the case
-/// did not take (the uniform-workload regression hid behind exactly that).
-std::vector<std::string> execution_extras(const OptTotalResult& result,
-                                          exec::ExecutionPolicy policy) {
+/// `"workers": N, "evaluate_parallel": ...` fragments recording what
+/// phase 2 actually did — the report must never advertise a parallel path
+/// the case did not take (the uniform-workload regression hid behind
+/// exactly that).
+std::vector<std::string> execution_extras(const OptTotalResult& result) {
   return {"\"workers\": " + std::to_string(result.evaluate_workers),
-          "\"policy\": \"" + std::string(exec::to_string(policy)) + "\"",
           std::string("\"evaluate_parallel\": ") +
               (result.evaluate_parallel ? "true" : "false")};
 }
@@ -156,18 +156,18 @@ void append_opt_total_cases(std::vector<BenchCase>& cases,
   double ref_ms = std::numeric_limits<double>::infinity();
   double fast_ms = std::numeric_limits<double>::infinity();
   double seq_ms = std::numeric_limits<double>::infinity();
-  // The shipped default: the adaptive policy under the process worker
-  // budget. With a 1-worker budget it falls back to the sequential path;
-  // with more hardware it fans phase 2 out — either way `workers` records
-  // what actually ran.
+  // The shipped default: the adaptive rule under the process worker
+  // budget. With a 1-worker budget it takes the sequential path; with more
+  // hardware it fans phase 2 out — either way `workers` records what
+  // actually ran. The sequential case holds a WorkerLease, which leaves
+  // the estimate one worker: the same path under any budget.
   const auto time_fast = [&] {
-    options.policy = exec::ExecutionPolicy::kAdaptive;
     fast_ms = std::min(fast_ms, time_once_ms([&] {
       fast = estimate_opt_total(instance, model, options);
     }));
   };
   const auto time_sequential = [&] {
-    options.policy = exec::ExecutionPolicy::kSequential;
+    const exec::WorkerLease lease;
     seq_ms = std::min(seq_ms, time_once_ms([&] {
       sequential = estimate_opt_total(instance, model, options);
     }));
@@ -201,7 +201,6 @@ void append_opt_total_cases(std::vector<BenchCase>& cases,
   // One instrumented run outside the timed loops harvests per-phase wall
   // clock (sweep / evaluate / combine) for the report, so the timed numbers
   // above never pay for their own instrumentation.
-  options.policy = exec::ExecutionPolicy::kAdaptive;
   obs::MetricsRegistry phase_registry;
   {
     const obs::ObsScope scope(nullptr, &phase_registry);
@@ -213,7 +212,7 @@ void append_opt_total_cases(std::vector<BenchCase>& cases,
       "\"distinct_snapshots\": " + std::to_string(fast.distinct_snapshots),
       "\"dedup_hits\": " + std::to_string(fast.dedup_hits),
       "\"speedup_vs_reference\": " + json_number(ref_ms / fast_ms)};
-  for (std::string& extra : execution_extras(fast, exec::ExecutionPolicy::kAdaptive)) {
+  for (std::string& extra : execution_extras(fast)) {
     fast_extras.push_back(std::move(extra));
   }
   for (const char* phase : {"sweep", "evaluate", "combine"}) {
@@ -227,8 +226,7 @@ void append_opt_total_cases(std::vector<BenchCase>& cases,
 
   std::vector<std::string> seq_extras = {"\"speedup_vs_reference\": " +
                                          json_number(ref_ms / seq_ms)};
-  for (std::string& extra :
-       execution_extras(sequential, exec::ExecutionPolicy::kSequential)) {
+  for (std::string& extra : execution_extras(sequential)) {
     seq_extras.push_back(std::move(extra));
   }
 
@@ -245,11 +243,12 @@ void append_opt_total_cases(std::vector<BenchCase>& cases,
 /// work targets: events prebuilt, storage reserved, then `replay_events`
 /// alone — the region that scales with the event count and that the
 /// zero-allocation test pins. The `_reference` cases run the pre-arena
-/// strategies under the seed's timed region (full `simulate` by name,
-/// including event build and accounting) in the same process, so their
-/// items_per_sec stays comparable with the historical BENCH_perf.json
-/// trajectory; `speedup_vs_reference` on an optimized case is the ratio of
-/// the two protocols, measured interleaved under the same background load.
+/// strategies under the seed's timed region (packer construction and a full
+/// `simulate`, including event build and accounting) in the same process,
+/// so their items_per_sec stays comparable with the historical
+/// BENCH_perf.json trajectory; `speedup_vs_reference` on an optimized case
+/// is the ratio of the two protocols, measured interleaved under the same
+/// background load.
 /// Before any timing, optimized and reference packers are asserted to
 /// produce identical results — cost, bin count, and per-item assignment.
 void append_packer_cases(std::vector<BenchCase>& cases, const CostModel& model,
@@ -288,8 +287,7 @@ void append_packer_cases(std::vector<BenchCase>& cases, const CostModel& model,
     for (const char* alg : {"first-fit", "best-fit"}) {
       auto optimized = make_packer(alg, model, options);
       const SimulationResult opt_result = simulate(instance, events, *optimized);
-      auto reference =
-          make_packer(std::string(alg) + "-reference", model, options);
+      auto reference = make_reference_packer(alg, model);
       const SimulationResult ref_result = simulate(instance, events, *reference);
       DBP_CHECK(opt_result.total_cost == ref_result.total_cost &&
                     opt_result.bins_opened == ref_result.bins_opened &&
@@ -316,8 +314,8 @@ void append_packer_cases(std::vector<BenchCase>& cases, const CostModel& model,
       }
       for (std::size_t a = 0; a < reference_names.size(); ++a) {
         ref_ms[a] = std::min(ref_ms[a], time_once_ms([&] {
-          const SimulationResult result = simulate(
-              instance, reference_names[a] + "-reference", model, options);
+          auto reference = make_reference_packer(reference_names[a], model);
+          const SimulationResult result = simulate(instance, *reference);
           DBP_CHECK(result.total_cost > 0.0, "degenerate packing cost");
         }));
       }

@@ -3,7 +3,7 @@
 //
 // Usage:
 //   dbp_bounds --trace=trace.csv [--capacity=W] [--rate=C] [--no-exact]
-//              [--threads=N] [--policy=sequential|parallel|adaptive]
+//              [--threads=N]
 #include <iostream>
 
 #include "cli.hpp"
@@ -18,7 +18,7 @@ namespace {
 
 constexpr const char* kUsage =
     "usage: dbp_bounds --trace=FILE [--capacity=W] [--rate=C] [--no-exact]\n"
-    "                  [--threads=N] [--policy=sequential|parallel|adaptive]\n";
+    "                  [--threads=N]\n";
 
 }  // namespace
 
@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   try {
     const cli::Args args(
         argc, argv,
-        {"trace", "capacity", "rate", "no-exact", "threads", "policy"},
+        {"trace", "capacity", "rate", "no-exact", "threads"},
         kUsage);
     exec::WorkerBudget::set(args.get_thread_count());
     const Instance instance = read_instance_csv(args.require("trace"));
@@ -50,7 +50,6 @@ int main(int argc, char** argv) {
 
     OptTotalOptions options;
     options.bin_count.use_exact_solver = !args.has("no-exact");
-    options.policy = args.get_execution_policy();
     const OptTotalResult opt = estimate_opt_total(instance, model, options);
     std::cout << strfmt(
         "OPT_total in [%.6f, %.6f]%s  (%zu/%zu segments proven exact)\n",

@@ -13,8 +13,8 @@
 // bin-count chain against exhaustive enumeration: a few dozen multisets of
 // at most 10 sizes, half on a 0.05 grid (whose exact fills leave rounding
 // residues) and half continuous, whose optimum under CostModel::fits is
-// enumerated here; exact_bin_count and optimal_bin_count_rle must bracket
-// it. And each round fuzzes the durability journal codec: a journal
+// enumerated here; the flat exact_bin_count (support/flat_bin_count.hpp)
+// and the library's optimal_bin_count_rle must bracket it. And each round fuzzes the durability journal codec: a journal
 // encoded by the real JournalWriter is truncated, bit-flipped, spliced and
 // garbage-extended, and the scanner must return exactly the intact record
 // prefix or a typed CorruptionError — it must never crash and never accept
@@ -36,11 +36,11 @@
 #include "core/metrics.hpp"
 #include "core/strfmt.hpp"
 #include "opt/bin_count.hpp"
-#include "opt/exact.hpp"
 #include "opt/opt_total.hpp"
 #include "opt/rle.hpp"
 #include "sim/fault_sim.hpp"
 #include "sim/simulator.hpp"
+#include "support/flat_bin_count.hpp"
 #include "workload/fault_schedule.hpp"
 #include "workload/random_instance.hpp"
 #include "workload/rng.hpp"

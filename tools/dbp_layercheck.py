@@ -14,7 +14,11 @@ Every `#include "..."` edge between two layers must be declared in
 LAYER_DEPS below; an undeclared edge, an include cycle, or an include that
 does not resolve inside the tree is a finding with a clickable file:line.
 The declared graph itself is checked for acyclicity on every run, so the
-policy cannot rot into something unenforceable.
+policy cannot rot into something unenforceable. Test oracles live in
+tests/support next to the tree (`#include "support/..."` in test code); an
+include of one from the library is a finding of its own, which no
+allowlist marker suppresses: the library ships one implementation of each
+computation, and its test twins stay in test code.
 
 File list: by default the checker walks the source tree (no build needed —
 CI's no-compiler lint leg runs this mode). Pass --compile-commands to
@@ -134,6 +138,18 @@ def parse_includes(path: Path) -> list[tuple[int, str]]:
     return out
 
 
+def is_test_support(root: Path, include: str) -> bool:
+    """True when `include` names a header under tests/support next to the
+    tree, spelled as test code spells it ("support/x.hpp") or from the
+    repository root ("tests/support/x.hpp")."""
+    support = (root.parent / "tests" / "support").resolve()
+    for candidate in (root.parent / "tests" / include, root.parent / include):
+        resolved = candidate.resolve()
+        if resolved.is_file() and resolved.is_relative_to(support):
+            return True
+    return False
+
+
 def layer_of(rel: Path) -> str:
     return rel.parts[0] if len(rel.parts) > 1 else ""
 
@@ -165,6 +181,13 @@ def check_tree(root: Path, files: list[Path]) -> list[common.Finding]:
         lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
         for line_no, include in parse_includes(path):
             target = Path(include)
+            if is_test_support(root, include):
+                findings.append(common.Finding(
+                    str(path), line_no, "test-support",
+                    f'"{include}" is a test oracle in tests/support; the '
+                    "library must not include test code",
+                    lines[line_no - 1].strip()))
+                continue
             if target not in rels:
                 # Quoted include that is not a file of this tree: either a
                 # typo or a path not rooted at src/ (both break the graph).

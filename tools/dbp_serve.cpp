@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
     cli::ObsSession obs_session(args);
 
     engine::EngineConfig config;
-    config.shard_count = std::max<std::uint64_t>(1, args.get_u64("shards", 1));
+    config.shard_count = args.get_u64("shards", 1);
     config.algorithm = args.get("algorithm", "first-fit");
     config.spec = ServerSpec{args.get_double("capacity", 1.0),
                              args.get_double("price-per-hour", 6.0)};

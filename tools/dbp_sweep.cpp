@@ -4,8 +4,7 @@
 // Usage:
 //   dbp_sweep [--workloads=uniform,dyadic,bursts] [--algorithms=a,b,c]
 //             [--seeds=N] [--seed-base=S] [--items=N] [--opt]
-//             [--threads=N] [--policy=sequential|parallel|adaptive]
-//             [--out=FILE.json] [--trace-dir=PREFIX]
+//             [--threads=N] [--out=FILE.json] [--trace-dir=PREFIX]
 //
 // Nested-parallelism arbitration: the sweep owns the fan-out. Every cell
 // takes an exec::WorkerLease before doing any work, so the work inside a
@@ -43,7 +42,6 @@
 #include "core/error.hpp"
 #include "core/metrics.hpp"
 #include "core/strfmt.hpp"
-#include "exec/execution_policy.hpp"
 #include "exec/worker_budget.hpp"
 #include "obs/obs.hpp"
 #include "opt/opt_total.hpp"
@@ -58,7 +56,6 @@ constexpr const char* kUsage =
     "usage: dbp_sweep [--workloads=uniform,dyadic,bursts]\n"
     "                 [--algorithms=a,b,c] [--seeds=N] [--seed-base=S]\n"
     "                 [--items=N] [--opt] [--threads=N]\n"
-    "                 [--policy=sequential|parallel|adaptive]\n"
     "                 [--out=FILE.json] [--trace-dir=PREFIX]\n";
 
 // DBP_LINT_ALLOW(wall-clock): per-cell wall time is a reported measurement
@@ -119,8 +116,7 @@ RandomInstanceConfig workload_config(const std::string& name,
   return config;
 }
 
-CellOutcome run_cell(const Cell& cell, bool want_opt,
-                     exec::ExecutionPolicy policy, bool want_trace) {
+CellOutcome run_cell(const Cell& cell, bool want_opt, bool want_trace) {
   // The sweep owns the fan-out: everything below is sequential by lease,
   // so per-cell metrics and results do not depend on where the cell ran.
   const exec::WorkerLease lease;
@@ -152,9 +148,6 @@ CellOutcome run_cell(const Cell& cell, bool want_opt,
   if (want_opt) {
     OptTotalOptions opt_options;
     opt_options.bin_count.exact.node_budget = 5'000;
-    // The policy flag is honored, but under the lease effective() == 1, so
-    // even kParallel serializes — recorded in evaluate_workers below.
-    opt_options.policy = policy;
     outcome.opt =
         estimate_opt_total(instance, CostModel{1.0, 1.0, 1e-9}, opt_options);
   }
@@ -219,11 +212,10 @@ int main(int argc, char** argv) {
   try {
     const cli::Args args(argc, argv,
                          {"workloads", "algorithms", "seeds", "seed-base",
-                          "items", "opt", "threads", "policy", "out",
+                          "items", "opt", "threads", "out",
                           "trace-dir"},
                          kUsage);
     exec::WorkerBudget::set(args.get_thread_count());
-    const exec::ExecutionPolicy policy = args.get_execution_policy();
     const std::vector<std::string> workloads =
         args.get_list("workloads", {"uniform", "dyadic", "bursts"});
     const std::vector<std::string> algorithms =
@@ -248,14 +240,13 @@ int main(int argc, char** argv) {
 
     std::cout << strfmt(
         "dbp_sweep: %zu cells (%zu workloads x %zu algorithms x %llu seeds), "
-        "%d worker(s), policy=%s\n\n",
+        "%d worker(s)\n\n",
         cells.size(), workloads.size(), algorithms.size(),
-        static_cast<unsigned long long>(seeds), exec::WorkerBudget::effective(),
-        exec::to_string(policy));
+        static_cast<unsigned long long>(seeds), exec::WorkerBudget::effective());
 
     const std::vector<CellOutcome> outcomes =
         parallel_map(cells, [&](const Cell& cell) {
-          return run_cell(cell, want_opt, policy, want_trace);
+          return run_cell(cell, want_opt, want_trace);
         });
 
     Table table({"workload", "algorithm", "seed", "total cost", "bins",

@@ -46,7 +46,7 @@ OPTIONAL_FIELDS = {
     "size": (int, float),
     "count": int,
     "ms": (int, float),
-    "shard": int,  # engine shard attribution (ObsScope 3-arg form)
+    "shard": int,  # the shard a shard_snapshot record describes
     "label": str,
 }
 

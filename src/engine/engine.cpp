@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <span>
 
 #include "algo/factory.hpp"
-#include "core/arena.hpp"
 #include "core/error.hpp"
 #include "obs/obs.hpp"
 
@@ -37,11 +38,6 @@ struct ShardedDispatchEngine::Shard {
   /// Submitted events not applied yet, in submission order.
   std::vector<SessionEvent> queue;
   GameServerDispatcher dispatcher;
-  /// Per-shard scratch for epoch snapshots; reset every epoch, so the
-  /// steady state allocates nothing (core/arena.hpp).
-  MonotonicArena scratch;
-  /// Last epoch's RLE snapshot (strictly decreasing sizes).
-  std::vector<SizeRun> snapshot;
   std::uint64_t applied = 0;
 };
 
@@ -54,9 +50,8 @@ ShardedDispatchEngine::ShardedDispatchEngine(EngineConfig config,
       integral_(config_.spec.to_cost_model().cost_rate) {
   config_.validate();
   shards_.reserve(config_.shard_count);
-  merge_cursor_.resize(config_.shard_count);
   for (std::size_t i = 0; i < config_.shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>(config_));
+    shards_.emplace_back(config_);
   }
 }
 
@@ -65,13 +60,13 @@ ShardedDispatchEngine::~ShardedDispatchEngine() = default;
 void ShardedDispatchEngine::submit(const SessionEvent& event) {
   const std::size_t index = router_->shard_for(event.route_key, shards_.size());
   DBP_REQUIRE(index < shards_.size(), "router returned an out-of-range shard");
-  Shard& shard = *shards_[index];
+  Shard& shard = shards_[index];
   if (shard.queue.size() == kShardQueueCap) apply_queue(shard);
   shard.queue.push_back(event);
 }
 
 void ShardedDispatchEngine::drain() {
-  for (const std::unique_ptr<Shard>& shard : shards_) apply_queue(*shard);
+  for (Shard& shard : shards_) apply_queue(shard);
 }
 
 void ShardedDispatchEngine::apply_queue(Shard& shard) {
@@ -106,56 +101,29 @@ void ShardedDispatchEngine::apply_queue(Shard& shard) {
   shard.queue.clear();
 }
 
-void ShardedDispatchEngine::snapshot_shards() {
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& shard = *shards_[i];
-    shard.scratch.reset();
+void ShardedDispatchEngine::snapshot_merged() {
+  // Every shard's active sizes in one buffer, sorted once, then run-length
+  // encoded with bitwise-equal sizes merged, as rle_from_sorted does. The
+  // sizes are positive and finite, so their sorted order, and with it the
+  // runs, does not depend on how they are split across shards: the merged
+  // multiset is partition-invariant — the property the cross-shard
+  // differential test pins. The buffers keep their capacity across epochs.
+  sizes_.resize(active_sessions());
+  std::size_t offset = 0;
+  for (const Shard& shard : shards_) {
     const std::size_t active = shard.dispatcher.active_sessions();
-    const std::span<double> sizes = shard.scratch.allocate_array<double>(active);
-    shard.dispatcher.active_sizes_desc(sizes);
-    // rle_from_sorted, but into the shard's reused vector.
-    shard.snapshot.clear();
-    for (const double size : sizes) {
-      if (!shard.snapshot.empty() && shard.snapshot.back().size == size) {
-        ++shard.snapshot.back().count;
-      } else {
-        shard.snapshot.push_back(SizeRun{size, 1});
-      }
-    }
+    shard.dispatcher.active_sizes_desc(
+        std::span(sizes_).subspan(offset, active));
+    offset += active;
   }
-}
-
-void ShardedDispatchEngine::merge_snapshots() {
-  // K-way merge of the per-shard runs in decreasing size order; bitwise-
-  // equal sizes sum their counts. Shard order never matters (addition of
-  // uint64 counts is associative), so the merged multiset is partition-
-  // invariant: the same active sessions yield the same runs for any shard
-  // count — the property the cross-shard differential test pins.
+  std::sort(sizes_.begin(), sizes_.end(), std::greater<>());
   merged_runs_.clear();
-  std::vector<std::size_t>& next = merge_cursor_;
-  std::fill(next.begin(), next.end(), 0);
-  for (;;) {
-    bool any = false;
-    double best = 0.0;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const std::vector<SizeRun>& runs = shards_[s]->snapshot;
-      if (next[s] >= runs.size()) continue;
-      const double size = runs[next[s]].size;
-      if (!any || size > best) {
-        best = size;
-        any = true;
-      }
+  for (const double size : sizes_) {
+    if (!merged_runs_.empty() && merged_runs_.back().size == size) {
+      ++merged_runs_.back().count;
+    } else {
+      merged_runs_.push_back(SizeRun{size, 1});
     }
-    if (!any) break;
-    std::uint64_t count = 0;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const std::vector<SizeRun>& runs = shards_[s]->snapshot;
-      if (next[s] < runs.size() && runs[next[s]].size == best) {
-        count += runs[next[s]].count;
-        ++next[s];
-      }
-    }
-    merged_runs_.push_back(SizeRun{best, count});
   }
 }
 
@@ -172,8 +140,8 @@ Time ShardedDispatchEngine::advance_epoch_to_event_clock() {
   // Chosen after the drain and with no drain before the snapshot: the
   // snapshot then holds every applied event, and none stamped later.
   Time now_minutes = last_epoch_time_;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    now_minutes = std::max(now_minutes, shard->dispatcher.last_event_time());
+  for (const Shard& shard : shards_) {
+    now_minutes = std::max(now_minutes, shard.dispatcher.last_event_time());
   }
   cut_epoch(now_minutes);
   return now_minutes;
@@ -190,9 +158,8 @@ void ShardedDispatchEngine::cut_epoch(Time now_minutes) {
   // including the stretch before the first epoch, exactly as
   // estimate_opt_total does.
   integral_.add(last_bounds_, now_minutes - last_epoch_time_);
-  // 2. Snapshot what the caller's drain applied, and merge.
-  snapshot_shards();
-  merge_snapshots();
+  // 2. Snapshot what the caller's drain applied.
+  snapshot_merged();
   last_bounds_ = oracle_.count_rle(merged_runs_);
   last_epoch_time_ = now_minutes;
   ++epochs_;
@@ -208,7 +175,7 @@ void ShardedDispatchEngine::cut_epoch(Time now_minutes) {
       snap.time = now_minutes;
       snap.kind = obs::TraceKind::kShardSnapshot;
       snap.shard = s;
-      snap.count = shards_[s]->dispatcher.active_sessions();
+      snap.count = shards_[s].dispatcher.active_sessions();
       tracer->record(std::move(snap));
     }
   }
@@ -228,38 +195,34 @@ StreamingOptBounds ShardedDispatchEngine::opt_bounds() const {
 
 double ShardedDispatchEngine::rental_cost_dollars(Time now_minutes) const {
   double dollars = 0.0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    dollars += shard->dispatcher.rental_cost_dollars(now_minutes);
+  for (const Shard& shard : shards_) {
+    dollars += shard.dispatcher.rental_cost_dollars(now_minutes);
   }
   return dollars;
 }
 
 std::size_t ShardedDispatchEngine::active_sessions() const {
   std::size_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    total += shard->dispatcher.active_sessions();
-  }
+  for (const Shard& shard : shards_) total += shard.dispatcher.active_sessions();
   return total;
 }
 
 std::size_t ShardedDispatchEngine::active_servers() const {
   std::size_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    total += shard->dispatcher.active_servers();
-  }
+  for (const Shard& shard : shards_) total += shard.dispatcher.active_servers();
   return total;
 }
 
 std::uint64_t ShardedDispatchEngine::events_applied() const {
   std::uint64_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) total += shard->applied;
+  for (const Shard& shard : shards_) total += shard.applied;
   return total;
 }
 
 DispatcherFaultStats ShardedDispatchEngine::merged_fault_stats() const {
   DispatcherFaultStats merged;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    const DispatcherFaultStats& stats = shard->dispatcher.fault_stats();
+  for (const Shard& shard : shards_) {
+    const DispatcherFaultStats& stats = shard.dispatcher.fault_stats();
     merged.duplicate_starts += stats.duplicate_starts;
     merged.unknown_ends += stats.unknown_ends;
     merged.unknown_servers += stats.unknown_servers;
@@ -281,7 +244,11 @@ DispatcherFaultStats ShardedDispatchEngine::merged_fault_stats() const {
 const GameServerDispatcher& ShardedDispatchEngine::shard_dispatcher(
     std::size_t shard) const {
   DBP_REQUIRE(shard < shards_.size(), "shard index out of range");
-  return shards_[shard]->dispatcher;
+  return shards_[shard].dispatcher;
+}
+
+std::size_t ShardedDispatchEngine::shard_count() const noexcept {
+  return shards_.size();
 }
 
 std::uint64_t ShardedDispatchEngine::oracle_hits() const {

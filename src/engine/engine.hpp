@@ -2,16 +2,15 @@
 //
 // Promotes the batch-simulated GameServerDispatcher to a long-running
 // service core: N shards, each owning a full dispatcher (BinManager +
-// packer + per-shard MonotonicArena scratch) and a plain queue of the
-// session start/end events it has not applied yet. A ShardRouter
-// (engine/router.hpp) pins each session to one shard, so a shard applies
-// its sessions' events in submission order and its packing run is an
-// ordinary sequential dispatcher run.
+// packer) and a plain queue of the session start/end events it has not
+// applied yet. A ShardRouter (engine/router.hpp) pins each session to one
+// shard, so a shard applies its sessions' events in submission order and
+// its packing run is an ordinary sequential dispatcher run.
 //
 // One thread drives the engine. It is not thread-safe: callers serialize
-// their calls (the wire server makes every call from its one serving loop,
-// and its stop() drains only after joining that loop), and every call does
-// its work on the calling thread.
+// their calls (the wire server makes every call from run(), and drains
+// before run() returns), and every call does its work on the calling
+// thread.
 //
 // Determinism contract (tests/engine_differential_test.cpp): for a fixed
 // shard count and router, every observable result — per-shard packing
@@ -29,7 +28,8 @@
 // feeding the previous merged snapshot's certified bin-count bounds
 // (opt/bin_count.hpp, memoized per engine) to the OptTotalIntegrator
 // estimate_opt_total also sums with (opt/opt_total.hpp), then applies all
-// queued events and takes fresh per-shard RLE size-multiset snapshots.
+// queued events and snapshots the merged RLE size multiset of every shard's
+// active sessions.
 // With an epoch at every event boundary the streaming bounds equal
 // estimate_opt_total's bit for bit; sparser epochs trade fidelity for
 // throughput, exactly like a metrics scrape cadence.
@@ -140,9 +140,9 @@ class ShardedDispatchEngine {
 
   /// Closes the epoch segment [previous epoch, now_minutes): drains all
   /// queues, integrates the previous merged snapshot's bin-count bounds over
-  /// the segment, then takes fresh per-shard RLE snapshots (merged on the
-  /// calling thread in shard order). Emits one kEpochMark plus one
-  /// kShardSnapshot trace record per shard when a tracer is in scope.
+  /// the segment, then sorts every shard's active sizes into a fresh merged
+  /// RLE snapshot. Emits one kEpochMark plus one kShardSnapshot trace
+  /// record per shard when a tracer is in scope.
   /// Epoch times must be finite and non-decreasing; PreconditionError
   /// otherwise, leaving the engine unchanged.
   void advance_epoch(Time now_minutes);
@@ -174,7 +174,7 @@ class ShardedDispatchEngine {
     return merged_runs_;
   }
 
-  [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
+  [[nodiscard]] std::size_t shard_count() const noexcept;
   /// Read access to one shard's dispatcher (drained state).
   [[nodiscard]] const GameServerDispatcher& shard_dispatcher(std::size_t shard) const;
   [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
@@ -189,22 +189,24 @@ class ShardedDispatchEngine {
 
   /// Applies the shard's queued events in FIFO order and empties its queue.
   static void apply_queue(Shard& shard);
-  /// advance_epoch after the drain: integrate, snapshot, merge, trace.
+  /// advance_epoch after the drain: integrate, snapshot, trace.
   void cut_epoch(Time now_minutes);
-  void snapshot_shards();
-  void merge_snapshots();
+  /// Sorts every shard's active sizes into sizes_ and encodes them as
+  /// merged_runs_.
+  void snapshot_merged();
 
   EngineConfig config_;
   std::unique_ptr<ShardRouter> router_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<Shard> shards_;
 
   // Epoch state. Before the first epoch the fleet is empty, so
   // last_bounds_ starts at {0, 0}.
   BinCountOracle oracle_;
   OptTotalIntegrator integral_;
+  /// Every shard's active sizes at the last epoch, non-increasing; kept so
+  /// an epoch allocates nothing once it has grown.
+  std::vector<double> sizes_;
   std::vector<SizeRun> merged_runs_;
-  /// The merge's per-shard run cursors, kept so an epoch allocates nothing.
-  std::vector<std::size_t> merge_cursor_;
   BinCountBounds last_bounds_{};
   Time last_epoch_time_ = 0.0;
   std::uint64_t epochs_ = 0;

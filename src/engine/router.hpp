@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/splitmix64.hpp"
 
 namespace dbp::engine {
 
@@ -27,20 +28,15 @@ class ShardRouter {
                                               std::size_t shard_count) const = 0;
 };
 
-/// Default router: a splitmix64-style finalizer over the key, reduced mod
-/// shard_count. Spreads dense session ids uniformly; deterministic.
+/// Default router: the splitmix64 finalizer over the key plus the gamma,
+/// reduced mod shard_count. Spreads dense session ids uniformly;
+/// deterministic.
 class HashShardRouter final : public ShardRouter {
  public:
-  [[nodiscard]] static std::uint64_t mix(std::uint64_t x) noexcept {
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-  }
-
   [[nodiscard]] std::size_t shard_for(std::uint64_t route_key,
                                       std::size_t shard_count) const override {
-    return static_cast<std::size_t>(mix(route_key) % shard_count);
+    return static_cast<std::size_t>(
+        splitmix64_mix(route_key + kSplitMix64Gamma) % shard_count);
   }
 };
 

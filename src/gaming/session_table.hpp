@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/audit.hpp"
+#include "core/splitmix64.hpp"
 #include "core/types.hpp"
 
 namespace dbp {
@@ -147,15 +148,9 @@ class SessionTable {
     ItemId slot = 0;
   };
 
-  /// The splitmix64 finalizer: a fixed bijection of the 64-bit ids.
-  [[nodiscard]] static constexpr std::uint64_t mix(std::uint64_t x) noexcept {
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-  }
-
+  /// The home cell: the top bits of the id's splitmix64 finalizer.
   [[nodiscard]] std::size_t home(std::uint64_t id) const noexcept {
-    return static_cast<std::size_t>(mix(id) >> shift_);
+    return static_cast<std::size_t>(splitmix64_mix(id) >> shift_);
   }
 
   /// The lowest free slot, now taken; a new slot when none is free.

@@ -9,7 +9,6 @@
 
 #include <array>
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <optional>
@@ -21,12 +20,6 @@
 #include "core/crc32.hpp"
 #include "core/error.hpp"
 #include "core/strfmt.hpp"
-
-// DBP_LINT_ALLOW(symbol-wall-clock): poll_stop_requested bounds its wait on
-// the stop condition variable with wait_for. The epoch timer's ticks come
-// from a timerfd; wall time decides only *when* an epoch is cut, and the
-// epoch's logical time is always the engine's event clock, max(last epoch,
-// latest applied event), so no clock reading ever reaches an engine result.
 
 namespace dbp::net {
 
@@ -48,8 +41,8 @@ constexpr int kEventsPerWait = 64;
 /// that sees no event ends after this long and accepting is retried.
 constexpr int kAcceptRetryMs = 100;
 
-/// Adds to a serving counter. The serving thread is its only writer, so a
-/// relaxed load and store replace the read-modify-write.
+/// Adds to a serving counter. run() is its only writer, so a relaxed load
+/// and store replace the read-modify-write.
 void add(std::atomic<std::uint64_t>& counter, obs::Counter* mirror,
          std::uint64_t n = 1) noexcept {
   counter.store(counter.load(std::memory_order_relaxed) + n,
@@ -157,17 +150,17 @@ WireServer::WireServer(engine::ShardedDispatchEngine& eng,
   }
 }
 
-WireServer::~WireServer() { stop(); }
+WireServer::~WireServer() { close_listener(); }
 
 void WireServer::start() {
-  DBP_REQUIRE(!running_.load() && !stopping_.load(),
+  DBP_REQUIRE(!wake_fd_.valid(),
               "WireServer cannot be restarted; construct a fresh one");
   const sockaddr_un address = detail::make_unix_address(config_.socket_path);
   FdGuard sock = checked(
       ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0),
       "unix socket");
   // Remove a stale socket file before binding: a previous server that died
-  // without stop() leaves one behind.
+  // before run() returned leaves one behind.
   ::unlink(config_.socket_path.c_str());
   if (::bind(sock.get(), reinterpret_cast<const sockaddr*>(&address),
              sizeof(address)) != 0) {
@@ -204,60 +197,40 @@ void WireServer::start() {
   epoll_fd_ = std::move(epoll);
   wake_fd_ = std::move(wake);
   timer_fd_ = std::move(timer);
-  running_.store(true, std::memory_order_release);
-  loop_thread_ = std::thread(&WireServer::serve_loop, this);
 }
 
-void WireServer::stop() {
-  stopping_.store(true, std::memory_order_release);
-  request_stop();
-  if (wake_fd_.valid()) {
-    // Makes the eventfd readable, which ends the serving loop. An eventfd
-    // write of 1 fails only on counter overflow, which one write per
-    // stop() cannot reach.
-    const std::uint64_t one = 1;
-    [[maybe_unused]] const ssize_t written =
-        ::write(wake_fd_.get(), &one, sizeof(one));
-  }
-  if (loop_thread_.joinable()) loop_thread_.join();
-  // The serving thread has ended: every connection closes here, and its
-  // peer sees EOF.
+bool WireServer::run() {
+  DBP_REQUIRE(epoll_fd_.valid(),
+              "WireServer::run needs start() and runs only once");
+  const obs::ObsScope scope(tracer_, metrics_);
+  serve_loop();
+  // Every connection closes here, and its peer sees EOF. The eventfd stays
+  // open until the destructor, so a late request_stop() writes to it and
+  // to no other descriptor.
   connections_.clear();
-  const bool was_running = running_.exchange(false);
+  connections_open_.store(0, std::memory_order_relaxed);
   timer_fd_.reset();
-  wake_fd_.reset();
   epoll_fd_.reset();
-  if (listen_fd_.valid()) {
-    listen_fd_.reset();
-    ::unlink(config_.socket_path.c_str());
-  }
-  // Graceful drain: every event the engine queued is applied before the
-  // server reports stopped — shutdown never loses acknowledged work.
-  if (was_running) {
-    obs::ObsScope scope(tracer_, metrics_);
-    engine_.drain();
-  }
-}
-
-bool WireServer::wait_until_stopped() {
-  std::unique_lock<std::mutex> lock(stop_mutex_);
-  stop_cv_.wait(lock, [this] { return stop_requested_; });
+  close_listener();
+  // Graceful drain: every event the engine queued is applied before run()
+  // returns — shutdown never loses acknowledged work.
+  engine_.drain();
   return shutdown_verb_seen_;
 }
 
-bool WireServer::poll_stop_requested(std::uint64_t timeout_ms) {
-  std::unique_lock<std::mutex> lock(stop_mutex_);
-  stop_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                    [this] { return stop_requested_; });
-  return stop_requested_;
+void WireServer::request_stop() noexcept {
+  // Makes the eventfd readable, which ends the serving loop. An eventfd
+  // write of 1 fails only when the counter would reach 2^64 - 1, which no
+  // count of stop requests reaches.
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t written =
+      ::write(wake_fd_.get(), &one, sizeof(one));
 }
 
-void WireServer::request_stop() {
-  {
-    std::lock_guard<std::mutex> lock(stop_mutex_);
-    stop_requested_ = true;
-  }
-  stop_cv_.notify_all();
+void WireServer::close_listener() noexcept {
+  if (!listen_fd_.valid()) return;
+  listen_fd_.reset();
+  ::unlink(config_.socket_path.c_str());
 }
 
 WireServerStats WireServer::stats() const noexcept {
@@ -275,23 +248,22 @@ WireServerStats WireServer::stats() const noexcept {
 }
 
 void WireServer::raise_watermark(double t) noexcept {
-  // A NaN event time must not poison ticks; the serving thread is the only
-  // writer.
+  // A NaN event time must not poison ticks; run() is the only writer.
   if (std::isfinite(t) && t > watermark_.load(std::memory_order_relaxed)) {
     watermark_.store(t, std::memory_order_relaxed);
   }
 }
 
 void WireServer::serve_loop() {
-  obs::ObsScope scope(tracer_, metrics_);
   std::array<epoll_event, kEventsPerWait> events{};
-  for (;;) {
+  // The shutdown verb ends the loop once the events of its wake are served.
+  while (!shutdown_verb_seen_) {
     const int ready =
         ::epoll_wait(epoll_fd_.get(), events.data(), kEventsPerWait,
                      accept_paused_ ? kAcceptRetryMs : -1);
     if (ready < 0) {
       if (errno == EINTR) continue;
-      return;  // the epoll set itself failed; stop() still drains
+      return;  // the epoll set itself failed; run() still drains
     }
     if (ready == 0) set_accepting(true);  // retry after a quiet pause
     for (int i = 0; i < ready; ++i) {
@@ -583,12 +555,7 @@ bool WireServer::handle_request(Connection& conn, std::uint64_t seq,
       response.request_seq = seq;
       response.body = "{\"stopping\":true}";
       send_response(conn, response);
-      {
-        std::lock_guard<std::mutex> lock(stop_mutex_);
-        stop_requested_ = true;
-        shutdown_verb_seen_ = true;
-      }
-      stop_cv_.notify_all();
+      shutdown_verb_seen_ = true;  // run() returns after this wake
       return true;  // the requesting connection closes after the ack
     }
   }

@@ -1,18 +1,18 @@
 // Unix-domain-socket front-end for the sharded dispatch engine.
 //
 // A WireServer listens on one AF_UNIX stream socket and serves any number
-// of client connections from one serving thread. That thread runs a
+// of client connections on the thread that calls run(). That thread runs a
 // level-triggered epoll loop over the non-blocking listening socket, every
-// connection, an eventfd that stop() writes and, when an epoch cadence is
-// configured, a timerfd. The first byte of a connection picks its framing
-// — '{' selects line-JSON, anything else the CRC'd binary frames of
-// wire_protocol.hpp — and both deserialize into the same WireRequest
-// vocabulary before touching the engine.
+// connection, an eventfd that request_stop() writes and, when an epoch
+// cadence is configured, a timerfd. The first byte of a connection picks
+// its framing — '{' selects line-JSON, anything else the CRC'd binary
+// frames of wire_protocol.hpp — and both deserialize into the same
+// WireRequest vocabulary before touching the engine.
 //
 // The engine is not thread-safe, and the server keeps its one-thread
-// contract: while the server runs, the serving thread makes every engine
-// call, and stop() drains the engine only after joining that thread. Read
-// the engine through a `query`, or directly once stop() has returned.
+// contract: while run() serves, it makes every engine call, and it applies
+// the engine's queued events before it returns. Read the engine through a
+// `query`, or directly once run() has returned.
 //
 // Determinism is preserved by construction: the wire layer only *produces*
 // engine::SessionEvents through the same submit() a direct driver calls;
@@ -41,14 +41,11 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "engine/engine.hpp"
@@ -97,42 +94,40 @@ struct WireServerStats {
 class WireServer {
  public:
   /// The engine must outlive the server. `tracer`/`metrics` (optional) are
-  /// installed as the observability context of the serving thread, so
-  /// engine work triggered by wire requests emits trace records exactly
-  /// like a direct driver would.
+  /// installed as the observability context while run() serves, so engine
+  /// work triggered by wire requests emits trace records exactly like a
+  /// direct driver would.
   WireServer(engine::ShardedDispatchEngine& eng, WireServerConfig config,
              obs::RunTracer* tracer = nullptr,
              obs::MetricsRegistry* metrics = nullptr);
+  /// Closes what is still open: the listening socket (and its file) when
+  /// run() never ran, and the stop eventfd. run() must have returned.
   ~WireServer();
 
   WireServer(const WireServer&) = delete;
   WireServer& operator=(const WireServer&) = delete;
 
-  /// Binds, listens and starts the serving thread. Throws IoError when the
-  /// socket, the epoll set or its event descriptors cannot be created.
+  /// Binds, listens, and builds the epoll set, the stop eventfd and, with a
+  /// cadence, the epoch timerfd, on the calling thread. Throws IoError when
+  /// one cannot be created. A server starts once.
   void start();
 
-  /// Graceful shutdown: wakes and joins the serving thread, closes every
-  /// connection, then applies the engine's queued events so no accepted
-  /// event is lost. Idempotent; also runs from the destructor.
-  void stop();
+  /// Serves on the calling thread until the shutdown verb arrives or a stop
+  /// is requested. Then it closes every connection, closes and unlinks the
+  /// listening socket, and applies the engine's queued events, so no
+  /// accepted event is lost. Returns true when the shutdown verb ended it.
+  /// Runs once, after start().
+  bool run();
 
-  /// Blocks until a `shutdown` request arrives (or stop() is called from
-  /// another thread). Returns whether a shutdown request was the trigger.
-  bool wait_until_stopped();
+  /// Ends run(): one write(2) of 1 to the stop eventfd, with no lock and no
+  /// allocation. Any thread may call it after start(); a stop requested
+  /// before run() makes run() return at once.
+  void request_stop() noexcept;
 
-  /// Wakes wait_until_stopped() without tearing anything down — the signal
-  /// half of a SIGINT handler; the caller then runs stop().
-  void request_stop();
-
-  /// Bounded wait: true when a stop was requested within `timeout_ms`.
-  /// Lets a serving loop interleave signal-flag polling with blocking on
-  /// the shutdown verb (tools/dbp_serve).
-  [[nodiscard]] bool poll_stop_requested(std::uint64_t timeout_ms);
-
-  [[nodiscard]] bool running() const noexcept {
-    return running_.load(std::memory_order_acquire);
-  }
+  /// The stop eventfd (-1 before start()), open until the server is
+  /// destroyed. Writing an 8-byte 1 to it is request_stop(), which a
+  /// signal handler can do without touching the server.
+  [[nodiscard]] int stop_fd() const noexcept { return wake_fd_.get(); }
 
   [[nodiscard]] WireServerStats stats() const noexcept;
 
@@ -149,7 +144,11 @@ class WireServer {
  private:
   struct Connection;
 
-  // Everything below start()/stop() runs on the serving thread only.
+  /// Closes the listening socket, if open, and unlinks its file.
+  void close_listener() noexcept;
+
+  // Everything below runs inside run() only.
+  /// Serves until the shutdown verb or a stop request.
   void serve_loop();
   /// Accepts every queued connection; pauses the listening socket when the
   /// process or the system is out of descriptors.
@@ -214,24 +213,19 @@ class WireServer {
 
   detail::FdGuard listen_fd_;
   detail::FdGuard epoll_fd_;
-  detail::FdGuard wake_fd_;   ///< eventfd: stop() ends the serving loop
+  detail::FdGuard wake_fd_;   ///< eventfd: request_stop() ends run()
   detail::FdGuard timer_fd_;  ///< timerfd: epoch cadence (invalid when 0)
 
-  // Serving-thread state: connections indexed by descriptor.
+  // Serving state: connections indexed by descriptor.
   std::vector<std::unique_ptr<Connection>> connections_;
   bool accept_paused_ = false;
 
   std::atomic<double> watermark_{0.0};
 
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-  std::mutex stop_mutex_;
-  std::condition_variable stop_cv_;
-  bool stop_requested_ = false;
   bool shutdown_verb_seen_ = false;
 
-  // Serving counters: the serving thread is their only writer; stats()
-  // reads them from any thread (exact totals after stop()).
+  // Serving counters: run() is their only writer; stats() reads them from
+  // any thread (exact totals once run() has returned).
   std::atomic<std::uint64_t> connections_accepted_{0};
   std::atomic<std::uint64_t> connections_open_{0};
   std::atomic<std::uint64_t> connections_failed_{0};
@@ -241,9 +235,6 @@ class WireServer {
   std::atomic<std::uint64_t> events_submitted_{0};
   std::atomic<std::uint64_t> epochs_advanced_{0};
   std::atomic<std::uint64_t> timer_ticks_{0};
-
-  /// Runs serve_loop(); declared last, after everything the loop uses.
-  std::thread loop_thread_;
 };
 
 }  // namespace dbp::net

@@ -41,7 +41,7 @@ enum class TraceKind : std::uint8_t {
   kSessionShed,     ///< degraded mode shed a session
   kServerFail,      ///< dispatcher fail_server; bin = server, count = orphans
   kEpochMark,       ///< engine epoch boundary; count = events applied so far
-  kShardSnapshot,   ///< per-shard RLE snapshot; count = active sessions
+  kShardSnapshot,   ///< one per shard at an epoch; count = active sessions
 };
 
 /// Stable JSONL name of a kind ("arrival", "bin_open", ...).

@@ -6,22 +6,13 @@
 
 #include "algo/clairvoyant.hpp"
 #include "core/error.hpp"
+#include "core/splitmix64.hpp"
 #include "core/strfmt.hpp"
 #include "obs/obs.hpp"
 
 namespace dbp {
 
 namespace {
-
-/// SplitMix64 — self-contained so the sim layer does not depend on the
-/// workload layer's Rng. Drives every in-plan random choice.
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
 
 BinId select_victim(const BinManager& bins, const std::vector<BinId>& open,
                     CrashTarget target, std::uint64_t& rng_state) {
@@ -31,7 +22,8 @@ BinId select_victim(const BinManager& bins, const std::vector<BinId>& open,
     case CrashTarget::kNewest:
       return open.back();
     case CrashTarget::kRandom:
-      return open[static_cast<std::size_t>(splitmix64(rng_state) % open.size())];
+      return open[static_cast<std::size_t>(splitmix64_next(rng_state) %
+                                           open.size())];
     case CrashTarget::kFullest: {
       BinId best = open.front();
       double best_level = bins.level(best);
@@ -153,7 +145,7 @@ SimulationResult simulate_faulted(const Instance& instance, Packer& packer,
           });
           if (residents.empty()) continue;  // no session to duplicate
           std::sort(residents.begin(), residents.end());
-          id = residents[static_cast<std::size_t>(splitmix64(rng_state) %
+          id = residents[static_cast<std::size_t>(splitmix64_next(rng_state) %
                                                   residents.size())];
           size = instance.item(id).size;
           expected = DispatchErrorKind::kDuplicateStart;

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/error.hpp"
+#include "core/splitmix64.hpp"
 
 namespace dbp {
 
@@ -68,10 +69,7 @@ class Rng {
   /// correlations between siblings.
   [[nodiscard]] Rng fork(std::uint64_t stream) {
     // SplitMix64 over (state, stream) — standard seed derivation.
-    std::uint64_t z = engine_() + 0x9E3779B97F4A7C15ULL * (stream + 1);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return Rng(z ^ (z >> 31));
+    return Rng(splitmix64_mix(engine_() + kSplitMix64Gamma * (stream + 1)));
   }
 
  private:

@@ -21,6 +21,7 @@
 #include "net/wire_client.hpp"
 #include "net/wire_server.hpp"
 #include "obs/obs.hpp"
+#include "serving_thread.hpp"
 #include "sim/event.hpp"
 #include "workload/random_instance.hpp"
 
@@ -144,6 +145,7 @@ RunResult run_wire(const std::vector<engine::SessionEvent>& stream,
   config.socket_path = socket_path;
   WireServer server(eng, config, &tracer, &metrics);
   server.start();
+  ServingThread serving(server);
   const double horizon = final_epoch_time(stream);
   {
     WireClient client(socket_path, framing);
@@ -158,7 +160,7 @@ RunResult run_wire(const std::vector<engine::SessionEvent>& stream,
     EXPECT_EQ(answer.error, WireError::kNone) << answer.detail;
     EXPECT_TRUE(client.async_errors().empty());
   }
-  server.stop();
+  serving.stop();
   EXPECT_EQ(server.stats().events_submitted, stream.size());
   return collect(eng, horizon, tracer);
 }

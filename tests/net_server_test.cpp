@@ -2,9 +2,11 @@
 // in a per-test temp directory, both framings, the malformed-frame
 // containment contract (a fatal frame closes only its own connection),
 // the receive buffer's framing (any split of a stream across writes serves
-// it identically), graceful-shutdown draining, the epoch timer, and the
-// one serving thread: many connections share it, and a client that reads
-// no answers stalls nobody else.
+// it identically), how run() ends (the shutdown verb, a stop requested
+// from another thread or before it starts) and what it applies before it
+// returns, the epoch timer, and the one serving thread: many connections
+// share it, and a client that reads no answers stalls nobody else. run()
+// serves on a ServingThread while the test thread is the client.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <poll.h>
@@ -34,6 +36,7 @@
 #include "net/wire_protocol.hpp"
 #include "net/wire_server.hpp"
 #include "obs/metrics_registry.hpp"
+#include "serving_thread.hpp"
 
 namespace dbp::net {
 namespace {
@@ -196,15 +199,17 @@ TEST_F(WireServerTest, StaleSocketFileIsReplacedOnStart) {
   engine::ShardedDispatchEngine eng(engine_config());
   WireServer server(eng, server_config());
   server.start();
+  ServingThread serving(server);
   WireClient client(socket_path(), WireClient::Framing::kBinary);
   EXPECT_EQ(client.query(0.0).error, WireError::kNone);
-  server.stop();
+  serving.stop();
 }
 
 TEST_F(WireServerTest, QueryReflectsSubmittedEventsBothFramings) {
   engine::ShardedDispatchEngine eng(engine_config());
   WireServer server(eng, server_config());
   server.start();
+  ServingThread serving(server);
 
   for (const auto framing :
        {WireClient::Framing::kBinary, WireClient::Framing::kJson}) {
@@ -222,7 +227,7 @@ TEST_F(WireServerTest, QueryReflectsSubmittedEventsBothFramings) {
     EXPECT_TRUE(client.async_errors().empty());
   }
 
-  server.stop();
+  serving.stop();
   // 2 connections x (3 submits + 1 epoch + 1 query).
   const WireServerStats stats = server.stats();
   EXPECT_EQ(stats.connections_accepted, 2u);
@@ -239,6 +244,7 @@ TEST_F(WireServerTest, QueryAnswersForABacklogBeyondTheQueueCap) {
   engine::ShardedDispatchEngine eng(engine_config());
   WireServer server(eng, server_config());
   server.start();
+  ServingThread serving(server);
 
   // More submits than both shards' queues hold: the serving loop applies
   // each queue as it fills, and the query applies the rest before it
@@ -258,7 +264,7 @@ TEST_F(WireServerTest, QueryAnswersForABacklogBeyondTheQueueCap) {
       << answer.body;
   EXPECT_TRUE(client.async_errors().empty());
 
-  server.stop();
+  serving.stop();
   EXPECT_EQ(server.stats().events_submitted, kEvents);
   EXPECT_EQ(eng.events_applied(), kEvents);
 }
@@ -267,6 +273,7 @@ TEST_F(WireServerTest, FatalFrameClosesOnlyTheOffendingConnection) {
   engine::ShardedDispatchEngine eng(engine_config());
   WireServer server(eng, server_config());
   server.start();
+  ServingThread serving(server);
 
   WireClient victim(socket_path(), WireClient::Framing::kBinary);
   victim.submit(engine::start_event(1, 0.25, 1.0));
@@ -286,7 +293,7 @@ TEST_F(WireServerTest, FatalFrameClosesOnlyTheOffendingConnection) {
   const WireResponse answer = victim.query(2.0);
   ASSERT_EQ(answer.error, WireError::kNone) << answer.detail;
   EXPECT_TRUE(victim.async_errors().empty());
-  server.stop();
+  serving.stop();
   EXPECT_EQ(eng.events_applied(), 1u);
   EXPECT_EQ(server.stats().frames_rejected, 1u);
 }
@@ -295,6 +302,7 @@ TEST_F(WireServerTest, RecoverableRejectionKeepsTheStreamUsable) {
   engine::ShardedDispatchEngine eng(engine_config());
   WireServer server(eng, server_config());
   server.start();
+  ServingThread serving(server);
 
   WireClient client(socket_path(), WireClient::Framing::kBinary);
   ByteWriter frame;
@@ -307,7 +315,7 @@ TEST_F(WireServerTest, RecoverableRejectionKeepsTheStreamUsable) {
   // Same connection, next frame: served normally.
   const WireResponse answer = client.query(0.0);
   EXPECT_EQ(answer.error, WireError::kNone) << answer.detail;
-  server.stop();
+  serving.stop();
   EXPECT_EQ(server.stats().frames_rejected, 1u);
 }
 
@@ -315,6 +323,7 @@ TEST_F(WireServerTest, RegressingAndNonFiniteEpochsAreRejectedTyped) {
   engine::ShardedDispatchEngine eng(engine_config());
   WireServer server(eng, server_config());
   server.start();
+  ServingThread serving(server);
 
   WireClient client(socket_path(), WireClient::Framing::kBinary);
   client.epoch(10.0);
@@ -331,15 +340,16 @@ TEST_F(WireServerTest, RegressingAndNonFiniteEpochsAreRejectedTyped) {
   for (const WireResponse& rejection : client.async_errors()) {
     EXPECT_EQ(rejection.error, WireError::kBadField);
   }
-  server.stop();
+  serving.stop();
   // Only the first epoch reached the engine.
   EXPECT_EQ(server.stats().epochs_advanced, 1u);
 }
 
-TEST_F(WireServerTest, ShutdownVerbStopsTheServerAndDrainsRings) {
+TEST_F(WireServerTest, ShutdownVerbEndsRunAndAppliesQueuedEvents) {
   engine::ShardedDispatchEngine eng(engine_config());
   WireServer server(eng, server_config());
   server.start();
+  ServingThread serving(server);
 
   WireClient client(socket_path(), WireClient::Framing::kJson);
   constexpr std::uint64_t kEvents = 64;
@@ -351,10 +361,36 @@ TEST_F(WireServerTest, ShutdownVerbStopsTheServerAndDrainsRings) {
   ASSERT_EQ(ack.error, WireError::kNone) << ack.detail;
   EXPECT_NE(ack.body.find("\"stopping\""), std::string::npos);
 
-  EXPECT_TRUE(server.wait_until_stopped());
-  server.stop();
-  EXPECT_FALSE(server.running());
-  // stop() applies the shard queues: every accepted submit is applied.
+  // run() unlinks the socket as it returns, so the verb alone ended it.
+  wait_for([&] { return !std::filesystem::exists(socket_path()); });
+  EXPECT_TRUE(serving.stop());
+  // run() applies the shard queues: every accepted submit is applied.
+  EXPECT_EQ(eng.events_applied(), kEvents);
+  EXPECT_EQ(eng.active_sessions(), kEvents);
+}
+
+TEST_F(WireServerTest, RequestStopFromAnotherThreadEndsRun) {
+  engine::ShardedDispatchEngine eng(engine_config());
+  WireServer server(eng, server_config());
+  server.start();
+  ServingThread serving(server);
+
+  // Submits without a query, so the shard queues still hold them when the
+  // stop arrives.
+  WireClient client(socket_path(), WireClient::Framing::kBinary);
+  constexpr std::uint64_t kEvents = 64;
+  for (std::uint64_t i = 0; i < kEvents; ++i) {
+    client.submit(engine::start_event(i + 1, 0.125, static_cast<double>(i)));
+  }
+  client.flush();
+  wait_for([&] { return server.stats().events_submitted == kEvents; });
+  EXPECT_EQ(server.stats().connections_open, 1u);
+
+  EXPECT_FALSE(serving.stop());  // request_stop() from the test thread
+  EXPECT_FALSE(std::filesystem::exists(socket_path()));
+  // run() closed the client's connection, which is still open on its side.
+  EXPECT_EQ(server.stats().connections_open, 0u);
+  EXPECT_EQ(server.stats().frames_rejected, 0u);
   EXPECT_EQ(eng.events_applied(), kEvents);
   EXPECT_EQ(eng.active_sessions(), kEvents);
 }
@@ -363,6 +399,7 @@ TEST_F(WireServerTest, TimerCutsEpochsAtTheEventTimeWatermark) {
   engine::ShardedDispatchEngine eng(engine_config());
   WireServer server(eng, server_config(/*epoch_cadence_ms=*/5));
   server.start();
+  ServingThread serving(server);
 
   WireClient client(socket_path(), WireClient::Framing::kBinary);
   // The engine is the serving thread's alone while the server runs, so the
@@ -389,7 +426,7 @@ TEST_F(WireServerTest, TimerCutsEpochsAtTheEventTimeWatermark) {
   tick_after_query(31.0);
   EXPECT_TRUE(client.async_errors().empty());
 
-  server.stop();
+  serving.stop();
   EXPECT_GE(server.stats().timer_ticks, 2u);
   EXPECT_EQ(server.watermark_minutes(), 31.0);
   const engine::StreamingOptBounds bounds = eng.opt_bounds();
@@ -406,11 +443,12 @@ TEST_F(WireServerTest, ObsCountersMirrorServingStats) {
   obs::MetricsRegistry metrics;
   WireServer server(eng, server_config(), /*tracer=*/nullptr, &metrics);
   server.start();
+  ServingThread serving(server);
 
   WireClient client(socket_path(), WireClient::Framing::kBinary);
   client.submit(engine::start_event(1, 0.25, 1.0));
   ASSERT_EQ(client.query(1.0).error, WireError::kNone);
-  server.stop();
+  serving.stop();
 
   const WireServerStats stats = server.stats();
   EXPECT_EQ(metrics.counter("net.connections").value(),
@@ -453,6 +491,7 @@ TEST_F(WireServerTest, AnySplitOfAStreamAcrossWritesServesItIdentically) {
     engine::ShardedDispatchEngine eng(engine_config());
     WireServer server(eng, server_config());
     server.start();
+    ServingThread serving(server);
     WireClient client(socket_path(), framing);
     std::size_t sent = 0;
     for (std::size_t i = 0; sent < bytes.size(); ++i) {
@@ -464,7 +503,7 @@ TEST_F(WireServerTest, AnySplitOfAStreamAcrossWritesServesItIdentically) {
     client.finish_writes();
     Outcome out;
     out.responses = read_until_closed(client);
-    server.stop();
+    serving.stop();
     out.stats = server.stats();
     out.events_applied = eng.events_applied();
     out.active_sessions = eng.active_sessions();
@@ -554,11 +593,12 @@ TEST_F(WireServerTest, FatalFrameDropsTheRestOfItsRead) {
     engine::ShardedDispatchEngine eng(engine_config());
     WireServer server(eng, server_config());
     server.start();
+    ServingThread serving(server);
     WireClient client(socket_path(), c.framing);
     client.send_raw(std::span(bytes));
     client.finish_writes();
     const std::vector<WireResponse> responses = read_until_closed(client);
-    server.stop();
+    serving.stop();
 
     ASSERT_EQ(responses.size(), 1u);
     EXPECT_EQ(responses[0].request_seq, 1u);
@@ -593,11 +633,12 @@ TEST_F(WireServerTest, TruncatedFramesSayWhereTheStreamEnded) {
     engine::ShardedDispatchEngine eng(engine_config());
     WireServer server(eng, server_config());
     server.start();
+    ServingThread serving(server);
     WireClient client(socket_path(), WireClient::Framing::kBinary);
     client.send_raw(std::span(bytes));
     client.finish_writes();
     const std::vector<WireResponse> responses = read_until_closed(client);
-    server.stop();
+    serving.stop();
 
     ASSERT_EQ(responses.size(), 1u);
     EXPECT_EQ(responses[0].request_seq, 2u);
@@ -616,6 +657,7 @@ TEST_F(WireServerTest, JsonLinesSurviveCrlfBlanksSplitsAndAMissingFinalNewline) 
   engine::ShardedDispatchEngine eng(engine_config());
   WireServer server(eng, server_config());
   server.start();
+  ServingThread serving(server);
 
   const std::string first =
       encode_json_request(submit_request(engine::start_event(1, 0.25, 1.0)));
@@ -632,7 +674,7 @@ TEST_F(WireServerTest, JsonLinesSurviveCrlfBlanksSplitsAndAMissingFinalNewline) 
   client.send_raw(std::span(rest));
   client.finish_writes();
   const std::vector<WireResponse> responses = read_until_closed(client);
-  server.stop();
+  serving.stop();
 
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_EQ(responses[0].request_seq, 3u);
@@ -650,6 +692,7 @@ TEST_F(WireServerTest, PartialJsonLineOverTheCapIsRejectedWithoutItsNewline) {
   engine::ShardedDispatchEngine eng(engine_config());
   WireServer server(eng, server_config());
   server.start();
+  ServingThread serving(server);
 
   // A raw connection whose reads time out: a server that waited for the
   // rest of the line would fail this test instead of hanging it.
@@ -673,7 +716,7 @@ TEST_F(WireServerTest, PartialJsonLineOverTheCapIsRejectedWithoutItsNewline) {
   EXPECT_EQ(rejection.error, WireError::kOversizedLine);
   EXPECT_EQ(rejection.detail, "request line exceeds the 65536-byte cap");
   EXPECT_EQ(in.fill(fd.get()), 0u);  // then the server closes
-  server.stop();
+  serving.stop();
   EXPECT_EQ(server.stats().frames_received, 1u);
   EXPECT_EQ(server.stats().frames_rejected, 1u);
 }
@@ -685,6 +728,7 @@ TEST_F(WireServerTest, ClientReadsResponseLinesLongerThanAFrame) {
   engine::ShardedDispatchEngine eng(engine_config());
   WireServer server(eng, server_config());
   server.start();
+  ServingThread serving(server);
 
   const std::string token(30000, '\x01');
   const std::vector<std::uint8_t> line =
@@ -699,7 +743,7 @@ TEST_F(WireServerTest, ClientReadsResponseLinesLongerThanAFrame) {
   // The connection survives a recoverable rejection.
   const WireResponse answer = client.query(0.0);
   EXPECT_EQ(answer.error, WireError::kNone) << answer.detail;
-  server.stop();
+  serving.stop();
 }
 
 // The session id 2^64 - 1 is the packer's list terminator: placing it would
@@ -712,6 +756,7 @@ TEST_F(WireServerTest, ReservedSessionIdIsCountedAndLaterEventsAreServed) {
   engine::ShardedDispatchEngine eng(engine_config());
   WireServer server(eng, server_config());
   server.start();
+  ServingThread serving(server);
 
   const auto submit_and_query = [&](const engine::SessionEvent& event) {
     WireClient client(socket_path(), WireClient::Framing::kJson);
@@ -734,7 +779,7 @@ TEST_F(WireServerTest, ReservedSessionIdIsCountedAndLaterEventsAreServed) {
       << answer.body;
   EXPECT_NE(answer.body.find("\"total_dropped_events\":1}"), std::string::npos)
       << answer.body;
-  server.stop();
+  serving.stop();
   EXPECT_EQ(eng.merged_fault_stats().invalid_session_ids, 1u);
   // Session 5 billed [0, 2) minutes at $6/hour, and nothing after.
   EXPECT_EQ(eng.rental_cost_dollars(100.0), eng.rental_cost_dollars(2.0));
@@ -760,6 +805,7 @@ TEST_F(WireServerTest, BackstopCountsTheConnectionsItDrops) {
                                     std::make_unique<ThrowingRouter>());
   WireServer server(eng, server_config(), nullptr, &metrics);
   server.start();
+  ServingThread serving(server);
 
   WireClient doomed(socket_path(), WireClient::Framing::kJson);
   doomed.submit(engine::start_event(ThrowingRouter::kPoisonKey, 0.25, 1.0));
@@ -774,7 +820,7 @@ TEST_F(WireServerTest, BackstopCountsTheConnectionsItDrops) {
   ASSERT_EQ(answer.error, WireError::kNone) << answer.detail;
   EXPECT_NE(answer.body.find("\"events_applied\":1,"), std::string::npos)
       << answer.body;
-  server.stop();
+  serving.stop();
   EXPECT_EQ(server.stats().connections_failed, 1u);
   EXPECT_EQ(server.stats().connections_accepted, 2u);
   EXPECT_EQ(metrics.counter_value("net.connections_failed"),
@@ -783,7 +829,7 @@ TEST_F(WireServerTest, BackstopCountsTheConnectionsItDrops) {
 
 // One serving thread runs every connection: 32 held open at once, half in
 // each framing, each get a submit and a query served, and the process
-// gains at most that one thread.
+// gains at most that one thread, the ServingThread that calls run().
 TEST_F(WireServerTest, ManyConnectionsShareOneServingThread) {
   // A runtime may start a helper thread along with the process's first
   // thread (ThreadSanitizer does); starting one here counts it in the
@@ -795,6 +841,7 @@ TEST_F(WireServerTest, ManyConnectionsShareOneServingThread) {
   engine::ShardedDispatchEngine eng(engine_config());
   WireServer server(eng, server_config());
   server.start();
+  ServingThread serving(server);
 
   constexpr std::uint64_t kConnections = 32;
   std::vector<std::unique_ptr<WireClient>> clients;
@@ -817,7 +864,7 @@ TEST_F(WireServerTest, ManyConnectionsShareOneServingThread) {
   EXPECT_LE(thread_count(), threads_before + 1);
 
   clients.clear();
-  server.stop();
+  serving.stop();
   EXPECT_EQ(server.stats().connections_accepted, kConnections);
   EXPECT_EQ(eng.active_sessions(), kConnections);
 }
@@ -830,6 +877,7 @@ TEST_F(WireServerTest, NonReadingClientDoesNotStallOthers) {
   engine::ShardedDispatchEngine eng(engine_config());
   WireServer server(eng, server_config());
   server.start();
+  ServingThread serving(server);
 
   // The hog writes without blocking until its writes stall for half a
   // second: by then the server has stopped reading it. A server that never
@@ -887,19 +935,22 @@ TEST_F(WireServerTest, NonReadingClientDoesNotStallOthers) {
     ++answered_in_order;
   }
   EXPECT_EQ(answered_in_order, hog_queries);
-  server.stop();
+  serving.stop();
   EXPECT_EQ(server.stats().connections_accepted, 2u);
 }
 
-TEST_F(WireServerTest, StopIsIdempotentAndUnlinksTheSocket) {
+TEST_F(WireServerTest, StopRequestedBeforeRunEndsItAtOnce) {
   engine::ShardedDispatchEngine eng(engine_config());
   WireServer server(eng, server_config());
   server.start();
   EXPECT_TRUE(std::filesystem::exists(socket_path()));
-  server.stop();
-  server.stop();
+  server.request_stop();
+  EXPECT_FALSE(server.run());
   EXPECT_FALSE(std::filesystem::exists(socket_path()));
-  EXPECT_FALSE(server.running());
+  // A server runs once and starts once.
+  EXPECT_THROW((void)server.run(), PreconditionError);
+  EXPECT_THROW(server.start(), PreconditionError);
+  server.request_stop();  // harmless once run() has returned
 }
 
 }  // namespace

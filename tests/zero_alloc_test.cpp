@@ -49,6 +49,7 @@
 #include "opt/bin_count.hpp"
 #include "opt/rle.hpp"
 #include "opt/scratch.hpp"
+#include "serving_thread.hpp"
 #include "sim/event.hpp"
 #include "sim/simulator.hpp"
 #include "support/flat_bin_count.hpp"
@@ -471,6 +472,7 @@ std::uint64_t allocations_serving(net::WireClient::Framing framing,
   server_config.socket_path = dir + "/wire.sock";
   net::WireServer server(eng, server_config);
   server.start();
+  net::ServingThread serving(server);
 
   net::WireClient client(server_config.socket_path, framing);
   // The warm query opens the connection and its receive buffer.
@@ -486,7 +488,7 @@ std::uint64_t allocations_serving(net::WireClient::Framing framing,
 
   EXPECT_EQ(server.stats().events_submitted, requests);
   EXPECT_EQ(server.stats().frames_rejected, 0u);
-  server.stop();
+  serving.stop();
   EXPECT_EQ(eng.events_applied(), 1 + kWarm + requests);
   EXPECT_EQ(eng.active_sessions(), 1u);
   EXPECT_EQ(eng.active_servers(), 1u);

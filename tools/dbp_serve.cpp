@@ -1,14 +1,13 @@
 // dbp_serve — Unix-socket wire front-end for the sharded dispatch engine.
 //
-// Binds net::WireServer on --socket and serves until a client sends the
-// `shutdown` verb or the process receives SIGINT/SIGTERM; both paths run
-// the same graceful stop (close connections, apply the engine's queued
-// events, unlink socket). However many clients connect, the process runs
-// two threads: main, which waits for the stop, and the server's serving
-// loop, which makes every engine call while it runs. A clairvoyant
-// --algorithm is refused at start-up. On exit a summary JSON goes to
-// stdout: serving counters plus the final engine view (events applied,
-// active sessions, streaming OPT bounds).
+// Binds net::WireServer on --socket and serves on the main thread until a
+// client sends the `shutdown` verb or the process receives SIGINT/SIGTERM;
+// both paths run the same graceful stop (close connections, apply the
+// engine's queued events, unlink socket). However many clients connect,
+// the process runs one thread, which makes every engine call. A
+// clairvoyant --algorithm is refused at start-up. On exit a summary JSON
+// goes to stdout: serving counters plus the final engine view (events
+// applied, active sessions, streaming OPT bounds).
 //
 // Usage:
 //   dbp_serve --socket=PATH [--shards=1]
@@ -18,9 +17,13 @@
 // --epoch-cadence-ms=N arms a timerfd on the serving loop that cuts an
 // epoch every N ms at the engine's event clock (0 = epochs only on
 // explicit request). --trace-out/--metrics hand the tracer/registry to the
-// serving thread, so the exported trace matches a direct driver's
+// server, so the exported trace matches a direct driver's
 // (docs/wire_protocol.md).
+#include <unistd.h>
+
+#include <cerrno>
 #include <csignal>
+#include <cstdint>
 #include <iostream>
 #include <locale>
 #include <sstream>
@@ -43,9 +46,20 @@ constexpr const char* kUsage =
     "                 [--price-per-hour=6.0] [--epoch-cadence-ms=0]\n"
     "                 [--trace-out=FILE] [--metrics]\n";
 
-volatile std::sig_atomic_t g_signal_seen = 0;
+/// The server's stop eventfd while run() serves, -1 otherwise.
+volatile std::sig_atomic_t g_stop_fd = -1;
 
-void on_signal(int) { g_signal_seen = 1; }
+/// SIGINT/SIGTERM: WireServer::request_stop() written out in C, so run()
+/// returns at once. write(2) is async-signal-safe.
+void on_signal(int) {
+  const int fd = g_stop_fd;
+  if (fd < 0) return;
+  const int saved_errno = errno;
+  const std::uint64_t one = 1;
+  const ssize_t written = write(fd, &one, sizeof(one));
+  (void)written;
+  errno = saved_errno;
+}
 
 std::string json_number(double value) {
   std::ostringstream out;
@@ -80,10 +94,10 @@ int main(int argc, char** argv) {
     net::WireServer server(eng, server_config, obs_session.tracer(),
                            obs_session.metrics());
 
+    server.start();
+    g_stop_fd = server.stop_fd();
     std::signal(SIGINT, on_signal);
     std::signal(SIGTERM, on_signal);
-
-    server.start();
     std::cerr << "dbp_serve: listening on " << server_config.socket_path
               << " (" << config.shard_count << " shard(s)";
     if (server_config.epoch_cadence_ms > 0) {
@@ -91,11 +105,8 @@ int main(int argc, char** argv) {
     }
     std::cerr << ")\n";
 
-    // Serve until the shutdown verb (wakes the poll immediately) or a
-    // signal (seen within one 200 ms poll round).
-    while (g_signal_seen == 0 && !server.poll_stop_requested(200)) {
-    }
-    server.stop();
+    server.run();
+    g_stop_fd = -1;
 
     const net::WireServerStats stats = server.stats();
     const engine::StreamingOptBounds bounds = eng.opt_bounds();

@@ -26,6 +26,7 @@
 // Cell order in the output is the job-list order (workload-major, then
 // algorithm, then seed) regardless of the parallel schedule, and every
 // per-cell number except wall-clock is bit-identical across budgets.
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -36,6 +37,7 @@
 #include <vector>
 
 #include "exec/parallel_map.hpp"
+#include "algo/factory.hpp"
 #include "analysis/table.hpp"
 #include "cli.hpp"
 #include "core/checked_output.hpp"
@@ -114,6 +116,14 @@ RandomInstanceConfig workload_config(const std::string& name,
                            std::string(kUsage));
   }
   return config;
+}
+
+/// Whether make_packer knows `name`: an online or a clairvoyant algorithm.
+bool is_algorithm_name(const std::string& name) {
+  const auto listed = [&](const std::vector<std::string>& names) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  return listed(all_algorithm_names()) || listed(clairvoyant_algorithm_names());
 }
 
 CellOutcome run_cell(const Cell& cell, bool want_opt, bool want_trace) {
@@ -227,6 +237,13 @@ int main(int argc, char** argv) {
     const bool want_opt = args.has("opt");
     const bool want_trace = args.has("trace-dir");
 
+    // Names are checked before any cell runs; make_packer would refuse an
+    // unknown algorithm only inside its cells.
+    for (const std::string& algorithm : algorithms) {
+      if (!is_algorithm_name(algorithm)) {
+        throw PreconditionError("unknown packer name: " + algorithm);
+      }
+    }
     // Workload-major, then algorithm, then seed: the output order contract.
     std::vector<Cell> cells;
     for (const std::string& workload : workloads) {

@@ -3,11 +3,12 @@
 # generated workloads over both framings, runs the malformed-frame corpus
 # (every entry must produce a typed rejection that leaves the server
 # serving), holds many idle connections and one that reads nothing, runs a
-# second server out of descriptors, stops the server over the wire, and
-# validates the exported observability trace. Exits nonzero if any client
-# run fails, any corpus entry kills the server, a connection case starves
-# a client or grows the server, the server exits nonzero, or the trace
-# does not validate.
+# second server out of descriptors, stops the server over the wire,
+# validates the exported observability trace, and stops two more servers
+# with SIGTERM and SIGINT. Exits nonzero if any client run fails, any
+# corpus entry kills the server, a connection case starves a client or
+# grows the server, a server exits nonzero or loses an event on a signal,
+# or the trace does not validate.
 #
 # Usage: serve_smoke.sh BUILD_DIR WORK_DIR [PYTHON]
 set -euo pipefail
@@ -24,9 +25,11 @@ mkdir -p "$work_dir"
 sock_dir=$(mktemp -d "${TMPDIR:-/tmp}/dbp_serve_smoke.XXXXXX")
 serve_pid=""
 emfile_pid=""
+signal_pid=""
 cleanup() {
   if [ -n "$serve_pid" ]; then kill "$serve_pid" 2>/dev/null || true; fi
   if [ -n "$emfile_pid" ]; then kill "$emfile_pid" 2>/dev/null || true; fi
+  if [ -n "$signal_pid" ]; then kill -KILL "$signal_pid" 2>/dev/null || true; fi
   rm -rf "$sock_dir"
 }
 trap cleanup EXIT
@@ -112,9 +115,10 @@ if [ $((hwm_after - hwm_before)) -ge 8192 ]; then
   exit 1
 fi
 
-# Connection cases. One thread serves every connection, so 64 idle ones
-# leave dbp_serve at two threads, main and the serving loop
-# (ThreadSanitizer's runtime adds a background thread of its own). A
+# Connection cases. dbp_serve serves every connection on its main thread,
+# so 64 idle ones leave it at one thread, also under ThreadSanitizer, whose
+# runtime starts its background thread only with a process's first new
+# thread. A
 # client that pipelines queries and reads no answer fills its output
 # queue, and the server then stops reading it: another connection must
 # still be answered, and VmHWM must rise by less than 8 MB (0.4 MB in a
@@ -163,17 +167,13 @@ def cpu_seconds(pid):
         fields = f.read().rsplit(")", 1)[1].split()
     return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
 
-with open("/proc/%s/maps" % pid) as f:
-    expected_threads = 3 if "libtsan" in f.read() else 2
-
 idle = [connect(path) for _ in range(64)]
 # The server accepts in order, so once this is answered all 64 are open.
 if not answered(connect(path)):
     sys.exit("a query beside 64 idle connections was refused")
 threads = status(pid, "Threads")
-if threads != expected_threads:
-    sys.exit("64 idle connections left dbp_serve at %d threads, not %d"
-             % (threads, expected_threads))
+if threads != 1:
+    sys.exit("64 idle connections left dbp_serve at %d threads, not 1" % threads)
 
 hwm_before = status(pid, "VmHWM")
 hog = connect(path)
@@ -194,7 +194,7 @@ hwm_after = status(pid, "VmHWM")
 if hwm_after - hwm_before >= 8192:
     sys.exit("a non-reading client raised dbp_serve's VmHWM from %d kB to %d kB"
              % (hwm_before, hwm_after))
-if status(pid, "Threads") != expected_threads:
+if status(pid, "Threads") != 1:
     sys.exit("the non-reading client changed dbp_serve's thread count")
 hog.close()
 for conn in idle:
@@ -244,4 +244,49 @@ wait "$serve_pid"
 
 grep -q '"schema": "dbp-serve/1"' "$work_dir/serve.json"
 "$python" "$tools_dir/validate_trace.py" "$work_dir/serve.trace.jsonl"
+
+# Signals stop dbp_serve as the shutdown verb does. For SIGTERM, then
+# SIGINT, a fresh server serves one client stream and its query, then gets
+# the signal: it must exit 0 within 30 s and print its summary, whose
+# events_applied must equal the query's, and leave no socket file.
+for sig in TERM INT; do
+  sig_sock="$sock_dir/sig$sig.sock"
+  "$build_dir/tools/dbp_serve" --socket="$sig_sock" --shards=2 \
+      > "$work_dir/serve.sig$sig.json" 2> "$work_dir/serve.sig$sig.err" &
+  signal_pid=$!
+  "$build_dir/tools/dbp_client" --socket="$sig_sock" --events=300 \
+      --workload=uniform --query-at=1e9 > "$work_dir/client.sig$sig.json"
+  kill -s "$sig" "$signal_pid"
+  for _ in $(seq 300); do
+    kill -0 "$signal_pid" 2>/dev/null || break
+    sleep 0.1
+  done
+  if kill -0 "$signal_pid" 2>/dev/null; then
+    echo "dbp_serve did not exit within 30 s of SIG$sig" >&2
+    exit 1
+  fi
+  status=0
+  wait "$signal_pid" || status=$?
+  signal_pid=""
+  if [ "$status" -ne 0 ]; then
+    echo "dbp_serve exited with status $status on SIG$sig" >&2
+    exit 1
+  fi
+  if [ -e "$sig_sock" ]; then
+    echo "dbp_serve left its socket file behind on SIG$sig" >&2
+    exit 1
+  fi
+  "$python" - "$work_dir/serve.sig$sig.json" "$work_dir/client.sig$sig.json" \
+      "SIG$sig" <<'PY'
+import json, sys
+
+with open(sys.argv[1]) as f:
+    summary = json.load(f)
+with open(sys.argv[2]) as f:
+    answered = json.load(f)["query"]["events_applied"]
+if summary["schema"] != "dbp-serve/1" or summary["events_applied"] != answered:
+    sys.exit("on %s dbp_serve's summary reports %s events applied, "
+             "its last query %d" % (sys.argv[3], summary["events_applied"], answered))
+PY
+done
 echo "serve smoke ok"

@@ -34,8 +34,6 @@ class ClairvoyantPacker : public Packer {
   /// The Any Fit opening rule of on_arrival_clairvoyant: a new bin exactly
   /// when no open bin fits.
   [[nodiscard]] bool would_open_bin(double size) const final;
-
-  [[nodiscard]] static constexpr bool is_clairvoyant() noexcept { return true; }
 };
 
 /// Departure-aware Any Fit variants. Both obey the Any Fit opening rule

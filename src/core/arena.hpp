@@ -18,15 +18,13 @@
 //     steady-state consumer (one reset per snapshot/evaluation) reaches a
 //     high-water mark after the first few iterations and never touches the
 //     heap again. That is the property the zero-allocation regression test
-//     asserts via the counters below.
+//     asserts via chunk_count().
 //   * rewind(marker()) releases only the allocations made after the marker —
 //     used by dedup paths that provisionally copy a key into the arena and
 //     drop it again when the key turns out to be a duplicate.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <cstring>
 #include <memory>
 #include <span>
 #include <type_traits>
@@ -64,7 +62,6 @@ class MonotonicArena {
     }
     std::byte* result = chunks_[chunk_].data.get() + offset;
     used_ = offset + bytes;
-    ++allocation_count_;
     return result;
   }
 
@@ -101,20 +98,10 @@ class MonotonicArena {
     used_ = m.used;
   }
 
-  /// --- Counters (the test hook) -------------------------------------
-  /// Allocations bumped since construction; monotone, not reset by reset().
-  [[nodiscard]] std::uint64_t allocation_count() const noexcept {
-    return allocation_count_;
-  }
-  /// Heap chunks ever acquired. A steady-state consumer's chunk_count()
-  /// stops growing after warm-up; the zero-allocation test pins that.
+  /// Heap chunks ever acquired: the test hook. A steady-state consumer's
+  /// chunk_count() stops growing after warm-up; the zero-allocation test
+  /// pins that.
   [[nodiscard]] std::size_t chunk_count() const noexcept { return chunks_.size(); }
-  /// Total bytes owned across all chunks (the high-water footprint).
-  [[nodiscard]] std::size_t owned_bytes() const noexcept {
-    std::size_t total = 0;
-    for (const Chunk& chunk : chunks_) total += chunk.size;
-    return total;
-  }
 
  private:
   struct Chunk {
@@ -145,63 +132,6 @@ class MonotonicArena {
   std::size_t chunk_ = 0;           // index of the chunk being bumped
   std::size_t used_ = 0;            // bytes consumed in that chunk
   std::size_t next_chunk_bytes_;    // size of the next chunk to acquire
-  std::uint64_t allocation_count_ = 0;
-};
-
-/// A fixed-capacity vector view over arena storage: push_back/insert/erase
-/// with memmove semantics and a hard capacity ceiling, for hot loops whose
-/// element count is bounded by a value known at reset time (e.g. "at most
-/// one open bin per item"). Trivial element types only.
-template <typename T>
-class ArenaVec {
-  static_assert(std::is_trivially_copyable_v<T>,
-                "ArenaVec moves elements with memmove");
-
- public:
-  ArenaVec() = default;
-  ArenaVec(MonotonicArena& arena, std::size_t capacity)
-      : storage_(arena.allocate_array<T>(capacity)) {}
-
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return storage_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] T* begin() noexcept { return storage_.data(); }
-  [[nodiscard]] T* end() noexcept { return storage_.data() + size_; }
-  [[nodiscard]] const T* begin() const noexcept { return storage_.data(); }
-  [[nodiscard]] const T* end() const noexcept { return storage_.data() + size_; }
-  [[nodiscard]] T& operator[](std::size_t i) noexcept { return storage_[i]; }
-  [[nodiscard]] const T& operator[](std::size_t i) const noexcept {
-    return storage_[i];
-  }
-  [[nodiscard]] T& back() noexcept { return storage_[size_ - 1]; }
-
-  void clear() noexcept { size_ = 0; }
-
-  void push_back(T value) {
-    DBP_CHECK(size_ < storage_.size(), "ArenaVec capacity exceeded");
-    storage_[size_++] = value;
-  }
-
-  void pop_back() noexcept { --size_; }
-
-  /// Insert before `pos`, shifting the tail right.
-  void insert(T* pos, T value) {
-    DBP_CHECK(size_ < storage_.size(), "ArenaVec capacity exceeded");
-    std::memmove(pos + 1, pos, static_cast<std::size_t>(end() - pos) * sizeof(T));
-    *pos = value;
-    ++size_;
-  }
-
-  /// Remove the element at `pos`, shifting the tail left.
-  void erase(T* pos) {
-    std::memmove(pos, pos + 1,
-                 static_cast<std::size_t>(end() - pos - 1) * sizeof(T));
-    --size_;
-  }
-
- private:
-  std::span<T> storage_;
-  std::size_t size_ = 0;
 };
 
 }  // namespace dbp

@@ -4,7 +4,7 @@
 //   "DBPC" | u32 version | u64 stream_id | u64 next_seq
 //   | u64 payload_len | u32 crc32(payload) | payload bytes
 //
-// A checkpoint captures the complete durable-object state *after* applying
+// A checkpoint's payload is the dispatcher's save_state() *after* applying
 // all events with seq < next_seq. Writes go to a temp file, fsync, then an
 // atomic rename plus directory fsync — a reader either sees a whole
 // checkpoint or none, never a partial one under its final name. Validation
@@ -19,7 +19,7 @@
 namespace dbp::durability {
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x43504244U;  // "DBPC" LE
-inline constexpr std::uint32_t kCheckpointVersion = 5;
+inline constexpr std::uint32_t kCheckpointVersion = 6;
 
 struct CheckpointData {
   std::uint64_t stream_id = 0;

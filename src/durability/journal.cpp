@@ -50,24 +50,21 @@ JournalWriter::JournalWriter(const std::string& path, std::uint64_t stream_id)
   offset_ = header.size();
 }
 
-JournalWriter::JournalWriter(const std::string& path, std::uint64_t stream_id,
-                             std::uint64_t resume_offset)
+JournalWriter::JournalWriter(const std::string& path, const JournalScan& scan)
     : file_(path, O_WRONLY) {
-  (void)stream_id;  // identity was verified by the scan that produced resume_offset
-  DBP_REQUIRE(resume_offset >= kJournalHeaderBytes,
+  DBP_REQUIRE(scan.valid_bytes >= kJournalHeaderBytes,
               "resume offset precedes the journal header");
-  if (::ftruncate(file_.fd(), static_cast<off_t>(resume_offset)) != 0 ||
-      ::lseek(file_.fd(), static_cast<off_t>(resume_offset), SEEK_SET) < 0) {
+  if (::ftruncate(file_.fd(), static_cast<off_t>(scan.valid_bytes)) != 0 ||
+      ::lseek(file_.fd(), static_cast<off_t>(scan.valid_bytes), SEEK_SET) < 0) {
     throw IoError("cannot position journal for append: " + path);
   }
   detail::sync_fd(file_.fd());
-  offset_ = resume_offset;
+  offset_ = scan.valid_bytes;
 }
 
 void JournalWriter::append(const JournalEvent& event) {
   const std::vector<std::uint8_t> record = encode_record(event);
   buffer_.insert(buffer_.end(), record.begin(), record.end());
-  ++records_;
 }
 
 void JournalWriter::flush() {
@@ -76,7 +73,6 @@ void JournalWriter::flush() {
   detail::sync_fd(file_.fd());
   offset_ += buffer_.size();
   buffer_.clear();
-  ++flushes_;
   if (obs::MetricsRegistry* metrics = obs::metrics()) {
     metrics->counter("journal.flushes").add();
     metrics->gauge("journal.bytes").set(static_cast<double>(offset_));

@@ -22,7 +22,7 @@
 namespace dbp::durability {
 
 inline constexpr std::uint32_t kJournalMagic = 0x4A504244U;  // "DBPJ" LE
-inline constexpr std::uint32_t kJournalVersion = 5;
+inline constexpr std::uint32_t kJournalVersion = 6;
 inline constexpr std::size_t kJournalHeaderBytes = 20;
 /// Framing sanity bound: no event payload is remotely this large, so a
 /// length field beyond it is torn garbage, not a record.
@@ -46,6 +46,8 @@ struct JournalEvent {
   friend bool operator==(const JournalEvent&, const JournalEvent&) = default;
 };
 
+struct JournalScan;
+
 /// Append-side of the journal. Buffers encoded records in memory; flush()
 /// writes the buffer and fsyncs, which is the WAL durability point. The
 /// destructor does NOT flush — the owner decides what is durable.
@@ -55,10 +57,9 @@ class JournalWriter {
   /// header. The header itself is flushed immediately.
   JournalWriter(const std::string& path, std::uint64_t stream_id);
 
-  /// Reopens an existing journal for appending at `resume_offset` (the
-  /// valid-prefix length from a scan; the file is truncated there first).
-  JournalWriter(const std::string& path, std::uint64_t stream_id,
-                std::uint64_t resume_offset);
+  /// Reopens the journal `scan` read from `path` for appending after its
+  /// valid prefix (the file is truncated there first).
+  JournalWriter(const std::string& path, const JournalScan& scan);
 
   void append(const JournalEvent& event);
 
@@ -66,18 +67,10 @@ class JournalWriter {
   /// buffer is empty. Counts toward the `journal.flushes` metric.
   void flush();
 
-  [[nodiscard]] std::uint64_t bytes_written() const noexcept { return offset_; }
-  [[nodiscard]] std::uint64_t flushes() const noexcept { return flushes_; }
-  [[nodiscard]] std::uint64_t records_appended() const noexcept {
-    return records_;
-  }
-
  private:
   detail::FileHandle file_;
   std::vector<std::uint8_t> buffer_;
-  std::uint64_t offset_ = 0;  ///< durable + buffered bytes
-  std::uint64_t flushes_ = 0;
-  std::uint64_t records_ = 0;
+  std::uint64_t offset_ = 0;  ///< durable bytes: where the next flush writes
 };
 
 /// Result of scanning a journal file.

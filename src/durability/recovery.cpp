@@ -13,36 +13,18 @@ namespace dbp::durability {
 
 namespace {
 
+/// Checkpoints retained after a new one lands: the previous one is the
+/// fallback when the newest is damaged.
+constexpr std::size_t kCheckpointsKept = 2;
+
 std::string journal_path(const DurabilityConfig& config) {
   return config.dir + "/" + kJournalFileName;
-}
-
-void write_packer_options(ByteWriter& out, const PackerOptions& options) {
-  out.f64(options.mff_k);
-  out.f64(options.known_mu);
-  out.u64(static_cast<std::uint64_t>(options.harmonic_classes));
-  out.u64(options.seed);
-}
-
-PackerOptions read_packer_options(ByteReader& in) {
-  PackerOptions options;
-  options.mff_k = in.f64();
-  options.known_mu = in.f64();
-  const std::uint64_t classes = in.u64();
-  if (classes > 1'000'000) {
-    throw CorruptionError("implausible harmonic class count in checkpoint");
-  }
-  options.harmonic_classes = static_cast<int>(classes);
-  options.seed = in.u64();
-  return options;
 }
 
 }  // namespace
 
 void DurabilityConfig::validate() const {
   DBP_REQUIRE(!dir.empty(), "durability directory must be set");
-  DBP_REQUIRE(keep_checkpoints >= 1, "must keep at least one checkpoint");
-  DBP_REQUIRE(flush_every >= 1, "flush cadence must be at least 1");
 }
 
 // ---------------------------------------------------------------------------
@@ -53,8 +35,10 @@ DurableDispatcher::DurableDispatcher(const DurabilityConfig& config,
                                      const std::string& algorithm,
                                      const PackerOptions& options,
                                      const FaultPolicy& policy)
-    : DurableDispatcher(RecoveredTag{}, config, spec, algorithm, options,
-                        policy) {
+    : config_(config), dispatcher_(spec, algorithm, options, policy) {
+  DBP_REQUIRE(dispatcher_.snapshot_supported(),
+              "algorithm cannot run durably (no snapshot support): " +
+                  algorithm);
   config_.validate();
   std::error_code ec;
   std::filesystem::create_directories(config_.dir, ec);
@@ -66,19 +50,9 @@ DurableDispatcher::DurableDispatcher(const DurabilityConfig& config,
                                              config_.stream_id);
 }
 
-DurableDispatcher::DurableDispatcher(RecoveredTag, DurabilityConfig config,
-                                     ServerSpec spec, std::string algorithm,
-                                     PackerOptions options, FaultPolicy policy)
-    : config_(std::move(config)),
-      spec_(spec),
-      algorithm_(std::move(algorithm)),
-      options_(options),
-      policy_(policy),
-      dispatcher_(spec_, algorithm_, options_, policy_) {
-  DBP_REQUIRE(dispatcher_.snapshot_supported(),
-              "algorithm cannot run durably (no snapshot support): " +
-                  algorithm_);
-}
+DurableDispatcher::DurableDispatcher(DurabilityConfig config,
+                                     GameServerDispatcher dispatcher)
+    : config_(std::move(config)), dispatcher_(std::move(dispatcher)) {}
 
 BinId DurableDispatcher::start_session(std::uint64_t session_id,
                                        double gpu_fraction, Time now_minutes) {
@@ -105,36 +79,28 @@ std::size_t DurableDispatcher::fail_server(BinId server, Time now_minutes) {
   return redispatched;
 }
 
+void DurableDispatcher::flush() { journal_->flush(); }
+
 void DurableDispatcher::checkpoint_now() {
-  // The journal must be durable through the checkpoint's position before
-  // the checkpoint lands, or a crash right after the rename could leave a
-  // checkpoint that claims events the journal never recorded. (Checkpoint 0
-  // is written before the journal exists, at next_seq 0.)
-  if (journal_) flush();
+  // Every journaled event was flushed before it was applied, so the journal
+  // is durable through the checkpoint's position before the checkpoint
+  // lands: a crash right after the rename cannot leave a checkpoint that
+  // claims events the journal never recorded. (Checkpoint 0 is written
+  // before the journal exists, at next_seq 0.)
   ByteWriter out;
-  out.f64(spec_.gpu_capacity);
-  out.f64(spec_.price_per_hour);
-  out.str(algorithm_);
-  write_packer_options(out, options_);
-  write_fault_policy(out, policy_);
   dispatcher_.save_state(out);
   CheckpointData data;
   data.stream_id = config_.stream_id;
   data.next_seq = next_seq_;
   data.payload = out.take();
   write_checkpoint(config_.dir, data);
-  prune_checkpoints(config_.dir, config_.keep_checkpoints);
-}
-
-void DurableDispatcher::flush() {
-  journal_->flush();
-  unflushed_ = 0;
+  prune_checkpoints(config_.dir, kCheckpointsKept);
 }
 
 void DurableDispatcher::journal_event(JournalEventKind kind, Time time,
                                       std::uint64_t subject, double size) {
   journal_->append(JournalEvent{next_seq_, kind, time, subject, size});
-  if (++unflushed_ >= config_.flush_every) flush();
+  journal_->flush();
   ++next_seq_;
 }
 
@@ -224,29 +190,12 @@ RecoveredState RecoveryManager::recover() {
             " is ahead of the journal's valid prefix (seq " +
             std::to_string(journal_next) + "): " + entry.path);
       }
-      // Rebuild the dispatcher from the payload's own parameters.
+      // The payload is the dispatcher's save_state(): it names what to build.
       ByteReader in(checkpoint.payload);
-      ServerSpec spec;
-      spec.gpu_capacity = in.f64();
-      spec.price_per_hour = in.f64();
-      std::string algorithm = in.str();
-      const PackerOptions options = read_packer_options(in);
-      const FaultPolicy policy = read_fault_policy(in);
-      std::unique_ptr<DurableDispatcher> restored;
-      try {
-        restored.reset(new DurableDispatcher(DurableDispatcher::RecoveredTag{},
-                                             config_, spec,
-                                             std::move(algorithm), options,
-                                             policy));
-      } catch (const PreconditionError& error) {
-        throw CorruptionError(
-            std::string("checkpoint names a dispatcher that cannot be "
-                        "built (") +
-            error.what() + "): " + entry.path);
-      }
-      restored->dispatcher_.restore_state(in);
+      GameServerDispatcher dispatcher = GameServerDispatcher::from_state(in);
       in.expect_done();
-      state.dispatcher = std::move(restored);
+      state.dispatcher.reset(
+          new DurableDispatcher(config_, std::move(dispatcher)));
       checkpoint_seq = checkpoint.next_seq;
       break;
     } catch (const CorruptionError&) {
@@ -268,10 +217,8 @@ RecoveredState RecoveryManager::recover() {
   }
 
   durable.journal_ =
-      journal_exists
-          ? std::make_unique<JournalWriter>(path, config_.stream_id,
-                                            scan.valid_bytes)
-          : std::make_unique<JournalWriter>(path, config_.stream_id);
+      journal_exists ? std::make_unique<JournalWriter>(path, scan)
+                     : std::make_unique<JournalWriter>(path, config_.stream_id);
   durable.next_seq_ = journal_next;
 
   if (obs::MetricsRegistry* metrics = obs::metrics()) {

@@ -2,15 +2,16 @@
 //
 // DurableDispatcher implements write-ahead logging over the cloud-gaming
 // dispatcher: every input event is journaled and flushed *before* it is
-// applied, and a full state checkpoint is written atomically every
-// `checkpoint_every` events. A plain packing run is a strict dispatcher
-// (default FaultPolicy) whose ServerSpec bills the run's CostModel
-// (ServerSpec{1.0, 60.0} is CostModel{1.0, 1.0, 1e-9}), fed the instance's
-// arrivals and departures as session starts and ends. The RecoveryManager
-// inverts that: load the newest checkpoint that validates (falling back
-// across corrupt ones), truncate the journal's torn tail, replay the
-// journal suffix, and hand back a dispatcher that continues the
-// interrupted stream — bit-identically to a run that never crashed.
+// applied, and the dispatcher's save_state() is written atomically as a
+// checkpoint every `checkpoint_every` events. A plain packing run is a
+// strict dispatcher (default FaultPolicy) whose ServerSpec bills the run's
+// CostModel (ServerSpec{1.0, 60.0} is CostModel{1.0, 1.0, 1e-9}), fed the
+// instance's arrivals and departures as session starts and ends. The
+// RecoveryManager inverts that: truncate the journal's torn tail, rebuild
+// the dispatcher from the newest checkpoint that validates (falling back
+// across corrupt ones), replay the journal suffix, and hand back a
+// dispatcher that continues the interrupted stream — bit-identically to a
+// run that never crashed.
 #pragma once
 
 #include <cstdint>
@@ -27,12 +28,8 @@ namespace dbp::durability {
 struct DurabilityConfig {
   /// Directory holding `journal.dbpj` and `ckpt-*.dbpc`. Created on demand.
   std::string dir;
-  /// Events between automatic checkpoints (0 = only explicit checkpoint_now).
+  /// Events between automatic checkpoints (0 = only checkpoint 0).
   std::uint64_t checkpoint_every = 64;
-  /// Checkpoints retained after a new one lands (>= 1).
-  std::size_t keep_checkpoints = 2;
-  /// Events per journal flush; 1 = strict WAL (flush before every apply).
-  std::uint64_t flush_every = 1;
   /// Stream identity stamped into journal + checkpoints so files from a
   /// different run cannot be mixed silently.
   std::uint64_t stream_id = 0xD0B9D0B9ULL;
@@ -52,10 +49,12 @@ struct RecoveryReport {
 };
 
 /// Crash-durable facade over GameServerDispatcher. Construction writes
-/// checkpoint 0; every event is journaled ahead of being applied, so the
-/// dispatcher's visible behavior (return values, throw behavior, stats) is
-/// exactly GameServerDispatcher's. Requires an algorithm whose packer
-/// supports snapshots (all online algorithms; not the clairvoyant ones).
+/// checkpoint 0; every event is journaled and flushed before it is applied
+/// (strict write-ahead logging), so the dispatcher's visible behavior
+/// (return values, throw behavior, stats) is exactly GameServerDispatcher's.
+/// A checkpoint is the dispatcher's save_state() bytes; the newest two are
+/// kept. Requires an algorithm whose packer supports snapshots (all online
+/// algorithms; not the clairvoyant ones).
 class DurableDispatcher {
  public:
   DurableDispatcher(const DurabilityConfig& config, const ServerSpec& spec,
@@ -67,29 +66,23 @@ class DurableDispatcher {
   void end_session(std::uint64_t session_id, Time now_minutes);
   std::size_t fail_server(BinId server, Time now_minutes);
 
-  /// Forces a checkpoint at the current position (journal flushed first).
-  void checkpoint_now();
-  /// Flushes any buffered journal records (a durability point).
+  /// A durability point. Every event is already flushed before it is
+  /// applied, so this finds nothing buffered.
   void flush();
 
   [[nodiscard]] const GameServerDispatcher& dispatcher() const noexcept {
     return dispatcher_;
   }
-  [[nodiscard]] std::uint64_t next_seq() const noexcept { return next_seq_; }
-  [[nodiscard]] const JournalWriter& journal() const noexcept {
-    return *journal_;
-  }
 
  private:
   friend class RecoveryManager;
-  struct RecoveredTag {};
-  /// Builds the dispatcher only: no checkpoint, no journal. Recovery
-  /// restores its state and reopens the journal itself.
-  DurableDispatcher(RecoveredTag, DurabilityConfig config, ServerSpec spec,
-                    std::string algorithm, PackerOptions options,
-                    FaultPolicy policy);
+  /// Recovery's: wraps the dispatcher GameServerDispatcher::from_state built.
+  /// No checkpoint, no journal; recovery replays and reopens the journal.
+  DurableDispatcher(DurabilityConfig config, GameServerDispatcher dispatcher);
 
-  /// WAL step: append + flush (per config.flush_every) and advance the seq.
+  /// Writes a checkpoint at the current position and prunes older ones.
+  void checkpoint_now();
+  /// WAL step: append + flush, then advance the seq.
   void journal_event(JournalEventKind kind, Time time, std::uint64_t subject,
                      double size);
   void maybe_checkpoint();
@@ -102,11 +95,6 @@ class DurableDispatcher {
   /// Null until checkpoint 0 has landed (and while recovery is replaying).
   std::unique_ptr<JournalWriter> journal_;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t unflushed_ = 0;
-  ServerSpec spec_;
-  std::string algorithm_;
-  PackerOptions options_;
-  FaultPolicy policy_;
   GameServerDispatcher dispatcher_;
 };
 

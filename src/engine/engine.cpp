@@ -112,8 +112,7 @@ void ShardedDispatchEngine::snapshot_merged() {
   std::size_t offset = 0;
   for (const Shard& shard : shards_) {
     const std::size_t active = shard.dispatcher.active_sessions();
-    shard.dispatcher.active_sizes_desc(
-        std::span(sizes_).subspan(offset, active));
+    shard.dispatcher.active_sizes(std::span(sizes_).subspan(offset, active));
     offset += active;
   }
   std::sort(sizes_.begin(), sizes_.end(), std::greater<>());

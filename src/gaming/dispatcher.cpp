@@ -341,15 +341,40 @@ std::size_t GameServerDispatcher::fail_server(BinId server, Time now_minutes) {
   return redispatched;
 }
 
+namespace {
+
+void write_packer_options(ByteWriter& out, const PackerOptions& options) {
+  out.f64(options.mff_k);
+  out.f64(options.known_mu);
+  out.u64(static_cast<std::uint64_t>(options.harmonic_classes));
+  out.u64(options.seed);
+}
+
+PackerOptions read_packer_options(ByteReader& in) {
+  PackerOptions options;
+  options.mff_k = in.f64();
+  options.known_mu = in.f64();
+  const std::uint64_t classes = in.u64();
+  if (classes > 1'000'000) {
+    throw CorruptionError("implausible harmonic class count in saved state");
+  }
+  options.harmonic_classes = static_cast<int>(classes);
+  options.seed = in.u64();
+  return options;
+}
+
+}  // namespace
+
 void GameServerDispatcher::save_state(ByteWriter& out) const {
   out.str(algorithm_);
   out.f64(spec_.gpu_capacity);
   out.f64(spec_.price_per_hour);
+  write_packer_options(out, options_);
   write_fault_policy(out, policy_);
   packer_->save_snapshot(out);
   // RLE size-multiset cross-check (opt/rle.hpp): a compact semantic summary
-  // of the packer's residents. Restore re-derives it from the restored
-  // packer and refuses a checkpoint whose two halves disagree.
+  // of the packer's residents. from_state re-derives it from the restored
+  // packer and refuses a state whose two halves disagree.
   std::vector<double> sizes(active_sessions());
   active_sizes_desc(sizes);
   const std::vector<SizeRun> runs = rle_from_sorted(sizes);
@@ -381,23 +406,33 @@ void GameServerDispatcher::save_state(ByteWriter& out) const {
   });
 }
 
-void GameServerDispatcher::restore_state(ByteReader& in) {
-  if (in.str() != algorithm_) {
-    throw CorruptionError("checkpoint algorithm differs from this dispatcher's");
+GameServerDispatcher GameServerDispatcher::from_state(ByteReader& in) {
+  const std::string algorithm = in.str();
+  ServerSpec spec;
+  spec.gpu_capacity = in.f64();
+  spec.price_per_hour = in.f64();
+  const PackerOptions options = read_packer_options(in);
+  const FaultPolicy policy = read_fault_policy(in);
+  GameServerDispatcher dispatcher = [&] {
+    try {
+      return GameServerDispatcher(spec, algorithm, options, policy);
+    } catch (const PreconditionError& error) {
+      throw CorruptionError(
+          std::string("saved state names a dispatcher that cannot be built (") +
+          error.what() + ")");
+    }
+  }();
+  if (!dispatcher.snapshot_supported()) {
+    throw CorruptionError("saved state names an algorithm without snapshots: " +
+                          algorithm);
   }
-  if (in.f64() != spec_.gpu_capacity || in.f64() != spec_.price_per_hour) {
-    throw CorruptionError("checkpoint server spec differs from this dispatcher's");
-  }
-  if (!(read_fault_policy(in) == policy_)) {
-    throw CorruptionError("checkpoint fault policy differs from this dispatcher's");
-  }
-  packer_->restore_snapshot(in);
+  dispatcher.packer_->restore_snapshot(in);
   // Recompute the RLE active-size multiset from the restored packer and
   // require it to match the persisted runs bit-for-bit.
-  std::vector<double> active_sizes(active_sessions());
-  active_sizes_desc(active_sizes);
+  std::vector<double> active_sizes(dispatcher.active_sessions());
+  dispatcher.active_sizes_desc(active_sizes);
   const std::vector<SizeRun> recomputed = rle_from_sorted(active_sizes);
-  rle_validate(recomputed, packer_->model());
+  rle_validate(recomputed, dispatcher.packer_->model());
   const std::uint64_t run_count = in.u64();
   if (run_count != recomputed.size()) {
     throw CorruptionError("RLE cross-check run count mismatch");
@@ -407,30 +442,31 @@ void GameServerDispatcher::restore_state(ByteReader& in) {
       throw CorruptionError("RLE cross-check multiset mismatch");
     }
   }
-  stats_.duplicate_starts = in.u64();
-  stats_.unknown_ends = in.u64();
-  stats_.unknown_servers = in.u64();
-  stats_.time_order_violations = in.u64();
-  stats_.invalid_sizes = in.u64();
-  stats_.invalid_session_ids = in.u64();
-  stats_.rental_attempts_failed = in.u64();
-  stats_.sessions_rejected_rental = in.u64();
-  stats_.sessions_rejected_cap = in.u64();
-  stats_.sessions_shed = in.u64();
-  stats_.sessions_redispatched = in.u64();
-  stats_.sessions_lost_on_crash = in.u64();
-  stats_.servers_crashed = in.u64();
-  stats_.backoff_minutes = in.f64();
-  rental_rng_.load_state(in.str());
-  last_event_time_ = in.f64();
+  DispatcherFaultStats& stats = dispatcher.stats_;
+  stats.duplicate_starts = in.u64();
+  stats.unknown_ends = in.u64();
+  stats.unknown_servers = in.u64();
+  stats.time_order_violations = in.u64();
+  stats.invalid_sizes = in.u64();
+  stats.invalid_session_ids = in.u64();
+  stats.rental_attempts_failed = in.u64();
+  stats.sessions_rejected_rental = in.u64();
+  stats.sessions_rejected_cap = in.u64();
+  stats.sessions_shed = in.u64();
+  stats.sessions_redispatched = in.u64();
+  stats.sessions_lost_on_crash = in.u64();
+  stats.servers_crashed = in.u64();
+  stats.backoff_minutes = in.f64();
+  dispatcher.rental_rng_.load_state(in.str());
+  dispatcher.last_event_time_ = in.f64();
   // The session table: one (slot, id) pair per active packer item, slots
   // strictly ascending, ids distinct and never the reserved 2^64-1.
-  const BinManager& bins = packer_->bins();
+  const BinManager& bins = dispatcher.packer_->bins();
+  SessionTable& sessions = dispatcher.sessions_;
   const std::uint64_t count = in.u64();
   if (count != bins.active_item_count()) {
     throw CorruptionError("session table size differs from the packer's sessions");
   }
-  sessions_.clear();
   ItemId lowest_next = 0;  // the smallest slot the next pair may name
   for (std::uint64_t i = 0; i < count; ++i) {
     const ItemId slot = in.u64();
@@ -445,11 +481,12 @@ void GameServerDispatcher::restore_state(ByteReader& in) {
     if (!bins.active_size(slot).has_value()) {
       throw CorruptionError("session table names a slot the packer does not hold");
     }
-    const SessionTable::Probe probe = sessions_.find(id);
+    const SessionTable::Probe probe = sessions.find(id);
     if (probe.found) throw CorruptionError("session table repeats a session id");
-    sessions_.restore(probe, id, slot);
+    sessions.restore(probe, id, slot);
   }
-  sessions_.finish_restore();
+  sessions.finish_restore();
+  return dispatcher;
 }
 
 std::size_t GameServerDispatcher::active_servers() const {
@@ -473,14 +510,18 @@ std::optional<ActiveSession> GameServerDispatcher::find_session(
   return ActiveSession{*bins.assignment_of(slot), *bins.active_size(slot)};
 }
 
-void GameServerDispatcher::active_sizes_desc(std::span<double> out) const {
+void GameServerDispatcher::active_sizes(std::span<double> out) const {
   const BinManager& bins = packer_->bins();
   DBP_REQUIRE(out.size() == bins.active_item_count(),
-              "active_sizes_desc span must cover exactly the active sessions");
+              "active_sizes span must cover exactly the active sessions");
   std::size_t i = 0;
   bins.for_each_open_bin([&](BinId bin) {
     bins.for_each_resident(bin, [&](ItemId, double size) { out[i++] = size; });
   });
+}
+
+void GameServerDispatcher::active_sizes_desc(std::span<double> out) const {
+  active_sizes(out);
   std::sort(out.begin(), out.end(), std::greater<>());
 }
 

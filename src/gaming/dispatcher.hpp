@@ -104,11 +104,15 @@ class GameServerDispatcher {
   /// (-inf before any event). Read-only probes may use earlier times.
   [[nodiscard]] Time last_event_time() const noexcept { return last_event_time_; }
 
-  /// Writes the active sessions' GPU fractions into `out` in non-increasing
-  /// order. `out.size()` must equal active_sessions(). Deterministic (the
-  /// values are collected, then sorted), so engine::ShardedDispatchEngine
-  /// can build RLE size-multiset snapshots from it (opt/rle.hpp) into
-  /// arena-backed buffers without touching dispatcher internals.
+  /// Writes the active sessions' GPU fractions into `out` unsorted: bin by
+  /// bin in opening order, each bin's residents in the packer's order.
+  /// `out.size()` must equal active_sessions(). engine::ShardedDispatchEngine
+  /// collects every shard's sizes into one buffer and sorts it once to build
+  /// its RLE size-multiset snapshot (opt/rle.hpp).
+  void active_sizes(std::span<double> out) const;
+
+  /// active_sizes() sorted non-increasing: the order of save_state()'s RLE
+  /// cross-check.
   void active_sizes_desc(std::span<double> out) const;
 
   /// Total rental bill accrued by time `now_minutes` (includes the open
@@ -134,21 +138,24 @@ class GameServerDispatcher {
     return packer_->snapshot_supported();
   }
 
-  /// Serializes the complete dispatcher state: packer snapshot (whose
-  /// active items are the sessions' slots), fault statistics (including the
-  /// retry/backoff accumulators), the rental RNG *position*, the event
-  /// clock, and last the session table as (slot, id) pairs in slot order —
-  /// plus an RLE size-multiset cross-check of the active sessions.
-  /// Requires snapshot_supported().
+  /// Serializes the complete dispatcher state, self-describing: the
+  /// algorithm name, the server spec, the packer options and the fault
+  /// policy, then the packer snapshot (whose active items are the sessions'
+  /// slots), an RLE size-multiset cross-check of the active sessions, fault
+  /// statistics (including the retry/backoff accumulators), the rental RNG
+  /// *position*, the event clock, and last the session table as (slot, id)
+  /// pairs in slot order. Requires snapshot_supported().
   void save_state(ByteWriter& out) const;
 
-  /// Restores save_state() bytes into a dispatcher freshly constructed with
-  /// the same (spec, algorithm, options, policy). Mismatched construction or
-  /// inconsistent state throws CorruptionError, including a session table
-  /// that repeats an id, holds 2^64-1, or does not name exactly the
-  /// packer's active slots; afterwards the dispatcher continues the
-  /// interrupted run bit-identically.
-  void restore_state(ByteReader& in);
+  /// Builds the dispatcher that save_state() bytes name and restores its
+  /// state; it continues the interrupted run bit-identically. Throws
+  /// CorruptionError for bytes that name a dispatcher that cannot be built
+  /// (an algorithm make_packer refuses or that cannot snapshot, a spec or
+  /// options the constructor refuses, a policy FaultPolicy::validate()
+  /// refuses) and for inconsistent state, including a session table that
+  /// repeats an id, holds 2^64-1, or does not name exactly the packer's
+  /// active slots. Leaves `in` after the state; the caller checks the end.
+  [[nodiscard]] static GameServerDispatcher from_state(ByteReader& in);
 
  private:
   /// Refusal: bumps `counter`, then throws DispatchError (kThrow) or

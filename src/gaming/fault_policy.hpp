@@ -63,13 +63,10 @@ struct FaultPolicy {
 
   /// Throws PreconditionError unless the policy is usable.
   void validate() const;
-
-  /// Exact equality — checkpoint restore refuses a dispatcher constructed
-  /// with a different policy.
-  friend bool operator==(const FaultPolicy&, const FaultPolicy&) = default;
 };
 
-/// The policy's checkpoint encoding: its six fields in declaration order.
+/// The policy's encoding in GameServerDispatcher::save_state: its six fields
+/// in declaration order.
 void write_fault_policy(ByteWriter& out, const FaultPolicy& policy);
 
 /// Reads write_fault_policy() bytes; throws CorruptionError on an unknown

@@ -1,18 +1,11 @@
 #include "gaming/session_table.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "algo/bin_manager.hpp"
 #include "core/error.hpp"
 
 namespace dbp {
-
-void SessionTable::clear() noexcept {
-  std::fill(cells_.begin(), cells_.end(), Cell{});
-  size_ = 0;
-  slot_ids_.clear();
-  free_bits_.clear();
-}
 
 ItemId SessionTable::new_slot() {
   const std::size_t slot = slot_ids_.size();

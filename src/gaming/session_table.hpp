@@ -111,9 +111,6 @@ class SessionTable {
     }
   }
 
-  /// Empties the table, keeping its storage.
-  void clear() noexcept;
-
   /// Puts `id` into the free `slot`, for restoring a saved table in slot
   /// order; `probe` is find(id), not found. Call finish_restore() after the
   /// last entry.

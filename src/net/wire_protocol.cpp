@@ -10,6 +10,7 @@
 
 #include "core/crc32.hpp"
 #include "core/error.hpp"
+#include "core/json.hpp"
 #include "core/parse.hpp"
 #include "core/strfmt.hpp"
 
@@ -224,34 +225,7 @@ bool is_valid_utf8(std::string_view text) noexcept {
   return true;
 }
 
-std::string json_quote(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  out.push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20U) {
-          out += strfmt("\\u%04x", static_cast<unsigned>(c));
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
-
 namespace {
-
-/// %.17g round-trips every finite double through from_chars bit-exactly,
-/// which the differential test depends on for sizes and times.
-std::string json_number(double value) { return strfmt("%.17g", value); }
 
 // Request lines are scanned once, into fields that are views into the line,
 // so an accepted request allocates nothing. No key, verb or kind word

@@ -155,7 +155,4 @@ struct FrameHeader {
 /// CorruptionError when the line is not a response object.
 [[nodiscard]] WireResponse decode_json_response(std::string_view line);
 
-/// JSON string escaping for the fields above (quotes included).
-[[nodiscard]] std::string json_quote(std::string_view text);
-
 }  // namespace dbp::net

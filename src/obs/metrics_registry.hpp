@@ -9,7 +9,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
@@ -100,32 +99,6 @@ class MetricsRegistry {
   std::map<std::string, Counter*, std::less<>> counters_;
   std::map<std::string, Gauge*, std::less<>> gauges_;
   std::map<std::string, Timer*, std::less<>> timers_;
-};
-
-/// RAII wall-clock scope: records into `timer` on destruction. A null timer
-/// disables the scope entirely (not even a clock read).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Timer* timer) noexcept : timer_(timer) {
-    if (timer_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-  ~ScopedTimer() { stop(); }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  /// Ends the scope early; idempotent.
-  void stop() noexcept {
-    if (timer_ == nullptr) return;
-    const std::chrono::duration<double, std::milli> elapsed =
-        std::chrono::steady_clock::now() - start_;
-    timer_->record_ms(elapsed.count());
-    timer_ = nullptr;
-  }
-
- private:
-  Timer* timer_;
-  std::chrono::steady_clock::time_point start_{};
 };
 
 }  // namespace dbp::obs

@@ -1,42 +1,11 @@
 #include "obs/run_tracer.hpp"
 
-#include <locale>
 #include <ostream>
-#include <sstream>
 
 #include "core/error.hpp"
+#include "core/json.hpp"
 
 namespace dbp::obs {
-
-namespace {
-
-/// Round-trippable, locale-independent double formatting (matches the
-/// BENCH_perf.json emitter).
-std::string json_number(double value) {
-  std::ostringstream out;
-  out.imbue(std::locale::classic());
-  out.precision(17);
-  out << value;
-  return out.str();
-}
-
-/// Minimal JSON string escaping; labels are ASCII identifiers in practice.
-std::string json_string(const std::string& value) {
-  std::string out = "\"";
-  for (const char c : value) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
 
 const char* to_string(TraceKind kind) noexcept {
   switch (kind) {
@@ -127,7 +96,7 @@ void RunTracer::export_jsonl(std::ostream& out, bool include_timings) const {
     if (r.count != kNoCount) out << ", \"count\": " << r.count;
     if (include_timings && r.ms >= 0.0) out << ", \"ms\": " << json_number(r.ms);
     if (r.shard != kNoShard) out << ", \"shard\": " << r.shard;
-    if (!r.label.empty()) out << ", \"label\": " << json_string(r.label);
+    if (!r.label.empty()) out << ", \"label\": " << json_quote(r.label);
     out << "}\n";
   }
 }

@@ -68,11 +68,6 @@ struct OptTotalResult {
   /// budget these read {false, 1}.
   bool evaluate_parallel = false;
   int evaluate_workers = 1;
-
-  /// Midpoint estimate, handy for plotting.
-  [[nodiscard]] double midpoint() const noexcept {
-    return 0.5 * (lower_cost + upper_cost);
-  }
 };
 
 /// Phase 2 fans out (exec::fork_join) only when the worker budget and the

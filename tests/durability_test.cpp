@@ -383,9 +383,8 @@ TEST(DispatcherRetryStateTest, BackoffAccumulatorsRoundTripExactly) {
   original.save_state(out);
   const std::vector<std::uint8_t> mid = out.take();
 
-  GameServerDispatcher restored(spec, "first-fit", {}, policy);
   ByteReader in(mid);
-  restored.restore_state(in);
+  GameServerDispatcher restored = GameServerDispatcher::from_state(in);
 
   // Exact round-trip: counters and the accumulated backoff double, ==.
   EXPECT_EQ(restored.fault_stats().rental_attempts_failed,
@@ -424,9 +423,8 @@ TEST(DispatcherRetryStateTest, RestoredRngPositionDiffersFromNaiveReseed) {
   original.save_state(out);
   const std::vector<std::uint8_t> mid = out.take();
 
-  GameServerDispatcher restored(spec, "first-fit", {}, policy);
   ByteReader in(mid);
-  restored.restore_state(in);
+  GameServerDispatcher restored = GameServerDispatcher::from_state(in);
   GameServerDispatcher reseeded(spec, "first-fit", {}, policy);
 
   const std::uint64_t restored_before =
@@ -442,6 +440,62 @@ TEST(DispatcherRetryStateTest, RestoredRngPositionDiffersFromNaiveReseed) {
   EXPECT_NE(restored_suffix_failures, reseeded_failures);
 }
 
+/// save_state() begins with the dispatcher's identity: str algorithm |
+/// f64 capacity | f64 price | packer options (f64 mff_k, f64 known_mu,
+/// u64 harmonic classes, u64 seed) | fault policy (u8 anomaly action,
+/// f64 rental failure rate, ...). from_state must refuse, as corruption,
+/// every identity the dispatcher cannot be built from.
+TEST(DispatcherStateTest, FactoryRefusesAStateNamingAnUnbuildableDispatcher) {
+  GameServerDispatcher original(ServerSpec{1.0, 1.0}, "first-fit");
+  (void)original.start_session(1, 0.5, 0.0);
+  ByteWriter out;
+  original.save_state(out);
+  const std::vector<std::uint8_t> saved = out.take();
+  {
+    ByteReader in(saved);
+    const GameServerDispatcher restored = GameServerDispatcher::from_state(in);
+    EXPECT_TRUE(in.done());
+    ByteWriter again;
+    restored.save_state(again);
+    EXPECT_EQ(again.data(), saved);
+  }
+
+  const std::size_t name_end = 8 + std::string("first-fit").size();
+  const auto renamed = [&](const std::string& algorithm) {
+    ByteWriter bytes;
+    bytes.str(algorithm);
+    bytes.bytes(std::span(saved).subspan(name_end));
+    return bytes.take();
+  };
+  const auto with_f64 = [&](std::size_t at, double value) {
+    ByteWriter word;
+    word.f64(value);
+    std::vector<std::uint8_t> bytes = saved;
+    std::copy(word.data().begin(), word.data().end(),
+              bytes.begin() + static_cast<std::ptrdiff_t>(at));
+    return bytes;
+  };
+  const std::size_t capacity_at = name_end;
+  const std::size_t price_at = capacity_at + 8;
+  const std::size_t failure_rate_at = price_at + 8 + 32 + 1;
+  const std::vector<std::pair<const char*, std::vector<std::uint8_t>>> damages =
+      {
+          {"unknown algorithm", renamed("no-such-packer")},
+          {"algorithm without snapshots", renamed("align-departures-fit")},
+          {"zero capacity", with_f64(capacity_at, 0.0)},
+          {"negative capacity", with_f64(capacity_at, -1.0)},
+          {"zero price", with_f64(price_at, 0.0)},
+          {"failure rate above 1", with_f64(failure_rate_at, 1.5)},
+          {"NaN failure rate",
+           with_f64(failure_rate_at, std::numeric_limits<double>::quiet_NaN())},
+      };
+  for (const auto& [what, bytes] : damages) {
+    SCOPED_TRACE(what);
+    ByteReader in(bytes);
+    EXPECT_THROW((void)GameServerDispatcher::from_state(in), CorruptionError);
+  }
+}
+
 // ---- durable dispatcher + recovery ---------------------------------------
 
 durability::DurabilityConfig make_config(const std::string& dir,
@@ -449,7 +503,6 @@ durability::DurabilityConfig make_config(const std::string& dir,
   durability::DurabilityConfig config;
   config.dir = dir;
   config.checkpoint_every = every;
-  config.keep_checkpoints = 2;
   return config;
 }
 
@@ -617,8 +670,8 @@ TEST_F(DurabilityTest, RecoveryFallsBackPastANewestCheckpointThatDoesNotDecode) 
             payload.resize(payload.size() / 2);
           },
           [](std::vector<std::uint8_t>& payload) {
-            // The payload names its algorithm before the dispatcher state
-            // does: rename that first mention to a name no factory knows.
+            // The payload names its algorithm first: rename it to a name no
+            // factory knows.
             const std::string known = "first-fit";
             const std::string unknown = "no-such-x";
             ASSERT_EQ(known.size(), unknown.size());
@@ -708,13 +761,15 @@ TEST_F(DurabilityTest, PreviousFormatDirectoryIsRefusedUntouched) {
   // Version 1 wrote a payload mode byte and simulation event kinds; version
   // 2 wrote the dispatcher's session table; version 3 wrote adaptive-mff's
   // own pool map; version 4 handed the packer session ids instead of slots
-  // and had no (slot, id) table. A directory whose headers still say any of
-  // these versions (here with a half-written record at the journal's end)
-  // must be refused before recovery truncates or rewrites any of its files.
-  // The journal records did not change in versions 3 to 5, but the
-  // journal's version moves with the checkpoint's: recovery repairs a torn
-  // journal tail before it reads any checkpoint.
-  for (const std::uint32_t old_version : {1u, 2u, 3u, 4u}) {
+  // and had no (slot, id) table; version 5 wrote the spec, algorithm,
+  // options and policy ahead of a save_state that named them again. A
+  // directory whose headers still say any of these versions (here with a
+  // half-written record at the journal's end) must be refused before
+  // recovery truncates or rewrites any of its files. The journal records
+  // did not change in versions 3 to 6, but the journal's version moves with
+  // the checkpoint's: recovery repairs a torn journal tail before it reads
+  // any checkpoint.
+  for (const std::uint32_t old_version : {1u, 2u, 3u, 4u, 5u}) {
     SCOPED_TRACE(old_version);
     const std::string dir = path("run-v" + std::to_string(old_version));
     {

@@ -90,20 +90,6 @@ TEST(MetricsRegistryTest, WriteTextSortedAndComplete) {
   EXPECT_LT(text.find("aa.first"), text.find("zz.last"));
 }
 
-TEST(ScopedTimerTest, RecordsOnceAndNullDisables) {
-  MetricsRegistry registry;
-  {
-    ScopedTimer scope(&registry.timer("work"));
-    scope.stop();
-    scope.stop();  // idempotent
-  }
-  const auto stats = registry.timer_stats("work");
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_EQ(stats->count, 1u);
-  ScopedTimer disabled(nullptr);  // must not crash or record
-  disabled.stop();
-}
-
 // ---- RunTracer ----
 
 TEST(RunTracerTest, RingDropsOldestAndKeepsSequence) {

@@ -40,7 +40,6 @@ class RecoveryDifferentialTest : public ::testing::Test {
     durability::DurabilityConfig config;
     config.dir = dir_ + "/" + name;
     config.checkpoint_every = 16;
-    config.keep_checkpoints = 2;
     return config;
   }
 

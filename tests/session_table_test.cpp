@@ -334,15 +334,14 @@ void put_u64(std::vector<std::uint8_t>& bytes, std::size_t at, std::uint64_t val
   std::copy(word.data().begin(), word.data().end(), bytes.begin() + static_cast<std::ptrdiff_t>(at));
 }
 
-void restore(const std::vector<std::uint8_t>& bytes, GameServerDispatcher& into) {
+GameServerDispatcher restore(const std::vector<std::uint8_t>& bytes) {
   ByteReader in(bytes);
-  into.restore_state(in);
+  return GameServerDispatcher::from_state(in);
 }
 
 TEST(DispatcherSessionTableTest, CheckpointRoundTripContinuesInTheSameSlots) {
   const std::vector<std::uint8_t> saved = saved_state();
-  GameServerDispatcher restored(spec(), "first-fit", {}, drop_policy());
-  restore(saved, restored);
+  GameServerDispatcher restored = restore(saved);
   ASSERT_TRUE(restored.find_session(kLargestId).has_value());
   EXPECT_EQ(restored.find_session(kLargestId)->gpu_fraction, 0.5);
   EXPECT_FALSE(restored.find_session(5).has_value());
@@ -384,14 +383,12 @@ TEST(DispatcherSessionTableTest, CheckpointWithABadSessionTableIsRefused) {
     SCOPED_TRACE(damage.what);
     std::vector<std::uint8_t> bytes = saved;
     put_u64(bytes, damage.at, damage.value);
-    GameServerDispatcher target(spec(), "first-fit", {}, drop_policy());
-    EXPECT_THROW(restore(bytes, target), CorruptionError);
+    EXPECT_THROW((void)restore(bytes), CorruptionError);
   }
   // A count that disagrees with the packer's sessions.
   std::vector<std::uint8_t> bytes = saved;
   put_u64(bytes, saved.size() - 40, 3);
-  GameServerDispatcher target(spec(), "first-fit", {}, drop_policy());
-  EXPECT_THROW(restore(bytes, target), CorruptionError);
+  EXPECT_THROW((void)restore(bytes), CorruptionError);
 }
 
 }  // namespace

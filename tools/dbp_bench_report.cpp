@@ -20,7 +20,6 @@
 #include <functional>
 #include <iostream>
 #include <limits>
-#include <locale>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,6 +27,7 @@
 #include "cli.hpp"
 #include "core/checked_output.hpp"
 #include "core/error.hpp"
+#include "core/json.hpp"
 #include "engine/engine.hpp"
 #include "exec/worker_budget.hpp"
 #include "obs/metrics_registry.hpp"
@@ -116,15 +116,6 @@ Instance make_churn_instance(std::size_t items, std::uint64_t seed) {
   config.size.min_fraction = 0.4;
   config.size.max_fraction = 0.7;
   return generate_random_instance(config, seed);
-}
-
-std::string json_number(double value) {
-  // Round-trippable, locale-independent formatting.
-  std::ostringstream out;
-  out.imbue(std::locale::classic());
-  out.precision(17);
-  out << value;
-  return out.str();
 }
 
 /// `"workers": N, "evaluate_parallel": ...` fragments recording what

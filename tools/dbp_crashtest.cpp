@@ -1,24 +1,34 @@
 // dbp_crashtest — crash-consistency harness for the durability subsystem.
 //
-// For every workload class it runs a reference (uninterrupted) packing run,
-// then forks children that replay the same event stream through a
-// DurableDispatcher and SIGKILL themselves at a randomized byte offset
-// inside the journal/checkpoint write path (durability::WriteCrashHook). A
-// packing run is made durable as a strict dispatcher whose server spec
-// bills exactly the run's cost model.
-// The parent recovers each crashed directory, re-feeds the not-yet-durable
-// suffix of the input, and requires the final state to be bit-identical to
-// the reference — exact == on every SimulationResult field, and exact
-// save_state byte equality for the dispatcher. The dispatcher does not
-// remember which server a departed session used, so a run's assignment is
-// the servers its start_session calls returned: the child streams each one
-// to the parent over a pipe, and every session still active after recovery
-// must sit on the server its start returned.
+// Every stream class is an op script (session starts, ends and server
+// failures) with the dispatcher that runs it: a server spec and a fault
+// policy. The packing classes are strict dispatchers whose spec bills
+// exactly the run's cost model, fed a random instance's arrivals and
+// departures as session starts and ends; the dispatch class adds server
+// failures and a flaky provider, so the retry/backoff accumulators and the
+// rental RNG position cross the crash boundary too.
 //
-// A second battery injects deliberate corruption (journal bit flips and
-// truncation, checkpoint bit flips, stale checkpoint names, corrupt
-// headers): every case must end in either a typed CorruptionError or a
-// bit-identical recovery — a silently wrong result is the only failure.
+// A probe per class runs the script through a plain GameServerDispatcher,
+// the reference, and records what every op returned, the final save_state
+// bytes and the fault stats. A clean durable run must match the reference,
+// and for a packing class the reference's bins and returned servers must
+// equal simulate()'s SimulationResult. Then every trial forks a child that
+// feeds the script through a DurableDispatcher and SIGKILLs itself at a
+// randomized byte offset inside the journal/checkpoint write path
+// (durability::WriteCrashHook), streaming (op index, return value) over a
+// pipe for every call it finished. The parent recovers the directory and
+// requires, bit for bit:
+//   * the recovered state to equal the reference's after ops [0, next_seq);
+//   * every streamed op to lie below next_seq and its value to equal the
+//     reference's;
+//   * after re-feeding ops [next_seq, end), every return, the final state
+//     bytes and the fault stats to equal the reference's.
+//
+// A corruption battery damages fully populated directories (journal bit
+// flips and truncation, checkpoint bit flips, stale checkpoint names,
+// corrupt headers): every case must end in a typed CorruptionError or a
+// recovery that passes the same checks — a silently wrong result is the
+// only failure.
 //
 // Every run directory the harness names under --dir is cleared before the
 // run that uses it and removed when that run ends, on the exception path
@@ -90,7 +100,13 @@ class RunDir {
   RunDir(const RunDir&) = delete;
   RunDir& operator=(const RunDir&) = delete;
 
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+  [[nodiscard]] durability::DurabilityConfig config(
+      std::uint64_t checkpoint_every) const {
+    durability::DurabilityConfig config;
+    config.dir = path_;
+    config.checkpoint_every = checkpoint_every;
+    return config;
+  }
 
  private:
   std::string path_;
@@ -129,9 +145,130 @@ RandomInstanceConfig workload_config(const std::string& name,
 }
 
 // --------------------------------------------------------------------------
-// Bit-exact comparison. Every double is compared with ==: a recovered run
-// must be indistinguishable from one that never crashed, not merely close.
+// Stream classes and the reference run.
 
+struct Op {
+  enum class Kind : std::uint8_t { kStart, kEnd, kFail };
+  Kind kind = Kind::kStart;
+  std::uint64_t session = 0;
+  double size = 0.0;
+  Time time = 0.0;
+};
+
+/// What a class feeds and the dispatcher that runs it.
+struct StreamClass {
+  std::string name;
+  std::vector<Op> ops;
+  ServerSpec spec;
+  std::string algorithm;
+  PackerOptions options;
+  FaultPolicy policy;
+  /// The instance whose simulate() the reference must equal; set for the
+  /// packing classes only.
+  std::optional<Instance> instance;
+};
+
+/// The instance's arrivals and departures as session starts and ends, with
+/// a server failure after every `fail_every`-th of them (none for 0).
+std::vector<Op> build_script(const Instance& instance, std::size_t fail_every) {
+  std::vector<Op> ops;
+  std::size_t counter = 0;
+  for (const Event& event : build_event_sequence(instance)) {
+    const Item& item = instance.item(event.item);
+    if (event.kind == EventKind::kArrival) {
+      ops.push_back(Op{Op::Kind::kStart, item.id, item.size, item.arrival});
+    } else {
+      ops.push_back(Op{Op::Kind::kEnd, item.id, 0.0, item.departure});
+    }
+    if (fail_every != 0 && ++counter % fail_every == 0) {
+      ops.push_back(Op{Op::Kind::kFail, 0, 0.0, ops.back().time});
+    }
+  }
+  return ops;
+}
+
+/// A packing run made durable: a strict dispatcher (default FaultPolicy)
+/// whose ServerSpec{1, 60} bills exactly CostModel{1, 1, 1e-9}.
+StreamClass packing_class(const std::string& workload, std::size_t items,
+                          std::uint64_t seed, const std::string& algorithm,
+                          const PackerOptions& options) {
+  Instance instance =
+      generate_random_instance(workload_config(workload, items), seed);
+  std::vector<Op> ops = build_script(instance, 0);
+  return StreamClass{workload,  std::move(ops), ServerSpec{1.0, 60.0},
+                     algorithm, options,        FaultPolicy{},
+                     std::move(instance)};
+}
+
+/// Session churn with a server failure every 53 ops, under a policy that
+/// drops anomalies and fails 5% of rentals with 3 retries.
+StreamClass dispatch_class(std::size_t items, std::uint64_t seed,
+                           const std::string& algorithm,
+                           const PackerOptions& options) {
+  const Instance instance =
+      generate_random_instance(workload_config("uniform", items), seed + 7);
+  FaultPolicy policy;
+  policy.on_anomaly = FaultPolicy::AnomalyAction::kDropAndCount;
+  policy.rental_failure_rate = 0.05;
+  policy.max_rental_retries = 3;
+  return StreamClass{"dispatch", build_script(instance, 53),
+                     ServerSpec{1.0, 1.0}, algorithm, options, policy,
+                     std::nullopt};
+}
+
+const GameServerDispatcher& plain(const GameServerDispatcher& dispatcher) {
+  return dispatcher;
+}
+const GameServerDispatcher& plain(
+    const durability::DurableDispatcher& durable) {
+  return durable.dispatcher();
+}
+
+/// Applies one op and returns what the call returned (0 for an end). A
+/// failure targets the lowest open server, or a bogus id when the fleet is
+/// empty: the same rule from live state in the reference, the child and the
+/// re-feed.
+template <typename Dispatcher>
+std::uint64_t apply_op(Dispatcher& dispatcher, const Op& op) {
+  constexpr BinId kBogusServer = 1'000'000'007ULL;
+  if (op.kind == Op::Kind::kStart) {
+    return dispatcher.start_session(op.session, op.size, op.time);
+  }
+  if (op.kind == Op::Kind::kEnd) {
+    dispatcher.end_session(op.session, op.time);
+    return 0;
+  }
+  const std::vector<BinId> open = plain(dispatcher).bins().open_bins();
+  return dispatcher.fail_server(open.empty() ? kBogusServer : open.front(),
+                                op.time);
+}
+
+std::vector<std::uint8_t> state_bytes(const GameServerDispatcher& dispatcher) {
+  ByteWriter out;
+  dispatcher.save_state(out);
+  return out.take();
+}
+
+GameServerDispatcher plain_dispatcher(const StreamClass& cls) {
+  return GameServerDispatcher(cls.spec, cls.algorithm, cls.options,
+                              cls.policy);
+}
+
+durability::DurableDispatcher durable_dispatcher(
+    const StreamClass& cls, const durability::DurabilityConfig& config) {
+  return durability::DurableDispatcher(config, cls.spec, cls.algorithm,
+                                       cls.options, cls.policy);
+}
+
+/// What the uninterrupted plain dispatcher did with the whole script.
+struct Reference {
+  std::vector<std::uint64_t> returns;  ///< per op
+  std::vector<std::uint8_t> state;     ///< save_state after the last op
+  DispatcherFaultStats stats;
+};
+
+/// Every double is compared with ==: the reference dispatcher must bill
+/// exactly what simulate() bills, not merely close to it.
 std::optional<std::string> diff_results(const SimulationResult& ref,
                                         const SimulationResult& got) {
   if (got.total_cost != ref.total_cost) {
@@ -160,29 +297,139 @@ std::optional<std::string> diff_results(const SimulationResult& ref,
   return std::nullopt;
 }
 
-// --------------------------------------------------------------------------
-// Simulation-mode plumbing: a strict dispatcher (default FaultPolicy) whose
-// spec bills exactly kRunModel, fed the instance's arrivals and departures
-// as session starts and ends.
-
-const CostModel kRunModel{1.0, 1.0, 1e-9};
-const ServerSpec kRunSpec{1.0, 60.0};
-
-durability::DurableDispatcher durable_run(
-    const durability::DurabilityConfig& config, const std::string& algorithm,
-    const PackerOptions& options) {
-  return durability::DurableDispatcher(config, kRunSpec, algorithm, options,
-                                       FaultPolicy{});
+/// Runs the script through the plain dispatcher. For a packing class its
+/// bins, with the servers its starts returned as the assignment, must
+/// equal simulate()'s SimulationResult (InvariantError otherwise).
+Reference run_reference(const StreamClass& cls) {
+  GameServerDispatcher dispatcher = plain_dispatcher(cls);
+  Reference ref;
+  for (const Op& op : cls.ops) ref.returns.push_back(apply_op(dispatcher, op));
+  ref.state = state_bytes(dispatcher);
+  ref.stats = dispatcher.fault_stats();
+  if (cls.instance) {
+    const Instance& instance = *cls.instance;
+    SimulationResult result;
+    result.packing_period = instance.packing_period();
+    detail::finalize_bin_accounting(result, dispatcher.bins());
+    result.assignment.assign(instance.size(), kNoBin);
+    for (std::size_t i = 0; i < cls.ops.size(); ++i) {
+      if (cls.ops[i].kind == Op::Kind::kStart) {
+        result.assignment[static_cast<std::size_t>(cls.ops[i].session)] =
+            ref.returns[i];
+      }
+    }
+    const SimulationResult simulated = simulate(
+        instance, cls.algorithm, cls.spec.to_cost_model(), cls.options);
+    if (auto why = diff_results(simulated, result)) {
+      throw InvariantError("reference dispatcher diverged from simulate(): " +
+                           *why);
+    }
+  }
+  return ref;
 }
 
-/// The server each start_session returned, by item id; kNoBin until known.
-using Placements = std::vector<BinId>;
+/// The reference's save_state bytes after ops [0, count).
+std::vector<std::uint8_t> reference_state_after(const StreamClass& cls,
+                                                std::uint64_t count) {
+  GameServerDispatcher dispatcher = plain_dispatcher(cls);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    (void)apply_op(dispatcher, cls.ops[i]);
+  }
+  return state_bytes(dispatcher);
+}
 
-/// Writes one (item, server) placement record to the parent's pipe. Plain
-/// write(2), not durability::detail::write_all: these bytes must not count
-/// toward the crash hook's kill threshold.
-void send_placement(int fd, std::uint64_t item, BinId server) {
-  const std::uint64_t record[2] = {item, server};
+/// Feeds ops [from, end) and requires every return, then the final fault
+/// stats and state bytes, to equal the reference's.
+std::optional<std::string> feed_rest(durability::DurableDispatcher& durable,
+                                     const StreamClass& cls,
+                                     const Reference& ref, std::uint64_t from) {
+  for (std::uint64_t i = from; i < cls.ops.size(); ++i) {
+    const std::uint64_t got = apply_op(durable, cls.ops[i]);
+    if (got != ref.returns[i]) {
+      return strfmt("op %llu returned %llu, the reference %llu",
+                    static_cast<unsigned long long>(i),
+                    static_cast<unsigned long long>(got),
+                    static_cast<unsigned long long>(ref.returns[i]));
+    }
+  }
+  if (!(durable.dispatcher().fault_stats() == ref.stats)) {
+    return "dispatcher fault stats diverged (retry/backoff state)";
+  }
+  if (state_bytes(durable.dispatcher()) != ref.state) {
+    return "dispatcher state bytes diverged";
+  }
+  return std::nullopt;
+}
+
+/// Runs the whole script through a fresh durable dispatcher in `config.dir`
+/// with a byte-counting hook, requires it to match the reference, and
+/// returns the total number of bytes the durability layer wrote (the
+/// kill-offset range).
+std::uint64_t measure_clean_run(const StreamClass& cls, const Reference& ref,
+                                const durability::DurabilityConfig& config) {
+  std::uint64_t total = 0;
+  durability::set_write_crash_hook(
+      [&total](std::string_view, std::uint64_t, std::size_t length) {
+        total += length;
+        return std::optional<std::size_t>{};
+      });
+  durability::DurableDispatcher durable = durable_dispatcher(cls, config);
+  const std::optional<std::string> why = feed_rest(durable, cls, ref, 0);
+  durability::set_write_crash_hook({});
+  if (why) {
+    throw InvariantError("clean durable run diverged from the reference: " +
+                         *why);
+  }
+  return total;
+}
+
+// --------------------------------------------------------------------------
+// The crash trial.
+
+/// A call the child finished: its op index and what it returned.
+struct Ack {
+  std::uint64_t op = 0;
+  std::uint64_t value = 0;
+};
+
+/// Checks a recovered directory against the reference: the state at the
+/// recovery point, every acknowledged return, then the re-fed rest of the
+/// script. Returns a description of the first mismatch.
+std::optional<std::string> check_recovery(const StreamClass& cls,
+                                          const Reference& ref,
+                                          durability::RecoveredState& state,
+                                          const std::vector<Ack>& acks) {
+  const std::uint64_t next_seq = state.report.next_seq;
+  if (next_seq > cls.ops.size()) return "recovered next_seq beyond the script";
+  if (state_bytes(state.dispatcher->dispatcher()) !=
+      reference_state_after(cls, next_seq)) {
+    return strfmt("recovered state differs from the reference after ops "
+                  "[0, %llu)",
+                  static_cast<unsigned long long>(next_seq));
+  }
+  for (const Ack& ack : acks) {
+    if (ack.op >= next_seq) {
+      return strfmt("op %llu returned to its caller but was not recovered "
+                    "(next_seq %llu)",
+                    static_cast<unsigned long long>(ack.op),
+                    static_cast<unsigned long long>(next_seq));
+    }
+    if (ack.value != ref.returns[ack.op]) {
+      return strfmt("op %llu returned %llu before the crash, the reference "
+                    "%llu",
+                    static_cast<unsigned long long>(ack.op),
+                    static_cast<unsigned long long>(ack.value),
+                    static_cast<unsigned long long>(ref.returns[ack.op]));
+    }
+  }
+  return feed_rest(*state.dispatcher, cls, ref, next_seq);
+}
+
+/// Writes one ack to the parent's pipe. Plain write(2), not
+/// durability::detail::write_all: these bytes must not count toward the
+/// crash hook's kill threshold.
+void send_ack(int fd, const Ack& ack) {
+  const std::uint64_t record[2] = {ack.op, ack.value};
   const auto* bytes = reinterpret_cast<const char*>(record);
   std::size_t sent = 0;
   while (sent < sizeof(record)) {
@@ -191,110 +438,6 @@ void send_placement(int fd, std::uint64_t item, BinId server) {
     if (n <= 0) std::_Exit(4);
     sent += static_cast<std::size_t>(n);
   }
-}
-
-/// Feeds events [from_seq, end) and records each start's server in
-/// `placements`, and in the pipe `placement_fd` when it is open.
-void feed_run(durability::DurableDispatcher& durable, const Instance& instance,
-              const std::vector<Event>& events, std::uint64_t from_seq,
-              Placements& placements, int placement_fd = -1) {
-  for (std::uint64_t i = from_seq; i < events.size(); ++i) {
-    const Item& item = instance.item(events[i].item);
-    if (events[i].kind == EventKind::kArrival) {
-      const BinId server =
-          durable.start_session(item.id, item.size, item.arrival);
-      placements[static_cast<std::size_t>(item.id)] = server;
-      if (placement_fd >= 0) send_placement(placement_fd, item.id, server);
-    } else {
-      durable.end_session(item.id, item.departure);
-    }
-  }
-}
-
-/// Checks `placements` against a dispatcher recovered at `next_seq`:
-/// exactly the sessions started and not ended before `next_seq` are
-/// active, each on the server its start returned. A crash in the checkpoint
-/// written after a start leaves that start applied but unreported; it is
-/// the last event applied, so its session is active, and its server is
-/// read back here.
-std::optional<std::string> reconcile_placements(
-    const GameServerDispatcher& dispatcher, const Instance& instance,
-    const std::vector<Event>& events, std::uint64_t next_seq,
-    Placements& placements) {
-  std::vector<bool> active(instance.size(), false);
-  for (std::uint64_t i = 0; i < next_seq; ++i) {
-    active[static_cast<std::size_t>(events[i].item)] =
-        events[i].kind == EventKind::kArrival;
-  }
-  for (const Item& item : instance.items()) {
-    const auto index = static_cast<std::size_t>(item.id);
-    const std::optional<ActiveSession> session = dispatcher.find_session(item.id);
-    if (active[index] != session.has_value()) {
-      return strfmt("session %zu is %s after recovery", index,
-                    active[index] ? "missing" : "unexpectedly active");
-    }
-    if (!session) continue;
-    if (placements[index] == kNoBin) {
-      placements[index] = session->server;
-    } else if (placements[index] != session->server) {
-      return strfmt("recovered session %zu sits on server %llu, its start "
-                    "returned %llu",
-                    index, static_cast<unsigned long long>(session->server),
-                    static_cast<unsigned long long>(placements[index]));
-    }
-  }
-  return std::nullopt;
-}
-
-/// Checks that a finished durable run used `algorithm` under exactly
-/// kRunModel, then compares its SimulationResult, with `placements` as its
-/// assignment, bit-exactly to `ref`.
-std::optional<std::string> diff_run(const durability::DurableDispatcher& durable,
-                                    const Instance& instance,
-                                    const std::string& algorithm,
-                                    const SimulationResult& ref,
-                                    const Placements& placements) {
-  const GameServerDispatcher& dispatcher = durable.dispatcher();
-  if (dispatcher.algorithm() != algorithm) return "algorithm name differs";
-  const CostModel billed = dispatcher.spec().to_cost_model();
-  if (billed.bin_capacity != kRunModel.bin_capacity ||
-      billed.cost_rate != kRunModel.cost_rate ||
-      billed.fit_tolerance != kRunModel.fit_tolerance) {
-    return "server spec does not bill the run's cost model";
-  }
-  DBP_CHECK(dispatcher.bins().open_count() == 0,
-            "bins remain open after the last departure");
-  SimulationResult result;
-  result.packing_period = instance.packing_period();
-  detail::finalize_bin_accounting(result, dispatcher.bins());
-  result.assignment = placements;
-  return diff_results(ref, result);
-}
-
-/// Runs the full stream durably with a byte-counting hook; verifies the
-/// clean durable path against the plain simulator and returns the total
-/// number of bytes the durability layer writes (the kill-offset range).
-std::uint64_t measure_clean_run(const durability::DurabilityConfig& config,
-                                const Instance& instance,
-                                const std::vector<Event>& events,
-                                const std::string& algorithm,
-                                const PackerOptions& options,
-                                const SimulationResult& reference) {
-  std::uint64_t total = 0;
-  durability::set_write_crash_hook(
-      [&total](std::string_view, std::uint64_t, std::size_t length) {
-        total += length;
-        return std::optional<std::size_t>{};
-      });
-  durability::DurableDispatcher durable = durable_run(config, algorithm, options);
-  Placements placements(instance.size(), kNoBin);
-  feed_run(durable, instance, events, 0, placements);
-  durable.flush();
-  durability::set_write_crash_hook({});
-  if (auto why = diff_run(durable, instance, algorithm, reference, placements)) {
-    throw InvariantError("clean durable run diverged from simulate(): " + *why);
-  }
-  return total;
 }
 
 /// Installs the SIGKILL-at-threshold hook (child side).
@@ -312,15 +455,12 @@ void install_kill_hook(std::uint64_t threshold) {
       });
 }
 
-/// Forks a child that feeds the whole stream and dies at `threshold` bytes
-/// of durable writes, streaming every placement it returned into
-/// `placements`. Returns true when the child exited 0 or was SIGKILLed.
-bool run_crashing_child(const durability::DurabilityConfig& config,
-                        const Instance& instance,
-                        const std::vector<Event>& events,
-                        const std::string& algorithm,
-                        const PackerOptions& options, std::uint64_t threshold,
-                        Placements& placements) {
+/// Forks a child that feeds the whole script durably and dies at
+/// `threshold` bytes of durable writes, and returns the acks it streamed;
+/// std::nullopt when the child neither exited 0 nor was SIGKILLed.
+std::optional<std::vector<Ack>> run_crashing_child(
+    const StreamClass& cls, const durability::DurabilityConfig& config,
+    std::uint64_t threshold) {
   int pipe_fds[2] = {-1, -1};
   DBP_REQUIRE(::pipe(pipe_fds) == 0, "pipe failed");
   const pid_t pid = ::fork();
@@ -328,11 +468,11 @@ bool run_crashing_child(const durability::DurabilityConfig& config,
   if (pid == 0) {
     ::close(pipe_fds[0]);
     try {
-      durability::DurableDispatcher durable =
-          durable_run(config, algorithm, options);
+      durability::DurableDispatcher durable = durable_dispatcher(cls, config);
       install_kill_hook(threshold);
-      feed_run(durable, instance, events, 0, placements, pipe_fds[1]);
-      durable.flush();
+      for (std::uint64_t i = 0; i < cls.ops.size(); ++i) {
+        send_ack(pipe_fds[1], Ack{i, apply_op(durable, cls.ops[i])});
+      }
     } catch (...) {
       std::_Exit(3);
     }
@@ -350,17 +490,19 @@ bool run_crashing_child(const durability::DurabilityConfig& config,
     stream.insert(stream.end(), buffer, buffer + n);
   }
   ::close(pipe_fds[0]);
+  std::vector<Ack> acks;
   for (std::size_t at = 0; at + 16 <= stream.size(); at += 16) {
     std::uint64_t record[2];
     std::memcpy(record, stream.data() + at, sizeof(record));
-    DBP_REQUIRE(record[0] < placements.size(), "placement of an unknown item");
-    placements[static_cast<std::size_t>(record[0])] = record[1];
+    DBP_REQUIRE(record[0] < cls.ops.size(), "ack of an op outside the script");
+    acks.push_back(Ack{record[0], record[1]});
   }
   int status = 0;
   DBP_REQUIRE(::waitpid(pid, &status, 0) == pid, "waitpid failed");
   const bool clean_exit = WIFEXITED(status) && WEXITSTATUS(status) == 0;
   const bool sigkilled = WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
-  return clean_exit || sigkilled;
+  if (!clean_exit && !sigkilled) return std::nullopt;
+  return acks;
 }
 
 struct TrialTally {
@@ -371,184 +513,41 @@ struct TrialTally {
   std::uint64_t refed = 0;     ///< input events re-fed after recovery
 };
 
-/// One randomized SIGKILL trial: crash a child, recover in the parent,
-/// re-feed the lost suffix and demand a bit-identical result. Returns an
-/// error description on mismatch.
-std::optional<std::string> sim_trial(const durability::DurabilityConfig& config,
-                                     const Instance& instance,
-                                     const std::vector<Event>& events,
-                                     const std::string& algorithm,
-                                     const PackerOptions& options,
-                                     const SimulationResult& reference,
-                                     std::uint64_t threshold,
-                                     TrialTally& tally) {
+/// One randomized SIGKILL trial: crash a child, recover in the parent and
+/// check the recovery against the reference. Returns an error description
+/// on mismatch.
+std::optional<std::string> crash_trial(const StreamClass& cls,
+                                       const Reference& ref,
+                                       const durability::DurabilityConfig& config,
+                                       std::uint64_t threshold,
+                                       TrialTally& tally) {
   ++tally.trials;
-  Placements placements(instance.size(), kNoBin);
-  if (!run_crashing_child(config, instance, events, algorithm, options,
-                          threshold, placements)) {
-    return "child failed with an unexpected status";
-  }
-  durability::RecoveryManager manager(config);
-  durability::RecoveredState state = manager.recover();
-  if (state.report.next_seq > events.size()) {
-    return "recovered next_seq beyond the input stream";
-  }
-  if (state.report.next_seq < events.size()) ++tally.crashed;
-  if (state.report.torn_tail) ++tally.torn_tails;
-  tally.replayed += state.report.replayed_events;
-  tally.refed += events.size() - state.report.next_seq;
-  if (auto why = reconcile_placements(state.dispatcher->dispatcher(), instance,
-                                      events, state.report.next_seq,
-                                      placements)) {
-    return why;
-  }
-  feed_run(*state.dispatcher, instance, events, state.report.next_seq,
-           placements);
-  state.dispatcher->flush();
-  return diff_run(*state.dispatcher, instance, algorithm, reference,
-                  placements);
-}
-
-// --------------------------------------------------------------------------
-// Dispatcher-mode plumbing: session starts/ends from the same instances,
-// plus periodic server-failure injections, under a fault policy with a
-// nonzero rental failure rate — so the retry/backoff accumulators and the
-// rental RNG position are all exercised across the crash boundary.
-
-struct DispatchOp {
-  enum class Kind : std::uint8_t { kStart, kEnd, kFail };
-  Kind kind = Kind::kStart;
-  std::uint64_t session = 0;
-  double size = 0.0;
-  Time time = 0.0;
-};
-
-std::vector<DispatchOp> build_script(const Instance& instance,
-                                     std::size_t fail_every) {
-  std::vector<DispatchOp> ops;
-  std::size_t counter = 0;
-  for (const Event& event : build_event_sequence(instance)) {
-    const Item& item = instance.item(event.item);
-    DispatchOp op;
-    op.session = item.id;
-    if (event.kind == EventKind::kArrival) {
-      op.kind = DispatchOp::Kind::kStart;
-      op.size = item.size;
-      op.time = item.arrival;
-    } else {
-      op.kind = DispatchOp::Kind::kEnd;
-      op.time = item.departure;
-    }
-    ops.push_back(op);
-    if (++counter % fail_every == 0) {
-      DispatchOp fail;
-      fail.kind = DispatchOp::Kind::kFail;
-      fail.time = op.time;
-      ops.push_back(fail);
-    }
-  }
-  return ops;
-}
-
-const BinManager& bins_of(const GameServerDispatcher& d) { return d.bins(); }
-const BinManager& bins_of(const durability::DurableDispatcher& d) {
-  return d.dispatcher().bins();
-}
-
-/// Applies script ops [from, end). The kFail target is computed from live
-/// state (lowest open server, or a bogus id when the fleet is empty) — the
-/// same deterministic rule in the reference, the child, and the re-feed.
-template <typename Dispatcher>
-void apply_ops(Dispatcher& dispatcher, const std::vector<DispatchOp>& ops,
-               std::size_t from) {
-  constexpr BinId kBogusServer = 1'000'000'007ULL;
-  for (std::size_t i = from; i < ops.size(); ++i) {
-    const DispatchOp& op = ops[i];
-    switch (op.kind) {
-      case DispatchOp::Kind::kStart:
-        (void)dispatcher.start_session(op.session, op.size, op.time);
-        break;
-      case DispatchOp::Kind::kEnd:
-        dispatcher.end_session(op.session, op.time);
-        break;
-      case DispatchOp::Kind::kFail: {
-        const std::vector<BinId> open = bins_of(dispatcher).open_bins();
-        (void)dispatcher.fail_server(open.empty() ? kBogusServer : open.front(),
-                                     op.time);
-        break;
-      }
-    }
-  }
-}
-
-std::vector<std::uint8_t> dispatcher_state_bytes(
-    const GameServerDispatcher& dispatcher) {
-  ByteWriter out;
-  dispatcher.save_state(out);
-  return out.take();
-}
-
-std::optional<std::string> dispatch_trial(
-    const durability::DurabilityConfig& config, const ServerSpec& spec,
-    const std::string& algorithm, const PackerOptions& options,
-    const FaultPolicy& policy, const std::vector<DispatchOp>& ops,
-    const std::vector<std::uint8_t>& reference_state,
-    const DispatcherFaultStats& reference_stats, std::uint64_t threshold,
-    TrialTally& tally) {
-  ++tally.trials;
-  const pid_t pid = ::fork();
-  DBP_REQUIRE(pid >= 0, "fork failed");
-  if (pid == 0) {
-    try {
-      durability::DurableDispatcher durable(config, spec, algorithm, options,
-                                            policy);
-      install_kill_hook(threshold);
-      apply_ops(durable, ops, 0);
-      durable.flush();
-    } catch (...) {
-      std::_Exit(3);
-    }
-    std::_Exit(0);
-  }
-  int status = 0;
-  DBP_REQUIRE(::waitpid(pid, &status, 0) == pid, "waitpid failed");
-  const bool clean_exit = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-  const bool sigkilled = WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
-  if (!clean_exit && !sigkilled) {
-    return "child failed with an unexpected status";
-  }
-
-  durability::RecoveryManager manager(config);
-  durability::RecoveredState state = manager.recover();
-  if (state.report.next_seq > ops.size()) {
-    return "recovered next_seq beyond the script";
-  }
-  if (state.report.next_seq < ops.size()) ++tally.crashed;
-  if (state.report.torn_tail) ++tally.torn_tails;
-  tally.replayed += state.report.replayed_events;
-  tally.refed += ops.size() - state.report.next_seq;
-  apply_ops(*state.dispatcher, ops,
-            static_cast<std::size_t>(state.report.next_seq));
-  state.dispatcher->flush();
-  if (!(state.dispatcher->dispatcher().fault_stats() == reference_stats)) {
-    return "dispatcher fault stats diverged (retry/backoff state)";
-  }
-  if (dispatcher_state_bytes(state.dispatcher->dispatcher()) !=
-      reference_state) {
-    return "dispatcher state bytes diverged";
-  }
+  const std::optional<std::vector<Ack>> acks =
+      run_crashing_child(cls, config, threshold);
+  if (!acks) return "child failed with an unexpected status";
+  durability::RecoveredState state =
+      durability::RecoveryManager(config).recover();
+  if (auto why = check_recovery(cls, ref, state, *acks)) return why;
+  const durability::RecoveryReport& report = state.report;
+  if (report.next_seq < cls.ops.size()) ++tally.crashed;
+  if (report.torn_tail) ++tally.torn_tails;
+  tally.replayed += report.replayed_events;
+  tally.refed += cls.ops.size() - report.next_seq;
   return std::nullopt;
 }
 
 // --------------------------------------------------------------------------
-// Corruption injection. Every scenario must end in a typed CorruptionError
-// or a bit-identical recovery; anything else is a silent-wrong-answer bug.
+// Corruption injection. Every case must end in a typed CorruptionError or a
+// recovery that passes check_recovery; anything else is a silent wrong
+// answer.
 
-void flip_bit(const std::string& path, std::uint64_t byte, unsigned bit) {
+void flip_random_bit(const std::string& path, std::uint64_t first,
+                     std::uint64_t last, Rng& rng) {
   std::vector<std::uint8_t> bytes = durability::detail::read_file(path);
-  DBP_REQUIRE(byte < bytes.size(), "flip offset out of range");
-  bytes[static_cast<std::size_t>(byte)] ^=
-      static_cast<std::uint8_t>(1U << (bit & 7U));
+  DBP_REQUIRE(first <= last && last < bytes.size(), "flip range out of file");
+  const std::uint64_t byte = rng.uniform_int(first, last);
+  const std::uint64_t bit = rng.uniform_int(0, 7);
+  bytes[static_cast<std::size_t>(byte)] ^= static_cast<std::uint8_t>(1U << bit);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   DBP_REQUIRE(out.is_open(), "cannot rewrite " + path);
   out.write(reinterpret_cast<const char*>(bytes.data()),
@@ -556,54 +555,77 @@ void flip_bit(const std::string& path, std::uint64_t byte, unsigned bit) {
   DBP_REQUIRE(out.good(), "rewrite failed for " + path);
 }
 
-/// Populates `dir` with a full durable run of the stream (several
-/// checkpoints plus the complete journal) and returns its placements.
-Placements populate_dir(const durability::DurabilityConfig& config,
-                        const Instance& instance,
-                        const std::vector<Event>& events,
-                        const std::string& algorithm,
-                        const PackerOptions& options) {
-  durability::DurableDispatcher durable = durable_run(config, algorithm, options);
-  Placements placements(instance.size(), kNoBin);
-  feed_run(durable, instance, events, 0, placements);
-  durable.flush();
-  return placements;
+std::string journal_in(const std::string& dir) {
+  return dir + "/" + durability::kJournalFileName;
 }
 
-/// Attempts recovery of a (possibly corrupted) directory that
-/// populate_dir() filled with `placements`. Returns nullopt on a graceful
-/// outcome — CorruptionError, or a recovery whose re-fed result is
-/// bit-identical — and a description of any silent mismatch.
-std::optional<std::string> recover_and_check(
-    const durability::DurabilityConfig& config, const Instance& instance,
-    const std::vector<Event>& events, const std::string& algorithm,
-    const SimulationResult& reference, Placements placements,
-    bool* out_recovered = nullptr, std::size_t* out_skipped = nullptr) {
-  try {
-    durability::RecoveryManager manager(config);
-    durability::RecoveredState state = manager.recover();
-    if (state.report.next_seq > events.size()) {
-      return "recovered next_seq beyond the input stream";
-    }
-    if (out_recovered != nullptr) *out_recovered = true;
-    if (out_skipped != nullptr) *out_skipped = state.report.checkpoints_skipped;
-    if (auto why = reconcile_placements(state.dispatcher->dispatcher(),
-                                        instance, events,
-                                        state.report.next_seq, placements)) {
-      return "silent corruption: " + *why;
-    }
-    feed_run(*state.dispatcher, instance, events, state.report.next_seq,
-             placements);
-    state.dispatcher->flush();
-    if (auto why = diff_run(*state.dispatcher, instance, algorithm, reference,
-                            placements)) {
-      return "silent corruption: " + *why;
-    }
-  } catch (const CorruptionError&) {
-    if (out_recovered != nullptr) *out_recovered = false;
-  }
-  return std::nullopt;
-}
+enum class Expect {
+  kAny,       ///< a refusal or a recovery
+  kFallBack,  ///< a recovery that skipped at least one checkpoint
+  kRefuse,    ///< a CorruptionError
+};
+
+struct Damage {
+  const char* label;  ///< run directories are corrupt-<label>-<case>
+  const char* what;
+  int repeats;
+  Expect expect;
+  void (*apply)(const std::string& dir, Rng& rng);
+};
+
+constexpr Damage kDamages[] = {
+    // Past the header: a torn tail, or a checkpoint ahead of the journal's
+    // valid prefix to fall back past.
+    {"jflip", "journal bit flip", 4, Expect::kAny,
+     [](const std::string& dir, Rng& rng) {
+       const std::string journal = journal_in(dir);
+       flip_random_bit(journal, durability::kJournalHeaderBytes,
+                       durability::detail::file_size(journal) - 1, rng);
+     }},
+    // At a random byte, mid-record included.
+    {"jtrunc", "journal truncation", 4, Expect::kAny,
+     [](const std::string& dir, Rng& rng) {
+       const std::string journal = journal_in(dir);
+       durability::detail::truncate_file(
+           journal, rng.uniform_int(durability::kJournalHeaderBytes,
+                                    durability::detail::file_size(journal)));
+     }},
+    // A copied checkpoint impersonating a newer seq: the name/header
+    // cross-check must skip it.
+    {"stale", "stale checkpoint name", 1, Expect::kFallBack,
+     [](const std::string& dir, Rng&) {
+       const auto entries = durability::list_checkpoints(dir);
+       DBP_REQUIRE(!entries.empty(), "populate left no checkpoints");
+       std::filesystem::copy_file(
+           entries.front().path,
+           dir + "/" +
+               durability::checkpoint_file_name(entries.front().next_seq + 1));
+     }},
+    // The newest checkpoint damaged: its CRC must reject it, and recovery
+    // must fall back to the previous one and replay further.
+    {"cflip", "checkpoint bit flip", 4, Expect::kFallBack,
+     [](const std::string& dir, Rng& rng) {
+       const auto entries = durability::list_checkpoints(dir);
+       DBP_REQUIRE(entries.size() >= 2, "need two checkpoints for fallback");
+       flip_random_bit(entries.front().path, 0,
+                       durability::detail::file_size(entries.front().path) - 1,
+                       rng);
+     }},
+    // Nothing valid to recover to: refuse, never fabricate a state.
+    {"allbad", "all checkpoints corrupt", 1, Expect::kRefuse,
+     [](const std::string& dir, Rng& rng) {
+       for (const auto& entry : durability::list_checkpoints(dir)) {
+         flip_random_bit(entry.path, 0,
+                         durability::detail::file_size(entry.path) - 1, rng);
+       }
+     }},
+    // No safe journal prefix exists.
+    {"jheader", "journal header flip", 1, Expect::kRefuse,
+     [](const std::string& dir, Rng& rng) {
+       flip_random_bit(journal_in(dir), 0,
+                       durability::kJournalHeaderBytes - 1, rng);
+     }},
+};
 
 struct CorruptionOutcome {
   std::size_t cases = 0;
@@ -611,186 +633,67 @@ struct CorruptionOutcome {
   std::size_t refused = 0;
 };
 
-std::optional<std::string> corruption_battery(
-    const std::string& base_dir, const Instance& instance,
-    const std::vector<Event>& events, const std::string& algorithm,
-    const PackerOptions& options, const SimulationResult& reference, Rng& rng,
-    CorruptionOutcome& outcome) {
+/// Populates a directory with a clean durable run of the whole script
+/// (several checkpoints plus the complete journal), damages it, and
+/// requires the expected outcome.
+std::optional<std::string> corruption_case(const StreamClass& cls,
+                                           const Reference& ref,
+                                           const Damage& damage,
+                                           const std::string& path, Rng& rng,
+                                           CorruptionOutcome& outcome) {
+  const RunDir dir(path);
+  const durability::DurabilityConfig config = dir.config(32);
+  {
+    durability::DurableDispatcher durable = durable_dispatcher(cls, config);
+    if (auto why = feed_rest(durable, cls, ref, 0)) {
+      throw InvariantError("clean durable run diverged from the reference: " +
+                           *why);
+    }
+  }
+  damage.apply(config.dir, rng);
+  std::optional<durability::RecoveredState> state;
+  try {
+    state.emplace(durability::RecoveryManager(config).recover());
+  } catch (const CorruptionError&) {
+  }
+  if (state) {
+    if (auto why = check_recovery(cls, ref, *state, {})) {
+      return "silent corruption: " + *why;
+    }
+  }
+  if (damage.expect == Expect::kRefuse && state) {
+    return "recovery accepted the damaged directory";
+  }
+  if (damage.expect == Expect::kFallBack) {
+    if (!state) return "refused instead of falling back to an older checkpoint";
+    if (state->report.checkpoints_skipped == 0) {
+      return "the damaged checkpoint was not skipped";
+    }
+  }
+  ++outcome.cases;
+  if (state) {
+    ++outcome.recovered;
+  } else {
+    ++outcome.refused;
+  }
+  return std::nullopt;
+}
+
+std::optional<std::string> corruption_battery(const std::string& base_dir,
+                                              const StreamClass& cls,
+                                              const Reference& ref, Rng& rng,
+                                              CorruptionOutcome& outcome) {
   std::size_t case_id = 0;
-  const auto case_dir = [&](const std::string& label) {
-    return base_dir + "/corrupt-" + label + "-" + std::to_string(case_id);
-  };
-  const auto config_in = [](const RunDir& dir) {
-    durability::DurabilityConfig config;
-    config.dir = dir.path();
-    config.checkpoint_every = 32;
-    config.keep_checkpoints = 2;
-    return config;
-  };
-  const auto finish_case = [&](const std::optional<std::string>& error,
-                               bool recovered) -> std::optional<std::string> {
-    if (error) return error;
-    ++outcome.cases;
-    if (recovered) {
-      ++outcome.recovered;
-    } else {
-      ++outcome.refused;
-    }
-    return std::nullopt;
-  };
-
-  // 1. Journal bit flips past the header: torn tail or checkpoint fallback.
-  for (int i = 0; i < 4; ++i) {
-    ++case_id;
-    const RunDir dir(case_dir("jflip"));
-    const durability::DurabilityConfig config = config_in(dir);
-    const Placements placements =
-        populate_dir(config, instance, events, algorithm, options);
-    const std::string journal =
-        config.dir + "/" + durability::kJournalFileName;
-    const std::uint64_t size = durability::detail::file_size(journal);
-    DBP_REQUIRE(size > durability::kJournalHeaderBytes, "journal too small");
-    const std::uint64_t byte = rng.uniform_int(
-        durability::kJournalHeaderBytes, size - 1);
-    flip_bit(journal, byte, static_cast<unsigned>(rng.uniform_int(0, 7)));
-    bool recovered = false;
-    if (auto err = finish_case(
-            recover_and_check(config, instance, events, algorithm, reference,
-                              placements, &recovered),
-            recovered)) {
-      return "journal bit flip: " + *err;
+  for (const Damage& damage : kDamages) {
+    for (int i = 0; i < damage.repeats; ++i) {
+      ++case_id;
+      const std::string path = base_dir + "/corrupt-" + damage.label + "-" +
+                               std::to_string(case_id);
+      if (auto why = corruption_case(cls, ref, damage, path, rng, outcome)) {
+        return std::string(damage.what) + ": " + *why;
+      }
     }
   }
-
-  // 2. Journal truncation at a random byte (including mid-record).
-  for (int i = 0; i < 4; ++i) {
-    ++case_id;
-    const RunDir dir(case_dir("jtrunc"));
-    const durability::DurabilityConfig config = config_in(dir);
-    const Placements placements =
-        populate_dir(config, instance, events, algorithm, options);
-    const std::string journal =
-        config.dir + "/" + durability::kJournalFileName;
-    const std::uint64_t size = durability::detail::file_size(journal);
-    durability::detail::truncate_file(
-        journal, rng.uniform_int(durability::kJournalHeaderBytes, size));
-    bool recovered = false;
-    if (auto err = finish_case(
-            recover_and_check(config, instance, events, algorithm, reference,
-                              placements, &recovered),
-            recovered)) {
-      return "journal truncation: " + *err;
-    }
-  }
-
-  // 3. Stale checkpoint name: a copied checkpoint impersonating another seq
-  //    must be detected (name/header disagreement) and skipped.
-  {
-    ++case_id;
-    const RunDir dir(case_dir("stale"));
-    const durability::DurabilityConfig config = config_in(dir);
-    const Placements placements =
-        populate_dir(config, instance, events, algorithm, options);
-    const auto entries = durability::list_checkpoints(config.dir);
-    DBP_REQUIRE(!entries.empty(), "populate left no checkpoints");
-    const std::vector<std::uint8_t> bytes =
-        durability::detail::read_file(entries.front().path);
-    const std::string impostor =
-        config.dir + "/" +
-        durability::checkpoint_file_name(entries.front().next_seq + 1);
-    std::ofstream out(impostor, std::ios::binary);
-    DBP_REQUIRE(out.is_open(), "cannot write impostor checkpoint");
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    out.close();
-    bool recovered = false;
-    std::size_t skipped = 0;
-    auto err = recover_and_check(config, instance, events, algorithm,
-                                 reference, placements, &recovered, &skipped);
-    if (!err && recovered && skipped == 0) {
-      err = "impostor checkpoint was not skipped";
-    }
-    if (!err && !recovered) err = "stale name refused instead of falling back";
-    if (auto final_err = finish_case(err, recovered)) {
-      return "stale checkpoint name: " + *final_err;
-    }
-  }
-
-  // 4. Newest checkpoint corrupted: CRC must reject it and recovery must
-  //    fall back to the previous checkpoint, then replay further.
-  for (int i = 0; i < 4; ++i) {
-    ++case_id;
-    const RunDir dir(case_dir("cflip"));
-    const durability::DurabilityConfig config = config_in(dir);
-    const Placements placements =
-        populate_dir(config, instance, events, algorithm, options);
-    const auto entries = durability::list_checkpoints(config.dir);
-    DBP_REQUIRE(entries.size() >= 2, "need two checkpoints for fallback");
-    const std::uint64_t size =
-        durability::detail::file_size(entries.front().path);
-    flip_bit(entries.front().path, rng.uniform_int(0, size - 1),
-             static_cast<unsigned>(rng.uniform_int(0, 7)));
-    bool recovered = false;
-    std::size_t skipped = 0;
-    auto err = recover_and_check(config, instance, events, algorithm,
-                                 reference, placements, &recovered, &skipped);
-    if (!err && recovered && skipped == 0) {
-      err = "corrupt newest checkpoint was not skipped";
-    }
-    if (!err && !recovered) {
-      err = "no fallback to the previous checkpoint";
-    }
-    if (auto final_err = finish_case(err, recovered)) {
-      return "checkpoint bit flip: " + *final_err;
-    }
-  }
-
-  // 5. Every checkpoint corrupted: recovery must refuse with
-  //    CorruptionError, never fabricate a state.
-  {
-    ++case_id;
-    const RunDir dir(case_dir("allbad"));
-    const durability::DurabilityConfig config = config_in(dir);
-    const Placements placements =
-        populate_dir(config, instance, events, algorithm, options);
-    for (const auto& entry : durability::list_checkpoints(config.dir)) {
-      const std::uint64_t size = durability::detail::file_size(entry.path);
-      flip_bit(entry.path, rng.uniform_int(0, size - 1),
-               static_cast<unsigned>(rng.uniform_int(0, 7)));
-    }
-    bool recovered = false;
-    auto err = recover_and_check(config, instance, events, algorithm,
-                                 reference, placements, &recovered);
-    if (!err && recovered) {
-      err = "recovery accepted a directory with only corrupt checkpoints";
-    }
-    if (auto final_err = finish_case(err, recovered)) {
-      return "all checkpoints corrupt: " + *final_err;
-    }
-  }
-
-  // 6. Corrupt journal header: no safe prefix exists; refuse.
-  {
-    ++case_id;
-    const RunDir dir(case_dir("jheader"));
-    const durability::DurabilityConfig config = config_in(dir);
-    const Placements placements =
-        populate_dir(config, instance, events, algorithm, options);
-    const std::string journal =
-        config.dir + "/" + durability::kJournalFileName;
-    flip_bit(journal, rng.uniform_int(0, durability::kJournalHeaderBytes - 1),
-             static_cast<unsigned>(rng.uniform_int(0, 7)));
-    bool recovered = false;
-    auto err = recover_and_check(config, instance, events, algorithm,
-                                 reference, placements, &recovered);
-    if (!err && recovered) {
-      err = "recovery accepted a journal with a corrupt header";
-    }
-    if (auto final_err = finish_case(err, recovered)) {
-      return "journal header flip: " + *final_err;
-    }
-  }
-
   return std::nullopt;
 }
 
@@ -814,53 +717,47 @@ int main(int argc, char** argv) {
         "workloads", {"uniform", "dyadic", "discrete", "bursts"});
     const std::string algorithm = args.get("algorithm", "first-fit");
     const std::uint64_t checkpoint_every = args.get_u64("checkpoint-every", 64);
+    PackerOptions options;
+    options.seed = seed;
 
     // Without --dir the whole base directory is the harness's own.
     std::optional<RunDir> own_base;
+    std::string base_dir = args.get("dir", "");
     if (!args.has("dir")) {
-      own_base.emplace((std::filesystem::temp_directory_path() /
-                        ("dbp_crashtest." + std::to_string(::getpid())))
-                           .string());
+      base_dir = (std::filesystem::temp_directory_path() /
+                  ("dbp_crashtest." + std::to_string(::getpid())))
+                     .string();
+      own_base.emplace(base_dir);
     }
-    const std::string base_dir = own_base ? own_base->path() : args.get("dir", "");
     std::filesystem::create_directories(base_dir);
 
     Rng rng(seed ^ 0xC4A5585ULL);
     std::size_t failures = 0;
 
-    // ---- Simulation-mode SIGKILL battery, per workload class.
+    // ---- SIGKILL battery, per stream class.
+    std::vector<StreamClass> classes;
     for (const std::string& workload : workloads) {
-      const Instance instance =
-          generate_random_instance(workload_config(workload, items), seed);
-      const std::vector<Event> events = build_event_sequence(instance);
-      PackerOptions options;
-      options.seed = seed;
-      const SimulationResult reference =
-          simulate(instance, algorithm, kRunModel, options);
-
+      classes.push_back(
+          packing_class(workload, items, seed, algorithm, options));
+    }
+    classes.push_back(dispatch_class(items, seed, algorithm, options));
+    for (const StreamClass& cls : classes) {
+      const Reference ref = run_reference(cls);
       std::uint64_t total_bytes = 0;
       {
-        const RunDir dir(base_dir + "/probe-" + workload);
-        durability::DurabilityConfig probe;
-        probe.dir = dir.path();
-        probe.checkpoint_every = checkpoint_every;
-        total_bytes = measure_clean_run(probe, instance, events, algorithm,
-                                        options, reference);
+        const RunDir dir(base_dir + "/probe-" + cls.name);
+        total_bytes = measure_clean_run(cls, ref, dir.config(checkpoint_every));
       }
-
       TrialTally tally;
       for (std::uint64_t t = 0; t < trials; ++t) {
-        const RunDir dir(base_dir + "/" + workload + "-" + std::to_string(t));
-        durability::DurabilityConfig config;
-        config.dir = dir.path();
-        config.checkpoint_every = checkpoint_every;
+        const RunDir dir(base_dir + "/" + cls.name + "-" + std::to_string(t));
         // +5% headroom so some children run to completion (clean-exit path).
         const std::uint64_t threshold =
             rng.uniform_int(0, total_bytes + total_bytes / 20);
-        if (auto why = sim_trial(config, instance, events, algorithm, options,
-                                 reference, threshold, tally)) {
+        if (auto why = crash_trial(cls, ref, dir.config(checkpoint_every),
+                                   threshold, tally)) {
           std::cerr << strfmt("FAIL [%s trial %llu threshold %llu]: %s\n",
-                              workload.c_str(),
+                              cls.name.c_str(),
                               static_cast<unsigned long long>(t),
                               static_cast<unsigned long long>(threshold),
                               why->c_str());
@@ -870,75 +767,7 @@ int main(int argc, char** argv) {
       std::cout << strfmt(
           "%-8s %4zu kill points | crashed %4zu | torn tails %3zu | "
           "replayed %6llu | re-fed %6llu | %s\n",
-          workload.c_str(), tally.trials, tally.crashed, tally.torn_tails,
-          static_cast<unsigned long long>(tally.replayed),
-          static_cast<unsigned long long>(tally.refed),
-          failures == 0 ? "all bit-identical" : "FAILURES");
-    }
-
-    // ---- Dispatcher-mode SIGKILL battery (retry/backoff + rental RNG).
-    {
-      const Instance instance =
-          generate_random_instance(workload_config("uniform", items), seed + 7);
-      const std::vector<DispatchOp> ops = build_script(instance, 53);
-      const ServerSpec spec{1.0, 1.0};
-      PackerOptions options;
-      options.seed = seed;
-      FaultPolicy policy;
-      policy.on_anomaly = FaultPolicy::AnomalyAction::kDropAndCount;
-      policy.rental_failure_rate = 0.05;
-      policy.max_rental_retries = 3;
-
-      GameServerDispatcher reference(spec, algorithm, options, policy);
-      apply_ops(reference, ops, 0);
-      const std::vector<std::uint8_t> reference_state =
-          dispatcher_state_bytes(reference);
-      const DispatcherFaultStats reference_stats = reference.fault_stats();
-
-      // Clean durable differential + byte budget measurement.
-      std::uint64_t total_bytes = 0;
-      durability::set_write_crash_hook(
-          [&total_bytes](std::string_view, std::uint64_t, std::size_t length) {
-            total_bytes += length;
-            return std::optional<std::size_t>{};
-          });
-      {
-        const RunDir dir(base_dir + "/probe-dispatch");
-        durability::DurabilityConfig probe;
-        probe.dir = dir.path();
-        probe.checkpoint_every = checkpoint_every;
-        durability::DurableDispatcher durable(probe, spec, algorithm, options,
-                                              policy);
-        apply_ops(durable, ops, 0);
-        durable.flush();
-        durability::set_write_crash_hook({});
-        DBP_CHECK(dispatcher_state_bytes(durable.dispatcher()) ==
-                      reference_state,
-                  "clean durable dispatcher diverged from the plain one");
-      }
-
-      TrialTally tally;
-      for (std::uint64_t t = 0; t < trials; ++t) {
-        const RunDir dir(base_dir + "/dispatch-" + std::to_string(t));
-        durability::DurabilityConfig config;
-        config.dir = dir.path();
-        config.checkpoint_every = checkpoint_every;
-        const std::uint64_t threshold =
-            rng.uniform_int(0, total_bytes + total_bytes / 20);
-        if (auto why = dispatch_trial(config, spec, algorithm, options, policy,
-                                      ops, reference_state, reference_stats,
-                                      threshold, tally)) {
-          std::cerr << strfmt("FAIL [dispatch trial %llu threshold %llu]: %s\n",
-                              static_cast<unsigned long long>(t),
-                              static_cast<unsigned long long>(threshold),
-                              why->c_str());
-          ++failures;
-        }
-      }
-      std::cout << strfmt(
-          "%-8s %4zu kill points | crashed %4zu | torn tails %3zu | "
-          "replayed %6llu | re-fed %6llu | %s\n",
-          "dispatch", tally.trials, tally.crashed, tally.torn_tails,
+          cls.name.c_str(), tally.trials, tally.crashed, tally.torn_tails,
           static_cast<unsigned long long>(tally.replayed),
           static_cast<unsigned long long>(tally.refed),
           failures == 0 ? "all bit-identical" : "FAILURES");
@@ -946,17 +775,11 @@ int main(int argc, char** argv) {
 
     // ---- Corruption-injection battery.
     {
-      const Instance instance =
-          generate_random_instance(workload_config("uniform", items), seed + 3);
-      const std::vector<Event> events = build_event_sequence(instance);
-      PackerOptions options;
-      options.seed = seed;
-      const SimulationResult reference =
-          simulate(instance, algorithm, kRunModel, options);
+      const StreamClass cls =
+          packing_class("uniform", items, seed + 3, algorithm, options);
+      const Reference ref = run_reference(cls);
       CorruptionOutcome outcome;
-      if (auto why =
-              corruption_battery(base_dir, instance, events, algorithm,
-                                 options, reference, rng, outcome)) {
+      if (auto why = corruption_battery(base_dir, cls, ref, rng, outcome)) {
         std::cerr << "FAIL [corruption]: " << *why << "\n";
         ++failures;
       }

@@ -25,13 +25,13 @@
 #include <csignal>
 #include <cstdint>
 #include <iostream>
-#include <locale>
 #include <sstream>
 #include <string>
 
 #include "cli.hpp"
 #include "core/checked_output.hpp"
 #include "core/error.hpp"
+#include "core/json.hpp"
 #include "engine/engine.hpp"
 #include "net/wire_server.hpp"
 #include "obs_cli.hpp"
@@ -59,14 +59,6 @@ void on_signal(int) {
   const ssize_t written = write(fd, &one, sizeof(one));
   (void)written;
   errno = saved_errno;
-}
-
-std::string json_number(double value) {
-  std::ostringstream out;
-  out.imbue(std::locale::classic());
-  out.precision(17);
-  out << value;
-  return out.str();
 }
 
 }  // namespace

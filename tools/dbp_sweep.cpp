@@ -30,7 +30,6 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <locale>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -42,6 +41,7 @@
 #include "cli.hpp"
 #include "core/checked_output.hpp"
 #include "core/error.hpp"
+#include "core/json.hpp"
 #include "core/metrics.hpp"
 #include "core/strfmt.hpp"
 #include "exec/worker_budget.hpp"
@@ -173,14 +173,6 @@ CellOutcome run_cell(const Cell& cell, bool want_opt, bool want_trace) {
     outcome.trace_jsonl = jsonl.str();
   }
   return outcome;
-}
-
-std::string json_number(double value) {
-  std::ostringstream out;
-  out.imbue(std::locale::classic());
-  out.precision(17);
-  out << value;
-  return out.str();
 }
 
 void write_json(const std::vector<CellOutcome>& outcomes,

@@ -22,23 +22,24 @@ void AnyFitPacker::save_extra(ByteWriter& out) const {
 }
 
 void AnyFitPacker::restore_extra(ByteReader& in) {
-  // Registration replay in ascending BinId order reproduces the original
-  // registration order (bin ids are assigned in opening order), so the
-  // derived strategies rebuild the exact relative scan order; residuals come
-  // from the bit-exact restored levels. Stateful strategies then override
-  // their extra history in load_state.
-  for (const BinId bin : manager_.open_bins()) {
-    strategy_->on_bin_registered(bin, manager_.residual(bin));
-  }
+  // Registration replay in opening order reproduces the original
+  // registration order, so the derived strategies rebuild the exact
+  // relative scan order in the restored slots; residuals come from the
+  // bit-exact restored levels. Stateful strategies then override their
+  // extra history in load_state.
+  manager_.for_each_open_bin([&](BinSlot slot) {
+    strategy_->on_bin_registered(slot, manager_.id_of(slot), manager_.residual(slot));
+  });
   strategy_->load_state(in);
 }
 
 #if DBP_AUDIT_ENABLED
 void AnyFitPacker::audit_first_fit_choice(const FitStrategy& strategy, double size,
-                                          BinId chosen) const {
+                                          BinSlot chosen) const {
   if (dynamic_cast<const FirstFitStrategy*>(&strategy) == nullptr) return;
-  manager_.for_each_open_bin([&](BinId open) {
-    DBP_AUDIT_CHECK(open >= chosen || !manager_.fits(size, open),
+  const BinId chosen_id = manager_.id_of(chosen);
+  manager_.for_each_open_bin([&](BinSlot open) {
+    DBP_AUDIT_CHECK(manager_.id_of(open) >= chosen_id || !manager_.fits(size, open),
                     "First Fit skipped an earlier-opened fitting bin");
   });
 }

@@ -41,8 +41,8 @@ class AnyFitPacker : public Packer {
   [[nodiscard]] bool snapshot_supported() const override { return true; }
 
  protected:
-  /// Replays on_bin_registered over the restored open bins (ascending id =
-  /// opening order) and then lets the strategy restore any extra history.
+  /// Replays on_bin_registered over the restored open bins in opening order
+  /// and then lets the strategy restore any extra history.
   void save_extra(ByteWriter& out) const override;
   void restore_extra(ByteReader& in) override;
 
@@ -60,23 +60,24 @@ class AnyFitPacker : public Packer {
     DBP_REQUIRE(model().fits(item.size, model().bin_capacity),
                 "item larger than the bin capacity");
     const std::size_t candidates = manager_.open_count();
-    std::optional<BinId> chosen = strategy.select(item.size);
-    BinId bin;
+    std::optional<BinSlot> chosen = strategy.select(item.size);
+    BinSlot slot;
     if (chosen) {
-      bin = *chosen;
-      DBP_AUDIT_ONLY(audit_first_fit_choice(strategy, item.size, bin);)
+      slot = *chosen;
+      DBP_AUDIT_ONLY(audit_first_fit_choice(strategy, item.size, slot);)
     } else {
       if ((paranoid_ || audit_enabled()) && strategy.any_fit_contract()) {
-        manager_.for_each_open_bin([&](BinId open) {
+        manager_.for_each_open_bin([&](BinSlot open) {
           DBP_CHECK(!manager_.fits(item.size, open),
                     "Any Fit contract violated: a fitting bin was declined");
         });
       }
-      bin = manager_.open_bin(item.arrival);
-      strategy.on_bin_registered(bin, manager_.residual(bin));
+      slot = manager_.open_bin(item.arrival);
+      strategy.on_bin_registered(slot, manager_.id_of(slot), manager_.residual(slot));
     }
-    manager_.place(item, bin);
-    strategy.on_residual_changed(bin, manager_.residual(bin));
+    manager_.place(item, slot);
+    strategy.on_residual_changed(slot, manager_.residual(slot));
+    const BinId bin = manager_.id_of(slot);
     obs::trace_arrival(item.arrival, item.id, item.size, bin, candidates);
     return bin;
   }
@@ -87,9 +88,9 @@ class AnyFitPacker : public Packer {
     const DepartureOutcome outcome = manager_.remove(item, now);
     obs::trace_departure(now, item, outcome.bin);
     if (outcome.bin_closed) {
-      strategy.on_bin_closed(outcome.bin);
+      strategy.on_bin_closed(outcome.slot);
     } else {
-      strategy.on_residual_changed(outcome.bin, manager_.residual(outcome.bin));
+      strategy.on_residual_changed(outcome.slot, manager_.residual(outcome.slot));
     }
   }
 
@@ -97,10 +98,10 @@ class AnyFitPacker : public Packer {
 #if DBP_AUDIT_ENABLED
   /// First Fit scan-order monotonicity: when `strategy` is First Fit, the
   /// chosen bin must be the earliest-opened open bin that fits — no open
-  /// bin with a smaller id may accommodate `size` (bin ids are assigned in
-  /// opening order). Allocation-free, like the event loop it checks.
+  /// bin ahead of it in the opening-order walk may accommodate `size`.
+  /// Allocation-free, like the event loop it checks.
   void audit_first_fit_choice(const FitStrategy& strategy, double size,
-                              BinId chosen) const;
+                              BinSlot chosen) const;
 #endif
 
   std::unique_ptr<FitStrategy> strategy_;

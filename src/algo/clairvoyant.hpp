@@ -58,16 +58,16 @@ class DurationAwarePacker final : public ClairvoyantPacker {
   void on_departure(ItemId item, Time now) override;
 
   /// Latest departure among items currently in `bin` (the bin's projected
-  /// close time). Requires the bin to be open and non-empty.
+  /// close time). Requires the bin to be open and non-empty. O(open).
   [[nodiscard]] Time projected_close(BinId bin) const;
 
  private:
   Policy policy_;
-  /// Per-open-bin multiset of resident departure times.
+  /// Per-open-bin multiset of resident departure times, by slot.
   // DBP_LINT_ALLOW(unordered-container): the arrival scan minimizes the
   // strict total order (score, bin id), so the argmin is independent of
-  // map iteration order; all other access is by bin id.
-  std::unordered_map<BinId, std::multiset<Time>> departures_;
+  // map iteration order; all other access is by slot.
+  std::unordered_map<BinSlot, std::multiset<Time>> departures_;
   // DBP_LINT_ALLOW(unordered-container): departure lookup by item id only.
   std::unordered_map<ItemId, Time> departure_of_;
 };

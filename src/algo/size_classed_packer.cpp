@@ -38,8 +38,9 @@ std::size_t SizeClassedPacker::class_of(double size) const {
 }
 
 std::size_t SizeClassedPacker::class_of_bin(BinId bin) const {
-  DBP_REQUIRE(bin < bin_class_.size(), "unknown bin id");
-  return bin_class_[static_cast<std::size_t>(bin)];
+  const std::optional<BinSlot> slot = manager_.slot_of(bin);
+  DBP_REQUIRE(slot.has_value(), "bin is not open");
+  return bin_class_[static_cast<std::size_t>(*slot)];
 }
 
 BinId SizeClassedPacker::on_arrival(const ArrivingItem& item) {
@@ -48,18 +49,24 @@ BinId SizeClassedPacker::on_arrival(const ArrivingItem& item) {
   const std::size_t cls = class_of(item.size);
   FitStrategy& strategy = *strategies_[cls];
   const std::size_t candidates = manager_.open_count();
-  std::optional<BinId> chosen = strategy.select(item.size);
-  BinId bin;
+  std::optional<BinSlot> chosen = strategy.select(item.size);
+  BinSlot slot;
+#if DBP_AUDIT_ENABLED
+  const auto class_at = [this](BinSlot open) {
+    return bin_class_[static_cast<std::size_t>(open)];
+  };
+#endif
   if (chosen) {
-    bin = *chosen;
-    DBP_AUDIT_CHECK(class_of_bin(bin) == cls,
+    slot = *chosen;
+    DBP_AUDIT_CHECK(class_at(slot) == cls,
                     "size class routed an item to a foreign pool's bin");
 #if DBP_AUDIT_ENABLED
     // Per-pool First Fit scan-order monotonicity: within the item's class,
     // no earlier-opened open bin may accommodate it.
     if (dynamic_cast<const FirstFitStrategy*>(&strategy) != nullptr) {
-      manager_.for_each_open_bin([&](BinId open) {
-        DBP_AUDIT_CHECK(open >= bin || class_of_bin(open) != cls ||
+      const BinId chosen_id = manager_.id_of(slot);
+      manager_.for_each_open_bin([&](BinSlot open) {
+        DBP_AUDIT_CHECK(manager_.id_of(open) >= chosen_id || class_at(open) != cls ||
                             !manager_.fits(item.size, open),
                         "pool First Fit skipped an earlier-opened fitting bin");
       });
@@ -70,19 +77,21 @@ BinId SizeClassedPacker::on_arrival(const ArrivingItem& item) {
     // Opening a new bin is only legal when every open bin of the class is
     // unable to host the item (First Fit pools obey the Any Fit contract).
     if (dynamic_cast<const FirstFitStrategy*>(&strategy) != nullptr) {
-      manager_.for_each_open_bin([&](BinId open) {
-        DBP_AUDIT_CHECK(class_of_bin(open) != cls || !manager_.fits(item.size, open),
+      manager_.for_each_open_bin([&](BinSlot open) {
+        DBP_AUDIT_CHECK(class_at(open) != cls || !manager_.fits(item.size, open),
                         "pool declined an item although an open bin fits");
       });
     }
 #endif
-    bin = manager_.open_bin(item.arrival);
-    DBP_CHECK(bin == bin_class_.size(), "bin ids must be dense");
-    bin_class_.push_back(cls);
-    strategy.on_bin_registered(bin, manager_.residual(bin));
+    slot = manager_.open_bin(item.arrival);
+    const auto at = static_cast<std::size_t>(slot);
+    if (at == bin_class_.size()) bin_class_.push_back(cls);
+    bin_class_[at] = cls;
+    strategy.on_bin_registered(slot, manager_.id_of(slot), manager_.residual(slot));
   }
-  manager_.place(item, bin);
-  strategy.on_residual_changed(bin, manager_.residual(bin));
+  manager_.place(item, slot);
+  strategy.on_residual_changed(slot, manager_.residual(slot));
+  const BinId bin = manager_.id_of(slot);
   obs::trace_arrival(item.arrival, item.id, item.size, bin, candidates);
   return bin;
 }
@@ -90,11 +99,12 @@ BinId SizeClassedPacker::on_arrival(const ArrivingItem& item) {
 void SizeClassedPacker::on_departure(ItemId item, Time now) {
   const DepartureOutcome outcome = manager_.remove(item, now);
   obs::trace_departure(now, item, outcome.bin);
-  FitStrategy& strategy = *strategies_[class_of_bin(outcome.bin)];
+  FitStrategy& strategy =
+      *strategies_[bin_class_[static_cast<std::size_t>(outcome.slot)]];
   if (outcome.bin_closed) {
-    strategy.on_bin_closed(outcome.bin);
+    strategy.on_bin_closed(outcome.slot);
   } else {
-    strategy.on_residual_changed(outcome.bin, manager_.residual(outcome.bin));
+    strategy.on_residual_changed(outcome.slot, manager_.residual(outcome.slot));
   }
 }
 
@@ -117,8 +127,11 @@ void SizeClassedPacker::set_boundary(std::size_t index, double value) {
 void SizeClassedPacker::save_extra(ByteWriter& out) const {
   out.u64(boundaries_.size());
   for (const double b : boundaries_) out.f64(b);
-  out.u64(bin_class_.size());
-  for (const std::size_t cls : bin_class_) out.u64(cls);
+  // The open bins' classes, in opening order.
+  out.u64(manager_.open_count());
+  manager_.for_each_open_bin([&](BinSlot slot) {
+    out.u64(bin_class_[static_cast<std::size_t>(slot)]);
+  });
   for (const auto& strategy : strategies_) strategy->save_state(out);
 }
 
@@ -132,24 +145,21 @@ void SizeClassedPacker::restore_extra(ByteReader& in) {
       throw CorruptionError("size-class boundaries differ from this packer");
     }
   }
-  bin_class_.clear();
-  const std::uint64_t bin_count = in.u64();
-  if (bin_count != manager_.total_bins_opened()) {
+  if (in.u64() != manager_.open_count()) {
     throw CorruptionError("size-class bin census disagrees with the manager");
   }
-  bin_class_.reserve(bin_count);
-  for (std::uint64_t i = 0; i < bin_count; ++i) {
+  // Per-pool registration replay in opening order, then each pool's own
+  // extra history in class order.
+  bin_class_.assign(manager_.slot_count(), 0);
+  manager_.for_each_open_bin([&](BinSlot slot) {
     const std::uint64_t cls = in.u64();
     if (cls >= strategies_.size()) {
       throw CorruptionError("size-class map names an unknown class");
     }
-    bin_class_.push_back(static_cast<std::size_t>(cls));
-  }
-  // Per-pool registration replay in opening order, then each pool's own
-  // extra history in class order.
-  for (const BinId bin : manager_.open_bins()) {
-    strategies_[class_of_bin(bin)]->on_bin_registered(bin, manager_.residual(bin));
-  }
+    bin_class_[static_cast<std::size_t>(slot)] = static_cast<std::size_t>(cls);
+    strategies_[cls]->on_bin_registered(slot, manager_.id_of(slot),
+                                        manager_.residual(slot));
+  });
   for (const auto& strategy : strategies_) strategy->load_state(in);
 }
 

@@ -48,12 +48,12 @@ class SizeClassedPacker : public Packer {
     return strategies_.size();
   }
 
-  /// The class whose pool owns `bin`.
+  /// The class whose pool owns open bin `bin`. O(open).
   [[nodiscard]] std::size_t class_of_bin(BinId bin) const;
 
   [[nodiscard]] bool snapshot_supported() const override { return true; }
 
-  /// Forwards the capacity hint to every class strategy and the per-bin
+  /// Forwards the capacity hint to every class strategy and the per-slot
   /// class index. Each pool could in the worst case own every bin, so all
   /// pools get the full hint; after this the event loop is allocation-free
   /// (tests/zero_alloc_test.cpp).
@@ -72,7 +72,7 @@ class SizeClassedPacker : public Packer {
   std::string name_;
   std::vector<double> boundaries_;
   std::vector<std::unique_ptr<FitStrategy>> strategies_;
-  std::vector<std::size_t> bin_class_;  // by BinId
+  std::vector<std::size_t> bin_class_;  // by BinSlot: the open bin's class
 };
 
 /// Modified First Fit (paper Section 4.4): items of size >= W/k are "large",

@@ -13,12 +13,6 @@ namespace {
 
 constexpr double kUnregistered = std::numeric_limits<double>::quiet_NaN();
 
-inline bool registered_residual(const std::vector<double>& residual_of,
-                                BinId bin) noexcept {
-  return bin < residual_of.size() &&
-         !std::isnan(residual_of[static_cast<std::size_t>(bin)]);
-}
-
 }  // namespace
 
 // ------------------------------------------------------ First and Last Fit
@@ -29,26 +23,28 @@ void OpeningOrderFitStrategy<Side>::compact() {
   // Re-register the live bins in position order. Relative order — the only
   // thing the leftmost and rightmost descents depend on — is preserved, so
   // every future selection is identical to the uncompacted tree's.
+  // A position whose slot has since been closed, or closed and registered
+  // again further on, is dead: pos_of_ no longer points at it.
   scratch_.clear();
-  for (std::size_t p = 0; p < bin_at_.size(); ++p) {
-    const BinId bin = bin_at_[p];
-    if (pos_of_[static_cast<std::size_t>(bin)] == p) {
-      scratch_.emplace_back(residuals_.value_at(p), bin);
+  for (std::size_t p = 0; p < slot_at_.size(); ++p) {
+    const BinSlot slot = slot_at_[p];
+    if (pos_of_[static_cast<std::size_t>(slot)] == p) {
+      scratch_.emplace_back(residuals_.value_at(p), slot);
     }
   }
   residuals_.clear();
-  bin_at_.clear();
-  for (const auto& [residual, bin] : scratch_) {
+  slot_at_.clear();
+  for (const auto& [residual, slot] : scratch_) {
     const std::size_t pos = residuals_.push_back(residual);
-    bin_at_.push_back(bin);
-    pos_of_[static_cast<std::size_t>(bin)] = pos;
+    slot_at_.push_back(slot);
+    pos_of_[static_cast<std::size_t>(slot)] = pos;
   }
 }
 
 template <FitSide Side>
 void OpeningOrderFitStrategy<Side>::reserve(std::size_t bins_hint) {
   residuals_.reserve(bins_hint);
-  bin_at_.reserve(bins_hint);
+  slot_at_.reserve(bins_hint);
   pos_of_.reserve(bins_hint);
   scratch_.reserve(bins_hint);
 }
@@ -70,51 +66,51 @@ template class ResidualOrderFitStrategy<FitFill::kWorst>;
 
 // ----------------------------------------------------------------- NextFit
 
-std::optional<BinId> NextFitStrategy::select(double size) {
+std::optional<BinSlot> NextFitStrategy::select(double size) {
   if (current_ && model_.fits(size, current_residual_)) return current_;
   // Deliberately retire the current bin: Next Fit never revisits it.
   current_.reset();
   return std::nullopt;
 }
 
-void NextFitStrategy::on_bin_registered(BinId bin, double residual) {
-  current_ = bin;
+void NextFitStrategy::on_bin_registered(BinSlot slot, BinId, double residual) {
+  current_ = slot;
   current_residual_ = residual;
 }
 
-void NextFitStrategy::on_residual_changed(BinId bin, double residual) {
-  if (current_ && *current_ == bin) current_residual_ = residual;
+void NextFitStrategy::on_residual_changed(BinSlot slot, double residual) {
+  if (current_ && *current_ == slot) current_residual_ = residual;
 }
 
-void NextFitStrategy::on_bin_closed(BinId bin) {
-  if (current_ && *current_ == bin) current_.reset();
+void NextFitStrategy::on_bin_closed(BinSlot slot) {
+  if (current_ && *current_ == slot) current_.reset();
 }
 
 void NextFitStrategy::save_state(ByteWriter& out) const {
   out.boolean(current_.has_value());
-  out.u64(current_ ? *current_ : kNoBin);
+  out.u32(static_cast<std::uint32_t>(current_.value_or(kNoSlot)));
   out.f64(current_residual_);
 }
 
 void NextFitStrategy::load_state(ByteReader& in) {
   const bool has_current = in.boolean();
-  const BinId bin = in.u64();
+  const auto slot = static_cast<BinSlot>(in.u32());
   const double residual = in.f64();
-  current_ = has_current ? std::optional<BinId>(bin) : std::nullopt;
+  current_ = has_current ? std::optional<BinSlot>(slot) : std::nullopt;
   current_residual_ = residual;
 }
 
 // --------------------------------------------------------------- RandomFit
 
-std::optional<BinId> RandomFitStrategy::select(double size) {
+std::optional<BinSlot> RandomFitStrategy::select(double size) {
   // Reservoir-sample uniformly over fitting bins in one pass.
-  std::optional<BinId> chosen;
+  std::optional<BinSlot> chosen;
   std::size_t seen = 0;
-  for (const auto& [bin, residual] : open_) {
+  for (const auto& [slot, residual] : open_) {
     if (!model_.fits(size, residual)) continue;
     ++seen;
     if (std::uniform_int_distribution<std::size_t>(1, seen)(rng_) == 1) {
-      chosen = bin;
+      chosen = slot;
     }
   }
   return chosen;
@@ -126,25 +122,26 @@ bool RandomFitStrategy::has_fit(double size) const {
   });
 }
 
-void RandomFitStrategy::on_bin_registered(BinId bin, double residual) {
-  if (bin >= pos_of_.size()) {
-    pos_of_.resize(static_cast<std::size_t>(bin) + 1, kNoPos);
-  }
-  pos_of_[static_cast<std::size_t>(bin)] = open_.size();
-  open_.emplace_back(bin, residual);
+void RandomFitStrategy::on_bin_registered(BinSlot slot, BinId, double residual) {
+  const auto at = static_cast<std::size_t>(slot);
+  if (at >= pos_of_.size()) pos_of_.resize(at + 1, kNoPos);
+  pos_of_[at] = open_.size();
+  open_.emplace_back(slot, residual);
 }
 
-void RandomFitStrategy::on_residual_changed(BinId bin, double residual) {
-  DBP_REQUIRE(bin < pos_of_.size() && pos_of_[static_cast<std::size_t>(bin)] != kNoPos,
+void RandomFitStrategy::on_residual_changed(BinSlot slot, double residual) {
+  const auto at = static_cast<std::size_t>(slot);
+  DBP_REQUIRE(at < pos_of_.size() && pos_of_[at] != kNoPos,
               "residual change for unregistered bin");
-  open_[pos_of_[static_cast<std::size_t>(bin)]].second = residual;
+  open_[pos_of_[at]].second = residual;
 }
 
-void RandomFitStrategy::on_bin_closed(BinId bin) {
-  DBP_REQUIRE(bin < pos_of_.size() && pos_of_[static_cast<std::size_t>(bin)] != kNoPos,
+void RandomFitStrategy::on_bin_closed(BinSlot slot) {
+  const auto at = static_cast<std::size_t>(slot);
+  DBP_REQUIRE(at < pos_of_.size() && pos_of_[at] != kNoPos,
               "closing an unregistered bin");
-  const std::size_t pos = pos_of_[static_cast<std::size_t>(bin)];
-  pos_of_[static_cast<std::size_t>(bin)] = kNoPos;
+  const std::size_t pos = pos_of_[at];
+  pos_of_[at] = kNoPos;
   if (pos + 1 != open_.size()) {
     open_[pos] = open_.back();
     pos_of_[static_cast<std::size_t>(open_[pos].first)] = pos;
@@ -162,8 +159,8 @@ void RandomFitStrategy::save_state(ByteWriter& out) const {
   engine << rng_;
   out.str(engine.str());
   out.u64(open_.size());
-  for (const auto& [bin, residual] : open_) {
-    out.u64(bin);
+  for (const auto& [slot, residual] : open_) {
+    out.u32(static_cast<std::uint32_t>(slot));
     out.f64(residual);
   }
 }
@@ -174,132 +171,133 @@ void RandomFitStrategy::load_state(ByteReader& in) {
   if (engine.fail()) throw CorruptionError("malformed random-fit engine state");
   // Replace the registration-replay order with the persisted swap-remove
   // order: select() iterates open_, so the order is part of the trajectory.
+  // Each persisted slot must be one the replay registered, and none twice:
+  // a slot is unmarked as it is consumed.
   const std::uint64_t count = in.u64();
   if (count != open_.size()) {
     throw CorruptionError("random-fit open-bin census mismatch");
   }
-  for (const auto& [bin, residual] : open_) {
-    pos_of_[static_cast<std::size_t>(bin)] = kNoPos;
-  }
-  std::vector<std::pair<BinId, double>> restored;
-  restored.reserve(count);
+  std::vector<std::pair<BinSlot, double>> restored;
+  restored.reserve(open_.size());
   for (std::uint64_t i = 0; i < count; ++i) {
-    const BinId bin = in.u64();
+    const auto slot = static_cast<BinSlot>(in.u32());
     const double residual = in.f64();
-    if (bin >= pos_of_.size()) {
-      pos_of_.resize(static_cast<std::size_t>(bin) + 1, kNoPos);
+    const auto at = static_cast<std::size_t>(slot);
+    if (at >= pos_of_.size() || pos_of_[at] == kNoPos) {
+      throw CorruptionError("random-fit open list names a foreign or repeated bin");
     }
-    if (pos_of_[static_cast<std::size_t>(bin)] != kNoPos) {
-      throw CorruptionError("random-fit open list repeats a bin");
-    }
-    pos_of_[static_cast<std::size_t>(bin)] = restored.size();
-    restored.emplace_back(bin, residual);
+    pos_of_[at] = kNoPos;
+    restored.emplace_back(slot, residual);
   }
   open_ = std::move(restored);
+  for (std::size_t pos = 0; pos < open_.size(); ++pos) {
+    pos_of_[static_cast<std::size_t>(open_[pos].first)] = pos;
+  }
 }
 
 // ------------------------------------------------------------- MoveToFront
 
-bool MoveToFrontStrategy::registered(BinId bin) const noexcept {
-  return registered_residual(residual_of_, bin);
+bool MoveToFrontStrategy::registered(BinSlot slot) const noexcept {
+  const auto at = static_cast<std::size_t>(slot);
+  return at < residual_of_.size() && !std::isnan(residual_of_[at]);
 }
 
-void MoveToFrontStrategy::grow_to(BinId bin) {
-  if (bin >= residual_of_.size()) {
-    const std::size_t count = static_cast<std::size_t>(bin) + 1;
-    residual_of_.resize(count, kUnregistered);
-    next_.resize(count, kNoBin);
-    prev_.resize(count, kNoBin);
+void MoveToFrontStrategy::grow_to(BinSlot slot) {
+  const auto at = static_cast<std::size_t>(slot);
+  if (at >= residual_of_.size()) {
+    residual_of_.resize(at + 1, kUnregistered);
+    next_.resize(at + 1, kNoSlot);
+    prev_.resize(at + 1, kNoSlot);
   }
 }
 
-void MoveToFrontStrategy::link_front(BinId bin) {
-  const auto b = static_cast<std::size_t>(bin);
-  prev_[b] = kNoBin;
-  next_[b] = head_;
-  if (head_ != kNoBin) {
-    prev_[static_cast<std::size_t>(head_)] = bin;
+void MoveToFrontStrategy::link_front(BinSlot slot) {
+  const auto at = static_cast<std::size_t>(slot);
+  prev_[at] = kNoSlot;
+  next_[at] = head_;
+  if (head_ != kNoSlot) {
+    prev_[static_cast<std::size_t>(head_)] = slot;
   } else {
-    tail_ = bin;
+    tail_ = slot;
   }
-  head_ = bin;
+  head_ = slot;
   ++list_size_;
 }
 
-void MoveToFrontStrategy::link_back(BinId bin) {
-  const auto b = static_cast<std::size_t>(bin);
-  next_[b] = kNoBin;
-  prev_[b] = tail_;
-  if (tail_ != kNoBin) {
-    next_[static_cast<std::size_t>(tail_)] = bin;
+void MoveToFrontStrategy::link_back(BinSlot slot) {
+  const auto at = static_cast<std::size_t>(slot);
+  next_[at] = kNoSlot;
+  prev_[at] = tail_;
+  if (tail_ != kNoSlot) {
+    next_[static_cast<std::size_t>(tail_)] = slot;
   } else {
-    head_ = bin;
+    head_ = slot;
   }
-  tail_ = bin;
+  tail_ = slot;
   ++list_size_;
 }
 
-void MoveToFrontStrategy::unlink(BinId bin) {
-  const auto b = static_cast<std::size_t>(bin);
-  const BinId p = prev_[b];
-  const BinId n = next_[b];
-  if (p != kNoBin) {
+void MoveToFrontStrategy::unlink(BinSlot slot) {
+  const auto at = static_cast<std::size_t>(slot);
+  const BinSlot p = prev_[at];
+  const BinSlot n = next_[at];
+  if (p != kNoSlot) {
     next_[static_cast<std::size_t>(p)] = n;
   } else {
     head_ = n;
   }
-  if (n != kNoBin) {
+  if (n != kNoSlot) {
     prev_[static_cast<std::size_t>(n)] = p;
   } else {
     tail_ = p;
   }
-  prev_[b] = kNoBin;
-  next_[b] = kNoBin;
+  prev_[at] = kNoSlot;
+  next_[at] = kNoSlot;
   --list_size_;
 }
 
-std::optional<BinId> MoveToFrontStrategy::select(double size) {
-  for (BinId bin = head_; bin != kNoBin;
-       bin = next_[static_cast<std::size_t>(bin)]) {
-    if (model_.fits(size, residual_of_[static_cast<std::size_t>(bin)])) {
+std::optional<BinSlot> MoveToFrontStrategy::select(double size) {
+  for (BinSlot slot = head_; slot != kNoSlot;
+       slot = next_[static_cast<std::size_t>(slot)]) {
+    if (model_.fits(size, residual_of_[static_cast<std::size_t>(slot)])) {
       // Selection implies placement under the Any Fit packer, so the
       // recency promotion happens here.
-      if (bin != head_) {
-        unlink(bin);
-        link_front(bin);
+      if (slot != head_) {
+        unlink(slot);
+        link_front(slot);
       }
-      return bin;
+      return slot;
     }
   }
   return std::nullopt;
 }
 
 bool MoveToFrontStrategy::has_fit(double size) const {
-  for (BinId bin = head_; bin != kNoBin;
-       bin = next_[static_cast<std::size_t>(bin)]) {
-    if (model_.fits(size, residual_of_[static_cast<std::size_t>(bin)])) {
+  for (BinSlot slot = head_; slot != kNoSlot;
+       slot = next_[static_cast<std::size_t>(slot)]) {
+    if (model_.fits(size, residual_of_[static_cast<std::size_t>(slot)])) {
       return true;
     }
   }
   return false;
 }
 
-void MoveToFrontStrategy::on_bin_registered(BinId bin, double residual) {
-  grow_to(bin);
-  DBP_CHECK(!registered(bin), "duplicate move-to-front registration");
-  residual_of_[static_cast<std::size_t>(bin)] = residual;
-  link_front(bin);
+void MoveToFrontStrategy::on_bin_registered(BinSlot slot, BinId, double residual) {
+  grow_to(slot);
+  DBP_CHECK(!registered(slot), "duplicate move-to-front registration");
+  residual_of_[static_cast<std::size_t>(slot)] = residual;
+  link_front(slot);
 }
 
-void MoveToFrontStrategy::on_residual_changed(BinId bin, double residual) {
-  DBP_REQUIRE(registered(bin), "residual change for unregistered bin");
-  residual_of_[static_cast<std::size_t>(bin)] = residual;
+void MoveToFrontStrategy::on_residual_changed(BinSlot slot, double residual) {
+  DBP_REQUIRE(registered(slot), "residual change for unregistered bin");
+  residual_of_[static_cast<std::size_t>(slot)] = residual;
 }
 
-void MoveToFrontStrategy::on_bin_closed(BinId bin) {
-  DBP_REQUIRE(registered(bin), "closing an unregistered bin");
-  unlink(bin);
-  residual_of_[static_cast<std::size_t>(bin)] = kUnregistered;
+void MoveToFrontStrategy::on_bin_closed(BinSlot slot) {
+  DBP_REQUIRE(registered(slot), "closing an unregistered bin");
+  unlink(slot);
+  residual_of_[static_cast<std::size_t>(slot)] = kUnregistered;
 }
 
 void MoveToFrontStrategy::reserve(std::size_t bins_hint) {
@@ -310,9 +308,9 @@ void MoveToFrontStrategy::reserve(std::size_t bins_hint) {
 
 void MoveToFrontStrategy::save_state(ByteWriter& out) const {
   out.u64(list_size_);
-  for (BinId bin = head_; bin != kNoBin;
-       bin = next_[static_cast<std::size_t>(bin)]) {
-    out.u64(bin);
+  for (BinSlot slot = head_; slot != kNoSlot;
+       slot = next_[static_cast<std::size_t>(slot)]) {
+    out.u32(static_cast<std::uint32_t>(slot));
   }
 }
 
@@ -326,16 +324,16 @@ void MoveToFrontStrategy::load_state(ByteReader& in) {
   // linked (class invariant), so count == list_size_ == #registered and the
   // per-bin checks below force an exact bijection.
   std::vector<std::uint8_t> seen(residual_of_.size(), 0);
-  head_ = kNoBin;
-  tail_ = kNoBin;
+  head_ = kNoSlot;
+  tail_ = kNoSlot;
   list_size_ = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
-    const BinId bin = in.u64();
-    if (!registered(bin) || seen[static_cast<std::size_t>(bin)] != 0) {
+    const auto slot = static_cast<BinSlot>(in.u32());
+    if (!registered(slot) || seen[static_cast<std::size_t>(slot)] != 0) {
       throw CorruptionError("move-to-front recency list names a foreign bin");
     }
-    seen[static_cast<std::size_t>(bin)] = 1;
-    link_back(bin);
+    seen[static_cast<std::size_t>(slot)] = 1;
+    link_back(slot);
   }
 }
 

@@ -38,12 +38,14 @@ AdaptiveAdversaryOutcome run_adaptive_adversary(
   // Survivor selection: the smallest item id in each open bin stays until
   // mu*Delta; everything else departs at Delta.
   std::vector<bool> survivor(item_count, false);
-  for (BinId bin : probe->bins().open_bins()) {
-    const std::vector<ItemId> residents = probe->bins().items_in(bin);
-    DBP_CHECK(!residents.empty(), "open bin without residents");
-    survivor[static_cast<std::size_t>(
-        *std::min_element(residents.begin(), residents.end()))] = true;
-  }
+  const BinManager& bins = probe->bins();
+  bins.for_each_open_bin([&](BinSlot slot) {
+    ItemId smallest = kNoItem;
+    bins.for_each_resident(slot,
+                           [&](ItemId id, double) { smallest = std::min(smallest, id); });
+    DBP_CHECK(smallest != kNoItem, "open bin without residents");
+    survivor[static_cast<std::size_t>(smallest)] = true;
+  });
 
   outcome.instance.reserve(item_count);
   for (ItemId id = 0; id < item_count; ++id) {

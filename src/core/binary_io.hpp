@@ -52,6 +52,19 @@ class ByteWriter {
     buffer_.insert(buffer_.end(), data.begin(), data.end());
   }
 
+  /// Rewrites the four bytes at `offset`, written earlier, as `value`: a
+  /// field that can be computed only from bytes written after it.
+  void patch_u32(std::size_t offset, std::uint32_t value) {
+    DBP_REQUIRE(offset <= buffer_.size() && buffer_.size() - offset >= 4,
+                "patch past the written bytes");
+    for (int shift = 0; shift < 32; shift += 8, ++offset) {
+      buffer_[offset] = static_cast<std::uint8_t>((value >> shift) & 0xFFU);
+    }
+  }
+
+  /// Forgets the written bytes, keeping the buffer's capacity.
+  void clear() noexcept { buffer_.clear(); }
+
   [[nodiscard]] const std::vector<std::uint8_t>& data() const noexcept {
     return buffer_;
   }

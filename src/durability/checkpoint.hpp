@@ -19,7 +19,7 @@
 namespace dbp::durability {
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x43504244U;  // "DBPC" LE
-inline constexpr std::uint32_t kCheckpointVersion = 6;
+inline constexpr std::uint32_t kCheckpointVersion = 7;
 
 struct CheckpointData {
   std::uint64_t stream_id = 0;

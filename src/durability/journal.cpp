@@ -21,19 +21,8 @@ std::vector<std::uint8_t> encode_header(std::uint64_t stream_id) {
   return out.take();
 }
 
-std::vector<std::uint8_t> encode_record(const JournalEvent& event) {
-  ByteWriter payload;
-  payload.u64(event.seq);
-  payload.u8(static_cast<std::uint8_t>(event.kind));
-  payload.f64(event.time);
-  payload.u64(event.subject);
-  payload.f64(event.size);
-  ByteWriter record;
-  record.u32(static_cast<std::uint32_t>(payload.size()));
-  record.u32(crc32(payload.data()));
-  record.bytes(payload.data());
-  return record.take();
-}
+/// One record's payload: seq, kind, time, subject, size.
+constexpr std::uint32_t kRecordPayloadBytes = 8 + 1 + 8 + 8 + 8;
 
 bool valid_kind(std::uint8_t kind) {
   return kind >= static_cast<std::uint8_t>(JournalEventKind::kStartSession) &&
@@ -63,13 +52,23 @@ JournalWriter::JournalWriter(const std::string& path, const JournalScan& scan)
 }
 
 void JournalWriter::append(const JournalEvent& event) {
-  const std::vector<std::uint8_t> record = encode_record(event);
-  buffer_.insert(buffer_.end(), record.begin(), record.end());
+  // Encoded in place: the CRC is patched in over the payload bytes already
+  // in the buffer, so once the buffer holds one flush's worth an append
+  // allocates nothing.
+  const std::size_t start = buffer_.size();
+  buffer_.u32(kRecordPayloadBytes);
+  buffer_.u32(0);
+  buffer_.u64(event.seq);
+  buffer_.u8(static_cast<std::uint8_t>(event.kind));
+  buffer_.f64(event.time);
+  buffer_.u64(event.subject);
+  buffer_.f64(event.size);
+  buffer_.patch_u32(start + 4, crc32(std::span(buffer_.data()).subspan(start + 8)));
 }
 
 void JournalWriter::flush() {
-  if (buffer_.empty()) return;
-  detail::write_all(file_.fd(), "journal", offset_, buffer_);
+  if (buffer_.size() == 0) return;
+  detail::write_all(file_.fd(), "journal", offset_, buffer_.data());
   detail::sync_fd(file_.fd());
   offset_ += buffer_.size();
   buffer_.clear();

@@ -16,13 +16,14 @@
 #include <string>
 #include <vector>
 
+#include "core/binary_io.hpp"
 #include "core/types.hpp"
 #include "durability/file_io.hpp"
 
 namespace dbp::durability {
 
 inline constexpr std::uint32_t kJournalMagic = 0x4A504244U;  // "DBPJ" LE
-inline constexpr std::uint32_t kJournalVersion = 6;
+inline constexpr std::uint32_t kJournalVersion = 7;
 inline constexpr std::size_t kJournalHeaderBytes = 20;
 /// Framing sanity bound: no event payload is remotely this large, so a
 /// length field beyond it is torn garbage, not a record.
@@ -69,7 +70,7 @@ class JournalWriter {
 
  private:
   detail::FileHandle file_;
-  std::vector<std::uint8_t> buffer_;
+  ByteWriter buffer_;  ///< encoded records not yet flushed
   std::uint64_t offset_ = 0;  ///< durable bytes: where the next flush writes
 };
 

@@ -79,8 +79,6 @@ std::size_t DurableDispatcher::fail_server(BinId server, Time now_minutes) {
   return redispatched;
 }
 
-void DurableDispatcher::flush() { journal_->flush(); }
-
 void DurableDispatcher::checkpoint_now() {
   // Every journaled event was flushed before it was applied, so the journal
   // is durable through the checkpoint's position before the checkpoint

@@ -66,10 +66,6 @@ class DurableDispatcher {
   void end_session(std::uint64_t session_id, Time now_minutes);
   std::size_t fail_server(BinId server, Time now_minutes);
 
-  /// A durability point. Every event is already flushed before it is
-  /// applied, so this finds nothing buffered.
-  void flush();
-
   [[nodiscard]] const GameServerDispatcher& dispatcher() const noexcept {
     return dispatcher_;
   }

@@ -93,7 +93,11 @@ struct EngineConfig {
   }();
   /// Bin-count options for the epoch OPT_total bounds.
   BinCountOptions bin_count{};
-  std::size_t oracle_memo_limit = BinCountOracle::kMemoLimit;
+  /// Memo entries for the epoch bin counts. Two, the oracle's floor: a
+  /// served stream's epochs rarely repeat a multiset beyond the last two
+  /// (an idle timer tick, an A/B alternation), and a larger memo only grows
+  /// for the life of the server.
+  std::size_t oracle_memo_limit = 2;
 
   /// Throws PreconditionError unless the configuration is usable.
   void validate() const;

@@ -60,7 +60,7 @@ std::optional<ShedVictim> next_victim(const BinManager& bins,
                                       const SessionTable& sessions,
                                       double gpu_fraction) {
   std::optional<ShedVictim> victim;
-  bins.for_each_open_bin([&](BinId bin) {
+  bins.for_each_open_bin([&](BinSlot bin) {
     bins.for_each_resident(bin, [&](ItemId slot, double size) {
       if (size >= gpu_fraction) return;
       const std::uint64_t session = sessions.id_of(slot);
@@ -278,7 +278,9 @@ std::size_t GameServerDispatcher::fail_server(BinId server, Time now_minutes) {
     return 0;
   }
   const BinManager& bins = packer_->bins();
-  if (server >= bins.total_bins_opened() || !bins.is_open(server)) {
+  const std::optional<BinSlot> server_slot =
+      server < bins.total_bins_opened() ? bins.slot_of(server) : std::nullopt;
+  if (!server_slot) {
     reject(DispatchErrorKind::kUnknownServer, stats_.unknown_servers,
            strfmt("server %llu is not an active server",
                   static_cast<unsigned long long>(server)));
@@ -294,7 +296,7 @@ std::size_t GameServerDispatcher::fail_server(BinId server, Time now_minutes) {
     double size;
   };
   std::vector<Orphan> orphans;
-  bins.for_each_resident(server, [&](ItemId slot, double size) {
+  bins.for_each_resident(*server_slot, [&](ItemId slot, double size) {
     orphans.push_back(Orphan{sessions_.id_of(slot), slot, size});
   });
   std::sort(orphans.begin(), orphans.end(),
@@ -515,7 +517,7 @@ void GameServerDispatcher::active_sizes(std::span<double> out) const {
   DBP_REQUIRE(out.size() == bins.active_item_count(),
               "active_sizes span must cover exactly the active sessions");
   std::size_t i = 0;
-  bins.for_each_open_bin([&](BinId bin) {
+  bins.for_each_open_bin([&](BinSlot bin) {
     bins.for_each_resident(bin, [&](ItemId, double size) { out[i++] = size; });
   });
 }

@@ -7,13 +7,6 @@
 
 namespace dbp {
 
-ItemId SessionTable::new_slot() {
-  const std::size_t slot = slot_ids_.size();
-  slot_ids_.push_back(kNoItem);
-  if (slot % 64 == 0) free_bits_.push_back(0);
-  return static_cast<ItemId>(slot);
-}
-
 void SessionTable::grow() {
   const std::vector<Cell> old = std::move(cells_);
   cells_.assign(2 * old.size(), Cell{});
@@ -25,7 +18,8 @@ void SessionTable::grow() {
 
 void SessionTable::restore(Probe probe, std::uint64_t id, ItemId slot) {
   if (grow_for_one_more()) probe = find(id);
-  while (slot_ids_.size() <= static_cast<std::size_t>(slot)) (void)new_slot();
+  free_slots_.take_through(static_cast<std::size_t>(slot));
+  slot_ids_.resize(free_slots_.slot_count(), kNoItem);
   slot_ids_[static_cast<std::size_t>(slot)] = id;
   cells_[probe.cell] = Cell{id, slot};
   ++size_;
@@ -33,7 +27,7 @@ void SessionTable::restore(Probe probe, std::uint64_t id, ItemId slot) {
 
 void SessionTable::finish_restore() {
   for (std::size_t slot = 0; slot < slot_ids_.size(); ++slot) {
-    if (slot_ids_[slot] == kNoItem) mark_free(slot);
+    if (slot_ids_[slot] == kNoItem) free_slots_.release(slot);
   }
 }
 
@@ -55,13 +49,10 @@ void SessionTable::audit(const BinManager& packer) const {
   DBP_CHECK(occupied == size_, "session table size disagrees with its cells");
   DBP_CHECK(size_ == packer.active_item_count(),
             "session table and packer hold different numbers of sessions");
-  DBP_CHECK(free_bits_.size() == (slot_ids_.size() + 63) / 64,
-            "free-slot bitmap does not cover the slots");
-  for (std::size_t slot = 0; slot < 64 * free_bits_.size(); ++slot) {
-    const bool marked = (free_bits_[slot / 64] >> (slot % 64) & 1U) != 0;
-    DBP_CHECK(marked == (slot < slot_ids_.size() && slot_ids_[slot] == kNoItem),
-              "free-slot bitmap disagrees with the unoccupied slots");
-  }
+  DBP_CHECK(free_slots_.slot_count() == slot_ids_.size() &&
+                free_slots_.marks_exactly_unoccupied(
+                    [this](std::size_t slot) { return slot_ids_[slot] != kNoItem; }),
+            "free-slot bitmap disagrees with the unoccupied slots");
 }
 
 void SessionTable::audit_session(std::uint64_t id, const BinManager& packer) const {
@@ -72,8 +63,7 @@ void SessionTable::audit_session(std::uint64_t id, const BinManager& packer) con
   const auto slot = static_cast<std::size_t>(cells_[probe.cell].slot);
   DBP_CHECK(slot < slot_ids_.size() && slot_ids_[slot] == id,
             "session table cell and slot array disagree");
-  DBP_CHECK((free_bits_[slot / 64] >> (slot % 64) & 1U) == 0,
-            "an occupied session slot is marked free");
+  DBP_CHECK(!free_slots_.is_free(slot), "an occupied session slot is marked free");
   DBP_CHECK(packer.active_size(cells_[probe.cell].slot).has_value(),
             "session slot is not an active item of the packer");
 }

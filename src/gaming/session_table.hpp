@@ -12,8 +12,7 @@
 // tombstones, so a lookup ends at the first empty cell. A new session takes
 // the lowest free slot: which slot comes next depends only on which slots
 // are occupied, so a table restored from its (slot, id) pairs hands out the
-// same slots as the uninterrupted run. Free slots are a bitmap, scanned
-// from its first word.
+// same slots as the uninterrupted run (core/free_slots.hpp).
 #pragma once
 
 #include <bit>
@@ -21,6 +20,7 @@
 #include <vector>
 
 #include "core/audit.hpp"
+#include "core/free_slots.hpp"
 #include "core/splitmix64.hpp"
 #include "core/types.hpp"
 
@@ -59,7 +59,8 @@ class SessionTable {
   /// erase since) and gives it the lowest free slot, which it returns.
   ItemId insert(Probe probe, std::uint64_t id) {
     if (grow_for_one_more()) probe = find(id);
-    const ItemId slot = take_lowest_free_slot();
+    const auto slot = static_cast<ItemId>(free_slots_.take_lowest());
+    if (slot == slot_ids_.size()) slot_ids_.push_back(kNoItem);
     slot_ids_[static_cast<std::size_t>(slot)] = id;
     cells_[probe.cell] = Cell{id, slot};
     ++size_;
@@ -70,7 +71,7 @@ class SessionTable {
   void erase(Probe probe) noexcept {
     const ItemId slot = cells_[probe.cell].slot;
     slot_ids_[static_cast<std::size_t>(slot)] = kNoItem;
-    mark_free(static_cast<std::size_t>(slot));
+    free_slots_.release(static_cast<std::size_t>(slot));
     // Backward shift: move each later entry of the cluster into the hole
     // when the hole lies between its home cell and its cell.
     const std::size_t mask = cells_.size() - 1;
@@ -150,26 +151,6 @@ class SessionTable {
     return static_cast<std::size_t>(splitmix64_mix(id) >> shift_);
   }
 
-  /// The lowest free slot, now taken; a new slot when none is free.
-  ItemId take_lowest_free_slot() {
-    for (std::size_t word = 0; word < free_bits_.size(); ++word) {
-      std::uint64_t& bits = free_bits_[word];
-      if (bits == 0) continue;
-      const auto slot = static_cast<ItemId>(
-          64 * word + static_cast<std::size_t>(std::countr_zero(bits)));
-      bits &= bits - 1;
-      return slot;
-    }
-    return new_slot();
-  }
-
-  void mark_free(std::size_t slot) noexcept {
-    free_bits_[slot / 64] |= std::uint64_t{1} << (slot % 64);
-  }
-
-  /// Appends slot slot_count(), growing the bitmap to cover it.
-  ItemId new_slot();
-
   /// Doubles the cell array when one more entry would fill more than a
   /// quarter of it; true when it did, which makes earlier probes stale.
   /// The cells cost 16 bytes each, fewer than eight per session at the
@@ -187,8 +168,8 @@ class SessionTable {
   std::vector<Cell> cells_;
   int shift_;  ///< 64 - log2(cells_.size())
   std::size_t size_ = 0;
-  std::vector<std::uint64_t> slot_ids_;   ///< by slot; kNoItem when free
-  std::vector<std::uint64_t> free_bits_;  ///< bit s: slot s is free
+  std::vector<std::uint64_t> slot_ids_;  ///< by slot; kNoItem when free
+  FreeSlots free_slots_;
 };
 
 }  // namespace dbp

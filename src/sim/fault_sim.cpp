@@ -14,8 +14,8 @@ namespace dbp {
 
 namespace {
 
-BinId select_victim(const BinManager& bins, const std::vector<BinId>& open,
-                    CrashTarget target, std::uint64_t& rng_state) {
+BinSlot select_victim(const BinManager& bins, const std::vector<BinSlot>& open,
+                      CrashTarget target, std::uint64_t& rng_state) {
   switch (target) {
     case CrashTarget::kOldest:
       return open.front();
@@ -25,9 +25,9 @@ BinId select_victim(const BinManager& bins, const std::vector<BinId>& open,
       return open[static_cast<std::size_t>(splitmix64_next(rng_state) %
                                            open.size())];
     case CrashTarget::kFullest: {
-      BinId best = open.front();
+      BinSlot best = open.front();
       double best_level = bins.level(best);
-      for (const BinId bin : open) {
+      for (const BinSlot bin : open) {
         const double level = bins.level(bin);
         if (level > best_level) {
           best = bin;
@@ -37,9 +37,9 @@ BinId select_victim(const BinManager& bins, const std::vector<BinId>& open,
       return best;
     }
     case CrashTarget::kEmptiest: {
-      BinId best = open.front();
+      BinSlot best = open.front();
       double best_level = bins.level(best);
-      for (const BinId bin : open) {
+      for (const BinSlot bin : open) {
         const double level = bins.level(bin);
         if (level < best_level) {
           best = bin;
@@ -138,7 +138,7 @@ SimulationResult simulate_faulted(const Instance& instance, Packer& packer,
         case AnomalyKind::kDuplicateStart: {
           // Duplicates the k-th smallest resident id, k drawn from the plan.
           std::vector<ItemId> residents;
-          bins.for_each_open_bin([&](BinId bin) {
+          bins.for_each_open_bin([&](BinSlot bin) {
             bins.for_each_resident(bin, [&](ItemId resident, double) {
               residents.push_back(resident);
             });
@@ -189,9 +189,11 @@ SimulationResult simulate_faulted(const Instance& instance, Packer& packer,
     } else {
       const CrashFault& fault = plan.crashes[ci++];
       clock = std::max(clock, fault.time);
-      const std::vector<BinId> open = bins.open_bins();
+      std::vector<BinSlot> open;  // in opening order, i.e. by ascending id
+      bins.for_each_open_bin([&open](BinSlot slot) { open.push_back(slot); });
       if (open.empty()) continue;  // crash on an idle fleet: nothing to kill
-      const BinId victim = select_victim(bins, open, fault.target, rng_state);
+      const BinId victim =
+          bins.id_of(select_victim(bins, open, fault.target, rng_state));
       const std::vector<ItemId> live = bins.items_in(victim);
       if (obs::RunTracer* tracer = obs::tracer()) {
         obs::TraceRecord record;

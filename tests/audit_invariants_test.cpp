@@ -62,8 +62,9 @@ TEST(AuditMacros, FailingCheckThrowsInvariantError) {
 
 TEST(BinManagerAudit, ScriptedLifecyclePassesDeepAudit) {
   BinManager manager(CostModel{});
-  const BinId b0 = manager.open_bin(0.0);
-  const BinId b1 = manager.open_bin(0.0);
+  const BinSlot b0 = manager.open_bin(0.0);
+  const BinSlot b1 = manager.open_bin(0.0);
+  const BinId b0_id = manager.id_of(b0);
   manager.place(ArrivingItem{0, 0.0, 0.6}, b0);
   manager.place(ArrivingItem{1, 1.0, 0.3}, b0);
   manager.place(ArrivingItem{2, 1.0, 0.9}, b1);
@@ -76,7 +77,7 @@ TEST(BinManagerAudit, ScriptedLifecyclePassesDeepAudit) {
 
   manager.remove(0, 4.0);
   manager.remove(3, 4.0);  // empties and closes b0
-  EXPECT_FALSE(manager.is_open(b0));
+  EXPECT_FALSE(manager.is_open(b0_id));
   manager.remove(2, 5.0);
   manager.audit();
   EXPECT_EQ(manager.open_count(), 0u);
@@ -94,14 +95,11 @@ TEST(BinManagerAudit, RandomChurnKeepsInvariants) {
   for (const Event& event : events) {
     const Item& item = instance.item(event.item);
     if (event.kind == EventKind::kArrival) {
-      BinId chosen = kNoBin;
-      for (const BinId bin : manager.open_bins()) {
-        if (manager.fits(item.size, bin)) {
-          chosen = bin;
-          break;
-        }
-      }
-      if (chosen == kNoBin) chosen = manager.open_bin(event.time);
+      BinSlot chosen = kNoSlot;
+      manager.for_each_open_bin([&](BinSlot slot) {
+        if (chosen == kNoSlot && manager.fits(item.size, slot)) chosen = slot;
+      });
+      if (chosen == kNoSlot) chosen = manager.open_bin(event.time);
       manager.place(ArrivingItem{item.id, item.arrival, item.size}, chosen);
     } else {
       manager.remove(item.id, event.time);

@@ -110,6 +110,28 @@ TEST_F(DurabilityTest, JournalRoundTripsEventsExactly) {
   EXPECT_EQ(scan.valid_bytes, durability::detail::file_size(path("j")));
 }
 
+// The record layout, pinned: u32 payload length, u32 CRC-32 of the
+// payload, then seq, kind, time, subject and size, all little-endian. The
+// bytes were computed independently (Python's struct and zlib.crc32).
+TEST_F(DurabilityTest, JournalRecordEncodesToPinnedBytes) {
+  durability::JournalEvent event;
+  event.seq = 0x0102030405060708ULL;
+  event.kind = durability::JournalEventKind::kEndSession;
+  event.time = 1.5;
+  event.subject = 42;
+  event.size = 0.25;
+  write_journal(path("j"), {event});
+  const std::vector<std::uint8_t> bytes = durability::detail::read_file(path("j"));
+  const std::vector<std::uint8_t> record(
+      bytes.begin() + static_cast<long>(durability::kJournalHeaderBytes), bytes.end());
+  const std::vector<std::uint8_t> expected{
+      0x21, 0x00, 0x00, 0x00, 0x55, 0x0a, 0x9c, 0xe1, 0x08, 0x07, 0x06,
+      0x05, 0x04, 0x03, 0x02, 0x01, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0xf8, 0x3f, 0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x3f};
+  EXPECT_EQ(record, expected);
+}
+
 TEST_F(DurabilityTest, TornTailTruncationAtEveryByte) {
   // Exhaustive: cut the file at every possible byte. Below the header the
   // scan must refuse; everywhere else it must yield exactly the records
@@ -578,7 +600,6 @@ TEST_F(DurabilityTest, StrictDispatcherCleanPathMatchesSimulate) {
   durability::DurableDispatcher durable =
       durable_run(make_config(path("run")), "first-fit");
   feed_events(durable, instance, events, 0, events.size(), assignment);
-  durable.flush();
   expect_identical(reference,
                    result_of(durable, instance, "first-fit", assignment));
 }
@@ -599,7 +620,6 @@ TEST_F(DurabilityTest, RecoveryResumesInterruptedRunBitIdentically) {
     durability::DurableDispatcher durable =
         durable_run(make_config(path("run")), "first-fit");
     feed_events(durable, instance, events, 0, cut, assignment);
-    durable.flush();
   }
 
   obs::MetricsRegistry metrics;
@@ -616,7 +636,6 @@ TEST_F(DurabilityTest, RecoveryResumesInterruptedRunBitIdentically) {
 
   feed_events(*state.dispatcher, instance, events, cut, events.size(),
               assignment);
-  state.dispatcher->flush();
   expect_identical(reference,
                    result_of(*state.dispatcher, instance, "first-fit",
                              assignment));
@@ -633,7 +652,6 @@ TEST_F(DurabilityTest, RecoveryFallsBackWhenNewestCheckpointIsCorrupt) {
     durability::DurableDispatcher durable =
         durable_run(make_config(path("run")), "first-fit");
     feed_events(durable, instance, events, 0, events.size(), assignment);
-    durable.flush();
   }
   const auto entries = durability::list_checkpoints(path("run"));
   ASSERT_GE(entries.size(), 2u);
@@ -649,7 +667,6 @@ TEST_F(DurabilityTest, RecoveryFallsBackWhenNewestCheckpointIsCorrupt) {
                             state.report.next_seq, assignment);
   feed_events(*state.dispatcher, instance, events, state.report.next_seq,
               events.size(), assignment);
-  state.dispatcher->flush();
   expect_identical(reference,
                    result_of(*state.dispatcher, instance, "first-fit",
                              assignment));
@@ -688,7 +705,6 @@ TEST_F(DurabilityTest, RecoveryFallsBackPastANewestCheckpointThatDoesNotDecode) 
       durability::DurableDispatcher durable =
           durable_run(make_config(dir), "first-fit");
       feed_events(durable, instance, events, 0, events.size(), assignment);
-      durable.flush();
     }
     const auto entries = durability::list_checkpoints(dir);
     ASSERT_GE(entries.size(), 2u);
@@ -707,7 +723,6 @@ TEST_F(DurabilityTest, RecoveryFallsBackPastANewestCheckpointThatDoesNotDecode) 
                               state.report.next_seq, assignment);
     feed_events(*state.dispatcher, instance, events, state.report.next_seq,
                 events.size(), assignment);
-    state.dispatcher->flush();
     expect_identical(reference,
                      result_of(*state.dispatcher, instance, "first-fit",
                              assignment));
@@ -733,7 +748,6 @@ TEST_F(DurabilityTest, OverlongCheckpointNamesAreIgnored) {
         durable_run(make_config(path("run")), "first-fit");
     { std::ofstream junk(path("run/" + stray)); junk << "junk"; }
     feed_events(durable, instance, events, 0, cut, assignment);
-    durable.flush();
   }
   EXPECT_TRUE(std::filesystem::exists(path("run/" + stray)));
   const auto entries = durability::list_checkpoints(path("run"));
@@ -751,7 +765,6 @@ TEST_F(DurabilityTest, OverlongCheckpointNamesAreIgnored) {
                             cut, assignment);
   feed_events(*state.dispatcher, instance, events, cut, events.size(),
               assignment);
-  state.dispatcher->flush();
   expect_identical(reference,
                    result_of(*state.dispatcher, instance, "first-fit",
                              assignment));
@@ -762,14 +775,15 @@ TEST_F(DurabilityTest, PreviousFormatDirectoryIsRefusedUntouched) {
   // 2 wrote the dispatcher's session table; version 3 wrote adaptive-mff's
   // own pool map; version 4 handed the packer session ids instead of slots
   // and had no (slot, id) table; version 5 wrote the spec, algorithm,
-  // options and policy ahead of a save_state that named them again. A
-  // directory whose headers still say any of these versions (here with a
-  // half-written record at the journal's end) must be refused before
-  // recovery truncates or rewrites any of its files. The journal records
-  // did not change in versions 3 to 6, but the journal's version moves with
-  // the checkpoint's: recovery repairs a torn journal tail before it reads
-  // any checkpoint.
-  for (const std::uint32_t old_version : {1u, 2u, 3u, 4u, 5u}) {
+  // options and policy ahead of a save_state that named them again;
+  // version 6 wrote every bin ever opened, with the packers' per-bin state
+  // indexed by bin id instead of by slot. A directory whose headers still
+  // say any of these versions (here with a half-written record at the
+  // journal's end) must be refused before recovery truncates or rewrites
+  // any of its files. The journal records did not change in versions 3 to
+  // 7, but the journal's version moves with the checkpoint's: recovery
+  // repairs a torn journal tail before it reads any checkpoint.
+  for (const std::uint32_t old_version : {1u, 2u, 3u, 4u, 5u, 6u}) {
     SCOPED_TRACE(old_version);
     const std::string dir = path("run-v" + std::to_string(old_version));
     {
@@ -778,7 +792,6 @@ TEST_F(DurabilityTest, PreviousFormatDirectoryIsRefusedUntouched) {
         (void)durable.start_session(i, 0.25, static_cast<Time>(i));
         if (i >= 3) durable.end_session(i - 3, static_cast<Time>(i));
       }
-      durable.flush();
     }
     const auto set_version = [old_version](std::vector<std::uint8_t>& bytes) {
       ByteWriter version;
@@ -833,7 +846,6 @@ TEST_F(DurabilityTest, RecoveryRefusesDirectoryWithoutUsableCheckpoint) {
     durability::DurableDispatcher durable =
         durable_run(make_config(path("run")), "first-fit");
     (void)durable.start_session(0, 0.5, 0.0);
-    durable.flush();
   }
   for (const auto& entry : durability::list_checkpoints(path("run"))) {
     flip_byte(entry.path, durability::detail::file_size(entry.path) / 2);
@@ -871,7 +883,6 @@ TEST_F(DurabilityTest, DurableDispatcherSurvivesRecoveryWithFaultState) {
     durability::DurableDispatcher durable(make_config(path("d"), 8), spec,
                                           "first-fit", {}, policy);
     drive(durable, 0, cut);
-    durable.flush();
   }
   durability::RecoveryManager manager(make_config(path("d"), 8));
   durability::RecoveredState state = manager.recover();

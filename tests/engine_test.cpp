@@ -272,6 +272,35 @@ TEST(EngineTest, QueueKeepsSubmissionOrderAcrossAFullQueue) {
   EXPECT_EQ(eng.rental_cost_dollars(horizon), plain.rental_cost_dollars(horizon));
 }
 
+// The default memo keeps the last two epochs' multisets: an epoch that
+// returns to the one before last hits, and one that returns to an older
+// multiset misses.
+TEST(EngineTest, DefaultOracleMemoKeepsTheLastTwoMultisets) {
+  ShardedDispatchEngine revisit(config(1));
+  revisit.submit(start_event(1, 0.5, 1.0));
+  revisit.advance_epoch(1.0);  // A = {0.5}
+  revisit.submit(start_event(2, 0.25, 2.0));
+  revisit.advance_epoch(2.0);  // B = {0.5, 0.25}
+  revisit.submit(end_event(2, 3.0));
+  revisit.advance_epoch(3.0);  // A again
+  EXPECT_EQ(revisit.oracle_hits(), 1u);
+  EXPECT_EQ(revisit.oracle_misses(), 2u);
+
+  ShardedDispatchEngine older(config(1));
+  older.submit(start_event(1, 0.5, 1.0));
+  older.advance_epoch(1.0);  // A
+  older.submit(start_event(2, 0.25, 2.0));
+  older.advance_epoch(2.0);  // B
+  older.submit(end_event(2, 3.0));
+  older.submit(start_event(3, 0.125, 3.0));
+  older.advance_epoch(3.0);  // C = {0.5, 0.125}
+  older.submit(end_event(3, 4.0));
+  older.advance_epoch(4.0);  // A, evicted by C
+  EXPECT_EQ(older.oracle_hits(), 0u);
+  EXPECT_EQ(older.oracle_misses(), 4u);
+  EXPECT_EQ(older.merged_snapshot_rle(), (std::vector<SizeRun>{{0.5, 1}}));
+}
+
 TEST(EngineTest, RefusedEpochLeavesQueuedEventsUnapplied) {
   ShardedDispatchEngine eng(config(2));
   eng.advance_epoch(5.0);

@@ -111,7 +111,7 @@ TEST(FactoryTest, WouldOpenBinPredictsEveryArrival) {
       const double size = rng.uniform(0.02, 0.7);
       bool room = false;
       packer->bins().for_each_open_bin(
-          [&](BinId bin) { room = room || packer->bins().fits(size, bin); });
+          [&](BinSlot bin) { room = room || packer->bins().fits(size, bin); });
       const bool predicted = packer->would_open_bin(size);
       const std::size_t before = packer->bins().total_bins_opened();
       packer->on_arrival({id, now, size});

@@ -94,7 +94,6 @@ void run_cut(const durability::DurabilityConfig& config,
     durability::DurableDispatcher durable(config, kRunSpec, algorithm, options,
                                           FaultPolicy{});
     feed_events(durable, instance, events, 0, cut, assignment);
-    durable.flush();
   }
   durability::RecoveryManager manager(config);
   durability::RecoveredState state = manager.recover();
@@ -104,7 +103,6 @@ void run_cut(const durability::DurabilityConfig& config,
                             cut, assignment);
   feed_events(*state.dispatcher, instance, events, cut, events.size(),
               assignment);
-  state.dispatcher->flush();
 
   const GameServerDispatcher& recovered = state.dispatcher->dispatcher();
   EXPECT_EQ(recovered.algorithm(), algorithm);
@@ -230,7 +228,6 @@ TEST_F(RecoveryDifferentialTest, DispatcherChaosRecoversAtEveryStride) {
       durability::DurableDispatcher durable(cfg, spec, "first-fit", {},
                                             policy);
       apply(durable, durable.dispatcher().bins(), 0, cut);
-      durable.flush();
     }
     durability::RecoveryManager manager(cfg);
     durability::RecoveredState state = manager.recover();

@@ -99,7 +99,7 @@ TEST(SessionTableTest, MatchesAMapUnderRandomChurn) {
   pool.push_back(kLargestId);
   SessionTable table;
   BinManager packer(CostModel{1e9, 1.0, 1e-9});
-  packer.open_bin(0.0);
+  BinSlot bin = packer.open_bin(0.0);  // the one open bin
   std::map<std::uint64_t, ItemId> reference;
   for (int step = 0; step < 20000; ++step) {
     const std::uint64_t id = pool[lcg.below(pool.size())];
@@ -110,7 +110,7 @@ TEST(SessionTableTest, MatchesAMapUnderRandomChurn) {
       packer.remove(table.slot(probe), 1.0);
       table.erase(probe);
       reference.erase(id);
-      if (packer.open_count() == 0) packer.open_bin(1.0);
+      if (packer.open_count() == 0) bin = packer.open_bin(1.0);
     } else {
       std::vector<bool> held(table.slot_count() + 1, false);
       for (const auto& entry : reference) held[entry.second] = true;
@@ -119,9 +119,8 @@ TEST(SessionTableTest, MatchesAMapUnderRandomChurn) {
       const ItemId slot = table.insert(probe, id);
       ASSERT_EQ(slot, lowest_free) << "step " << step;
       reference[id] = slot;
-      packer.place(ArrivingItem{slot, 1.0, 1.0},
-                   packer.open_count() == 0 ? packer.open_bin(1.0)
-                                            : packer.total_bins_opened() - 1);
+      if (packer.open_count() == 0) bin = packer.open_bin(1.0);
+      packer.place(ArrivingItem{slot, 1.0, 1.0}, bin);
     }
     ASSERT_EQ(table.size(), reference.size());
     ASSERT_LE(4 * table.size(), table.capacity());
@@ -136,7 +135,7 @@ TEST(SessionTableTest, MatchesAMapUnderRandomChurn) {
 TEST(SessionTableTest, AuditCatchesATableThatDisagreesWithThePacker) {
   SessionTable table;
   BinManager packer(CostModel{1.0, 1.0, 1e-9});
-  const BinId bin = packer.open_bin(0.0);
+  const BinSlot bin = packer.open_bin(0.0);
   const ItemId a = insert(table, kHugeId);
   const ItemId b = insert(table, 9);
   packer.place(ArrivingItem{a, 0.0, 0.25}, bin);

@@ -12,8 +12,13 @@
 //   * the differential oracle — tests/packer_reference_differential_test
 //     asserts the optimized strategies make bit-identical decisions.
 // make_packer does not know them; make_reference_packer below builds them.
+//
+// The hooks name bins by slot (algo/fit_strategy.hpp); the reference indexes
+// stay keyed by BinId, as in the seed, and a SlotIds map translates at the
+// hook boundary.
 #pragma once
 
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -27,6 +32,19 @@
 
 namespace dbp {
 
+/// The open bins' slot <-> BinId translation for the reference strategies.
+class SlotIds {
+ public:
+  void add(BinSlot slot, BinId bin);
+  [[nodiscard]] BinId bin(BinSlot slot) const;
+  [[nodiscard]] BinSlot slot(BinId bin) const;
+  void remove(BinSlot slot);
+
+ private:
+  std::vector<BinId> bin_of_;  // by slot; kNoBin when free
+  std::map<BinId, BinSlot> slot_of_;
+};
+
 /// The seed First Fit: segment tree + ordered scan positions, with the
 /// position looked up through a hash map on every residual change.
 class FirstFitReferenceStrategy final : public FitStrategy {
@@ -34,16 +52,17 @@ class FirstFitReferenceStrategy final : public FitStrategy {
   explicit FirstFitReferenceStrategy(const CostModel& model) : model_(model) {}
 
   [[nodiscard]] std::string name() const override { return "first-fit-reference"; }
-  [[nodiscard]] std::optional<BinId> select(double size) override;
+  [[nodiscard]] std::optional<BinSlot> select(double size) override;
   [[nodiscard]] bool has_fit(double size) const override {
     return model_.fits(size, residuals_.max_value());
   }
-  void on_bin_registered(BinId bin, double residual) override;
-  void on_residual_changed(BinId bin, double residual) override;
-  void on_bin_closed(BinId bin) override;
+  void on_bin_registered(BinSlot slot, BinId bin, double residual) override;
+  void on_residual_changed(BinSlot slot, double residual) override;
+  void on_bin_closed(BinSlot slot) override;
 
  private:
   CostModel model_;
+  SlotIds ids_;
   MaxSegmentTree residuals_;                  // position = registration order
   std::vector<BinId> bin_at_;                 // position -> bin
   // DBP_LINT_ALLOW(unordered-container): position lookup by bin id only;
@@ -57,17 +76,18 @@ class BestFitReferenceStrategy final : public FitStrategy {
   explicit BestFitReferenceStrategy(const CostModel& model) : model_(model) {}
 
   [[nodiscard]] std::string name() const override { return "best-fit-reference"; }
-  [[nodiscard]] std::optional<BinId> select(double size) override;
+  [[nodiscard]] std::optional<BinSlot> select(double size) override;
   [[nodiscard]] bool has_fit(double size) const override {
     return !by_residual_.empty() &&
            !(by_residual_.rbegin()->first < size - model_.fit_tolerance);
   }
-  void on_bin_registered(BinId bin, double residual) override;
-  void on_residual_changed(BinId bin, double residual) override;
-  void on_bin_closed(BinId bin) override;
+  void on_bin_registered(BinSlot slot, BinId bin, double residual) override;
+  void on_residual_changed(BinSlot slot, double residual) override;
+  void on_bin_closed(BinSlot slot) override;
 
  private:
   CostModel model_;
+  SlotIds ids_;
   std::set<std::pair<double, BinId>> by_residual_;   // (residual, id) ascending
   // DBP_LINT_ALLOW(unordered-container): residual lookup by bin id only;
   // selection order comes from the ordered by_residual_ set.

@@ -41,6 +41,7 @@
 #include "algo/factory.hpp"
 #include "algo/packer.hpp"
 #include "core/types.hpp"
+#include "durability/journal.hpp"
 #include "engine/engine.hpp"
 #include "gaming/dispatcher.hpp"
 #include "net/wire_client.hpp"
@@ -416,6 +417,42 @@ TEST(ZeroAllocEngineTest, MemoHitEpochDoesNotAllocate) {
   EXPECT_EQ(eng.oracle_hits(), hits + kEpochs);
   EXPECT_EQ(eng.oracle_misses(), misses);
   EXPECT_EQ(eng.merged_snapshot_rle(), (std::vector<SizeRun>{{0.5, 2}}));
+}
+
+// ---- journal appends ------------------------------------------------------
+
+/// Strict write-ahead logging appends and flushes every event. Once the
+/// buffer has held one record, an append encodes in place and a flush
+/// writes and clears it, so neither allocates.
+TEST(ZeroAllocJournalTest, AppendAndFlushAfterTheFirstDoNotAllocate) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "dbp_zero_alloc_test.journal";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "journal.dbpj").string();
+  constexpr std::uint64_t kPairs = 64;
+  {
+    durability::JournalWriter writer(path, 7);
+    durability::JournalEvent event{0, durability::JournalEventKind::kStartSession,
+                                   0.0, 1, 0.25};
+    writer.append(event);
+    writer.flush();
+    const std::uint64_t before = allocation_count();
+    for (std::uint64_t i = 1; i <= kPairs; ++i) {
+      event.seq = i;
+      event.kind = i % 2 == 1 ? durability::JournalEventKind::kEndSession
+                              : durability::JournalEventKind::kStartSession;
+      event.time = static_cast<Time>(i);
+      writer.append(event);
+      writer.flush();
+    }
+    const std::uint64_t after = allocation_count();
+    EXPECT_EQ(after - before, 0u)
+        << kPairs << " append-and-flush pairs allocated " << (after - before)
+        << " time(s)";
+  }
+  EXPECT_EQ(durability::scan_journal(path).events.size(), kPairs + 1);
+  std::filesystem::remove_all(dir);
 }
 
 // ---- wire server read path --------------------------------------------
